@@ -154,13 +154,12 @@ class Timeout(Event):
 class Condition(Event):
     """Base for events that fire when some set of child events fire."""
 
-    __slots__ = ("_events", "_pending")
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulation", events: List[Event],
                  name: str = "") -> None:
         super().__init__(sim, name)
         self._events = list(events)
-        self._pending = 0
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("condition mixes simulations")
@@ -172,7 +171,6 @@ class Condition(Event):
                 # Already decided; evaluate immediately via a callback shim.
                 self._check(event)
             else:
-                self._pending += 1
                 assert event.callbacks is not None
                 event.callbacks.append(self._check)
 
@@ -184,9 +182,23 @@ class Condition(Event):
 
 
 class AllOf(Condition):
-    """Fires when every child event has fired (or any child fails)."""
+    """Fires when every child event has fired (or any child fails).
 
-    __slots__ = ()
+    A child counts as done once it is *triggered* and ok, which can be
+    before its callbacks run; so the condition may fire from an earlier
+    child's callback, and a plain pending counter would fire it later.
+    Triggered and ok never revert, so ``_done`` — the length of the
+    prefix of children known done — only moves forward, and each check
+    costs amortised O(1) while answering exactly what a full re-scan
+    would.
+    """
+
+    __slots__ = ("_done",)
+
+    def __init__(self, sim: "Simulation", events: List[Event],
+                 name: str = "") -> None:
+        self._done = 0
+        super().__init__(sim, events, name)
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -194,8 +206,16 @@ class AllOf(Condition):
         if not event.ok:
             self.fail(event.value)
             return
-        self._pending -= 1
-        if all(child.triggered and child.ok for child in self._events):
+        events = self._events
+        n = len(events)
+        done = self._done
+        while done < n:
+            child = events[done]
+            if child._value is PENDING or not child._ok:
+                break
+            done += 1
+        self._done = done
+        if done == n:
             self.succeed(self._collect())
 
 

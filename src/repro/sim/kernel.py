@@ -576,11 +576,8 @@ class Simulation:
 
         if until.processed:
             finished.append(True)
-        elif until.triggered:
-            # Triggered but not yet processed: it is on the queue already.
-            assert until.callbacks is not None
-            until.callbacks.append(mark)
         else:
+            # Pending, or triggered and already on the queue.
             assert until.callbacks is not None
             until.callbacks.append(mark)
         while not finished:

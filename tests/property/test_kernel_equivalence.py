@@ -14,7 +14,12 @@ it exhaustively at two levels:
 * kernel level — full simulations built with ``Simulation(queue="calendar")``
   and ``Simulation(queue="heap")`` must fire the same callbacks at the
   same times in the same order, including through processes, interrupts
-  and event cancellation (``Timeout`` never fires after its event fails).
+  and event cancellation (``Timeout`` never fires after its event fails);
+* condition level — random programs of timeouts, processes, plain events
+  (succeeding or failing), already-triggered and already-processed
+  children and nested conditions must fire every ``AllOf`` at the same
+  queue position, with the same value or exception, as the re-scan
+  reference ``_ScanAllOf`` defined below.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.events import AllOf, AnyOf, Condition, Event
 from repro.sim.kernel import Simulation
 from repro.sim.queues import NB_BUCKETS, CalendarEventQueue, HeapEventQueue
 
@@ -210,6 +216,127 @@ def test_cancellation_equivalence(delays, cancel_index):
         return log, sim.now
 
     assert run("calendar") == run("heap")
+
+
+# ---------------------------------------------------------------------------
+# Condition events
+# ---------------------------------------------------------------------------
+class _ScanAllOf(Condition):
+    """The re-scan ``AllOf``: every child completion re-checks every child.
+
+    Kept only here, as the reference the forward cursor must match.
+    """
+
+    __slots__ = ()
+
+    def _check(self, event):
+        if self.triggered:
+            return
+        if not event.ok:
+            self.fail(event.value)
+            return
+        if all(child.triggered and child.ok for child in self._events):
+            self.succeed(self._collect())
+
+
+class _Boom(Exception):
+    pass
+
+
+CONDITION_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+OUTCOMES = st.sampled_from([True, True, True, False])  # failures are rarer
+
+
+@st.composite
+def condition_programs(draw):
+    """Driver steps that build children and conditions over them.
+
+    ``ready`` children are triggered but not yet processed when a later
+    condition is built; a ``sleep`` lets queued children be processed
+    first.  Conditions join the pool, so later ones nest them.
+    """
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("timeout"), CONDITION_DELAYS),
+            st.tuples(st.just("event"), CONDITION_DELAYS, OUTCOMES),
+            st.tuples(st.just("process"), CONDITION_DELAYS, OUTCOMES),
+            st.tuples(st.just("ready"), OUTCOMES),
+            st.tuples(st.just("sleep"), CONDITION_DELAYS),
+            st.tuples(st.just("cond"), st.sampled_from(["all", "any"]),
+                      st.lists(st.integers(min_value=0, max_value=63),
+                               max_size=6))),
+        min_size=1, max_size=30))
+
+
+def _settle(event, index, ok):
+    if ok:
+        event.succeed(index)
+    else:
+        event.fail(_Boom(index))
+
+
+def _run_conditions(program, queue: str, all_of_cls):
+    """Run *program* with *all_of_cls* as AllOf; return comparable logs."""
+    sim = Simulation(seed=7, strict=False, queue=queue)
+    history = []
+    sim.add_trace_hook(lambda time, item: history.append(
+        (time, item.name if isinstance(item, Event)
+         else type(item).__name__)))
+    outcomes = []
+
+    def waiter(cond):
+        try:
+            value = yield cond
+            outcomes.append((cond.name, sim.now, "ok", value))
+        except _Boom as exc:
+            outcomes.append((cond.name, sim.now, "err", exc.args))
+
+    def driver():
+        pool = []
+        for index, step in enumerate(program):
+            kind, name = step[0], f"n{index}"
+            if kind == "timeout":
+                pool.append(sim.timeout(step[1], value=index, name=name))
+            elif kind == "event":
+                event = sim.event(name)
+                sim.schedule_timeout(
+                    step[1], lambda _v, e=event, i=index, ok=step[2]:
+                    _settle(e, i, ok))
+                pool.append(event)
+            elif kind == "process":
+                def body(i=index, delay=step[1], ok=step[2]):
+                    yield sim.timeout(delay)
+                    if not ok:
+                        raise _Boom(i)
+                    return i
+                pool.append(sim.process(body(), name=name))
+            elif kind == "ready":
+                event = sim.event(name)
+                _settle(event, index, step[1])
+                pool.append(event)
+            elif kind == "sleep":
+                yield sim.timeout(step[1], name=name)
+            else:
+                children = [pool[pick % len(pool)]
+                            for pick in step[2]] if pool else []
+                cls = all_of_cls if step[1] == "all" else AnyOf
+                cond = cls(sim, children, name=name)
+                sim.process(waiter(cond), name=f"w{index}")
+                pool.append(cond)
+
+    sim.process(driver(), name="driver")
+    sim.run()
+    return history, outcomes, sim.now, sim.events_processed
+
+
+@given(condition_programs())
+@settings(max_examples=300, deadline=None)
+def test_all_of_cursor_matches_rescan(program):
+    """The cursor AllOf fires at the same queue position, with the same
+    value or exception, as the re-scan it replaced, on both queues."""
+    for queue in ("calendar", "heap"):
+        assert (_run_conditions(program, queue, AllOf)
+                == _run_conditions(program, queue, _ScanAllOf))
 
 
 def test_unknown_queue_rejected():

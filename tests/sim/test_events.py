@@ -1,9 +1,11 @@
 """Unit tests for the event primitives."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulation
+from repro.sim import AllOf, Simulation
 from tests.helpers import run
 
 
@@ -123,6 +125,73 @@ class TestAllOf:
 
         sim.strict = False
         assert run(sim, proc()) is True
+
+    def test_fires_from_first_callback_once_all_triggered(self, sim):
+        # Both children are triggered before either is processed, so the
+        # condition is decided inside the first child's callback, and is
+        # queued ahead of "later", which "other" schedules before the
+        # second child's callback runs.  A pending counter would wait for
+        # that callback and land after "later".
+        fired = []
+        sim.add_trace_hook(lambda _t, item: fired.append(item.name))
+        first, other, second = (sim.event(n)
+                                for n in ("first", "other", "second"))
+        cond = AllOf(sim, [first, second], name="all")
+        other.callbacks.append(lambda _e: sim.event("later").succeed())
+        for event in (first, other, second):
+            event.succeed(event.name)
+        sim.run()
+        assert cond.value == ["first", "second"]
+        assert fired == ["first", "other", "second", "all", "later"]
+
+
+class _CountingList(list):
+    """A child list that counts every element read, by index or by
+    iteration."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+class TestAllOfLinearWork:
+    """Child inspections stay linear in the number of children.
+
+    The cursor reads each child once when it passes it and once more
+    where it stops, so the checks cost at most N + (number of calls) =
+    2N reads; ``_collect`` then reads each child once more.  A re-scan
+    of every child per completion would be quadratic.
+    """
+
+    N = 400
+
+    def _inspections(self, order):
+        sim = Simulation()
+        children = [sim.event(f"c{i}") for i in range(self.N)]
+        cond = sim.all_of(children)
+        cond._events = counted = _CountingList(cond._events)
+        for step, index in enumerate(order):
+            sim.schedule_timeout(
+                float(step), lambda _v, i=index: children[i].succeed(i))
+        sim.run()
+        assert cond.value == list(range(self.N))
+        return counted.reads
+
+    @pytest.mark.parametrize("order", ["reverse", "forward", "random"])
+    def test_inspections_linear(self, order):
+        indices = list(range(self.N))
+        if order == "reverse":
+            indices.reverse()
+        elif order == "random":
+            random.Random(7).shuffle(indices)
+        assert self._inspections(indices) <= 3 * self.N + 2
 
 
 class TestAnyOf:
