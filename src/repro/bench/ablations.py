@@ -13,10 +13,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Dict, List, Optional
 
+from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import (fresh_platform, install_all, invoke_once)
+from repro.bench.serialization import register_result_type
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.platforms.base import MODE_COLD, MODE_WARM
@@ -76,6 +78,7 @@ def run_store_eviction_demo(params: Optional[CalibratedParameters] = None,
 # ---------------------------------------------------------------------------
 # De-optimization (§6)
 # ---------------------------------------------------------------------------
+@register_result_type
 @dataclass(frozen=True)
 class DeoptResult:
     total_deopts: int
@@ -118,6 +121,7 @@ def run_deopt_experiment(params: Optional[CalibratedParameters] = None
 # ---------------------------------------------------------------------------
 # Warm pool vs snapshot on an Azure-like trace (§1/§2.2)
 # ---------------------------------------------------------------------------
+@register_result_type
 @dataclass(frozen=True)
 class PolicyComparison:
     """Latency/memory of warm-pool OpenWhisk vs Fireworks on one trace.
@@ -280,6 +284,7 @@ def run_catalyzer_comparison(
 # ---------------------------------------------------------------------------
 # Keep-alive policies: fixed vs hybrid histogram [48] vs snapshots
 # ---------------------------------------------------------------------------
+@register_result_type
 @dataclass(frozen=True)
 class KeepAliveOutcome:
     """One keep-alive configuration's trace outcome."""
@@ -474,3 +479,60 @@ def run_regeneration_demo(params: Optional[CalibratedParameters] = None
         "startup_before_ms": before.startup_ms,
         "startup_after_ms": after.startup_ms,
     }
+
+
+# ---------------------------------------------------------------------------
+# Experiment declarations
+# ---------------------------------------------------------------------------
+#: Ablation arms (each one shard), in report order.
+ABLATION_ARMS = {
+    "restore-policy": run_restore_policy_ablation,
+    "store-eviction": run_store_eviction_demo,
+    "deopt": run_deopt_experiment,
+    "remote-store": run_remote_store_ablation,
+    "catalyzer": run_catalyzer_comparison,
+    "aot": run_aot_comparison,
+    "regeneration": run_regeneration_demo,
+}
+
+
+def _print_generic(result, out, indent: str = "  ") -> None:
+    """Print a dict or result dataclass as ``key value`` lines."""
+    if is_dataclass(result) and not isinstance(result, type):
+        result = {f.name: getattr(result, f.name) for f in fields(result)}
+    if isinstance(result, dict):
+        for key, value in result.items():
+            if isinstance(value, dict):
+                cells = " ".join(
+                    f"{k}={v:.1f}" if isinstance(v, float) else f"{k}={v}"
+                    for k, v in value.items())
+                print(f"{indent}{key:<22} {cells}", file=out)
+            elif isinstance(value, float):
+                print(f"{indent}{key:<22} {value:.2f}", file=out)
+            else:
+                print(f"{indent}{key:<22} {value}", file=out)
+    else:
+        print(f"{indent}{result}", file=out)
+
+
+def _render_ablations(result, out, chart=False) -> None:
+    for arm, arm_result in result.items():
+        print(f"-- {arm} --", file=out)
+        _print_generic(arm_result, out)
+
+
+ABLATIONS = Experiment(
+    "ablations", "design ablations (extension)",
+    run=lambda params, seed, arm: ABLATION_ARMS[arm](params),
+    grid={arm: {"arm": arm} for arm in ABLATION_ARMS},
+    render=_render_ablations)
+
+POLICIES = Experiment(
+    "policies", "warm-pool vs snapshot policy (extension)",
+    run=lambda params, seed: run_policy_comparison(params),
+    render=lambda result, out, chart=False: _print_generic(result, out, ""))
+
+KEEPALIVE = Experiment(
+    "keepalive", "keep-alive policy comparison (extension)",
+    run=lambda params, seed: run_keepalive_policy_comparison(params),
+    render=render_lines)

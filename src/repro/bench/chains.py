@@ -32,10 +32,12 @@ from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.autoscale import WarmPoolAutoscaler
+from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import fresh_cluster_platform
 from repro.bench.load import (DEFAULT_CAPACITY_PER_HOST, DEFAULT_KEEPALIVE_MS,
                               DEFAULT_N_HOSTS, DEFAULT_SEED, LOAD_PLATFORMS,
                               _empty_latency, _tuned_params)
+from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters
 from repro.errors import ValidationError
@@ -70,6 +72,7 @@ function main(params) {
 '''
 
 
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class ChainOutcome:
     """One (backend, placement policy) row of the chains experiment."""
@@ -353,3 +356,12 @@ def run_chains_experiment(
                 platform_name, policy, params=params, seed=seed, **kwargs)
             outcomes[(platform_name, outcome.policy)] = outcome
     return outcomes
+
+
+CHAINS = Experiment(
+    "chains", "multi-tenant function-chain serving (extension)",
+    run=lambda params, seed, platform, policy: run_chains_platform(
+        platform, policy, params=params, seed=seed),
+    grid={f"{platform}@{policy}": {"platform": platform, "policy": policy}
+          for platform in LOAD_PLATFORMS for policy in CHAIN_POLICIES},
+    render=render_lines)

@@ -31,8 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.cluster import (KEEPALIVE_MS, POPULAR_INTERARRIVAL_MS,
                                  RARE_INTERARRIVAL_MS)
+from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import (fresh_cluster_platform, install_all,
                                  invoke_once)
+from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
 from repro.chaos import (KIND_BUS_PARTITION, KIND_HOST_CRASH, ChaosEvent,
                          ChaosPlan, HostFailureController)
@@ -59,6 +61,7 @@ DEFAULT_ROWS: Tuple[Tuple[str, bool], ...] = (
 )
 
 
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class ChaosOutcome:
     """One (policy, failover) row's outcome under the fault plan."""
@@ -220,3 +223,9 @@ def run_chaos_experiment(
             failovers=platform.failovers,
             regenerations=platform.regenerations)
     return outcomes
+
+
+CHAOS = Experiment(
+    "chaos", "host-failure chaos experiment (extension)",
+    run=lambda params, seed: run_chaos_experiment(params, seed=seed),
+    render=render_lines)

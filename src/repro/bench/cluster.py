@@ -23,8 +23,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import (fresh_cluster_platform, install_all,
                                  invoke_once)
+from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
@@ -42,6 +44,7 @@ POPULAR_INTERARRIVAL_MS = 30_000.0
 RARE_INTERARRIVAL_MS = 600_000.0
 
 
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class ClusterPolicyOutcome:
     """One placement policy's outcome on the replayed cluster trace."""
@@ -141,3 +144,9 @@ def run_cluster_scheduling(
             latency=LatencyStats.from_samples(fw_latencies),
             load_spread=int(fw.cluster.load_spread()))
     return outcomes
+
+
+CLUSTER = Experiment(
+    "cluster", "cluster placement policies (extension)",
+    run=lambda params, seed: run_cluster_scheduling(params, seed=seed),
+    render=render_lines)

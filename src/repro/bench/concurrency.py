@@ -16,14 +16,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Type
 
+from repro.bench.experiment import Experiment, render_lines
+from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters, default_parameters
+from repro.core.fireworks import FireworksPlatform
 from repro.host.cpu import HostCpu
 from repro.platforms.base import MODE_AUTO, ServerlessPlatform
+from repro.platforms.firecracker import FirecrackerPlatform
+from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.sim.kernel import Simulation
 from repro.workloads.faasdom import faasdom_spec
 
+#: The burst and load-sweep comparison platforms, in paper-figure order.
+COMPARISON_PLATFORMS = {cls.name: cls for cls in (
+    FireworksPlatform, OpenWhiskPlatform, FirecrackerPlatform)}
 
+#: Offered-load levels of the load sweep (requests per second).
+LOAD_SWEEP_RATES = (20.0, 60.0, 120.0, 200.0)
+
+
+@register_result_type
 @dataclass(frozen=True)
 class BurstResult:
     """Outcome of one burst run."""
@@ -88,6 +101,7 @@ def run_burst(platform_cls: Type[ServerlessPlatform],
     )
 
 
+@register_result_type
 @dataclass(frozen=True)
 class LoadPoint:
     """One offered-load level of the sweep."""
@@ -104,7 +118,7 @@ class LoadPoint:
 
 
 def run_load_sweep(platform_cls: Type[ServerlessPlatform],
-                   rates_rps=(20.0, 60.0, 120.0, 200.0),
+                   rates_rps=LOAD_SWEEP_RATES,
                    duration_ms: float = 20000.0,
                    cores: int = 64,
                    benchmark: str = "faas-netlatency",
@@ -166,15 +180,43 @@ def run_burst_comparison(requests: int = 256, cores: int = 64,
                          params: Optional[CalibratedParameters] = None
                          ) -> dict:
     """The burst storm on Fireworks vs OpenWhisk vs Firecracker."""
-    from repro.core.fireworks import FireworksPlatform
-    from repro.platforms.firecracker import FirecrackerPlatform
-    from repro.platforms.openwhisk import OpenWhiskPlatform
-
     results = {}
-    for platform_cls in (FireworksPlatform, OpenWhiskPlatform,
-                         FirecrackerPlatform):
+    for platform_cls in COMPARISON_PLATFORMS.values():
         result = run_burst(platform_cls, requests=requests, cores=cores,
                            benchmark=benchmark, language=language,
                            params=params)
         results[result.platform] = result
     return results
+
+
+def _render_load_sweep(result, out, chart=False) -> None:
+    for platform, points in result.items():
+        for rate, point in points.items():
+            mark = " saturated" if point.saturated else ""
+            print(f"{platform:<22} offered={rate:6.1f}rps "
+                  f"achieved={point.achieved_rps:6.1f}rps "
+                  f"p50={point.latency.p50_ms:7.1f}ms "
+                  f"p99={point.latency.p99_ms:7.1f}ms "
+                  f"wait={point.mean_queue_wait_ms:7.1f}ms{mark}", file=out)
+
+
+BURST = Experiment(
+    "burst", "burst-storm comparison (extension)",
+    run=lambda params, seed, platform: run_burst(
+        COMPARISON_PLATFORMS[platform], params=params, seed=seed),
+    grid={platform: {"platform": platform}
+          for platform in COMPARISON_PLATFORMS},
+    render=render_lines)
+
+LOAD_SWEEP = Experiment(
+    "load-sweep", "offered-load saturation sweep (extension)",
+    run=lambda params, seed, platform, rate: run_load_sweep(
+        COMPARISON_PLATFORMS[platform], rates_rps=(rate,), params=params,
+        seed=seed)[rate],
+    grid={f"{platform}@{rate:g}": {"platform": platform, "rate": rate}
+          for platform in COMPARISON_PLATFORMS for rate in LOAD_SWEEP_RATES},
+    merge=lambda shards: {
+        platform: {rate: shards[f"{platform}@{rate:g}"]
+                   for rate in LOAD_SWEEP_RATES}
+        for platform in COMPARISON_PLATFORMS},
+    render=_render_load_sweep)

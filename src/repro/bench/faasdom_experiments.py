@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.experiment import Experiment, render_figures
 from repro.bench.harness import (cold_and_warm, fireworks_invocation)
 from repro.bench.results import FigureResult, LatencyRow, geometric_mean
 from repro.config import CalibratedParameters
@@ -134,3 +135,26 @@ def run_fig7(params: Optional[CalibratedParameters] = None
              ) -> Dict[str, FigureResult]:
     """Figure 7: the Python FaaSdom latency comparison."""
     return run_faasdom_figure("python", params)
+
+
+def _faasdom_experiment(language: str, title: str) -> Experiment:
+    """Fig 6 or Fig 7: one shard per FaaSdom benchmark, plus the geomean
+    sub-figure built at merge time."""
+
+    def merge(shards: Dict[str, FigureResult]) -> Dict[str, FigureResult]:
+        results = {benchmark: shards[benchmark]
+                   for benchmark in BENCHMARK_NAMES}
+        results["geomean"] = build_geomean(results, language)
+        return results
+
+    return Experiment(
+        f"fig{_FIGURE_BY_LANGUAGE[language]}", title,
+        run=lambda params, seed, benchmark, language:
+            run_faasdom_benchmark(benchmark, language, params),
+        grid={benchmark: {"benchmark": benchmark, "language": language}
+              for benchmark in BENCHMARK_NAMES},
+        merge=merge, render=render_figures)
+
+
+FIG6 = _faasdom_experiment("nodejs", "FaaSdom latency breakdown, Node.js")
+FIG7 = _faasdom_experiment("python", "FaaSdom latency breakdown, Python")

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import (fireworks_invocation, fresh_platform,
                                  install_all, invoke_once)
+from repro.bench.serialization import register_result_type
 from repro.config import CalibratedParameters
 from repro.platforms.base import MODE_COLD
 from repro.platforms.firecracker import (FirecrackerPlatform,
@@ -20,6 +22,7 @@ from repro.snapshot.image import STAGE_OS
 from repro.workloads.faasdom import BENCHMARK_NAMES, LANGUAGES, faasdom_spec
 
 
+@register_result_type
 @dataclass(frozen=True)
 class FactorRow:
     """One workload's factor analysis: total latency per configuration."""
@@ -88,3 +91,16 @@ def run_fig11(params: Optional[CalibratedParameters] = None,
             benchmark, language, params)
         for benchmark in benchmarks for language in languages
     }
+
+
+#: The per-workload shard grid of Figs 11 and 12: one shard per
+#: (benchmark, language), keyed ``benchmark-language``.
+WORKLOAD_GRID = {f"{benchmark}-{language}":
+                 {"benchmark": benchmark, "language": language}
+                 for benchmark in BENCHMARK_NAMES for language in LANGUAGES}
+
+FIG11 = Experiment(
+    "fig11", "factor analysis of performance",
+    run=lambda params, seed, benchmark, language:
+        run_factor_analysis(benchmark, language, params),
+    grid=WORKLOAD_GRID, render=render_lines)

@@ -29,7 +29,9 @@ from array import array
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.autoscale import WarmPoolAutoscaler
+from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import fresh_cluster_platform, install_all
+from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats, percentile
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
@@ -79,6 +81,7 @@ DEFAULT_SAMPLE_INTERVAL_MS = 2000.0
 DEFAULT_SEED = 2022
 
 
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class LoadOutcome:
     """One (backend, scaling mode) row of the load experiment."""
@@ -330,3 +333,12 @@ def run_load_experiment(
             outcomes[(platform_name, mode)] = run_load_platform(
                 platform_name, mode, params=params, seed=seed, **kwargs)
     return outcomes
+
+
+LOAD = Experiment(
+    "load", "open-loop serving-layer load (extension)",
+    run=lambda params, seed, platform, mode: run_load_platform(
+        platform, mode, params=params, seed=seed),
+    grid={f"{platform}@{mode}": {"platform": platform, "mode": mode}
+          for platform in LOAD_PLATFORMS for mode in LOAD_MODES},
+    render=render_lines)

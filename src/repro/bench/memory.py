@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Type
 
+from repro.bench.experiment import Experiment
+from repro.bench.factors import WORKLOAD_GRID
 from repro.bench.harness import fresh_platform, install_all, invoke_once
 from repro.bench.results import MemoryPoint, MemorySeries
 from repro.config import CalibratedParameters
@@ -191,3 +193,32 @@ def fig12_improvements(results: Dict[str, Dict[str, float]]
                 100.0 * (os_snap - post_jit) / os_snap,
         }
     return improvements
+
+
+def _render_fig10(result, out, chart=False) -> None:
+    for series in result.values():
+        print(series.as_table(), file=out)
+
+
+def _render_fig12(result, out, chart=False) -> None:
+    for workload, per_config in sorted(result.items()):
+        cells = " ".join(f"{per_config[c]:8.1f}M" for c in FACTOR_CONFIGS)
+        print(f"{workload:<28} {cells}", file=out)
+    for workload, values in sorted(fig12_improvements(result).items()):
+        print(f"{workload:<28} os-snap "
+              f"{values['os_snapshot_vs_baseline_pct']:5.1f}%  "
+              f"post-jit {values['post_jit_vs_os_snapshot_pct']:5.1f}%",
+              file=out)
+
+
+FIG10 = Experiment(
+    "fig10", "memory usage / max consolidation",
+    run=lambda params, seed, platform: run_fig10_platform(platform, params),
+    grid={platform: {"platform": platform} for platform in FIG10_PLATFORMS},
+    render=_render_fig10)
+
+FIG12 = Experiment(
+    "fig12", "factor analysis of memory",
+    run=lambda params, seed, benchmark, language:
+        run_fig12_workload(benchmark, language, params),
+    grid=WORKLOAD_GRID, render=_render_fig12)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.bench.experiment import Experiment
 from repro.bench.faasdom_experiments import run_fig6, run_fig7
 from repro.bench.memory import fig12_improvements, run_fig10, run_fig12
-from repro.bench.results import FigureResult, PaperComparison
+from repro.bench.results import (FigureResult, PaperComparison,
+                                 format_comparisons)
 from repro.bench.tables import run_snapshot_creation_times
 from repro.config import CalibratedParameters
 
@@ -114,3 +116,13 @@ def comparison_summary(
     holds = sum(1 for c in comparisons if c.holds)
     return {"total": len(comparisons), "holds": holds,
             "deviates": len(comparisons) - holds}
+
+
+def _render_scorecard(result, out, chart=False) -> None:
+    print(format_comparisons("Fireworks headline claims", result), file=out)
+
+
+SCORECARD = Experiment(
+    "scorecard", "paper-vs-measured headline claims",
+    run=lambda params, seed: headline_comparisons(params),
+    render=_render_scorecard)

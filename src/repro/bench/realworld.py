@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Type
 
+from repro.bench.experiment import Experiment, render_figures
 from repro.bench.harness import drain, fresh_platform
 from repro.bench.results import FigureResult, LatencyRow
 from repro.config import CalibratedParameters
@@ -127,3 +128,8 @@ def run_fig9(params: Optional[CalibratedParameters] = None
             f"{ow_row.startup_ms / fw_row.startup_ms:.1f}x faster, exec "
             f"{ow_row.exec_ms / fw_row.exec_ms:.1f}x faster")
     return {"alexa": alexa, "data-analysis": analysis}
+
+
+FIG9 = Experiment(
+    "fig9", "real-world ServerlessBench applications",
+    run=lambda params, seed: run_fig9(params), render=render_figures)

@@ -4,7 +4,9 @@ One renderer serves both fronts of the harness: the CLI (``repro run`` /
 ``repro figure``) prints these strings to stdout, and the experiment
 service (:mod:`repro.serve`) returns the *same bytes* from
 ``GET /experiments/{id}/figures`` — which is what makes the API-vs-CLI
-differential test (and the CI byte-diff) meaningful.
+differential test (and the CI byte-diff) meaningful.  The body of each
+experiment comes from its own ``render``, found through the engine's
+catalog.
 
 Rendering writes to a caller-local stream, never to the process-global
 ``sys.stdout``: the service registry renders on per-run worker threads,
@@ -14,128 +16,24 @@ able to interleave into each other's frozen ``figures_text`` artifact.
 
 from __future__ import annotations
 
-import dataclasses
 import io
-from typing import TextIO
 
 from repro.errors import ReproError
 
 __all__ = ["render_experiment_text", "render_run_text"]
 
 
-def _print_fig_dict(results, out: TextIO, chart: bool = False) -> None:
-    from repro.bench.ascii_chart import render_figure
-    for result in results.values():
-        print(render_figure(result) if chart else result.as_table(),
-              file=out)
-        print(file=out)
-
-
-def _print_generic(result, out: TextIO, indent: str = "  ") -> None:
-    """Fallback renderer for ablation arms: dicts and result dataclasses."""
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        result = {f.name: getattr(result, f.name)
-                  for f in dataclasses.fields(result)}
-    if isinstance(result, dict):
-        for key, value in result.items():
-            if isinstance(value, dict):
-                cells = " ".join(
-                    f"{k}={v:.1f}" if isinstance(v, float) else f"{k}={v}"
-                    for k, v in value.items())
-                print(f"{indent}{key:<22} {cells}", file=out)
-            elif isinstance(value, float):
-                print(f"{indent}{key:<22} {value:.2f}", file=out)
-            else:
-                print(f"{indent}{key:<22} {value}", file=out)
-    else:
-        print(f"{indent}{result}", file=out)
-
-
-def _render_experiment(name: str, result, out: TextIO,
-                       chart: bool = False) -> None:
-    """Print *result* (a merged experiment result) to *out*."""
-    from repro.bench import fig12_improvements
-    from repro.bench.memory import FACTOR_CONFIGS
-    if name == "table1":
-        for row in result:
-            print(f"{row['platform']:<22} {row['isolation']:<22} "
-                  f"{row['performance']:<26} {row['memory_efficiency']}",
-                  file=out)
-    elif name == "table2":
-        for row in result:
-            print(f"{row['application']:<34} {row['description']:<50} "
-                  f"{row['language']}", file=out)
-    elif name == "snapshot-creation":
-        for fn, parts in sorted(result.items()):
-            print(f"{fn:<28} snapshot={parts['snapshot_ms']:.0f}ms "
-                  f"total-install={parts['total_ms']:.0f}ms", file=out)
-    elif name in ("fig6", "fig7", "fig9"):
-        _print_fig_dict(result, out, chart)
-    elif name == "fig10":
-        for series in result.values():
-            print(series.as_table(), file=out)
-    elif name == "fig11":
-        for row in result.values():
-            print(row.as_line(), file=out)
-    elif name == "fig12":
-        for workload, per_config in sorted(result.items()):
-            cells = " ".join(f"{per_config[c]:8.1f}M"
-                             for c in FACTOR_CONFIGS)
-            print(f"{workload:<28} {cells}", file=out)
-        for workload, values in sorted(fig12_improvements(result).items()):
-            print(f"{workload:<28} os-snap "
-                  f"{values['os_snapshot_vs_baseline_pct']:5.1f}%  "
-                  f"post-jit {values['post_jit_vs_os_snapshot_pct']:5.1f}%",
-                  file=out)
-    elif name == "scorecard":
-        from repro.bench.results import format_comparisons
-        print(format_comparisons("Fireworks headline claims", result),
-              file=out)
-    elif name == "burst":
-        for burst in result.values():
-            print(burst.as_line(), file=out)
-    elif name == "load-sweep":
-        for platform, points in result.items():
-            for rate, point in points.items():
-                mark = " saturated" if point.saturated else ""
-                print(f"{platform:<22} offered={rate:6.1f}rps "
-                      f"achieved={point.achieved_rps:6.1f}rps "
-                      f"p50={point.latency.p50_ms:7.1f}ms "
-                      f"p99={point.latency.p99_ms:7.1f}ms "
-                      f"wait={point.mean_queue_wait_ms:7.1f}ms{mark}",
-                      file=out)
-    elif name == "sensitivity":
-        for sweep in result.values():
-            print(sweep.as_table(), file=out)
-            print(file=out)
-    elif name == "ablations":
-        for arm, arm_result in result.items():
-            print(f"-- {arm} --", file=out)
-            _print_generic(arm_result, out)
-    elif name == "policies":
-        _print_generic(result, out, indent="")
-    elif name in ("keepalive", "cluster", "chaos", "load", "chains"):
-        for outcome in result.values():
-            print(outcome.as_line(), file=out)
-    elif name == "restore":
-        from repro.bench.restore import render_restore_figure
-        for line in render_restore_figure(result):
-            print(line, file=out)
-    elif name in ("search", "search-smoke"):
-        from repro.bench.search import render_search_figure
-        for line in render_search_figure(result):
-            print(line, file=out)
-    else:  # pragma: no cover - callers validate ids against the registry
+def render_experiment_text(name: str, result, chart: bool = False) -> str:
+    """One experiment's rendered body, exactly as ``repro run`` prints it."""
+    from repro.bench.engine import experiment_registry
+    experiment = experiment_registry().get(name)
+    if experiment is None:
         # ReproError, not SystemExit: the service registry renders on a
         # worker thread whose error path only catches Exception — a
         # BaseException here would kill the thread and wedge the run.
         raise ReproError(f"unknown figure {name!r}")
-
-
-def render_experiment_text(name: str, result, chart: bool = False) -> str:
-    """One experiment's rendered body, exactly as ``repro run`` prints it."""
     buffer = io.StringIO()
-    _render_experiment(name, result, buffer, chart)
+    experiment.render(result, buffer, chart)
     return buffer.getvalue()
 
 

@@ -1,6 +1,6 @@
 """Restore-path experiment (extension): lazy loading + streaming transfer.
 
-Two questions, one figure (``repro figure restore`` / ``repro restore``):
+Two questions, one figure (``repro figure restore``):
 
 1. **Restore latency and bytes-moved per backend per policy.**  Each
    (backend, policy, language) cell installs one FaaSdom function and
@@ -31,8 +31,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.experiment import Experiment
 from repro.bench.harness import (fresh_cluster_platform, fresh_platform,
                                  install_all, invoke_once)
+from repro.bench.serialization import register_result_type
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.errors import ValidationError
@@ -64,6 +66,7 @@ STREAM_REQUESTS = 12
 STREAM_HOSTS = 4
 
 
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class RestorePolicyOutcome:
     """One (backend, policy, language) cell of the restore figure."""
@@ -91,6 +94,7 @@ class RestorePolicyOutcome:
                 f"fault={self.warm_demand_faulted_mb:5.1f})")
 
 
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class StreamingOutcome:
     """One transfer mode of the 4-host streaming comparison."""
@@ -246,3 +250,23 @@ def render_restore_figure(results: Dict[str, object]) -> List[str]:
     for mode in STREAM_MODES:
         lines.append("  " + results[f"stream@{mode}"].as_line())
     return lines
+
+
+def _run_restore_shard(params, seed, backend=None, policy=None,
+                       language=None, mode=None):
+    """One cell of the figure: a stream mode, or a restore-policy cell."""
+    if mode is not None:
+        return run_streaming_transfer(mode, params=params, seed=seed)
+    return run_restore_policy(backend, policy, language, params=params,
+                              seed=seed)
+
+
+RESTORE = Experiment(
+    "restore", "lazy restore + streaming transfer (extension)",
+    run=_run_restore_shard,
+    grid={**{f"{backend}@{policy}@{language}":
+             {"backend": backend, "policy": policy, "language": language}
+             for backend, policy, language in RESTORE_CELLS},
+          **{f"stream@{mode}": {"mode": mode} for mode in STREAM_MODES}},
+    render=lambda result, out, chart=False: print(
+        "\n".join(render_restore_figure(result)), file=out))

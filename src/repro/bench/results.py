@@ -6,7 +6,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.serialization import register_result_type
 
+
+@register_result_type
 @dataclass(frozen=True)
 class LatencyRow:
     """One bar of a latency figure: platform x start mode."""
@@ -27,6 +30,7 @@ class LatencyRow:
         return self.platform + suffix.get(self.mode, f" ({self.mode})")
 
 
+@register_result_type
 @dataclass
 class FigureResult:
     """One regenerated figure/table: rows plus free-form notes."""
@@ -58,6 +62,7 @@ class FigureResult:
         return "\n".join(lines)
 
 
+@register_result_type
 @dataclass(frozen=True)
 class MemoryPoint:
     """One point of Fig 10: n microVMs -> host memory used."""
@@ -67,6 +72,7 @@ class MemoryPoint:
     mean_pss_mb: float
 
 
+@register_result_type
 @dataclass
 class MemorySeries:
     """Fig 10 series for one platform."""
@@ -95,6 +101,7 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+@register_result_type
 @dataclass(frozen=True)
 class PaperComparison:
     """One paper-vs-measured line for EXPERIMENTS.md."""

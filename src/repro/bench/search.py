@@ -33,6 +33,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.bench.experiment import Experiment
+from repro.bench.serialization import register_result_type
 from repro.sim.rng import RngStreams
 
 #: The search evaluates on OpenWhisk: cold starts are expensive enough
@@ -263,6 +265,7 @@ def generate_candidates(seed: int,
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class SearchCandidateOutcome:
     """One evaluated candidate: resolved policy identity + objectives."""
@@ -295,6 +298,7 @@ class SearchCandidateOutcome:
                 f"shed={self.shed_rate:7.3%}")
 
 
+@register_result_type
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
     """The merged search: every outcome plus the derived frontier."""
@@ -468,3 +472,22 @@ def render_search_figure(result: SearchResult) -> List[str]:
         lines.append(f"no candidate dominates {result.baseline} "
                      "on all three objectives")
     return lines
+
+
+def _render_search(result, out, chart=False) -> None:
+    print("\n".join(render_search_figure(result)), file=out)
+
+
+SEARCH = Experiment(
+    "search", "offline Pareto policy search (extension)",
+    run=lambda params, seed, index: evaluate_index(params, seed, index),
+    grid={f"cand-{index:02d}": {"index": index}
+          for index in range(DEFAULT_CANDIDATES)},
+    merge=lambda shards: build_search_result(tuple(shards.values())),
+    render=_render_search)
+
+SEARCH_SMOKE = Experiment(
+    "search-smoke", "Pareto policy search, CI-sized smoke run (extension)",
+    run=lambda params, seed: run_search(params=params, seed=seed,
+                                        smoke=True),
+    render=_render_search)

@@ -12,8 +12,10 @@ and watch the 133x cold-start ratio respond.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.experiment import Experiment
+from repro.bench.serialization import register_result_type
 from repro.config import CalibratedParameters, default_parameters
 from repro.errors import ReproError
 from repro.validation import validate_or_raise
@@ -21,6 +23,7 @@ from repro.validation import validate_or_raise
 MetricFn = Callable[[CalibratedParameters], float]
 
 
+@register_result_type
 @dataclass(frozen=True)
 class SensitivityPoint:
     """One swept value and the metric it produced."""
@@ -29,6 +32,7 @@ class SensitivityPoint:
     metric: float
 
 
+@register_result_type
 @dataclass(frozen=True)
 class SensitivityResult:
     """A full sweep of one parameter against one metric."""
@@ -164,3 +168,47 @@ def run_sensitivity(parameter: str, values: Sequence[float],
               for value, measured in zip(values, metrics)]
     return SensitivityResult(parameter=parameter, metric_name=metric,
                              points=points)
+
+
+#: The default sensitivity suite: (knob, swept values, metric).
+SENSITIVITY_SUITE: Tuple[Tuple[str, Tuple[float, ...], str], ...] = (
+    ("nodejs.hotness_threshold_units", (2000.0, 4000.0, 8000.0, 16000.0),
+     "node_exec_improvement_pct"),
+    ("snapshot.restore_per_working_mb_ms", (0.1, 0.3, 0.9),
+     "cold_start_speedup_x"),
+    ("nodejs.steady_state_dirty_fraction", (0.20, 0.33, 0.50),
+     "consolidation_ratio"),
+)
+
+
+def _suite_key(parameter: str, value: float, metric: str) -> str:
+    return f"{parameter}@{value:g}->{metric}"
+
+
+def _merge_suite(shards: Dict[str, SensitivityResult]
+                 ) -> Dict[str, SensitivityResult]:
+    """One sweep per suite knob, from its one-point shards."""
+    return {
+        parameter: SensitivityResult(
+            parameter=parameter, metric_name=metric,
+            points=[point for value in values
+                    for point in shards[_suite_key(parameter, value,
+                                                   metric)].points])
+        for parameter, values, metric in SENSITIVITY_SUITE}
+
+
+def _render_suite(result, out, chart=False) -> None:
+    for sweep in result.values():
+        print(sweep.as_table(), file=out)
+        print(file=out)
+
+
+SENSITIVITY = Experiment(
+    "sensitivity", "calibration sensitivity sweeps (extension)",
+    run=lambda params, seed, parameter, value, metric: run_sensitivity(
+        parameter, [value], metric, params),
+    grid={_suite_key(parameter, value, metric):
+          {"parameter": parameter, "value": value, "metric": metric}
+          for parameter, values, metric in SENSITIVITY_SUITE
+          for value in values},
+    merge=_merge_suite, render=_render_suite)

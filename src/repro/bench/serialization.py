@@ -1,4 +1,4 @@
-"""Loss-free codecs for experiment results: compact binary + legacy JSON.
+"""Loss-free codecs for experiment results: compact binary + canonical JSON.
 
 The parallel engine ships every shard result between processes — and in and
 out of the on-disk result cache.  For the engine's determinism guarantee
@@ -7,8 +7,9 @@ must be *exact*: floats round-trip bit-for-bit, tuples stay tuples,
 non-string dict keys keep their type, and every result dataclass decodes
 back to an equal instance.
 
-**Binary codec** (:func:`dumps_result` / :func:`loads_result`) — the cache's
-native format since the DES-kernel performance rewrite.  A 4-byte magic +
+**Binary codec** (:func:`dumps_result` / :func:`loads_result`) — the form a
+shard result travels in: one blob from the worker, into the cache file,
+and through one :func:`loads_result` before the merge.  A 4-byte magic +
 version header, then a tagged recursive encoding built on :mod:`struct`:
 
 * floats are the raw IEEE-754 little-endian doubles (``<d``) — bit-exact
@@ -20,9 +21,9 @@ version header, then a tagged recursive encoding built on :mod:`struct`:
 * dataclasses are encoded positionally against the registered field order,
   so a record costs its payload bytes, not its field names.
 
-**JSON codec** (:func:`encode_result` / :func:`decode_result`) — retained
-both as the legacy on-disk format (pre-rewrite cache entries still load)
-and as the process-pool wire form.  Encoded forms:
+**JSON codec** (:func:`encode_result` / :func:`decode_result`) — the
+canonical JSON form behind golden figure hashes, benchmark digests and the
+service's artifacts.  Encoded forms:
 
 * dataclass  -> ``{"$dc": "<registered name>", "fields": {...}}``
 * dict       -> ``{"$map": [[key, value], ...]}`` (insertion order kept)
@@ -30,8 +31,11 @@ and as the process-pool wire form.  Encoded forms:
 * non-finite float -> ``{"$float": "inf" | "-inf" | "nan"}``
 * list / str / int / float / bool / None -> themselves
 
-Only dataclasses registered here can cross either boundary; an unknown
-type is a hard error rather than a silently lossy repr.
+Only registered dataclasses can cross either boundary; an unknown type is
+a hard error rather than a silently lossy repr.  Each result dataclass
+registers itself with ``@register_result_type`` where it is defined, so a
+type is known once its module is imported (building the experiment
+catalog imports them all).
 """
 
 from __future__ import annotations
@@ -48,39 +52,11 @@ _TYPES: Dict[str, Type] = {}
 
 
 def register_result_type(cls: Type) -> Type:
-    """Register a dataclass so encode/decode can round-trip it."""
+    """Class decorator: register a dataclass so both codecs round-trip it."""
     if not is_dataclass(cls):
         raise ReproError(f"{cls!r} is not a dataclass")
     _TYPES[cls.__name__] = cls
     return cls
-
-
-def _register_builtin_result_types() -> None:
-    """Register every result dataclass the experiment registry produces."""
-    from repro.bench.chains import ChainOutcome
-    from repro.bench.chaos import ChaosOutcome
-    from repro.bench.cluster import ClusterPolicyOutcome
-    from repro.bench.concurrency import BurstResult, LoadPoint
-    from repro.bench.ablations import (DeoptResult, KeepAliveOutcome,
-                                       PolicyComparison)
-    from repro.bench.factors import FactorRow
-    from repro.bench.load import LoadOutcome
-    from repro.bench.restore import RestorePolicyOutcome, StreamingOutcome
-    from repro.bench.results import (FigureResult, LatencyRow, MemoryPoint,
-                                     MemorySeries, PaperComparison)
-    from repro.bench.search import SearchCandidateOutcome, SearchResult
-    from repro.bench.sensitivity import SensitivityPoint, SensitivityResult
-    from repro.bench.stats import LatencyStats
-
-    for cls in (BurstResult, ChainOutcome, ChaosOutcome,
-                ClusterPolicyOutcome, DeoptResult,
-                FactorRow, FigureResult,
-                KeepAliveOutcome, LatencyRow, LatencyStats, LoadOutcome,
-                LoadPoint, MemoryPoint, MemorySeries, PaperComparison,
-                PolicyComparison, RestorePolicyOutcome,
-                SearchCandidateOutcome, SearchResult, SensitivityPoint,
-                SensitivityResult, StreamingOutcome):
-        register_result_type(cls)
 
 
 def encode_result(obj: Any) -> Any:
@@ -333,5 +309,3 @@ def loads_result(data: bytes) -> Any:
             f"binary result payload has {len(data) - pos} trailing bytes")
     return value
 
-
-_register_builtin_result_types()

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.bench.serialization import register_result_type
+
 
 def percentile_sorted(ordered: Sequence[float], q: float) -> float:
     """The q-th percentile (0..100) of an already-sorted sample set."""
@@ -33,6 +35,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return percentile_sorted(sorted(samples), q)
 
 
+@register_result_type
 @dataclass(frozen=True)
 class LatencyStats:
     """Summary of a latency sample set."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.bench.experiment import Experiment
 from repro.bench.harness import fresh_platform, install_all
 from repro.config import CalibratedParameters
 from repro.core.fireworks import FireworksPlatform
@@ -88,3 +89,36 @@ def run_snapshot_creation_times(
             "total_ms": report.total_ms,
         }
     return results
+
+
+def _render_table1(rows, out, chart=False) -> None:
+    for row in rows:
+        print(f"{row['platform']:<22} {row['isolation']:<22} "
+              f"{row['performance']:<26} {row['memory_efficiency']}",
+              file=out)
+
+
+def _render_table2(rows, out, chart=False) -> None:
+    for row in rows:
+        print(f"{row['application']:<34} {row['description']:<50} "
+              f"{row['language']}", file=out)
+
+
+def _render_snapshot_creation(result, out, chart=False) -> None:
+    for fn, parts in sorted(result.items()):
+        print(f"{fn:<28} snapshot={parts['snapshot_ms']:.0f}ms "
+              f"total-install={parts['total_ms']:.0f}ms", file=out)
+
+
+TABLE1 = Experiment(
+    "table1", "design comparison of serverless platforms",
+    run=lambda params, seed: run_table1(params), render=_render_table1)
+
+TABLE2 = Experiment(
+    "table2", "tested serverless applications",
+    run=lambda params, seed: run_table2(), render=_render_table2)
+
+SNAPSHOT_CREATION = Experiment(
+    "snapshot-creation", "post-JIT snapshot creation times (§5.1)",
+    run=lambda params, seed: run_snapshot_creation_times(params),
+    render=_render_snapshot_creation)

@@ -15,7 +15,6 @@ Commands:
 * ``figure <id...> [--jobs N]`` — regenerate many (or ``all``) through the
                                 parallel engine and the result cache;
 * ``annotate <file>``         — run the §3.2 code annotator on a handler;
-* ``burst [-n N] [-c CORES]`` — the burst-storm extension experiment;
 * ``cluster [--hosts N] [--policy P]`` — placement policies across a
                                 multi-host cluster (extension);
 * ``chaos [--crash-at-ms T] [--crash-host H]`` — replay the cluster trace
@@ -46,16 +45,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.bench.concurrency import run_burst_comparison
 from repro.bench.render import render_experiment_text, render_run_text
 
+#: The paper's own tables and figures: the head of the experiment catalog,
+#: and what ``run`` regenerates by id.
 FIGURES = ("table1", "table2", "snapshot-creation", "fig6", "fig7", "fig9",
            "fig10", "fig11", "fig12", "scorecard")
-
-#: Extension experiments only the ``figure`` command exposes.
-EXTENSIONS = ("burst", "load-sweep", "sensitivity", "ablations", "policies",
-              "keepalive", "cluster", "chaos", "load", "chains", "restore",
-              "search", "search-smoke")
 
 
 def _run_figure(name: str, chart: bool = False) -> None:
@@ -126,12 +121,6 @@ def _cmd_annotate(path: str) -> None:
     print(result.annotated)
 
 
-def _cmd_burst(requests: int, cores: int) -> None:
-    results = run_burst_comparison(requests=requests, cores=cores)
-    for result in results.values():
-        print(result.as_line())
-
-
 def _cmd_cluster(hosts: int, functions: int, duration_ms: float,
                  seed: int, policy: str) -> None:
     """``cluster``: placement policies across a multi-host cluster."""
@@ -159,14 +148,6 @@ def _cmd_chaos(hosts: int, functions: int, duration_ms: float, seed: int,
         rows=rows)
     for outcome in outcomes.values():
         print(outcome.as_line())
-
-
-def _cmd_restore(seed: int) -> None:
-    """``restore``: lazy restore + streaming transfer figure, serially."""
-    from repro.bench.restore import render_restore_figure, run_restore_figure
-    results = run_restore_figure(seed=seed)
-    for line in render_restore_figure(results):
-        print(line)
 
 
 #: ``trace`` targets: which invocation set to re-run.
@@ -307,8 +288,7 @@ def _cmd_profile(experiment: str, shard_key: Optional[str], top: int,
     """
     import cProfile
     import pstats
-    from repro.bench.engine import (_SHARD_FNS, DEFAULT_SEED,
-                                    experiment_registry)
+    from repro.bench.engine import DEFAULT_SEED, experiment_registry
     from repro.config import default_parameters
     registry = experiment_registry()
     if experiment not in registry:
@@ -329,7 +309,7 @@ def _cmd_profile(experiment: str, shard_key: Optional[str], top: int,
 
     params = default_parameters()
     profiler = cProfile.Profile()
-    profiler.runcall(_SHARD_FNS[shard.fn], params, DEFAULT_SEED,
+    profiler.runcall(definition.run, params, DEFAULT_SEED,
                      **shard.kwargs_dict())
     print(f"== profile: {experiment}/{shard.key} "
           f"(top {top} by {sort}) ==")
@@ -388,12 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="result cache directory "
                                    "(default .repro-cache)")
 
+    from repro.bench.engine import experiment_ids
     figure_parser = sub.add_parser(
         "figure",
         help="regenerate figures through the parallel engine + cache")
     figure_parser.add_argument(
         "figures", nargs="+", metavar="figure",
-        choices=FIGURES + EXTENSIONS + ("all",),
+        choices=experiment_ids() + ("all",),
         help="experiment ids, or 'all' for the full suite")
     figure_parser.add_argument(
         "-j", "--jobs", type=_positive_int, default=1,
@@ -410,11 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     annotate_parser = sub.add_parser(
         "annotate", help="annotate a handler file (Figure 3)")
     annotate_parser.add_argument("file")
-
-    burst_parser = sub.add_parser(
-        "burst", help="burst-storm extension experiment")
-    burst_parser.add_argument("-n", "--requests", type=int, default=256)
-    burst_parser.add_argument("-c", "--cores", type=int, default=64)
 
     from repro.policy import default_registry
     cluster_parser = sub.add_parser(
@@ -477,11 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument(
         "--json", action="store_true",
         help="emit canonical JSON (byte-identical across equal seeds)")
-
-    restore_parser = sub.add_parser(
-        "restore",
-        help="lazy restore + streaming transfer figure (extension)")
-    restore_parser.add_argument("--seed", type=int, default=2022)
 
     from repro.bench.search import DEFAULT_SEED as SEARCH_SEED
     search_parser = sub.add_parser(
@@ -585,8 +556,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     chart=args.chart)
     elif args.command == "annotate":
         _cmd_annotate(args.file)
-    elif args.command == "burst":
-        _cmd_burst(args.requests, args.cores)
     elif args.command == "cluster":
         _cmd_cluster(args.hosts, args.functions, args.duration_ms,
                      args.seed, args.policy)
@@ -597,8 +566,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _cmd_load(args.platform, args.mode, args.hosts, args.functions,
                   args.duration_ms, args.seed,
                   args.popular_interarrival_ms, args.json)
-    elif args.command == "restore":
-        _cmd_restore(args.seed)
     elif args.command == "search":
         _cmd_search(args.seed, args.count, args.jobs, args.no_cache,
                     args.cache_dir, args.smoke, args.json, args.out)

@@ -38,8 +38,7 @@ class Host:
     ``capacity`` bounds concurrent invocations on the host (``None`` means
     unbounded — the single-host default, where the core pool is the real
     limiter).  The ``node_id``/``active``/``has_room`` surface is the
-    scheduler's node interface (shared with
-    :class:`repro.platforms.scheduler.InvokerNode`).
+    node interface of :func:`repro.platforms.scheduler.select_node`.
     """
 
     def __init__(self, sim: "Simulation", params: CalibratedParameters,

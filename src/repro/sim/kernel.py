@@ -10,17 +10,26 @@ Time is measured in **milliseconds** as floats; the clock starts at 0.0.
 
 Hot-path design
 ---------------
-The kernel was rewritten from a single ``heapq`` to a calendar queue once
-million-invocation replays made the scheduler the scaling ceiling (see
-``docs/performance.md``).  The structure — a same-time deque, a ring of
-1 ms buckets for the near-term window, and an overflow heap for far-future
-and urgent entries — is specified and unit-tested in
-:mod:`repro.sim.queues`; it is *inlined* onto :class:`Simulation` here
-because attribute-local loops are measurably faster than method calls in
-CPython, and this loop dominates every experiment's run time.  The pop
-order is the exact ``(time, urgent_rank, sequence)`` total order of the
-old heap, which `tests/property/test_kernel_equivalence.py` checks by
-differential testing against ``Simulation(queue="heap")``.
+The kernel was rewritten from a single ``heapq`` to a calendar queue
+(Brown 1988) once million-invocation replays made the scheduler the
+scaling ceiling (see ``docs/performance.md``).  Three tiers:
+
+* a **deque** of same-time, normal-rank entries at the current pop
+  frontier — FIFO, because sequence numbers are assigned monotonically;
+* a **bucket ring** of 1 ms buckets covering the near-term window
+  ``[int(now), int(now) + 512)`` — appends are O(1), and a bucket is
+  sorted lazily when it becomes the active (lowest) one;
+* an **overflow heap** for far-future entries and *all* urgent (rank-0)
+  entries, so urgency never has to be special-cased in the ring.
+
+The structure is written out on :class:`Simulation` itself, because
+attribute-local loops are measurably faster than method calls in CPython
+and this loop dominates every experiment's run time.  Pops take the
+minimum of the tier heads by plain tuple comparison, so the pop order is
+the exact ``(time, urgent_rank, sequence)`` total order of the old heap,
+which `tests/property/test_kernel_equivalence.py` checks by differential
+testing against ``Simulation(queue="heap")``, with programs large enough
+to fill the bucket ring.
 
 Two pooled, slot-only payload types ride the queue alongside full
 :class:`~repro.sim.events.Event` objects:
@@ -59,7 +68,7 @@ _HeapEntry = Tuple[float, int, int, Any]
 _INF = float("inf")
 
 # Calendar geometry: 512 one-millisecond buckets (power of two so the slot
-# index is a mask).  Mirrors repro.sim.queues.NB_BUCKETS.
+# index is a mask).
 _NB = 512
 _MASK = _NB - 1
 
@@ -69,7 +78,6 @@ _MASK = _NB - 1
 # Tier choice never affects pop order — the three-way head comparison
 # enforces the (time, rank, seq) total order regardless of which tier
 # holds an entry — so this is purely a performance routing decision.
-# Mirrors repro.sim.queues.SMALL_HEAP.
 _SMALL_HEAP = 1024
 
 # Free-list caps: bound worst-case retained memory after a burst.
@@ -173,7 +181,7 @@ class Simulation:
         #: Total events fired by this simulation (timers and wakeups
         #: included); bench tooling derives events/sec from this.
         self.events_processed = 0
-        # -- pending-event structure (see repro.sim.queues for the spec) --
+        # -- pending-event structure (see the module docstring) -----------
         self._use_heap = queue == "heap"
         self._heap: List[_HeapEntry] = []
         self._dq: deque = deque()

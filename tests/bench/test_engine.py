@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.bench.engine import (ResultCache, Shard, experiment_ids,
                                 experiment_registry, resolve_ids,
                                 run_experiments)
-from repro.bench.serialization import (dumps_result, encode_result,
-                                       loads_result)
+from repro.bench.serialization import encode_result, loads_result
 from repro.bench.results import FigureResult, MemorySeries
 from repro.config import default_parameters, params_fingerprint
 from repro.errors import ReproError
@@ -24,8 +22,9 @@ SUBSET = ["fig6", "fig10", "sensitivity"]
 
 class TestRegistry:
     def test_every_cli_figure_is_an_experiment(self):
-        from repro.cli import EXTENSIONS, FIGURES
-        assert experiment_ids() == FIGURES + EXTENSIONS
+        """The paper figures ``repro run`` knows head the catalog."""
+        from repro.cli import FIGURES
+        assert experiment_ids()[:len(FIGURES)] == FIGURES
 
     def test_shard_keys_unique_per_experiment(self):
         for definition in experiment_registry().values():
@@ -83,20 +82,18 @@ class TestDeterminism:
         second = run_experiments(["fig10"], cache_dir=cache_dir)
         assert second.results == first.results
 
-    def test_legacy_json_entry_still_loads(self, tmp_path):
-        """A pre-rewrite .json cache entry is read as a fallback."""
-        cache_dir = str(tmp_path / "cache")
-        first = run_experiments(["table2"], cache_dir=cache_dir)
-        entry = next((tmp_path / "cache" / "table2").glob("*.bin"))
-        stale = loads_result(entry.read_bytes())
-        # Rewrite the entry in the legacy JSON format (encoded payload
-        # under "payload") and drop the binary.
-        stale["payload"] = encode_result(stale.pop("result"))
-        entry.with_suffix(".json").write_text(json.dumps(stale))
-        entry.unlink()
-        again = run_experiments(["table2"], cache_dir=cache_dir)
-        assert again.stats.cache_hits == 1
-        assert again.results == first.results
+    def test_cache_files_independent_of_jobs(self, tmp_path):
+        """A cache entry is the shard's result blob and nothing else, so
+        serial and parallel runs write byte-identical files."""
+        for jobs in (1, 2):
+            run_experiments(["fig10"], jobs=jobs,
+                            cache_dir=str(tmp_path / f"jobs{jobs}"))
+        serial = sorted((tmp_path / "jobs1" / "fig10").glob("*.bin"))
+        parallel = sorted((tmp_path / "jobs2" / "fig10").glob("*.bin"))
+        assert [p.name for p in serial] == [p.name for p in parallel]
+        assert len(serial) == 2
+        for one, other in zip(serial, parallel):
+            assert one.read_bytes() == other.read_bytes()
 
 
 class TestSingleCpuFallback:
@@ -159,13 +156,12 @@ class TestResultCache:
         assert again.stats.executed == 1
         assert again.results == first.results
 
-    def test_schema_bump_invalidates(self, tmp_path):
+    def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
+        from repro.bench import engine
         cache_dir = str(tmp_path / "cache")
         run_experiments(["table2"], cache_dir=cache_dir)
-        entry = next((tmp_path / "cache" / "table2").glob("*.bin"))
-        stale = loads_result(entry.read_bytes())
-        stale["schema"] = -1
-        entry.write_bytes(dumps_result(stale))
+        monkeypatch.setattr(engine, "CACHE_SCHEMA_VERSION",
+                            engine.CACHE_SCHEMA_VERSION + 1)
         again = run_experiments(["table2"], cache_dir=cache_dir)
         assert again.stats.executed == 1
 
@@ -198,8 +194,7 @@ class TestResultCache:
 
 class TestShard:
     def test_kwargs_are_hashable_and_ordered(self):
-        shard = Shard(experiment="x", key="k", fn="table1",
-                      kwargs=(("b", 2), ("a", 1)))
+        shard = Shard(experiment="x", key="k", kwargs=(("b", 2), ("a", 1)))
         assert shard.kwargs_dict() == {"b": 2, "a": 1}
         hash(shard)  # frozen dataclass: usable as a dict key
 

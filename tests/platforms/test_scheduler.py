@@ -1,166 +1,103 @@
-"""Unit tests for the invoker pool and scheduling policies."""
+"""Unit tests for the placement policies of ``select_node``."""
+
+from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import NoHostAvailableError, PlatformError
+from repro.errors import PlatformError
 from repro.platforms.scheduler import (POLICY_HASH, POLICY_LEAST_LOADED,
-                                       POLICY_ROUND_ROBIN,
-                                       POLICY_SNAPSHOT_LOCALITY, InvokerNode,
-                                       InvokerPool)
+                                       POLICY_ROUND_ROBIN, select_node)
 
 
-class TestInvokerNode:
-    def test_assign_release_cycle(self):
-        node = InvokerNode(node_id=0, capacity=2)
-        node.assign("fn")
-        assert node.active == 1
-        assert node.per_function["fn"] == 1
-        node.release()
-        assert node.active == 0
+@dataclass
+class _Node:
+    """The node surface ``select_node`` reads."""
 
-    def test_over_capacity_raises(self):
-        node = InvokerNode(node_id=0, capacity=1)
-        node.assign("fn")
-        with pytest.raises(PlatformError):
-            node.assign("fn")
+    node_id: int
+    capacity: int = 16
+    active: int = 0
 
-    def test_release_below_zero_raises(self):
-        with pytest.raises(PlatformError):
-            InvokerNode(node_id=0).release()
+    @property
+    def has_room(self) -> bool:
+        return self.active < self.capacity
+
+
+class _Picker:
+    """Select a node and count one request onto it, as ``Cluster.place``
+    does, carrying the round-robin cursor between picks."""
+
+    def __init__(self, nodes: int, policy: str, capacity: int = 16):
+        self.nodes = [_Node(index, capacity) for index in range(nodes)]
+        self.policy = policy
+        self.cursor = 0
+
+    def pick(self, function: str) -> _Node:
+        node, self.cursor = select_node(self.nodes, self.policy, function,
+                                        self.cursor)
+        node.active += 1
+        return node
 
 
 class TestPoolConstruction:
     def test_needs_nodes(self):
-        with pytest.raises(PlatformError):
-            InvokerPool(nodes=0)
+        with pytest.raises(PlatformError, match="zero nodes"):
+            select_node([], POLICY_HASH, "fn")
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(PlatformError):
-            InvokerPool(policy="random-ish")
+        with pytest.raises(PlatformError, match="unknown"):
+            select_node([_Node(0)], "random-ish", "fn")
 
 
 class TestRoundRobin:
     def test_cycles_through_nodes(self):
-        pool = InvokerPool(nodes=3, policy=POLICY_ROUND_ROBIN)
-        picks = [pool.pick("fn").node_id for _ in range(6)]
+        picker = _Picker(3, POLICY_ROUND_ROBIN)
+        picks = [picker.pick("fn").node_id for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_skips_full_nodes(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=1,
-                           policy=POLICY_ROUND_ROBIN)
-        first = pool.pick("fn")
-        second = pool.pick("fn")
+        picker = _Picker(2, POLICY_ROUND_ROBIN, capacity=1)
+        first = picker.pick("fn")
+        second = picker.pick("fn")
         assert {first.node_id, second.node_id} == {0, 1}
         with pytest.raises(PlatformError, match="capacity"):
-            pool.pick("fn")
+            picker.pick("fn")
 
 
 class TestLeastLoaded:
     def test_prefers_idle_node(self):
-        pool = InvokerPool(nodes=3, policy=POLICY_LEAST_LOADED)
-        a = pool.pick("fn")
-        b = pool.pick("fn")
+        picker = _Picker(3, POLICY_LEAST_LOADED)
+        a = picker.pick("fn")
+        b = picker.pick("fn")
         assert a.node_id != b.node_id
-        a.release()
-        c = pool.pick("fn")
+        a.active -= 1
+        c = picker.pick("fn")
         assert c.node_id == a.node_id  # back to the now-idle node
 
     def test_all_full_raises(self):
-        pool = InvokerPool(nodes=1, capacity_per_node=1,
-                           policy=POLICY_LEAST_LOADED)
-        pool.pick("fn")
+        picker = _Picker(1, POLICY_LEAST_LOADED, capacity=1)
+        picker.pick("fn")
         with pytest.raises(PlatformError):
-            pool.pick("fn")
+            picker.pick("fn")
 
 
 class TestHash:
     def test_same_function_same_home(self):
-        pool = InvokerPool(nodes=4, policy=POLICY_HASH)
-        homes = {pool.pick("my-fn").node_id for _ in range(5)}
+        picker = _Picker(4, POLICY_HASH)
+        homes = {picker.pick("my-fn").node_id for _ in range(5)}
         assert len(homes) == 1
 
     def test_different_functions_spread(self):
-        pool = InvokerPool(nodes=4, policy=POLICY_HASH)
-        homes = {pool.pick(f"fn-{i}").node_id for i in range(40)}
+        picker = _Picker(4, POLICY_HASH)
+        homes = {picker.pick(f"fn-{i}").node_id for i in range(40)}
         assert len(homes) > 1
 
     def test_overflow_probes_next_node(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=1,
-                           policy=POLICY_HASH)
-        first = pool.pick("fn")
-        second = pool.pick("fn")
+        picker = _Picker(2, POLICY_HASH, capacity=1)
+        first = picker.pick("fn")
+        second = picker.pick("fn")
         assert second.node_id == (first.node_id + 1) % 2
 
     def test_deterministic_home(self):
-        a = InvokerPool(nodes=4, policy=POLICY_HASH)
-        b = InvokerPool(nodes=4, policy=POLICY_HASH)
+        a = _Picker(4, POLICY_HASH)
+        b = _Picker(4, POLICY_HASH)
         assert a.pick("fn").node_id == b.pick("fn").node_id
-
-
-class TestStats:
-    def test_total_active(self):
-        pool = InvokerPool(nodes=2, policy=POLICY_ROUND_ROBIN)
-        pool.pick("a")
-        pool.pick("b")
-        assert pool.total_active() == 2
-
-    def test_load_spread(self):
-        pool = InvokerPool(nodes=2, policy=POLICY_LEAST_LOADED)
-        node = pool.pick("a")
-        node.release()
-        node2 = pool.pick("b")
-        node2.release()
-        assert pool.load_spread() <= 2
-
-
-class TestPickAssignRace:
-    """pick() = select + assign, and re-entrant controller logic (the
-    locality callback here) can admit work in between — a selected node
-    may be full by assign time.  That race must be absorbed as a
-    queueable no-room event (re-select, count ``rejected_assigns``), and
-    NoHostAvailableError raised only when every node is genuinely full.
-    """
-
-    @staticmethod
-    def _racing_locality(pool, victim_id, function):
-        """A locality callback that admits one request onto *victim*
-        while the scheduler is mid-select — after its has_room check,
-        before pick() assigns."""
-        fired = []
-
-        def locality(node):
-            if node.node_id == victim_id and not fired:
-                fired.append(True)
-                node.assign(function)   # re-entrant admission
-            return node.node_id == victim_id
-        return locality
-
-    def test_pick_reselects_when_assign_races_with_select(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=1,
-                           policy=POLICY_SNAPSHOT_LOCALITY)
-        victim = 0
-        node = pool.pick("fn", self._racing_locality(pool, victim, "fn"))
-        # The racing admission filled the victim; pick fell over to the
-        # other node instead of crashing the gateway.
-        assert node.node_id != victim
-        assert pool.rejected_assigns == 1
-        assert pool.total_active() == 2      # racer's + ours
-        for n in pool.nodes:
-            assert 0 <= n.active <= n.capacity
-
-    def test_pick_raises_only_when_race_filled_the_last_slot(self):
-        pool = InvokerPool(nodes=1, capacity_per_node=1,
-                           policy=POLICY_SNAPSHOT_LOCALITY)
-        with pytest.raises(NoHostAvailableError):
-            pool.pick("fn", self._racing_locality(pool, 0, "fn"))
-        assert pool.rejected_assigns == 1
-        assert pool.total_active() == 1      # the racer's admission only
-
-    def test_no_rejects_without_contention(self):
-        pool = InvokerPool(nodes=2, capacity_per_node=2,
-                           policy=POLICY_SNAPSHOT_LOCALITY)
-        for _ in range(4):
-            pool.pick("fn", lambda node: True)
-        assert pool.rejected_assigns == 0
-        with pytest.raises(NoHostAvailableError):
-            pool.pick("fn", lambda node: True)

@@ -9,12 +9,13 @@ built-ins and documents alike.
 """
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import NoHostAvailableError, ValidationError
 from repro.platforms.keepalive import HybridHistogramKeepAlive
-from repro.platforms.scheduler import InvokerNode, home_index
+from repro.platforms.scheduler import home_index
 from repro.policy import (DslAutoscalePolicy, DslKeepAlivePolicy,
                           DslPlacementPolicy, PolicyRegistry, compile_policy,
                           default_registry, load_policy_dir,
@@ -220,9 +221,21 @@ class TestResolvers:
         with pytest.raises(ValidationError):
             resolve_keepalive(object())
 
+@dataclass
+class _Node:
+    """The node surface placement policies read."""
+
+    node_id: int
+    capacity: int
+    active: int = 0
+
+    @property
+    def has_room(self) -> bool:
+        return self.active < self.capacity
+
 
 def _nodes(actives, capacity=4):
-    return [InvokerNode(node_id=i, capacity=capacity, active=a)
+    return [_Node(node_id=i, capacity=capacity, active=a)
             for i, a in enumerate(actives)]
 
 

@@ -8,8 +8,8 @@ The result cache's correctness rests on two properties of
   mapping keys yields the identical key, or a warm cache would silently
   go cold across processes.
 * **Sensitivity**: changing anything a shard's output *does* depend on —
-  experiment, shard, fn, any kwarg value, the params fingerprint, the
-  seed — must change the key, or stale results would be served as fresh.
+  experiment, shard, any kwarg value, the params fingerprint, the seed —
+  must change the key, or stale results would be served as fresh.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ nested = st.recursive(
 
 
 def shard_with(kwargs_items):
-    return Shard(experiment="exp", key="shard", fn="fn",
-                 kwargs=tuple(kwargs_items))
+    return Shard(experiment="exp", key="shard", kwargs=tuple(kwargs_items))
 
 
 class TestOrderInsensitivity:
@@ -86,7 +85,6 @@ class TestSensitivity:
             cache.key(dataclasses.replace(base, experiment="other"),
                       "fp", seed),
             cache.key(dataclasses.replace(base, key="other"), "fp", seed),
-            cache.key(dataclasses.replace(base, fn="other"), "fp", seed),
             cache.key(base, "other-fingerprint", seed),
             cache.key(base, "fp", seed + 1),
         ]

@@ -88,7 +88,10 @@ def test_binary_agrees_with_json_codec(value):
 # Registered result dataclasses
 # ---------------------------------------------------------------------------
 def _registered_types():
-    assert serialization._TYPES, "builtin result types must be registered"
+    """Every result type, once the catalog has imported every driver
+    (each result dataclass registers itself where it is defined)."""
+    from repro.bench.engine import experiment_registry
+    experiment_registry()
     return sorted(serialization._TYPES.items())
 
 

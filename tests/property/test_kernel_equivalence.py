@@ -5,16 +5,14 @@ for any schedule — ties, urgent ranks, zero delays, far-future jumps,
 interleaved cancels — the bucketed scheduler pops entries in precisely
 the ``(time, urgent_rank, sequence)`` total order the single-heap kernel
 used.  The golden figure hashes ride on that promise; these tests check
-it exhaustively at two levels:
+it at two levels:
 
-* queue level — random push/pop interleavings through
-  :class:`~repro.sim.queues.CalendarEventQueue` and
-  :class:`~repro.sim.queues.HeapEventQueue` must produce identical pop
-  sequences;
 * kernel level — full simulations built with ``Simulation(queue="calendar")``
   and ``Simulation(queue="heap")`` must fire the same callbacks at the
   same times in the same order, including through processes, interrupts
-  and event cancellation (``Timeout`` never fires after its event fails);
+  and event cancellation (``Timeout`` never fires after its event fails),
+  and with enough pending entries to leave the small-heap tier and fill
+  the bucket ring;
 * condition level — random programs of timeouts, processes, plain events
   (succeeding or failing), already-triggered and already-processed
   children and nested conditions must fire every ``AllOf`` at the same
@@ -24,88 +22,23 @@ it exhaustively at two levels:
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.events import AllOf, AnyOf, Condition, Event
+from repro.sim.kernel import _NB as NB_BUCKETS
 from repro.sim.kernel import Simulation
-from repro.sim.queues import NB_BUCKETS, CalendarEventQueue, HeapEventQueue
 
 # Delays that exercise every tier: same-time (0.0), sub-bucket fractions,
 # exact bucket boundaries, the ring-window edge, and far-future overflow.
-DELAYS = st.sampled_from([
+DELAY_VALUES = (
     0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 7.75, 63.0, 511.0,
-    float(NB_BUCKETS - 1), float(NB_BUCKETS), float(NB_BUCKETS) + 0.5,
-    10_000.0,
-])
-
-
-# ---------------------------------------------------------------------------
-# Queue level
-# ---------------------------------------------------------------------------
-@st.composite
-def push_pop_scripts(draw):
-    """A script of operations: ('push', delay, rank) or ('pop',)."""
-    ops = draw(st.lists(
-        st.one_of(
-            st.tuples(st.just("push"), DELAYS,
-                      st.sampled_from([0, 1, 1, 1])),  # urgent is rare
-            st.tuples(st.just("pop"))),
-        min_size=1, max_size=120))
-    return ops
-
-
-@given(push_pop_scripts())
-@settings(max_examples=300, deadline=None)
-def test_pop_order_identical(script):
-    """Both queues pop the same entries in the same order, always."""
-    calendar = CalendarEventQueue()
-    heap = HeapEventQueue()
-    sequence = 0
-    now = 0.0
-    for op in script:
-        if op[0] == "push":
-            _, delay, rank = op
-            entry = (now + delay, rank, sequence, f"p{sequence}")
-            sequence += 1
-            calendar.push(entry)
-            heap.push(entry)
-        else:
-            got = calendar.pop()
-            expected = heap.pop()
-            assert got == expected
-            if got is not None:
-                # The kernel's clock only moves forward on pops; model
-                # that so pushed times are always >= the pop frontier
-                # (the access pattern the calendar queue is proven for).
-                now = got[0]
-        assert len(calendar) == len(heap)
-        assert bool(calendar) == bool(heap)
-    # Drain: the remaining contents must agree too.
-    while heap:
-        assert calendar.pop() == heap.pop()
-    assert calendar.pop() is None
-
-
-@given(st.lists(st.tuples(DELAYS, st.sampled_from([0, 1])),
-                min_size=1, max_size=200))
-@settings(max_examples=200, deadline=None)
-def test_bulk_push_then_drain(pushes):
-    """Push everything, then drain: a pure priority-queue sort check."""
-    calendar = CalendarEventQueue()
-    heap = HeapEventQueue()
-    for sequence, (delay, rank) in enumerate(pushes):
-        entry = (delay, rank, sequence, sequence)
-        calendar.push(entry)
-        heap.push(entry)
-    drained = []
-    while calendar:
-        drained.append(calendar.pop())
-    expected = []
-    while heap:
-        expected.append(heap.pop())
-    assert drained == expected
-    assert drained == sorted(drained)
+    float(NB_BUCKETS - 1), float(NB_BUCKETS) - 0.5, float(NB_BUCKETS),
+    float(NB_BUCKETS) + 0.5, 10_000.0,
+)
+DELAYS = st.sampled_from(DELAY_VALUES)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +63,28 @@ def kernel_programs(draw):
         min_size=1, max_size=25))
 
 
-def _run_program(program, queue: str):
-    """Execute *program* on a kernel using *queue*; return the event log."""
+def _arm(sim, log, tag, fast, delays):
+    """A timer that logs *tag* and re-arms for each of *delays* in turn.
+
+    *fast* picks ``schedule_timeout`` (the inlined push) over
+    ``sim.timeout`` (routed by ``_push_normal``).
+    """
+    def fire(_):
+        log.append((tag, len(delays), sim.now))
+        if len(delays) > 1:
+            _arm(sim, log, tag, fast, delays[1:])
+    if fast:
+        sim.schedule_timeout(delays[0], fire)
+    else:
+        sim.timeout(delays[0]).callbacks.append(fire)
+
+
+def _run_program(program, queue: str, bucketed=None):
+    """Execute *program* on a kernel using *queue*; return the event log.
+
+    A ``bulk`` step appends the kernel's bucketed-entry count right after
+    it schedules to *bucketed*, when given.
+    """
     sim = Simulation(seed=7, queue=queue)
     log = []
 
@@ -139,7 +92,18 @@ def _run_program(program, queue: str):
         from repro.sim import Interrupt
         for index, step in enumerate(program):
             kind = step[0]
-            if kind == "timeout":
+            if kind == "bulk":
+                # Non-zero first delays, so no entry rides the same-time
+                # deque; each timer re-arms once, so pushes also land in
+                # the active bucket while the ring drains.
+                rng = random.Random(step[2])
+                for k in range(step[1]):
+                    delays = (rng.choice(DELAY_VALUES[1:]),
+                              rng.choice(DELAY_VALUES))
+                    _arm(sim, log, (index, k), k % 2, delays)
+                if bucketed is not None:
+                    bucketed.append(sim._bcount)
+            elif kind == "timeout":
                 timeout = sim.timeout(step[1], value=index)
                 timeout.callbacks.append(
                     lambda ev, i=index: log.append(("cb", i, sim.now)))
@@ -187,6 +151,20 @@ def test_full_simulation_equivalence(program):
     assert calendar_log == heap_log
     assert calendar_now == heap_now
     assert calendar_events == heap_events
+
+
+@given(kernel_programs(),
+       st.integers(min_value=1100, max_value=1500),
+       st.integers(min_value=0, max_value=2 ** 32), kernel_programs())
+@settings(max_examples=20, deadline=None)
+def test_bucket_ring_equivalence(before, count, seed, after):
+    """Past the small-heap tier: a burst of 1 100-1 500 pending entries
+    fills the bucket ring, and the two kernels still agree."""
+    program = before + [("bulk", count, seed)] + after
+    bucketed = []
+    calendar = _run_program(program, "calendar", bucketed)
+    assert calendar == _run_program(program, "heap")
+    assert max(bucketed) > 0, "no entry reached the bucket ring"
 
 
 @given(st.lists(DELAYS, min_size=1, max_size=30),

@@ -12,13 +12,15 @@ never an accepted-but-broken policy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoHostAvailableError, ValidationError
 from repro.platforms.keepalive import (FixedKeepAlive,
                                        HybridHistogramKeepAlive)
-from repro.platforms.scheduler import InvokerNode, select_node
+from repro.platforms.scheduler import select_node
 from repro.policy import (AutoscaleView, compile_policy, load_policy_dir,
                           shipped_policy_dir)
 from repro.policy.autoscale import (DslAutoscalePolicy, PredictiveTargets,
@@ -54,8 +56,21 @@ def cluster_states(draw):
     return actives, capacity, cursor, (local if has_probe else None)
 
 
+@dataclass
+class _Node:
+    """The node surface placement policies read."""
+
+    node_id: int
+    capacity: int
+    active: int = 0
+
+    @property
+    def has_room(self) -> bool:
+        return self.active < self.capacity
+
+
 def _make_nodes(actives, capacity):
-    return [InvokerNode(node_id=i, capacity=capacity, active=a)
+    return [_Node(node_id=i, capacity=capacity, active=a)
             for i, a in enumerate(actives)]
 
 
@@ -112,8 +127,8 @@ class TestPlacementEquivalence:
             got, dsl_cursor = dsl.select(dsl_nodes, function, dsl_cursor)
             assert got.node_id == expected.node_id
             assert dsl_cursor == oracle_cursor
-            oracle_nodes[expected.node_id].assign(function)
-            dsl_nodes[got.node_id].assign(function)
+            oracle_nodes[expected.node_id].active += 1
+            dsl_nodes[got.node_id].active += 1
 
 
 # ---------------------------------------------------------------------------

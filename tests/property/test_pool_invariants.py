@@ -22,9 +22,12 @@ relies on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
+from repro.config import default_parameters
 from repro.errors import NoHostAvailableError, PlatformError
 from repro.platforms.pooling import WarmEntry, WarmPool
-from repro.platforms.scheduler import POLICIES, InvokerPool
+from repro.platforms.scheduler import POLICIES, POLICY_HASH
+from repro.sim import Simulation
 
 
 class _StubWorker:
@@ -152,7 +155,13 @@ _invoker_ops = st.lists(
 
 
 class TestInvokerPoolInvariants:
-    """Random assign/release interleavings across every policy."""
+    """Random place/finish interleavings on a cluster's invokers, across
+    every policy."""
+
+    @staticmethod
+    def _cluster(nodes, capacity, policy=POLICY_HASH):
+        return Cluster(Simulation(), default_parameters(), n_hosts=nodes,
+                       policy=policy, capacity_per_host=capacity)
 
     @given(_invoker_ops, st.sampled_from(POLICIES),
            st.integers(min_value=1, max_value=3),
@@ -160,34 +169,33 @@ class TestInvokerPoolInvariants:
     @settings(max_examples=120)
     def test_active_counts_stay_within_bounds(self, ops, policy,
                                               capacity, nodes):
-        pool = InvokerPool(nodes=nodes, capacity_per_node=capacity,
-                           policy=policy)
-        outstanding = []   # nodes we owe a release
+        cluster = self._cluster(nodes, capacity, policy)
+        outstanding = []   # hosts we owe a finish
         for op, fn_index in ops:
             fn = FUNCTIONS[fn_index]
             if op == "pick":
                 try:
-                    node = pool.pick(fn)
+                    host = cluster.place(fn)
                 except NoHostAvailableError:
                     # Only legal when genuinely full everywhere.
-                    assert pool.total_active() == nodes * capacity
+                    assert cluster.total_active() == nodes * capacity
                     continue
-                outstanding.append(node)
+                outstanding.append(host)
             elif op == "release" and outstanding:
-                outstanding.pop().release()
-            for node in pool.nodes:
-                assert 0 <= node.active <= capacity
-        assert pool.total_active() == len(outstanding)
+                cluster.finish(outstanding.pop())
+            for host in cluster.hosts:
+                assert 0 <= host.active <= capacity
+        assert cluster.total_active() == len(outstanding)
 
     @given(st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=4))
     @settings(max_examples=40)
     def test_release_below_zero_is_refused(self, capacity, nodes):
-        pool = InvokerPool(nodes=nodes, capacity_per_node=capacity)
-        for node in pool.nodes:
+        cluster = self._cluster(nodes, capacity)
+        for host in cluster.hosts:
             try:
-                node.release()
+                cluster.finish(host)
                 assert False, "released below zero"
             except PlatformError:
                 pass
-            assert node.active == 0
+            assert host.active == 0

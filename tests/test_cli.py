@@ -1,10 +1,46 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _documented_commands():
+    """``(where, argv)`` for every ``python -m repro`` line inside a
+    fenced block of README.md and docs/*.md (``$ `` prompts, trailing
+    comments and a trailing ``&`` stripped)."""
+    found = []
+    for doc in [REPO_ROOT / "README.md"] + sorted(
+            (REPO_ROOT / "docs").glob("*.md")):
+        fenced = False
+        for number, line in enumerate(doc.read_text().splitlines(), 1):
+            text = line.strip()
+            if text.startswith("```"):
+                fenced = not fenced
+                continue
+            text = text[2:] if text.startswith("$ ") else text
+            if fenced and text.startswith("python -m repro"):
+                words = shlex.split(text, comments=True)
+                if words[-1] == "&":
+                    words.pop()
+                found.append((f"{doc.name}:{number}", words[3:]))
+    return found
+
+
+DOCUMENTED = _documented_commands()
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in DOCUMENTED],
+                         ids=[where for where, _ in DOCUMENTED])
+def test_documented_command_parses(argv):
+    """Every command the docs show is one the CLI accepts."""
+    build_parser().parse_args(argv)
 
 
 class TestParser:
@@ -139,8 +175,9 @@ class TestCommands:
         assert "%OptimizeFunctionOnNextCall" in capsys.readouterr().out
 
     def test_burst(self, capsys):
-        assert main(["burst", "-n", "16", "-c", "8"]) == 0
+        assert main(["figure", "burst", "--no-cache"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("== burst ==\n")
         assert "fireworks" in out and "p99" in out
 
     def test_trace_writes_valid_json(self, tmp_path, capsys):
@@ -201,6 +238,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "[OK ]" in out
         assert "[DEV]" not in out
+
+    def test_profile_runs_a_catalog_shard(self, capsys):
+        assert main(["profile", "fig10", "--shard", "firecracker",
+                     "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("== profile: fig10/firecracker (top 3 by ")
+        assert "function calls" in out
+
+    def test_profile_rejects_unknown_shard(self, capsys):
+        assert main(["profile", "fig10", "--shard", "nope"]) == 1
+        assert "shards: firecracker, fireworks" in capsys.readouterr().err
 
 
 class TestScenarioCommands:
