@@ -6,15 +6,12 @@ post-JIT snapshots — cheap per-clone and memory-shared — so its tail
 latency stays two orders of magnitude lower.
 """
 
-from repro.bench import run_burst_comparison
-
-from conftest import emit
+from conftest import emit, run_experiment
 
 
 def test_burst_storm(benchmark):
-    results = benchmark.pedantic(
-        lambda: run_burst_comparison(requests=256, cores=64),
-        rounds=1, iterations=1)
+    results = benchmark.pedantic(lambda: run_experiment("burst"), rounds=1,
+                                 iterations=1)
     emit("Extension — 256-request burst on 64 cores (faas-netlatency)",
          "\n".join(result.as_line() for result in results.values()))
 

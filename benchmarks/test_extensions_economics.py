@@ -1,16 +1,12 @@
-"""Extensions: provider economics (§1) and invoker scheduling (Figure 1).
+"""Extension: provider economics (§1).
 
-* **Billing analysis** — the user pays for execution only; start-up time is
-  resource-time the provider eats.  Fireworks' billable efficiency
-  approaches 1 because there are no cold starts to eat.
-* **Scheduling policies** — warm containers live on specific invokers;
-  OpenWhisk's home-invoker hashing keeps hitting them where round-robin
-  keeps missing.
+The user pays for execution only; start-up time is resource-time the
+provider eats.  Fireworks' billable efficiency approaches 1 because there
+are no cold starts to eat.  (Invoker scheduling, Figure 1, is
+``test_cluster_scheduling.py``.)
 """
 
 from repro.billing import run_billing_analysis
-from repro.bench.scheduling import run_scheduling_comparison
-from repro.platforms.scheduler import POLICY_HASH, POLICY_ROUND_ROBIN
 
 from conftest import emit
 
@@ -35,14 +31,3 @@ def test_billing_analysis(benchmark):
     # ...from strictly less hardware time.
     assert fireworks.resource_ms < openwhisk.resource_ms
 
-
-def test_scheduling_policies(benchmark):
-    results = benchmark.pedantic(run_scheduling_comparison, rounds=1,
-                                 iterations=1)
-    emit("Extension — invoker scheduling policies (warm affinity)",
-         "\n".join(result.as_line() for result in results.values()))
-
-    assert results[POLICY_HASH].warm_hit_rate > \
-        results[POLICY_ROUND_ROBIN].warm_hit_rate + 0.1
-    assert results[POLICY_HASH].latency.mean_ms < \
-        results[POLICY_ROUND_ROBIN].latency.mean_ms

@@ -6,14 +6,12 @@ Paper (§5.4): on a 128 GB host with vm.swappiness=60, Fireworks launches
 
 import pytest
 
-from repro.bench import run_fig10
-
-from conftest import emit
+from conftest import emit, run_experiment
 
 
 def test_fig10_memory_usage(benchmark):
-    fig10 = benchmark.pedantic(lambda: run_fig10(sample_every=50),
-                               rounds=1, iterations=1)
+    fig10 = benchmark.pedantic(lambda: run_experiment("fig10"), rounds=1,
+                               iterations=1)
     emit("Figure 10 — memory usage vs number of microVMs",
          "\n".join(series.as_table() for series in fig10.values()))
 

@@ -4,13 +4,12 @@ Baseline Firecracker (no snapshot) -> +VM-level OS snapshot -> +post-JIT
 snapshot, per FaaSdom benchmark and language (§5.5.1).
 """
 
-from repro.bench import run_fig11
-
-from conftest import emit
+from conftest import emit, run_experiment
 
 
 def test_fig11_factor_performance(benchmark):
-    fig11 = benchmark.pedantic(run_fig11, rounds=1, iterations=1)
+    fig11 = benchmark.pedantic(lambda: run_experiment("fig11"), rounds=1,
+                               iterations=1)
     emit("Figure 11 — performance factor analysis",
          "\n".join(row.as_line() for row in fig11.values()))
 

@@ -5,13 +5,14 @@ post-JIT reduces usage up to a further 74%; Python post-JIT shows no
 significant improvement (Numba's MCJIT duplication dirties the JIT pages).
 """
 
-from repro.bench import FACTOR_CONFIGS, fig12_improvements, run_fig12
+from repro.bench import FACTOR_CONFIGS, fig12_improvements
 
-from conftest import emit
+from conftest import emit, run_experiment
 
 
 def test_fig12_factor_memory(benchmark):
-    fig12 = benchmark.pedantic(run_fig12, rounds=1, iterations=1)
+    fig12 = benchmark.pedantic(lambda: run_experiment("fig12"), rounds=1,
+                               iterations=1)
     improvements = fig12_improvements(fig12)
 
     lines = [f"{'workload':<28} " + " ".join(f"{c:>14}"

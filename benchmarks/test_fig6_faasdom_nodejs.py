@@ -6,9 +6,7 @@ paper's headline ratios in band.  (The same claims are asserted one-by-one
 in tests/integration/test_paper_claims.py.)
 """
 
-from repro.bench import run_fig6
-
-from conftest import emit
+from conftest import emit, run_experiment
 
 
 def _check_fact(fig6):
@@ -62,7 +60,8 @@ def _check_geomean(fig6):
 
 
 def test_fig6_nodejs_faasdom(benchmark):
-    fig6 = benchmark.pedantic(run_fig6, rounds=1, iterations=1)
+    fig6 = benchmark.pedantic(lambda: run_experiment("fig6"), rounds=1,
+                              iterations=1)
     for key in ("faas-fact", "faas-matrix-mult", "faas-diskio",
                 "faas-netlatency", "geomean"):
         emit(f"Figure 6 — {key} (Node.js)", fig6[key].as_table())

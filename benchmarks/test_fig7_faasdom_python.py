@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench import run_faasdom_benchmark, run_fig7
+from repro.bench import run_faasdom_benchmark
 
-from conftest import emit
+from conftest import emit, run_experiment
 
 
 def _check_fact(fig7):
@@ -49,7 +49,8 @@ def _check_geomean(fig7):
 
 
 def test_fig7_python_faasdom(benchmark):
-    fig7 = benchmark.pedantic(run_fig7, rounds=1, iterations=1)
+    fig7 = benchmark.pedantic(lambda: run_experiment("fig7"), rounds=1,
+                              iterations=1)
     for key in ("faas-fact", "faas-matrix-mult", "faas-diskio",
                 "faas-netlatency", "geomean"):
         emit(f"Figure 7 — {key} (Python)", fig7[key].as_table())

@@ -8,13 +8,13 @@ prints the memory curve plus the max consolidation counts.
 Run:  python examples/consolidation.py
 """
 
-from repro.bench import run_fig10
+from repro.bench import run_experiments
 
 
 def main() -> None:
     print("consolidating faas-fact microVMs until the host swaps "
           "(128 GB, threshold 60%)...\n")
-    results = run_fig10(sample_every=50)
+    results = run_experiments(["fig10"], use_cache=False).results["fig10"]
     for name, series in results.items():
         print(series.as_table())
         print()

@@ -11,17 +11,12 @@ from repro.bench.ablations import (DeoptResult, KeepAliveOutcome,
                                    run_remote_store_ablation,
                                    run_restore_policy_ablation,
                                    run_store_eviction_demo)
-from repro.bench.concurrency import (BurstResult, run_burst,
-                                     run_burst_comparison)
+from repro.bench.concurrency import BurstResult, run_burst
 from repro.bench.engine import (ResultCache, experiment_ids,
                                 run_experiments)
 from repro.bench.stats import LatencyStats, histogram, percentile
-from repro.bench.tracing import (to_chrome_trace_json, trace_events,
-                                 write_chrome_trace)
-from repro.bench.factors import FactorRow, run_factor_analysis, run_fig11
-from repro.bench.faasdom_experiments import (run_faasdom_benchmark,
-                                             run_faasdom_figure, run_fig6,
-                                             run_fig7)
+from repro.bench.factors import FactorRow, run_factor_analysis
+from repro.bench.faasdom_experiments import run_faasdom_benchmark
 from repro.bench.cluster import (ClusterPolicyOutcome,
                                  run_cluster_scheduling)
 from repro.bench.harness import (cold_and_warm, drain, fireworks_invocation,
@@ -30,7 +25,8 @@ from repro.bench.harness import (cold_and_warm, drain, fireworks_invocation,
                                  invoke_once, provision_warm)
 from repro.bench.export import export_all
 from repro.bench.memory import (FACTOR_CONFIGS, fig12_improvements,
-                                run_fig4_view, run_fig10, run_fig12)
+                                run_fig4_view, run_fig10_platform,
+                                run_fig12_workload)
 from repro.bench.paper import comparison_summary, headline_comparisons
 from repro.bench.realworld import run_fig9
 from repro.bench.results import (FigureResult, LatencyRow, MemoryPoint,
@@ -74,22 +70,17 @@ __all__ = [
     "provision_warm",
     "run_aot_comparison",
     "run_burst",
-    "run_burst_comparison",
     "run_experiments",
     "run_catalyzer_comparison",
     "run_cluster_scheduling",
     "run_deopt_experiment",
     "run_faasdom_benchmark",
     "run_keepalive_policy_comparison",
-    "run_faasdom_figure",
     "run_factor_analysis",
     "run_fig4_view",
-    "run_fig6",
-    "run_fig7",
     "run_fig9",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
+    "run_fig10_platform",
+    "run_fig12_workload",
     "run_policy_comparison",
     "run_regeneration_demo",
     "run_remote_store_ablation",
@@ -98,7 +89,4 @@ __all__ = [
     "run_store_eviction_demo",
     "run_table1",
     "run_table2",
-    "to_chrome_trace_json",
-    "trace_events",
-    "write_chrome_trace",
 ]

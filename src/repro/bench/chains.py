@@ -29,7 +29,7 @@ import dataclasses
 import json
 import os
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.autoscale import WarmPoolAutoscaler
 from repro.bench.experiment import Experiment, render_lines
@@ -340,22 +340,6 @@ def run_chains_platform(
     if return_platform:
         return outcome, platform, all_runs
     return outcome
-
-
-def run_chains_experiment(
-        params: Optional[CalibratedParameters] = None,
-        platforms: Sequence[str] = tuple(LOAD_PLATFORMS),
-        policies: Sequence[object] = CHAIN_POLICIES,
-        seed: int = DEFAULT_SEED,
-        **kwargs) -> Dict[Tuple[str, str], ChainOutcome]:
-    """Every (backend, policy) row, keyed ``(platform, policy name)``."""
-    outcomes: Dict[Tuple[str, str], ChainOutcome] = {}
-    for platform_name in platforms:
-        for policy in policies:
-            outcome = run_chains_platform(
-                platform_name, policy, params=params, seed=seed, **kwargs)
-            outcomes[(platform_name, outcome.policy)] = outcome
-    return outcomes
 
 
 CHAINS = Experiment(

@@ -145,15 +145,14 @@ def run_chaos_experiment(
         duration_ms: float = 600_000.0,
         seed: int = 11,
         crash_at_ms: float = DEFAULT_CRASH_AT_MS,
-        crash_host: Optional[int] = None,
         rows: Sequence[Tuple[str, bool]] = DEFAULT_ROWS
         ) -> Dict[str, ChaosOutcome]:
     """Availability, p99-under-failure and recovery time per policy.
 
-    The same deterministic trace and the same fault plan (one host crash
-    at *crash_at_ms*) are replayed for every row, so the rows differ only
-    by placement policy and by whether platform failover (snapshot
-    regeneration) is enabled.
+    The same deterministic trace and the same fault plan (a crash of
+    the busiest home host at *crash_at_ms*) are replayed for every row,
+    so the rows differ only by placement policy and by whether platform
+    failover (snapshot regeneration) is enabled.
     """
     resolved = params or default_parameters()
     tuned = dataclasses.replace(
@@ -176,8 +175,7 @@ def run_chaos_experiment(
         benchmark_suite=base_spec.benchmark_suite)
         for name in function_names]
 
-    if crash_host is None:
-        crash_host = default_crash_host(function_names, n_hosts)
+    crash_host = default_crash_host(function_names, n_hosts)
     plan_events = [ChaosEvent(crash_at_ms, KIND_HOST_CRASH,
                               host_id=crash_host)]
     # A transient bus blip straddling one pre-crash submission exercises

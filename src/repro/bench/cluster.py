@@ -83,20 +83,12 @@ def run_cluster_scheduling(
         n_hosts: int = 4,
         n_functions: int = 12,
         duration_ms: float = 600_000.0,
-        seed: int = 11,
-        policies=None) -> Dict[str, ClusterPolicyOutcome]:
+        seed: int = 11) -> Dict[str, ClusterPolicyOutcome]:
     """Warm-hit and restore-locality rates per placement policy.
 
-    The same deterministic trace is replayed for every policy
-    (default: every registered built-in placement policy), so the
-    outcomes differ only by placement.
+    The same deterministic trace is replayed for every registered
+    built-in placement policy, so the outcomes differ only by placement.
     """
-    registry = default_registry()
-    if policies is None:
-        policies = registry.names("placement")
-    else:
-        for policy in policies:
-            registry.entry("placement", policy)   # fail fast on unknowns
     resolved = params or default_parameters()
     tuned = dataclasses.replace(
         resolved, control_plane=dataclasses.replace(
@@ -119,7 +111,7 @@ def run_cluster_scheduling(
         for name in function_names]
 
     outcomes: Dict[str, ClusterPolicyOutcome] = {}
-    for policy in policies:
+    for policy in default_registry().names("placement"):
         # OpenWhisk replay: host-local warm containers.
         ow = fresh_cluster_platform(OpenWhiskPlatform, tuned,
                                     n_hosts=n_hosts, policy=policy)

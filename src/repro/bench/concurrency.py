@@ -174,21 +174,6 @@ def run_load_sweep(platform_cls: Type[ServerlessPlatform],
     return results
 
 
-def run_burst_comparison(requests: int = 256, cores: int = 64,
-                         benchmark: str = "faas-netlatency",
-                         language: str = "nodejs",
-                         params: Optional[CalibratedParameters] = None
-                         ) -> dict:
-    """The burst storm on Fireworks vs OpenWhisk vs Firecracker."""
-    results = {}
-    for platform_cls in COMPARISON_PLATFORMS.values():
-        result = run_burst(platform_cls, requests=requests, cores=cores,
-                           benchmark=benchmark, language=language,
-                           params=params)
-        results[result.platform] = result
-    return results
-
-
 def _render_load_sweep(result, out, chart=False) -> None:
     for platform, points in result.items():
         for rate, point in points.items():

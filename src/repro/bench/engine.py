@@ -37,6 +37,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,12 +159,23 @@ class ResultCache:
 
     def store(self, shard: Shard, fingerprint: str, seed: int,
               blob: bytes) -> None:
-        """Persist one shard's result blob (atomic rename)."""
+        """Persist one shard's result blob (atomic rename).
+
+        Each writer fills a temp file of its own next to the entry, so
+        concurrent writers of one entry (two service runs sharing a cache
+        directory, or the CLI next to ``repro serve``) never rename each
+        other's file away: the last rename wins, with a whole blob.
+        """
         path = self._path(shard, self.key(shard, fingerprint, seed))
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(blob)
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def prune(self, params: Optional[CalibratedParameters] = None,
               seed: int = DEFAULT_SEED) -> int:

@@ -1,7 +1,8 @@
 """CSV export of regenerated figures — for plotting outside the harness.
 
-``export_all(directory)`` regenerates every figure and writes one CSV per
-artifact, mirroring the bar/series structure of the paper's plots.
+``export_all(directory)`` regenerates the exported figures in one engine
+run and writes one CSV per artifact, mirroring the bar/series structure
+of the paper's plots.
 """
 
 from __future__ import annotations
@@ -72,45 +73,40 @@ def write_fig12_csv(results: Dict[str, Dict[str, float]],
                                           for c in configs])
 
 
+#: The experiments ``export_all`` writes, in write order.
+EXPORTED = ("fig6", "fig7", "fig9", "fig10", "fig11", "fig12")
+
+#: One-CSV experiments: id -> writer of the merged result.  The others
+#: are latency figures, written one CSV per sub-figure.
+_TABLE_WRITERS = {"fig10": write_memory_series_csv,
+                  "fig11": write_factor_csv,
+                  "fig12": write_fig12_csv}
+
+
 def export_all(directory: str,
                params: Optional[CalibratedParameters] = None,
                figures: Optional[Iterable[str]] = None) -> List[str]:
     """Regenerate figures and write CSVs into *directory*.
 
-    Returns the written file names.  ``figures`` limits the set (names:
-    fig6, fig7, fig9, fig10, fig11, fig12); default is all of them.
+    Returns the written file names.  ``figures`` limits the set to some
+    of :data:`EXPORTED`; default is all of them.
     """
-    from repro.bench.faasdom_experiments import run_fig6, run_fig7
-    from repro.bench.factors import run_fig11
-    from repro.bench.memory import run_fig10, run_fig12
-    from repro.bench.realworld import run_fig9
+    from repro.bench.engine import run_experiments
 
-    wanted = set(figures or ("fig6", "fig7", "fig9", "fig10", "fig11",
-                             "fig12"))
+    wanted = set(figures or EXPORTED)
+    ids = [figure_id for figure_id in EXPORTED if figure_id in wanted]
+    results = run_experiments(ids, params=params, use_cache=False).results
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[str] = []
-
-    def emit_latency_dict(results: Dict[str, FigureResult]) -> None:
-        for result in results.values():
-            name = f"{result.figure_id}.csv"
-            write_latency_figure_csv(result, out_dir / name)
+    for figure_id in ids:
+        if figure_id in _TABLE_WRITERS:
+            name = f"{figure_id}.csv"
+            _TABLE_WRITERS[figure_id](results[figure_id], out_dir / name)
             written.append(name)
-
-    if "fig6" in wanted:
-        emit_latency_dict(run_fig6(params))
-    if "fig7" in wanted:
-        emit_latency_dict(run_fig7(params))
-    if "fig9" in wanted:
-        emit_latency_dict(run_fig9(params))
-    if "fig10" in wanted:
-        write_memory_series_csv(run_fig10(params, sample_every=50),
-                                out_dir / "fig10.csv")
-        written.append("fig10.csv")
-    if "fig11" in wanted:
-        write_factor_csv(run_fig11(params), out_dir / "fig11.csv")
-        written.append("fig11.csv")
-    if "fig12" in wanted:
-        write_fig12_csv(run_fig12(params), out_dir / "fig12.csv")
-        written.append("fig12.csv")
+            continue
+        for figure in results[figure_id].values():
+            name = f"{figure.figure_id}.csv"
+            write_latency_figure_csv(figure, out_dir / name)
+            written.append(name)
     return written

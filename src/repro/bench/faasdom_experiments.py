@@ -109,34 +109,6 @@ def build_geomean(results: Dict[str, FigureResult],
     return geomean
 
 
-def run_faasdom_figure(language: str,
-                       params: Optional[CalibratedParameters] = None
-                       ) -> Dict[str, FigureResult]:
-    """All five sub-figures of Fig 6 (nodejs) or Fig 7 (python).
-
-    Sub-figure (e) is the geometric mean of the four benchmarks, per
-    platform and start mode.
-    """
-    results = {
-        benchmark: run_faasdom_benchmark(benchmark, language, params)
-        for benchmark in BENCHMARK_NAMES
-    }
-    results["geomean"] = build_geomean(results, language)
-    return results
-
-
-def run_fig6(params: Optional[CalibratedParameters] = None
-             ) -> Dict[str, FigureResult]:
-    """Figure 6: the Node.js FaaSdom latency comparison."""
-    return run_faasdom_figure("nodejs", params)
-
-
-def run_fig7(params: Optional[CalibratedParameters] = None
-             ) -> Dict[str, FigureResult]:
-    """Figure 7: the Python FaaSdom latency comparison."""
-    return run_faasdom_figure("python", params)
-
-
 def _faasdom_experiment(language: str, title: str) -> Experiment:
     """Fig 6 or Fig 7: one shard per FaaSdom benchmark, plus the geomean
     sub-figure built at merge time."""

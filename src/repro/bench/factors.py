@@ -8,7 +8,7 @@ adding the post-JIT snapshot — per FaaSdom benchmark, per language (§5.5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import (fireworks_invocation, fresh_platform,
@@ -77,20 +77,6 @@ def run_factor_analysis(benchmark: str, language: str,
         baseline_ms=baseline.total_ms,
         os_snapshot_ms=os_snap.total_ms,
         post_jit_ms=post_jit.total_ms)
-
-
-def run_fig11(params: Optional[CalibratedParameters] = None,
-              benchmarks: Optional[List[str]] = None,
-              languages: Optional[List[str]] = None
-              ) -> Dict[str, FactorRow]:
-    """Figure 11: the full performance factor analysis."""
-    benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    languages = languages or list(LANGUAGES)
-    return {
-        f"{benchmark}-{language}": run_factor_analysis(
-            benchmark, language, params)
-        for benchmark in benchmarks for language in languages
-    }
 
 
 #: The per-workload shard grid of Figs 11 and 12: one shard per

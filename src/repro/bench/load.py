@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.autoscale import WarmPoolAutoscaler
 from repro.bench.experiment import Experiment, render_lines
@@ -258,8 +258,8 @@ def run_load_platform(
 
     *placement_policy* and *autoscale_policy* accept anything the policy
     registry resolves — a registered name, a DSL document, or a policy
-    instance (``repro search`` sweeps documents through these).  When
-    *autoscale_policy* is given it overrides *mode*; the outcome's
+    instance (the ``search`` experiment sweeps documents through these).
+    When *autoscale_policy* is given it overrides *mode*; the outcome's
     ``mode`` field reports the resolved policy's name either way.
     """
     if platform_name not in LOAD_PLATFORMS:
@@ -318,21 +318,6 @@ def run_load_platform(
     if return_platform:
         return outcome, platform
     return outcome
-
-
-def run_load_experiment(
-        params: Optional[CalibratedParameters] = None,
-        platforms: Sequence[str] = tuple(LOAD_PLATFORMS),
-        modes: Sequence[str] = LOAD_MODES,
-        seed: int = DEFAULT_SEED,
-        **kwargs) -> Dict[Tuple[str, str], LoadOutcome]:
-    """Every (backend, mode) row, keyed ``(platform, mode)``."""
-    outcomes: Dict[Tuple[str, str], LoadOutcome] = {}
-    for platform_name in platforms:
-        for mode in modes:
-            outcomes[(platform_name, mode)] = run_load_platform(
-                platform_name, mode, params=params, seed=seed, **kwargs)
-    return outcomes
 
 
 LOAD = Experiment(

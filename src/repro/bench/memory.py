@@ -11,7 +11,7 @@ one microVM's PSS for baseline Firecracker, +VM-level OS snapshot, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, Optional, Type
 
 from repro.bench.experiment import Experiment
 from repro.bench.factors import WORKLOAD_GRID
@@ -68,19 +68,6 @@ def run_fig10_platform(platform: str,
     fresh = fresh_platform(FIG10_PLATFORMS[platform], params)
     install_all(fresh, [spec])
     return _consolidate_until_swap(fresh, spec.name, max_vms, sample_every)
-
-
-def run_fig10(params: Optional[CalibratedParameters] = None,
-              benchmark: str = "faas-fact", language: str = "nodejs",
-              max_vms: int = 800, sample_every: int = 50
-              ) -> Dict[str, MemorySeries]:
-    """Figure 10: memory usage / max consolidation, Firecracker vs Fireworks."""
-    return {
-        platform: run_fig10_platform(platform, params, benchmark=benchmark,
-                                     language=language, max_vms=max_vms,
-                                     sample_every=sample_every)
-        for platform in FIG10_PLATFORMS
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +145,6 @@ def run_fig12_workload(benchmark: str, language: str,
         install_all(platform, [spec])
         per_config[config] = _mean_pss_with_n_vms(platform, spec.name, n_vms)
     return per_config
-
-
-def run_fig12(params: Optional[CalibratedParameters] = None,
-              benchmarks: Optional[List[str]] = None,
-              languages: Optional[List[str]] = None,
-              n_vms: int = 10) -> Dict[str, Dict[str, float]]:
-    """Figure 12: per-microVM PSS (10 concurrent VMs) per configuration.
-
-    Returns ``{f"{benchmark}-{language}": {config: mean_pss_mb}}``.
-    """
-    from repro.workloads.faasdom import BENCHMARK_NAMES, LANGUAGES
-    benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    languages = languages or list(LANGUAGES)
-
-    return {
-        faasdom_spec(benchmark, language).name: run_fig12_workload(
-            benchmark, language, params, n_vms)
-        for benchmark in benchmarks for language in languages
-    }
 
 
 def fig12_improvements(results: Dict[str, Dict[str, float]]

@@ -1,9 +1,10 @@
 """The paper's headline claims, evaluated programmatically.
 
-``headline_comparisons()`` runs the underlying experiments and returns one
-:class:`PaperComparison` per claim — the machine-checked core of
-EXPERIMENTS.md.  A claim *holds* when the measured value lands in the
-stated band (generous: a simulator reproduces shapes, not testbeds).
+``headline_comparisons()`` computes exactly the figure cells the claims
+read, one per-cell call each, and returns one :class:`PaperComparison` per
+claim — the machine-checked core of EXPERIMENTS.md.  A claim *holds* when
+the measured value lands in the stated band (generous: a simulator
+reproduces shapes, not testbeds).
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bench.experiment import Experiment
-from repro.bench.faasdom_experiments import run_fig6, run_fig7
-from repro.bench.memory import fig12_improvements, run_fig10, run_fig12
+from repro.bench.faasdom_experiments import run_faasdom_benchmark
+from repro.bench.memory import (FIG10_PLATFORMS, fig12_improvements,
+                                run_fig10_platform, run_fig12_workload)
 from repro.bench.results import (FigureResult, PaperComparison,
                                  format_comparisons)
 from repro.bench.tables import run_snapshot_creation_times
@@ -31,8 +33,6 @@ def headline_comparisons(params: Optional[CalibratedParameters] = None
                          ) -> List[PaperComparison]:
     """Evaluate every headline claim; returns them in paper order."""
     comparisons: List[PaperComparison] = []
-    fig6 = run_fig6(params)
-    fig7 = run_fig7(params)
 
     def add(metric: str, paper: str, measured: float, lo: float,
             hi: float, fmt: str = "{:.1f}x", comment: str = "") -> None:
@@ -42,7 +42,7 @@ def headline_comparisons(params: Optional[CalibratedParameters] = None
             holds=lo <= measured <= hi, comment=comment))
 
     # -- Fig 6 (Node.js) -----------------------------------------------------
-    fact6 = fig6["faas-fact"]
+    fact6 = run_faasdom_benchmark("faas-fact", "nodejs", params)
     add("Node fact cold start-up speedup", "up to 133x",
         _fc(fact6, "cold").startup_ms / _fw(fact6).startup_ms, 80, 200,
         "{:.0f}x")
@@ -51,11 +51,11 @@ def headline_comparisons(params: Optional[CalibratedParameters] = None
     add("Node fact exec improvement (cold)", "38% faster",
         100 * (1 - _fw(fact6).exec_ms / _fc(fact6, "cold").exec_ms),
         25, 50, "{:.0f}%")
-    diskio6 = fig6["faas-diskio"]
+    diskio6 = run_faasdom_benchmark("faas-diskio", "nodejs", params)
     add("Node diskio exec vs slowest framework", "up to 9.2x",
         diskio6.row("gvisor", "cold").exec_ms / _fw(diskio6).exec_ms,
         6, 12)
-    net6 = fig6["faas-netlatency"]
+    net6 = run_faasdom_benchmark("faas-netlatency", "nodejs", params)
     add("Node netlatency e2e vs worst cold", "22x",
         max(net6.row(p, "cold").total_ms
             for p in ("openwhisk", "gvisor", "firecracker"))
@@ -64,19 +64,20 @@ def headline_comparisons(params: Optional[CalibratedParameters] = None
                 "short-benchmark ratio")
 
     # -- Fig 7 (Python) -------------------------------------------------------
-    fact7 = fig7["faas-fact"]
+    fact7 = run_faasdom_benchmark("faas-fact", "python", params)
     add("Python fact cold start-up speedup", "59.8x",
         _fc(fact7, "cold").startup_ms / _fw(fact7).startup_ms, 40, 90,
         "{:.0f}x")
     add("Python fact exec speedup (Numba)", "20x",
         _fc(fact7, "cold").exec_ms / _fw(fact7).exec_ms, 15, 25)
-    matmul7 = fig7["faas-matrix-mult"]
+    matmul7 = run_faasdom_benchmark("faas-matrix-mult", "python", params)
     add("Python matmul exec speedup", "up to 80x",
         _fc(matmul7, "cold").exec_ms / _fw(matmul7).exec_ms, 55, 95,
         "{:.0f}x")
 
     # -- Fig 10 ------------------------------------------------------------------
-    fig10 = run_fig10(params, sample_every=200)
+    fig10 = {platform: run_fig10_platform(platform, params, sample_every=200)
+             for platform in FIG10_PLATFORMS}
     fw_vms = fig10["fireworks"].max_vms_before_swap
     fc_vms = fig10["firecracker"].max_vms_before_swap
     add("microVMs before swapping (Firecracker)", "337", float(fc_vms),
@@ -87,8 +88,10 @@ def headline_comparisons(params: Optional[CalibratedParameters] = None
         "{:.2f}x")
 
     # -- Fig 12 ------------------------------------------------------------------
-    improvements = fig12_improvements(
-        run_fig12(params, benchmarks=["faas-fact"]))
+    improvements = fig12_improvements({
+        f"faas-fact-{language}": run_fig12_workload("faas-fact", language,
+                                                    params)
+        for language in ("nodejs", "python")})
     add("Node post-JIT extra memory saving", "up to 74%",
         improvements["faas-fact-nodejs"]["post_jit_vs_os_snapshot_pct"],
         25, 80, "{:.0f}%")

@@ -1,118 +1,67 @@
 """One-shot full evaluation report: every artifact, one text document.
 
-``full_report()`` regenerates the complete §5 evaluation plus the
-extensions and renders a single readable document — what
-``python -m repro report`` prints.
+``full_report()`` runs the paper's tables and figures (and, by default,
+the extension experiments in :data:`EXTENSIONS`) in one
+:func:`~repro.bench.engine.run_experiments` call, and prints each one as
+a section whose body is that experiment's own renderer output — what
+``python -m repro report`` prints.  Only the Fig 4 per-region view, which
+is not a catalog experiment, is rendered here.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.bench.experiment import FIGURES
 from repro.config import CalibratedParameters
 
+#: The extension experiments the report appends after the paper's own.
+EXTENSIONS = ("burst", "ablations")
 
-def _section(title: str) -> List[str]:
-    rule = "=" * 72
-    return ["", rule, title, rule]
+RULE = "=" * 72
+
+
+def _section(title: str, body: str) -> str:
+    """A titled section; *body* ends with a newline."""
+    return f"\n{RULE}\n{title}\n{RULE}\n{body}"
+
+
+def _fig4_body(params: Optional[CalibratedParameters]) -> str:
+    from repro.bench.memory import run_fig4_view
+    return "".join(
+        f"{region:<10} rss={stats['rss_mb']:6.1f}M "
+        f"pss={stats['pss_mb']:6.1f}M "
+        f"shared={stats['shared_fraction']:6.1%}\n"
+        for region, stats in sorted(run_fig4_view(params).items()))
 
 
 def full_report(params: Optional[CalibratedParameters] = None,
                 include_extensions: bool = True) -> str:
-    """The whole evaluation as one string (may take ~30 s to compute)."""
-    from repro.bench.ablations import (run_catalyzer_comparison,
-                                       run_deopt_experiment,
-                                       run_restore_policy_ablation)
-    from repro.bench.concurrency import run_burst_comparison
-    from repro.bench.faasdom_experiments import run_fig6, run_fig7
-    from repro.bench.factors import run_fig11
-    from repro.bench.memory import (fig12_improvements, run_fig10,
-                                    run_fig12)
-    from repro.bench.paper import comparison_summary, headline_comparisons
-    from repro.bench.realworld import run_fig9
-    from repro.bench.results import format_comparisons
-    from repro.bench.tables import (run_snapshot_creation_times,
-                                    run_table1, run_table2)
+    """The whole evaluation as one string, ending with a newline.
 
-    lines: List[str] = [
-        "FIREWORKS (EuroSys '22) — full reproduction report",
+    Each catalog section is titled ``<id> — <title>``, and its body is
+    byte-identical to :func:`~repro.bench.render.render_experiment_text`
+    of that experiment's result.
+    """
+    from repro.bench.engine import experiment_registry, run_experiments
+    from repro.bench.paper import comparison_summary
+    from repro.bench.render import render_experiment_text
+
+    ids = FIGURES + (EXTENSIONS if include_extensions else ())
+    results = run_experiments(ids, params=params, use_cache=False).results
+    summary = comparison_summary(results["scorecard"])
+    parts: List[str] = [
+        "FIREWORKS (EuroSys '22) — full reproduction report\n"
         "(deterministic; see DESIGN.md for calibration, EXPERIMENTS.md "
-        "for bands)",
-    ]
-
-    lines += _section("Table 1 — design comparison")
-    for row in run_table1(params):
-        lines.append(f"{row['platform']:<22} {row['isolation']:<22} "
-                     f"{row['performance']:<26} {row['memory_efficiency']}")
-
-    lines += _section("Table 2 — tested applications")
-    for row in run_table2():
-        lines.append(f"{row['application']:<34} {row['language']}")
-
-    lines += _section("§5.1 — post-JIT snapshot creation time")
-    for name, parts in sorted(run_snapshot_creation_times(params).items()):
-        lines.append(f"{name:<28} snapshot={parts['snapshot_ms']:6.0f}ms "
-                     f"jit={parts['jit_ms']:5.1f}ms "
-                     f"total-install={parts['total_ms']:7.0f}ms")
-
-    for figure_id, runner in (("Figure 6 — FaaSdom (Node.js)", run_fig6),
-                              ("Figure 7 — FaaSdom (Python)", run_fig7)):
-        lines += _section(figure_id)
-        for result in runner(params).values():
-            lines.append(result.as_table())
-            lines.append("")
-
-    lines += _section("Figure 9 — real-world applications")
-    for result in run_fig9(params).values():
-        lines.append(result.as_table())
-        lines.append("")
-
-    lines += _section("Figure 4 — per-region sharing across 10 clones")
-    from repro.bench.memory import run_fig4_view
-    for region, stats in sorted(run_fig4_view(params).items()):
-        lines.append(f"{region:<10} rss={stats['rss_mb']:6.1f}M "
-                     f"pss={stats['pss_mb']:6.1f}M "
-                     f"shared={stats['shared_fraction']:6.1%}")
-
-    lines += _section("Figure 10 — memory usage / consolidation")
-    for series in run_fig10(params, sample_every=100).values():
-        lines.append(series.as_table())
-
-    lines += _section("Figure 11 — performance factor analysis")
-    lines += [row.as_line() for row in run_fig11(params).values()]
-
-    lines += _section("Figure 12 — memory factor analysis")
-    fig12 = run_fig12(params)
-    for workload, values in sorted(fig12_improvements(fig12).items()):
-        lines.append(
-            f"{workload:<28} os-snap saves "
-            f"{values['os_snapshot_vs_baseline_pct']:5.1f}%, post-jit "
-            f"{values['post_jit_vs_os_snapshot_pct']:+5.1f}% more")
-
-    lines += _section("Scorecard — headline claims")
-    comparisons = headline_comparisons(params)
-    lines.append(format_comparisons("headline claims", comparisons))
-    summary = comparison_summary(comparisons)
-    lines.append(f"claims holding: {summary['holds']}/{summary['total']}")
-
-    if include_extensions:
-        lines += _section("Extensions")
-        lines.append("restore policies (ms): " + ", ".join(
-            f"{policy}={ms:.1f}" for policy, ms in
-            run_restore_policy_ablation(params).items()))
-        deopt = run_deopt_experiment(params)
-        lines.append(
-            f"deopt: {deopt.total_deopts} deopts, fireworks "
-            f"{deopt.fireworks_mean_ms:.0f}ms vs openwhisk "
-            f"{deopt.openwhisk_mean_ms:.0f}ms")
-        for result in run_burst_comparison(requests=128, cores=64,
-                                           params=params).values():
-            lines.append("burst: " + result.as_line())
-        for name, values in run_catalyzer_comparison(params).items():
-            lines.append(
-                f"catalyzer-vs-fw: {name} cold="
-                f"{values['cold_startup_ms']:.1f}ms warm="
-                f"{values['warm_startup_ms']:.1f}ms "
-                f"exec={values['exec_ms']:.1f}ms")
-
-    return "\n".join(lines)
+        "for bands)\n"
+        f"claims holding: {summary['holds']}/{summary['total']}\n"]
+    registry = experiment_registry()
+    for experiment_id in ids:
+        if experiment_id == "fig10":
+            parts.append(_section(
+                "fig4 — per-region sharing across 10 clones",
+                _fig4_body(params)))
+        parts.append(_section(
+            f"{experiment_id} — {registry[experiment_id].title}",
+            render_experiment_text(experiment_id, results[experiment_id])))
+    return "".join(parts)

@@ -223,20 +223,6 @@ def run_streaming_transfer(mode: str,
     )
 
 
-def run_restore_figure(params: Optional[CalibratedParameters] = None,
-                       seed: int = 2022) -> Dict[str, object]:
-    """Every cell of the restore figure, serially (the CLI fast path; the
-    parallel engine shards the same cells)."""
-    results: Dict[str, object] = {}
-    for backend, policy, language in RESTORE_CELLS:
-        results[f"{backend}@{policy}@{language}"] = run_restore_policy(
-            backend, policy, language, params=params, seed=seed)
-    for mode in STREAM_MODES:
-        results[f"stream@{mode}"] = run_streaming_transfer(
-            mode, params=params, seed=seed)
-    return results
-
-
 def render_restore_figure(results: Dict[str, object]) -> List[str]:
     """The figure as printable lines (CLI + smoke-diff friendly)."""
     lines = ["restore latency / bytes moved per backend per policy "

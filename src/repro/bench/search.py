@@ -1,4 +1,4 @@
-"""Offline Pareto policy search (extension): ``repro search``.
+"""Offline Pareto policy search (extension): ``repro figure search``.
 
 Sweeps *declarative policy documents* — the :mod:`repro.policy` DSL —
 across the three decision layers the policy engine unified (placement,
@@ -382,16 +382,14 @@ def evaluate_index(params, seed: int, index: int,
 
 
 def run_search(params=None, seed: int = DEFAULT_SEED,
-               count: Optional[int] = None,
                smoke: bool = False) -> SearchResult:
     """The whole search, serially (the engine path shards by index).
 
     *smoke* shrinks both the candidate set and the evaluation trace to a
-    couple of wall-clock seconds — the CI byte-determinism job runs it
-    twice and diffs the canonical JSON.
+    couple of wall-clock seconds: the ``search-smoke`` experiment, which
+    CI runs twice and diffs.
     """
-    if count is None:
-        count = SMOKE_CANDIDATES if smoke else DEFAULT_CANDIDATES
+    count = SMOKE_CANDIDATES if smoke else DEFAULT_CANDIDATES
     eval_kw = SMOKE_EVAL if smoke else SEARCH_EVAL
     outcomes = tuple(
         evaluate_candidate(candidate, params=params, seed=seed,
@@ -447,9 +445,9 @@ def _scatter(result: SearchResult) -> List[str]:
 
 
 def render_search_figure(result: SearchResult) -> List[str]:
-    """The ``repro search`` text figure: per-candidate lines, markers for
-    the frontier (``*``) and baseline-dominators (``+``), then the
-    scatter and a frontier summary."""
+    """The ``search`` experiment's text figure: per-candidate lines,
+    markers for the frontier (``*``) and baseline-dominators (``+``),
+    then the scatter and a frontier summary."""
     lines = [f"policy search on {result.platform}: "
              f"{len(result.outcomes)} candidates, "
              f"objectives (p99 ms, mean warm MiB, shed rate), "

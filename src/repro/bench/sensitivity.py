@@ -114,8 +114,10 @@ def metric_cold_start_speedup(params: CalibratedParameters) -> float:
 
 def metric_consolidation_ratio(params: CalibratedParameters) -> float:
     """Fig 10's ratio (paper: 1.68x)."""
-    from repro.bench.memory import run_fig10
-    results = run_fig10(params, sample_every=400)
+    from repro.bench.memory import FIG10_PLATFORMS, run_fig10_platform
+    results = {platform: run_fig10_platform(platform, params,
+                                            sample_every=400)
+               for platform in FIG10_PLATFORMS}
     return (results["fireworks"].max_vms_before_swap
             / results["firecracker"].max_vms_before_swap)
 
@@ -129,7 +131,7 @@ METRICS: Dict[str, MetricFn] = {
 
 def _sweep_point(parameter: str, value: float, metric: str,
                  params: CalibratedParameters) -> float:
-    """Measure one sweep point (module-level: picklable into workers)."""
+    """Measure one sweep point."""
     modified = PARAMETER_KNOBS[parameter](params, value)
     validate_or_raise(modified)
     return METRICS[metric](modified)
@@ -137,13 +139,13 @@ def _sweep_point(parameter: str, value: float, metric: str,
 
 def run_sensitivity(parameter: str, values: Sequence[float],
                     metric: str,
-                    params: Optional[CalibratedParameters] = None,
-                    jobs: int = 1) -> SensitivityResult:
+                    params: Optional[CalibratedParameters] = None
+                    ) -> SensitivityResult:
     """Sweep *parameter* over *values*, measuring *metric* at each point.
 
-    With ``jobs > 1`` the (independent) points run on a process pool;
-    results are collected in submission order, so the returned sweep is
-    identical to a serial run.
+    The points run serially; the ``sensitivity`` experiment runs one
+    point per engine shard, so ``--jobs`` spreads them over the engine's
+    pool.
     """
     if parameter not in PARAMETER_KNOBS:
         raise ReproError(
@@ -153,19 +155,10 @@ def run_sensitivity(parameter: str, values: Sequence[float],
         raise ReproError(
             f"unknown metric {metric!r}; metrics: {sorted(METRICS)}")
     base = params or default_parameters()
-
-    if jobs > 1 and len(values) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
-            futures = [pool.submit(_sweep_point, parameter, value, metric,
-                                   base)
-                       for value in values]
-            metrics = [future.result() for future in futures]
-    else:
-        metrics = [_sweep_point(parameter, value, metric, base)
-                   for value in values]
-    points = [SensitivityPoint(value=value, metric=measured)
-              for value, measured in zip(values, metrics)]
+    points = [SensitivityPoint(value=value,
+                               metric=_sweep_point(parameter, value, metric,
+                                                   base))
+              for value in values]
     return SensitivityResult(parameter=parameter, metric_name=metric,
                              points=points)
 

@@ -13,23 +13,12 @@ Commands:
                                 fetch results/figures/traces
                                 (see ``docs/service.md``);
 * ``figure <id...> [--jobs N]`` — regenerate many (or ``all``) through the
-                                parallel engine and the result cache;
+                                parallel engine and the result cache; the
+                                extension experiments (``cluster``,
+                                ``chaos``, ``load``, ``search``, ...) run
+                                here or as named scenarios, like the paper
+                                figures;
 * ``annotate <file>``         — run the §3.2 code annotator on a handler;
-* ``cluster [--hosts N] [--policy P]`` — placement policies across a
-                                multi-host cluster (extension);
-* ``chaos [--crash-at-ms T] [--crash-host H]`` — replay the cluster trace
-                                under a host-failure fault plan and report
-                                availability / p99 / recovery (extension);
-* ``load [--platform P] [--mode M]`` — open-loop Azure-like traffic through
-                                the admission controller + warm-pool
-                                autoscaler; p50/p99, queue wait, shed rate,
-                                cold-start share, warm memory (extension);
-* ``search [--smoke] [--json]`` — offline Pareto policy search: sweep DSL
-                                policy documents across placement /
-                                keep-alive / autoscale on the open-loop
-                                trace; seeded, byte-deterministic
-                                frontier over (p99, warm memory, shed
-                                rate) (extension);
 * ``trace <target>``          — re-run one figure's invocations and export
                                 one invocation's span tree (Chrome
                                 ``trace_event`` JSON or a text tree);
@@ -45,12 +34,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.bench.experiment import FIGURES
 from repro.bench.render import render_experiment_text, render_run_text
-
-#: The paper's own tables and figures: the head of the experiment catalog,
-#: and what ``run`` regenerates by id.
-FIGURES = ("table1", "table2", "snapshot-creation", "fig6", "fig7", "fig9",
-           "fig10", "fig11", "fig12", "scorecard")
 
 
 def _run_figure(name: str, chart: bool = False) -> None:
@@ -121,35 +106,6 @@ def _cmd_annotate(path: str) -> None:
     print(result.annotated)
 
 
-def _cmd_cluster(hosts: int, functions: int, duration_ms: float,
-                 seed: int, policy: str) -> None:
-    """``cluster``: placement policies across a multi-host cluster."""
-    from repro.bench.cluster import run_cluster_scheduling
-    from repro.policy import default_registry
-    placements = default_registry().names("placement")
-    selected = placements if policy == "all" else (policy,)
-    outcomes = run_cluster_scheduling(
-        n_hosts=hosts, n_functions=functions, duration_ms=duration_ms,
-        seed=seed, policies=selected)
-    for outcome in outcomes.values():
-        print(outcome.as_line())
-
-
-def _cmd_chaos(hosts: int, functions: int, duration_ms: float, seed: int,
-               crash_at_ms: float, crash_host: Optional[int],
-               policy: str) -> None:
-    """``chaos``: the cluster trace under a host-failure fault plan."""
-    from repro.bench.chaos import DEFAULT_ROWS, run_chaos_experiment
-    rows = (DEFAULT_ROWS if policy == "all"
-            else tuple(row for row in DEFAULT_ROWS if row[0] == policy))
-    outcomes = run_chaos_experiment(
-        n_hosts=hosts, n_functions=functions, duration_ms=duration_ms,
-        seed=seed, crash_at_ms=crash_at_ms, crash_host=crash_host,
-        rows=rows)
-    for outcome in outcomes.values():
-        print(outcome.as_line())
-
-
 #: ``trace`` targets: which invocation set to re-run.
 TRACE_TARGETS = ("fig6", "fig7", "chain")
 _TRACE_LANGUAGE = {"fig6": "nodejs", "fig7": "python"}
@@ -184,66 +140,6 @@ def _trace_records(target: str, benchmark: str) -> list:
                          FirecrackerPlatform):
         records.extend(cold_and_warm(platform_cls, spec))
     return records
-
-
-def _cmd_load(platform: str, mode: str, hosts: int, functions: int,
-              duration_ms: float, seed: int,
-              popular_interarrival_ms: float, as_json: bool) -> None:
-    """``load``: the open-loop serving-layer experiment (extension)."""
-    import json as json_module
-
-    from repro.bench.load import (LOAD_MODES, LOAD_PLATFORMS,
-                                  run_load_experiment)
-    from repro.bench.serialization import encode_result
-    platforms = tuple(LOAD_PLATFORMS) if platform == "all" else (platform,)
-    modes = LOAD_MODES if mode == "all" else (mode,)
-    outcomes = run_load_experiment(
-        platforms=platforms, modes=modes, n_hosts=hosts,
-        n_functions=functions, duration_ms=duration_ms, seed=seed,
-        popular_interarrival_ms=popular_interarrival_ms)
-    if as_json:
-        payload = {f"{p}@{m}": encode_result(outcome)
-                   for (p, m), outcome in outcomes.items()}
-        print(json_module.dumps(payload, sort_keys=True,
-                                separators=(",", ":")))
-        return
-    for outcome in outcomes.values():
-        print(outcome.as_line())
-
-
-def _cmd_search(seed: int, count: Optional[int], jobs: int, no_cache: bool,
-                cache_dir: Optional[str], smoke: bool, as_json: bool,
-                out: Optional[str]) -> None:
-    """``search``: the offline Pareto policy search (extension).
-
-    The default full search runs through the parallel engine (one shard
-    per candidate, result-cached); ``--smoke`` and non-default
-    ``--count`` run serially, since the engine's shard list is fixed at
-    the default candidate count.
-    """
-    import json as json_module
-
-    from repro.bench.search import (DEFAULT_CANDIDATES,
-                                    render_search_figure, run_search)
-    from repro.bench.serialization import encode_result
-    if smoke or (count is not None and count != DEFAULT_CANDIDATES):
-        result = run_search(seed=seed, count=count, smoke=smoke)
-    else:
-        from repro.bench.engine import DEFAULT_CACHE_DIR, run_experiments
-        outcome = run_experiments(
-            ["search"], seed=seed, jobs=jobs, use_cache=not no_cache,
-            cache_dir=cache_dir or DEFAULT_CACHE_DIR)
-        result = outcome.results["search"]
-    payload = json_module.dumps(encode_result(result), sort_keys=True,
-                                separators=(",", ":"))
-    if out is not None:
-        Path(out).write_text(payload + "\n", encoding="utf-8")
-        print(f"wrote {out}", file=sys.stderr)
-    if as_json:
-        print(payload)
-        return
-    for line in render_search_figure(result):
-        print(line)
 
 
 def _cmd_trace(target: str, benchmark: str, invocation: int,
@@ -392,92 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "annotate", help="annotate a handler file (Figure 3)")
     annotate_parser.add_argument("file")
 
-    from repro.policy import default_registry
-    cluster_parser = sub.add_parser(
-        "cluster",
-        help="placement policies on a multi-host cluster (extension)")
-    cluster_parser.add_argument("--hosts", type=_positive_int, default=4)
-    cluster_parser.add_argument("--functions", type=_positive_int,
-                                default=12)
-    cluster_parser.add_argument("--duration-ms", type=float,
-                                default=600_000.0)
-    cluster_parser.add_argument("--seed", type=int, default=11)
-    cluster_parser.add_argument(
-        "--policy", default="all",
-        choices=default_registry().names("placement") + ("all",))
-
-    from repro.bench.chaos import DEFAULT_CRASH_AT_MS
-    from repro.platforms.scheduler import (POLICY_ROUND_ROBIN,
-                                           POLICY_SNAPSHOT_LOCALITY)
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="cluster trace under a host-failure fault plan (extension)")
-    chaos_parser.add_argument("--hosts", type=_positive_int, default=4)
-    chaos_parser.add_argument("--functions", type=_positive_int, default=12)
-    chaos_parser.add_argument("--duration-ms", type=float,
-                              default=600_000.0)
-    chaos_parser.add_argument("--seed", type=int, default=11)
-    chaos_parser.add_argument("--crash-at-ms", type=float,
-                              default=DEFAULT_CRASH_AT_MS)
-    chaos_parser.add_argument(
-        "--crash-host", type=int, default=None,
-        help="host to crash (default: the busiest home host)")
-    chaos_parser.add_argument(
-        "--policy", default="all",
-        choices=(POLICY_ROUND_ROBIN, POLICY_SNAPSHOT_LOCALITY, "all"))
-
-    from repro.bench.load import (DEFAULT_DURATION_MS, DEFAULT_N_FUNCTIONS,
-                                  DEFAULT_N_HOSTS,
-                                  DEFAULT_POPULAR_INTERARRIVAL_MS,
-                                  DEFAULT_SEED, LOAD_MODES, LOAD_PLATFORMS)
-    load_parser = sub.add_parser(
-        "load",
-        help="open-loop serving-layer load experiment (extension)")
-    load_parser.add_argument("--platform", default="all",
-                             choices=tuple(LOAD_PLATFORMS) + ("all",))
-    load_parser.add_argument("--mode", default="all",
-                             choices=LOAD_MODES + ("all",),
-                             help="warm-pool scaling policy")
-    load_parser.add_argument("--hosts", type=_positive_int,
-                             default=DEFAULT_N_HOSTS)
-    load_parser.add_argument("--functions", type=_positive_int,
-                             default=DEFAULT_N_FUNCTIONS)
-    load_parser.add_argument("--duration-ms", type=float,
-                             default=DEFAULT_DURATION_MS)
-    load_parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    load_parser.add_argument(
-        "--popular-interarrival-ms", type=float,
-        default=DEFAULT_POPULAR_INTERARRIVAL_MS,
-        help="mean arrival gap of a popular function at modulation "
-             "midline (smaller = heavier load)")
-    load_parser.add_argument(
-        "--json", action="store_true",
-        help="emit canonical JSON (byte-identical across equal seeds)")
-
-    from repro.bench.search import DEFAULT_SEED as SEARCH_SEED
-    search_parser = sub.add_parser(
-        "search",
-        help="offline Pareto policy search over DSL documents (extension)")
-    search_parser.add_argument("--seed", type=int, default=SEARCH_SEED)
-    search_parser.add_argument(
-        "--count", type=_positive_int, default=None,
-        help="candidate count (default 24; non-default runs serially)")
-    search_parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                               help="worker processes (engine path only)")
-    search_parser.add_argument("--no-cache", action="store_true",
-                               help="skip the result cache")
-    search_parser.add_argument("--cache-dir", default=None,
-                               help="result cache directory")
-    search_parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny serial search for CI (seconds; byte-deterministic)")
-    search_parser.add_argument(
-        "--json", action="store_true",
-        help="emit canonical JSON (byte-identical across equal seeds)")
-    search_parser.add_argument(
-        "-o", "--out", default=None,
-        help="also write the canonical JSON artifact to this path")
-
     trace_parser = sub.add_parser(
         "trace", help="export one invocation's span tree")
     trace_parser.add_argument("target", choices=TRACE_TARGETS,
@@ -511,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     export_parser = sub.add_parser(
         "export", help="regenerate figures and write CSVs")
     export_parser.add_argument("directory")
+    from repro.bench.export import EXPORTED
     export_parser.add_argument("--only", nargs="*", default=None,
-                               choices=["fig6", "fig7", "fig9", "fig10",
-                                        "fig11", "fig12"])
+                               choices=EXPORTED)
 
     report_parser = sub.add_parser(
-        "report", help="the full evaluation as one document (~30 s)")
+        "report", help="the full evaluation as one document")
     report_parser.add_argument("--no-extensions", action="store_true")
 
     sub.add_parser("validate",
@@ -556,19 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     chart=args.chart)
     elif args.command == "annotate":
         _cmd_annotate(args.file)
-    elif args.command == "cluster":
-        _cmd_cluster(args.hosts, args.functions, args.duration_ms,
-                     args.seed, args.policy)
-    elif args.command == "chaos":
-        _cmd_chaos(args.hosts, args.functions, args.duration_ms, args.seed,
-                   args.crash_at_ms, args.crash_host, args.policy)
-    elif args.command == "load":
-        _cmd_load(args.platform, args.mode, args.hosts, args.functions,
-                  args.duration_ms, args.seed,
-                  args.popular_interarrival_ms, args.json)
-    elif args.command == "search":
-        _cmd_search(args.seed, args.count, args.jobs, args.no_cache,
-                    args.cache_dir, args.smoke, args.json, args.out)
     elif args.command == "trace":
         return _cmd_trace(args.target, args.benchmark, args.invocation,
                           args.output_format, args.output)
@@ -582,8 +379,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote {args.directory}/{name}")
     elif args.command == "report":
         from repro.bench.report import full_report
-        print(full_report(
-            include_extensions=not args.no_extensions))
+        print(full_report(include_extensions=not args.no_extensions),
+              end="")
     elif args.command == "validate":
         from repro.config import default_parameters
         from repro.validation import validate

@@ -20,8 +20,8 @@ Python classes (the default path — golden figures never change) and
 :func:`~repro.policy.dsl.compile_policy` over the typed signal catalogs
 in :mod:`repro.policy.signals`.  ``scenarios/policies/`` ships each
 built-in re-expressed as a document; the differential suite proves them
-decision-identical, and ``repro search`` mutates documents to map the
-latency/memory/shed Pareto frontier.
+decision-identical, and the ``search`` experiment mutates documents to
+map the latency/memory/shed Pareto frontier.
 """
 
 from repro.policy.autoscale import (

@@ -1,12 +1,11 @@
 """The uniform policy registry: one namespace per decision domain.
 
 Built-in classes and compiled DSL documents register into the same
-:class:`PolicyRegistry`; everything that used to keep its own
-name→class lookup table (``bench/scheduling.py``, ``bench/cluster.py``,
-``bench/load.py``, ``cli.py``) now resolves names here, so an unknown
-policy name fails at config-parse time with a
-:class:`~repro.errors.ValidationError` listing the registered names —
-not deep inside placement.
+:class:`PolicyRegistry`; every experiment that names a policy
+(``bench/cluster.py``, ``bench/load.py``, ``bench/chains.py``, ...)
+resolves it here, so an unknown policy name fails at config-parse time
+with a :class:`~repro.errors.ValidationError` listing the registered
+names — not deep inside placement.
 
 :func:`default_registry` holds the built-ins only (the default path
 every golden figure runs on); DSL documents are opt-in, registered
@@ -19,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.platforms.keepalive import (
@@ -260,15 +259,3 @@ def shipped_policy_dir() -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     return os.path.normpath(os.path.join(
         here, "..", "..", "..", "scenarios", "policies"))
-
-
-def registered_summary(registry: Optional[PolicyRegistry] = None
-                       ) -> List[str]:
-    """Human-readable ``domain/name (source)`` lines for CLI output."""
-    reg = registry if registry is not None else default_registry()
-    lines = []
-    for domain in DOMAINS:
-        for name in reg.names(domain):
-            entry = reg.entry(domain, name)
-            lines.append(f"{domain}/{name} ({entry.source})")
-    return lines

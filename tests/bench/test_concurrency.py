@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.concurrency import run_burst, run_burst_comparison
+from repro.bench.concurrency import COMPARISON_PLATFORMS, run_burst
 from repro.core.fireworks import FireworksPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
 
@@ -36,7 +36,8 @@ class TestRunBurst:
 class TestBurstComparison:
     @pytest.fixture(scope="class")
     def comparison(self):
-        return run_burst_comparison(requests=128, cores=32)
+        return {name: run_burst(platform_cls, requests=128, cores=32)
+                for name, platform_cls in COMPARISON_PLATFORMS.items()}
 
     def test_fireworks_best_tail(self, comparison):
         fw = comparison["fireworks"].latency.p99_ms

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import os
+import sys
+import threading
 
 import pytest
 
 from repro.bench.engine import (ResultCache, Shard, experiment_ids,
                                 experiment_registry, resolve_ids,
                                 run_experiments)
-from repro.bench.serialization import encode_result, loads_result
+from repro.bench.serialization import (dumps_result, encode_result,
+                                       loads_result)
+from repro.bench.tables import run_table2
 from repro.bench.results import FigureResult, MemorySeries
 from repro.config import default_parameters, params_fingerprint
 from repro.errors import ReproError
@@ -64,11 +70,18 @@ class TestDeterminism:
         assert isinstance(serial.results["fig10"]["fireworks"], MemorySeries)
 
     def test_engine_matches_direct_drivers(self, tmp_path):
-        from repro.bench.faasdom_experiments import run_fig6
-        from repro.bench.memory import run_fig10
+        from repro.bench.faasdom_experiments import (build_geomean,
+                                                     run_faasdom_benchmark)
+        from repro.bench.memory import FIG10_PLATFORMS, run_fig10_platform
+        from repro.workloads.faasdom import BENCHMARK_NAMES
         outcome = run_experiments(["fig6", "fig10"], use_cache=False)
-        assert outcome.results["fig6"] == run_fig6()
-        assert outcome.results["fig10"] == run_fig10()
+        fig6 = {benchmark: run_faasdom_benchmark(benchmark, "nodejs")
+                for benchmark in BENCHMARK_NAMES}
+        fig6["geomean"] = build_geomean(fig6, "nodejs")
+        assert outcome.results["fig6"] == fig6
+        assert outcome.results["fig10"] == {
+            platform: run_fig10_platform(platform)
+            for platform in FIG10_PLATFORMS}
 
     def test_cached_payload_survives_disk(self, tmp_path):
         """Cache hits literally re-read binary blobs from disk — and
@@ -184,6 +197,91 @@ class TestResultCache:
         assert not stale_json.exists()
         assert run_experiments(["table2"],
                                cache_dir=cache_dir).stats.cache_hits == 1
+
+    def test_interleaved_writers_of_one_entry(self, tmp_path, monkeypatch):
+        """Writer A's temp-file write runs writer B's whole ``store``
+        before A renames: A must not raise, and the entry must decode."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        shard = experiment_registry()["table2"].shards[0]
+        fingerprint = params_fingerprint(default_parameters())
+        blob = dumps_result(run_table2())
+        real_open = io.open
+        interleaved = []
+
+        class WriteThenInterleave:
+            """A file whose first write lets writer B store in full."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return self._handle.__exit__(*exc_info)
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def write(self, data):
+                written = self._handle.write(data)
+                if not interleaved:
+                    interleaved.append("B")
+                    cache.store(shard, fingerprint, 2022, blob)
+                return written
+
+        def open_interleaving(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return WriteThenInterleave(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", open_interleaving)
+        cache.store(shard, fingerprint, 2022, blob)
+        monkeypatch.undo()
+        assert interleaved == ["B"]
+        assert cache.load(shard, fingerprint, 2022) == loads_result(blob)
+        assert not list((tmp_path / "cache").glob("*/*.tmp"))
+
+    def test_concurrent_writers_stress(self, tmp_path):
+        """More writer threads than cores storing one entry at once."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        shard = experiment_registry()["table2"].shards[0]
+        fingerprint = params_fingerprint(default_parameters())
+        blob = dumps_result(run_table2())
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(100):
+                    cache.store(shard, fingerprint, 2022, blob)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.load(shard, fingerprint, 2022) == loads_result(blob)
+
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path / "cache"))
+        shard = experiment_registry()["table2"].shards[0]
+        fingerprint = params_fingerprint(default_parameters())
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(shard, fingerprint, 2022, b"blob")
+        assert not list((tmp_path / "cache").glob("*/*"))
 
     def test_stats_summary_mentions_counts(self, tmp_path):
         outcome = run_experiments(["table2"],

@@ -3,10 +3,10 @@ the bands live in benchmarks/ and tests/integration/)."""
 
 import pytest
 
-from repro.bench.faasdom_experiments import (run_faasdom_benchmark,
-                                             run_faasdom_figure)
+from repro.bench.engine import run_experiments
+from repro.bench.faasdom_experiments import run_faasdom_benchmark
 from repro.bench.factors import run_factor_analysis
-from repro.bench.memory import run_fig12
+from repro.bench.memory import run_fig12_workload
 from repro.bench.paper import comparison_summary
 from repro.bench.results import PaperComparison
 from repro.bench.tables import run_table1, run_table2
@@ -16,6 +16,10 @@ class TestFaasdomDriver:
     @pytest.fixture(scope="class")
     def result(self):
         return run_faasdom_benchmark("faas-fact", "nodejs")
+
+    @pytest.fixture(scope="class")
+    def figure(self):
+        return run_experiments(["fig6"], use_cache=False).results["fig6"]
 
     def test_seven_bars(self, result):
         assert len(result.rows) == 7  # 3 platforms x 2 modes + fireworks
@@ -29,15 +33,13 @@ class TestFaasdomDriver:
         assert len(result.notes) == 2
         assert "cold start-up speedup" in result.notes[1]
 
-    def test_full_figure_has_geomean(self):
-        figure = run_faasdom_figure("nodejs")
+    def test_full_figure_has_geomean(self, figure):
         assert set(figure) == {"faas-fact", "faas-matrix-mult",
                                "faas-diskio", "faas-netlatency", "geomean"}
         geomean = figure["geomean"]
         assert len(geomean.rows) == 7
 
-    def test_geomean_between_extremes(self):
-        figure = run_faasdom_figure("nodejs")
+    def test_geomean_between_extremes(self, figure):
         totals = [figure[b].row("fireworks", "snapshot").total_ms
                   for b in ("faas-fact", "faas-matrix-mult", "faas-diskio",
                             "faas-netlatency")]
@@ -61,10 +63,7 @@ class TestFactorDriver:
 
 class TestFig12Driver:
     def test_subset_selection(self):
-        results = run_fig12(benchmarks=["faas-netlatency"],
-                            languages=["nodejs"], n_vms=4)
-        assert list(results) == ["faas-netlatency-nodejs"]
-        per_config = results["faas-netlatency-nodejs"]
+        per_config = run_fig12_workload("faas-netlatency", "nodejs", n_vms=4)
         assert set(per_config) == {"firecracker", "+os-snapshot",
                                    "+post-jit"}
         assert all(value > 0 for value in per_config.values())

@@ -1,7 +1,7 @@
 """The open-loop load experiment: determinism, chaos, and accounting.
 
 The serving layer's value depends on its runs being *replayable*: two
-identically-seeded ``repro load`` runs must be byte-identical — including
+identically-seeded load runs must be byte-identical — including
 under a mid-trace host crash — and every submitted request must be
 accounted for exactly once (completed, shed, or failed), with no leaked
 admission-queue slots or warm workers afterwards.
@@ -15,7 +15,6 @@ from repro.bench.load import (LOAD_MODES, LOAD_PLATFORMS, build_load_trace,
                               run_load_platform)
 from repro.bench.serialization import encode_result
 from repro.chaos.plan import ChaosPlan
-from repro.cli import main
 from repro.errors import ValidationError
 
 # Small but non-trivial: a few hundred events, queueing visible.
@@ -24,7 +23,7 @@ SMALL = dict(n_hosts=3, n_functions=8, duration_ms=20_000.0,
 
 
 def _canonical(outcome) -> bytes:
-    """The exact bytes the CLI's --json path emits for one outcome."""
+    """One outcome's canonical JSON bytes."""
     return json.dumps(encode_result(outcome), sort_keys=True,
                       separators=(",", ":")).encode()
 
@@ -40,19 +39,6 @@ class TestSeededDeterminism:
         changed = dict(SMALL, seed=8)
         second = run_load_platform("fireworks", "predictive", **changed)
         assert _canonical(first) != _canonical(second)
-
-    def test_cli_json_is_byte_identical_across_runs(self, capsys):
-        argv = ["load", "--platform", "fireworks", "--mode", "predictive",
-                "--hosts", "3", "--functions", "8",
-                "--duration-ms", "20000", "--seed", "7",
-                "--popular-interarrival-ms", "100", "--json"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        payload = json.loads(first)
-        assert "fireworks@predictive" in payload
 
 
 class TestChaosCrashMidTrace:

@@ -14,8 +14,8 @@ import json
 
 import pytest
 
-from repro.bench.restore import (run_restore_figure, run_restore_policy,
-                                 run_streaming_transfer)
+from repro.bench.engine import run_experiments
+from repro.bench.restore import run_restore_policy, run_streaming_transfer
 from repro.bench.serialization import encode_result
 from repro.config import default_parameters
 from repro.snapshot.restorer import POLICY_LAZY, POLICY_REAP
@@ -23,7 +23,7 @@ from repro.snapshot.restorer import POLICY_LAZY, POLICY_REAP
 
 @pytest.fixture(scope="module")
 def figure():
-    return run_restore_figure(default_parameters())
+    return run_experiments(["restore"], use_cache=False).results["restore"]
 
 
 class TestLazyAcceptance:

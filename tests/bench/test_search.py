@@ -1,4 +1,4 @@
-"""Tests for the offline Pareto policy search (``repro search``)."""
+"""Tests for the offline Pareto policy search (the ``search`` experiment)."""
 
 from __future__ import annotations
 

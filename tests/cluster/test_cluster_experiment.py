@@ -1,34 +1,41 @@
-"""Tests for the scheduling-policy experiment."""
+"""The ``cluster`` experiment's warm-affinity claim, and OpenWhisk's
+host-local warm containers on a multi-host cluster."""
 
 import pytest
 
-from repro.bench.scheduling import run_scheduling_comparison
-from repro.platforms.scheduler import (POLICY_HASH, POLICY_ROUND_ROBIN)
+from repro.bench.engine import run_experiments
+from repro.platforms.scheduler import POLICY_HASH, POLICY_ROUND_ROBIN
 
 
-@pytest.fixture(scope="module")
-def comparison():
-    return run_scheduling_comparison(n_functions=9, rounds=8, nodes=4)
+class TestClusterWarmHits:
+    """Hash placement revisits each function's home host inside the
+    keep-alive window; round-robin sprays requests and arrives after the
+    warm container expired."""
 
+    @pytest.fixture(scope="class", params=[11, 2022])
+    def outcomes(self, request):
+        return run_experiments(["cluster"], seed=request.param,
+                               use_cache=False).results["cluster"]
 
-class TestSchedulingComparison:
-    def test_hash_beats_round_robin_on_warm_hits(self, comparison):
-        """OpenWhisk's home-invoker hashing exists for a reason."""
-        assert comparison[POLICY_HASH].warm_hit_rate > \
-            comparison[POLICY_ROUND_ROBIN].warm_hit_rate + 0.1
+    def test_hash_beats_round_robin_on_warm_hits(self, outcomes):
+        assert outcomes[POLICY_HASH].warm_hit_rate > \
+            outcomes[POLICY_ROUND_ROBIN].warm_hit_rate + 0.1
 
-    def test_round_robin_spreads_most_evenly(self, comparison):
-        spreads = {policy: result.load_spread
-                   for policy, result in comparison.items()}
+    def test_round_robin_spreads_most_evenly(self, outcomes):
+        spreads = {policy: outcome.load_spread
+                   for policy, outcome in outcomes.items()}
         assert spreads[POLICY_ROUND_ROBIN] == min(spreads.values())
 
-    def test_all_policies_complete_the_stream(self, comparison):
-        counts = {result.latency.count for result in comparison.values()}
-        assert len(counts) == 1  # same number of requests everywhere
+    def test_all_policies_complete_the_stream(self, outcomes):
+        requests = {outcome.requests for outcome in outcomes.values()}
+        assert len(requests) == 1  # one trace, replayed per policy
+        assert all(outcome.latency.count == outcome.requests
+                   for outcome in outcomes.values())
 
-    def test_warm_hits_translate_to_latency(self, comparison):
-        assert comparison[POLICY_HASH].latency.mean_ms < \
-            comparison[POLICY_ROUND_ROBIN].latency.mean_ms
+    def test_locality_translates_to_latency(self, outcomes):
+        """Round-robin's cross-host snapshot copies cost start-up time."""
+        assert outcomes[POLICY_HASH].latency.mean_ms < \
+            outcomes[POLICY_ROUND_ROBIN].latency.mean_ms
 
 
 class TestOpenWhiskOnCluster:

@@ -6,8 +6,10 @@ exact numbers (the substrate is a simulator, not the authors' testbed).
 
 import pytest
 
-from repro.bench import (cold_and_warm, fireworks_invocation, run_fig10,
-                         fig12_improvements, run_fig12)
+from repro.bench import (cold_and_warm, fireworks_invocation,
+                         fig12_improvements, run_fig10_platform,
+                         run_fig12_workload)
+from repro.bench.memory import FIG10_PLATFORMS
 from repro.platforms import FirecrackerPlatform, GVisorPlatform, \
     OpenWhiskPlatform
 from repro.workloads import faasdom_spec
@@ -108,7 +110,8 @@ class TestDiskIoClaims:
 class TestFig10Claims:
     @pytest.fixture(scope="class")
     def consolidation(self):
-        return run_fig10(sample_every=100)
+        return {platform: run_fig10_platform(platform, sample_every=100)
+                for platform in FIG10_PLATFORMS}
 
     def test_fireworks_consolidates_more(self, consolidation):
         """Paper: 565 vs 337 microVMs (~1.68x more) before swapping."""
@@ -129,7 +132,10 @@ class TestFig10Claims:
 class TestFig12Claims:
     @pytest.fixture(scope="class")
     def improvements(self):
-        return fig12_improvements(run_fig12(benchmarks=["faas-fact"]))
+        return fig12_improvements({
+            f"faas-fact-{language}": run_fig12_workload("faas-fact",
+                                                        language)
+            for language in ("nodejs", "python")})
 
     def test_os_snapshot_saves_memory_both_languages(self, improvements):
         for workload, values in improvements.items():

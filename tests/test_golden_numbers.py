@@ -187,15 +187,17 @@ class TestGoldenFigureHashes:
         assert params.cluster.stream_transfers is False
 
     def test_restore_figure(self):
-        from repro.bench.restore import run_restore_figure
-        from repro.config import default_parameters
-        result = run_restore_figure(default_parameters())
+        from repro.bench.engine import run_experiments
+        result = run_experiments(["restore"],
+                                 use_cache=False).results["restore"]
         assert _canonical_hash(result) == \
             GOLDEN_FIGURE_HASHES["restore:all"]
 
     def test_chains_figure(self):
-        from repro.bench.chains import run_chains_experiment
-        from repro.config import default_parameters
-        result = run_chains_experiment(default_parameters())
-        assert _canonical_hash(result) == \
-            GOLDEN_FIGURE_HASHES["chains:all"]
+        from repro.bench.engine import run_experiments
+        result = run_experiments(["chains"],
+                                 use_cache=False).results["chains"]
+        # The engine keys rows "platform@policy"; the pinned hash covers
+        # them keyed by (platform, policy) tuples.
+        rows = {(row.platform, row.policy): row for row in result.values()}
+        assert _canonical_hash(rows) == GOLDEN_FIGURE_HASHES["chains:all"]

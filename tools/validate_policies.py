@@ -7,7 +7,7 @@ Each ``*.json`` file must parse, compile through the ``repro.policy``
 DSL compiler, and register without a name collision — exactly what
 ``load_policy_dir`` enforces at runtime.  CI runs this so a malformed
 or duplicate document fails the build at review time rather than the
-first ``repro search`` invocation.
+first ``repro figure search`` run.
 
 Exit code 0 when every document is valid, 1 otherwise (problems on
 stderr).
