@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Fault tolerance: Fireworks recovering from injected failures.
 
-Arms the deterministic fault injector with a corrupted snapshot image and
-two Kafka-broker hiccups, then shows the invocation succeeding anyway:
-the corrupted image is regenerated (the §6 ASLR machinery) and the
-parameter fetch is retried.
+Attaches a chaos plan whose budget events arm a corrupted snapshot image
+and two Kafka-broker hiccups, then shows the invocation succeeding
+anyway: the corrupted image is regenerated (the §6 ASLR machinery) and
+the parameter fetch is retried.
 
 Run:  python examples/fault_tolerance.py
 """
 
 from repro import FireworksPlatform, Simulation, default_parameters
-from repro.faults import FaultInjector
+from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
+                         ChaosEvent, ChaosPlan, HostFailureController)
 from repro.workloads import faasdom_spec
 
 
 def main() -> None:
     sim = Simulation(seed=2022)
-    faults = FaultInjector()
-    fireworks = FireworksPlatform(sim, default_parameters(), faults=faults)
+    fireworks = FireworksPlatform(sim, default_parameters())
     spec = faasdom_spec("faas-fact", "nodejs")
     sim.run(sim.process(fireworks.install(spec)))
 
@@ -27,12 +27,16 @@ def main() -> None:
           f"{fireworks.image_for(spec.name).generation})")
 
     print("\n== arming faults: 1 corrupted restore + 2 broker hiccups ==")
-    faults.arm("restore", spec.name, count=1)
-    faults.arm("param-fetch", spec.name, count=2)
+    controller = HostFailureController(fireworks, ChaosPlan([
+        ChaosEvent(sim.now, KIND_RESTORE_CORRUPTION, key=spec.name),
+        ChaosEvent(sim.now, KIND_PARAM_FETCH_TIMEOUT, key=spec.name,
+                   count=2)]))
     recovered = sim.run(sim.process(fireworks.invoke(spec.name)))
+    sim.run()  # drain the clone's reclamation
     print(f"  invocation still succeeded: mode={recovered.mode}")
     print(f"  start-up {recovered.startup_ms:6.1f} ms — includes one "
           "snapshot regeneration and two fetch retries")
+    print(f"  faults fired          : {sum(controller.fired.values())}")
     print(f"  restore failures seen : {fireworks.restore_failures}")
     print(f"  param fetch retries   : {fireworks.param_fetch_retries}")
     print(f"  snapshot generation   : "
@@ -42,7 +46,7 @@ def main() -> None:
     print("\n== back to normal ==")
     after = sim.run(sim.process(fireworks.invoke(spec.name)))
     print(f"  start-up {after.startup_ms:6.1f} ms (fresh generation, "
-          "no faults armed)")
+          "budgets spent)")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.errors import PlatformError
+from repro.errors import InjectedFault, PlatformError
 from repro.platforms.keepalive import HybridHistogramKeepAlive
 from repro.policy.autoscale import AutoscaleView
 
@@ -63,6 +63,7 @@ class WarmPoolAutoscaler:
         self.provisioned = 0       # provisioning processes launched
         self.parked = 0            # workers that reached a warm pool
         self.discarded_down = 0    # provisioned for a host that crashed
+        self.provision_failures = 0  # provisioning hit a chaos plan fault
         self.expired = 0           # TTL'd warm workers torn down
         self.ticks = 0
         platform.autoscaler = self
@@ -152,10 +153,19 @@ class WarmPoolAutoscaler:
                 name=f"autoscale:{function}@host{host.host_id}")
 
     def _provision(self, function: str, host, key):
-        """Off-critical-path provisioning of one warm worker."""
+        """Off-critical-path provisioning of one warm worker.
+
+        A chaos plan fault (a corrupted restore) costs this worker only:
+        nothing is parked and a later tick provisions again.  Repairing
+        the snapshot is left to the invoke path, whose ``retry`` span
+        records it inside an invocation.
+        """
         try:
             spec = self.platform.spec(function)
             entry = yield from self.platform.provision_warm_on(spec, host)
+        except InjectedFault:
+            self.provision_failures += 1
+            return
         finally:
             self._pending[key] -= 1
         if entry is None:

@@ -36,12 +36,12 @@ from repro.bench.harness import (fresh_cluster_platform, install_all,
                                  invoke_once)
 from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
-from repro.chaos import (KIND_BUS_PARTITION, KIND_HOST_CRASH, ChaosEvent,
-                         ChaosPlan, HostFailureController)
+from repro.chaos import (KIND_BUS_PARTITION, KIND_HOST_CRASH,
+                         KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
+                         HostFailureController)
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.errors import InvocationFailedError
-from repro.faults import FaultInjector
 from repro.platforms.scheduler import (POLICY_ROUND_ROBIN,
                                        POLICY_SNAPSHOT_LOCALITY, home_index)
 from repro.sim.rng import RngStreams
@@ -176,8 +176,14 @@ def run_chaos_experiment(
         for name in function_names]
 
     crash_host = default_crash_host(function_names, n_hosts)
-    plan_events = [ChaosEvent(crash_at_ms, KIND_HOST_CRASH,
-                              host_id=crash_host)]
+    plan_events = [
+        ChaosEvent(crash_at_ms, KIND_HOST_CRASH, host_id=crash_host),
+        # One snapshot corruption exercises the §6 regeneration path
+        # under chaos too.  It fires once per row at seed 2022 (the
+        # engine's seed); at seed 11 the trace never invokes fn-00.
+        ChaosEvent(0.0, KIND_RESTORE_CORRUPTION, key=function_names[0],
+                   count=1),
+    ]
     # A transient bus blip straddling one pre-crash submission exercises
     # the retry/backoff path on every row: the first dispatch attempt
     # fails, the backoff outlives the 1 ms window, the retry succeeds.
@@ -191,16 +197,12 @@ def run_chaos_experiment(
     outcomes: Dict[str, ChaosOutcome] = {}
     for policy, failover in rows:
         label = f"{policy}+failover" if failover else policy
-        # A fresh injector per run: armed budgets must never leak across
-        # repetitions (the engine's cache depends on runs being pure).
-        faults = FaultInjector()
         platform = fresh_cluster_platform(
             FireworksPlatform, tuned, seed=seed, n_hosts=n_hosts,
-            policy=policy, faults=faults)
+            policy=policy)
         install_all(platform, specs)
-        # One armed snapshot corruption exercises the §6 regeneration
-        # path under chaos too (deterministic: same budget every row).
-        faults.arm("restore", function_names[0], count=1)
+        # Each row's controller arms its own budgets from the plan's
+        # immutable events, so no fault budget leaks into the next row.
         HostFailureController(platform, plan, failover=failover)
 
         latencies, failed = _chaos_replay(platform, trace)

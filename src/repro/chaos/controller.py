@@ -8,6 +8,13 @@ snapshot-store replicas die with its disk.  The platform's retry loop
 (:meth:`repro.platforms.base.ServerlessPlatform.invoke`) sees the fallout
 as :class:`~repro.errors.RetryableChaosError`\\ s and re-dispatches.
 
+Budget events arm operation faults instead: the restorer, the parameter
+passer and the guest's database handlers call :meth:`check` before the
+operation completes, and an armed budget fails it with a typed
+:class:`~repro.errors.InjectedFault` that the component's own recovery
+path handles.  :attr:`HostFailureController.fired` is the run's one
+fired-fault ledger.
+
 Everything is deterministic: the plan is data, the controller draws no
 randomness of its own, and the retry path's jitter comes from the seeded
 ``chaos-retry`` stream — two identically-seeded runs replay the same
@@ -17,13 +24,14 @@ failures, the same backoffs, and the same traces byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.chaos.plan import (KIND_BUS_PARTITION, KIND_HOST_CRASH,
-                              KIND_HOST_DEGRADED, KIND_HOST_RECOVER,
+from repro.chaos.plan import (BUDGET_KINDS, KIND_BUS_PARTITION,
+                              KIND_HOST_CRASH, KIND_HOST_DEGRADED,
+                              KIND_HOST_RECOVER, KIND_RESTORE_CORRUPTION,
                               KIND_SLOW_RESTORE, KIND_STORE_LOSS, ChaosEvent,
                               ChaosPlan)
-from repro.errors import ChaosError
+from repro.errors import ChaosError, InjectedFault, SnapshotCorruptedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.host import Host
@@ -63,6 +71,10 @@ class HostFailureController:
         self.log: List[ChaosEventRecord] = []
         self._partitions: List[Tuple[float, float]] = []
         self._slow_windows: List[Tuple[float, float, float]] = []
+        #: (kind, key) -> operation faults armed and not yet fired.
+        self._budgets: Dict[Tuple[str, str], int] = {}
+        #: (kind, key) -> operation faults fired so far.
+        self.fired: Dict[Tuple[str, str], int] = {}
         platform.chaos = self
         platform.on_chaos_attached()
         self.process = self.sim.process(self._run(), name="chaos-controller")
@@ -119,6 +131,10 @@ class HostFailureController:
                 (now, now + event.duration_ms, event.factor))
             self._note(event, f"restores x{event.factor:g} for "
                               f"{event.duration_ms:g}ms")
+        elif event.kind in BUDGET_KINDS:
+            slot = (event.kind, event.key)
+            self._budgets[slot] = self._budgets.get(slot, 0) + event.count
+            self._note(event, f"armed {event.count} for {event.key!r}")
         else:  # pragma: no cover - ChaosPlan validates kinds
             raise ChaosError(f"unknown chaos event kind {event.kind!r}")
 
@@ -134,6 +150,19 @@ class HostFailureController:
             detail=detail))
 
     # -- state queries (the platform's invoke path asks these) -----------------
+    def check(self, kind: str, key: str) -> None:
+        """Fire one armed *kind* fault for *key*, if any: consume it,
+        count it in :attr:`fired` and raise the typed error."""
+        slot = (kind, key)
+        remaining = self._budgets.get(slot, 0)
+        if remaining <= 0:
+            return
+        self._budgets[slot] = remaining - 1
+        self.fired[slot] = self.fired.get(slot, 0) + 1
+        if kind == KIND_RESTORE_CORRUPTION:
+            raise SnapshotCorruptedError(kind, key)
+        raise InjectedFault(kind, key)
+
     def bus_partitioned(self, now_ms: float) -> bool:
         """Whether the controller-to-bus link is partitioned at *now_ms*."""
         return any(start <= now_ms < end

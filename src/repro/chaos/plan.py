@@ -19,7 +19,17 @@ Fault taxonomy (docs/chaos.md):
                             loss) while the host stays up;
 * ``slow-restore``        — every snapshot restore is slowed by a factor
                             for a window (page-cache thrash, noisy
-                            neighbour).
+                            neighbour);
+* ``restore-corruption``  — the next ``count`` restores of function
+                            ``key``'s snapshot fail their integrity check
+                            (torn write, bit rot);
+* ``param-fetch-timeout`` — the next ``count`` parameter fetches of
+                            function ``key`` time out (broker hiccup);
+* ``db-timeout``          — the next ``count`` requests to database
+                            ``key`` time out.
+
+The last three are *budgets*: applying one arms ``count`` failures of one
+operation, and the operation fires them whenever it next runs.
 """
 
 from __future__ import annotations
@@ -36,9 +46,17 @@ KIND_HOST_DEGRADED = "host-degraded"
 KIND_BUS_PARTITION = "bus-partition"
 KIND_STORE_LOSS = "snapshot-store-loss"
 KIND_SLOW_RESTORE = "slow-restore"
+KIND_RESTORE_CORRUPTION = "restore-corruption"
+KIND_PARAM_FETCH_TIMEOUT = "param-fetch-timeout"
+KIND_DB_TIMEOUT = "db-timeout"
+
+#: Kinds that arm ``count`` operation failures for ``key``.
+BUDGET_KINDS = (KIND_RESTORE_CORRUPTION, KIND_PARAM_FETCH_TIMEOUT,
+                KIND_DB_TIMEOUT)
 
 KINDS = (KIND_HOST_CRASH, KIND_HOST_RECOVER, KIND_HOST_DEGRADED,
-         KIND_BUS_PARTITION, KIND_STORE_LOSS, KIND_SLOW_RESTORE)
+         KIND_BUS_PARTITION, KIND_STORE_LOSS, KIND_SLOW_RESTORE) \
+    + BUDGET_KINDS
 
 #: Kinds that target one host (require ``host_id``).
 _HOST_KINDS = (KIND_HOST_CRASH, KIND_HOST_RECOVER, KIND_HOST_DEGRADED,
@@ -53,7 +71,9 @@ class ChaosEvent:
 
     ``duration_ms`` opens a window for the window kinds; ``penalty_ms``
     is the per-invocation dispatch penalty of ``host-degraded``;
-    ``factor`` is the restore multiplier of ``slow-restore``.
+    ``factor`` is the restore multiplier of ``slow-restore``; ``key``
+    (a function name, or a database name for ``db-timeout``) and
+    ``count`` are the target and size of a budget kind.
     """
 
     at_ms: float
@@ -62,6 +82,8 @@ class ChaosEvent:
     duration_ms: float = 0.0
     penalty_ms: float = 0.0
     factor: float = 1.0
+    key: Optional[str] = None
+    count: int = 1
 
     def validate(self) -> None:
         """Reject malformed events (unknown kind, missing target, ...)."""
@@ -78,6 +100,12 @@ class ChaosEvent:
         if self.kind == KIND_SLOW_RESTORE and self.factor < 1.0:
             raise ChaosError(
                 f"slow-restore factor must be >= 1, got {self.factor}")
+        if self.kind in BUDGET_KINDS:
+            if not self.key:
+                raise ChaosError(f"{self.kind} needs a key")
+            if self.count < 1:
+                raise ChaosError(
+                    f"{self.kind} count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ pays the modeled cross-host snapshot transfer — the cost the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
+from repro.chaos.plan import KIND_PARAM_FETCH_TIMEOUT
 from repro.core.installer import Installer, InstallReport
 from repro.core.microvm_manager import MicroVMManager
 from repro.core.parameter_passer import ParameterPasser
-from repro.errors import PlatformError, SnapshotNotFoundError
-from repro.faults import (FaultInjector, InjectedFault,
-                          SnapshotCorruptedError)
+from repro.errors import (InjectedFault, PlatformError,
+                          SnapshotCorruptedError, SnapshotNotFoundError)
 from repro.platforms.base import MODE_SNAPSHOT, MODE_WARM, ServerlessPlatform
 from repro.platforms.pooling import WarmEntry
 from repro.sandbox.worker import Worker
@@ -55,14 +55,13 @@ class FireworksPlatform(ServerlessPlatform):
     PARAM_FETCH_BACKOFF_MS = 1.0
 
     def __init__(self, *args, restore_policy: str = POLICY_DEMAND,
-                 faults: Optional[FaultInjector] = None,
                  **kwargs) -> None:
-        super().__init__(*args, faults=faults, **kwargs)
+        super().__init__(*args, **kwargs)
         self.restore_policy = restore_policy
         self._installers: Dict[int, Installer] = {}
         self._managers: Dict[int, MicroVMManager] = {}
         self.passer = ParameterPasser(self.sim, self.bus,
-                                      self.params.fireworks, faults=faults)
+                                      self.params.fireworks)
         self.restore_failures = 0
         self.param_fetch_retries = 0
         self.regenerations = 0   # failover regenerations (lost replicas)
@@ -99,15 +98,16 @@ class FireworksPlatform(ServerlessPlatform):
             prefix = "fc" if host.host_id == 0 else f"h{host.host_id}fc"
             manager = MicroVMManager(self.sim, self.params, host.memory,
                                      host.bridge, fc_prefix=prefix)
-            manager.restorer.faults = self.faults
             manager.restorer.recorder = self.recorder
             manager.restorer.chaos = self.chaos
             self._managers[host.host_id] = manager
         return manager
 
     def on_chaos_attached(self) -> None:
-        """Wire the chaos controller into restorers built before it
-        attached, so they honour its slow-restore windows too."""
+        """Wire the chaos controller into the parameter passer and into
+        restorers built before it attached, so they honour its
+        slow-restore windows and fault budgets too."""
+        self.passer.chaos = self.chaos
         for manager in self._managers.values():
             manager.restorer.chaos = self.chaos
 
@@ -214,8 +214,13 @@ class FireworksPlatform(ServerlessPlatform):
                     image = yield from self.regenerate_snapshot(spec.name,
                                                                 host=host)
 
-        # (8) resumed guest reads its fcID and fetches the parameters,
-        # retrying transient broker failures.
+        yield from self._fetch_params(spec, fc_id)
+        return worker, MODE_SNAPSHOT, publish_ms
+
+    def _fetch_params(self, spec: FunctionSpec, fc_id: str):
+        """Step (8): the resumed guest reads its fcID and fetches the
+        parameters, retrying transient broker failures."""
+        tracer = self.sim.tracer
         for attempt in range(1, self.MAX_PARAM_FETCH_ATTEMPTS + 1):
             try:
                 with tracer.span("param-fetch", fc_id=fc_id,
@@ -224,7 +229,7 @@ class FireworksPlatform(ServerlessPlatform):
                         fc_id, fault_key=spec.name)
                 break
             except InjectedFault as fault:
-                if fault.kind != "param-fetch" or \
+                if fault.kind != KIND_PARAM_FETCH_TIMEOUT or \
                         attempt == self.MAX_PARAM_FETCH_ATTEMPTS:
                     raise
                 self.param_fetch_retries += 1
@@ -236,7 +241,6 @@ class FireworksPlatform(ServerlessPlatform):
             raise PlatformError(
                 f"parameter passer mismatch: expected {spec.name!r}, "
                 f"got {params!r}")
-        return worker, MODE_SNAPSHOT, publish_ms
 
     def _invoke_pooled(self, spec: FunctionSpec, worker: Worker,
                        fc_id: str):
@@ -252,13 +256,7 @@ class FireworksPlatform(ServerlessPlatform):
                          pooled=True):
             yield from self.passer.publish(fc_id, {"function": spec.name})
         publish_ms = self.sim.now - started
-        with tracer.span("param-fetch", fc_id=fc_id, attempt=1):
-            params = yield from self.passer.fetch(fc_id,
-                                                  fault_key=spec.name)
-        if params.get("function") != spec.name:
-            raise PlatformError(
-                f"parameter passer mismatch: expected {spec.name!r}, "
-                f"got {params!r}")
+        yield from self._fetch_params(spec, fc_id)
         self.pool_hits += 1
         return worker, MODE_WARM, publish_ms
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
+from repro.chaos.plan import KIND_PARAM_FETCH_TIMEOUT
 from repro.config import FireworksConfig
 from repro.errors import BusError
 from repro.platforms.bus import MessageBus
@@ -27,11 +28,11 @@ class ParameterPasser:
     """Publishes and fetches invocation arguments over the message bus."""
 
     def __init__(self, sim: "Simulation", bus: MessageBus,
-                 config: FireworksConfig, faults=None) -> None:
+                 config: FireworksConfig) -> None:
         self.sim = sim
         self.bus = bus
         self.config = config
-        self.faults = faults  # optional FaultInjector
+        self.chaos = None  # optional chaos controller (fetch-timeout budgets)
         # fcID -> offset of the record publish() appended.  fetch() reads
         # *that* record rather than "the newest", so a record produced on
         # the topic between publish and fetch (a retried duplicate, an
@@ -53,13 +54,13 @@ class ParameterPasser:
         3's ``kafkacat -o -1 -c 1`` is only equivalent when nothing else
         touched the topic).  Returns the parameters.  Raises
         :class:`BusError` if the host never published (a control-plane bug
-        Fireworks must not mask).  An armed ``param-fetch`` fault (broker
-        hiccup) surfaces after the consume timeout elapses; the caller
-        retries.
+        Fireworks must not mask).  An armed ``param-fetch-timeout`` fault
+        (broker hiccup) surfaces after the consume timeout elapses; the
+        caller retries.
         """
         yield self.sim.timeout(self.config.param_fetch_ms)
-        if self.faults is not None:
-            self.faults.check("param-fetch", fault_key or fc_id)
+        if self.chaos is not None:
+            self.chaos.check(KIND_PARAM_FETCH_TIMEOUT, fault_key or fc_id)
         topic = topic_for(fc_id)
         offset = self._published.get(fc_id)
         if offset is None:

@@ -134,6 +134,22 @@ class ExecutionLostError(ChaosError):
         self.host_id = host_id
 
 
+class InjectedFault(ChaosError):
+    """A budgeted operation fault from a chaos plan (a parameter-fetch or
+    database timeout), carrying its kind and key.  Deliberately *not*
+    retryable by the invoke loop: the component that failed owns the
+    recovery (refetch, retry the request, regenerate the snapshot)."""
+
+    def __init__(self, kind: str, key: str) -> None:
+        super().__init__(f"injected {kind} fault for {key!r}")
+        self.kind = kind
+        self.key = key
+
+
+class SnapshotCorruptedError(InjectedFault):
+    """The snapshot image failed its integrity check on restore."""
+
+
 class InvocationFailedError(ChaosError):
     """An invocation exhausted its retry budget (or hit an unretryable
     fault) under an attached chaos controller.  Carries the

@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.chaos.plan import KIND_DB_TIMEOUT
 from repro.config import CalibratedParameters
 from repro.db.couchdb import CouchServer
 from repro.errors import (BusPartitionedError, ExecutionLostError,
                           FunctionNotFoundError, HostDownError,
-                          InvocationFailedError, InvocationSheddedError,
-                          PlatformError, ReproError, RetryableChaosError,
-                          SimulationError, TraceError)
-from repro.faults import FaultInjector, InjectedFault
+                          InjectedFault, InvocationFailedError,
+                          InvocationSheddedError, PlatformError, ReproError,
+                          RetryableChaosError, SimulationError, TraceError)
 from repro.mem.host_memory import HostMemory
 from repro.net.bridge import HostBridge
 from repro.platforms.bus import MessageBus
@@ -143,8 +143,9 @@ class FailedInvocation:
 class _PlatformHandlers(ExternalHandlers):
     """Routes db/chain ops from the guest back through the platform.
 
-    Database requests can time out (an armed ``db`` fault): the guest SDK
-    retries with a short backoff, surfacing the wait as a ``retry`` span.
+    Database requests can time out (an armed ``db-timeout`` budget): the
+    guest SDK retries with a short backoff, surfacing the wait as a
+    ``retry`` span.
     """
 
     def __init__(self, platform: "ServerlessPlatform", worker: Worker,
@@ -154,8 +155,8 @@ class _PlatformHandlers(ExternalHandlers):
         self.record = record
 
     def _check_db_fault(self, database: str) -> None:
-        if self.platform.faults is not None:
-            self.platform.faults.check("db", database)
+        if self.platform.chaos is not None:
+            self.platform.chaos.check(KIND_DB_TIMEOUT, database)
 
     def _db_backoff(self, attempt: int):
         self.platform.db_retries += 1
@@ -179,7 +180,7 @@ class _PlatformHandlers(ExternalHandlers):
                     yield sim.timeout(io.net_recv_ms(op.doc_kb))  # doc back
                 return
             except InjectedFault as fault:
-                if fault.kind != "db" or \
+                if fault.kind != KIND_DB_TIMEOUT or \
                         attempt == self.platform.MAX_DB_ATTEMPTS:
                     raise
                 yield from self._db_backoff(attempt)
@@ -205,7 +206,7 @@ class _PlatformHandlers(ExternalHandlers):
                     yield sim.timeout(io.net_recv_ms(0.2))   # ack back
                 break
             except InjectedFault as fault:
-                if fault.kind != "db" or \
+                if fault.kind != KIND_DB_TIMEOUT or \
                         attempt == self.platform.MAX_DB_ATTEMPTS:
                     raise
                 yield from self._db_backoff(attempt)
@@ -254,7 +255,6 @@ class ServerlessPlatform:
                  bus: Optional[MessageBus] = None,
                  couch: Optional[CouchServer] = None,
                  host_cpu=None,
-                 faults: Optional[FaultInjector] = None,
                  cluster: Optional["Cluster"] = None) -> None:
         # Imported here, not at module scope: repro.cluster.host uses the
         # warm pool and scheduler from this package.
@@ -281,7 +281,6 @@ class ServerlessPlatform:
                 host0.cpu = host_cpu
         self.bus = bus or MessageBus()
         self.couch = couch or CouchServer()
-        self.faults = faults  # optional FaultInjector (db request timeouts)
         self.db_retries = 0
         self.retain_workers = False
         self.local_restores = 0      # snapshot found on the chosen host

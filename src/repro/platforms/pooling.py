@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import PlatformError
+from repro.mem.host_memory import pages_to_mb
 from repro.sandbox.worker import Worker
 
 
@@ -76,14 +77,9 @@ class WarmPool:
     def total_pss_mb(self, now_ms: float) -> float:
         """Σ PSS of every live entry — the pool's memory footprint, the
         cost side of the warm-start trade the autoscaler navigates.
-
-        Aggregated at the page level through :mod:`repro.mem.vector`
-        (numpy-backed when available): load replays sample this on every
-        tick across every host.
-        """
-        from repro.mem.vector import fleet_pss_mb
-        return fleet_pss_mb(entry.worker.sandbox.space
-                            for entry in self.live_entries(now_ms))
+        Summed in pages, in pool order, then converted once."""
+        return pages_to_mb(sum(entry.worker.sandbox.space.pss_pages()
+                               for entry in self.live_entries(now_ms)))
 
     def _expire(self, pool: List[WarmEntry], now_ms: float) -> None:
         live = [entry for entry in pool if entry.expires_at_ms > now_ms]

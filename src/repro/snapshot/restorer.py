@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.chaos.plan import KIND_RESTORE_CORRUPTION
 from repro.config import CalibratedParameters
 from repro.errors import SnapshotNotFoundError, ValidationError
 from repro.mem.host_memory import HostMemory
@@ -80,14 +81,14 @@ class Restorer:
     """Builds ready-to-run workers from snapshot images."""
 
     def __init__(self, sim: "Simulation", params: CalibratedParameters,
-                 host_memory: HostMemory, recorder=None,
-                 faults=None) -> None:
+                 host_memory: HostMemory, recorder=None) -> None:
         self.sim = sim
         self.params = params
         self.host_memory = host_memory
         self.recorder = recorder  # optional ReapRecorder (reap/lazy)
-        self.faults = faults      # optional FaultInjector
-        self.chaos = None         # optional chaos controller (slow-restore)
+        # Optional chaos controller: slow-restore windows and
+        # restore-corruption budgets.
+        self.chaos = None
         self._clone_counter = 0
         # Lazy-restore byte ledger (exact, see LazyRestorePlan).
         self.bytes_prefetched_mb = 0.0
@@ -180,12 +181,13 @@ class Restorer:
                 name: str = "", mmds=None):
         """Restore a clone of *image* (a simulation generator) -> Worker.
 
-        With a fault injector attached, an armed ``restore`` fault surfaces
-        after the device-state load (where Firecracker's integrity check
-        runs), leaving no clone behind.  ``mmds`` is an optional
-        pre-populated host-side metadata store wired into the clone, so
-        identity written before the restore is readable at resume time
-        (§3.4).
+        With a chaos controller attached, the device-state load
+        (``restore_base_ms``) is waited out on its own, then an armed
+        ``restore-corruption`` fault surfaces (where Firecracker's
+        integrity check runs), leaving no clone behind.  ``mmds`` is an
+        optional pre-populated host-side metadata store wired into the
+        clone, so identity written before the restore is readable at
+        resume time (§3.4).
         """
         restore_span = self.sim.tracer.span(
             "restore", policy=policy, image=image.key, stage=image.stage,
@@ -193,18 +195,16 @@ class Restorer:
         with restore_span:
             duration = self.restore_ms(image, policy)  # validates policy
             slowdown = 1.0
-            if self.chaos is not None:
+            base_elapsed = self.chaos is not None
+            if base_elapsed:
                 slowdown = self.chaos.restore_slowdown(self.sim.now)
                 if slowdown != 1.0:
                     duration *= slowdown
                     restore_span.attrs["slowdown"] = slowdown
-            base_elapsed = False
-            if self.faults is not None:
                 cfg = self.params.snapshot
                 yield self.sim.timeout(cfg.restore_base_ms)
                 duration = max(0.0, duration - cfg.restore_base_ms)
-                base_elapsed = True
-                self.faults.check("restore", image.key)
+                self.chaos.check(KIND_RESTORE_CORRUPTION, image.key)
             segments = image.materialize(self.host_memory)
             self._clone_counter += 1
             vm_name = name or f"{image.key}-clone-{self._clone_counter}"

@@ -17,6 +17,8 @@ import pytest
 
 from repro.autoscale.scaler import WarmPoolAutoscaler
 from repro.bench.harness import fresh_cluster_platform, install_all
+from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
+                         ChaosEvent, ChaosPlan, HostFailureController)
 from repro.core.fireworks import FireworksPlatform
 from repro.workloads.faasdom import faasdom_spec
 
@@ -118,3 +120,61 @@ class TestScalerEngine:
         scaler = WarmPoolAutoscaler(platform, mode="none")
         assert scaler.policy_source == "builtin"
         assert scaler.mode == "none"
+
+
+def _arm_now(platform, kind, count):
+    """Attach a controller arming *count* *kind* faults for FUNCTION."""
+    HostFailureController(platform, ChaosPlan([ChaosEvent(
+        platform.sim.now, kind, key=FUNCTION, count=count)]))
+
+
+class TestPlanFaultsOnThePool:
+    """Budgeted plan faults on the warm-pool paths: a pooled clone
+    retries its parameter fetch like a cold one, and a corrupted restore
+    during provisioning costs one clone, never the run."""
+
+    def test_pooled_clone_retries_a_failed_param_fetch(self):
+        platform, scaler, start = _predictive_platform()
+        home = platform.cluster.home_host(FUNCTION)
+        sim = platform.sim
+        sim.run(until=start + 2_500.0)   # one tick parks two clones
+        assert home.pool.size(FUNCTION, sim.now) == 2
+        _arm_now(platform, KIND_PARAM_FETCH_TIMEOUT, 1)
+        record = sim.run(sim.process(platform.invoke(FUNCTION)))
+        assert record.mode == "warm"
+        assert platform.pool_hits == 1
+        assert platform.param_fetch_retries == 1
+        assert platform.failed_invocations == []
+        sim.run()
+
+    def test_one_corrupted_provision_is_counted_and_reprovisioned(self):
+        platform, scaler, start = _predictive_platform()
+        home = platform.cluster.home_host(FUNCTION)
+        sim = platform.sim
+        _arm_now(platform, KIND_RESTORE_CORRUPTION, 1)
+        sim.run(until=start + 2_500.0)
+        assert scaler.provision_failures == 1
+        assert scaler.pending_total() == 0
+        sim.run(until=start + 4_500.0)   # the next tick tops the pool up
+        assert home.pool.size(FUNCTION, sim.now) == 2
+        record = sim.run(sim.process(platform.invoke(FUNCTION)))
+        assert record.mode == "warm"
+        assert platform.pool_hits == 1
+        sim.run()
+        assert scaler.provision_failures == 1
+
+    def test_persistent_corruption_parks_nothing(self):
+        platform, scaler, start = _predictive_platform()
+        home = platform.cluster.home_host(FUNCTION)
+        sim = platform.sim
+        _arm_now(platform, KIND_RESTORE_CORRUPTION, 5)
+        sim.run(until=start + 4_500.0)   # two ticks, two clones each
+        assert scaler.provision_failures == 4
+        assert scaler.parked == 0
+        assert home.pool.size(FUNCTION, sim.now) == 0
+        # The fifth corruption hits the cold path, which regenerates.
+        record = sim.run(sim.process(platform.invoke(FUNCTION)))
+        assert record.mode == "snapshot"
+        assert platform.pool_hits == 0
+        assert platform.restore_failures == 1
+        sim.run()

@@ -8,6 +8,10 @@ admission-queue slots or warm workers afterwards.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,24 @@ class TestOutcomeShape:
         assert 0.0 <= outcome.goodput <= 1.0
         assert 0.0 <= outcome.cold_start_share <= 1.0
         assert outcome.as_line()
+
+
+class TestNoRuntimeDependency:
+    def test_load_replay_does_not_import_numpy(self):
+        # The package promises no third-party runtime dependency; a
+        # Fireworks replay (warm-pool PSS sampling included) in a fresh
+        # interpreter must not pull numpy in.
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        script = (
+            "import sys\n"
+            "from repro.bench.load import run_load_platform\n"
+            "run_load_platform('fireworks', 'predictive', n_hosts=2,\n"
+            "                  n_functions=4, duration_ms=5_000.0, seed=7)\n"
+            "print('numpy' in sys.modules)\n")
+        completed = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   timeout=120)
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "False"

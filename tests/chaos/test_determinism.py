@@ -28,9 +28,10 @@ class TestExperimentDeterminism:
         assert transcripts[0] == transcripts[1]
 
     def test_rows_do_not_contaminate_each_other(self):
-        # An armed fault budget or injector state leaking from one row
-        # into the next would make a row's outcome depend on which rows
-        # ran before it (the bug FaultInjector.reset exists to prevent).
+        # An armed fault budget leaking from one row into the next would
+        # make a row's outcome depend on which rows ran before it.  Each
+        # row's controller arms its budgets afresh from the shared,
+        # immutable plan; this pins that no state outlives a row.
         label = f"{POLICY_SNAPSHOT_LOCALITY}+failover"
         alone = run_chaos_experiment(
             rows=((POLICY_SNAPSHOT_LOCALITY, True),), **SMALL)

@@ -1,166 +1,206 @@
-"""Fault-injection tests: the control plane's recovery paths."""
+"""Budgeted operation faults: the control plane's recovery paths.
+
+A chaos plan's budget events (``restore-corruption``,
+``param-fetch-timeout``, ``db-timeout``) arm ``count`` failures of one
+operation; the component that runs it consults the platform's chaos
+controller, which fires them and keeps the fired-fault ledger.
+"""
 
 import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
+from repro.chaos import (KIND_DB_TIMEOUT, KIND_PARAM_FETCH_TIMEOUT,
+                         KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
+                         HostFailureController)
 from repro.core import FireworksPlatform
-from repro.errors import ReproError
-from repro.faults import (FaultInjector, InjectedFault,
+from repro.errors import (ChaosError, InjectedFault, InvocationFailedError,
                           SnapshotCorruptedError)
 from repro.workloads import REMINDER_DB, alexa_skills_chain, faasdom_spec
 
 
+def arm(platform, *budgets):
+    """Attach a controller whose plan arms each ``(kind, key, count)``
+    budget at the current simulation time; returns the controller."""
+    now = platform.sim.now
+    return HostFailureController(platform, ChaosPlan([
+        ChaosEvent(now, kind, key=key, count=count)
+        for kind, key, count in budgets]))
+
+
 @pytest.fixture
 def faulty_platform():
-    faults = FaultInjector()
-    platform = fresh_platform(FireworksPlatform, faults=faults)
+    platform = fresh_platform(FireworksPlatform)
     spec = faasdom_spec("faas-fact", "nodejs")
     install_all(platform, [spec])
-    return platform, spec, faults
+    return platform, spec
 
 
 class TestInjector:
+    """The controller's budget ledger: arm, fire, count."""
+
     def test_unarmed_never_fails(self):
-        injector = FaultInjector()
-        assert not injector.should_fail("restore", "fn")
-        injector.check("restore", "fn")  # no raise
+        controller = arm(fresh_platform(FireworksPlatform))
+        controller.check(KIND_RESTORE_CORRUPTION, "fn")  # no raise
+        assert controller.fired == {}
 
     def test_budget_consumed(self):
-        injector = FaultInjector()
-        injector.arm("restore", "fn", count=2)
-        assert injector.should_fail("restore", "fn")
-        assert injector.should_fail("restore", "fn")
-        assert not injector.should_fail("restore", "fn")
-        assert injector.fired[("restore", "fn")] == 2
+        platform = fresh_platform(FireworksPlatform)
+        controller = arm(platform, (KIND_RESTORE_CORRUPTION, "fn", 2))
+        platform.sim.run()  # the controller applies its plan
+        for _ in range(2):
+            with pytest.raises(SnapshotCorruptedError):
+                controller.check(KIND_RESTORE_CORRUPTION, "fn")
+        controller.check(KIND_RESTORE_CORRUPTION, "fn")  # spent
+        assert controller.fired == {(KIND_RESTORE_CORRUPTION, "fn"): 2}
 
     def test_check_raises_typed_errors(self):
-        injector = FaultInjector()
-        injector.arm("restore", "fn")
-        with pytest.raises(SnapshotCorruptedError):
-            injector.check("restore", "fn")
-        injector.arm("db", "wages")
+        platform = fresh_platform(FireworksPlatform)
+        controller = arm(platform, (KIND_RESTORE_CORRUPTION, "fn", 1),
+                         (KIND_DB_TIMEOUT, "wages", 1))
+        platform.sim.run()
+        with pytest.raises(SnapshotCorruptedError) as excinfo:
+            controller.check(KIND_RESTORE_CORRUPTION, "fn")
+        assert excinfo.value.kind == KIND_RESTORE_CORRUPTION
         with pytest.raises(InjectedFault) as excinfo:
-            injector.check("db", "wages")
-        assert excinfo.value.kind == "db"
+            controller.check(KIND_DB_TIMEOUT, "wages")
+        assert excinfo.value.kind == KIND_DB_TIMEOUT
+        assert not isinstance(excinfo.value, SnapshotCorruptedError)
+
+    def test_budgets_on_one_slot_add_up(self):
+        platform = fresh_platform(FireworksPlatform)
+        controller = arm(platform, (KIND_DB_TIMEOUT, "wages", 1),
+                         (KIND_DB_TIMEOUT, "wages", 2))
+        platform.sim.run()
+        for _ in range(3):
+            with pytest.raises(InjectedFault):
+                controller.check(KIND_DB_TIMEOUT, "wages")
+        controller.check(KIND_DB_TIMEOUT, "wages")
+        assert controller.fired == {(KIND_DB_TIMEOUT, "wages"): 3}
 
     def test_bad_count_raises(self):
-        with pytest.raises(ReproError):
-            FaultInjector().arm("restore", "fn", count=0)
+        for count in (0, -1):
+            with pytest.raises(ChaosError):
+                ChaosPlan([ChaosEvent(0.0, KIND_RESTORE_CORRUPTION,
+                                      key="fn", count=count)])
+
+    def test_missing_key_raises(self):
+        for key in (None, ""):
+            with pytest.raises(ChaosError):
+                ChaosPlan([ChaosEvent(0.0, KIND_DB_TIMEOUT, key=key)])
 
     def test_keys_are_independent(self):
-        injector = FaultInjector()
-        injector.arm("restore", "a")
-        assert not injector.should_fail("restore", "b")
-        assert injector.should_fail("restore", "a")
+        platform = fresh_platform(FireworksPlatform)
+        controller = arm(platform, (KIND_RESTORE_CORRUPTION, "a", 1))
+        platform.sim.run()
+        controller.check(KIND_RESTORE_CORRUPTION, "b")
+        controller.check(KIND_PARAM_FETCH_TIMEOUT, "a")
+        with pytest.raises(SnapshotCorruptedError):
+            controller.check(KIND_RESTORE_CORRUPTION, "a")
+
+    def test_event_dated_in_the_past_applies_at_start(self, faulty_platform):
+        # Installation advanced the clock; a budget dated 0 is armed when
+        # the controller starts, before the first request.
+        platform, spec = faulty_platform
+        assert platform.sim.now > 0.0
+        HostFailureController(platform, ChaosPlan([
+            ChaosEvent(0.0, KIND_RESTORE_CORRUPTION, key=spec.name)]))
+        invoke_once(platform, spec.name)
+        assert platform.restore_failures == 1
 
 
-class TestInjectorReset:
-    """Regression: armed budgets must not survive across experiment
-    repetitions — a shared injector once leaked a half-consumed budget
-    into the next run inside the parallel engine."""
-
-    def test_reset_clears_budgets_and_history(self):
-        injector = FaultInjector()
-        injector.arm("restore", "fn", count=3)
-        assert injector.should_fail("restore", "fn")
-        injector.reset()
-        assert not injector.should_fail("restore", "fn")
-        assert injector.fired == {}
-        assert injector.armed("restore", "fn") == 0
-
-    def test_reset_makes_repetitions_identical(self):
-        # Same injector, two "runs" of one-fault-then-invoke-twice: with
-        # reset between them the second run sees the same fault schedule
-        # as the first, not a depleted one.
-        injector = FaultInjector()
-        schedules = []
-        for _ in range(2):
-            injector.reset()
-            injector.arm("restore", "fn", count=1)
-            schedules.append([injector.should_fail("restore", "fn")
-                              for _ in range(3)])
-        assert schedules[0] == schedules[1] == [True, False, False]
+def _assert_failed_with(platform, excinfo, cause_type, kind):
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, cause_type)
+    assert cause.kind == kind
+    assert platform.failed_invocations == [excinfo.value.failed]
+    assert "injected" in excinfo.value.failed.reason
 
 
 class TestRestoreRecovery:
     def test_one_corruption_is_recovered(self, faulty_platform):
-        platform, spec, faults = faulty_platform
-        faults.arm("restore", spec.name, count=1)
+        platform, spec = faulty_platform
+        controller = arm(platform, (KIND_RESTORE_CORRUPTION, spec.name, 1))
         record = invoke_once(platform, spec.name)
         assert record.mode == "snapshot"
         assert platform.restore_failures == 1
+        assert controller.fired == {(KIND_RESTORE_CORRUPTION, spec.name): 1}
         # Recovery regenerated the snapshot (bumped generation).
         assert platform.image_for(spec.name).generation == 2
 
     def test_recovery_pays_regeneration_time(self, faulty_platform):
-        platform, spec, faults = faulty_platform
+        platform, spec = faulty_platform
         clean = invoke_once(platform, spec.name)
-        faults.arm("restore", spec.name, count=1)
+        arm(platform, (KIND_RESTORE_CORRUPTION, spec.name, 1))
         recovered = invoke_once(platform, spec.name)
         assert recovered.startup_ms > clean.startup_ms + 300
 
     def test_persistent_corruption_propagates(self, faulty_platform):
-        platform, spec, faults = faulty_platform
-        faults.arm("restore", spec.name, count=5)
-        with pytest.raises(SnapshotCorruptedError):
+        platform, spec = faulty_platform
+        arm(platform, (KIND_RESTORE_CORRUPTION, spec.name, 5))
+        with pytest.raises(InvocationFailedError) as excinfo:
             invoke_once(platform, spec.name)
+        _assert_failed_with(platform, excinfo, SnapshotCorruptedError,
+                            KIND_RESTORE_CORRUPTION)
+        assert platform.restore_failures == \
+            FireworksPlatform.MAX_RESTORE_ATTEMPTS
 
     def test_no_network_leak_on_failure(self, faulty_platform):
-        platform, spec, faults = faulty_platform
-        faults.arm("restore", spec.name, count=5)
-        with pytest.raises(SnapshotCorruptedError):
+        platform, spec = faulty_platform
+        arm(platform, (KIND_RESTORE_CORRUPTION, spec.name, 5))
+        with pytest.raises(InvocationFailedError):
             invoke_once(platform, spec.name)
         assert platform.bridge.endpoint_count() == 0
 
 
 class TestParamFetchRecovery:
     def test_transient_fetch_failures_retried(self, faulty_platform):
-        platform, spec, faults = faulty_platform
-        faults.arm("param-fetch", spec.name, count=2)
+        platform, spec = faulty_platform
+        arm(platform, (KIND_PARAM_FETCH_TIMEOUT, spec.name, 2))
         record = invoke_once(platform, spec.name)
         assert record.mode == "snapshot"
         assert platform.param_fetch_retries == 2
 
     def test_persistent_fetch_failure_propagates(self, faulty_platform):
-        platform, spec, faults = faulty_platform
-        faults.arm("param-fetch", spec.name, count=10)
-        with pytest.raises(InjectedFault):
+        platform, spec = faulty_platform
+        arm(platform, (KIND_PARAM_FETCH_TIMEOUT, spec.name, 10))
+        with pytest.raises(InvocationFailedError) as excinfo:
             invoke_once(platform, spec.name)
+        _assert_failed_with(platform, excinfo, InjectedFault,
+                            KIND_PARAM_FETCH_TIMEOUT)
 
     def test_retries_cost_time(self, faulty_platform):
-        platform, spec, faults = faulty_platform
+        platform, spec = faulty_platform
         clean = invoke_once(platform, spec.name)
-        faults.arm("param-fetch", spec.name, count=2)
+        arm(platform, (KIND_PARAM_FETCH_TIMEOUT, spec.name, 2))
         retried = invoke_once(platform, spec.name)
         assert retried.startup_ms > clean.startup_ms
 
 
 class TestDbRecovery:
-    """An armed ``db`` fault times out a CouchDB request; the guest SDK
+    """A ``db-timeout`` budget times out CouchDB requests; the guest SDK
     retries with a short backoff, surfacing the wait as a ``retry`` span."""
 
     @pytest.fixture
     def reminder_platform(self):
-        faults = FaultInjector()
-        platform = fresh_platform(FireworksPlatform, faults=faults)
+        platform = fresh_platform(FireworksPlatform)
         chain = alexa_skills_chain()
         spec = next(s for s in chain.functions
                     if s.name == "alexa-reminder")
         install_all(platform, [spec])
-        return platform, spec, faults
+        return platform, spec
 
     def test_transient_db_timeouts_recovered(self, reminder_platform):
-        platform, spec, faults = reminder_platform
-        faults.arm("db", REMINDER_DB, count=2)
+        platform, spec = reminder_platform
+        controller = arm(platform, (KIND_DB_TIMEOUT, REMINDER_DB, 2))
         record = invoke_once(platform, spec.name)
         assert record.mode == "snapshot"
         assert platform.db_retries == 2
-        assert faults.fired[("db", REMINDER_DB)] == 2
-        assert faults.armed("db", REMINDER_DB) == 0
+        assert controller.fired == {(KIND_DB_TIMEOUT, REMINDER_DB): 2}
+        controller.check(KIND_DB_TIMEOUT, REMINDER_DB)  # budget spent
 
     def test_retry_latency_shows_as_retry_spans(self, reminder_platform):
-        platform, spec, faults = reminder_platform
-        faults.arm("db", REMINDER_DB, count=2)
+        platform, spec = reminder_platform
+        arm(platform, (KIND_DB_TIMEOUT, REMINDER_DB, 2))
         record = invoke_once(platform, spec.name)
         retries = [s for s in record.span.find_all("retry")
                    if s.attrs.get("target") == "db"]
@@ -171,32 +211,33 @@ class TestDbRecovery:
                 platform.DB_RETRY_BACKOFF_MS)
 
     def test_retries_cost_exec_time(self, reminder_platform):
-        platform, spec, faults = reminder_platform
+        platform, spec = reminder_platform
         clean = invoke_once(platform, spec.name)
-        faults.arm("db", REMINDER_DB, count=1)
+        arm(platform, (KIND_DB_TIMEOUT, REMINDER_DB, 1))
         retried = invoke_once(platform, spec.name)
         # The retried request pays the failed request-out leg plus the
         # backoff, inside the guest's exec window.
         assert retried.exec_ms > clean.exec_ms
 
     def test_persistent_db_failure_propagates(self, reminder_platform):
-        platform, spec, faults = reminder_platform
-        faults.arm("db", REMINDER_DB, count=10)
-        with pytest.raises(InjectedFault) as excinfo:
+        platform, spec = reminder_platform
+        controller = arm(platform, (KIND_DB_TIMEOUT, REMINDER_DB, 10))
+        with pytest.raises(InvocationFailedError) as excinfo:
             invoke_once(platform, spec.name)
-        assert excinfo.value.kind == "db"
+        _assert_failed_with(platform, excinfo, InjectedFault,
+                            KIND_DB_TIMEOUT)
         # One fired per attempt of the first (get) request only.
-        assert faults.fired[("db", REMINDER_DB)] == \
+        assert controller.fired[(KIND_DB_TIMEOUT, REMINDER_DB)] == \
             platform.MAX_DB_ATTEMPTS
 
     def test_fired_counts_exact_across_kinds(self, reminder_platform):
-        platform, spec, faults = reminder_platform
-        faults.arm("db", REMINDER_DB, count=1)
-        faults.arm("param-fetch", spec.name, count=1)
+        platform, spec = reminder_platform
+        controller = arm(platform, (KIND_DB_TIMEOUT, REMINDER_DB, 1),
+                         (KIND_PARAM_FETCH_TIMEOUT, spec.name, 1))
         record = invoke_once(platform, spec.name)
         assert record.mode == "snapshot"
-        assert faults.fired == {("db", REMINDER_DB): 1,
-                                ("param-fetch", spec.name): 1}
+        assert controller.fired == {(KIND_DB_TIMEOUT, REMINDER_DB): 1,
+                                    (KIND_PARAM_FETCH_TIMEOUT, spec.name): 1}
         targets = sorted(s.attrs["target"]
                          for s in record.span.find_all("retry"))
         assert targets == ["db", "param-fetch"]

@@ -8,10 +8,9 @@ import pytest
 
 from repro.bench import (fresh_cluster_platform, fresh_platform, install_all,
                          invoke_once)
-from repro.chaos import (KIND_HOST_CRASH, ChaosEvent, ChaosPlan,
-                         HostFailureController)
+from repro.chaos import (KIND_HOST_CRASH, KIND_RESTORE_CORRUPTION,
+                         ChaosEvent, ChaosPlan, HostFailureController)
 from repro.core import FireworksPlatform
-from repro.faults import FaultInjector
 from repro.platforms import (CatalyzerPlatform, FirecrackerPlatform,
                              GVisorPlatform, OpenWhiskPlatform)
 from repro.platforms.scheduler import POLICY_ROUND_ROBIN
@@ -91,33 +90,39 @@ class TestMatrix:
                     assert worker.sandbox.state != "stopped"
 
 
+#: Round-robin places the first baseline request on host 0; the plan
+#: crashes it this long after the faults are armed, well after the
+#: baseline has finished.
+CRASH_AFTER_MS = 60_000.0
+
+
 def _fault_row(platform_cls):
     """One backend through the fault row: an armed restore fault plus a
     host crash on a 2-host cluster.  Returns everything the assertions
     need."""
-    faults = FaultInjector()
     platform = fresh_cluster_platform(platform_cls, n_hosts=2,
-                                      policy=POLICY_ROUND_ROBIN,
-                                      faults=faults)
+                                      policy=POLICY_ROUND_ROBIN)
     specs = [faasdom_spec("faas-netlatency", "nodejs"),
              faasdom_spec("faas-fact", "nodejs")]
     install_all(platform, specs)
+    sim = platform.sim
+    armed_at = sim.now
+    crash_host = 0
     # The armed restore fault only fires on snapshot restores (Fireworks);
     # arming it everywhere asserts it is harmless elsewhere.
-    faults.arm("restore", specs[0].name, count=1)
+    HostFailureController(platform, ChaosPlan([
+        ChaosEvent(armed_at, KIND_RESTORE_CORRUPTION, key=specs[0].name),
+        ChaosEvent(armed_at + CRASH_AFTER_MS, KIND_HOST_CRASH,
+                   host_id=crash_host)]))
     baseline = {spec.name: invoke_once(platform, spec.name)
                 for spec in specs}
-    sim = platform.sim
+    assert baseline[specs[0].name].host_id == crash_host
+    assert sim.now < armed_at + CRASH_AFTER_MS
     pool_before = {
         host.host_id: [entry.worker
                        for entry in host.pool.live_entries(sim.now)]
         for host in platform.cluster.hosts}
-    crash_host = baseline[specs[0].name].host_id
-    now = sim.now
-    plan = ChaosPlan([ChaosEvent(now + 5.0, KIND_HOST_CRASH,
-                                 host_id=crash_host)])
-    HostFailureController(platform, plan)
-    sim.run(until=now + 10.0)
+    sim.run(until=armed_at + CRASH_AFTER_MS + 5.0)
     survivors = {spec.name: invoke_once(platform, spec.name)
                  for spec in specs}
     sim.run()  # drain teardowns: nothing may stay half-reclaimed

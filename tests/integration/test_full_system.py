@@ -10,8 +10,9 @@ import pytest
 
 from repro.billing import bill_records
 from repro.bench import drain, fresh_platform, install_all, invoke_once
+from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
+                         ChaosEvent, ChaosPlan, HostFailureController)
 from repro.core import FireworksPlatform
-from repro.faults import FaultInjector
 from repro.platforms.gateway import STATUS_SUCCESS, ApiGateway
 from repro.workloads import (WAGES_DB, data_analysis_chain, faasdom_spec)
 from tests.helpers import run
@@ -19,20 +20,19 @@ from tests.helpers import run
 
 @pytest.fixture
 def system():
-    faults = FaultInjector()
-    platform = fresh_platform(FireworksPlatform, faults=faults)
+    platform = fresh_platform(FireworksPlatform)
     chain = data_analysis_chain()
     install_all(platform, chain.functions)
     install_all(platform, [faasdom_spec("faas-netlatency", "nodejs")])
     platform.register_db_trigger(WAGES_DB, "da-analyze")
     gateway = ApiGateway(platform)
     api_key = gateway.create_namespace("payroll")
-    return platform, gateway, api_key, faults
+    return platform, gateway, api_key
 
 
 class TestFullScenario:
     def test_a_day_in_production(self, system):
-        platform, gateway, api_key, faults = system
+        platform, gateway, api_key = system
         sim = platform.sim
 
         # A timer-triggered health check runs alongside everything.
@@ -44,8 +44,12 @@ class TestFullScenario:
         activations = []
         for index in range(3):
             if index == 1:
-                faults.arm("restore", "da-input", count=1)
-                faults.arm("param-fetch", "da-format", count=1)
+                now = sim.now
+                controller = HostFailureController(platform, ChaosPlan([
+                    ChaosEvent(now, KIND_RESTORE_CORRUPTION,
+                               key="da-input"),
+                    ChaosEvent(now, KIND_PARAM_FETCH_TIMEOUT,
+                               key="da-format")]))
             activation = run(sim, gateway.handle_request(
                 api_key, "da-input",
                 payload={"name": f"user{index}", "id": str(index)}))
@@ -56,6 +60,10 @@ class TestFullScenario:
         assert all(a.status == STATUS_SUCCESS for a in activations)
         assert platform.restore_failures == 1
         assert platform.param_fetch_retries == 1
+        assert controller.fired == {
+            (KIND_RESTORE_CORRUPTION, "da-input"): 1,
+            (KIND_PARAM_FETCH_TIMEOUT, "da-format"): 1}
+        assert platform.failed_invocations == []
 
         # Each insertion fired the db-triggered analysis chain.
         analyze_runs = [r for r in platform.records
@@ -94,7 +102,7 @@ class TestFullScenario:
             len(r.children) for r in platform.records)
 
     def test_gateway_activations_match_platform_records(self, system):
-        platform, gateway, api_key, _faults = system
+        platform, gateway, api_key = system
         sim = platform.sim
         for _ in range(2):
             run(sim, gateway.handle_request(api_key, "da-input",

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.bench import fresh_platform, install_all
+from repro.chaos import (KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
+                         HostFailureController)
 from repro.core import FireworksPlatform
 from repro.errors import FunctionNotFoundError, PlatformError
-from repro.faults import FaultInjector
 from repro.platforms.gateway import (MAX_PAYLOAD_KB, STATUS_ERROR,
                                      STATUS_SUCCESS, ApiGateway,
                                      AuthenticationError,
@@ -121,15 +122,18 @@ class TestActivations:
             gw.list_activations("nobody")
 
     def test_application_error_recorded_not_raised(self):
-        faults = FaultInjector()
-        platform = fresh_platform(FireworksPlatform, faults=faults)
+        platform = fresh_platform(FireworksPlatform)
         spec = faasdom_spec("faas-netlatency", "nodejs")
         install_all(platform, [spec])
         gw = ApiGateway(platform)
         key = gw.create_namespace("alice")
-        # Exhaust all restore attempts -> invoke raises -> gateway records.
-        faults.arm("restore", spec.name, count=5)
+        # Exhaust all restore attempts -> the invocation fails -> the
+        # gateway records the failure instead of raising it.
+        HostFailureController(platform, ChaosPlan([ChaosEvent(
+            platform.sim.now, KIND_RESTORE_CORRUPTION, key=spec.name,
+            count=5)]))
         activation = run(platform.sim, gw.handle_request(key, spec.name))
         assert activation.status == STATUS_ERROR
         assert "injected" in activation.error
         assert activation.record is None
+        assert len(platform.failed_invocations) == 1

@@ -1,13 +1,24 @@
 """Unit tests for warm-pool management."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import PlatformError
+from repro.mem.host_memory import pages_to_mb
 from repro.platforms.pooling import WarmEntry, WarmPool, require_warm
 
 
 class FakeWorker:
     pass
+
+
+def _parked(pss_pages, expires_at_ms=1000.0):
+    """A parked clone whose address space reports *pss_pages*."""
+    worker = FakeWorker()
+    worker.sandbox = SimpleNamespace(
+        space=SimpleNamespace(pss_pages=lambda: pss_pages))
+    return WarmEntry(worker, expires_at_ms, paused=False)
 
 
 @pytest.fixture
@@ -79,6 +90,13 @@ class TestWarmPool:
         pool.add("b", WarmEntry(live, 1000.0, paused=True))
         assert [e.worker for e in pool.live_entries(now_ms=500.0)] == [live]
         assert len(pool.drain_expired()) == 1
+
+    def test_total_pss_sums_live_parked_clones(self, pool):
+        assert pool.total_pss_mb(now_ms=0.0) == 0.0
+        pool.add("a", _parked(256.0))
+        pool.add("b", _parked(512.5))
+        pool.add("a", _parked(1024.0, expires_at_ms=10.0))  # expired
+        assert pool.total_pss_mb(now_ms=50.0) == pages_to_mb(256.0 + 512.5)
 
 
 class TestRequireWarm:

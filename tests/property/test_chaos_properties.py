@@ -1,6 +1,6 @@
 """Property tests: invariants that hold for *random* seeded fault plans.
 
-For every seed the same three things must be true no matter which faults
+For every seed the same four things must be true no matter which faults
 the plan happened to draw:
 
 * accounting is exact — every submission ends up as exactly one completed
@@ -8,7 +8,9 @@ the plan happened to draw:
 * every completed record's trace verifies (root span duration equals the
   recorded end-to-end latency, phases cover the root);
 * every ``failover`` span points at a host the controller really crashed
-  *before* the failover happened.
+  *before* the failover happened;
+* budgeted operation faults fire at most as often as the plan armed them,
+  and every fired snapshot corruption is one counted restore failure.
 """
 
 import dataclasses
@@ -16,10 +18,13 @@ import dataclasses
 import pytest
 
 from repro.bench import fresh_cluster_platform, install_all
-from repro.chaos import ChaosPlan, HostFailureController
+from repro.chaos import (BUDGET_KINDS, KIND_PARAM_FETCH_TIMEOUT,
+                         KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
+                         HostFailureController)
 from repro.core import FireworksPlatform
 from repro.errors import InvocationFailedError
 from repro.platforms.scheduler import POLICY_SNAPSHOT_LOCALITY
+from repro.sim.rng import RngStreams
 from repro.trace import verify_invocation
 from repro.workloads import faasdom_spec
 
@@ -30,6 +35,8 @@ DURATION_MS = 60_000.0
 #: Submission cadence: frequent enough that bus-partition windows (at
 #: least 300 ms under this duration) always straddle some submissions.
 PERIOD_MS = 197.0
+#: Budget events added to each seed's random plan.
+N_BUDGETS = 4
 
 
 def _specs():
@@ -38,16 +45,31 @@ def _specs():
             for i in range(N_FUNCTIONS)]
 
 
+def _budget_events(seed, specs):
+    """Seeded budget events from this test's own RNG stream, so that
+    ``ChaosPlan.random`` (and its determinism tests) stay unchanged."""
+    rng = RngStreams(seed).stream("chaos-property-budgets")
+    events = []
+    for _ in range(N_BUDGETS):
+        at_ms = rng.uniform(0.0, 0.85) * DURATION_MS
+        kind = rng.choice((KIND_RESTORE_CORRUPTION,
+                           KIND_PARAM_FETCH_TIMEOUT))
+        events.append(ChaosEvent(at_ms, kind, key=rng.choice(specs).name,
+                                 count=rng.randint(1, 4)))
+    return events
+
+
 def _run_under_random_plan(seed):
-    """Replay a fixed trace under ``ChaosPlan.random(seed)``; returns
-    (platform, controller, submitted_count)."""
+    """Replay a fixed trace under ``ChaosPlan.random(seed)`` plus seeded
+    budget events; returns (platform, controller, submitted_count)."""
     platform = fresh_cluster_platform(
         FireworksPlatform, seed=seed, n_hosts=N_HOSTS,
         policy=POLICY_SNAPSHOT_LOCALITY)
     specs = _specs()
     install_all(platform, specs)
-    plan = ChaosPlan.random(seed, n_hosts=N_HOSTS, duration_ms=DURATION_MS,
-                            n_events=6)
+    random_plan = ChaosPlan.random(seed, n_hosts=N_HOSTS,
+                                   duration_ms=DURATION_MS, n_events=6)
+    plan = ChaosPlan(random_plan.events + tuple(_budget_events(seed, specs)))
     controller = HostFailureController(platform, plan, failover=True)
     sim = platform.sim
     submitted = 0
@@ -91,7 +113,8 @@ class TestAccountingProperties:
         for failed in platform.failed_invocations:
             assert any(token in failed.reason
                        for token in ("down", "capacity", "unreachable",
-                                     "snapshot", "lost")), failed.reason
+                                     "snapshot", "lost", "injected")), \
+                failed.reason
 
 
 class TestTraceProperties:
@@ -144,3 +167,32 @@ class TestFailoverProperties:
             assert any(host_id == span.attrs["from_host"]
                        and at_ms <= span.start_ms
                        for at_ms, host_id in crashes)
+
+
+class TestBudgetProperties:
+    @staticmethod
+    def _armed(controller):
+        armed = {}
+        for event in controller.plan.events:
+            if event.kind in BUDGET_KINDS:
+                slot = (event.kind, event.key)
+                armed[slot] = armed.get(slot, 0) + event.count
+        return armed
+
+    def test_fired_never_exceeds_armed(self, chaos_run):
+        _, controller, _ = chaos_run
+        armed = self._armed(controller)
+        for slot, fired in controller.fired.items():
+            assert fired <= armed.get(slot, 0), slot
+
+    def test_every_fired_corruption_is_a_restore_failure(self, chaos_run):
+        platform, controller, _ = chaos_run
+        corruptions = sum(fired for (kind, _), fired
+                          in controller.fired.items()
+                          if kind == KIND_RESTORE_CORRUPTION)
+        assert platform.restore_failures == corruptions
+
+    def test_budgets_fire(self, chaos_run):
+        # Guards the two properties above against vacuity.
+        _, controller, _ = chaos_run
+        assert sum(controller.fired.values()) > 0

@@ -40,14 +40,17 @@ class TestHierarchy:
                           errors.DatabaseError)
 
     def test_injected_faults_are_repro_errors(self):
-        from repro.faults import InjectedFault, SnapshotCorruptedError
-        assert issubclass(InjectedFault, errors.ReproError)
-        assert issubclass(SnapshotCorruptedError, InjectedFault)
+        assert issubclass(errors.InjectedFault, errors.ChaosError)
+        assert issubclass(errors.SnapshotCorruptedError,
+                          errors.InjectedFault)
+        # The invoke loop must not retry them: the component that failed
+        # owns the recovery.
+        assert not issubclass(errors.InjectedFault,
+                              errors.RetryableChaosError)
 
     def test_fault_carries_kind_and_key(self):
-        from repro.faults import InjectedFault
-        fault = InjectedFault("db", "wages")
-        assert fault.kind == "db"
+        fault = errors.InjectedFault("db-timeout", "wages")
+        assert fault.kind == "db-timeout"
         assert fault.key == "wages"
         assert "wages" in str(fault)
 
