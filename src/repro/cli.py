@@ -116,7 +116,8 @@ def _trace_records(target: str, benchmark: str) -> list:
 
     For ``fig6``/``fig7`` the order is: fireworks, then cold+warm for
     openwhisk, gvisor and firecracker — index it with ``--invocation``.
-    ``chain`` runs the Alexa-skills chain, one record per skill.
+    ``chain`` runs the Alexa-skills chain, one record per skill.  Every
+    record is a top-level invocation, so its span is its whole trace.
     """
     from repro.bench.harness import (cold_and_warm, fireworks_invocation,
                                      fresh_platform, install_chain,
@@ -154,8 +155,6 @@ def _cmd_trace(target: str, benchmark: str, invocation: int,
     record = records[invocation]
     verify_invocation(record)
     root = record.span
-    while root.parent is not None:  # export the whole trace, gateway-down
-        root = root.parent
 
     if output_format == "tree":
         rendered = render_tree(root)

@@ -199,27 +199,34 @@ class FireworksPlatform(ServerlessPlatform):
 
         # (6)+(7) network, metadata, restore.  A corrupted image is
         # regenerated once (the same §6 machinery ASLR re-randomization
-        # uses) before the restore is retried.
-        for attempt in range(1, self.MAX_RESTORE_ATTEMPTS + 1):
-            try:
-                worker = yield from manager.launch_clone(
-                    image, fc_id, policy=self.restore_policy)
-                break
-            except SnapshotCorruptedError:
-                self.restore_failures += 1
-                if attempt == self.MAX_RESTORE_ATTEMPTS:
-                    raise
-                with tracer.span("retry", kind="retry", target="restore",
-                                 attempt=attempt, fc_id=fc_id):
-                    image = yield from self.regenerate_snapshot(spec.name,
-                                                                host=host)
+        # uses) before the restore is retried.  A clone that never comes
+        # up takes its parameter topic with it.
+        try:
+            for attempt in range(1, self.MAX_RESTORE_ATTEMPTS + 1):
+                try:
+                    worker = yield from manager.launch_clone(
+                        image, fc_id, policy=self.restore_policy)
+                    break
+                except SnapshotCorruptedError:
+                    self.restore_failures += 1
+                    if attempt == self.MAX_RESTORE_ATTEMPTS:
+                        raise
+                    with tracer.span("retry", kind="retry",
+                                     target="restore", attempt=attempt,
+                                     fc_id=fc_id):
+                        image = yield from self.regenerate_snapshot(
+                            spec.name, host=host)
+        except Exception:
+            self.passer.release(fc_id)
+            raise
 
         yield from self._fetch_params(spec, fc_id)
         return worker, MODE_SNAPSHOT, publish_ms
 
     def _fetch_params(self, spec: FunctionSpec, fc_id: str):
         """Step (8): the resumed guest reads its fcID and fetches the
-        parameters, retrying transient broker failures."""
+        parameters, retrying transient broker failures.  A fetch that
+        fails for good releases the clone's parameter state."""
         tracer = self.sim.tracer
         for attempt in range(1, self.MAX_PARAM_FETCH_ATTEMPTS + 1):
             try:
@@ -231,6 +238,7 @@ class FireworksPlatform(ServerlessPlatform):
             except InjectedFault as fault:
                 if fault.kind != KIND_PARAM_FETCH_TIMEOUT or \
                         attempt == self.MAX_PARAM_FETCH_ATTEMPTS:
+                    self.passer.release(fc_id)
                     raise
                 self.param_fetch_retries += 1
                 with tracer.span("retry", kind="retry",
@@ -280,16 +288,23 @@ class FireworksPlatform(ServerlessPlatform):
     def discard_warm(self, entry, host: Host) -> None:
         """Retire a pooled clone through its host's manager (netns/NAT
         teardown), like post-invocation reclamation."""
-        self._warm_fc_ids.pop(entry.worker, None)
+        fc_rec = self._warm_fc_ids.pop(entry.worker, None)
+        if fc_rec is not None:
+            self.passer.release(fc_rec[0])
         self.sim.process(self.manager_for(host).retire(entry.worker),
                          name=f"warm-discard:{entry.worker.sandbox.name}")
 
     def on_host_crash(self, host: Host) -> None:
-        """Drop fcID bookkeeping for clones that died with the host (the
-        chaos controller already drained and stopped them)."""
-        self._warm_fc_ids = {
-            worker: rec for worker, rec in self._warm_fc_ids.items()
-            if rec[1] != host.host_id}
+        """Drop fcID bookkeeping and parameter state for clones that died
+        with the host (the chaos controller already drained and stopped
+        them)."""
+        survivors = {}
+        for worker, rec in self._warm_fc_ids.items():
+            if rec[1] == host.host_id:
+                self.passer.release(rec[0])
+            else:
+                survivors[worker] = rec
+        self._warm_fc_ids = survivors
 
     def _release_worker(self, spec: FunctionSpec, worker: Worker,
                         host: Host):
@@ -297,7 +312,9 @@ class FireworksPlatform(ServerlessPlatform):
             self.recorder.record(self.image_for(spec.name, host), worker,
                                  now_ms=self.sim.now)
         if not self.retain_workers:
-            # Clone reclamation happens off the response's critical path.
+            # Clone reclamation happens off the response's critical path;
+            # its parameter topic goes with it.
+            self.passer.release(worker.sandbox.mmds.get("fcID"))
             self.sim.process(self.manager_for(host).retire(worker),
                              name=f"retire:{worker.sandbox.name}")
         return

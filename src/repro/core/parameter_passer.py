@@ -3,7 +3,9 @@
 A restored snapshot has exactly the memory it was created with, so arguments
 cannot live in guest memory.  Fireworks publishes them to a per-instance
 Kafka topic *before* resuming the microVM; the resumed guest learns its fcID
-from MMDS and consumes the newest record from ``topic<fcID>``.
+from MMDS and consumes the newest record from ``topic<fcID>``.  The topic
+lives exactly as long as its clone: :meth:`ParameterPasser.release` deletes
+it when the clone is retired or never comes up.
 """
 
 from __future__ import annotations
@@ -74,3 +76,9 @@ class ParameterPasser:
                 f"malformed parameter record on {topic!r}")
         self._published.pop(fc_id, None)
         return record.value
+
+    def release(self, fc_id: str) -> None:
+        """The clone *fc_id* is gone: delete its topic and forget a
+        publish it never fetched."""
+        self.bus.delete_topic(topic_for(fc_id))
+        self._published.pop(fc_id, None)

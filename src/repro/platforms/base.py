@@ -40,6 +40,12 @@ MODE_WARM = "warm"
 MODE_SNAPSHOT = "snapshot"
 
 
+def _if_kept(span: Span) -> Optional[Span]:
+    """*span* if the tracer keeps its tree, else ``None``: a finished
+    invocation must not pin a tree the tracer dropped."""
+    return span if span.kept else None
+
+
 @dataclass
 class InvocationRecord:
     """End-to-end accounting of one invocation (one bar of Fig 6/7/9)."""
@@ -56,10 +62,15 @@ class InvocationRecord:
     #                              also included in other_ms
     guest: Optional[ExecBreakdown] = None
     children: List["InvocationRecord"] = field(default_factory=list)
+    #: The worker that served the invocation, only while the platform
+    #: retains workers (``retain_workers``); otherwise ``None``, so a
+    #: finished invocation never pins its retired sandbox.
     worker: Optional[Worker] = None
     completed_ms: Optional[float] = None  # wall clock when invoke() returned
     trace_id: str = ""                    # id of the invocation's trace
-    span: Optional[Span] = None           # the root "invoke" span
+    #: The "invoke" span if the tracer kept its tree (the first
+    #: ``KEPT_ROOTS`` roots of a simulation), else ``None``.
+    span: Optional[Span] = None
     attempts: int = 1                     # dispatch attempts (chaos retries)
     #: Chain-executor mode: guest ``InvokeNext`` ops are *recorded* here
     #: instead of dispatched inline — the executor drives the DAG's edges
@@ -132,7 +143,7 @@ class FailedInvocation:
     reason: str
     hosts_tried: Tuple[int, ...]
     trace_id: str = ""
-    span: Optional[Span] = None
+    span: Optional[Span] = None   # the "invoke" span, if its tree was kept
 
     @property
     def latency_ms(self) -> float:
@@ -513,7 +524,7 @@ class ServerlessPlatform:
                 submitted_ms=record.submitted_ms, shed_ms=self.sim.now,
                 host_id=error.host_id, reason=error.reason,
                 queue_depth=error.queue_depth,
-                trace_id=invoke_span.trace_id, span=invoke_span)
+                trace_id=invoke_span.trace_id, span=_if_kept(invoke_span))
             self.shedded_invocations.append(shedded)
             error.shedded = shedded
             raise
@@ -527,15 +538,16 @@ class ServerlessPlatform:
                 attempts=record.attempts,
                 reason=str(error) or type(error).__name__,
                 hosts_tried=tuple(hosts_tried),
-                trace_id=invoke_span.trace_id, span=invoke_span)
+                trace_id=invoke_span.trace_id, span=_if_kept(invoke_span))
             self.failed_invocations.append(failed)
             raise InvocationFailedError(failed) from error
 
-        # The record's breakdown is *derived* from the span tree, so the
-        # Fig 6/7 bars and the trace cannot disagree (repro.trace.verify).
+        # The record's breakdown is *derived* from the live span tree, so
+        # the Fig 6/7 bars and the trace cannot disagree (repro.trace.verify)
+        # -- even for a tree the tracer drops once this invocation ends.
         record.completed_ms = self.sim.now
         record.trace_id = invoke_span.trace_id
-        record.span = invoke_span
+        record.span = _if_kept(invoke_span)
         breakdown = phase_breakdown(invoke_span)
         record.startup_ms = breakdown.startup_ms
         record.exec_ms = breakdown.exec_ms
@@ -556,9 +568,9 @@ class ServerlessPlatform:
         stage span well formed (docs/chaos.md).
         """
         tracer = self.sim.tracer
-        name = spec.name
 
-        # Frontend: gateway relays, controller dispatches over the bus.
+        # Frontend: gateway relays, controller dispatches over the bus
+        # (modeled as a cost only).
         if self.chaos is not None and \
                 self.chaos.bus_partitioned(self.sim.now):
             raise BusPartitionedError(
@@ -566,8 +578,6 @@ class ServerlessPlatform:
         cp = self.params.control_plane
         frontend_ms = (cp.gateway_route_ms + cp.controller_dispatch_ms
                        + cp.bus_publish_ms)
-        self.bus.produce(f"invoke-{name}", payload or {},
-                         timestamp_ms=self.sim.now)
         with tracer.span("frontend", phase="other"):
             yield self.sim.timeout(frontend_ms)
 
@@ -641,7 +651,8 @@ class ServerlessPlatform:
                     acquire_span.attrs["mode"] = mode_used
                 self._check_host_alive(host, "acquire")
                 record.mode = mode_used
-                record.worker = worker
+                if self.retain_workers:
+                    record.worker = worker
 
                 # Execute the guest program.  Nested invoke spans
                 # (chain hops) are accounted on the child records, not

@@ -77,6 +77,11 @@ class MessageBus:
             return self.create_topic(name)
         return self._topics[name]
 
+    def delete_topic(self, name: str) -> None:
+        """Drop *name* and its records; a missing topic is a no-op (a
+        clone nobody published to has none)."""
+        self._topics.pop(name, None)
+
     def has_topic(self, name: str) -> bool:
         """Whether the topic exists."""
         return name in self._topics

@@ -239,9 +239,8 @@ class ChainExecutor:
                 result.record = hop
                 result.host_id = hop.host_id
                 result.attempts = hop.attempts
-                if hop.span is not None:
-                    result.start_ms = hop.span.start_ms
-                    result.end_ms = hop.span.end_ms
+                result.start_ms = hop.submitted_ms
+                result.end_ms = hop.completed_ms
         run.end_ms = platform.sim.now
         self._mark_skipped(run)
 

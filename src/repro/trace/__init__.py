@@ -7,6 +7,10 @@ release.  The platform derives each invocation record's latency breakdown
 *from* its span tree (:func:`phase_breakdown`), so the Fig 6/7 bars and the
 trace can never disagree; :func:`verify_invocation` asserts exactly that.
 
+The tracer keeps the first :data:`KEPT_ROOTS` roots of a simulation; a
+later invocation's tree is freed when the invocation ends, and its record's
+``span`` is ``None`` (docs/observability.md, "Retention").
+
 Exporters: Chrome ``trace_event`` JSON (:func:`to_chrome_trace`,
 :func:`write_trace_json`) and a plain-text tree (:func:`render_tree`) —
 see ``python -m repro trace --help``.
@@ -15,7 +19,7 @@ see ``python -m repro trace --help``.
 from repro.trace.export import (chrome_trace_events, render_tree,
                                 to_chrome_trace, write_trace_json)
 from repro.trace.span import Span
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import KEPT_ROOTS, Tracer
 from repro.trace.verify import (EPS_COVERAGE, EPS_TREE, PhaseBreakdown,
                                 check_well_formed, phase_breakdown,
                                 verify_invocation, verify_records)
@@ -23,6 +27,7 @@ from repro.trace.verify import (EPS_COVERAGE, EPS_TREE, PhaseBreakdown,
 __all__ = [
     "EPS_COVERAGE",
     "EPS_TREE",
+    "KEPT_ROOTS",
     "PhaseBreakdown",
     "Span",
     "Tracer",

@@ -11,8 +11,13 @@ classification fields the breakdown derivation keys on:
   ...); nested ``invoke`` spans mark chain hops whose time is accounted on
   the child record, not the parent's exec bar.
 
-Spans form a tree per trace; they are context managers (opening/closing is
-delegated to the :class:`~repro.trace.tracer.Tracer` that issued them).
+Spans form a tree per trace, linked top-down only: a span holds its
+``children`` but no pointer to its parent, so a tree has no reference cycle
+and refcounting frees it the moment nothing holds its root.  ``kept`` says
+whether the tracer keeps the span's tree (see
+:data:`~repro.trace.tracer.KEPT_ROOTS`); every span of a tree carries its
+root's decision.  Spans are context managers (opening/closing is delegated
+to the :class:`~repro.trace.tracer.Tracer` that issued them).
 """
 
 from __future__ import annotations
@@ -21,9 +26,13 @@ from typing import Any, Dict, Iterator, List, Optional
 
 
 class Span:
-    """One node of a trace tree: a named, timed, attributed interval."""
+    """One node of a trace tree: a named, timed, attributed interval.
 
-    __slots__ = ("name", "trace_id", "parent", "children", "start_ms",
+    ``kept`` is false when the tracer dropped this span's tree: the tree
+    still lives while its invocation runs, then goes with it.
+    """
+
+    __slots__ = ("name", "trace_id", "kept", "children", "start_ms",
                  "end_ms", "phase", "kind", "attrs", "_tracer")
 
     def __init__(self, tracer, name: str, phase: Optional[str] = None,
@@ -34,7 +43,7 @@ class Span:
         self.phase = phase
         self.kind = kind
         self.trace_id = trace_id
-        self.parent: Optional["Span"] = None
+        self.kept = True
         self.children: List["Span"] = []
         self.start_ms: Optional[float] = None
         self.end_ms: Optional[float] = None

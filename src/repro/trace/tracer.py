@@ -11,6 +11,13 @@ Spans opened in a freshly spawned process start a new root — background work
 (clone retirement, DB-trigger invocations) deliberately does *not* inherit
 the span of the process that spawned it, because the parent span typically
 closes before the background work runs.
+
+Memory stays bounded as runs get longer: the tracer keeps the first
+:data:`KEPT_ROOTS` roots of a simulation and drops every later one.  A
+dropped tree is still built — the platform derives each record's breakdown
+from it when the invocation completes — but nothing keeps it afterwards, and
+spans link only downwards, so refcounting frees it as soon as its
+invocation ends.  Every span carries its root's decision in ``kept``.
 """
 
 from __future__ import annotations
@@ -23,9 +30,15 @@ from repro.trace.span import Span
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulation
 
+#: Roots one simulation keeps, in creation order.  Every test and catalog
+#: experiment that reads a tree back stays far below it; only the long
+#: load replays and the largest load-sweep shard cross it.
+KEPT_ROOTS = 4096
+
 
 class Tracer:
-    """Issues spans timed on one simulation's clock; keeps every root."""
+    """Issues spans timed on one simulation's clock; keeps the first
+    :data:`KEPT_ROOTS` roots."""
 
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
@@ -74,8 +87,8 @@ class Tracer:
         currently open span (or as a root).  An explicit *parent* attaches
         the span under that (possibly already closed) span instead — the
         chain executor uses this to hang per-stage spans under a chain root
-        built after the stages ran.  *trace_id* applies only when the span
-        lands as a root.
+        built after the stages ran; the span joins that tree's kept
+        decision.  *trace_id* applies only when the span lands as a root.
         """
         if end_ms < start_ms:
             raise TraceError(
@@ -86,8 +99,8 @@ class Tracer:
         span.start_ms = start_ms
         span.end_ms = end_ms
         if parent is not None:
-            span.parent = parent
             span.trace_id = parent.trace_id
+            span.kept = parent.kept
             parent.children.append(span)
         else:
             self._attach(span)
@@ -113,24 +126,27 @@ class Tracer:
     def _attach(self, span: Span, stack: Optional[List[Span]] = None) -> None:
         if stack is None:
             stack = self._stack()
-        parent = stack[-1] if stack else None
-        span.parent = parent
-        if parent is not None:
+        if stack:
+            parent = stack[-1]
             span.trace_id = parent.trace_id
+            span.kept = parent.kept
             parent.children.append(span)
         else:
             if not span.trace_id:
                 self._auto_ids += 1
                 span.trace_id = f"trace-{self._auto_ids}"
-            self.roots.append(span)
+            if len(self.roots) < KEPT_ROOTS:
+                self.roots.append(span)
+            else:
+                span.kept = False
 
     # -- queries -------------------------------------------------------------
     def traces(self) -> Tuple[Span, ...]:
-        """Every root span recorded so far, in creation order."""
+        """The kept root spans, in creation order."""
         return tuple(self.roots)
 
     def trace(self, trace_id: str) -> Span:
-        """The root span with *trace_id*; KeyError if absent."""
+        """The kept root span with *trace_id*; KeyError if absent."""
         for root in self.roots:
             if root.trace_id == trace_id:
                 return root

@@ -13,6 +13,7 @@ from repro.chaos import (KIND_DB_TIMEOUT, KIND_PARAM_FETCH_TIMEOUT,
                          KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
                          HostFailureController)
 from repro.core import FireworksPlatform
+from repro.core.parameter_passer import topic_for
 from repro.errors import (ChaosError, InjectedFault, InvocationFailedError,
                           SnapshotCorruptedError)
 from repro.workloads import REMINDER_DB, alexa_skills_chain, faasdom_spec
@@ -241,3 +242,37 @@ class TestDbRecovery:
         targets = sorted(s.attrs["target"]
                          for s in record.span.find_all("retry"))
         assert targets == ["db", "param-fetch"]
+
+
+class TestParameterStateRelease:
+    """A clone that never serves its invocation takes its parameter
+    topic and unfetched publish with it."""
+
+    @staticmethod
+    def _assert_released(platform, outcome):
+        fc_id = outcome.span.find("publish").attrs["fc_id"]
+        assert fc_id not in platform.passer._published
+        assert not platform.bus.has_topic(topic_for(fc_id))
+
+    def test_failed_restore_releases_the_clone_topic(self, faulty_platform):
+        platform, spec = faulty_platform
+        # Both restore attempts fail, after the arguments were published.
+        arm(platform, (KIND_RESTORE_CORRUPTION, spec.name,
+                       FireworksPlatform.MAX_RESTORE_ATTEMPTS))
+        with pytest.raises(InvocationFailedError) as excinfo:
+            invoke_once(platform, spec.name)
+        self._assert_released(platform, excinfo.value.failed)
+
+    def test_failed_fetch_releases_the_clone_topic(self, faulty_platform):
+        platform, spec = faulty_platform
+        arm(platform, (KIND_PARAM_FETCH_TIMEOUT, spec.name,
+                       FireworksPlatform.MAX_PARAM_FETCH_ATTEMPTS))
+        with pytest.raises(InvocationFailedError) as excinfo:
+            invoke_once(platform, spec.name)
+        self._assert_released(platform, excinfo.value.failed)
+
+    def test_recovered_invocation_releases_its_clone_topic(
+            self, faulty_platform):
+        platform, spec = faulty_platform
+        arm(platform, (KIND_RESTORE_CORRUPTION, spec.name, 1))
+        self._assert_released(platform, invoke_once(platform, spec.name))

@@ -94,6 +94,17 @@ class TestConsumeAtOffset:
         run(sim, parameter_passer.fetch("fc1"))
         assert "fc1" not in parameter_passer._published
 
+    def test_release_deletes_topic_and_unfetched_offset(self, passer):
+        sim, parameter_passer = passer
+        run(sim, parameter_passer.publish("fc1", {"n": 1}))
+        run(sim, parameter_passer.publish("fc2", {"n": 2}))
+        parameter_passer.release("fc1")
+        assert not parameter_passer.bus.has_topic(topic_for("fc1"))
+        assert "fc1" not in parameter_passer._published
+        # Other clones keep theirs; releasing twice is harmless.
+        parameter_passer.release("fc1")
+        assert run(sim, parameter_passer.fetch("fc2")) == {"n": 2}
+
     def test_fetch_without_tracked_offset_falls_back_to_latest(
             self, passer):
         sim, parameter_passer = passer

@@ -26,6 +26,19 @@ class TestTopics:
         with pytest.raises(BusError):
             bus.create_topic("t")
 
+    def test_delete_drops_topic_and_records(self, bus):
+        bus.produce("t", "a")
+        bus.delete_topic("t")
+        assert not bus.has_topic("t")
+        with pytest.raises(BusError):
+            bus.consume_latest("t")
+        # A re-created topic starts from offset 0 again.
+        assert bus.produce("t", "b").offset == 0
+
+    def test_delete_missing_topic_is_a_no_op(self, bus):
+        bus.delete_topic("ghost")
+        assert bus.topic_names() == ()
+
 
 class TestProduceConsume:
     def test_offsets_increase(self, bus):

@@ -36,9 +36,13 @@ class TestSpanLifecycle:
             return outer
 
         outer = run(sim, body())
-        assert [c.name for c in outer.children] == ["inner"]
+        # Trees are reachable from the top only: the root is the one kept
+        # trace, and walking it reaches the inner span.
+        assert sim.tracer.traces() == (outer,)
+        assert [span.name for span in outer.walk()] == ["outer", "inner"]
         inner = outer.children[0]
-        assert inner.parent is outer
+        assert inner.children == []
+        assert inner.trace_id == outer.trace_id
         assert inner.start_ms == 1.0 and inner.end_ms == 3.0
         assert outer.duration_ms == 6.0
 
