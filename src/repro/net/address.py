@@ -7,7 +7,7 @@ address types here are value objects so equality means "will conflict".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Set
 
 from repro.errors import NetworkError
 
@@ -59,24 +59,43 @@ class MacAddress:
 
 
 class IpAllocator:
-    """Allocates host-side external IPs from a /16-style pool."""
+    """Allocates host-side external IPs from a /16-style pool.
+
+    Addresses go out in order, and a released one is reused only when the
+    cursor comes round to it again after the pool's last address — the
+    way Linux hands out PIDs.  A run that never cycles through the pool
+    therefore sees exactly the addresses it would without reuse, and one
+    that does keeps going for as long as addresses are returned.
+    """
 
     def __init__(self, base: str = "10.128.0.2", count: int = 65000) -> None:
         self._base = IpAddress.parse(base)
         self._count = count
         self._next = 0
+        self._in_use: Set[int] = set()
 
     def allocate(self) -> IpAddress:
-        """Hand out the next unused address."""
-        if self._next >= self._count:
+        """Hand out the next free address at or after the cursor."""
+        in_use = self._in_use
+        if len(in_use) >= self._count:
             raise NetworkError("external IP pool exhausted")
-        address = IpAddress(self._base.value + self._next)
-        self._next += 1
-        return address
+        offset = self._next
+        while offset in in_use:
+            offset = (offset + 1) % self._count
+        in_use.add(offset)
+        self._next = (offset + 1) % self._count
+        return IpAddress(self._base.value + offset)
+
+    def release(self, address: IpAddress) -> None:
+        """Return *address* to the pool; NetworkError if it is not out."""
+        offset = address.value - self._base.value
+        if offset not in self._in_use:
+            raise NetworkError(f"IP {address} is not allocated from this pool")
+        self._in_use.remove(offset)
 
     def allocated(self) -> int:
-        """How many addresses have been handed out."""
-        return self._next
+        """How many addresses are handed out and not yet released."""
+        return len(self._in_use)
 
 
 class MacAllocator:

@@ -58,12 +58,14 @@ class HostBridge:
         return endpoint
 
     def disconnect(self, endpoint: Endpoint) -> None:
-        """Tear down the endpoint's route, NAT rule, and namespace."""
+        """Tear down the endpoint's route, NAT rule, and namespace, and
+        return its external IP to the pool."""
         if endpoint.external_ip not in self._routes:
             raise NetworkError(f"endpoint {endpoint.external_ip} not routed")
         del self._routes[endpoint.external_ip]
         endpoint.namespace.nat.remove_rule(endpoint.external_ip)
         self.namespaces.destroy(endpoint.namespace.name)
+        self._ip_allocator.release(endpoint.external_ip)
 
     def allocate_guest_addresses(self) -> Tuple[IpAddress, MacAddress]:
         """Fresh guest addresses for a VM booted from scratch (no snapshot)."""

@@ -18,16 +18,21 @@ from repro.net.nat import NatTable
 
 
 class TapDevice:
-    """A tap device endpoint inside a namespace."""
+    """A tap device endpoint inside a namespace.
 
-    def __init__(self, name: str, namespace: "NetworkNamespace") -> None:
+    The tap names its namespace rather than pointing at it: the namespace
+    holds its devices, so a back-pointer would make every clone's network
+    state a reference cycle that only the cyclic GC frees.
+    """
+
+    def __init__(self, name: str, namespace_name: str) -> None:
         self.name = name
-        self.namespace = namespace
+        self.namespace_name = namespace_name
         self.rx_packets = 0
         self.tx_packets = 0
 
     def __repr__(self) -> str:
-        return f"<tap {self.namespace.name}/{self.name}>"
+        return f"<tap {self.namespace_name}/{self.name}>"
 
 
 class NetworkNamespace:
@@ -46,7 +51,7 @@ class NetworkNamespace:
         if name in self._devices:
             raise AddressConflictError(
                 f"device {name!r} already exists in namespace {self.name!r}")
-        device = TapDevice(name, self)
+        device = TapDevice(name, self.name)
         self._devices[name] = device
         return device
 

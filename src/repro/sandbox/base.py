@@ -43,7 +43,10 @@ class Sandbox:
         self.latency: SandboxLatency = params.latency(self.mechanism)
         self.layout = params.memory_layout(language)
         self.language = language
-        self.name = name or f"{self.mechanism}-{id(self):x}"
+        if not name:
+            sim.sandbox_serial += 1
+            name = f"{self.mechanism}-{sim.sandbox_serial}"
+        self.name = name
         self.io = IoPathModel(self.latency)
         self.space = AddressSpace(host_memory, name=self.name)
         self.state = STATE_CREATED

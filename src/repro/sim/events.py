@@ -131,18 +131,34 @@ class Timeout(Event):
                  name: str = "") -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        # The default name used to be rendered eagerly with an f-string;
-        # at millions of timeouts per replay that formatting dominated
-        # construction, so __repr__ now renders it lazily instead.
-        super().__init__(sim, name)
+        # Timeouts are the most common event of every replay, so this is
+        # Event.__init__ plus Simulation._schedule written out in place:
+        # the same slots, a pooled callbacks list, and the same queue
+        # entry, pushed at the same point through the same router (which
+        # the heap-only reference kernel relies on to see every push).
+        self.sim = sim
+        self.name = name
+        cb_pool = sim._cb_pool
+        self.callbacks = cb_pool.pop() if cb_pool else []
+        self._value = PENDING
+        self._ok = None
+        self.on_abandoned = None
         self.delay = delay
         self._deferred_value = value
-        sim._schedule(self, delay=delay)
+        sim._sequence = seq = sim._sequence + 1
+        sim._push_normal((sim._now + delay, 1, seq, self))
 
     def _fire(self) -> None:
+        # _run_callbacks, inlined (see there for the recycling rule).
         self._ok = True
         self._value = self._deferred_value
-        self._run_callbacks()
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+        callbacks.clear()
+        cb_pool = self.sim._cb_pool
+        if len(cb_pool) < 1024:
+            cb_pool.append(callbacks)
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else (

@@ -181,6 +181,9 @@ class Simulation:
         #: Total events fired by this simulation (timers and wakeups
         #: included); bench tooling derives events/sec from this.
         self.events_processed = 0
+        #: Sandboxes named so far without an explicit name; the next one
+        #: is ``<mechanism>-<serial>``, so names repeat from run to run.
+        self.sandbox_serial = 0
         # -- pending-event structure (see the module docstring) -----------
         self._use_heap = queue == "heap"
         self._heap: List[_HeapEntry] = []
@@ -218,7 +221,7 @@ class Simulation:
     def timeout(self, delay: float, value: Any = None,
                 name: str = "") -> Timeout:
         """Create an event that fires ``delay`` ms from now."""
-        return Timeout(self, delay, value=value, name=name)
+        return Timeout(self, delay, value, name)
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str = "") -> Process:

@@ -15,13 +15,15 @@ Determinism notes:
   (``(i * n) // k``), never ``hash()`` — results are independent of
   ``PYTHONHASHSEED``;
 * the last chunk is sized so the per-chunk sizes ledger back to the image
-  size by construction (``size - (n-1) * chunk``), not by accumulation.
+  size by construction (``size - (n-1) * chunk``), not by accumulation;
+* :meth:`ChunkMap.bytes_mb` is bit-identical to an exactly rounded
+  ``math.fsum`` of the per-chunk sizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
 from repro.errors import ValidationError
@@ -43,6 +45,10 @@ class ChunkMap:
 
     size_mb: float
     chunk_size_mb: float = DEFAULT_CHUNK_MB
+    #: Number of chunks; the last one may be partial.  The map is a
+    #: frozen value, so this and the tail size are derived once.
+    n_chunks: int = field(init=False, repr=False, compare=False)
+    _last_mb: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_mb <= 0.0:
@@ -51,12 +57,11 @@ class ChunkMap:
         if self.chunk_size_mb <= 0.0:
             raise ValidationError(
                 f"chunk size must be positive, got {self.chunk_size_mb}")
-
-    @property
-    def n_chunks(self) -> int:
-        """Number of chunks; the last one may be partial."""
-        return max(1, int(math.ceil(self.size_mb / self.chunk_size_mb
-                                    - 1e-12)))
+        n = max(1, int(math.ceil(self.size_mb / self.chunk_size_mb
+                                 - 1e-12)))
+        object.__setattr__(self, "n_chunks", n)
+        object.__setattr__(self, "_last_mb",
+                           self.size_mb - self.chunk_size_mb * (n - 1))
 
     def chunk_mb(self, index: int) -> float:
         """Size of chunk *index* in MiB (the last chunk may be partial)."""
@@ -64,13 +69,32 @@ class ChunkMap:
         if not 0 <= index < n:
             raise ValidationError(
                 f"chunk index {index} out of range [0, {n})")
-        if index < n - 1:
-            return self.chunk_size_mb
-        return self.size_mb - self.chunk_size_mb * (n - 1)
+        return self.chunk_size_mb if index < n - 1 else self._last_mb
 
     def bytes_mb(self, indices: Iterable[int]) -> float:
-        """Total MiB covered by *indices* (each counted once)."""
-        return math.fsum(self.chunk_mb(i) for i in set(indices))
+        """Total MiB covered by *indices* (each counted once).
+
+        Equal (``==``) to ``math.fsum`` of :meth:`chunk_mb` over the set:
+        without the tail chunk the sum is ``count`` equal terms, and the
+        rounded product ``count * chunk_size_mb`` is that exact sum
+        rounded once, as ``fsum`` rounds it.  With the tail the product
+        could round before the add, so that case still sums exactly.
+        """
+        chosen = set(indices)
+        if not chosen:
+            return 0.0
+        n = self.n_chunks
+        low = min(chosen)
+        high = max(chosen)
+        if low < 0 or high >= n:
+            bad = low if low < 0 else high
+            raise ValidationError(
+                f"chunk index {bad} out of range [0, {n})")
+        count = len(chosen)
+        if high < n - 1:
+            return count * self.chunk_size_mb
+        return math.fsum([self.chunk_size_mb] * (count - 1)
+                         + [self._last_mb])
 
     def spread(self, want_mb: float) -> Tuple[int, ...]:
         """A deterministic chunk set covering at least *want_mb*.

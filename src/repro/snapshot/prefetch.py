@@ -78,7 +78,9 @@ class ReapRecorder:
         private (CoW-broken + fresh) pages plus the hot fraction of the
         still-clean mapped pages it executed over.  The covering chunk set
         is derived on the image's chunk map with the recorder's
-        granularity.
+        granularity — or, when the previous profile was recorded on the
+        same image generation with the same granularity and the same
+        working set, reused from it: the set is a pure function of those.
         """
         if worker.invocations == 0:
             raise StateError(
@@ -86,16 +88,25 @@ class ReapRecorder:
         space = worker.sandbox.space
         vmm_mb = (space.region_rss_mb("vmm")
                   if space.has_region("vmm") else 0.0)
-        private_mb = space.uss_mb() - vmm_mb
-        clean_mb = space.rss_mb() - space.uss_mb()
+        uss_mb = space.uss_mb()
+        private_mb = uss_mb - vmm_mb
+        clean_mb = space.rss_mb() - uss_mb
         working_set_mb = max(0.0, private_mb
                              + clean_mb * CLEAN_TOUCH_FRACTION)
+        previous = self._profiles.get(image.key)
+        if (previous is not None and previous.matches(image)
+                and previous.chunk_size_mb == self.chunk_size_mb
+                and previous.working_set_mb == working_set_mb):
+            chunks = previous.chunks
+        else:
+            chunks = image.chunk_map(self.chunk_size_mb).spread(
+                working_set_mb)
         profile = WorkingSetProfile(
             image_key=image.key,
             generation=image.generation,
             working_set_mb=working_set_mb,
             recorded_at_ms=now_ms,
-            chunks=image.chunk_map(self.chunk_size_mb).spread(working_set_mb),
+            chunks=chunks,
             chunk_size_mb=self.chunk_size_mb,
         )
         self._profiles[image.key] = profile

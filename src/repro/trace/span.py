@@ -16,13 +16,17 @@ Spans form a tree per trace, linked top-down only: a span holds its
 and refcounting frees it the moment nothing holds its root.  ``kept`` says
 whether the tracer keeps the span's tree (see
 :data:`~repro.trace.tracer.KEPT_ROOTS`); every span of a tree carries its
-root's decision.  Spans are context managers (opening/closing is delegated
-to the :class:`~repro.trace.tracer.Tracer` that issued them).
+root's decision.  Spans are context managers: opening one attaches it
+under the innermost open span of the current process (or makes it a root
+of the :class:`~repro.trace.tracer.Tracer` that issued it) and pushes it
+on that process's span stack; closing it pops it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.errors import TraceError
 
 
 class Span:
@@ -84,14 +88,43 @@ class Span:
         return [span for span in self.walk() if span.name == name]
 
     # -- context manager -----------------------------------------------------
+    # Opening and closing run once per stage of every invocation, so each
+    # is one body: resolve the current process's span stack, then attach
+    # and push (or check and pop) in place.
     def __enter__(self) -> "Span":
-        self._tracer._start(self)
+        tracer = self._tracer
+        sim = tracer.sim
+        process = sim._active_process
+        if process is None:
+            stack = tracer._default_stack
+        else:
+            stack = process.trace_stack
+            if stack is None:
+                stack = process.trace_stack = []
+        if stack:
+            parent = stack[-1]
+            self.trace_id = parent.trace_id
+            self.kept = parent.kept
+            parent.children.append(self)
+        else:
+            tracer._attach(self, stack)
+        self.start_ms = sim._now
+        stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc is not None:
             self.attrs.setdefault("error", type(exc).__name__)
-        self._tracer._finish(self)
+        tracer = self._tracer
+        sim = tracer.sim
+        process = sim._active_process
+        stack = (tracer._default_stack if process is None
+                 else process.trace_stack)
+        if not stack or stack[-1] is not self:
+            raise TraceError(
+                f"closing {self!r} which is not the innermost open span")
+        stack.pop()
+        self.end_ms = sim._now
         return False
 
     def __repr__(self) -> str:

@@ -72,8 +72,7 @@ class Tracer:
         only applies when the span turns out to be a root; children always
         inherit the root's id.
         """
-        return Span(self, name, phase=phase, kind=kind, trace_id=trace_id,
-                    attrs=attrs)
+        return Span(self, name, phase, kind, trace_id, attrs)
 
     def add_span(self, name: str, start_ms: float, end_ms: float,
                  phase: Optional[str] = None, kind: Optional[str] = None,
@@ -106,24 +105,9 @@ class Tracer:
             self._attach(span)
         return span
 
-    # -- lifecycle (called by Span.__enter__/__exit__) --------------------------
-    def _start(self, span: Span) -> None:
-        # Resolve the stack once for both attach and push: span open/close
-        # runs for every stage of every invocation.
-        stack = self._stack()
-        self._attach(span, stack)
-        span.start_ms = self.sim._now
-        stack.append(span)
-
-    def _finish(self, span: Span) -> None:
-        stack = self._stack()
-        if not stack or stack[-1] is not span:
-            raise TraceError(
-                f"closing {span!r} which is not the innermost open span")
-        stack.pop()
-        span.end_ms = self.sim._now
-
+    # -- attachment ------------------------------------------------------------
     def _attach(self, span: Span, stack: Optional[List[Span]] = None) -> None:
+        # Span.__enter__ attaches a child inline and calls this for roots.
         if stack is None:
             stack = self._stack()
         if stack:

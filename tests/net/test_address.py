@@ -54,6 +54,38 @@ class TestAllocators:
         with pytest.raises(NetworkError):
             allocator.allocate()
 
+    def test_ip_allocator_hands_out_fresh_addresses_first(self):
+        """Until the pool wraps, a release changes no later address."""
+        allocator = IpAllocator(count=4)
+        first = allocator.allocate()
+        second = allocator.allocate()
+        allocator.release(first)
+        assert allocator.allocate() == IpAddress(second.value + 1)
+        assert allocator.allocate() == IpAddress(second.value + 2)
+        assert allocator.allocated() == 3
+
+    def test_ip_allocator_reuses_in_order_after_wrapping(self):
+        allocator = IpAllocator(count=3)
+        a, b, c = (allocator.allocate() for _ in range(3))
+        allocator.release(c)
+        allocator.release(a)
+        # The cursor wraps to the pool's start, skipping b (still out).
+        assert allocator.allocate() == a
+        assert allocator.allocate() == c
+        with pytest.raises(NetworkError):
+            allocator.allocate()
+        allocator.release(b)
+        assert allocator.allocate() == b
+
+    def test_ip_release_of_an_unallocated_address_raises(self):
+        allocator = IpAllocator(count=2)
+        address = allocator.allocate()
+        allocator.release(address)
+        with pytest.raises(NetworkError):
+            allocator.release(address)
+        with pytest.raises(NetworkError):
+            allocator.release(IpAddress.parse("1.2.3.4"))
+
     def test_mac_allocator_unique(self):
         allocator = MacAllocator()
         macs = {allocator.allocate() for _ in range(100)}

@@ -1,5 +1,8 @@
 """Unit tests for the host bridge (Figure 5 end-to-end path)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import NetworkError
@@ -82,3 +85,37 @@ class TestLifecycle:
         pairs = [bridge.allocate_guest_addresses() for _ in range(20)]
         assert len({ip for ip, _ in pairs}) == 20
         assert len({mac for _, mac in pairs}) == 20
+
+
+class TestTeardownReleasesEverything:
+    def test_namespace_freed_by_refcounting(self, bridge):
+        """A retired clone's network state goes without the cyclic GC."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            endpoint = bridge.connect_guest(GUEST_IP, GUEST_MAC)
+            namespace = weakref.ref(endpoint.namespace)
+            tap = weakref.ref(endpoint.tap)
+            bridge.disconnect(endpoint)
+            del endpoint
+            assert namespace() is None
+            assert tap() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_tap_repr_names_its_namespace(self, bridge):
+        endpoint = bridge.connect_guest(GUEST_IP, GUEST_MAC)
+        assert repr(endpoint.tap) == f"<tap {endpoint.namespace.name}/tap0>"
+
+    def test_external_ips_are_recycled(self, bridge):
+        """More connect/disconnect cycles than the pool has addresses."""
+        for _ in range(70_000):
+            bridge.disconnect(bridge.connect_guest(GUEST_IP, GUEST_MAC))
+        assert bridge.endpoint_count() == 0
+
+    def test_pool_still_bounds_simultaneous_endpoints(self, bridge):
+        for _ in range(65_000):
+            bridge.connect_guest(GUEST_IP, GUEST_MAC)
+        with pytest.raises(NetworkError, match="exhausted"):
+            bridge.connect_guest(GUEST_IP, GUEST_MAC)

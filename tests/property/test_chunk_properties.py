@@ -1,8 +1,10 @@
 """Property tests: chunk maps, recorded working sets, and the lazy ledger.
 
-Three invariants must hold for *any* image geometry and working-set size,
+Four invariants must hold for *any* image geometry and working-set size,
 not just the calibrated defaults:
 
+* the chunk geometry is exact: ``n_chunks`` and ``bytes_mb`` equal
+  (``==``) the per-chunk formulas they replace;
 * the recorded chunk set is always a subset of the image's chunks, and it
   covers at least the recorded working set;
 * a lazy restore's byte ledger is exact — ``covered + faulted ==
@@ -11,6 +13,7 @@ not just the calibrated defaults:
 """
 
 import functools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,51 @@ sizes_mb = st.floats(min_value=0.125, max_value=4096.0,
                      allow_nan=False, allow_infinity=False)
 chunk_sizes_mb = st.floats(min_value=0.125, max_value=64.0,
                            allow_nan=False, allow_infinity=False)
+
+
+def _reference_n_chunks(size, chunk):
+    return max(1, int(math.ceil(size / chunk - 1e-12)))
+
+
+def _reference_bytes_mb(size, chunk, indices):
+    """One ``fsum`` term per distinct chunk, the last one partial."""
+    n = _reference_n_chunks(size, chunk)
+    return math.fsum(chunk if i < n - 1 else size - chunk * (n - 1)
+                     for i in set(indices))
+
+
+class TestChunkGeometryIsExact:
+    @given(size=sizes_mb, chunk=chunk_sizes_mb, data=st.data())
+    @settings(max_examples=400)
+    def test_bytes_mb_equals_the_per_chunk_fsum(self, size, chunk, data):
+        cmap = ChunkMap(size, chunk)
+        n = cmap.n_chunks
+        assert n == _reference_n_chunks(size, chunk)
+        indices = data.draw(st.lists(st.integers(0, n - 1), max_size=200))
+        if data.draw(st.booleans()):
+            indices.append(n - 1)  # the partial tail chunk
+        assert cmap.bytes_mb(indices) == _reference_bytes_mb(size, chunk,
+                                                             indices)
+
+    @given(count=st.integers(min_value=1, max_value=4096),
+           chunk=st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.1, 3.3]),
+           tail=st.floats(min_value=0.01, max_value=0.99),
+           data=st.data())
+    @settings(max_examples=300)
+    def test_bytes_mb_exact_where_products_round(self, count, chunk, tail,
+                                                 data):
+        # Decimal chunk sizes make ``k * chunk`` inexact, the case where a
+        # closed form with the tail chunk would round twice.
+        size = (count + tail) * chunk
+        cmap = ChunkMap(size, chunk)
+        n = cmap.n_chunks
+        k = data.draw(st.integers(1, n))
+        indices = list(range(n - k, n)) if data.draw(st.booleans()) \
+            else list(range(k))
+        assert cmap.bytes_mb(indices) == _reference_bytes_mb(size, chunk,
+                                                             indices)
+        assert cmap.bytes_mb(cmap.all_chunks()) == _reference_bytes_mb(
+            size, chunk, range(n))
 
 
 class TestChunkMapProperties:

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import SandboxError
+from repro.mem.host_memory import HostMemory
 from repro.sandbox import (Container, GVisorSandbox, MicroVM, V8Isolate,
                            STATE_CREATED, STATE_PAUSED, STATE_RUNNING,
                            STATE_STOPPED)
+from repro.sim.kernel import Simulation
 from tests.helpers import run
 
 
@@ -131,3 +133,23 @@ class TestIsolationLabels:
         assert "medium" in Container.isolation.lower()
         assert "medium" in GVisorSandbox.isolation.lower()
         assert "low" in V8Isolate.isolation.lower()
+
+
+class TestNaming:
+    def test_two_simulations_name_their_first_container_alike(self, params):
+        """Names come from the simulation, not from memory addresses, so
+        traces that carry them replay byte-identically."""
+        first = Container(Simulation(seed=1), params,
+                          HostMemory(params.host), "nodejs")
+        second = Container(Simulation(seed=1), params,
+                           HostMemory(params.host), "nodejs")
+        assert first.name == second.name == "container-1"
+
+    def test_names_count_up_within_a_simulation(self, sim, params, host):
+        names = [cls(sim, params, host, "nodejs").name
+                 for cls in (Container, MicroVM, Container)]
+        assert names == ["container-1", "microvm-2", "container-3"]
+
+    def test_explicit_name_wins(self, sim, params, host, microvm):
+        assert microvm.name == "vm-under-test"
+        assert Container(sim, params, host, "nodejs").name == "container-1"

@@ -5,6 +5,7 @@ import pytest
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.core import FireworksPlatform
 from repro.errors import SnapshotNotFoundError, StateError
+from repro.snapshot.chunks import ChunkMap
 from repro.snapshot.prefetch import ReapRecorder
 from repro.snapshot.restorer import POLICY_DEMAND, POLICY_REAP
 from repro.workloads import faasdom_spec
@@ -74,6 +75,74 @@ class TestRecording:
         platform.recorder.invalidate(spec.name)
         assert platform.recorder.profile_for(
             platform.image_for(spec.name)) is None
+
+
+class TestChunkSetReuse:
+    """The covering chunk set is a pure function of the image generation,
+    the chunk size and the working set: a record that matches the last
+    profile on all three reuses its tuple, anything else derives it."""
+
+    @pytest.fixture
+    def recorded(self, reap_platform, monkeypatch):
+        platform, spec = reap_platform
+        platform.retain_workers = True
+        spreads = []
+        spread = ChunkMap.spread
+
+        def counting_spread(cmap, want_mb):
+            spreads.append(want_mb)
+            return spread(cmap, want_mb)
+
+        monkeypatch.setattr(ChunkMap, "spread", counting_spread)
+        worker = invoke_once(platform, spec.name).worker
+        first = platform.recorder.profile_for(platform.image_for(spec.name))
+        assert len(spreads) == 1
+        return platform, spec, worker, first, spreads
+
+    def test_same_working_set_reuses_the_tuple(self, recorded):
+        platform, spec, worker, first, spreads = recorded
+        second = platform.recorder.record(
+            platform.image_for(spec.name), worker,
+            now_ms=first.recorded_at_ms + 5.0)
+        assert second.working_set_mb == first.working_set_mb
+        assert second.chunks is first.chunks
+        assert second.recorded_at_ms == first.recorded_at_ms + 5.0
+        assert len(spreads) == 1
+
+    def test_next_invocation_reuses_the_tuple(self, recorded):
+        platform, spec, _worker, first, spreads = recorded
+        invoke_once(platform, spec.name)
+        second = platform.recorder.profile_for(platform.image_for(spec.name))
+        assert second is not first
+        assert second.chunks is first.chunks
+        assert len(spreads) == 1
+
+    def test_regenerated_image_recomputes(self, recorded):
+        platform, spec, worker, first, spreads = recorded
+        sim = platform.sim
+        new_image = sim.run(sim.process(
+            platform.regenerate_snapshot(spec.name)))
+        second = platform.recorder.record(new_image, worker, sim.now)
+        assert second.generation == first.generation + 1
+        assert second.chunks == first.chunks
+        assert len(spreads) == 2
+
+    def test_changed_working_set_recomputes(self, recorded):
+        platform, spec, worker, first, spreads = recorded
+        worker.sandbox.space.dirty_mb("heap", 8.0)
+        second = platform.recorder.record(
+            platform.image_for(spec.name), worker, platform.sim.now)
+        assert second.working_set_mb > first.working_set_mb
+        assert spreads[-1] == second.working_set_mb
+        assert len(spreads) == 2
+
+    def test_changed_chunk_size_recomputes(self, recorded):
+        platform, spec, worker, first, spreads = recorded
+        platform.recorder.chunk_size_mb = 2 * first.chunk_size_mb
+        second = platform.recorder.record(
+            platform.image_for(spec.name), worker, platform.sim.now)
+        assert second.chunk_size_mb == 2 * first.chunk_size_mb
+        assert len(spreads) == 2
 
 
 class TestPolicyInteraction:

@@ -86,7 +86,7 @@ class TestSpanLifecycle:
         outer.__enter__()
         inner.__enter__()
         with pytest.raises(TraceError):
-            tracer._finish(outer)
+            outer.__exit__(None, None, None)
 
     def test_current_tracks_innermost(self, sim):
         tracer = sim.tracer
