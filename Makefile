@@ -1,15 +1,12 @@
 # Convenience targets for the Fireworks reproduction.
 
-.PHONY: install test bench report examples serve serve-smoke all clean
+.PHONY: install test report examples serve serve-smoke all clean
 
 install:
 	python setup.py develop
 
 test:
 	pytest tests/
-
-bench:
-	pytest benchmarks/ --benchmark-only
 
 report:
 	python -m repro report
@@ -27,7 +24,7 @@ examples:
 		python $$ex > /dev/null && echo ok || exit 1; \
 	done
 
-all: test bench
+all: test
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

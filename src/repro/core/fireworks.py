@@ -170,7 +170,7 @@ class FireworksPlatform(ServerlessPlatform):
                     # the pool back up instead of waiting for a tick.
                     self.autoscaler.on_warm_taken(spec.name, host)
                     result = yield from self._invoke_pooled(
-                        spec, entry.worker, fc_rec[0])
+                        spec, entry.worker, fc_rec[0], host)
                     return result
                 # Unknown provenance: never serve a clone whose fcID we
                 # lost — reclaim it and fall through to a normal restore.
@@ -220,13 +220,15 @@ class FireworksPlatform(ServerlessPlatform):
             self.passer.release(fc_id)
             raise
 
-        yield from self._fetch_params(spec, fc_id)
+        yield from self._fetch_params(spec, worker, fc_id, host)
         return worker, MODE_SNAPSHOT, publish_ms
 
-    def _fetch_params(self, spec: FunctionSpec, fc_id: str):
+    def _fetch_params(self, spec: FunctionSpec, worker: Worker, fc_id: str,
+                      host: Host):
         """Step (8): the resumed guest reads its fcID and fetches the
         parameters, retrying transient broker failures.  A fetch that
-        fails for good releases the clone's parameter state."""
+        fails for good retires the clone through its host's manager and
+        releases its parameter state."""
         tracer = self.sim.tracer
         for attempt in range(1, self.MAX_PARAM_FETCH_ATTEMPTS + 1):
             try:
@@ -239,6 +241,7 @@ class FireworksPlatform(ServerlessPlatform):
                 if fault.kind != KIND_PARAM_FETCH_TIMEOUT or \
                         attempt == self.MAX_PARAM_FETCH_ATTEMPTS:
                     self.passer.release(fc_id)
+                    self._retire(worker, host)
                     raise
                 self.param_fetch_retries += 1
                 with tracer.span("retry", kind="retry",
@@ -251,7 +254,7 @@ class FireworksPlatform(ServerlessPlatform):
                 f"got {params!r}")
 
     def _invoke_pooled(self, spec: FunctionSpec, worker: Worker,
-                       fc_id: str):
+                       fc_id: str, host: Host):
         """Steps (5)+(8) only: the clone is already restored and waiting.
 
         Publish the arguments to its topic, let the guest fetch them —
@@ -264,7 +267,7 @@ class FireworksPlatform(ServerlessPlatform):
                          pooled=True):
             yield from self.passer.publish(fc_id, {"function": spec.name})
         publish_ms = self.sim.now - started
-        yield from self._fetch_params(spec, fc_id)
+        yield from self._fetch_params(spec, worker, fc_id, host)
         self.pool_hits += 1
         return worker, MODE_WARM, publish_ms
 
@@ -291,8 +294,14 @@ class FireworksPlatform(ServerlessPlatform):
         fc_rec = self._warm_fc_ids.pop(entry.worker, None)
         if fc_rec is not None:
             self.passer.release(fc_rec[0])
-        self.sim.process(self.manager_for(host).retire(entry.worker),
-                         name=f"warm-discard:{entry.worker.sandbox.name}")
+        self._retire(entry.worker, host, label="warm-discard")
+
+    def _retire(self, worker: Worker, host: Host,
+                label: str = "retire") -> None:
+        """Tear a clone down through its host's manager (netns/NAT
+        teardown), off the caller's critical path."""
+        self.sim.process(self.manager_for(host).retire(worker),
+                         name=f"{label}:{worker.sandbox.name}")
 
     def on_host_crash(self, host: Host) -> None:
         """Drop fcID bookkeeping and parameter state for clones that died
@@ -315,8 +324,7 @@ class FireworksPlatform(ServerlessPlatform):
             # Clone reclamation happens off the response's critical path;
             # its parameter topic goes with it.
             self.passer.release(worker.sandbox.mmds.get("fcID"))
-            self.sim.process(self.manager_for(host).retire(worker),
-                             name=f"retire:{worker.sandbox.name}")
+            self._retire(worker, host)
         return
         yield  # pragma: no cover
 

@@ -28,8 +28,8 @@ and this loop dominates every experiment's run time.  Pops take the
 minimum of the tier heads by plain tuple comparison, so the pop order is
 the exact ``(time, urgent_rank, sequence)`` total order of the old heap,
 which `tests/property/test_kernel_equivalence.py` checks by differential
-testing against ``Simulation(queue="heap")``, with programs large enough
-to fill the bucket ring.
+testing against a reference subclass that pushes every entry onto the
+heap, with programs large enough to fill the bucket ring.
 
 Two pooled, slot-only payload types ride the queue alongside full
 :class:`~repro.sim.events.Event` objects:
@@ -161,17 +161,9 @@ class Simulation:
         When False, a failed ``run(until=event)`` target does not raise
         either: the exception comes back as the return value and the
         caller inspects ``event.ok``.
-    queue:
-        ``"calendar"`` (default) uses the bucketed scheduler;
-        ``"heap"`` routes every entry through the overflow heap, which
-        reproduces the pre-rewrite single-heapq kernel.  Both orders are
-        identical; the option exists for differential testing.
     """
 
-    def __init__(self, seed: int = 2022, strict: bool = True,
-                 queue: str = "calendar") -> None:
-        if queue not in ("calendar", "heap"):
-            raise SimulationError(f"unknown queue implementation {queue!r}")
+    def __init__(self, seed: int = 2022, strict: bool = True) -> None:
         self._now = 0.0
         self._sequence = 0
         self._active_process: Optional[Process] = None
@@ -185,7 +177,6 @@ class Simulation:
         #: is ``<mechanism>-<serial>``, so names repeat from run to run.
         self.sandbox_serial = 0
         # -- pending-event structure (see the module docstring) -----------
-        self._use_heap = queue == "heap"
         self._heap: List[_HeapEntry] = []
         self._dq: deque = deque()
         self._dq_time = -1.0
@@ -242,9 +233,6 @@ class Simulation:
 
         Mirrored inline in :meth:`schedule_timeout`; keep the two in sync.
         """
-        if self._use_heap:
-            heappush(self._heap, entry)
-            return
         t = entry[0]
         dq = self._dq
         if dq:
@@ -307,9 +295,6 @@ class Simulation:
         t = self._now + delay
         entry = (t, 1, seq, timer)
         # -- inline _push_normal (hot path) --
-        if self._use_heap:
-            heappush(self._heap, entry)
-            return
         dq = self._dq
         if dq:
             if t == self._dq_time:

@@ -20,6 +20,7 @@ from repro.bench.harness import fresh_cluster_platform, install_all
 from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
                          ChaosEvent, ChaosPlan, HostFailureController)
 from repro.core.fireworks import FireworksPlatform
+from repro.errors import InvocationFailedError
 from repro.workloads.faasdom import faasdom_spec
 
 FUNCTION = "scaler-fn"
@@ -146,6 +147,26 @@ class TestPlanFaultsOnThePool:
         assert platform.param_fetch_retries == 1
         assert platform.failed_invocations == []
         sim.run()
+
+    def test_pooled_clone_retired_when_its_fetch_fails_for_good(self):
+        def drained_home(fail):
+            platform, _scaler, start = _predictive_platform()
+            home = platform.cluster.home_host(FUNCTION)
+            sim = platform.sim
+            sim.run(until=start + 2_500.0)   # one tick parks two clones
+            if fail:
+                _arm_now(platform, KIND_PARAM_FETCH_TIMEOUT,
+                         FireworksPlatform.MAX_PARAM_FETCH_ATTEMPTS)
+                with pytest.raises(InvocationFailedError):
+                    sim.run(sim.process(platform.invoke(FUNCTION)))
+            else:
+                assert sim.run(sim.process(
+                    platform.invoke(FUNCTION))).mode == "warm"
+            sim.run()
+            return (len(home.bridge.namespaces),
+                    home.bridge.endpoint_count(), home.memory.used_mb)
+
+        assert drained_home(fail=True) == drained_home(fail=False)
 
     def test_one_corrupted_provision_is_counted_and_reprovisioned(self):
         platform, scaler, start = _predictive_platform()

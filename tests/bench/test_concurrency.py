@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.concurrency import COMPARISON_PLATFORMS, run_burst
+from repro.bench.engine import run_experiments
 from repro.core.fireworks import FireworksPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
 
@@ -48,3 +49,25 @@ class TestBurstComparison:
         makespans = {name: result.makespan_ms
                      for name, result in comparison.items()}
         assert min(makespans, key=makespans.get) == "fireworks"
+
+
+class TestBurstExperiment:
+    """The catalog ``burst``: 256 simultaneous faas-netlatency requests on
+    the paper's 64-core host."""
+
+    @pytest.fixture(scope="class")
+    def burst(self):
+        return run_experiments(["burst"], use_cache=False).results["burst"]
+
+    def test_fireworks_tail_far_below_baselines(self, burst):
+        fireworks = burst["fireworks"].latency.p99_ms
+        assert fireworks < burst["openwhisk"].latency.p99_ms / 5
+        assert fireworks < burst["firecracker"].latency.p99_ms / 20
+
+    def test_fireworks_drains_the_burst_fastest(self, burst):
+        assert burst["fireworks"].makespan_ms < min(
+            burst["openwhisk"].makespan_ms, burst["firecracker"].makespan_ms)
+
+    def test_only_openwhisk_recycles_mid_burst(self, burst):
+        assert burst["openwhisk"].warm_share > 0.3
+        assert burst["firecracker"].warm_share == 0.0

@@ -1,5 +1,6 @@
-"""Unit tests for the per-figure experiment drivers (structure, not bands —
-the bands live in benchmarks/ and tests/integration/)."""
+"""Unit tests for the per-figure experiment drivers: structure and the
+paper's tables.  The §5 bands live in tests/integration/test_paper_claims.py.
+"""
 
 import pytest
 
@@ -75,6 +76,29 @@ class TestTables:
         assert [row["platform"] for row in rows] == [
             "firecracker", "openwhisk", "gvisor", "cloudflare-workers",
             "catalyzer", "fireworks"]
+
+    def test_table1_isolation_and_efficiency_labels(self):
+        by_name = {row["platform"]: row for row in run_table1()}
+        assert by_name["fireworks"]["isolation"] == "High (VM)"
+        assert by_name["firecracker"]["isolation"] == "High (VM)"
+        assert "container" in by_name["openwhisk"]["isolation"].lower()
+        assert "extreme" in by_name["fireworks"]["performance"].lower()
+        assert "extreme" in \
+            by_name["fireworks"]["memory_efficiency"].lower()
+
+    def test_table2_applications(self):
+        rows = run_table2()
+        assert {row["application"] for row in rows} == {
+            "FaaSdom: faas-fact",
+            "FaaSdom: faas-matrix-mult",
+            "FaaSdom: faas-diskio",
+            "FaaSdom: faas-netlatency",
+            "ServerlessBench: alexa-skills",
+            "ServerlessBench: data-analysis",
+        }
+        faasdom = [row for row in rows
+                   if row["application"].startswith("FaaSdom")]
+        assert all(row["language"] == "Node.js, Python" for row in faasdom)
 
     def test_table2_languages(self):
         rows = run_table2()

@@ -6,6 +6,7 @@ from repro.bench.concurrency import LoadPoint, run_load_sweep
 from repro.bench.stats import LatencyStats
 from repro.core.fireworks import FireworksPlatform
 from repro.platforms.firecracker import FirecrackerPlatform
+from repro.platforms.openwhisk import OpenWhiskPlatform
 
 
 class TestLoadPoint:
@@ -44,3 +45,38 @@ class TestSweep:
         b = run_load_sweep(FireworksPlatform, rates_rps=(50.0,),
                            duration_ms=3000.0, seed=5)
         assert a[50.0].latency.p99_ms == b[50.0].latency.p99_ms
+
+
+class TestThreePlatformSweep:
+    """Open-loop faas-netlatency at 25-400 rps on the 64-core host: where
+    each platform saturates (§2.2's consolidation argument, as
+    throughput)."""
+
+    RATES = (25.0, 100.0, 400.0)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return {cls.name: run_load_sweep(cls, rates_rps=self.RATES,
+                                         duration_ms=8000.0)
+                for cls in (FireworksPlatform, OpenWhiskPlatform,
+                            FirecrackerPlatform)}
+
+    def test_fireworks_flat_and_never_saturated(self, sweep):
+        p50s = [point.latency.p50_ms for point in sweep["fireworks"].values()]
+        assert max(p50s) - min(p50s) < 5.0
+        assert not any(point.saturated
+                       for point in sweep["fireworks"].values())
+
+    def test_firecracker_capped_by_cores_over_boot_time(self, sweep):
+        """Throughput caps at cores / per-request core occupancy (~2.37 s
+        of boot and exec)."""
+        top = sweep["firecracker"][max(self.RATES)]
+        assert top.saturated
+        assert top.achieved_rps == pytest.approx(64 / 2.37, rel=0.15)
+
+    def test_openwhisk_keeps_throughput_with_a_heavy_tail(self, sweep):
+        top_rate = max(self.RATES)
+        openwhisk = sweep["openwhisk"][top_rate]
+        assert openwhisk.achieved_rps > 300
+        assert openwhisk.latency.p99_ms > \
+            10 * sweep["fireworks"][top_rate].latency.p99_ms

@@ -60,3 +60,28 @@ class TestDirections:
             "cold_start_speedup_x")
         assert result.metric_range > 0
         assert "sensitivity" in result.as_table()
+
+
+class TestHeadlineSweeps:
+    """The two four-point sweeps behind the Fig 6a claims."""
+
+    def test_exec_improvement_tracks_hotness_threshold(self):
+        sweep = run_sensitivity("nodejs.hotness_threshold_units",
+                                [2000.0, 4000.0, 8000.0, 16000.0],
+                                "node_exec_improvement_pct")
+        values = [point.metric for point in sweep.points]
+        assert values == sorted(values)
+        # The calibrated point (8000 units) sits at the paper's 38%.
+        assert abs(sweep.points[2].metric - 38.0) < 4.0
+
+    def test_cold_start_speedup_is_the_working_set_lever(self):
+        """The cold-start speedup falls with the snapshot working set
+        (REAP's lever, arXiv:2101.09355), and the claimed 59.8x-133x
+        range is reachable within plausible working sets."""
+        sweep = run_sensitivity("nodejs.snapshot_working_set_fraction",
+                                [0.05, 0.15, 0.30, 0.60],
+                                "cold_start_speedup_x")
+        values = [point.metric for point in sweep.points]
+        assert values == sorted(values, reverse=True)
+        assert values[0] > 133
+        assert values[-1] < 80

@@ -4,7 +4,8 @@ host-local warm containers on a multi-host cluster."""
 import pytest
 
 from repro.bench.engine import run_experiments
-from repro.platforms.scheduler import POLICY_HASH, POLICY_ROUND_ROBIN
+from repro.platforms.scheduler import (POLICY_HASH, POLICY_ROUND_ROBIN,
+                                       POLICY_SNAPSHOT_LOCALITY)
 
 
 class TestClusterWarmHits:
@@ -13,13 +14,31 @@ class TestClusterWarmHits:
     warm container expired."""
 
     @pytest.fixture(scope="class", params=[11, 2022])
-    def outcomes(self, request):
-        return run_experiments(["cluster"], seed=request.param,
+    def seed(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def outcomes(self, seed):
+        return run_experiments(["cluster"], seed=seed,
                                use_cache=False).results["cluster"]
 
     def test_hash_beats_round_robin_on_warm_hits(self, outcomes):
         assert outcomes[POLICY_HASH].warm_hit_rate > \
             outcomes[POLICY_ROUND_ROBIN].warm_hit_rate + 0.1
+
+    def test_locality_keeps_restores_on_the_image_host(self, outcomes):
+        """Snapshot-locality placement restores where the image already
+        is; round-robin pays cross-host snapshot transfers."""
+        locality = outcomes[POLICY_SNAPSHOT_LOCALITY]
+        round_robin = outcomes[POLICY_ROUND_ROBIN]
+        assert locality.restore_locality_rate > \
+            round_robin.restore_locality_rate
+        assert locality.cross_host_transfers < \
+            round_robin.cross_host_transfers
+
+    def test_rerun_is_identical(self, outcomes, seed):
+        assert run_experiments(["cluster"], seed=seed, use_cache=False
+                               ).results["cluster"] == outcomes
 
     def test_round_robin_spreads_most_evenly(self, outcomes):
         spreads = {policy: outcome.load_spread

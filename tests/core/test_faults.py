@@ -276,3 +276,31 @@ class TestParameterStateRelease:
         platform, spec = faulty_platform
         arm(platform, (KIND_RESTORE_CORRUPTION, spec.name, 1))
         self._assert_released(platform, invoke_once(platform, spec.name))
+
+
+def _drained_host(platform):
+    """Host 0 once every pending process has run: its namespaces, routes
+    and used memory."""
+    platform.sim.run()
+    bridge = platform.bridge
+    return (len(bridge.namespaces), bridge.endpoint_count(),
+            platform.host_memory.used_mb)
+
+
+class TestCloneRetirement:
+    """A clone whose parameter fetch fails for good is retired like one
+    that served its invocation: no namespace, route or guest page
+    outlives it."""
+
+    def test_failed_fetch_retires_the_clone(self, faulty_platform):
+        platform, spec = faulty_platform
+        arm(platform, (KIND_PARAM_FETCH_TIMEOUT, spec.name,
+                       FireworksPlatform.MAX_PARAM_FETCH_ATTEMPTS))
+        with pytest.raises(InvocationFailedError):
+            invoke_once(platform, spec.name)
+        served = fresh_platform(FireworksPlatform)
+        install_all(served, [spec])
+        invoke_once(served, spec.name)
+        namespaces, routes, used_mb = _drained_host(platform)
+        assert (namespaces, routes) == (0, 0)
+        assert used_mb == _drained_host(served)[2]

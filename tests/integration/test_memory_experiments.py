@@ -74,3 +74,13 @@ class TestFig4Regions:
     def test_pss_never_exceeds_rss(self, node_view):
         for region, stats in node_view.items():
             assert stats["pss_mb"] <= stats["rss_mb"] + 1e-9, region
+
+    def test_sharing_by_region_across_ten_clones(self):
+        """§3.3: the OS, runtime, app text and even the JITted code stay
+        shared; the argument-specific heap is mostly private and the
+        host-side VMM entirely private."""
+        view = run_fig4_view(n_clones=10)
+        for region in ("kernel", "runtime", "app", "jit_code"):
+            assert view[region]["shared_fraction"] > 0.75, region
+        assert view["heap"]["shared_fraction"] < 0.55
+        assert view["vmm"]["shared_fraction"] == 0.0

@@ -7,12 +7,12 @@ the ``(time, urgent_rank, sequence)`` total order the single-heap kernel
 used.  The golden figure hashes ride on that promise; these tests check
 it at two levels:
 
-* kernel level — full simulations built with ``Simulation(queue="calendar")``
-  and ``Simulation(queue="heap")`` must fire the same callbacks at the
-  same times in the same order, including through processes, interrupts
-  and event cancellation (``Timeout`` never fires after its event fails),
-  and with enough pending entries to leave the small-heap tier and fill
-  the bucket ring;
+* kernel level — full simulations on the calendar :class:`Simulation`
+  and on ``_HeapSimulation``, the single-heap reference defined below,
+  must fire the same callbacks at the same times in the same order,
+  including through processes, interrupts and event cancellation
+  (``Timeout`` never fires after its event fails), and with enough
+  pending entries to leave the small-heap tier and fill the bucket ring;
 * condition level — random programs of timeouts, processes, plain events
   (succeeding or failing), already-triggered and already-processed
   children and nested conditions must fire every ``AllOf`` at the same
@@ -23,13 +23,38 @@ it at two levels:
 from __future__ import annotations
 
 import random
+from heapq import heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Condition, Event
 from repro.sim.kernel import _NB as NB_BUCKETS
-from repro.sim.kernel import Simulation
+from repro.sim.kernel import Simulation, _Timer
+
+
+class _HeapSimulation(Simulation):
+    """The pre-rewrite single-heapq kernel: every entry goes through the
+    overflow heap, so the deque and the bucket ring stay empty.
+
+    Kept only here, as the reference the calendar queue must match.
+    """
+
+    def _push_normal(self, entry):
+        heappush(self._heap, entry)
+
+    def schedule_timeout(self, delay, callback, value=None):
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        timer = self._timer_pool.pop() if self._timer_pool else _Timer(self)
+        timer._callback = callback
+        timer._value = value
+        self._sequence = seq = self._sequence + 1
+        heappush(self._heap, (self._now + delay, 1, seq, timer))
+
+
+KERNELS = {"calendar": Simulation, "heap": _HeapSimulation}
 
 # Delays that exercise every tier: same-time (0.0), sub-bucket fractions,
 # exact bucket boundaries, the ring-window edge, and far-future overflow.
@@ -85,7 +110,7 @@ def _run_program(program, queue: str, bucketed=None):
     A ``bulk`` step appends the kernel's bucketed-entry count right after
     it schedules to *bucketed*, when given.
     """
-    sim = Simulation(seed=7, queue=queue)
+    sim = KERNELS[queue](seed=7)
     log = []
 
     def driver():
@@ -161,10 +186,11 @@ def test_bucket_ring_equivalence(before, count, seed, after):
     """Past the small-heap tier: a burst of 1 100-1 500 pending entries
     fills the bucket ring, and the two kernels still agree."""
     program = before + [("bulk", count, seed)] + after
-    bucketed = []
+    bucketed, heap_bucketed = [], []
     calendar = _run_program(program, "calendar", bucketed)
-    assert calendar == _run_program(program, "heap")
+    assert calendar == _run_program(program, "heap", heap_bucketed)
     assert max(bucketed) > 0, "no entry reached the bucket ring"
+    assert max(heap_bucketed) == 0, "the reference used the bucket ring"
 
 
 @given(st.lists(DELAYS, min_size=1, max_size=30),
@@ -173,7 +199,7 @@ def test_bucket_ring_equivalence(before, count, seed, after):
 def test_cancellation_equivalence(delays, cancel_index):
     """Failing one event mid-run never diverges the two kernels."""
     def run(queue):
-        sim = Simulation(seed=7, strict=False, queue=queue)
+        sim = KERNELS[queue](seed=7, strict=False)
         log = []
         events = [sim.event(f"e{i}") for i in range(len(delays))]
         for index, (event, delay) in enumerate(zip(events, delays)):
@@ -255,7 +281,7 @@ def _settle(event, index, ok):
 
 def _run_conditions(program, queue: str, all_of_cls):
     """Run *program* with *all_of_cls* as AllOf; return comparable logs."""
-    sim = Simulation(seed=7, strict=False, queue=queue)
+    sim = KERNELS[queue](seed=7, strict=False)
     history = []
     sim.add_trace_hook(lambda time, item: history.append(
         (time, item.name if isinstance(item, Event)
@@ -312,14 +338,6 @@ def _run_conditions(program, queue: str, all_of_cls):
 def test_all_of_cursor_matches_rescan(program):
     """The cursor AllOf fires at the same queue position, with the same
     value or exception, as the re-scan it replaced, on both queues."""
-    for queue in ("calendar", "heap"):
+    for queue in KERNELS:
         assert (_run_conditions(program, queue, AllOf)
                 == _run_conditions(program, queue, _ScanAllOf))
-
-
-def test_unknown_queue_rejected():
-    import pytest
-
-    from repro.errors import SimulationError
-    with pytest.raises(SimulationError, match="queue"):
-        Simulation(queue="wheel")

@@ -86,3 +86,22 @@ class TestBillingAnalysis:
         assert openwhisk.unbilled_ms > 0
         assert openwhisk.unbilled_ms == pytest.approx(
             openwhisk.resource_ms - openwhisk.billed_ms)
+
+
+class TestBillingAnalysisSparseColdStarts:
+    """One cold start every five of 20 invocations."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return run_billing_analysis(invocations=20, cold_every=5)
+
+    def test_fireworks_bills_nearly_all_resource_time(self, reports):
+        assert reports["fireworks"].billable_efficiency > 0.85
+        assert reports["openwhisk"].billable_efficiency < \
+            reports["fireworks"].billable_efficiency - 0.1
+
+    def test_same_revenue_from_less_hardware_time(self, reports):
+        fireworks, openwhisk = reports["fireworks"], reports["openwhisk"]
+        assert abs(fireworks.revenue_usd - openwhisk.revenue_usd) / \
+            openwhisk.revenue_usd < 0.35
+        assert fireworks.resource_ms < openwhisk.resource_ms

@@ -1,6 +1,6 @@
 """Golden numbers: the exact values the calibrated model produces.
 
-The scorecard (tests/integration, benchmarks/) asserts *bands*; this module
+The claim ledger (repro.bench.paper.CLAIMS) asserts *bands*; this module
 pins *exact* values so an accidental model change — a reordered timeout, a
 changed constant, a different RNG draw — is caught even when it stays
 inside a band.  If you change the model deliberately, update these numbers
