@@ -139,8 +139,7 @@ def _empty_latency() -> LatencyStats:
 
 def _submit(platform, function: str):
     """One open-loop submission: sheds and failures are accounted on the
-    platform (``shedded_invocations`` / ``failed_invocations``), never
-    crash the replay."""
+    platform (its ``ledger``), never crash the replay."""
     try:
         yield from platform.invoke(function)
     except InvocationSheddedError:
@@ -295,23 +294,23 @@ def run_load_platform(
 
     samples = open_loop_replay(platform, trace, duration_ms)
 
-    latencies = array("d", (record.total_ms for record in platform.records))
-    waits = array("d", (record.queue_wait_ms for record in platform.records))
-    warm = sum(1 for record in platform.records
-               if record.mode == MODE_WARM)
+    # Every invocation is read from the platform's ledger: the record
+    # lists keep only the invocations whose trees the tracer kept.
+    ledger = platform.ledger
+    latencies, waits = ledger.total_ms, ledger.queue_wait_ms
     outcome = LoadOutcome(
         platform=platform_name,
         mode=scaler.mode,
         n_hosts=n_hosts,
         requests=len(trace),
-        completed=len(platform.records),
-        shed=len(platform.shedded_invocations),
-        failed=len(platform.failed_invocations),
+        completed=ledger.completed,
+        shed=ledger.shed,
+        failed=ledger.failed,
         latency=(LatencyStats.from_samples(latencies) if latencies
                  else _empty_latency()),
         queue_wait_p50_ms=percentile(waits, 50) if waits else 0.0,
         queue_wait_p99_ms=percentile(waits, 99) if waits else 0.0,
-        warm_starts=warm,
+        warm_starts=ledger.by_mode.get(MODE_WARM, 0),
         provisioned=scaler.provisioned,
         peak_warm_mb=max(samples) if samples else 0.0,
         mean_warm_mb=(sum(samples) / len(samples)) if samples else 0.0)

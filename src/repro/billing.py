@@ -23,6 +23,7 @@ from typing import Iterable, List, Optional
 
 from repro.errors import PlatformError
 from repro.platforms.base import InvocationRecord
+from repro.platforms.ledger import each_invocation
 
 #: AWS Lambda's current billing granularity.
 DEFAULT_GRANULARITY_MS = 1.0
@@ -110,14 +111,13 @@ def bill_records(platform_name: str,
                  rate_per_gb_s: float = DEFAULT_RATE_PER_GB_S,
                  memory_gb: float = DEFAULT_MEMORY_GB,
                  include_chains: bool = True) -> BillingReport:
-    """Bill a set of invocations (chains flattened by default)."""
-    lines: List[BillingLine] = []
-    for record in records:
-        targets = record.chain_records() if include_chains else [record]
-        for target in targets:
-            lines.append(bill_invocation(
-                target, granularity_ms=granularity_ms,
-                rate_per_gb_s=rate_per_gb_s, memory_gb=memory_gb))
+    """Bill a set of invocations, one line each (chains flattened by
+    default, every hop billed once:
+    :func:`~repro.platforms.ledger.each_invocation`)."""
+    lines = [bill_invocation(record, granularity_ms=granularity_ms,
+                             rate_per_gb_s=rate_per_gb_s,
+                             memory_gb=memory_gb)
+             for record in each_invocation(records, include_chains)]
     return BillingReport(platform=platform_name, lines=lines,
                          granularity_ms=granularity_ms)
 

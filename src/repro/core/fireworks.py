@@ -240,8 +240,7 @@ class FireworksPlatform(ServerlessPlatform):
             except InjectedFault as fault:
                 if fault.kind != KIND_PARAM_FETCH_TIMEOUT or \
                         attempt == self.MAX_PARAM_FETCH_ATTEMPTS:
-                    self.passer.release(fc_id)
-                    self._retire(worker, host)
+                    self._discard_worker(worker, host, label="retire")
                     raise
                 self.param_fetch_retries += 1
                 with tracer.span("retry", kind="retry",
@@ -289,17 +288,16 @@ class FireworksPlatform(ServerlessPlatform):
         return WarmEntry(worker, float("inf"), paused=False)
 
     def discard_warm(self, entry, host: Host) -> None:
-        """Retire a pooled clone through its host's manager (netns/NAT
-        teardown), like post-invocation reclamation."""
-        fc_rec = self._warm_fc_ids.pop(entry.worker, None)
-        if fc_rec is not None:
-            self.passer.release(fc_rec[0])
-        self._retire(entry.worker, host, label="warm-discard")
+        """Forget a pooled clone's fcID, then retire it like any clone."""
+        self._warm_fc_ids.pop(entry.worker, None)
+        super().discard_warm(entry, host)
 
-    def _retire(self, worker: Worker, host: Host,
-                label: str = "retire") -> None:
-        """Tear a clone down through its host's manager (netns/NAT
-        teardown), off the caller's critical path."""
+    def _discard_worker(self, worker: Worker, host: Host,
+                        label: str) -> None:
+        """Retire a clone: its parameter topic goes at once, the clone
+        through its host's manager (netns/NAT teardown), off the caller's
+        critical path."""
+        self.passer.release(worker.sandbox.mmds.get("fcID"))
         self.sim.process(self.manager_for(host).retire(worker),
                          name=f"{label}:{worker.sandbox.name}")
 
@@ -321,10 +319,8 @@ class FireworksPlatform(ServerlessPlatform):
             self.recorder.record(self.image_for(spec.name, host), worker,
                                  now_ms=self.sim.now)
         if not self.retain_workers:
-            # Clone reclamation happens off the response's critical path;
-            # its parameter topic goes with it.
-            self.passer.release(worker.sandbox.mmds.get("fcID"))
-            self._retire(worker, host)
+            # Clone reclamation happens off the response's critical path.
+            self._discard_worker(worker, host, label="retire")
         return
         yield  # pragma: no cover
 

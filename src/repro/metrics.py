@@ -1,20 +1,20 @@
 """Operational metrics: per-platform summaries of invocation records.
 
 What a fleet dashboard would show: request counts by start mode, latency
-statistics per function, and the start-up share of total latency — derived
-purely from :class:`InvocationRecord` lists, so any platform (or any
-subset of records) can be summarized.
+statistics per function, and the start-up share of total latency — read
+from an :class:`~repro.platforms.ledger.InvocationLedger`: a platform's own,
+which folds every invocation as it ends, or one folded from any list of
+:class:`InvocationRecord` entries.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.bench.stats import LatencyStats, percentile
 from repro.platforms.base import FailedInvocation, InvocationRecord
-from repro.trace import phase_breakdown
+from repro.platforms.ledger import InvocationLedger, each_invocation
 
 
 @dataclass(frozen=True)
@@ -113,39 +113,33 @@ class PlatformMetrics:
         return "\n".join(lines)
 
 
-def _startup_and_total_ms(record: InvocationRecord):
-    """(startup, total) for one record, preferring its span tree.
-
-    Traced records re-derive the split from their spans (the source of
-    truth since the breakdown rebase); hand-built records without a span
-    (unit-test fixtures, external importers) fall back to the recorded
-    fields.
-    """
-    if record.span is not None:
-        breakdown = phase_breakdown(record.span)
-        return breakdown.startup_ms, breakdown.total_ms
-    return record.startup_ms, record.total_ms
-
-
-class _FunctionAccumulator:
-    """Per-function running aggregates for the single-pass summary."""
-
-    __slots__ = ("modes", "totals", "startup_sum", "total_sum")
-
-    def __init__(self) -> None:
-        self.modes: Dict[str, int] = {}
-        self.totals = array("d")
-        # Seeded with int 0, like the sum() builtin the multi-pass
-        # implementation used, so float accumulation is bit-identical.
-        self.startup_sum = 0
-        self.total_sum = 0
-
-
-def _failure_class(failed: FailedInvocation) -> str:
-    """Coarse failure bucket for the dashboard: the leading word of the
-    reason ('host3 is down ...' -> 'host-down' style buckets would
-    over-fit message text, so bucket on the first token)."""
-    return failed.reason.split(" ", 1)[0] if failed.reason else "unknown"
+def summarize_ledger(platform_name: str,
+                     ledger: InvocationLedger) -> PlatformMetrics:
+    """The operational summary of everything *ledger* folded: a
+    platform's own summary is ``summarize_ledger(platform.name,
+    platform.ledger)``."""
+    functions = []
+    for name in sorted(ledger.functions):
+        function = ledger.functions[name]
+        functions.append(FunctionMetrics(
+            function=name,
+            invocations=len(function.totals),
+            by_mode=dict(function.modes),
+            latency=LatencyStats.from_samples(function.totals),
+            startup_share=(0.0 if function.total_sum == 0
+                           else function.startup_sum / function.total_sum)))
+    waits = ledger.queue_wait_ms
+    return PlatformMetrics(
+        platform=platform_name,
+        total_invocations=ledger.completed,
+        by_mode=dict(ledger.by_mode),
+        functions=functions,
+        failed_invocations=ledger.failed,
+        by_failure_reason=dict(ledger.by_failure_reason),
+        shedded_invocations=ledger.shed,
+        by_shed_reason=dict(ledger.by_shed_reason),
+        queue_wait_p50_ms=percentile(waits, 50) if waits else 0.0,
+        queue_wait_p99_ms=percentile(waits, 99) if waits else 0.0)
 
 
 def summarize(platform_name: str,
@@ -154,72 +148,21 @@ def summarize(platform_name: str,
               failed: Optional[Iterable[FailedInvocation]] = None,
               shedded: Optional[Iterable] = None
               ) -> PlatformMetrics:
-    """Build the operational summary for *records*.
+    """Build the operational summary for a list of *records*.
 
-    *failed* is the platform's ``failed_invocations`` list (chaos runs);
-    *shedded* its ``shedded_invocations`` (serving-layer runs); omitted,
-    the summary is identical to the pre-chaos one.  Queue-wait
-    percentiles come from the records' derived ``queue_wait_ms`` (the
-    admission + core-pool queue spans).
+    Each invocation counts once, chain hops included
+    (:func:`~repro.platforms.ledger.each_invocation`).  *failed* are
+    :class:`FailedInvocation` entries (chaos runs) and *shedded* shed
+    ones (serving-layer runs); omitted, the summary is identical to the
+    pre-chaos one.  The records are folded into a fresh
+    :class:`InvocationLedger`, exactly as a platform folds each
+    invocation when it ends.
     """
-    # One pass over the (chain-expanded) records accumulates everything:
-    # per-function mode counts, latency samples (unboxed array('d')),
-    # startup/total sums, the global mode counts, and the queue waits.
-    # Accumulation order matches the old multi-pass implementation
-    # exactly — record order within each function, sums seeded at 0 —
-    # so every derived number is bit-identical.
-    by_function: Dict[str, _FunctionAccumulator] = {}
-    total_by_mode: Dict[str, int] = {}
-    waits = array("d")
-    total_records = 0
-    for outer in records:
-        chain = outer.chain_records() if include_chains else (outer,)
-        for record in chain:
-            total_records += 1
-            acc = by_function.get(record.function)
-            if acc is None:
-                acc = by_function[record.function] = _FunctionAccumulator()
-            mode = record.mode
-            acc.modes[mode] = acc.modes.get(mode, 0) + 1
-            total_by_mode[mode] = total_by_mode.get(mode, 0) + 1
-            startup, total = _startup_and_total_ms(record)
-            acc.totals.append(total)
-            acc.startup_sum = acc.startup_sum + startup
-            acc.total_sum = acc.total_sum + total
-            waits.append(record.queue_wait_ms)
-
-    functions = []
-    for name in sorted(by_function):
-        acc = by_function[name]
-        functions.append(FunctionMetrics(
-            function=name,
-            invocations=len(acc.totals),
-            by_mode=acc.modes,
-            latency=LatencyStats.from_samples(acc.totals),
-            startup_share=(0.0 if acc.total_sum == 0
-                           else acc.startup_sum / acc.total_sum)))
-
-    failed_list = list(failed) if failed is not None else []
-    by_reason: Dict[str, int] = {}
-    for entry in failed_list:
-        bucket = _failure_class(entry)
-        by_reason[bucket] = by_reason.get(bucket, 0) + 1
-
-    shed_list = list(shedded) if shedded is not None else []
-    by_shed: Dict[str, int] = {}
-    for entry in shed_list:
-        by_shed[entry.reason] = by_shed.get(entry.reason, 0) + 1
-    queue_p50 = percentile(waits, 50) if waits else 0.0
-    queue_p99 = percentile(waits, 99) if waits else 0.0
-
-    return PlatformMetrics(
-        platform=platform_name,
-        total_invocations=total_records,
-        by_mode=total_by_mode,
-        functions=functions,
-        failed_invocations=len(failed_list),
-        by_failure_reason=by_reason,
-        shedded_invocations=len(shed_list),
-        by_shed_reason=by_shed,
-        queue_wait_p50_ms=queue_p50,
-        queue_wait_p99_ms=queue_p99)
+    ledger = InvocationLedger()
+    for record in each_invocation(records, include_chains):
+        ledger.fold(record)
+    for entry in failed or ():
+        ledger.fold_failed(entry)
+    for entry in shedded or ():
+        ledger.fold_shed(entry)
+    return summarize_ledger(platform_name, ledger)

@@ -23,6 +23,7 @@ from repro.errors import (BusPartitionedError, ExecutionLostError,
 from repro.mem.host_memory import HostMemory
 from repro.net.bridge import HostBridge
 from repro.platforms.bus import MessageBus
+from repro.platforms.ledger import InvocationLedger
 from repro.runtime.interpreter import ExecBreakdown, ExternalHandlers
 from repro.runtime.ops import DbGet, DbPut, InvokeNext, Respond
 from repro.sandbox.worker import Worker
@@ -308,13 +309,19 @@ class ServerlessPlatform:
         self.chaos = None
         self.retries = 0             # invoke-level retry spans emitted
         self.failovers = 0           # attempts re-dispatched off a dead host
-        self.failed_invocations: List[FailedInvocation] = []
         # Serving layer (repro.autoscale): a WarmPoolAutoscaler attaches
         # itself here; sheds are first-class results, like failures.
         self.autoscaler = None
-        self.shedded_invocations: List = []
         self.active_workers: List[Worker] = []
+        # Every completed, failed and shed invocation is folded into the
+        # ledger as it ends; the three lists keep an outcome whole only
+        # while the tracer keeps its tree (``span is not None``), so they
+        # hold exactly what ``tracer.traces()`` can show, in completion
+        # order.
+        self.ledger = InvocationLedger()
         self.records: List[InvocationRecord] = []
+        self.failed_invocations: List[FailedInvocation] = []
+        self.shedded_invocations: List = []
         self._specs: Dict[str, FunctionSpec] = {}
         self._db_triggers: Dict[str, List[Tuple[str, Any]]] = {}
         self._invocation_seq = 0
@@ -525,7 +532,9 @@ class ServerlessPlatform:
                 host_id=error.host_id, reason=error.reason,
                 queue_depth=error.queue_depth,
                 trace_id=invoke_span.trace_id, span=_if_kept(invoke_span))
-            self.shedded_invocations.append(shedded)
+            self.ledger.fold_shed(shedded)
+            if shedded.span is not None:
+                self.shedded_invocations.append(shedded)
             error.shedded = shedded
             raise
         except ReproError as error:
@@ -539,7 +548,9 @@ class ServerlessPlatform:
                 reason=str(error) or type(error).__name__,
                 hosts_tried=tuple(hosts_tried),
                 trace_id=invoke_span.trace_id, span=_if_kept(invoke_span))
-            self.failed_invocations.append(failed)
+            self.ledger.fold_failed(failed)
+            if failed.span is not None:
+                self.failed_invocations.append(failed)
             raise InvocationFailedError(failed) from error
 
         # The record's breakdown is *derived* from the live span tree, so
@@ -553,7 +564,9 @@ class ServerlessPlatform:
         record.exec_ms = breakdown.exec_ms
         record.other_ms = breakdown.other_ms
         record.queue_wait_ms = breakdown.queue_ms
-        self.records.append(record)
+        self.ledger.fold(record)
+        if record.span is not None:
+            self.records.append(record)
         return record
 
     def _invoke_attempt(self, spec: FunctionSpec, mode: str,
@@ -638,8 +651,8 @@ class ServerlessPlatform:
                     cpu_claim = yield from host.cpu.acquire()
 
             try:
-                if cpu_claim is not None:
-                    self._check_host_alive(host, "queue")
+                if cpu_claim is not None and host.down:
+                    raise HostDownError(host.host_id, "queue")
                 # Backend: acquire a worker (cold boot / warm pool /
                 # snapshot) on the chosen host.  Time in this span is
                 # start-up, except spans explicitly tagged
@@ -649,7 +662,10 @@ class ServerlessPlatform:
                     worker, mode_used, _extra_other_ms = \
                         yield from self._acquire_worker(spec, mode, host)
                     acquire_span.attrs["mode"] = mode_used
-                self._check_host_alive(host, "acquire")
+                if host.down:
+                    # The worker came up on a host that died meanwhile.
+                    self._discard_worker(worker, host, label="lost")
+                    raise HostDownError(host.host_id, "acquire")
                 record.mode = mode_used
                 if self.retain_workers:
                     record.worker = worker
@@ -677,6 +693,7 @@ class ServerlessPlatform:
             if host.down:
                 # The function ran, then the host died before the response
                 # was accounted.  NOT retryable: at-most-once billing.
+                self._discard_worker(worker, host, label="lost")
                 raise ExecutionLostError(host.host_id)
 
             with tracer.span("release", kind="release"):
@@ -685,11 +702,6 @@ class ServerlessPlatform:
                 self.active_workers.append(worker)
         finally:
             self.cluster.finish(host)
-
-    def _check_host_alive(self, host: Host, stage: str) -> None:
-        """Raise :class:`HostDownError` if *host* died during *stage*."""
-        if host.down:
-            raise HostDownError(host.host_id, stage)
 
     def _retry_backoff_ms(self, attempt: int) -> float:
         """Backoff before attempt ``attempt + 1``: capped exponential with
@@ -732,13 +744,20 @@ class ServerlessPlatform:
         yield  # pragma: no cover - makes this function a generator
 
     def discard_warm(self, entry, host: Host) -> None:
-        """Tear down a pooled warm worker (TTL expiry, crashed host).
+        """Tear down a pooled warm worker (TTL expiry, crashed host)."""
+        self._discard_worker(entry.worker, host, label="warm-discard")
+
+    def _discard_worker(self, worker: Worker, host: Host,
+                        label: str) -> None:
+        """Tear *worker* down on *host*: after its invocation, out of a
+        warm pool, or when its host died while it served an invocation.
 
         Runs detached: teardown cost is off every request's critical path.
+        Backends whose workers hold more than their sandbox override this.
         """
         del host
-        self.sim.process(entry.worker.stop(),
-                         name=f"warm-discard:{entry.worker.sandbox.name}")
+        self.sim.process(worker.stop(),
+                         name=f"{label}:{worker.sandbox.name}")
 
     def _make_handlers(self, worker: Worker,
                        record: InvocationRecord) -> ExternalHandlers:

@@ -92,9 +92,8 @@ class CatalyzerPlatform(ServerlessPlatform):
         dead = [key for key in self._templates if key[0] == host.host_id]
         for key in dead:
             template = self._templates.pop(key)
-            self.sim.process(
-                template.worker.stop(),
-                name=f"chaos-teardown:{template.worker.sandbox.name}")
+            self._discard_worker(template.worker, host,
+                                 label="chaos-teardown")
 
     # -- autoscaler hook ---------------------------------------------------------
     def provision_warm_on(self, spec, host):
@@ -151,9 +150,8 @@ class CatalyzerPlatform(ServerlessPlatform):
 
     def _release_worker(self, spec: FunctionSpec, worker: Worker,
                         host: Host):
-        del spec, host
+        del spec
         if not self.retain_workers:
-            self.sim.process(worker.stop(),
-                             name=f"teardown:{worker.sandbox.name}")
+            self._discard_worker(worker, host, label="teardown")
         return
         yield  # pragma: no cover

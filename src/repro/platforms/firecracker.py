@@ -93,10 +93,11 @@ class FirecrackerPlatform(ServerlessPlatform):
         yield from worker.pause()
         return WarmEntry(worker, float("inf"), paused=True)
 
-    def discard_warm(self, entry, host: Host) -> None:
-        """Warm microVMs hold a bridge endpoint: disconnect on teardown."""
-        self.sim.process(self._teardown(entry.worker, host),
-                         name=f"warm-discard:{entry.worker.sandbox.name}")
+    def _discard_worker(self, worker: Worker, host: Host,
+                        label: str) -> None:
+        """MicroVMs hold a bridge endpoint: disconnect on teardown."""
+        self.sim.process(self._teardown(worker, host),
+                         name=f"{label}:{worker.sandbox.name}")
 
     # -- backend hooks -----------------------------------------------------------------
     def _acquire_worker(self, spec: FunctionSpec, mode: str, host: Host):
@@ -118,8 +119,7 @@ class FirecrackerPlatform(ServerlessPlatform):
         if not self.retain_workers:
             # The response already left; reclaim the VM off the critical
             # path.
-            self.sim.process(self._teardown(worker, host),
-                             name=f"teardown:{worker.sandbox.name}")
+            self._discard_worker(worker, host, label="teardown")
         return
         yield  # pragma: no cover
 

@@ -86,9 +86,8 @@ class GVisorPlatform(ServerlessPlatform):
 
     def _release_worker(self, spec: FunctionSpec, worker: Worker,
                         host: Host):
-        del spec, host
+        del spec
         if not self.retain_workers:
-            self.sim.process(worker.stop(),
-                             name=f"teardown:{worker.sandbox.name}")
+            self._discard_worker(worker, host, label="teardown")
         return
         yield  # pragma: no cover

@@ -103,8 +103,7 @@ class OpenWhiskPlatform(ServerlessPlatform):
     def _reap_expired(self, host: Host) -> None:
         """Tear down keep-alive-expired containers in the background."""
         for entry in host.pool.drain_expired():
-            self.sim.process(entry.worker.stop(),
-                             name=f"reap:{entry.worker.sandbox.name}")
+            self._discard_worker(entry.worker, host, label="reap")
 
     def reap_idle(self) -> int:
         """Periodic reaper: sweep every host's pools and tear down expired
@@ -115,7 +114,6 @@ class OpenWhiskPlatform(ServerlessPlatform):
             host.pool.expire_all(self.sim.now)
             expired = host.pool.drain_expired()
             for entry in expired:
-                self.sim.process(entry.worker.stop(),
-                                 name=f"reap:{entry.worker.sandbox.name}")
+                self._discard_worker(entry.worker, host, label="reap")
             reclaimed += len(expired)
         return reclaimed

@@ -9,9 +9,9 @@ controller, which fires them and keeps the fired-fault ledger.
 import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
-from repro.chaos import (KIND_DB_TIMEOUT, KIND_PARAM_FETCH_TIMEOUT,
-                         KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
-                         HostFailureController)
+from repro.chaos import (KIND_DB_TIMEOUT, KIND_HOST_CRASH,
+                         KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
+                         ChaosEvent, ChaosPlan, HostFailureController)
 from repro.core import FireworksPlatform
 from repro.core.parameter_passer import topic_for
 from repro.errors import (ChaosError, InjectedFault, InvocationFailedError,
@@ -288,8 +288,9 @@ def _drained_host(platform):
 
 
 class TestCloneRetirement:
-    """A clone whose parameter fetch fails for good is retired like one
-    that served its invocation: no namespace, route or guest page
+    """A clone whose parameter fetch fails for good, or whose host dies
+    while its invocation is in flight, is retired like one that served
+    its invocation: no namespace, route, guest page or parameter topic
     outlives it."""
 
     def test_failed_fetch_retires_the_clone(self, faulty_platform):
@@ -304,3 +305,23 @@ class TestCloneRetirement:
         namespaces, routes, used_mb = _drained_host(platform)
         assert (namespaces, routes) == (0, 0)
         assert used_mb == _drained_host(served)[2]
+
+    @pytest.mark.parametrize("stage", ["acquire", "exec"])
+    def test_clone_lost_with_its_host_is_retired(self, faulty_platform,
+                                                 stage):
+        platform, spec = faulty_platform
+        served = fresh_platform(FireworksPlatform)
+        install_all(served, [spec])
+        # Both platforms reach the same clock after set-up, so the served
+        # invocation's stage times the crash: host 0 dies halfway through.
+        span = invoke_once(served, spec.name).span.find(stage)
+        HostFailureController(platform, ChaosPlan([ChaosEvent(
+            (span.start_ms + span.end_ms) / 2, KIND_HOST_CRASH,
+            host_id=0)]))
+        with pytest.raises(InvocationFailedError) as excinfo:
+            invoke_once(platform, spec.name)
+        fc_id = excinfo.value.failed.span.find("publish").attrs["fc_id"]
+        # The crash cleared the host's snapshot store, so with the clone
+        # retired no page is left either.
+        assert _drained_host(platform) == (0, 0, 0.0)
+        assert not platform.bus.has_topic(topic_for(fc_id))

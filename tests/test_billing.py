@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.bench import fresh_platform, install_all, invoke_once
 from repro.billing import (BillingLine, bill_invocation, bill_records,
                            run_billing_analysis)
+from repro.core import FireworksPlatform
 from repro.errors import PlatformError
 from repro.platforms.base import InvocationRecord
+from repro.workloads import alexa_skills_chain
 
 
 def _record(startup=100.0, exec_ms=50.0, other=5.0, function="fn"):
@@ -45,6 +48,17 @@ class TestBillRecords:
         parent.children.append(_record(function="b"))
         report = bill_records("p", [parent])
         assert {line.function for line in report.lines} == {"a", "b"}
+
+    def test_a_platforms_chain_hops_billed_once(self):
+        # A platform's records hold every hop, and the entry record lists
+        # its hop again as a child.
+        platform = fresh_platform(FireworksPlatform)
+        chain = alexa_skills_chain()
+        install_all(platform, chain.functions)
+        invoke_once(platform, chain.entry, payload={"skill": "fact"})
+        report = bill_records(platform.name, platform.records)
+        assert sorted(line.function for line in report.lines) == \
+            ["alexa-fact", "alexa-frontend"]
 
     def test_chains_excluded_on_request(self):
         parent = _record(function="a")

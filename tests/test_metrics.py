@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.core import FireworksPlatform
-from repro.metrics import summarize
+from repro.metrics import summarize, summarize_ledger
 from repro.platforms import FirecrackerPlatform
 from repro.platforms.base import InvocationRecord
 from repro.workloads import alexa_skills_chain, faasdom_spec
@@ -75,6 +75,10 @@ class TestOnRealPlatforms:
         chain = alexa_skills_chain()
         install_all(platform, chain.functions)
         invoke_once(platform, chain.entry, payload={"skill": "fact"})
+        # The platform's records hold both hops; each counts once.
         metrics = summarize(platform.name, platform.records)
-        names = {entry.function for entry in metrics.functions}
-        assert {"alexa-frontend", "alexa-fact"} <= names
+        counts = {entry.function: entry.invocations
+                  for entry in metrics.functions}
+        assert counts == {"alexa-frontend": 1, "alexa-fact": 1}
+        assert metrics.total_invocations == 2
+        assert summarize_ledger(platform.name, platform.ledger) == metrics

@@ -2,14 +2,16 @@
 
 The tracer keeps the first ``KEPT_ROOTS`` roots of a simulation.  Later
 trees are still built — each record's breakdown is derived from its live
-tree — but nothing holds them once their invocation ends: records, failed
-and shed invocations reference a tree only if it was kept, spans carry no
-parent pointer, records hold no worker unless the platform retains workers,
-and a Fireworks clone's parameter topic goes with the clone.
+tree — but nothing holds them once their invocation ends: the platform
+folds every outcome into its ledger and keeps a record, failed or shed
+invocation only while its tree is kept, spans carry no parent pointer,
+records hold no worker unless the platform retains workers, and a
+Fireworks clone's parameter topic goes with the clone.
 """
 
 import dataclasses
 import gc
+from array import array
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.core import FireworksPlatform
 from repro.core.parameter_passer import topic_for
 from repro.errors import (InvocationFailedError, InvocationSheddedError,
                           TraceInvariantError)
-from repro.metrics import summarize
+from repro.metrics import summarize, summarize_ledger
 from repro.sim import Simulation
 from repro.trace import KEPT_ROOTS, Span
 from repro.workloads import ALEXA_SKILLS, alexa_skills_chain, faasdom_spec
@@ -69,16 +71,30 @@ class TestLongReplay:
         assert len(platform.sim.tracer.traces()) == KEPT_ROOTS
 
     def test_later_records_have_no_span(self, replay):
+        """Later invocations keep no tree, so the platform keeps no
+        outcome of theirs: the kept outcomes are exactly the kept
+        ``invoke`` trees."""
         platform, _ = replay
-        kept = {root.trace_id for root in platform.sim.tracer.traces()}
-        records = sorted(platform.records, key=_invocation_seq)
-        has_span = [record.span is not None for record in records]
-        # Kept trees are a prefix in submission order, and both sides of
-        # the cut are populated.
-        assert has_span == sorted(has_span, reverse=True)
-        assert any(has_span) and not all(has_span)
-        for record in records:
-            assert (record.span is not None) == (record.trace_id in kept)
+        outcomes = (platform.records + platform.failed_invocations
+                    + platform.shedded_invocations)
+        assert all(outcome.span is not None for outcome in outcomes)
+        roots = [root for root in platform.sim.tracer.traces()
+                 if root.kind == "invoke"]
+        assert sorted(id(outcome.span) for outcome in outcomes) == \
+            sorted(id(root) for root in roots)
+        # A root is kept when it opens, so the kept invocations are a
+        # prefix in submission order.
+        seqs = sorted(_invocation_seq(outcome) for outcome in outcomes)
+        assert seqs == list(range(1, len(seqs) + 1))
+
+    def test_the_ledger_counts_every_completion(self, replay):
+        platform, _ = replay
+        ledger = platform.ledger
+        # Both sides of the cut are populated: the ledger folded the
+        # invocations whose records were dropped too.
+        assert 0 < len(platform.records) < ledger.completed
+        assert ledger.completed + ledger.failed + ledger.shed == \
+            platform._invocation_seq
 
     def test_no_record_holds_a_worker(self, replay):
         platform, _ = replay
@@ -101,20 +117,23 @@ class TestLongReplay:
         assert clone_topics <= live_clones
 
 
-def _submit_at(platform, function: str, at_ms: float):
-    """Submit *function* at *at_ms*; sheds and failures are accounted on
-    the platform, not raised."""
+def _submit_at(platform, function: str, at_ms: float, returned: list):
+    """Submit *function* at *at_ms*; append what ``invoke`` returned or
+    raised with (a record, a failed or a shed invocation) to *returned*."""
     sim = platform.sim
     yield sim.timeout(at_ms - sim.now)
     try:
-        yield from platform.invoke(function)
-    except (InvocationSheddedError, InvocationFailedError):
-        pass
+        returned.append((yield from platform.invoke(function)))
+    except InvocationSheddedError as error:
+        returned.append(error.shedded)
+    except InvocationFailedError as error:
+        returned.append(error.failed)
 
 
 def _mixed_run(padded: bool):
     """Completed, failed, shed and chained invocations on one host with
-    four slots and a one-deep admission queue."""
+    four slots and a one-deep admission queue.  Returns the platform and
+    the outcomes ``invoke`` handed back, in completion order."""
     base = default_parameters()
     params = dataclasses.replace(base, autoscale=dataclasses.replace(
         base.autoscale, enabled=True, queue_capacity=1))
@@ -131,22 +150,25 @@ def _mixed_run(padded: bool):
     HostFailureController(platform, ChaosPlan([ChaosEvent(
         start, KIND_RESTORE_CORRUPTION, key=fact.name,
         count=FireworksPlatform.MAX_RESTORE_ATTEMPTS)]))
-    platform.sim.process(_submit_at(platform, fact.name, start))
+    returned = []
+    platform.sim.process(_submit_at(platform, fact.name, start, returned))
     for burst in range(1, 4):
         # Eight at once every 2 s: four run, one queues, three are shed.
         for _ in range(8):
-            platform.sim.process(_submit_at(platform, fact.name,
-                                            start + 2_000.0 * burst))
+            platform.sim.process(_submit_at(
+                platform, fact.name, start + 2_000.0 * burst, returned))
     for index in range(2):
         # Chains run alone, so their synchronous hops find free slots.
-        platform.sim.process(_submit_at(platform, chain.entry,
-                                        start + 10_000.0 + 2_000.0 * index))
+        platform.sim.process(_submit_at(
+            platform, chain.entry, start + 10_000.0 + 2_000.0 * index,
+            returned))
     platform.sim.run()
-    return platform
+    return platform, returned
 
 
 class TestPaddedTracer:
-    """Past the bound, invocations keep no tree but the same numbers."""
+    """Past the bound, invocations keep no tree and no record, and the
+    ledger folds the same numbers."""
 
     @pytest.fixture(scope="class")
     def runs(self):
@@ -158,7 +180,7 @@ class TestPaddedTracer:
                 for hop in record.chain_records()]
 
     def test_past_the_bound_nothing_keeps_a_tree(self, runs):
-        plain, padded = runs
+        (plain, _), (padded, returned) = runs
         # The run covers every outcome, and below the bound every one of
         # them keeps its tree.
         assert plain.failed_invocations and plain.shedded_invocations
@@ -166,31 +188,45 @@ class TestPaddedTracer:
         outcomes = (self._chain_records(plain) + plain.failed_invocations
                     + plain.shedded_invocations)
         assert all(outcome.span is not None for outcome in outcomes)
+        # Past it, no outcome keeps a tree, so none is kept.
         assert len(padded.sim.tracer.traces()) == KEPT_ROOTS
-        outcomes = (self._chain_records(padded) + padded.failed_invocations
-                    + padded.shedded_invocations)
-        assert all(outcome.span is None for outcome in outcomes)
+        assert all(outcome.span is None for outcome in returned)
+        assert padded.records == padded.failed_invocations == \
+            padded.shedded_invocations == []
 
     def test_numbers_are_unchanged(self, runs):
-        plain, padded = runs
-        ours_all = self._chain_records(plain)
-        theirs_all = self._chain_records(padded)
-        assert len(ours_all) == len(theirs_all)
-        for ours, theirs in zip(ours_all, theirs_all):
-            for name in RECORD_FIELDS:
-                assert getattr(ours, name) == getattr(theirs, name), name
-        assert [dataclasses.replace(failed, span=None)
-                for failed in plain.failed_invocations] == \
-            padded.failed_invocations
-        # A shed invocation's span is excluded from its equality.
-        assert plain.shedded_invocations == padded.shedded_invocations
-        # Summaries of records without a tree fall back to the recorded
-        # fields, which came from the same breakdown.
-        summaries = [summarize(platform.name, platform.records,
-                               failed=platform.failed_invocations,
-                               shedded=platform.shedded_invocations)
-                     for platform in runs]
-        assert summaries[0] == summaries[1]
+        (plain, ours_returned), (padded, theirs_returned) = runs
+        assert len(ours_returned) == len(theirs_returned)
+        for ours, theirs in zip(ours_returned, theirs_returned):
+            assert type(ours) is type(theirs)
+            if hasattr(ours, "chain_records"):
+                ours_hops, theirs_hops = (ours.chain_records(),
+                                          theirs.chain_records())
+                assert len(ours_hops) == len(theirs_hops)
+                for hop, other in zip(ours_hops, theirs_hops):
+                    for name in RECORD_FIELDS:
+                        assert getattr(hop, name) == getattr(other, name), \
+                            name
+            else:
+                # A failed or shed invocation: equal but for its span.
+                assert dataclasses.replace(ours, span=None) == theirs
+        assert plain.ledger == padded.ledger
+        assert summarize_ledger(plain.name, plain.ledger) == \
+            summarize_ledger(padded.name, padded.ledger)
+
+    def test_ledger_reads_like_the_records_below_the_bound(self, runs):
+        (plain, _), _ = runs
+        ledger, records = plain.ledger, plain.records
+        assert ledger.total_ms == array(
+            "d", (record.total_ms for record in records))
+        assert ledger.queue_wait_ms == array(
+            "d", (record.queue_wait_ms for record in records))
+        assert (ledger.completed, ledger.failed, ledger.shed) == (
+            len(records), len(plain.failed_invocations),
+            len(plain.shedded_invocations))
+        assert summarize_ledger(plain.name, ledger) == summarize(
+            plain.name, records, failed=plain.failed_invocations,
+            shedded=plain.shedded_invocations)
 
 
 class TestKeptDecision:
