@@ -125,11 +125,7 @@ class WarmPoolAutoscaler:
         # so a function that stopped qualifying stops being replenished.
         self.targets.clear()
         # Scale-down: reap TTL-expired warm workers on every host.
-        for host in self.platform.cluster.hosts:
-            host.pool.expire_all(now)
-            for entry in host.pool.drain_expired():
-                self.expired += 1
-                self.platform.discard_warm(entry, host)
+        self.expired += self.platform.reap_idle()
         for function, host, want in self.policy.decide(self._view(now)):
             self._ensure_warm(function, host, want, now)
 
@@ -174,7 +170,8 @@ class WarmPoolAutoscaler:
             # The host crashed while we were booting: never park a warm
             # worker on a dead host (its pool was drained at crash time).
             self.discarded_down += 1
-            self.platform.discard_warm(entry, host)
+            self.platform.discard_worker(entry.worker, host,
+                                         label="discard-down")
             return
         entry.expires_at_ms = self.sim.now + self.cfg.warm_expiry_ms
         host.pool.add(function, entry)

@@ -19,9 +19,9 @@ from typing import Optional, Type
 from repro.bench.experiment import Experiment, render_lines
 from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
+from repro.cluster.host import Cluster
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
-from repro.host.cpu import HostCpu
 from repro.platforms.base import MODE_AUTO, ServerlessPlatform
 from repro.platforms.firecracker import FirecrackerPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
@@ -70,9 +70,10 @@ def run_burst(platform_cls: Type[ServerlessPlatform],
     """Fire *requests* simultaneous invocations of one function."""
     sim = Simulation(seed=seed)
     params = params or default_parameters()
-    host_cpu = HostCpu(sim, cores=cores)
-    platform = platform_cls(sim, params, host_cpu=host_cpu,
-                            **platform_kwargs)
+    platform = platform_cls(
+        sim, params, cluster=Cluster(sim, params, cores_per_host=cores),
+        **platform_kwargs)
+    host_cpu = platform.host_cpu
     spec = faasdom_spec(benchmark, language)
     sim.run(sim.process(platform.install(spec)))
 
@@ -133,12 +134,13 @@ def run_load_sweep(platform_cls: Type[ServerlessPlatform],
     """
     import math
 
+    params = params or default_parameters()
     results: "dict[float, LoadPoint]" = {}
     for rate in rates_rps:
         sim = Simulation(seed=seed)
-        host_cpu = HostCpu(sim, cores=cores)
-        platform = platform_cls(sim, params or default_parameters(),
-                                host_cpu=host_cpu)
+        platform = platform_cls(
+            sim, params, cluster=Cluster(sim, params, cores_per_host=cores))
+        host_cpu = platform.host_cpu
         spec = faasdom_spec(benchmark, language)
         sim.run(sim.process(platform.install(spec)))
 

@@ -40,6 +40,8 @@ catalog imports them all).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import struct
 from dataclasses import fields, is_dataclass
@@ -86,6 +88,15 @@ def encode_result(obj: Any) -> Any:
         return [encode_result(item) for item in obj]
     raise ReproError(
         f"cannot encode {type(obj).__name__} for the result cache: {obj!r}")
+
+
+def canonical_hash(obj: Any) -> str:
+    """SHA-256 of *obj*'s canonical JSON (:func:`encode_result`, sorted
+    keys, no whitespace): the hash golden figures and the catalog
+    manifest pin."""
+    blob = json.dumps(encode_result(obj), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def decode_result(payload: Any) -> Any:

@@ -36,7 +36,6 @@ from repro.errors import ChaosError, InjectedFault, SnapshotCorruptedError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.host import Host
     from repro.platforms.base import ServerlessPlatform
-    from repro.sandbox.worker import Worker
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,10 @@ class HostFailureController:
             host.mark_down(now)
             drained = host.pool.drain_all()
             for entry in drained:
-                self._teardown(entry.worker)
+                # The sandbox dies with the machine; its backend's
+                # teardown (network, parameter topic) runs detached.
+                self.platform.discard_worker(entry.worker, host,
+                                             label="chaos-teardown")
             lost = host.store.clear()
             self.platform.on_host_crash(host)
             self._note(event, f"drained {len(drained)} warm worker(s), "
@@ -137,12 +139,6 @@ class HostFailureController:
             self._note(event, f"armed {event.count} for {event.key!r}")
         else:  # pragma: no cover - ChaosPlan validates kinds
             raise ChaosError(f"unknown chaos event kind {event.kind!r}")
-
-    def _teardown(self, worker: "Worker") -> None:
-        # The sandbox dies with the machine; run its teardown as a
-        # detached process so reclamation never blocks the event walk.
-        self.sim.process(worker.stop(),
-                         name=f"chaos-teardown:{worker.sandbox.name}")
 
     def _note(self, event: ChaosEvent, detail: str) -> None:
         self.log.append(ChaosEventRecord(

@@ -66,10 +66,6 @@ class FireworksPlatform(ServerlessPlatform):
         self.param_fetch_retries = 0
         self.regenerations = 0   # failover regenerations (lost replicas)
         self.install_reports: Dict[str, InstallReport] = {}
-        # Autoscaler support: pre-restored live clones parked in a host's
-        # warm pool keep the fcID they were launched with — the invoke
-        # fast path publishes parameters straight to that topic.
-        self._warm_fc_ids: Dict[Worker, tuple] = {}
         self.pool_hits = 0   # invocations served by a pre-restored clone
         # REAP-style working-set recording (§7): profiles are captured after
         # each invocation and consulted by POLICY_REAP / POLICY_LAZY
@@ -164,17 +160,12 @@ class FireworksPlatform(ServerlessPlatform):
             # restore — only parameter publish + fetch remain.
             entry = host.pool.take(spec.name, self.sim.now)
             if entry is not None:
-                fc_rec = self._warm_fc_ids.pop(entry.worker, None)
-                if fc_rec is not None:
-                    # Clones are single-use: tell the scaler so it tops
-                    # the pool back up instead of waiting for a tick.
-                    self.autoscaler.on_warm_taken(spec.name, host)
-                    result = yield from self._invoke_pooled(
-                        spec, entry.worker, fc_rec[0], host)
-                    return result
-                # Unknown provenance: never serve a clone whose fcID we
-                # lost — reclaim it and fall through to a normal restore.
-                self.discard_warm(entry, host)
+                # Clones are single-use: tell the scaler so it tops the
+                # pool back up instead of waiting for a tick.
+                self.autoscaler.on_warm_taken(spec.name, host)
+                result = yield from self._invoke_pooled(
+                    spec, entry.worker, host)
+                return result
         manager = self.manager_for(host)
         try:
             image = yield from self._fetch_image_to_host(spec.name, host)
@@ -227,8 +218,7 @@ class FireworksPlatform(ServerlessPlatform):
                       host: Host):
         """Step (8): the resumed guest reads its fcID and fetches the
         parameters, retrying transient broker failures.  A fetch that
-        fails for good retires the clone through its host's manager and
-        releases its parameter state."""
+        fails for good discards the clone (:meth:`discard_worker`)."""
         tracer = self.sim.tracer
         for attempt in range(1, self.MAX_PARAM_FETCH_ATTEMPTS + 1):
             try:
@@ -240,7 +230,7 @@ class FireworksPlatform(ServerlessPlatform):
             except InjectedFault as fault:
                 if fault.kind != KIND_PARAM_FETCH_TIMEOUT or \
                         attempt == self.MAX_PARAM_FETCH_ATTEMPTS:
-                    self._discard_worker(worker, host, label="retire")
+                    self.discard_worker(worker, host, label="retire")
                     raise
                 self.param_fetch_retries += 1
                 with tracer.span("retry", kind="retry",
@@ -253,14 +243,16 @@ class FireworksPlatform(ServerlessPlatform):
                 f"got {params!r}")
 
     def _invoke_pooled(self, spec: FunctionSpec, worker: Worker,
-                       fc_id: str, host: Host):
+                       host: Host):
         """Steps (5)+(8) only: the clone is already restored and waiting.
 
-        Publish the arguments to its topic, let the guest fetch them —
-        the restore (and everything before it) was paid off the critical
-        path when the autoscaler pre-provisioned the clone.
+        Publish the arguments to the topic of the fcID in its MMDS, let
+        the guest fetch them — the restore (and everything before it) was
+        paid off the critical path when the autoscaler pre-provisioned
+        the clone.
         """
         tracer = self.sim.tracer
+        fc_id = worker.sandbox.mmds.get("fcID")
         started = self.sim.now
         with tracer.span("publish", phase="other", fc_id=fc_id,
                          pooled=True):
@@ -284,43 +276,27 @@ class FireworksPlatform(ServerlessPlatform):
         fc_id = manager.next_fc_id()
         worker = yield from manager.launch_clone(
             image, fc_id, policy=self.restore_policy)
-        self._warm_fc_ids[worker] = (fc_id, host.host_id)
         return WarmEntry(worker, float("inf"), paused=False)
 
-    def discard_warm(self, entry, host: Host) -> None:
-        """Forget a pooled clone's fcID, then retire it like any clone."""
-        self._warm_fc_ids.pop(entry.worker, None)
-        super().discard_warm(entry, host)
-
-    def _discard_worker(self, worker: Worker, host: Host,
-                        label: str) -> None:
-        """Retire a clone: its parameter topic goes at once, the clone
-        through its host's manager (netns/NAT teardown), off the caller's
-        critical path."""
+    def discard_worker(self, worker: Worker, host: Host,
+                       label: str) -> None:
+        """Retire a clone: the parameter topic of the fcID in its MMDS
+        goes at once, the clone through its host's manager (netns/NAT
+        teardown), off the caller's critical path."""
         self.passer.release(worker.sandbox.mmds.get("fcID"))
         self.sim.process(self.manager_for(host).retire(worker),
                          name=f"{label}:{worker.sandbox.name}")
 
-    def on_host_crash(self, host: Host) -> None:
-        """Drop fcID bookkeeping and parameter state for clones that died
-        with the host (the chaos controller already drained and stopped
-        them)."""
-        survivors = {}
-        for worker, rec in self._warm_fc_ids.items():
-            if rec[1] == host.host_id:
-                self.passer.release(rec[0])
-            else:
-                survivors[worker] = rec
-        self._warm_fc_ids = survivors
-
     def _release_worker(self, spec: FunctionSpec, worker: Worker,
                         host: Host):
-        if worker.invocations > 0:
+        # A snapshot lost while the guest ran (store loss) leaves nothing
+        # to record the working set against; the invocation still served.
+        if worker.invocations > 0 and host.store.contains(spec.name):
             self.recorder.record(self.image_for(spec.name, host), worker,
                                  now_ms=self.sim.now)
         if not self.retain_workers:
             # Clone reclamation happens off the response's critical path.
-            self._discard_worker(worker, host, label="retire")
+            self.discard_worker(worker, host, label="retire")
         return
         yield  # pragma: no cover
 

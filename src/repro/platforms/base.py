@@ -262,37 +262,18 @@ class ServerlessPlatform:
     DB_RETRY_BACKOFF_MS = 0.5
 
     def __init__(self, sim: "Simulation", params: CalibratedParameters,
-                 host_memory: Optional[HostMemory] = None,
-                 bridge: Optional[HostBridge] = None,
-                 bus: Optional[MessageBus] = None,
-                 couch: Optional[CouchServer] = None,
-                 host_cpu=None,
                  cluster: Optional["Cluster"] = None) -> None:
         # Imported here, not at module scope: repro.cluster.host uses the
         # warm pool and scheduler from this package.
         from repro.cluster.host import Cluster
         self.sim = sim
         self.params = params
-        if cluster is not None:
-            if host_memory is not None or bridge is not None \
-                    or host_cpu is not None:
-                raise PlatformError(
-                    "pass host resources on the cluster's hosts, not both "
-                    "a cluster and host_memory/bridge/host_cpu")
-            self.cluster = cluster
-        else:
-            # Single implicit host: the paper's evaluation setup.  Legacy
-            # host resources, when given, become host 0's resources.
-            self.cluster = Cluster(sim, params, n_hosts=1)
-            host0 = self.cluster.hosts[0]
-            if host_memory is not None:
-                host0.memory = host_memory
-            if bridge is not None:
-                host0.bridge = bridge
-            if host_cpu is not None:
-                host0.cpu = host_cpu
-        self.bus = bus or MessageBus()
-        self.couch = couch or CouchServer()
+        # Without a cluster, one implicit host: the paper's evaluation
+        # setup.
+        self.cluster = (cluster if cluster is not None
+                        else Cluster(sim, params, n_hosts=1))
+        self.bus = MessageBus()
+        self.couch = CouchServer()
         self.db_retries = 0
         self.retain_workers = False
         self.local_restores = 0      # snapshot found on the chosen host
@@ -634,6 +615,7 @@ class ServerlessPlatform:
                     admission_span.attrs["wait_ms"] = wait_ms
                     admission_span.attrs["depth"] = host.admission.depth
 
+        cpu_claim = worker = None
         try:
             # An injected host degradation slows dispatch onto this host.
             penalty_ms = host.degradation_penalty_ms(self.sim.now)
@@ -645,62 +627,64 @@ class ServerlessPlatform:
             # Under burst load the chosen host's core pool gates
             # everything past placement: claim a core for the sandbox
             # work + execution.
-            cpu_claim = None
             if host.cpu is not None:
                 with tracer.span("queue", phase="queue"):
                     cpu_claim = yield from host.cpu.acquire()
-
-            try:
-                if cpu_claim is not None and host.down:
-                    raise HostDownError(host.host_id, "queue")
-                # Backend: acquire a worker (cold boot / warm pool /
-                # snapshot) on the chosen host.  Time in this span is
-                # start-up, except spans explicitly tagged
-                # phase="other" (parameter publish).
-                acquire_span = tracer.span("acquire", kind="acquire")
-                with acquire_span:
-                    worker, mode_used, _extra_other_ms = \
-                        yield from self._acquire_worker(spec, mode, host)
-                    acquire_span.attrs["mode"] = mode_used
                 if host.down:
-                    # The worker came up on a host that died meanwhile.
-                    self._discard_worker(worker, host, label="lost")
-                    raise HostDownError(host.host_id, "acquire")
-                record.mode = mode_used
-                if self.retain_workers:
-                    record.worker = worker
+                    raise HostDownError(host.host_id, "queue")
 
-                # Execute the guest program.  Nested invoke spans
-                # (chain hops) are accounted on the child records, not
-                # here.
-                handlers = self._make_handlers(worker, record)
-                exec_span = tracer.span("exec", phase="exec")
-                with exec_span:
-                    guest = yield from worker.invoke(
-                        spec.program(payload), handlers)
-                    exec_span.attrs["deopts"] = guest.deopt_count
-                    exec_span.attrs["jit_optimized"] = len(
-                        worker.runtime.jit.optimized_functions())
-                    # Pages this clone CoW-broke (its private/dirty
-                    # MiB).
-                    exec_span.attrs["uss_mb"] = \
-                        worker.sandbox.space.uss_mb()
-                record.guest = guest
-            finally:
-                if cpu_claim is not None:
-                    host.cpu.release(cpu_claim)
+            # Backend: acquire a worker (cold boot / warm pool / snapshot)
+            # on the chosen host.  Time in this span is start-up, except
+            # spans explicitly tagged phase="other" (parameter publish).
+            acquire_span = tracer.span("acquire", kind="acquire")
+            with acquire_span:
+                worker, mode_used, _extra_other_ms = \
+                    yield from self._acquire_worker(spec, mode, host)
+                acquire_span.attrs["mode"] = mode_used
+            if host.down:
+                # The worker came up on a host that died meanwhile.
+                raise HostDownError(host.host_id, "acquire")
+            record.mode = mode_used
+            if self.retain_workers:
+                record.worker = worker
+
+            # Execute the guest program.  Nested invoke spans (chain hops)
+            # are accounted on the child records, not here.
+            handlers = self._make_handlers(worker, record)
+            exec_span = tracer.span("exec", phase="exec")
+            with exec_span:
+                guest = yield from worker.invoke(
+                    spec.program(payload), handlers)
+                exec_span.attrs["deopts"] = guest.deopt_count
+                exec_span.attrs["jit_optimized"] = len(
+                    worker.runtime.jit.optimized_functions())
+                # Pages this clone CoW-broke (its private/dirty MiB).
+                exec_span.attrs["uss_mb"] = worker.sandbox.space.uss_mb()
+            record.guest = guest
+            # The guest is done with its core.  (A failure before this
+            # point discards the worker first, then frees the core.)
+            if cpu_claim is not None:
+                host.cpu.release(cpu_claim)
+                cpu_claim = None
 
             if host.down:
                 # The function ran, then the host died before the response
                 # was accounted.  NOT retryable: at-most-once billing.
-                self._discard_worker(worker, host, label="lost")
                 raise ExecutionLostError(host.host_id)
 
             with tracer.span("release", kind="release"):
                 yield from self._release_worker(spec, worker, host)
             if self.retain_workers and worker not in self.active_workers:
                 self.active_workers.append(worker)
+        except Exception:
+            # Whatever stopped the invocation (its host died, its guest
+            # raised), the worker it acquired serves nobody else.
+            if worker is not None:
+                self.discard_worker(worker, host, label="lost")
+            raise
         finally:
+            if cpu_claim is not None:
+                host.cpu.release(cpu_claim)
             self.cluster.finish(host)
 
     def _retry_backoff_ms(self, attempt: int) -> float:
@@ -723,10 +707,10 @@ class ServerlessPlatform:
         controller into them (e.g. restorers honouring slow-restore)."""
 
     def on_host_crash(self, host: Host) -> None:
-        """Called by the chaos controller after *host* is marked down and
-        its warm pool / snapshot store are cleared.  Backends drop any
-        per-host caches that died with the machine (e.g. Catalyzer
-        templates)."""
+        """Called by the chaos controller after *host* is marked down, its
+        warm pool drained through :meth:`discard_worker` and its snapshot
+        store cleared.  Backends drop any other per-host state that died
+        with the machine (e.g. Catalyzer templates)."""
         del host
 
     # -- autoscaler hooks (repro.autoscale) --------------------------------------
@@ -743,14 +727,12 @@ class ServerlessPlatform:
         return None
         yield  # pragma: no cover - makes this function a generator
 
-    def discard_warm(self, entry, host: Host) -> None:
-        """Tear down a pooled warm worker (TTL expiry, crashed host)."""
-        self._discard_worker(entry.worker, host, label="warm-discard")
-
-    def _discard_worker(self, worker: Worker, host: Host,
-                        label: str) -> None:
-        """Tear *worker* down on *host*: after its invocation, out of a
-        warm pool, or when its host died while it served an invocation.
+    def discard_worker(self, worker: Worker, host: Host,
+                       label: str) -> None:
+        """Tear *worker* down on *host*: the one way a worker dies, after
+        its invocation, out of a warm pool (TTL expiry, crashed host, a
+        host that died while it booted), or when the invocation it served
+        failed (its host died, its guest raised, its fetch failed).
 
         Runs detached: teardown cost is off every request's critical path.
         Backends whose workers hold more than their sandbox override this.
@@ -758,6 +740,18 @@ class ServerlessPlatform:
         del host
         self.sim.process(worker.stop(),
                          name=f"{label}:{worker.sandbox.name}")
+
+    def reap_idle(self) -> int:
+        """Periodic reaper: sweep every host's warm pool and tear down the
+        expired workers now.  Returns how many were reclaimed."""
+        reclaimed = 0
+        for host in self.cluster.hosts:
+            host.pool.expire_all(self.sim.now)
+            expired = host.pool.drain_expired()
+            for entry in expired:
+                self.discard_worker(entry.worker, host, label="reap")
+            reclaimed += len(expired)
+        return reclaimed
 
     def _make_handlers(self, worker: Worker,
                        record: InvocationRecord) -> ExternalHandlers:

@@ -92,8 +92,8 @@ class CatalyzerPlatform(ServerlessPlatform):
         dead = [key for key in self._templates if key[0] == host.host_id]
         for key in dead:
             template = self._templates.pop(key)
-            self._discard_worker(template.worker, host,
-                                 label="chaos-teardown")
+            self.discard_worker(template.worker, host,
+                                label="chaos-teardown")
 
     # -- autoscaler hook ---------------------------------------------------------
     def provision_warm_on(self, spec, host):
@@ -152,6 +152,6 @@ class CatalyzerPlatform(ServerlessPlatform):
                         host: Host):
         del spec
         if not self.retain_workers:
-            self._discard_worker(worker, host, label="teardown")
+            self.discard_worker(worker, host, label="teardown")
         return
         yield  # pragma: no cover

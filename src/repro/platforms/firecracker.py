@@ -93,8 +93,8 @@ class FirecrackerPlatform(ServerlessPlatform):
         yield from worker.pause()
         return WarmEntry(worker, float("inf"), paused=True)
 
-    def _discard_worker(self, worker: Worker, host: Host,
-                        label: str) -> None:
+    def discard_worker(self, worker: Worker, host: Host,
+                       label: str) -> None:
         """MicroVMs hold a bridge endpoint: disconnect on teardown."""
         self.sim.process(self._teardown(worker, host),
                          name=f"{label}:{worker.sandbox.name}")
@@ -119,7 +119,7 @@ class FirecrackerPlatform(ServerlessPlatform):
         if not self.retain_workers:
             # The response already left; reclaim the VM off the critical
             # path.
-            self._discard_worker(worker, host, label="teardown")
+            self.discard_worker(worker, host, label="teardown")
         return
         yield  # pragma: no cover
 

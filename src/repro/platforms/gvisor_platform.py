@@ -88,6 +88,6 @@ class GVisorPlatform(ServerlessPlatform):
                         host: Host):
         del spec
         if not self.retain_workers:
-            self._discard_worker(worker, host, label="teardown")
+            self.discard_worker(worker, host, label="teardown")
         return
         yield  # pragma: no cover

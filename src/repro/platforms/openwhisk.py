@@ -101,19 +101,8 @@ class OpenWhiskPlatform(ServerlessPlatform):
 
     # -- housekeeping ----------------------------------------------------------------
     def _reap_expired(self, host: Host) -> None:
-        """Tear down keep-alive-expired containers in the background."""
+        """Tear down the containers this host's pool already found expired
+        (no sweep: the cold path reaps only what lookups expired; the
+        periodic sweep is :meth:`reap_idle`)."""
         for entry in host.pool.drain_expired():
-            self._discard_worker(entry.worker, host, label="reap")
-
-    def reap_idle(self) -> int:
-        """Periodic reaper: sweep every host's pools and tear down expired
-        containers now (a real OpenWhisk runs this on a timer).  Returns
-        how many containers were reclaimed."""
-        reclaimed = 0
-        for host in self.cluster.hosts:
-            host.pool.expire_all(self.sim.now)
-            expired = host.pool.drain_expired()
-            for entry in expired:
-                self._discard_worker(entry.worker, host, label="reap")
-            reclaimed += len(expired)
-        return reclaimed
+            self.discard_worker(entry.worker, host, label="reap")

@@ -85,6 +85,9 @@ class TestChaosCrashMidTrace:
             assert host.active == 0
         assert crashed.pool.live_entries(now) == []
         assert crashed.pool.drain_all() == []
+        # The clones pooled there at the crash gave back their network.
+        assert len(crashed.bridge.namespaces) == 0
+        assert crashed.bridge.endpoint_count() == 0
         # Queued work displaced by the crash failed over or failed
         # loudly; silent loss would show up as an accounting gap above.
         flushed = (crashed.admission.flushed_down

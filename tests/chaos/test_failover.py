@@ -1,13 +1,18 @@
 """Host-crash failover: retries land the request on a surviving host."""
 
-from repro.bench import invoke_once
+import pytest
+
+from repro.bench import fresh_cluster_platform, install_all, invoke_once
 from repro.chaos import (KIND_HOST_CRASH, ChaosEvent, ChaosPlan,
                          HostFailureController)
+from repro.core import FireworksPlatform
 from repro.errors import InvocationFailedError
+from repro.platforms import FirecrackerPlatform
 from repro.trace import verify_invocation
 
-from tests.chaos.helpers import (FN, build_fireworks, run_crash_during,
-                                 scenario_fingerprint)
+from tests.chaos.helpers import (FN, SEED, SPEC, build_fireworks,
+                                 run_crash_during, scenario_fingerprint)
+from tests.helpers import drained_host
 
 
 class TestCrashBetweenInvocations:
@@ -113,3 +118,23 @@ class TestCrashDuringExec:
         runs = [scenario_fingerprint(*run_crash_during("exec"))
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+class TestCrashDrainsThePool:
+    """A crash tears each pooled sandbox down through its backend's own
+    teardown, so its namespace and route go with it."""
+
+    @pytest.mark.parametrize("platform_cls",
+                             [FirecrackerPlatform, FireworksPlatform])
+    def test_pooled_sandbox_gives_back_its_network(self, platform_cls):
+        platform = fresh_cluster_platform(platform_cls, seed=SEED,
+                                          n_hosts=2)
+        install_all(platform, [SPEC])
+        sim, host = platform.sim, platform.cluster.home_host(FN)
+        entry = sim.run(sim.process(platform.provision_warm_on(SPEC, host)))
+        host.pool.add(FN, entry)
+        assert host.bridge.endpoint_count() == 1
+        HostFailureController(platform, ChaosPlan([ChaosEvent(
+            sim.now, KIND_HOST_CRASH, host_id=host.host_id)]))
+        # The crash also cleared the host's snapshot store.
+        assert drained_host(platform, host) == (0, 0, 0.0)

@@ -11,12 +11,14 @@ import pytest
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.chaos import (KIND_DB_TIMEOUT, KIND_HOST_CRASH,
                          KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
-                         ChaosEvent, ChaosPlan, HostFailureController)
+                         KIND_STORE_LOSS, ChaosEvent, ChaosPlan,
+                         HostFailureController)
 from repro.core import FireworksPlatform
 from repro.core.parameter_passer import topic_for
 from repro.errors import (ChaosError, InjectedFault, InvocationFailedError,
                           SnapshotCorruptedError)
 from repro.workloads import REMINDER_DB, alexa_skills_chain, faasdom_spec
+from tests.helpers import drained_host
 
 
 def arm(platform, *budgets):
@@ -278,20 +280,11 @@ class TestParameterStateRelease:
         self._assert_released(platform, invoke_once(platform, spec.name))
 
 
-def _drained_host(platform):
-    """Host 0 once every pending process has run: its namespaces, routes
-    and used memory."""
-    platform.sim.run()
-    bridge = platform.bridge
-    return (len(bridge.namespaces), bridge.endpoint_count(),
-            platform.host_memory.used_mb)
-
-
 class TestCloneRetirement:
-    """A clone whose parameter fetch fails for good, or whose host dies
-    while its invocation is in flight, is retired like one that served
-    its invocation: no namespace, route, guest page or parameter topic
-    outlives it."""
+    """A clone whose parameter fetch fails for good, whose guest raises,
+    or whose host dies while its invocation is in flight, is retired like
+    one that served its invocation: no namespace, route, guest page or
+    parameter topic outlives it."""
 
     def test_failed_fetch_retires_the_clone(self, faulty_platform):
         platform, spec = faulty_platform
@@ -302,9 +295,9 @@ class TestCloneRetirement:
         served = fresh_platform(FireworksPlatform)
         install_all(served, [spec])
         invoke_once(served, spec.name)
-        namespaces, routes, used_mb = _drained_host(platform)
+        namespaces, routes, used_mb = drained_host(platform)
         assert (namespaces, routes) == (0, 0)
-        assert used_mb == _drained_host(served)[2]
+        assert used_mb == drained_host(served)[2]
 
     @pytest.mark.parametrize("stage", ["acquire", "exec"])
     def test_clone_lost_with_its_host_is_retired(self, faulty_platform,
@@ -323,5 +316,45 @@ class TestCloneRetirement:
         fc_id = excinfo.value.failed.span.find("publish").attrs["fc_id"]
         # The crash cleared the host's snapshot store, so with the clone
         # retired no page is left either.
-        assert _drained_host(platform) == (0, 0, 0.0)
+        assert drained_host(platform) == (0, 0, 0.0)
+        assert not platform.bus.has_topic(topic_for(fc_id))
+
+    def test_clone_whose_guest_raises_is_retired(self):
+        # A db-timeout budget that outlasts the guest SDK's retries makes
+        # the guest program itself raise mid-exec.
+        spec = next(s for s in alexa_skills_chain().functions
+                    if s.name == "alexa-reminder")
+        platform, served = (fresh_platform(FireworksPlatform),
+                            fresh_platform(FireworksPlatform))
+        install_all(platform, [spec])
+        install_all(served, [spec])
+        arm(platform, (KIND_DB_TIMEOUT, REMINDER_DB,
+                       platform.MAX_DB_ATTEMPTS))
+        with pytest.raises(InvocationFailedError) as excinfo:
+            invoke_once(platform, spec.name)
+        assert excinfo.value.failed.attempts == 1
+        fc_id = excinfo.value.failed.span.find("publish").attrs["fc_id"]
+        invoke_once(served, spec.name)
+        namespaces, routes, used_mb = drained_host(platform)
+        assert (namespaces, routes) == (0, 0)
+        assert used_mb == drained_host(served)[2]
+        assert not platform.bus.has_topic(topic_for(fc_id))
+
+    def test_store_loss_during_exec_still_serves(self, faulty_platform):
+        """The REAP working set is recorded against the stored snapshot;
+        one lost while the guest ran fails nothing that already ran."""
+        platform, spec = faulty_platform
+        served = fresh_platform(FireworksPlatform)
+        install_all(served, [spec])
+        span = invoke_once(served, spec.name).span.find("exec")
+        HostFailureController(platform, ChaosPlan([ChaosEvent(
+            (span.start_ms + span.end_ms) / 2, KIND_STORE_LOSS,
+            host_id=0)]))
+        record = invoke_once(platform, spec.name)
+        assert (record.mode, record.attempts) == ("snapshot", 1)
+        assert platform.failed_invocations == []
+        fc_id = record.span.find("publish").attrs["fc_id"]
+        # The lost store took the snapshot's pages, so with the clone
+        # retired no page is left either.
+        assert drained_host(platform) == (0, 0, 0.0)
         assert not platform.bus.has_topic(topic_for(fc_id))

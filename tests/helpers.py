@@ -15,3 +15,14 @@ def run_all(sim: Simulation, *generators):
     processes = [sim.process(g) for g in generators]
     sim.run()
     return [p.value for p in processes]
+
+
+def drained_host(platform, host=None):
+    """*host* (default host 0) once every pending process has run: its
+    namespaces, routes and used memory."""
+    platform.sim.run()
+    if host is None:
+        host = platform.cluster.hosts[0]
+    bridge = host.bridge
+    return (len(bridge.namespaces), bridge.endpoint_count(),
+            host.memory.used_mb)

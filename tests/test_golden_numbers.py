@@ -10,6 +10,7 @@ and EXPERIMENTS.md together.
 import pytest
 
 from repro.bench import (cold_and_warm, fireworks_invocation)
+from repro.bench.serialization import canonical_hash
 from repro.platforms import FirecrackerPlatform, OpenWhiskPlatform
 from repro.workloads import faasdom_spec
 
@@ -81,18 +82,6 @@ class TestGoldenDeterminism:
         assert first.other_ms == second.other_ms
 
 
-def _canonical_hash(result) -> str:
-    """SHA-256 of the loss-free canonical JSON encoding of *result* —
-    the same bytes the engine's result cache stores."""
-    import hashlib
-    import json
-
-    from repro.bench.serialization import encode_result
-    blob = json.dumps(encode_result(result), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 #: Pristine (pre-serving-layer) figure hashes; the disabled autoscale
 #: defaults must reproduce them bit-for-bit.
 GOLDEN_FIGURE_HASHES = {
@@ -123,7 +112,7 @@ class TestGoldenFigureHashes:
     The serving layer (repro.autoscale) threads through the shared invoke
     path; these hashes prove its disabled defaults leave every existing
     figure *byte*-identical, not merely within tolerance.  If you change
-    the model deliberately, re-capture with ``_canonical_hash`` and
+    the model deliberately, re-capture with ``canonical_hash`` and
     update EXPERIMENTS.md alongside.
     """
 
@@ -150,7 +139,7 @@ class TestGoldenFigureHashes:
         from repro.config import default_parameters
         result = run_faasdom_benchmark("faas-fact", "nodejs",
                                        default_parameters())
-        assert _canonical_hash(result) == \
+        assert canonical_hash(result) == \
             GOLDEN_FIGURE_HASHES["fig6:faas-fact"]
 
     def test_fig7_fact_python(self):
@@ -158,27 +147,27 @@ class TestGoldenFigureHashes:
         from repro.config import default_parameters
         result = run_faasdom_benchmark("faas-fact", "python",
                                        default_parameters())
-        assert _canonical_hash(result) == \
+        assert canonical_hash(result) == \
             GOLDEN_FIGURE_HASHES["fig7:faas-fact"]
 
     def test_fig9_applications(self):
         from repro.bench.realworld import run_fig9
         from repro.config import default_parameters
         result = run_fig9(default_parameters())
-        assert _canonical_hash(result) == GOLDEN_FIGURE_HASHES["fig9:all"]
+        assert canonical_hash(result) == GOLDEN_FIGURE_HASHES["fig9:all"]
 
     def test_fig10_firecracker(self):
         from repro.bench.memory import run_fig10_platform
         from repro.config import default_parameters
         result = run_fig10_platform("firecracker", default_parameters())
-        assert _canonical_hash(result) == \
+        assert canonical_hash(result) == \
             GOLDEN_FIGURE_HASHES["fig10:firecracker"]
 
     def test_fig10_fireworks(self):
         from repro.bench.memory import run_fig10_platform
         from repro.config import default_parameters
         result = run_fig10_platform("fireworks", default_parameters())
-        assert _canonical_hash(result) == \
+        assert canonical_hash(result) == \
             GOLDEN_FIGURE_HASHES["fig10:fireworks"]
 
     def test_stream_transfers_disabled_by_default(self):
@@ -190,7 +179,7 @@ class TestGoldenFigureHashes:
         from repro.bench.engine import run_experiments
         result = run_experiments(["restore"],
                                  use_cache=False).results["restore"]
-        assert _canonical_hash(result) == \
+        assert canonical_hash(result) == \
             GOLDEN_FIGURE_HASHES["restore:all"]
 
     def test_chains_figure(self):
@@ -200,4 +189,4 @@ class TestGoldenFigureHashes:
         # The engine keys rows "platform@policy"; the pinned hash covers
         # them keyed by (platform, policy) tuples.
         rows = {(row.platform, row.policy): row for row in result.values()}
-        assert _canonical_hash(rows) == GOLDEN_FIGURE_HASHES["chains:all"]
+        assert canonical_hash(rows) == GOLDEN_FIGURE_HASHES["chains:all"]

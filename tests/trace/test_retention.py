@@ -110,8 +110,14 @@ class TestLongReplay:
 
     def test_no_clone_topic_outlives_its_clone(self, replay):
         platform, _ = replay
-        live_clones = {topic_for(fc_id)
-                       for fc_id, _host in platform._warm_fc_ids.values()}
+        now = platform.sim.now
+        # After the drain the only clones left are pooled ones, live or
+        # expired; each knows its fcID from its MMDS.
+        live_clones = {
+            topic_for(entry.worker.sandbox.mmds.get("fcID"))
+            for host in platform.cluster.hosts
+            for entry in (host.pool.live_entries(now)
+                          + host.pool.expired_entries)}
         clone_topics = {name for name in platform.bus.topic_names()
                         if name.startswith(topic_for(""))}
         assert clone_topics <= live_clones
