@@ -21,18 +21,21 @@ The engine:
   :func:`~repro.bench.serialization.loads_result` before the merge — so the
   cache-hit path decodes exactly the bytes the compute path produced;
 * addresses each cache file by a content hash of ``(cache schema, repro
-  version, experiment id, shard key, shard kwargs, canonical hash of
-  CalibratedParameters, seed)`` — a rerun with the same calibration is a
-  pure cache read.
+  version, source digest, experiment id, shard key, shard kwargs,
+  canonical hash of CalibratedParameters, seed)`` — a rerun of the same
+  code with the same calibration is a pure cache read.
 
 Invalidation is by key construction: changing any calibrated constant, the
-seed, the package version or :data:`CACHE_SCHEMA_VERSION` changes the key,
-and stale entries are simply never read again (``prune()`` deletes entries
-whose key no longer matches).
+seed, the package version, :data:`CACHE_SCHEMA_VERSION` or the bytes of any
+``*.py`` file of the ``repro`` package (:func:`code_digest`) changes the
+key, and stale entries are simply never read again (``prune()`` deletes
+entries whose key no longer matches).  So after an edit, a run recomputes
+every shard instead of serving results of the old code.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -109,6 +112,25 @@ def _execute_shard(shard: Shard, params: CalibratedParameters,
 # ---------------------------------------------------------------------------
 # Content-addressed result cache
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """sha256 over every ``*.py`` file of the ``repro`` package: each
+    file's path relative to the package, then its bytes' sha256, in sorted
+    path order.
+
+    Part of every cache key.  Computed once per process, on the first key,
+    never at import: reading the package's sources takes milliseconds.
+    """
+    package = Path(__file__).resolve().parent.parent
+    files = sorted((path.relative_to(package).as_posix(), path)
+                   for path in package.rglob("*.py"))
+    digest = hashlib.sha256()
+    for relative, path in files:
+        digest.update(relative.encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 class ResultCache:
     """Shard result blobs under *root*, addressed by content hash.
 
@@ -134,6 +156,7 @@ class ResultCache:
         material = json.dumps({
             "schema": CACHE_SCHEMA_VERSION,
             "version": __version__,
+            "code": code_digest(),
             "experiment": shard.experiment,
             "shard": shard.key,
             "kwargs": canonical_jsonable(shard.kwargs_dict()),

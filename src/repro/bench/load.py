@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.autoscale import WarmPoolAutoscaler
 from repro.bench.experiment import Experiment, render_lines
@@ -171,26 +171,31 @@ def _start_memory_sampler(platform, until_ms: float, interval_ms: float,
 
 def open_loop_replay(platform, trace, duration_ms: float,
                      sample_interval_ms: float = DEFAULT_SAMPLE_INTERVAL_MS
-                     ) -> "array":
+                     ) -> Tuple[int, "array"]:
     """Fire every trace event at its time as a detached process, then
-    drain.  Returns the warm-memory samples (an ``array('d')``).
+    drain.  Returns the number of events submitted and the warm-memory
+    samples (an ``array('d')``).
 
-    Trace times are relative to *now* (installs already advanced the
-    clock), so event ``at_ms`` fires at ``start + at_ms``.
+    *trace* is any time-ordered iterable of events, read once as the
+    clock reaches each one, so a lazy trace is never held whole.  Trace
+    times are relative to *now* (installs already advanced the clock), so
+    event ``at_ms`` fires at ``start + at_ms``.
     """
     sim = platform.sim
     start_ms = sim.now
     samples = array("d")
     _start_memory_sampler(platform, start_ms + duration_ms,
                           sample_interval_ms, samples)
+    requests = 0
     for event in trace:
         at_ms = start_ms + event.at_ms
         if sim.now < at_ms:
             sim.run(until=at_ms)
         sim.process(_submit(platform, event.function),
                     name=f"load:{event.function}")
+        requests += 1
     sim.run()   # drain in-flight requests, reclamation, the scaler
-    return samples
+    return requests, samples
 
 
 def build_load_trace(n_functions: int, duration_ms: float, seed: int,
@@ -200,7 +205,11 @@ def build_load_trace(n_functions: int, duration_ms: float, seed: int,
                      DEFAULT_RARE_INTERARRIVAL_MS,
                      period_ms: float = DEFAULT_MODULATION_PERIOD_MS,
                      depth: float = DEFAULT_MODULATION_DEPTH):
-    """The (popularity, trace) pair every row of one run replays."""
+    """The (function names, trace) pair every row of one run replays.
+
+    The trace is :func:`~repro.workloads.generator.modulated_poisson_trace`'s
+    lazy iterator: each call draws a fresh one, to be read once.
+    """
     rng = RngStreams(seed)
     function_names = [f"fn-{i:02d}" for i in range(n_functions)]
     popularity = assign_popularity(
@@ -292,7 +301,7 @@ def run_load_platform(
             for event in chaos_plan.events])
         HostFailureController(platform, shifted, failover=True)
 
-    samples = open_loop_replay(platform, trace, duration_ms)
+    requests, samples = open_loop_replay(platform, trace, duration_ms)
 
     # Every invocation is read from the platform's ledger: the record
     # lists keep only the invocations whose trees the tracer kept.
@@ -302,7 +311,7 @@ def run_load_platform(
         platform=platform_name,
         mode=scaler.mode,
         n_hosts=n_hosts,
-        requests=len(trace),
+        requests=requests,
         completed=ledger.completed,
         shed=ledger.shed,
         failed=ledger.failed,

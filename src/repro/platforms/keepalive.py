@@ -21,8 +21,9 @@ Fireworks avoids the trade entirely.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import PlatformError
 
@@ -61,7 +62,8 @@ class HybridHistogramKeepAlive(KeepAlivePolicy):
 
     The window is the ``coverage`` percentile of the observed inter-arrival
     gaps (clamped to [min, max]); until enough gaps are observed the policy
-    falls back to the fleet default.
+    falls back to the fleet default.  The gaps of each function are an
+    ``array('d')``: one gap per arrival, unboxed.
     """
 
     default_window_ms: float = 600000.0
@@ -70,7 +72,7 @@ class HybridHistogramKeepAlive(KeepAlivePolicy):
     max_window_ms: float = 1800000.0    # 30 minute cap
     warmup_samples: int = 3
     _last_arrival: Dict[str, float] = field(default_factory=dict)
-    _gaps: Dict[str, List[float]] = field(default_factory=dict)
+    _gaps: Dict[str, array] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.coverage <= 1.0:
@@ -81,7 +83,10 @@ class HybridHistogramKeepAlive(KeepAlivePolicy):
         """Record the gap since this function's previous arrival."""
         last = self._last_arrival.get(function)
         if last is not None and now_ms > last:
-            self._gaps.setdefault(function, []).append(now_ms - last)
+            gaps = self._gaps.get(function)
+            if gaps is None:
+                gaps = self._gaps[function] = array("d")
+            gaps.append(now_ms - last)
         self._last_arrival[function] = now_ms
 
     def window_ms(self, function: str) -> float:

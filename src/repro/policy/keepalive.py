@@ -5,14 +5,15 @@ the existing :class:`~repro.platforms.keepalive.KeepAlivePolicy`
 interface.  It keeps the same per-function inter-arrival ledger the
 built-in :class:`~repro.platforms.keepalive.HybridHistogramKeepAlive`
 keeps (a gap is recorded only when an arrival lands strictly after the
-previous one), and exposes it to the tree as the ``observed_gaps`` and
-``gap_percentile_ms(q)`` signals.
+previous one, in an ``array('d')`` per function), and exposes it to the
+tree as the ``observed_gaps`` and ``gap_percentile_ms(q)`` signals.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from array import array
+from typing import Dict
 
 from repro.platforms.keepalive import KeepAlivePolicy
 from repro.policy.dsl import (
@@ -39,14 +40,17 @@ class DslKeepAlivePolicy(KeepAlivePolicy):
         self.compiled = compiled
         self.name = compiled.name
         self._last_arrival: Dict[str, float] = {}
-        self._gaps: Dict[str, List[float]] = {}
+        self._gaps: Dict[str, array] = {}
 
     def observe_arrival(self, function: str, now_ms: float) -> None:
         """Record the gap since this function's previous arrival
         (identically to the built-in histogram policy)."""
         last = self._last_arrival.get(function)
         if last is not None and now_ms > last:
-            self._gaps.setdefault(function, []).append(now_ms - last)
+            gaps = self._gaps.get(function)
+            if gaps is None:
+                gaps = self._gaps[function] = array("d")
+            gaps.append(now_ms - last)
         self._last_arrival[function] = now_ms
 
     def _resolver(self, function: str):

@@ -13,18 +13,20 @@ classification fields the breakdown derivation keys on:
 
 Spans form a tree per trace, linked top-down only: a span holds its
 ``children`` but no pointer to its parent, so a tree has no reference cycle
-and refcounting frees it the moment nothing holds its root.  ``kept`` says
-whether the tracer keeps the span's tree (see
-:data:`~repro.trace.tracer.KEPT_ROOTS`); every span of a tree carries its
-root's decision.  Spans are context managers: opening one attaches it
-under the innermost open span of the current process (or makes it a root
-of the :class:`~repro.trace.tracer.Tracer` that issued it) and pushes it
-on that process's span stack; closing it pops it.
+and refcounting frees it the moment nothing holds its root.  A leaf's
+``children`` is the one shared empty tuple; a span gets a list of its own
+when its first child attaches, so the leaves of a kept tree — most of its
+spans — hold no empty list each.  ``kept`` says whether the tracer keeps
+the span's tree (see :data:`~repro.trace.tracer.KEPT_ROOTS`); every span of
+a tree carries its root's decision.  Spans are context managers: opening
+one attaches it under the innermost open span of the current process (or
+makes it a root of the :class:`~repro.trace.tracer.Tracer` that issued it)
+and pushes it on that process's span stack; closing it pops it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import TraceError
 
@@ -48,7 +50,7 @@ class Span:
         self.kind = kind
         self.trace_id = trace_id
         self.kept = True
-        self.children: List["Span"] = []
+        self.children: Sequence["Span"] = ()
         self.start_ms: Optional[float] = None
         self.end_ms: Optional[float] = None
         # The span takes ownership of *attrs* (no defensive copy): every
@@ -105,7 +107,10 @@ class Span:
             parent = stack[-1]
             self.trace_id = parent.trace_id
             self.kept = parent.kept
-            parent.children.append(self)
+            if parent.children:
+                parent.children.append(self)
+            else:
+                parent.children = [self]
         else:
             tracer._attach(self, stack)
         self.start_ms = sim._now

@@ -36,6 +36,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 KEPT_ROOTS = 4096
 
 
+def _adopt(parent: Span, span: Span) -> None:
+    """Attach *span* as *parent*'s last child, under its root's id and kept
+    decision; a leaf's shared empty ``children`` becomes a list here."""
+    span.trace_id = parent.trace_id
+    span.kept = parent.kept
+    if parent.children:
+        parent.children.append(span)
+    else:
+        parent.children = [span]
+
+
 class Tracer:
     """Issues spans timed on one simulation's clock; keeps the first
     :data:`KEPT_ROOTS` roots."""
@@ -98,9 +109,7 @@ class Tracer:
         span.start_ms = start_ms
         span.end_ms = end_ms
         if parent is not None:
-            span.trace_id = parent.trace_id
-            span.kept = parent.kept
-            parent.children.append(span)
+            _adopt(parent, span)
         else:
             self._attach(span)
         return span
@@ -111,10 +120,7 @@ class Tracer:
         if stack is None:
             stack = self._stack()
         if stack:
-            parent = stack[-1]
-            span.trace_id = parent.trace_id
-            span.kept = parent.kept
-            parent.children.append(span)
+            _adopt(stack[-1], span)
         else:
             if not span.trace_id:
                 self._auto_ids += 1

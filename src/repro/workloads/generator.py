@@ -10,9 +10,10 @@ figures).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.errors import PlatformError
 from repro.sim.rng import RngStreams
@@ -89,7 +90,7 @@ def poisson_trace(popularities: Sequence[FunctionPopularity],
 def modulated_poisson_trace(popularities: Sequence[FunctionPopularity],
                             duration_ms: float, rng: RngStreams,
                             period_ms: float = 60000.0,
-                            depth: float = 0.6) -> List[TraceEvent]:
+                            depth: float = 0.6) -> Iterator[TraceEvent]:
     """A *non-homogeneous* Poisson trace: the arrival rate swings
     sinusoidally around each function's mean (diurnal-pattern analogue,
     compressed to *period_ms*), via Lewis–Shedler thinning.
@@ -100,6 +101,13 @@ def modulated_poisson_trace(popularities: Sequence[FunctionPopularity],
     while troughs let warm pools drain.  ``depth=0`` degenerates to
     :func:`poisson_trace`'s homogeneous process (different draws, same
     law).  Deterministic per seed: one RNG stream per function.
+
+    The trace is a lazy iterator, ordered by ``(at_ms, function)``: the
+    arguments are checked at call time, and events are drawn as they are
+    consumed, from a merge of the per-function arrival streams.  Each
+    function draws from its own stream, so the sequence equals the sorted
+    list of every function's arrivals, while a long replay holds one
+    pending event per function instead of its whole input.
     """
     if duration_ms <= 0:
         raise PlatformError(f"duration must be positive, got {duration_ms}")
@@ -109,22 +117,30 @@ def modulated_poisson_trace(popularities: Sequence[FunctionPopularity],
     if period_ms <= 0:
         raise PlatformError(f"modulation period must be positive, "
                             f"got {period_ms}")
-    events: List[TraceEvent] = []
     omega = 2.0 * math.pi / period_ms
-    for pop in popularities:
-        stream = rng.stream(f"arrivals:{pop.function}")
-        peak_mean_ms = pop.mean_interarrival_ms / (1.0 + depth)
-        t = 0.0
-        while True:
-            u = stream.random()
-            t += -peak_mean_ms * math.log(1.0 - u)
-            if t >= duration_ms:
-                break
-            accept = (1.0 + depth * math.sin(omega * t)) / (1.0 + depth)
-            if stream.random() < accept:
-                events.append(TraceEvent(at_ms=t, function=pop.function))
-    events.sort(key=lambda e: (e.at_ms, e.function))
-    return events
+    per_function = [
+        _thinned_arrivals(pop.function,
+                          rng.stream(f"arrivals:{pop.function}"),
+                          pop.mean_interarrival_ms / (1.0 + depth),
+                          duration_ms, omega, depth)
+        for pop in popularities]
+    return heapq.merge(*per_function,
+                       key=lambda event: (event.at_ms, event.function))
+
+
+def _thinned_arrivals(function: str, stream, peak_mean_ms: float,
+                      duration_ms: float, omega: float,
+                      depth: float) -> Iterator[TraceEvent]:
+    """One function's modulated arrivals, in time order."""
+    t = 0.0
+    while True:
+        u = stream.random()
+        t += -peak_mean_ms * math.log(1.0 - u)
+        if t >= duration_ms:
+            return
+        accept = (1.0 + depth * math.sin(omega * t)) / (1.0 + depth)
+        if stream.random() < accept:
+            yield TraceEvent(at_ms=t, function=function)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
+import shutil
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.bench.engine import (ResultCache, Shard, experiment_ids,
-                                experiment_registry, resolve_ids,
-                                run_experiments)
+from repro.bench.engine import (ResultCache, Shard, code_digest,
+                                experiment_ids, experiment_registry,
+                                resolve_ids, run_experiments)
 from repro.bench.serialization import (dumps_result, encode_result,
                                        loads_result)
 from repro.bench.tables import run_table2
@@ -150,6 +153,55 @@ class TestResultCache:
         assert cache.key(shard, fingerprint, 2023) != base
         other = experiment_registry()["fig10"].shards[1]
         assert cache.key(other, fingerprint, 2022) != base
+
+    def test_key_depends_on_code_digest(self, monkeypatch):
+        from repro.bench import engine
+        cache = ResultCache("unused")
+        shard = self._shard()
+        fingerprint = params_fingerprint(default_parameters())
+        base = cache.key(shard, fingerprint, 2022)
+        monkeypatch.setattr(engine, "code_digest", lambda: "0" * 64)
+        assert cache.key(shard, fingerprint, 2022) != base
+
+    def test_code_change_invalidates(self, tmp_path, monkeypatch):
+        from repro.bench import engine
+        cache_dir = str(tmp_path / "cache")
+        run_experiments(["table2"], cache_dir=cache_dir)
+        assert run_experiments(["table2"],
+                               cache_dir=cache_dir).stats.cache_hits == 1
+        monkeypatch.setattr(engine, "code_digest", lambda: "0" * 64)
+        again = run_experiments(["table2"], cache_dir=cache_dir)
+        assert again.stats.cache_hits == 0
+        assert again.stats.executed == 1
+
+    def test_code_digest_covers_the_sources_and_waits_for_first_use(
+            self, tmp_path):
+        """Two copies of the package that differ by one comment line
+        digest differently; importing the engine and building the
+        registry computes nothing."""
+        package = Path(__file__).resolve().parents[2] / "src" / "repro"
+        probe = ("import repro.bench.engine as engine\n"
+                 "engine.experiment_registry()\n"
+                 "print(engine.code_digest.cache_info().currsize)\n"
+                 "print(engine.code_digest())\n")
+        outputs = []
+        for side in ("same", "edited"):
+            root = tmp_path / side
+            shutil.copytree(package, root / "repro",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if side == "edited":
+                with open(root / "repro" / "bench" / "load.py", "a") as f:
+                    f.write("# one more line\n")
+            env = dict(os.environ, PYTHONPATH=str(root),
+                       PYTHONDONTWRITEBYTECODE="1")
+            result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                    check=True, capture_output=True,
+                                    text=True)
+            outputs.append(result.stdout.split())
+        (same_size, same), (edited_size, edited) = outputs
+        assert same_size == edited_size == "0"
+        assert same == code_digest()
+        assert edited != same
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

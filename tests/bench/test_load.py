@@ -11,15 +11,22 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
-from repro.bench.load import (LOAD_MODES, LOAD_PLATFORMS, build_load_trace,
+from repro.bench.load import (DEFAULT_MODULATION_DEPTH,
+                              DEFAULT_MODULATION_PERIOD_MS,
+                              DEFAULT_RARE_INTERARRIVAL_MS, LOAD_MODES,
+                              LOAD_PLATFORMS, build_load_trace,
                               run_load_platform)
 from repro.bench.serialization import encode_result
 from repro.chaos.plan import ChaosPlan
 from repro.errors import ValidationError
+from repro.sim.rng import RngStreams
+from repro.workloads.generator import assign_popularity
+from tests.helpers import sorted_modulated_trace
 
 # Small but non-trivial: a few hundred events, queueing visible.
 SMALL = dict(n_hosts=3, n_functions=8, duration_ms=20_000.0,
@@ -107,9 +114,32 @@ class TestOutcomeShape:
         assert LOAD_MODES == ("none", "reactive", "predictive")
 
     def test_trace_is_seed_deterministic(self):
-        first = build_load_trace(8, 20_000.0, 7)
-        second = build_load_trace(8, 20_000.0, 7)
-        assert first == second
+        first_names, first_trace = build_load_trace(8, 20_000.0, 7)
+        second_names, second_trace = build_load_trace(8, 20_000.0, 7)
+        assert first_names == second_names
+        assert list(first_trace) == list(second_trace)
+
+    def test_trace_is_an_iterator(self):
+        _, trace = build_load_trace(8, 20_000.0, 7)
+        assert isinstance(trace, Iterator)
+
+    def test_requests_count_every_streamed_event(self):
+        """``requests`` is counted while the lazy trace is consumed: it
+        equals the accounted outcomes and the length of the sorted list
+        the stream replaced."""
+        outcome = run_load_platform("fireworks", "predictive", **SMALL)
+        rng = RngStreams(SMALL["seed"])
+        popularity = assign_popularity(
+            [f"fn-{i:02d}" for i in range(SMALL["n_functions"])], rng,
+            popular_interarrival_ms=SMALL["popular_interarrival_ms"],
+            rare_interarrival_ms=DEFAULT_RARE_INTERARRIVAL_MS)
+        oracle = sorted_modulated_trace(
+            popularity, SMALL["duration_ms"], rng,
+            period_ms=DEFAULT_MODULATION_PERIOD_MS,
+            depth=DEFAULT_MODULATION_DEPTH)
+        assert outcome.requests == len(oracle) > 0
+        assert outcome.completed + outcome.shed + outcome.failed \
+            == outcome.requests
 
     def test_unknown_platform_or_mode_raises(self):
         with pytest.raises(KeyError):

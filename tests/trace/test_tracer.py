@@ -41,7 +41,7 @@ class TestSpanLifecycle:
         assert sim.tracer.traces() == (outer,)
         assert [span.name for span in outer.walk()] == ["outer", "inner"]
         inner = outer.children[0]
-        assert inner.children == []
+        assert len(inner.children) == 0
         assert inner.trace_id == outer.trace_id
         assert inner.start_ms == 1.0 and inner.end_ms == 3.0
         assert outer.duration_ms == 6.0
@@ -148,6 +148,46 @@ class TestRetrospectiveSpans:
     def test_add_span_rejects_negative_duration(self, sim):
         with pytest.raises(TraceError):
             sim.tracer.add_span("bad", 5.0, 4.0)
+
+
+class TestLeafChildren:
+    """Leaves share one empty ``children`` tuple; a span's first child
+    gives it a list of its own, at each of the three attach sites."""
+
+    def test_leaves_share_one_empty_tuple(self, sim):
+        with sim.tracer.span("a") as a:
+            pass
+        with sim.tracer.span("b") as b:
+            pass
+        assert len(a.children) == 0
+        assert a.children is b.children
+
+    def test_enter_gives_the_parent_a_list(self, sim):
+        with sim.tracer.span("outer") as outer:
+            with sim.tracer.span("first") as first:
+                pass
+            with sim.tracer.span("second") as second:
+                pass
+        assert isinstance(outer.children, list)
+        assert outer.children == [first, second]
+        assert len(first.children) == 0
+
+    def test_retrospective_span_under_the_open_span(self, sim):
+        with sim.tracer.span("op") as op:
+            first = sim.tracer.add_span("compile", 0.0, 0.0)
+            second = sim.tracer.add_span("link", 0.0, 0.0)
+        assert isinstance(op.children, list)
+        assert op.children == [first, second]
+        assert first.trace_id == op.trace_id
+
+    def test_explicit_parent_gets_a_list(self, sim):
+        root = sim.tracer.add_span("chain", 0.0, 5.0, trace_id="c1")
+        assert len(root.children) == 0
+        first = sim.tracer.add_span("stage", 0.0, 2.0, parent=root)
+        second = sim.tracer.add_span("stage", 2.0, 5.0, parent=root)
+        assert isinstance(root.children, list)
+        assert root.children == [first, second]
+        assert first.trace_id == second.trace_id == "c1"
 
 
 class TestQueries:

@@ -1,11 +1,15 @@
 """Unit tests for the Azure-like trace generator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PlatformError
 from repro.sim.rng import RngStreams
 from repro.workloads.generator import (POPULAR_FRACTION, assign_popularity,
+                                       modulated_poisson_trace,
                                        poisson_trace, trace_stats)
+from tests.helpers import sorted_modulated_trace
 
 
 @pytest.fixture
@@ -85,6 +89,42 @@ class TestTrace:
         t1 = poisson_trace(pops, 60000.0, RngStreams(3))
         t2 = poisson_trace(pops, 60000.0, RngStreams(3))
         assert t1 == t2
+
+
+class TestModulatedTrace:
+    """The lazy modulated trace is the sorted list, streamed."""
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32),
+           n_functions=st.integers(min_value=1, max_value=12),
+           duration_ms=st.floats(min_value=1.0, max_value=30_000.0),
+           popular_ms=st.floats(min_value=20.0, max_value=2_000.0),
+           period_ms=st.floats(min_value=100.0, max_value=120_000.0),
+           depth=st.floats(min_value=0.0, max_value=0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_stream_equals_the_sorted_list(self, seed, n_functions,
+                                           duration_ms, popular_ms,
+                                           period_ms, depth):
+        functions = [f"fn-{i:02d}" for i in range(n_functions)]
+        pops = assign_popularity(functions, RngStreams(seed),
+                                 popular_interarrival_ms=popular_ms,
+                                 rare_interarrival_ms=50 * popular_ms)
+        streamed = modulated_poisson_trace(pops, duration_ms,
+                                           RngStreams(seed),
+                                           period_ms=period_ms, depth=depth)
+        oracle = sorted_modulated_trace(pops, duration_ms, RngStreams(seed),
+                                        period_ms=period_ms, depth=depth)
+        assert list(streamed) == oracle
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(duration_ms=0.0),
+        dict(duration_ms=1000.0, depth=1.0),
+        dict(duration_ms=1000.0, depth=-0.1),
+        dict(duration_ms=1000.0, period_ms=0.0),
+    ])
+    def test_bad_arguments_raise_at_call_time(self, rng, kwargs):
+        pops = assign_popularity(["a", "b"], rng)
+        with pytest.raises(PlatformError):
+            modulated_poisson_trace(pops, rng=rng, **kwargs)
 
 
 class TestZipfWeights:

@@ -6,9 +6,12 @@ Usage: ``python tools/memory_bound.py``
 Runs ``run_load_platform("fireworks", "predictive")`` for 15 s and for
 150 s of simulated traffic (the ten-times-longer replay completes about
 ten times as many invocations), each in a fresh interpreter, and compares
-the two processes' peak RSS (``ru_maxrss``, KiB on Linux).  What still
-grows with run length — the input trace, the keep-alive gap ledger and
-the platform ledger's columns — stays well inside the allowance.
+the two processes' peak RSS (``ru_maxrss``, KiB on Linux).  The arrival
+trace is streamed, not held, so what still grows with run length is a few
+doubles per arrival: the keep-alive gap ledgers and the platform ledger's
+columns, each an ``array('d')``, plus the kept trace trees, which stop at
+``KEPT_ROOTS``.  The allowance is the measured growth (+5.6 MiB at the
+default seed, Python 3.11 on Linux x86-64) with about a 2x margin.
 
 Exit code 0 when the longer run peaks at most ``ALLOWANCE_MIB`` above the
 shorter one; 1 otherwise.
@@ -26,7 +29,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(
 #: Simulated replay lengths, shorter first.
 DURATIONS_MS = (15_000.0, 150_000.0)
 #: How far the longer run's peak RSS may exceed the shorter run's.
-ALLOWANCE_MIB = 32.0
+ALLOWANCE_MIB = 12.0
 
 CHILD = """\
 import resource, sys
