@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.config import CalibratedParameters
-from repro.errors import PlatformError
+from repro.errors import NoHostAvailableError, PlatformError
 from repro.host.cpu import HostCpu
 from repro.mem.host_memory import HostMemory
 from repro.net.bridge import HostBridge
@@ -209,7 +209,6 @@ class Cluster:
         the live host with the shortest admission queue, where it will
         wait or be shed.  The admission queue performs the ``assign``.
         """
-        from repro.errors import NoHostAvailableError
         try:
             host, self._rr_next = self.placement.select(
                 self.hosts, function, self._rr_next, locality)

@@ -292,8 +292,7 @@ class FireworksPlatform(ServerlessPlatform):
         # A snapshot lost while the guest ran (store loss) leaves nothing
         # to record the working set against; the invocation still served.
         if worker.invocations > 0 and host.store.contains(spec.name):
-            self.recorder.record(self.image_for(spec.name, host), worker,
-                                 now_ms=self.sim.now)
+            self.recorder.record(self.image_for(spec.name, host), worker)
         if not self.retain_workers:
             # Clone reclamation happens off the response's critical path.
             self.discard_worker(worker, host, label="retire")

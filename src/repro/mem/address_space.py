@@ -9,7 +9,7 @@ restore — everything shared until written).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import MemoryError_
 from repro.mem.host_memory import HostMemory, mb_to_pages, pages_to_mb
@@ -68,9 +68,7 @@ class _SharedMapping:
         return self.segment.pages + extra
 
     def dirty(self, pages: int) -> None:
-        before = self.segment.dirty_pages(self.mapper_id)
-        after = self.segment.dirty(self.mapper_id, pages)
-        spill = pages - (after - before)
+        spill = pages - self.segment.dirty(self.mapper_id, pages)
         if spill > 0:
             self.grow(spill)
 
@@ -136,10 +134,25 @@ class AddressSpace:
 
     def dirty_fraction(self, region: str, fraction: float) -> None:
         """Write a fraction of *region*'s current pages."""
-        if not 0.0 <= fraction <= 1.0:
-            raise MemoryError_(f"dirty fraction {fraction} out of [0, 1]")
-        mapping = self._mapping(region)
-        mapping.dirty(int(round(mapping.pages * fraction)))
+        _dirty_fraction(self._mapping(region), fraction)
+
+    def touch(self, fractions: Iterable[Tuple[str, float]],
+              grow_region: str, grow_mb: float) -> None:
+        """Write several regions in one pass (an invocation's pages).
+
+        Dirties each ``(region, fraction)`` in order, as
+        :meth:`dirty_fraction` would, then grows *grow_region* by
+        *grow_mb* MiB.  A region that is not mapped is skipped, fraction
+        check included; each mapped one is looked up once.
+        """
+        regions = self._regions
+        for region, fraction in fractions:
+            mapping = regions.get(region)
+            if mapping is not None:
+                _dirty_fraction(mapping, fraction)
+        mapping = regions.get(grow_region)
+        if mapping is not None:
+            mapping.grow(mb_to_pages(grow_mb))
 
     def grow_mb(self, region: str, mb: float) -> None:
         """Allocate *mb* MiB of fresh anonymous memory in *region*."""
@@ -153,6 +166,14 @@ class AddressSpace:
     def uss_mb(self) -> float:
         """Unique set size: pages no other address space maps."""
         return pages_to_mb(sum(m.uss_pages() for m in self._regions.values()))
+
+    def rss_uss_mb(self) -> Tuple[float, float]:
+        """``(rss_mb(), uss_mb())`` from one walk over the regions."""
+        rss = uss = 0
+        for mapping in self._regions.values():
+            rss += mapping.rss_pages()
+            uss += mapping.uss_pages()
+        return pages_to_mb(rss), pages_to_mb(uss)
 
     def pss_pages(self) -> float:
         """Proportional set size in pages.
@@ -202,3 +223,9 @@ class AddressSpace:
     def __repr__(self) -> str:
         return (f"<AddressSpace {self.name} regions={list(self._regions)} "
                 f"pss={self.pss_mb():.1f}MiB>")
+
+
+def _dirty_fraction(mapping, fraction: float) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise MemoryError_(f"dirty fraction {fraction} out of [0, 1]")
+    mapping.dirty(int(round(mapping.pages * fraction)))

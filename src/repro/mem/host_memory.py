@@ -41,6 +41,9 @@ class HostMemory:
         self.total_pages = mb_to_pages(config.dram_mb)
         self.swap_threshold_pages = int(
             self.total_pages * config.swappiness_threshold)
+        #: Resident pages past which an allocation raises OutOfMemoryError.
+        self.ceiling_pages = int(
+            self.total_pages * (1 + self.SWAP_BUDGET_FRACTION))
         self._used_pages = 0
         self.peak_pages = 0
 
@@ -80,13 +83,14 @@ class HostMemory:
     def _account_alloc(self, pages: int) -> None:
         if pages < 0:
             raise MemoryError_(f"negative allocation of {pages} pages")
-        ceiling = int(self.total_pages * (1 + self.SWAP_BUDGET_FRACTION))
-        if self._used_pages + pages > ceiling:
+        used = self._used_pages + pages
+        if used > self.ceiling_pages:
             raise OutOfMemoryError(
-                f"host OOM: {pages_to_mb(self._used_pages + pages):.0f} MiB "
-                f"requested against {pages_to_mb(ceiling):.0f} MiB ceiling")
-        self._used_pages += pages
-        self.peak_pages = max(self.peak_pages, self._used_pages)
+                f"host OOM: {pages_to_mb(used):.0f} MiB requested against "
+                f"{pages_to_mb(self.ceiling_pages):.0f} MiB ceiling")
+        self._used_pages = used
+        if used > self.peak_pages:
+            self.peak_pages = used
 
     def _account_free(self, pages: int) -> None:
         if pages < 0:

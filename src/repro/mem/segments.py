@@ -121,20 +121,20 @@ class SharedSegment:
         self._maybe_release()
 
     def dirty(self, mapper_id: int, pages: int) -> int:
-        """CoW-break *pages* pages for this mapper; returns pages now dirty.
+        """CoW-break *pages* pages for this mapper; returns the pages it
+        newly broke.
 
         Dirtying is idempotent past the segment size: the dirty count
-        saturates at ``self.pages``.
+        saturates at ``self.pages``, so a saturated mapper breaks 0.
         """
         if pages < 0:
             raise MemoryError_(f"cannot dirty {pages} pages")
         current = self._get_dirty(mapper_id)
-        new_total = min(self.pages, current + pages)
-        delta = new_total - current
-        self._dirty_by_mapper[mapper_id] = new_total
+        delta = min(self.pages - current, pages)
+        self._dirty_by_mapper[mapper_id] = current + delta
         self._total_dirty += delta
         self.host._account_alloc(delta)
-        return new_total
+        return delta
 
     # -- accounting ----------------------------------------------------------
     @property

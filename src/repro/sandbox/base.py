@@ -119,26 +119,20 @@ class Sandbox:
     def account_first_execution(self) -> None:
         """Dirty the pages one invocation touches (CoW-breaks if shared)."""
         layout = self.layout
-        for region, fraction in (
-                ("heap", layout.exec_dirty_heap_fraction),
-                ("jit_code", layout.exec_dirty_jit_fraction),
-                ("kernel", layout.exec_dirty_text_fraction),
-                ("runtime", layout.exec_dirty_text_fraction),
-                ("app", layout.exec_dirty_text_fraction)):
-            if self.space.has_region(region):
-                self.space.dirty_fraction(region, fraction)
-        if self.space.has_region("heap"):
-            self.space.grow_mb("heap", layout.exec_extra_anon_mb)
+        text = layout.exec_dirty_text_fraction
+        self.space.touch((("heap", layout.exec_dirty_heap_fraction),
+                          ("jit_code", layout.exec_dirty_jit_fraction),
+                          ("kernel", text), ("runtime", text), ("app", text)),
+                         "heap", layout.exec_extra_anon_mb)
 
     def account_steady_state(self) -> None:
         """Dirty pages under sustained load (Fig 10's long-running VMs)."""
         layout = self.layout
-        for region in ("kernel", "runtime", "app", "heap", "jit_code"):
-            if self.space.has_region(region):
-                self.space.dirty_fraction(
-                    region, layout.steady_state_dirty_fraction)
-        if self.space.has_region("heap"):
-            self.space.grow_mb("heap", layout.steady_state_extra_anon_mb)
+        steady = layout.steady_state_dirty_fraction
+        self.space.touch((("kernel", steady), ("runtime", steady),
+                          ("app", steady), ("heap", steady),
+                          ("jit_code", steady)),
+                         "heap", layout.steady_state_extra_anon_mb)
 
     # -- reporting ------------------------------------------------------------------
     def pss_mb(self) -> float:

@@ -84,8 +84,8 @@ class Worker:
                 f"{self.sandbox.state!r}")
         breakdown = yield from self.runtime.run_program(
             prog, self.sandbox.io, handlers)
-        if (self.runtime.jit.optimized_functions()
-                and not self.sandbox.space.has_region("jit_code")):
+        if (not self.sandbox.space.has_region("jit_code")
+                and self.runtime.jit.optimized_functions()):
             # First tier-up in this worker: the JIT emitted machine code.
             self.sandbox.map_jit_memory()
         if not self._exec_memory_accounted:

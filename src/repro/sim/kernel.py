@@ -42,7 +42,9 @@ Two pooled, slot-only payload types ride the queue alongside full
   target, interrupts) without allocating a throwaway Event.
 
 Both are recycled through free lists owned by the simulation, so steady
-state replays allocate almost nothing per event.
+state replays allocate almost nothing per event.  A payload points at its
+free list, not at the simulation, so a drained simulation holds no
+reference cycle through its payloads and refcounting frees it.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ class _Timer:
     :meth:`Simulation.schedule_timeout` creates these.
     """
 
-    __slots__ = ("sim", "_callback", "_value")
+    __slots__ = ("_pool", "_callback", "_value")
 
     def __init__(self, sim: "Simulation") -> None:
-        self.sim = sim
+        self._pool = sim._timer_pool
         self._callback: Optional[Callable[[Any], None]] = None
         self._value: Any = None
 
@@ -107,7 +109,7 @@ class _Timer:
         value = self._value
         self._callback = None
         self._value = None
-        pool = self.sim._timer_pool
+        pool = self._pool
         if len(pool) < _TIMER_POOL_MAX:
             pool.append(self)
         assert cb is not None
@@ -124,10 +126,10 @@ class _Wakeup:
     which only reads ``_ok`` and ``_value`` from its trigger.
     """
 
-    __slots__ = ("sim", "_callback", "_ok", "_value")
+    __slots__ = ("_pool", "_callback", "_ok", "_value")
 
     def __init__(self, sim: "Simulation") -> None:
-        self.sim = sim
+        self._pool = sim._wakeup_pool
         self._callback: Optional[Callable[[Any], None]] = None
         self._ok = True
         self._value: Any = None
@@ -140,7 +142,7 @@ class _Wakeup:
         # Recycle only on clean return: if the callback raised (strict
         # mode), the wakeup is simply dropped for the GC.
         self._value = None
-        pool = self.sim._wakeup_pool
+        pool = self._pool
         if len(pool) < _WAKEUP_POOL_MAX:
             pool.append(self)
 

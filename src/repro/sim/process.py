@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulation
@@ -75,7 +75,9 @@ class Process(Event):
 
     # -- internal -----------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        if self.triggered:
+        # Runs on every wakeup, so it reads the slots behind the
+        # ``triggered`` and ``processed`` properties directly.
+        if self._value is not PENDING:
             # A stale wakeup (e.g. a second interrupt armed in the same
             # instant) arrived after the generator finished — drop it.
             return
@@ -104,12 +106,11 @@ class Process(Event):
         if target.sim is not self.sim:
             raise SimulationError(
                 f"{self.name} yielded an event from another simulation")
-        if target.processed:
+        if target.callbacks is None:
             # The event already fired and ran its callbacks; resume this
             # process at the current time with the same outcome, via a
             # pooled wakeup instead of a throwaway Event.
             self.sim._schedule_wakeup(self._resume, target._ok, target._value)
             return
         self._waiting_on = target
-        assert target.callbacks is not None
         target.callbacks.append(self._resume)

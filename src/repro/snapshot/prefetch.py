@@ -41,7 +41,6 @@ class WorkingSetProfile:
     image_key: str
     generation: int
     working_set_mb: float
-    recorded_at_ms: float
     #: Chunk indices (on a ``ChunkMap(image.size_mb, chunk_size_mb)``)
     #: covering the working set — what POLICY_LAZY prefetches and what a
     #: streaming cross-host transfer ships first.
@@ -70,17 +69,17 @@ class ReapRecorder:
         self._profiles: Dict[str, WorkingSetProfile] = {}
         self.recordings = 0
 
-    def record(self, image: SnapshotImage, worker: Worker,
-               now_ms: float) -> WorkingSetProfile:
+    def record(self, image: SnapshotImage,
+               worker: Worker) -> WorkingSetProfile:
         """Capture the working set of *worker* after an invocation.
 
         The working set is what the invocation actually touched: its
         private (CoW-broken + fresh) pages plus the hot fraction of the
         still-clean mapped pages it executed over.  The covering chunk set
         is derived on the image's chunk map with the recorder's
-        granularity — or, when the previous profile was recorded on the
-        same image generation with the same granularity and the same
-        working set, reused from it: the set is a pure function of those.
+        granularity.  A profile is a pure function of the image key and
+        generation, the granularity and the working set, so when all four
+        match the stored profile, that profile is returned as it is.
         """
         if worker.invocations == 0:
             raise StateError(
@@ -88,29 +87,26 @@ class ReapRecorder:
         space = worker.sandbox.space
         vmm_mb = (space.region_rss_mb("vmm")
                   if space.has_region("vmm") else 0.0)
-        uss_mb = space.uss_mb()
+        rss_mb, uss_mb = space.rss_uss_mb()
         private_mb = uss_mb - vmm_mb
-        clean_mb = space.rss_mb() - uss_mb
+        clean_mb = rss_mb - uss_mb
         working_set_mb = max(0.0, private_mb
                              + clean_mb * CLEAN_TOUCH_FRACTION)
-        previous = self._profiles.get(image.key)
-        if (previous is not None and previous.matches(image)
-                and previous.chunk_size_mb == self.chunk_size_mb
-                and previous.working_set_mb == working_set_mb):
-            chunks = previous.chunks
-        else:
-            chunks = image.chunk_map(self.chunk_size_mb).spread(
-                working_set_mb)
+        self.recordings += 1
+        profile = self._profiles.get(image.key)
+        if (profile is not None and profile.matches(image)
+                and profile.chunk_size_mb == self.chunk_size_mb
+                and profile.working_set_mb == working_set_mb):
+            return profile
         profile = WorkingSetProfile(
             image_key=image.key,
             generation=image.generation,
             working_set_mb=working_set_mb,
-            recorded_at_ms=now_ms,
-            chunks=chunks,
+            chunks=image.chunk_map(self.chunk_size_mb).spread(
+                working_set_mb),
             chunk_size_mb=self.chunk_size_mb,
         )
         self._profiles[image.key] = profile
-        self.recordings += 1
         return profile
 
     def profile_for(self, image: SnapshotImage

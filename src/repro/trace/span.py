@@ -21,7 +21,9 @@ the span's tree (see :data:`~repro.trace.tracer.KEPT_ROOTS`); every span of
 a tree carries its root's decision.  Spans are context managers: opening
 one attaches it under the innermost open span of the current process (or
 makes it a root of the :class:`~repro.trace.tracer.Tracer` that issued it)
-and pushes it on that process's span stack; closing it pops it.
+and pushes it on that process's span stack; closing it pops it and drops
+the span's link to the tracer, so the tracer's kept roots do not point
+back at it.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class Span:
     # and push (or check and pop) in place.
     def __enter__(self) -> "Span":
         tracer = self._tracer
-        sim = tracer.sim
+        sim = tracer._sim()
         process = sim._active_process
         if process is None:
             stack = tracer._default_stack
@@ -121,7 +123,7 @@ class Span:
         if exc is not None:
             self.attrs.setdefault("error", type(exc).__name__)
         tracer = self._tracer
-        sim = tracer.sim
+        sim = tracer._sim()
         process = sim._active_process
         stack = (tracer._default_stack if process is None
                  else process.trace_stack)
@@ -130,6 +132,7 @@ class Span:
                 f"closing {self!r} which is not the innermost open span")
         stack.pop()
         self.end_ms = sim._now
+        self._tracer = None
         return False
 
     def __repr__(self) -> str:

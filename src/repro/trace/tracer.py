@@ -18,10 +18,16 @@ dropped tree is still built — the platform derives each record's breakdown
 from it when the invocation completes — but nothing keeps it afterwards, and
 spans link only downwards, so refcounting frees it as soon as its
 invocation ends.  Every span carries its root's decision in ``kept``.
+
+Nothing the tracer keeps points back at it or at its simulation: the tracer
+refers to its simulation weakly, and a span drops its tracer when it
+closes.  So a finished simulation, kept trees and all, is freed by
+refcounting when its last reference goes, not by the cyclic GC.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.errors import TraceError
@@ -52,14 +58,15 @@ class Tracer:
     :data:`KEPT_ROOTS` roots."""
 
     def __init__(self, sim: "Simulation") -> None:
-        self.sim = sim
+        # The simulation owns its tracer as ``sim.tracer``.
+        self._sim = weakref.ref(sim)
         self.roots: List[Span] = []
         self._default_stack: List[Span] = []
         self._auto_ids = 0
 
     # -- context -------------------------------------------------------------
     def _stack(self) -> List[Span]:
-        process = self.sim._active_process
+        process = self._sim()._active_process
         if process is None:
             return self._default_stack
         stack = process.trace_stack
@@ -99,12 +106,13 @@ class Tracer:
         chain executor uses this to hang per-stage spans under a chain root
         built after the stages ran; the span joins that tree's kept
         decision.  *trace_id* applies only when the span lands as a root.
+        The span is born closed, so it holds no tracer.
         """
         if end_ms < start_ms:
             raise TraceError(
                 f"span {name!r} ends before it starts "
                 f"({end_ms} < {start_ms})")
-        span = Span(self, name, phase=phase, kind=kind, trace_id=trace_id,
+        span = Span(None, name, phase=phase, kind=kind, trace_id=trace_id,
                     attrs=attrs)
         span.start_ms = start_ms
         span.end_ms = end_ms

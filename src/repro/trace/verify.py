@@ -22,7 +22,7 @@ import graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import TraceInvariantError
 from repro.trace.span import Span
@@ -34,8 +34,7 @@ EPS_TREE = 1e-9
 EPS_COVERAGE = 1e-6
 
 
-@dataclass(frozen=True)
-class PhaseBreakdown:
+class PhaseBreakdown(NamedTuple):
     """One invocation's latency split, derived purely from its span tree."""
 
     startup_ms: float
@@ -124,8 +123,7 @@ def phase_breakdown(invoke_span: Span) -> PhaseBreakdown:
             other += child.duration_ms
         elif child.name in ("retry", "failover", "degraded"):
             other += child.duration_ms
-    return PhaseBreakdown(startup_ms=startup, exec_ms=exec_ms,
-                          other_ms=other, queue_ms=queue, chain_ms=chain)
+    return PhaseBreakdown(startup, exec_ms, other, queue, chain)
 
 
 def check_well_formed(span: Span) -> None:

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from repro.bench.serialization import encode_result
 from repro.chaos.plan import ChaosPlan
 from repro.errors import ValidationError
 from repro.sim.rng import RngStreams
+from repro.trace.tracer import Tracer
 from repro.workloads.generator import assign_popularity
 from tests.helpers import sorted_modulated_trace
 
@@ -50,6 +52,34 @@ class TestSeededDeterminism:
         changed = dict(SMALL, seed=8)
         second = run_load_platform("fireworks", "predictive", **changed)
         assert _canonical(first) != _canonical(second)
+
+
+class TestSimulatedWorkIsPinned:
+    """A host-side speed-up must not change one simulated event.  A 3 s
+    seed-2022 replay fires the events, opens the spans and ends with the
+    outcomes it did when these numbers were measured; a change that moves
+    any of them changes what is simulated, not how fast."""
+
+    def test_events_spans_and_outcomes(self, monkeypatch):
+        calls = Counter()
+
+        def counting(method):
+            def counted(self, *args, **kwargs):
+                calls[method.__name__] += 1
+                return method(self, *args, **kwargs)
+            return counted
+
+        # Every span is created through one of these two.
+        monkeypatch.setattr(Tracer, "span", counting(Tracer.span))
+        monkeypatch.setattr(Tracer, "add_span", counting(Tracer.add_span))
+        _outcome, platform = run_load_platform(
+            "fireworks", "predictive", duration_ms=3_000.0, seed=2022,
+            return_platform=True)
+        ledger = platform.ledger
+        assert platform.sim.events_processed == 20_068
+        assert (calls["span"], calls["add_span"]) == (16_412, 0)
+        assert (ledger.completed, ledger.shed, ledger.failed) == \
+            (1_346, 11, 0)
 
 
 class TestChaosCrashMidTrace:

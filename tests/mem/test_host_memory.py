@@ -5,6 +5,7 @@ import pytest
 from repro.config import HostConfig
 from repro.errors import MemoryError_, OutOfMemoryError
 from repro.mem.host_memory import HostMemory, mb_to_pages, pages_to_mb
+from repro.mem.segments import PrivateBlock
 
 
 class TestConversions:
@@ -35,6 +36,16 @@ class TestHostMemory:
         host.allocate_block(1400, "x")
         with pytest.raises(OutOfMemoryError):
             host.allocate_block(200, "x")
+
+    def test_oom_at_one_page_past_the_ceiling(self):
+        """DRAM plus half of it in swap is the last page that fits."""
+        host = HostMemory(HostConfig(dram_mb=1000))
+        ceiling = int(host.total_pages * 1.5)
+        PrivateBlock(host, ceiling - 1, "x")
+        PrivateBlock(host, 1, "x")
+        with pytest.raises(OutOfMemoryError):
+            PrivateBlock(host, 1, "x")
+        assert host.used_pages == host.peak_pages == ceiling
 
     def test_peak_tracking(self):
         host = HostMemory(HostConfig(dram_mb=1000))

@@ -59,6 +59,15 @@ class TestSharedSegment:
         assert host.used_mb == pytest.approx(110)
         assert segment.dirty_pages(mapper) == 2560
 
+    def test_dirty_returns_the_pages_it_newly_broke(self, host):
+        segment = host.create_segment(10, "kernel")
+        mapper = segment.attach()
+        assert segment.dirty(mapper, 1000) == 1000
+        assert segment.dirty(mapper, 2000) == segment.pages - 1000
+        assert segment.dirty(mapper, 1) == 0  # saturated
+        assert segment.dirty(mapper, 0) == 0
+        assert segment.dirty_pages(mapper) == segment.pages
+
     def test_dirty_saturates_at_segment_size(self, host):
         segment = host.create_segment(10, "kernel")
         mapper = segment.attach()

@@ -125,7 +125,6 @@ def _plan_for_working_set(working_set_mb, chunk_size_mb):
         image_key=image.key,
         generation=image.generation,
         working_set_mb=working_set_mb,
-        recorded_at_ms=0.0,
         chunks=image.chunk_map(chunk_size_mb).spread(working_set_mb),
         chunk_size_mb=chunk_size_mb,
     )

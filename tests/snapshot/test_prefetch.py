@@ -67,7 +67,7 @@ class TestRecording:
         worker.invocations = 0
         # "No invocation ran yet" is a state error, not a store miss.
         with pytest.raises(StateError):
-            fresh.record(platform.image_for(spec.name), worker, 0.0)
+            fresh.record(platform.image_for(spec.name), worker)
 
     def test_invalidate(self, reap_platform):
         platform, spec = reap_platform
@@ -78,9 +78,9 @@ class TestRecording:
 
 
 class TestChunkSetReuse:
-    """The covering chunk set is a pure function of the image generation,
-    the chunk size and the working set: a record that matches the last
-    profile on all three reuses its tuple, anything else derives it."""
+    """A profile is a pure function of the image generation, the chunk
+    size and the working set: a record that matches the last profile on
+    all three returns that profile, anything else derives a new one."""
 
     @pytest.fixture
     def recorded(self, reap_platform, monkeypatch):
@@ -102,19 +102,15 @@ class TestChunkSetReuse:
     def test_same_working_set_reuses_the_tuple(self, recorded):
         platform, spec, worker, first, spreads = recorded
         second = platform.recorder.record(
-            platform.image_for(spec.name), worker,
-            now_ms=first.recorded_at_ms + 5.0)
-        assert second.working_set_mb == first.working_set_mb
-        assert second.chunks is first.chunks
-        assert second.recorded_at_ms == first.recorded_at_ms + 5.0
+            platform.image_for(spec.name), worker)
+        assert second is first
         assert len(spreads) == 1
 
     def test_next_invocation_reuses_the_tuple(self, recorded):
         platform, spec, _worker, first, spreads = recorded
         invoke_once(platform, spec.name)
         second = platform.recorder.profile_for(platform.image_for(spec.name))
-        assert second is not first
-        assert second.chunks is first.chunks
+        assert second is first
         assert len(spreads) == 1
 
     def test_regenerated_image_recomputes(self, recorded):
@@ -122,7 +118,9 @@ class TestChunkSetReuse:
         sim = platform.sim
         new_image = sim.run(sim.process(
             platform.regenerate_snapshot(spec.name)))
-        second = platform.recorder.record(new_image, worker, sim.now)
+        second = platform.recorder.record(new_image, worker)
+        assert second is not first
+        assert platform.recorder.profile_for(new_image) is second
         assert second.generation == first.generation + 1
         assert second.chunks == first.chunks
         assert len(spreads) == 2
@@ -131,7 +129,8 @@ class TestChunkSetReuse:
         platform, spec, worker, first, spreads = recorded
         worker.sandbox.space.dirty_mb("heap", 8.0)
         second = platform.recorder.record(
-            platform.image_for(spec.name), worker, platform.sim.now)
+            platform.image_for(spec.name), worker)
+        assert second is not first
         assert second.working_set_mb > first.working_set_mb
         assert spreads[-1] == second.working_set_mb
         assert len(spreads) == 2
@@ -140,7 +139,10 @@ class TestChunkSetReuse:
         platform, spec, worker, first, spreads = recorded
         platform.recorder.chunk_size_mb = 2 * first.chunk_size_mb
         second = platform.recorder.record(
-            platform.image_for(spec.name), worker, platform.sim.now)
+            platform.image_for(spec.name), worker)
+        assert second is not first
+        assert platform.recorder.profile_for(
+            platform.image_for(spec.name)) is second
         assert second.chunk_size_mb == 2 * first.chunk_size_mb
         assert len(spreads) == 2
 

@@ -11,11 +11,13 @@ Fireworks clone's parameter topic goes with the clone.
 
 import dataclasses
 import gc
+import weakref
 from array import array
 
 import pytest
 
 from repro.bench import fresh_cluster_platform, fresh_platform, install_all
+from repro.bench.engine import run_experiments
 from repro.bench.harness import install_chain, invoke_once
 from repro.bench.load import run_load_platform
 from repro.chaos import (KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
@@ -47,6 +49,10 @@ def _invocation_seq(record) -> int:
     return int(record.trace_id.rsplit("inv", 1)[1])
 
 
+def _live_span_ids() -> set:
+    return {id(obj) for obj in gc.get_objects() if isinstance(obj, Span)}
+
+
 class TestLongReplay:
     """A replay that outgrows the bound, with the cyclic GC off: whatever
     is still alive afterwards is held by a reference, not by a cycle."""
@@ -56,12 +62,14 @@ class TestLongReplay:
         gc.collect()
         gc.disable()
         try:
+            # A closed span holds no tracer, so the replay's spans are the
+            # ones alive now that were not before it.  The replay does not
+            # touch the earlier ones, so none of their ids is reused.
+            before = _live_span_ids()
             _outcome, platform = run_load_platform(
                 "fireworks", "predictive", duration_ms=5_000.0, seed=7,
                 return_platform=True)
-            tracer = platform.sim.tracer
-            live = {id(obj) for obj in gc.get_objects()
-                    if isinstance(obj, Span) and obj._tracer is tracer}
+            live = _live_span_ids() - before
         finally:
             gc.enable()
         return platform, live
@@ -276,3 +284,79 @@ class TestKeptDecision:
         _pad(platform.sim.tracer)
         with pytest.raises(TraceInvariantError, match="no span"):
             invoke_once(platform, spec.name)
+
+
+class _Marker:
+    """Weakly referenceable: a span (slots, no ``__weakref__``) is seen to
+    die through a marker in its ``attrs``."""
+
+
+class TestRefcountingFreesASimulation:
+    """Nothing a drained simulation keeps points back at it: the tracer
+    refers to it weakly, a closed span holds no tracer and a pooled timer
+    or wakeup points at its free list.  So with the cyclic GC off, the
+    simulation and its kept trees go the moment the last reference does."""
+
+    def test_drained_simulation_with_kept_trees_and_pools(self):
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulation(seed=1)
+            marker = _Marker()
+
+            def invocation(tracer, timeout):
+                with tracer.span("root", marker=marker):
+                    with tracer.span("stage"):
+                        yield timeout(1.0)
+
+            sim.process(invocation(sim.tracer, sim.timeout))
+            sim.schedule_timeout(2.0, lambda _value: None)
+            sim.tracer.add_span("retro", 0.0, 1.0)
+            sim.run()
+            assert sim._timer_pool and sim._wakeup_pool
+            assert [root.name for root in sim.tracer.traces()] == \
+                ["retro", "root"]
+            sim_ref, marker_ref = weakref.ref(sim), weakref.ref(marker)
+            del sim, marker
+            assert sim_ref() is None
+            assert marker_ref() is None
+        finally:
+            gc.enable()
+
+    def test_drained_platform_goes_with_its_last_reference(self):
+        gc.collect()
+        gc.disable()
+        try:
+            platform = fresh_platform(FireworksPlatform)
+            spec = faasdom_spec("faas-fact", "nodejs")
+            install_all(platform, [spec])
+            for _ in range(3):
+                invoke_once(platform, spec.name)
+            platform.sim.run()
+            marker = _Marker()
+            platform.sim.tracer.traces()[-1].attrs["marker"] = marker
+            sim_ref, marker_ref = weakref.ref(platform.sim), weakref.ref(marker)
+            del platform, marker
+            assert sim_ref() is None
+            assert marker_ref() is None
+        finally:
+            gc.enable()
+
+    def test_every_fig10_simulation_goes_with_its_last_reference(
+            self, monkeypatch):
+        built = []
+        init = Simulation.__init__
+
+        def tracking_init(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            built.append(weakref.ref(sim))
+
+        monkeypatch.setattr(Simulation, "__init__", tracking_init)
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiments(["fig10"], use_cache=False)
+            assert built
+            assert [ref() for ref in built] == [None] * len(built)
+        finally:
+            gc.enable()
