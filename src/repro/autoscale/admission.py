@@ -18,10 +18,16 @@ waiter is flushed with :class:`~repro.errors.HostDownError`, which the
 platform's chaos retry loop turns into a failover or a
 ``FailedInvocation`` — queued work is never silently lost and no queue
 slot leaks.
+
+The queue refers to its host weakly: the host owns it as
+``host.admission``, so a strong link back would make a reference cycle
+that keeps a finished platform, and its simulation, alive until the
+cyclic GC runs.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +36,7 @@ from typing import Deque, List, Optional, TYPE_CHECKING
 from repro.errors import HostDownError, InvocationSheddedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.trace.spans import Span
+    from repro.trace.span import Span
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class AdmissionQueue:
 
     def __init__(self, sim, host, cfg) -> None:
         self.sim = sim
-        self.host = host
+        self._host = weakref.ref(host)
         self.cfg = cfg
         self._waiters: Deque[_Waiter] = deque()
         # -- SLO bookkeeping ------------------------------------------------
@@ -84,6 +90,11 @@ class AdmissionQueue:
         #: doubles keep a million-invocation replay's ledger at 8 MB
         #: instead of a list of boxed floats several times that size.
         self.wait_samples = array("d")
+
+    @property
+    def host(self):
+        """The host this queue gates (held weakly: the host owns it)."""
+        return self._host()
 
     @property
     def depth(self) -> int:

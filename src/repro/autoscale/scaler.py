@@ -21,10 +21,15 @@ DSL document or a ready policy instance.
 
 Both active modes park workers with a finite TTL (``warm_expiry_ms``) so
 scale-*down* is lazy expiry.
+
+The scaler refers to its platform weakly: the platform owns it as
+``platform.autoscaler``, and a strong link back would make a reference
+cycle that keeps a finished platform alive until the cyclic GC runs.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Tuple
 
 from repro.errors import InjectedFault, PlatformError
@@ -45,7 +50,7 @@ class WarmPoolAutoscaler:
         if policy is None:
             policy = mode
         self.policy = resolve_autoscale(policy)
-        self.platform = platform
+        self._platform = weakref.ref(platform)
         self.sim = platform.sim
         self.cfg = cfg if cfg is not None else platform.params.autoscale
         #: The resolved policy's registered name (kept as ``mode`` so
@@ -73,6 +78,12 @@ class WarmPoolAutoscaler:
                     "an active autoscaler needs until_ms: its control loop "
                     "must stop ticking for the simulation to quiesce")
             self._arm_tick()
+
+    @property
+    def platform(self):
+        """The platform this scaler serves (held weakly: it owns the
+        scaler)."""
+        return self._platform()
 
     # -- arrival feed (called by the platform on every invoke) ---------------
     def observe_arrival(self, function: str, now_ms: float) -> None:

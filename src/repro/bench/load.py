@@ -155,18 +155,21 @@ def _start_memory_sampler(platform, until_ms: float, interval_ms: float,
 
     Rides the kernel's pooled fast-path timers: the sampler is
     fire-and-forget, so a generator process per run was pure overhead.
+    Each timer carries ``tick`` as its value, so ``tick`` does not name
+    itself: a closure that did would be a reference cycle holding the
+    simulation and the hosts after the last sample.
     """
     sim = platform.sim
     hosts = platform.cluster.hosts
 
-    def tick(_value) -> None:
+    def tick(again) -> None:
         samples.append(sum(host.pool.total_pss_mb(sim.now)
                            for host in hosts))
         if sim.now + interval_ms <= until_ms:
-            sim.schedule_timeout(interval_ms, tick)
+            sim.schedule_timeout(interval_ms, again, again)
 
     if sim.now + interval_ms <= until_ms:
-        sim.schedule_timeout(interval_ms, tick)
+        sim.schedule_timeout(interval_ms, tick, tick)
 
 
 def open_loop_replay(platform, trace, duration_ms: float,

@@ -19,10 +19,16 @@ Everything is deterministic: the plan is data, the controller draws no
 randomness of its own, and the retry path's jitter comes from the seeded
 ``chaos-retry`` stream — two identically-seeded runs replay the same
 failures, the same backoffs, and the same traces byte for byte.
+
+The controller refers to its platform weakly: the platform reaches the
+controller as ``platform.chaos`` (and through its restorers and
+parameter passer), so a strong link back would make a reference cycle
+that keeps a finished platform alive until the cyclic GC runs.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -63,7 +69,7 @@ class HostFailureController:
         if platform.chaos is not None:
             raise ChaosError(
                 f"{platform.name} already has a chaos controller attached")
-        self.platform = platform
+        self._platform = weakref.ref(platform)
         self.plan = plan
         self.failover = failover
         self.sim = platform.sim
@@ -77,6 +83,11 @@ class HostFailureController:
         platform.chaos = self
         platform.on_chaos_attached()
         self.process = self.sim.process(self._run(), name="chaos-controller")
+
+    @property
+    def platform(self) -> "ServerlessPlatform":
+        """The platform under test (held weakly: it owns the controller)."""
+        return self._platform()
 
     # -- plan execution --------------------------------------------------------
     def _run(self):

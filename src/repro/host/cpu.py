@@ -27,7 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class HostCpu:
-    """The host's core pool, with queueing statistics."""
+    """The host's core pool, with queueing statistics.
+
+    A claim is the :class:`~repro.sim.resources.Request` itself: the
+    grant carries no value, so :meth:`acquire` returns the request it
+    made and the caller hands that back to :meth:`release`.
+    """
 
     def __init__(self, sim: "Simulation", cores: int = 64) -> None:
         if cores < 1:

@@ -35,10 +35,17 @@ Tracing: after a run completes, a retrospective ``chain`` root span
 executed stage is recorded.  Retrospective spans consume no simulated
 time, no RNG, and leave every invocation's own span tree untouched,
 which is what keeps the golden figures byte-identical.
+
+The executor refers to its platform weakly: in orchestrated mode the
+platform's trigger registrations hold the executor's runners, so a
+strong link back would make a reference cycle that keeps a finished
+platform alive until the cyclic GC runs.  The caller keeps the platform
+alive while it drives DAGs on it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.errors import (InvocationFailedError, InvocationSheddedError,
@@ -126,13 +133,19 @@ class ChainExecutor:
     """Drives DAGs on one platform (see module docstring)."""
 
     def __init__(self, platform: ServerlessPlatform) -> None:
-        self.platform = platform
+        self._platform = weakref.ref(platform)
         self._seq = 0
         self._installed: set = set()
         self._registered_triggers: set = set()
         #: Change-feed segments run on behalf of trigger edges
         #: (orchestrated mode only), in firing order.
         self.trigger_runs: List[DagRun] = []
+
+    @property
+    def platform(self) -> ServerlessPlatform:
+        """The platform DAGs run on (held weakly, see the module
+        docstring)."""
+        return self._platform()
 
     # -- setup -----------------------------------------------------------------
     def mode_for(self, dag: DagSpec) -> str:

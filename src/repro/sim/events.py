@@ -168,7 +168,14 @@ class Timeout(Event):
 
 
 class Condition(Event):
-    """Base for events that fire when some set of child events fire."""
+    """Base for events that fire when some set of child events fire.
+
+    Once the condition has fired, no child that may still be pending
+    keeps its ``_check``: that callback would only return at once, and
+    such a child (the losing timeout of an ``AnyOf``, say) would hold
+    the condition, which holds the child, in a reference cycle.  Dropping
+    it changes no firing order.
+    """
 
     __slots__ = ("_events",)
 
@@ -183,12 +190,25 @@ class Condition(Event):
             self.succeed([])
             return
         for event in self._events:
+            if self._value is not PENDING:
+                break  # decided by an earlier child
             if event.processed or event.triggered:
                 # Already decided; evaluate immediately via a callback shim.
                 self._check(event)
             else:
                 assert event.callbacks is not None
                 event.callbacks.append(self._check)
+
+    def _release(self) -> None:
+        """Drop ``_check`` from every child that has not run its callbacks."""
+        check = self._check
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks:
+                try:
+                    callbacks.remove(check)
+                except ValueError:
+                    pass  # never registered on this child
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
@@ -206,7 +226,9 @@ class AllOf(Condition):
     Triggered and ok never revert, so ``_done`` — the length of the
     prefix of children known done — only moves forward, and each check
     costs amortised O(1) while answering exactly what a full re-scan
-    would.
+    would.  On success every child is triggered, so one that has not run
+    its callbacks yet is queued and drops them when it fires; only a
+    failure leaves children pending, and releases them.
     """
 
     __slots__ = ("_done",)
@@ -221,6 +243,7 @@ class AllOf(Condition):
             return
         if not event.ok:
             self.fail(event.value)
+            self._release()
             return
         events = self._events
         n = len(events)
@@ -243,7 +266,8 @@ class AnyOf(Condition):
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
-        if not event.ok:
+        if event.ok:
+            self.succeed(event.value)
+        else:
             self.fail(event.value)
-            return
-        self.succeed(event.value)
+        self._release()

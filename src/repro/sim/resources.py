@@ -50,6 +50,12 @@ class Resource:
         finally:
             if req.triggered:
                 cpu.release(req)
+
+    A grant carries no value (``yield req`` gives ``None``): the caller
+    keeps the request object and releases that.  A waiter drops its
+    ``on_abandoned`` hook, which closes over it, once granted or
+    withdrawn.  So no request refers to itself, and a finished
+    simulation is freed by refcounting.
     """
 
     def __init__(self, sim: "Simulation", capacity: int = 1,
@@ -77,7 +83,7 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.append(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self._waiters.append(req)
             # An interrupted waiter must not be granted a slot it can
@@ -86,6 +92,7 @@ class Resource:
         return req
 
     def _discard_waiter(self, req: Request) -> None:
+        req.on_abandoned = None
         if req in self._waiters:
             self._waiters.remove(req)
 
@@ -98,14 +105,17 @@ class Resource:
         if self._waiters:
             nxt = self._waiters.popleft()
             self._users.append(nxt)
-            nxt.succeed(nxt)
+            nxt.on_abandoned = None
+            nxt.succeed()
 
 
 class Store:
     """An unbounded FIFO store of items with blocking ``get``.
 
     ``put`` never blocks.  ``get`` returns an event that fires with the next
-    item, in strict arrival order; concurrent getters are served FIFO.
+    item, in strict arrival order; concurrent getters are served FIFO.  A
+    getter that is served or withdrawn drops its ``on_abandoned`` hook,
+    which closes over it.
     """
 
     def __init__(self, sim: "Simulation", name: str = "store") -> None:
@@ -120,7 +130,9 @@ class Store:
     def put(self, item: Any) -> None:
         """Append *item*; wakes the oldest waiting getter if any."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            getter = self._getters.popleft()
+            getter.on_abandoned = None
+            getter.succeed(item)
         else:
             self._items.append(item)
 
@@ -136,6 +148,7 @@ class Store:
         return event
 
     def _discard_getter(self, event: Event) -> None:
+        event.on_abandoned = None
         if event in self._getters:
             self._getters.remove(event)
 

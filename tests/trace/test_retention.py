@@ -16,19 +16,23 @@ from array import array
 
 import pytest
 
+from repro.autoscale import WarmPoolAutoscaler
 from repro.bench import fresh_cluster_platform, fresh_platform, install_all
+from repro.bench.chains import tenant_pipeline_dag
 from repro.bench.engine import run_experiments
 from repro.bench.harness import install_chain, invoke_once
 from repro.bench.load import run_load_platform
-from repro.chaos import (KIND_RESTORE_CORRUPTION, ChaosEvent, ChaosPlan,
-                         HostFailureController)
+from repro.chaos import (KIND_HOST_CRASH, KIND_RESTORE_CORRUPTION,
+                         ChaosEvent, ChaosPlan, HostFailureController)
+from repro.cluster import Host
 from repro.config import default_parameters
 from repro.core import FireworksPlatform
 from repro.core.parameter_passer import topic_for
 from repro.errors import (InvocationFailedError, InvocationSheddedError,
                           TraceInvariantError)
 from repro.metrics import summarize, summarize_ledger
-from repro.sim import Simulation
+from repro.platforms.chains import MODE_ORCHESTRATED, ChainExecutor
+from repro.sim import Interrupt, Resource, Simulation, Store
 from repro.trace import KEPT_ROOTS, Span
 from repro.workloads import ALEXA_SKILLS, alexa_skills_chain, faasdom_spec
 from tests.helpers import run
@@ -51,6 +55,13 @@ def _invocation_seq(record) -> int:
 
 def _live_span_ids() -> set:
     return {id(obj) for obj in gc.get_objects() if isinstance(obj, Span)}
+
+
+def _with_admission(**autoscale):
+    """Default parameters with admission queues on every host."""
+    base = default_parameters()
+    return dataclasses.replace(base, autoscale=dataclasses.replace(
+        base.autoscale, enabled=True, **autoscale))
 
 
 class TestLongReplay:
@@ -148,9 +159,7 @@ def _mixed_run(padded: bool):
     """Completed, failed, shed and chained invocations on one host with
     four slots and a one-deep admission queue.  Returns the platform and
     the outcomes ``invoke`` handed back, in completion order."""
-    base = default_parameters()
-    params = dataclasses.replace(base, autoscale=dataclasses.replace(
-        base.autoscale, enabled=True, queue_capacity=1))
+    params = _with_admission(queue_capacity=1)
     platform = fresh_cluster_platform(FireworksPlatform, params, n_hosts=1,
                                       capacity_per_host=4)
     fact = faasdom_spec("faas-fact", "nodejs")
@@ -291,59 +300,172 @@ class _Marker:
     die through a marker in its ``attrs``."""
 
 
+def _refers_to_itself(obj) -> bool:
+    return any(referent is obj for referent in gc.get_referents(obj))
+
+
 class TestRefcountingFreesASimulation:
     """Nothing a drained simulation keeps points back at it: the tracer
     refers to it weakly, a closed span holds no tracer and a pooled timer
-    or wakeup points at its free list.  So with the cyclic GC off, the
-    simulation and its kept trees go the moment the last reference does."""
+    or wakeup points at its free list.  Owners' helpers refer back to
+    them weakly, a decided condition leaves no callback on its children
+    and a granted request does not hold itself.  So with the cyclic GC
+    off, the simulation and its kept trees go the moment the last
+    reference does."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
 
     def test_drained_simulation_with_kept_trees_and_pools(self):
-        gc.collect()
-        gc.disable()
-        try:
-            sim = Simulation(seed=1)
-            marker = _Marker()
+        sim = Simulation(seed=1)
+        marker = _Marker()
 
-            def invocation(tracer, timeout):
-                with tracer.span("root", marker=marker):
-                    with tracer.span("stage"):
-                        yield timeout(1.0)
+        def invocation(tracer, timeout):
+            with tracer.span("root", marker=marker):
+                with tracer.span("stage"):
+                    yield timeout(1.0)
 
-            sim.process(invocation(sim.tracer, sim.timeout))
-            sim.schedule_timeout(2.0, lambda _value: None)
-            sim.tracer.add_span("retro", 0.0, 1.0)
-            sim.run()
-            assert sim._timer_pool and sim._wakeup_pool
-            assert [root.name for root in sim.tracer.traces()] == \
-                ["retro", "root"]
-            sim_ref, marker_ref = weakref.ref(sim), weakref.ref(marker)
-            del sim, marker
-            assert sim_ref() is None
-            assert marker_ref() is None
-        finally:
-            gc.enable()
+        sim.process(invocation(sim.tracer, sim.timeout))
+        sim.schedule_timeout(2.0, lambda _value: None)
+        sim.tracer.add_span("retro", 0.0, 1.0)
+        sim.run()
+        assert sim._timer_pool and sim._wakeup_pool
+        assert [root.name for root in sim.tracer.traces()] == \
+            ["retro", "root"]
+        sim_ref, marker_ref = weakref.ref(sim), weakref.ref(marker)
+        del sim, marker
+        assert sim_ref() is None
+        assert marker_ref() is None
 
     def test_drained_platform_goes_with_its_last_reference(self):
-        gc.collect()
-        gc.disable()
-        try:
-            platform = fresh_platform(FireworksPlatform)
-            spec = faasdom_spec("faas-fact", "nodejs")
-            install_all(platform, [spec])
-            for _ in range(3):
-                invoke_once(platform, spec.name)
-            platform.sim.run()
-            marker = _Marker()
-            platform.sim.tracer.traces()[-1].attrs["marker"] = marker
-            sim_ref, marker_ref = weakref.ref(platform.sim), weakref.ref(marker)
-            del platform, marker
-            assert sim_ref() is None
-            assert marker_ref() is None
-        finally:
-            gc.enable()
+        platform = fresh_platform(FireworksPlatform)
+        spec = faasdom_spec("faas-fact", "nodejs")
+        install_all(platform, [spec])
+        for _ in range(3):
+            invoke_once(platform, spec.name)
+        platform.sim.run()
+        marker = _Marker()
+        platform.sim.tracer.traces()[-1].attrs["marker"] = marker
+        sim_ref, marker_ref = weakref.ref(platform.sim), weakref.ref(marker)
+        del platform, marker
+        assert sim_ref() is None
+        assert marker_ref() is None
 
-    def test_every_fig10_simulation_goes_with_its_last_reference(
-            self, monkeypatch):
+    def test_platform_with_every_helper_goes_with_its_last_reference(self):
+        """Admission queues, an autoscaler, a chaos controller and a chain
+        executor whose trigger runner the platform holds: each refers
+        back to the platform weakly."""
+        platform = fresh_cluster_platform(
+            FireworksPlatform, _with_admission(), n_hosts=2,
+            capacity_per_host=2)
+        executor = ChainExecutor(platform)
+        dag = tenant_pipeline_dag("t0")
+        executor.install(dag)
+        assert executor.mode_for(dag) == MODE_ORCHESTRATED
+        assert any(runner is not None
+                   for registered in platform._db_triggers.values()
+                   for _function, runner in registered)
+        start = platform.sim.now
+        WarmPoolAutoscaler(platform, mode="reactive",
+                           until_ms=start + 4_000.0)
+        HostFailureController(platform, ChaosPlan([ChaosEvent(
+            start + 1_500.0, KIND_HOST_CRASH, host_id=1)]))
+        runs = [executor.submit(dag) for _ in range(6)]
+        platform.sim.run()
+        assert all(host.admission is not None
+                   for host in platform.cluster.hosts)
+        assert len(executor.trigger_runs) == len(runs)
+        assert platform.chaos.log and platform.autoscaler.ticks
+        refs = [weakref.ref(platform), weakref.ref(platform.sim)]
+        del platform, executor, runs
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_wait_budget_shed_leaves_no_callback_on_the_waiter(self):
+        sim = Simulation(seed=1)
+        host = Host(sim, _with_admission(queue_capacity=1,
+                                         max_queue_wait_ms=5.0),
+                    capacity=1)
+        queue = host.admission
+        outcomes = []
+
+        def request():
+            try:
+                outcomes.append((yield from queue.admit("fn")))
+            except InvocationSheddedError:
+                outcomes.append("shed")
+
+        sim.process(request())
+        sim.process(request())
+        sim.run(until=1.0)
+        [waiter] = queue._waiters
+        sim.run()
+        assert outcomes == [0.0, "shed"]
+        assert queue.sheds_wait == 1
+        # The budget's timeout decided the AnyOf; the hand-off event it
+        # beat never fires and keeps no callback of the condition.
+        assert not waiter.event.triggered
+        assert waiter.event.callbacks == []
+        sim_ref = weakref.ref(sim)
+        del sim, host, queue, waiter
+        assert sim_ref() is None
+
+    @pytest.mark.parametrize("kind", ["any-of", "any-of-built-decided",
+                                      "all-of-failed"])
+    def test_decided_condition_leaves_no_callback_on_a_pending_child(
+            self, kind):
+        sim = Simulation(seed=1)
+        pending = sim.event("never")
+        if kind == "any-of":
+            decider = sim.timeout(1.0)
+            cond = sim.any_of([pending, decider])
+        elif kind == "any-of-built-decided":
+            decider = sim.event("ready").succeed()
+            cond = sim.any_of([decider, pending])
+        else:
+            decider = sim.event("fails")
+            sim.schedule_timeout(1.0, lambda _value: decider.fail(
+                RuntimeError("child failed")))
+            cond = sim.all_of([decider, pending])
+        sim.run()
+        assert cond.processed and cond.ok is kind.startswith("any-of")
+        assert pending.callbacks == []
+        sim_ref = weakref.ref(sim)
+        del sim, cond, pending, decider
+        assert sim_ref() is None
+
+    def test_granted_requests_and_served_getters_hold_nothing_of_their_own(
+            self):
+        sim = Simulation(seed=1)
+        cpu = Resource(sim, capacity=1)
+        granted, waiter, withdrawn = (cpu.request(), cpu.request(),
+                                      cpu.request())
+        store = Store(sim)
+        getter = store.get()
+
+        def withdraw():
+            try:
+                yield withdrawn
+            except Interrupt:
+                pass
+
+        process = sim.process(withdraw())
+        sim.run()
+        process.interrupt()
+        sim.run()
+        cpu.release(granted)
+        store.put("item")
+        sim.run()
+        assert waiter.triggered and getter.value == "item"
+        assert not withdrawn.triggered and cpu.queue_length == 0
+        for event in (granted, waiter, withdrawn, getter):
+            assert event.on_abandoned is None
+            assert not _refers_to_itself(event)
+
+    def _assert_every_simulation_freed(self, monkeypatch, experiment: str):
         built = []
         init = Simulation.__init__
 
@@ -352,11 +474,16 @@ class TestRefcountingFreesASimulation:
             built.append(weakref.ref(sim))
 
         monkeypatch.setattr(Simulation, "__init__", tracking_init)
-        gc.collect()
-        gc.disable()
-        try:
-            run_experiments(["fig10"], use_cache=False)
-            assert built
-            assert [ref() for ref in built] == [None] * len(built)
-        finally:
-            gc.enable()
+        run_experiments([experiment], use_cache=False)
+        assert built
+        assert [ref() for ref in built] == [None] * len(built)
+
+    def test_every_fig10_simulation_goes_with_its_last_reference(
+            self, monkeypatch):
+        self._assert_every_simulation_freed(monkeypatch, "fig10")
+
+    @pytest.mark.parametrize("experiment", ["search-smoke", "chains",
+                                            "chaos"])
+    def test_every_simulation_goes_with_its_last_reference(
+            self, monkeypatch, experiment):
+        self._assert_every_simulation_freed(monkeypatch, experiment)
