@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 report:
-	python -m repro report
+	python -m repro figure paper-repro
 
 serve:
 	python -m repro serve

@@ -57,11 +57,6 @@ class SheddedInvocation:
     trace_id: str
     span: Optional["Span"] = field(default=None, repr=False, compare=False)
 
-    @property
-    def waited_ms(self) -> float:
-        """How long the request was held before being shed."""
-        return self.shed_ms - self.submitted_ms
-
 
 @dataclass
 class _Waiter:

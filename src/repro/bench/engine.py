@@ -28,8 +28,8 @@ The engine:
 Invalidation is by key construction: changing any calibrated constant, the
 seed, the package version, :data:`CACHE_SCHEMA_VERSION` or the bytes of any
 ``*.py`` file of the ``repro`` package (:func:`code_digest`) changes the
-key, and stale entries are simply never read again (``prune()`` deletes
-entries whose key no longer matches).  So after an edit, a run recomputes
+key, and stale entries are simply never read again; deleting
+``.repro-cache/`` reclaims their space.  So after an edit, a run recomputes
 every shard instead of serving results of the old code.
 """
 
@@ -66,13 +66,14 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # The catalog
 # ---------------------------------------------------------------------------
 def _catalog() -> Tuple[Experiment, ...]:
-    """Every experiment, in canonical (report) order."""
+    """Every experiment in canonical order: the paper's own tables and
+    figures in paper order, then the extensions."""
     from repro.bench import (ablations, chains, chaos, cluster, concurrency,
                              factors, faasdom_experiments, load, memory,
                              paper, realworld, restore, search, sensitivity,
                              tables)
     return (
-        tables.TABLE1, tables.TABLE2, tables.SNAPSHOT_CREATION,
+        tables.TABLE1, tables.TABLE2, tables.SNAPSHOT_CREATION, memory.FIG4,
         faasdom_experiments.FIG6, faasdom_experiments.FIG7, realworld.FIG9,
         memory.FIG10, factors.FIG11, memory.FIG12, paper.SCORECARD,
         concurrency.BURST, concurrency.LOAD_SWEEP, sensitivity.SENSITIVITY,
@@ -94,7 +95,7 @@ def experiment_registry() -> Dict[str, Experiment]:
 
 
 def experiment_ids() -> Tuple[str, ...]:
-    """Every runnable experiment id, in canonical (report) order."""
+    """Every runnable experiment id, in canonical order."""
     return tuple(experiment_registry())
 
 
@@ -199,25 +200,6 @@ class ResultCache:
         except BaseException:
             os.unlink(tmp)
             raise
-
-    def prune(self, params: Optional[CalibratedParameters] = None,
-              seed: int = DEFAULT_SEED) -> int:
-        """Delete entries not reachable from the current catalog/params.
-
-        Every ``.bin`` file at a dead key, and every ``.json`` file (the
-        format of schema-1 caches), is removed.
-        """
-        fingerprint = params_fingerprint(params or default_parameters())
-        live = {str(self._path(shard, self.key(shard, fingerprint, seed)))
-                for experiment in experiment_registry().values()
-                for shard in experiment.shards}
-        removed = 0
-        for pattern in ("*/*.bin", "*/*.json"):
-            for path in self.root.glob(pattern):
-                if str(path) not in live:
-                    path.unlink()
-                    removed += 1
-        return removed
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,6 @@ from repro.bench.ascii_chart import render_figure
 #: The shard key of an experiment that declares no grid.
 SINGLE = "all"
 
-#: The paper's own tables and figures, in catalog order: the head of the
-#: catalog, what ``repro run`` regenerates by id and what ``repro report``
-#: prints.
-FIGURES = ("table1", "table2", "snapshot-creation", "fig6", "fig7", "fig9",
-           "fig10", "fig11", "fig12", "scorecard")
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -94,5 +88,4 @@ def render_figures(result: Mapping[Any, Any], out: TextIO,
         print(file=out)
 
 
-__all__ = ["Experiment", "FIGURES", "SINGLE", "Shard", "render_figures",
-           "render_lines"]
+__all__ = ["Experiment", "SINGLE", "Shard", "render_figures", "render_lines"]

@@ -1,19 +1,18 @@
 """CSV export of regenerated figures — for plotting outside the harness.
 
-``export_all(directory)`` regenerates the exported figures in one engine
-run and writes one CSV per artifact, mirroring the bar/series structure
-of the paper's plots.
+``export_all(directory, results)`` writes one CSV per artifact of merged
+engine results, mirroring the bar/series structure of the paper's plots;
+``repro export`` reads those results through the result cache.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, List
 
 from repro.bench.factors import FactorRow
 from repro.bench.results import FigureResult, MemorySeries
-from repro.config import CalibratedParameters
 
 
 def write_latency_figure_csv(figure: FigureResult, path: Path) -> None:
@@ -73,7 +72,7 @@ def write_fig12_csv(results: Dict[str, Dict[str, float]],
                                           for c in configs])
 
 
-#: The experiments ``export_all`` writes, in write order.
+#: The experiments ``repro export`` writes, in write order.
 EXPORTED = ("fig6", "fig7", "fig9", "fig10", "fig11", "fig12")
 
 #: One-CSV experiments: id -> writer of the merged result.  The others
@@ -83,29 +82,23 @@ _TABLE_WRITERS = {"fig10": write_memory_series_csv,
                   "fig12": write_fig12_csv}
 
 
-def export_all(directory: str,
-               params: Optional[CalibratedParameters] = None,
-               figures: Optional[Iterable[str]] = None) -> List[str]:
-    """Regenerate figures and write CSVs into *directory*.
+def export_all(directory: str, results: Dict[str, Any]) -> List[str]:
+    """Write one CSV per artifact of *results* into *directory*.
 
-    Returns the written file names.  ``figures`` limits the set to some
-    of :data:`EXPORTED`; default is all of them.
+    *results* maps ids of :data:`EXPORTED` to merged results, as
+    :func:`~repro.bench.engine.run_experiments` returns them.  Returns
+    the written file names, in the order of *results*.
     """
-    from repro.bench.engine import run_experiments
-
-    wanted = set(figures or EXPORTED)
-    ids = [figure_id for figure_id in EXPORTED if figure_id in wanted]
-    results = run_experiments(ids, params=params, use_cache=False).results
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[str] = []
-    for figure_id in ids:
+    for figure_id, result in results.items():
         if figure_id in _TABLE_WRITERS:
             name = f"{figure_id}.csv"
-            _TABLE_WRITERS[figure_id](results[figure_id], out_dir / name)
+            _TABLE_WRITERS[figure_id](result, out_dir / name)
             written.append(name)
             continue
-        for figure in results[figure_id].values():
+        for figure in result.values():
             name = f"{figure.figure_id}.csv"
             write_latency_figure_csv(figure, out_dir / name)
             written.append(name)

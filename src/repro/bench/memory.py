@@ -1,4 +1,7 @@
-"""Figures 10 and 12: memory usage under snapshot sharing.
+"""Figures 4, 10 and 12: memory usage under snapshot sharing.
+
+Fig 4 (§3.3): what one of 10 post-JIT snapshot clones shares with the
+others, region by region.
 
 Fig 10 (§5.4): launch faas-fact microVMs under sustained load until the
 host starts swapping (vm.swappiness=60 => ~60% of 128 GB), comparing plain
@@ -163,6 +166,13 @@ def fig12_improvements(results: Dict[str, Dict[str, float]]
     return improvements
 
 
+def _render_fig4(result, out, chart=False) -> None:
+    for region, stats in sorted(result.items()):
+        print(f"{region:<10} rss={stats['rss_mb']:6.1f}M "
+              f"pss={stats['pss_mb']:6.1f}M "
+              f"shared={stats['shared_fraction']:6.1%}", file=out)
+
+
 def _render_fig10(result, out, chart=False) -> None:
     for series in result.values():
         print(series.as_table(), file=out)
@@ -178,6 +188,10 @@ def _render_fig12(result, out, chart=False) -> None:
               f"post-jit {values['post_jit_vs_os_snapshot_pct']:5.1f}%",
               file=out)
 
+
+FIG4 = Experiment(
+    "fig4", "per-region sharing across 10 clones",
+    run=lambda params, seed: run_fig4_view(params), render=_render_fig4)
 
 FIG10 = Experiment(
     "fig10", "memory usage / max consolidation",

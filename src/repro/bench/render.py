@@ -1,8 +1,8 @@
 """Text rendering of merged experiment results.
 
-One renderer serves both fronts of the harness: the CLI (``repro run`` /
-``repro figure``) prints these strings to stdout, and the experiment
-service (:mod:`repro.serve`) returns the *same bytes* from
+One renderer serves both fronts of the harness: ``repro figure`` prints
+these strings to stdout, and the experiment service
+(:mod:`repro.serve`) returns the *same bytes* from
 ``GET /experiments/{id}/figures`` — which is what makes the API-vs-CLI
 differential test (and the CI byte-diff) meaningful.  The body of each
 experiment comes from its own ``render``, found through the engine's
@@ -24,7 +24,8 @@ __all__ = ["render_experiment_text", "render_run_text"]
 
 
 def render_experiment_text(name: str, result, chart: bool = False) -> str:
-    """One experiment's rendered body, exactly as ``repro run`` prints it."""
+    """One experiment's rendered body: what ``repro figure`` prints
+    under its ``== id ==`` header."""
     from repro.bench.engine import experiment_registry
     experiment = experiment_registry().get(name)
     if experiment is None:

@@ -124,11 +124,6 @@ class ChaosPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def crash_times(self) -> Tuple[Tuple[float, int], ...]:
-        """``(at_ms, host_id)`` of every host-crash, in order."""
-        return tuple((event.at_ms, event.host_id) for event in self.events
-                     if event.kind == KIND_HOST_CRASH)
-
     # -- constructors ----------------------------------------------------------
     @classmethod
     def single_crash(cls, at_ms: float, host_id: int,

@@ -2,29 +2,29 @@
 
 Commands:
 
-* ``figures``                 — list every regenerable table/figure;
-* ``run <figure|scenario>``   — regenerate one figure (e.g. ``run fig6``)
-                                or run a named scenario from the library
-                                (e.g. ``run paper-repro``);
+* ``figures``                 — list every experiment id ``figure``
+                                accepts, with its title;
+* ``figure <name...> [--jobs N]`` — run experiments through the parallel
+                                engine and the result cache: experiment
+                                ids (``figure fig6 fig7``), ``all``, or
+                                one named scenario (``figure paper-repro``,
+                                ``figure 4-host-chaos``);
 * ``scenarios``               — list the named scenarios under
                                 ``scenarios/``;
 * ``serve [--host H] [--port P]`` — the experiment REST service: submit
                                 scenarios over HTTP, stream progress,
                                 fetch results/figures/traces
                                 (see ``docs/service.md``);
-* ``figure <id...> [--jobs N]`` — regenerate many (or ``all``) through the
-                                parallel engine and the result cache; the
-                                extension experiments (``cluster``,
-                                ``chaos``, ``load``, ``search``, ...) run
-                                here or as named scenarios, like the paper
-                                figures;
 * ``annotate <file>``         — run the §3.2 code annotator on a handler;
 * ``trace <target>``          — re-run one figure's invocations and export
                                 one invocation's span tree (Chrome
                                 ``trace_event`` JSON or a text tree);
 * ``profile <experiment>``    — cProfile one experiment shard and print
                                 the top-N hot frames (the workflow behind
-                                ``docs/performance.md``).
+                                ``docs/performance.md``);
+* ``export <dir>``            — write the plotted figures as CSVs, read
+                                through the result cache like ``figure``;
+* ``validate``                — check the calibrated default parameters.
 """
 
 from __future__ import annotations
@@ -32,69 +32,71 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.bench.experiment import FIGURES
-from repro.bench.render import render_experiment_text, render_run_text
-
-
-def _run_figure(name: str, chart: bool = False) -> None:
-    """``run``: regenerate one figure in-process (engine, no cache)."""
-    from repro.bench.engine import run_experiments
-    outcome = run_experiments([name], use_cache=False)
-    print(render_experiment_text(name, outcome.results[name], chart),
-          end="")
+from repro.bench.render import render_run_text
 
 
-def _run_scenario(scenario, jobs: Optional[int], no_cache: bool,
-                  cache_dir: Optional[str], chart: bool) -> None:
-    """``run <scenario>``: a named scenario through the engine + cache.
-
-    The rendered output is byte-identical to what the experiment service
-    returns from ``GET /experiments/{id}/figures`` for the same scenario —
-    CLI and API are two fronts over one engine path.
-    """
-    from repro.bench.engine import run_experiments
-    outcome = run_experiments(
-        list(scenario.experiments), seed=scenario.seed,
-        jobs=jobs if jobs is not None else scenario.jobs,
-        use_cache=not no_cache, cache_dir=cache_dir)
-    print(render_run_text(outcome.results, chart), end="")
-    print(outcome.stats.summary(), file=sys.stderr)
-
-
-def _cmd_run(target: str, jobs: Optional[int], no_cache: bool,
-             cache_dir: Optional[str], chart: bool) -> int:
-    """``run``: one figure id or one named scenario from the library."""
+def _scenario_library():
+    """The shipped scenario library, or None if it is missing or broken:
+    the problem is reported on stderr, not as a traceback, and the caller
+    exits 2."""
     from repro.errors import ValidationError
     from repro.serve.scenarios import load_scenario_library
-    if target in FIGURES:
-        _run_figure(target, chart=chart)
-        return 0
     try:
-        library = load_scenario_library()
+        return load_scenario_library()
     except ValidationError as exc:
-        # A missing/broken library must not turn 'run <typo>' into a
-        # traceback: report the library problem itself, exit 2.
         print(f"error: scenario library is broken: {exc}", file=sys.stderr)
-        return 2
-    if target in library:
-        _run_scenario(library[target], jobs, no_cache, cache_dir, chart)
-        return 0
-    print(f"error: unknown figure or scenario {target!r}\n"
-          f"figures: {', '.join(FIGURES)}\n"
-          f"scenarios: {', '.join(library)}", file=sys.stderr)
-    return 2
+        return None
 
 
-def _cmd_figure(figures: List[str], jobs: int, no_cache: bool,
-                cache_dir: str, chart: bool) -> None:
-    """``figure``: many experiments through the parallel engine + cache."""
+def _run_engine(ids: List[str], **options) -> Dict[str, Any]:
+    """Merged results of ``run_experiments(ids, **options)``, through the
+    result cache unless ``use_cache=False``; the stats line goes to
+    stderr."""
     from repro.bench.engine import run_experiments
-    outcome = run_experiments(figures, jobs=jobs, use_cache=not no_cache,
-                              cache_dir=cache_dir)
-    print(render_run_text(outcome.results, chart), end="")
+    outcome = run_experiments(ids, **options)
     print(outcome.stats.summary(), file=sys.stderr)
+    return outcome.results
+
+
+def _cmd_figure(names: List[str], jobs: Optional[int], no_cache: bool,
+                cache_dir: Optional[str], chart: bool) -> int:
+    """``figure``: experiment ids, ``all``, or one named scenario.
+
+    Experiment ids win over scenario names, and the scenario library is
+    read only for a name that is neither an id nor ``all``, so ids keep
+    working with a broken library.  A scenario brings its seed and its
+    default ``--jobs``.  The rendered output is byte-identical to what
+    the experiment service returns from ``GET /experiments/{id}/figures``
+    for the same run — CLI and API are two fronts over one engine path.
+    """
+    from repro.bench.engine import DEFAULT_SEED, experiment_ids
+    known = experiment_ids()
+    others = [name for name in names if name not in known + ("all",)]
+    seed, default_jobs = DEFAULT_SEED, 1
+    if others:
+        library = _scenario_library()
+        if library is None:
+            return 2
+        for name in others:
+            if name not in library:
+                print(f"error: unknown experiment or scenario {name!r}\n"
+                      f"experiments: {', '.join(known)} (or 'all')\n"
+                      f"scenarios: {', '.join(library)}", file=sys.stderr)
+                return 2
+        if len(names) > 1:
+            print(f"error: scenario {others[0]!r} must be the only name "
+                  "given", file=sys.stderr)
+            return 2
+        scenario = library[others[0]]
+        names = list(scenario.experiments)
+        seed, default_jobs = scenario.seed, scenario.jobs
+    results = _run_engine(names, seed=seed,
+                          jobs=default_jobs if jobs is None else jobs,
+                          use_cache=not no_cache, cache_dir=cache_dir)
+    print(render_run_text(results, chart), end="")
+    return 0
 
 
 def _cmd_annotate(path: str) -> None:
@@ -228,23 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fireworks (EuroSys '22) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("figures", help="list regenerable tables/figures")
-
-    run_parser = sub.add_parser(
-        "run", help="regenerate one table/figure, or run a named scenario")
-    run_parser.add_argument(
-        "figure", metavar="figure|scenario",
-        help="a figure id ('repro figures') or a scenario name "
-             "('repro scenarios')")
-    run_parser.add_argument("--chart", action="store_true",
-                            help="render stacked ASCII bars (fig6/7/9)")
-    run_parser.add_argument(
-        "-j", "--jobs", type=_positive_int, default=None,
-        help="worker processes (scenario runs; default: the scenario's)")
-    run_parser.add_argument("--no-cache", action="store_true",
-                            help="skip the result cache (scenario runs)")
-    run_parser.add_argument("--cache-dir", default=None,
-                            help="result cache directory (scenario runs)")
+    sub.add_parser("figures",
+                   help="list the experiment ids 'figure' accepts")
 
     sub.add_parser("scenarios",
                    help="list the named scenarios under scenarios/")
@@ -263,17 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
                               help="result cache directory "
                                    "(default .repro-cache)")
 
-    from repro.bench.engine import experiment_ids
     figure_parser = sub.add_parser(
         "figure",
-        help="regenerate figures through the parallel engine + cache")
+        help="run experiments or a named scenario through the parallel "
+             "engine + cache")
     figure_parser.add_argument(
-        "figures", nargs="+", metavar="figure",
-        choices=experiment_ids() + ("all",),
-        help="experiment ids, or 'all' for the full suite")
+        "names", nargs="+", metavar="name",
+        help="experiment ids ('repro figures'), 'all' for every one, or "
+             "one scenario name ('repro scenarios')")
     figure_parser.add_argument(
-        "-j", "--jobs", type=_positive_int, default=1,
-        help="worker processes for uncached shards (default 1)")
+        "-j", "--jobs", type=_positive_int, default=None,
+        help="worker processes for uncached shards (default 1, or the "
+             "scenario's)")
     figure_parser.add_argument(
         "--no-cache", action="store_true",
         help="skip the result cache (neither read nor write)")
@@ -318,15 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="tottime", help="pstats sort key (default tottime)")
 
     export_parser = sub.add_parser(
-        "export", help="regenerate figures and write CSVs")
+        "export", help="write figures as CSVs (through the result cache)")
     export_parser.add_argument("directory")
     from repro.bench.export import EXPORTED
     export_parser.add_argument("--only", nargs="*", default=None,
                                choices=EXPORTED)
-
-    report_parser = sub.add_parser(
-        "report", help="the full evaluation as one document")
-    report_parser.add_argument("--no-extensions", action="store_true")
 
     sub.add_parser("validate",
                    help="validate the calibrated default parameters")
@@ -337,19 +321,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "figures":
-        for name in FIGURES:
-            print(name)
-    elif args.command == "run":
-        return _cmd_run(args.figure, jobs=args.jobs, no_cache=args.no_cache,
-                        cache_dir=args.cache_dir, chart=args.chart)
+        from repro.bench.engine import experiment_registry
+        for experiment in experiment_registry().values():
+            print(f"{experiment.id:<18} {experiment.title}")
     elif args.command == "scenarios":
-        from repro.errors import ValidationError
-        from repro.serve.scenarios import load_scenario_library
-        try:
-            library = load_scenario_library()
-        except ValidationError as exc:
-            print(f"error: scenario library is broken: {exc}",
-                  file=sys.stderr)
+        library = _scenario_library()
+        if library is None:
             return 2
         for scenario in library.values():
             print(f"{scenario.name:<22} {scenario.title}")
@@ -359,10 +336,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              use_cache=not args.no_cache,
                              cache_dir=args.cache_dir)
     elif args.command == "figure":
-        from repro.bench.engine import DEFAULT_CACHE_DIR
-        _cmd_figure(args.figures, jobs=args.jobs, no_cache=args.no_cache,
-                    cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
-                    chart=args.chart)
+        return _cmd_figure(args.names, jobs=args.jobs,
+                           no_cache=args.no_cache, cache_dir=args.cache_dir,
+                           chart=args.chart)
     elif args.command == "annotate":
         _cmd_annotate(args.file)
     elif args.command == "trace":
@@ -372,14 +348,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_profile(args.experiment, args.shard, args.top,
                             args.sort)
     elif args.command == "export":
-        from repro.bench.export import export_all
-        written = export_all(args.directory, figures=args.only)
-        for name in written:
+        from repro.bench.export import EXPORTED, export_all
+        wanted = args.only or EXPORTED
+        results = _run_engine([one for one in EXPORTED if one in wanted])
+        for name in export_all(args.directory, results):
             print(f"wrote {args.directory}/{name}")
-    elif args.command == "report":
-        from repro.bench.report import full_report
-        print(full_report(include_extensions=not args.no_extensions),
-              end="")
     elif args.command == "validate":
         from repro.config import default_parameters
         from repro.validation import validate

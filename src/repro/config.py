@@ -247,11 +247,6 @@ class GuestMemoryLayout:
         return (self.kernel_mb + self.runtime_mb + self.app_mb
                 + self.heap_after_load_mb + self.jit_code_mb)
 
-    @property
-    def os_stage_mb(self) -> int:
-        """Resident size after guest OS boot + runtime agent launch."""
-        return self.kernel_mb + self.runtime_mb
-
 
 NODEJS_MEMORY = GuestMemoryLayout(
     kernel_mb=60,

@@ -150,10 +150,6 @@ class SharedSegment:
         """Pages this mapper has CoW-broken."""
         return self._get_dirty(mapper_id)
 
-    def clean_pages(self, mapper_id: int) -> int:
-        """Pages this mapper still shares."""
-        return self.pages - self._get_dirty(mapper_id)
-
     def resident_pages(self) -> int:
         """Host-resident pages attributable to this segment and its copies."""
         base = self.pages if self._resident else 0

@@ -62,10 +62,6 @@ class NetworkNamespace:
                 f"no device {name!r} in namespace {self.name!r}")
         return self._devices[name]
 
-    def device_names(self):
-        """Names of all devices in this namespace."""
-        return tuple(self._devices)
-
     # -- addresses ---------------------------------------------------------------
     def bind(self, device_name: str, ip: IpAddress, mac: MacAddress) -> None:
         """Assign *ip*/*mac* to a device; duplicates conflict per-namespace."""

@@ -874,10 +874,6 @@ class ServerlessPlatform:
         self.transfer_background_mb += residual_mb
 
     # -- reporting ----------------------------------------------------------------
-    def memory_pss_mb(self) -> List[float]:
-        """PSS of every retained worker (Fig 10/12 measurements)."""
-        return [worker.pss_mb() for worker in self.active_workers]
-
     def table1_row(self) -> Dict[str, str]:
         """This platform's row of the paper's Table 1."""
         return {

@@ -4,7 +4,7 @@
 (:mod:`repro.bench.engine`) and its content-addressed result cache in a
 long-running HTTP service plus a library of *named scenarios*
 (``scenarios/*.json``) — every experiment documented under ``docs/`` is
-one ``POST /experiments`` or one ``repro run <scenario>`` away.
+one ``POST /experiments`` or one ``repro figure <scenario>`` away.
 
 The pieces:
 
@@ -16,9 +16,10 @@ The pieces:
 * :mod:`repro.serve.app`       — the ASGI application (pure stdlib: the
   routing table, JSON error model, SSE/long-poll progress streaming);
 * :mod:`repro.serve.http`      — a threaded stdlib HTTP adapter so
-  ``repro serve`` needs no third-party server;
-* :mod:`repro.serve.testclient` — an in-process ASGI test client the
-  end-to-end harness (and any notebook) can drive without sockets.
+  ``repro serve`` needs no third-party server.
+
+The tests drive the app in process, without sockets, through the ASGI
+client in ``tests/serve/testclient.py``.
 
 Determinism guarantee: the service adds no RNG draws and no merge
 reordering — ``GET /experiments/{id}/results`` and ``/figures`` are

@@ -184,12 +184,6 @@ class RunRegistry:
             run.events.append(event)
             self._cond.notify_all()
 
-    def events_after(self, run: ExperimentRun, seq: int
-                     ) -> List[Dict[str, Any]]:
-        """Events with ``seq > seq`` (snapshot; safe to iterate)."""
-        with self._cond:
-            return list(run.events[seq:])
-
     def wait_events(self, run: ExperimentRun, seq: int,
                     timeout_s: float) -> List[Dict[str, Any]]:
         """Block (up to *timeout_s*) until events beyond *seq* exist."""

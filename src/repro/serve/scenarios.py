@@ -3,7 +3,7 @@
 A *scenario* is a small declarative document naming a reproducible
 experiment run: which engine experiment ids to run, under which seed and
 parallelism, and which docs/ page describes it.  The same documents back
-both fronts of the harness — ``repro run <name>`` on the CLI and
+both fronts of the harness — ``repro figure <name>`` on the CLI and
 ``POST /experiments {"scenario": "<name>"}`` on the service — so every
 experiment in ``docs/`` is one line either way.
 
@@ -217,7 +217,7 @@ def load_scenario_library(root=None) -> Dict[str, Scenario]:
 
     Only top-level ``*.json`` / ``*.yaml`` / ``*.yml`` files are scenarios
     (``scenarios/policies/`` holds policy DSL documents, not scenarios).
-    Filenames must match the document's ``name`` so ``repro run <name>``
+    Filenames must match the document's ``name`` so ``repro figure <name>``
     and the file on disk can never disagree.
     """
     root = Path(root) if root is not None else default_library_root()

@@ -43,10 +43,6 @@ class BlockDevice:
             raise StorageError(f"no such file: {path!r}")
         return self._files[path]
 
-    def list_files(self) -> Dict[str, float]:
-        """path -> size MiB for every file."""
-        return dict(self._files)
-
     # -- operations -----------------------------------------------------------
     def write_file(self, path: str, size_mb: float) -> float:
         """Create/overwrite *path*; returns the simulated write time in ms."""

@@ -31,9 +31,11 @@ SUBSET = ["fig6", "fig10", "sensitivity"]
 
 class TestRegistry:
     def test_every_cli_figure_is_an_experiment(self):
-        """The paper figures ``repro run`` knows head the catalog."""
-        from repro.cli import FIGURES
-        assert experiment_ids()[:len(FIGURES)] == FIGURES
+        """The paper's own figures, the ``paper-repro`` scenario, head
+        the catalog in paper order."""
+        from repro.serve.scenarios import load_named_scenario
+        paper = load_named_scenario("paper-repro").experiments
+        assert experiment_ids()[:len(paper)] == paper
 
     def test_shard_keys_unique_per_experiment(self):
         for definition in experiment_registry().values():
@@ -235,20 +237,6 @@ class TestResultCache:
         run_experiments(["table2"], use_cache=False,
                         cache_dir=str(cache_dir))
         assert not cache_dir.exists()
-
-    def test_prune_drops_foreign_entries(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        run_experiments(["table2"], cache_dir=cache_dir)
-        stale_bin = tmp_path / "cache" / "table2" / ("f" * 32 + ".bin")
-        stale_bin.write_bytes(b"junk")
-        stale_json = tmp_path / "cache" / "table2" / ("e" * 32 + ".json")
-        stale_json.write_text("{}")
-        cache = ResultCache(cache_dir)
-        assert cache.prune() == 2
-        assert not stale_bin.exists()
-        assert not stale_json.exists()
-        assert run_experiments(["table2"],
-                               cache_dir=cache_dir).stats.cache_hits == 1
 
     def test_interleaved_writers_of_one_entry(self, tmp_path, monkeypatch):
         """Writer A's temp-file write runs writer B's whole ``store``

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.engine import run_experiments
 from repro.bench.export import (export_all, write_factor_csv,
                                 write_fig12_csv, write_latency_figure_csv,
                                 write_memory_series_csv)
@@ -54,19 +55,23 @@ class TestWriters:
         assert rows[1] == ["w", "184.00", "45.00"]
 
 
+def _export(directory, ids):
+    return export_all(directory, run_experiments(ids).results)
+
+
 class TestExportAll:
     def test_selected_figures_only(self, tmp_path):
-        written = export_all(str(tmp_path), figures=["fig11"])
+        written = _export(str(tmp_path), ["fig11"])
         assert written == ["fig11.csv"]
         assert (tmp_path / "fig11.csv").exists()
         rows = _read(tmp_path / "fig11.csv")
         assert len(rows) == 9  # header + 4 benchmarks x 2 languages
 
     def test_fig9_export_names(self, tmp_path):
-        written = export_all(str(tmp_path), figures=["fig9"])
+        written = _export(str(tmp_path), ["fig9"])
         assert set(written) == {"fig9a.csv", "fig9b.csv"}
 
     def test_creates_directory(self, tmp_path):
         nested = tmp_path / "a" / "b"
-        export_all(str(nested), figures=["fig11"])
+        _export(str(nested), ["fig11"])
         assert nested.is_dir()

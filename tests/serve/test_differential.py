@@ -17,9 +17,9 @@ import pytest
 
 from repro.cli import main
 from repro.serve.app import create_app
-from repro.serve.testclient import ASGITestClient
 
 from tests.serve.test_service_e2e import wait_done
+from tests.serve.testclient import ASGITestClient
 
 #: The experiments both fronts run (fast, multi-experiment, multi-shard).
 EXPERIMENTS = ["table1", "table2", "snapshot-creation"]
@@ -77,7 +77,7 @@ class TestApiVersusCli:
 
     def test_figures_byte_identical_to_cli_run_scenario(
             self, api_run, tmp_path, monkeypatch, capsys):
-        """The `repro run <scenario>` front agrees too, from the same
+        """The `repro figure <scenario>` front agrees too, from the same
         scenario document."""
         client, run_id, cache_dir = api_run
         api_figures = client.get(f"/experiments/{run_id}/figures").body
@@ -86,7 +86,7 @@ class TestApiVersusCli:
         root.mkdir()
         (root / "diff.json").write_text(json.dumps(SCENARIO))
         monkeypatch.setenv("REPRO_SCENARIOS", str(root))
-        assert main(["run", "diff", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["figure", "diff", "--cache-dir", str(cache_dir)]) == 0
         captured = capsys.readouterr()
         assert captured.out.encode("utf-8") == api_figures
         assert "3 cached" in captured.err

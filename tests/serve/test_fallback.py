@@ -15,9 +15,9 @@ import logging
 import pytest
 
 from repro.serve.app import create_app
-from repro.serve.testclient import ASGITestClient
 
 from tests.serve.test_service_e2e import wait_done
+from tests.serve.testclient import ASGITestClient
 
 SCENARIO = {
     "name": "wide",

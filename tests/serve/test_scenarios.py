@@ -167,7 +167,7 @@ class TestShippedLibrary:
 
     def test_every_docs_experiment_page_has_a_scenario(self, library):
         """The acceptance bar: each docs/ experiment page is one
-        ``repro run <name>`` away."""
+        ``repro figure <name>`` away."""
         linked = {doc for scenario in library.values()
                   for doc in scenario.docs}
         for page in ("docs/chaos.md", "docs/cluster.md", "docs/scale.md",
@@ -181,12 +181,18 @@ class TestShippedLibrary:
                 assert (REPO_ROOT / doc).is_file(), (
                     f"{scenario.name} links missing doc {doc}")
 
-    def test_scenario_names_do_not_shadow_figure_ids(self, library):
-        """``repro run <name>`` resolves figures first; a scenario named
-        after a figure id could never run."""
-        from repro.cli import FIGURES
-        clashes = set(library) & set(FIGURES)
-        assert not clashes, f"scenario names shadowed by figures: {clashes}"
+    def test_scenarios_named_after_experiments_run_exactly_them(
+            self, library):
+        """``repro figure <name>`` resolves experiment ids first, so a
+        scenario named after an id never runs by that name on the CLI.
+        It must run exactly that experiment at the default seed, so the
+        CLI and ``POST /experiments {"scenario": name}`` print the same
+        figures."""
+        shadowed = set(library) & set(experiment_ids())
+        assert shadowed  # ablations, load-sweep, restore, search-smoke
+        for name in shadowed:
+            assert library[name].experiments == (name,), name
+            assert library[name].seed == 2022, name
 
     def test_paper_repro_runs_the_paper_figures(self, library):
         scenario = library["paper-repro"]

@@ -20,7 +20,8 @@ from repro.bench.serialization import BINARY_MAGIC
 from repro.serve.app import create_app
 from repro.serve.registry import ExperimentRun
 from repro.serve.scenarios import Scenario
-from repro.serve.testclient import ASGITestClient
+
+from tests.serve.testclient import ASGITestClient
 
 #: One cheap scenario (sub-second) the whole module drives.
 SMOKE = {

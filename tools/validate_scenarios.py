@@ -10,7 +10,7 @@ filename == name, no duplicates), round-trip exactly through
 The whole library must also cover every engine experiment id, so no
 experiment is unreachable by name.  CI runs this so a broken scenario
 fails the build at review time rather than at the first
-``repro run <name>`` or ``POST /experiments``.
+``repro figure <name>`` or ``POST /experiments``.
 
 Exit code 0 when the library is valid, 1 otherwise (problems on
 stderr).
