@@ -17,7 +17,10 @@ The built-in modes live in :mod:`repro.policy.autoscale` and keep their
 registered names: ``reactive`` scales on observed queue pressure (late,
 with hysteresis), ``predictive`` pre-provisions on arrival-histogram
 predictions, ``none`` never arms the loop.  ``policy=`` also accepts a
-DSL document or a ready policy instance.
+DSL document or a ready policy instance; the scaler reports the resolved
+policy's ``name`` and ``source`` through ``scaler.policy``.  Every
+arrival feeds one :class:`~repro.policy.keepalive.ArrivalHistory`, the
+predictive policies' data source.
 
 Both active modes park workers with a finite TTL (``warm_expiry_ms``) so
 scale-*down* is lazy expiry.
@@ -33,12 +36,9 @@ import weakref
 from typing import Dict, Tuple
 
 from repro.errors import InjectedFault, PlatformError
-from repro.platforms.keepalive import HybridHistogramKeepAlive
 from repro.policy.autoscale import AutoscaleView
-
-#: The built-in mode names, in registry order (kept for callers that
-#: enumerate modes; the registry is the source of truth).
-MODES = ("none", "reactive", "predictive")
+from repro.policy.keepalive import ArrivalHistory
+from repro.policy.registry import resolve
 
 
 class WarmPoolAutoscaler:
@@ -46,20 +46,15 @@ class WarmPoolAutoscaler:
 
     def __init__(self, platform, mode: str = "reactive",
                  until_ms: float = None, cfg=None, policy=None) -> None:
-        from repro.policy import resolve_autoscale
         if policy is None:
             policy = mode
-        self.policy = resolve_autoscale(policy)
+        self.policy = resolve("autoscale", policy)
         self._platform = weakref.ref(platform)
         self.sim = platform.sim
         self.cfg = cfg if cfg is not None else platform.params.autoscale
-        #: The resolved policy's registered name (kept as ``mode`` so
-        #: result rows and reprs read the same as before the refactor).
-        self.mode = self.policy.name
-        self.policy_source = self.policy.source
         self.until_ms = until_ms
-        #: Arrival histograms (the predictive policy's data source).
-        self.history = HybridHistogramKeepAlive()
+        #: Every function's arrivals (the predictive policies' data).
+        self.history = ArrivalHistory()
         #: (host_id, function) -> in-flight provisioning count.
         self._pending: Dict[Tuple[int, str], int] = {}
         #: (host_id, function) -> current policy target, refreshed every
@@ -87,8 +82,8 @@ class WarmPoolAutoscaler:
 
     # -- arrival feed (called by the platform on every invoke) ---------------
     def observe_arrival(self, function: str, now_ms: float) -> None:
-        """Feed one arrival into the prediction histograms."""
-        self.history.observe_arrival(function, now_ms)
+        """Feed one arrival into the arrival history."""
+        self.history.observe(function, now_ms)
 
     def on_warm_taken(self, function: str, host) -> None:
         """A pooled worker was consumed on the invoke path.

@@ -313,8 +313,8 @@ def run_keepalive_policy_comparison(
     containers they will not reuse — but it can only *trade* along the
     memory/latency frontier.  Fireworks sits off the frontier entirely.
     """
-    from repro.platforms.keepalive import (FixedKeepAlive,
-                                           HybridHistogramKeepAlive)
+    from repro.policy.keepalive import (FixedKeepAlive,
+                                        HybridHistogramKeepAlive)
 
     rng = RngStreams(seed)
     function_names = [f"fn-{index:02d}" for index in range(n_functions)]

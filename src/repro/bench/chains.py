@@ -43,8 +43,8 @@ from repro.config import CalibratedParameters
 from repro.errors import ValidationError
 from repro.platforms.base import MODE_WARM
 from repro.platforms.chains import ChainExecutor, DagRun
-from repro.platforms.scheduler import POLICY_HASH
 from repro.policy import default_registry, shipped_policy_dir
+from repro.policy.placement import POLICY_HASH
 from repro.runtime.interpreter import AppCode, GuestFunction
 from repro.runtime.ops import Compute, DbPut, Program, Respond, program
 from repro.sim.rng import RngStreams

@@ -42,8 +42,8 @@ from repro.chaos import (KIND_BUS_PARTITION, KIND_HOST_CRASH,
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.errors import InvocationFailedError
-from repro.platforms.scheduler import (POLICY_ROUND_ROBIN,
-                                       POLICY_SNAPSHOT_LOCALITY, home_index)
+from repro.policy.placement import (POLICY_ROUND_ROBIN,
+                                    POLICY_SNAPSHOT_LOCALITY, home_index)
 from repro.sim.rng import RngStreams
 from repro.workloads.faasdom import faasdom_spec
 from repro.workloads.generator import assign_popularity, poisson_trace

@@ -13,7 +13,7 @@ from repro.platforms.firecracker import (FirecrackerPlatform,
                                          FirecrackerSnapshotPlatform)
 from repro.platforms.gvisor_platform import GVisorPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
-from repro.platforms.scheduler import POLICY_HASH
+from repro.policy.placement import POLICY_HASH
 from repro.sim.kernel import Simulation
 from repro.trace import verify_invocation
 from repro.workloads.base import ChainSpec, FunctionSpec

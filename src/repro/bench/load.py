@@ -41,8 +41,8 @@ from repro.platforms.catalyzer import CatalyzerPlatform
 from repro.platforms.firecracker import FirecrackerPlatform
 from repro.platforms.gvisor_platform import GVisorPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
-from repro.platforms.scheduler import POLICY_HASH
 from repro.policy import default_registry
+from repro.policy.placement import POLICY_HASH
 from repro.sim.rng import RngStreams
 from repro.workloads.faasdom import faasdom_spec
 from repro.workloads.generator import (assign_popularity,
@@ -312,7 +312,7 @@ def run_load_platform(
     latencies, waits = ledger.total_ms, ledger.queue_wait_ms
     outcome = LoadOutcome(
         platform=platform_name,
-        mode=scaler.mode,
+        mode=scaler.policy.name,
         n_hosts=n_hosts,
         requests=requests,
         completed=ledger.completed,

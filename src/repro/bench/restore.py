@@ -39,7 +39,7 @@ from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
 from repro.errors import ValidationError
 from repro.platforms.firecracker import FirecrackerSnapshotPlatform
-from repro.platforms.scheduler import POLICY_ROUND_ROBIN
+from repro.policy.placement import POLICY_ROUND_ROBIN
 from repro.snapshot.restorer import (POLICY_DEMAND, POLICY_DEMAND_COLD,
                                      POLICY_LAZY, POLICY_REAP)
 from repro.workloads.faasdom import faasdom_spec

@@ -348,9 +348,9 @@ def evaluate_candidate(candidate: SearchCandidate,
                        ) -> SearchCandidateOutcome:
     """Run one candidate on the open-loop trace and score it."""
     from repro.bench.load import run_load_platform
-    from repro.policy import resolve_autoscale, resolve_placement
-    placement = resolve_placement(candidate.placement)
-    autoscale = resolve_autoscale(candidate.autoscale)
+    from repro.policy import resolve
+    placement = resolve("placement", candidate.placement)
+    autoscale = resolve("autoscale", candidate.autoscale)
     outcome = run_load_platform(
         SEARCH_PLATFORM, "none", params=params, seed=seed,
         keepalive_ms=candidate.keepalive_ms,

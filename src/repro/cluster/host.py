@@ -4,7 +4,7 @@ Figure 1's controller relays each request "to one of the backend servers".
 A :class:`Host` is one such server: its own physical memory, network
 bridge, optional core pool, warm pool, and snapshot store.  A
 :class:`Cluster` is the controller's set of hosts plus the placement
-policy that picks one per invocation (:mod:`repro.platforms.scheduler`).
+policy that picks one per invocation (:mod:`repro.policy.placement`).
 
 The paper's evaluation runs on one host, so ``Cluster(n_hosts=1)`` is the
 default everywhere and reproduces every figure unchanged; multi-host
@@ -24,7 +24,8 @@ from repro.host.cpu import HostCpu
 from repro.mem.host_memory import HostMemory
 from repro.net.bridge import HostBridge
 from repro.platforms.pooling import WarmPool
-from repro.platforms.scheduler import POLICY_HASH, home_index
+from repro.policy.placement import POLICY_HASH, home_index
+from repro.policy.registry import resolve
 from repro.storage.disk import BlockDevice
 from repro.storage.snapshot_store import SnapshotStore
 
@@ -38,7 +39,7 @@ class Host:
     ``capacity`` bounds concurrent invocations on the host (``None`` means
     unbounded — the single-host default, where the core pool is the real
     limiter).  The ``node_id``/``active``/``has_room`` surface is the
-    node interface of :func:`repro.platforms.scheduler.select_node`.
+    node interface of :func:`repro.policy.placement.select_node`.
     """
 
     def __init__(self, sim: "Simulation", params: CalibratedParameters,
@@ -153,12 +154,9 @@ class Cluster:
         # *policy* may be a registered name, a DSL document, or a ready
         # PlacementPolicy; unknown names fail here, at config-parse time,
         # with the list of registered names (ValidationError).
-        from repro.policy import resolve_placement
-        self.placement = resolve_placement(policy)
+        self.placement = resolve("placement", policy)
         self.sim = sim
         self.params = params
-        self.policy = self.placement.name
-        self.policy_source = self.placement.source
         self.hosts: List[Host] = [
             Host(sim, params, host_id=index, capacity=capacity_per_host,
                  cores=cores_per_host)
@@ -243,5 +241,6 @@ class Cluster:
         return max(totals) - min(totals)
 
     def __repr__(self) -> str:
-        return (f"<Cluster {len(self.hosts)} hosts policy={self.policy} "
+        return (f"<Cluster {len(self.hosts)} hosts "
+                f"policy={self.placement.name} "
                 f"active={self.total_active()}>")

@@ -455,8 +455,8 @@ class ServerlessPlatform:
         """
         spec = self.spec(name)
         if self.autoscaler is not None:
-            # Feed the predictive scaler's arrival histograms (pure
-            # bookkeeping: no sim events, no RNG draws).
+            # Feed the scaler's arrival history (pure bookkeeping: no
+            # sim events, no RNG draws).
             self.autoscaler.observe_arrival(name, self.sim.now)
         tracer = self.sim.tracer
         self._invocation_seq += 1
@@ -581,8 +581,8 @@ class ServerlessPlatform:
         # Down hosts advertise no room, so every policy fails over here.
         serving = self.params.autoscale.enabled
         placement_span = tracer.span("placement", kind="placement",
-                                     policy=self.cluster.policy,
-                                     source=self.cluster.policy_source)
+                                     policy=self.cluster.placement.name,
+                                     source=self.cluster.placement.source)
         if locality_hint is None:
             probe = lambda h: self._host_affinity(h, spec.name)  # noqa: E731
         else:

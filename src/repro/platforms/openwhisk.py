@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.platforms.base import (MODE_AUTO, MODE_COLD, MODE_WARM,
                                   ServerlessPlatform)
-from repro.platforms.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.platforms.pooling import WarmEntry, WarmPool, require_warm
+from repro.policy.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.runtime import make_runtime
 from repro.sandbox.container import Container
 from repro.sandbox.worker import Worker

@@ -1,4 +1,4 @@
-"""repro.policy — the unified declarative policy engine.
+"""repro.policy — every placement, keep-alive and autoscale decision.
 
 One subsystem behind all three decision layers:
 
@@ -6,9 +6,8 @@ One subsystem behind all three decision layers:
   (:class:`~repro.policy.placement.PlacementPolicy` behind
   ``Cluster.place()``);
 * **keepalive** — how long idle warm workers linger
-  (:class:`~repro.platforms.keepalive.KeepAlivePolicy`, with
-  :class:`~repro.policy.keepalive.DslKeepAlivePolicy` adapting
-  documents);
+  (:class:`~repro.policy.keepalive.KeepAlivePolicy` behind OpenWhisk's
+  warm pool);
 * **autoscale** — per-tick warm-pool targets
   (:class:`~repro.policy.autoscale.AutoscalePolicy` behind
   ``WarmPoolAutoscaler``).
@@ -18,10 +17,15 @@ Policies come in two sources sharing one
 Python classes (the default path — golden figures never change) and
 ``dsl`` decision-tree JSON documents compiled by
 :func:`~repro.policy.dsl.compile_policy` over the typed signal catalogs
-in :mod:`repro.policy.signals`.  ``scenarios/policies/`` ships each
-built-in re-expressed as a document; the differential suite proves them
-decision-identical, and the ``search`` experiment mutates documents to
-map the latency/memory/shed Pareto frontier.
+in :mod:`repro.policy.signals`.  :func:`~repro.policy.registry.resolve`
+turns a name, a document or an instance into a policy of one domain.
+``scenarios/policies/`` ships each built-in re-expressed as a document;
+the differential suite proves them decision-identical, and the ``search``
+experiment mutates documents to map the latency/memory/shed Pareto
+frontier.
+
+The package imports nothing from ``repro`` but :mod:`repro.errors`, so
+the platforms, the cluster and the autoscaler all build on it.
 """
 
 from repro.policy.autoscale import (
@@ -34,13 +38,17 @@ from repro.policy.autoscale import (
 )
 from repro.policy.dsl import (
     MAX_DEPTH,
+    SOURCE_BUILTIN,
+    SOURCE_DSL,
     CompiledPolicy,
     compile_policy,
 )
-from repro.policy.keepalive import DslKeepAlivePolicy
+from repro.policy.keepalive import (
+    ArrivalHistory,
+    DslKeepAlivePolicy,
+    KeepAlivePolicy,
+)
 from repro.policy.placement import (
-    SOURCE_BUILTIN,
-    SOURCE_DSL,
     BuiltinPlacementPolicy,
     DslPlacementPolicy,
     PlacementPolicy,
@@ -50,9 +58,7 @@ from repro.policy.registry import (
     PolicyRegistry,
     default_registry,
     load_policy_dir,
-    resolve_autoscale,
-    resolve_keepalive,
-    resolve_placement,
+    resolve,
     shipped_policy_dir,
 )
 from repro.policy.signals import (
@@ -66,6 +72,7 @@ from repro.policy.signals import (
 
 __all__ = [
     "AUTOSCALE_SIGNALS",
+    "ArrivalHistory",
     "AutoscalePolicy",
     "AutoscaleView",
     "BuiltinPlacementPolicy",
@@ -74,6 +81,7 @@ __all__ = [
     "DslKeepAlivePolicy",
     "DslPlacementPolicy",
     "KEEPALIVE_SIGNALS",
+    "KeepAlivePolicy",
     "MAX_DEPTH",
     "NoTargets",
     "PLACEMENT_SIGNALS",
@@ -90,8 +98,6 @@ __all__ = [
     "compile_policy",
     "default_registry",
     "load_policy_dir",
-    "resolve_autoscale",
-    "resolve_keepalive",
-    "resolve_placement",
+    "resolve",
     "shipped_policy_dir",
 ]

@@ -28,21 +28,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.policy.dsl import (
+    SOURCE_BUILTIN,
+    SOURCE_DSL,
     CompiledPolicy,
-    ConditionNode,
-    SignalRef,
     ValueLeaf,
 )
-from repro.policy.signals import (
-    CANDIDATES_HOME_HOSTS,
-    CANDIDATES_QUEUE_STATE,
-)
+from repro.policy.keepalive import ArrivalHistory
+from repro.policy.signals import CANDIDATES_QUEUE_STATE
 
-SOURCE_BUILTIN = "builtin"
-SOURCE_DSL = "dsl"
+#: Observed inter-arrival gaps a function needs before the predictive
+#: policies predict its next arrival.
+PREDICTION_WARMUP_GAPS = 3
 
 #: One per-tick warm target: (function, host, want).
 Decision = Tuple[str, object, int]
@@ -59,8 +59,8 @@ class AutoscaleView:
 
     now: float
     cfg: object
-    #: Arrival histograms (a ``HybridHistogramKeepAlive``).
-    history: object
+    #: Every function's arrivals and inter-arrival gaps.
+    history: ArrivalHistory
     #: Every cluster host, in host-id order.
     hosts: Sequence[object]
     #: ``host(host_id) -> Host``.
@@ -84,6 +84,32 @@ class AutoscalePolicy:
     def decide(self, view: AutoscaleView) -> List[Decision]:
         """The ordered warm targets for this tick."""
         raise NotImplementedError
+
+
+def _pressured_pairs(view: AutoscaleView) -> Iterator[Tuple[int, str]]:
+    """The ``(host_id, function)`` pairs under queue pressure this tick:
+    every function waiting on a live host whose admission queue is at
+    least ``reactive_queue_threshold`` deep, in host order."""
+    threshold = view.cfg.reactive_queue_threshold
+    for host in view.hosts:
+        if host.down or host.admission is None:
+            continue
+        if host.admission.depth < threshold:
+            continue
+        for function in set(host.admission.waiting_functions()):
+            yield host.host_id, function
+
+
+def _prediction(view: AutoscaleView,
+                function: str) -> Optional[Tuple[float, float]]:
+    """``(last arrival, predicted gap)`` of *function*, or ``None``
+    until it has :data:`PREDICTION_WARMUP_GAPS` observed gaps."""
+    history = view.history
+    if history.gap_count(function) < PREDICTION_WARMUP_GAPS:
+        return None
+    return (history.last_arrival_ms(function),
+            history.gap_percentile_ms(function,
+                                      view.cfg.predictive_gap_quantile))
 
 
 class NoTargets(AutoscalePolicy):
@@ -118,19 +144,12 @@ class ReactiveTargets(AutoscalePolicy):
         cfg = view.cfg
         decisions: List[Decision] = []
         pressured = set()
-        for host in view.hosts:
-            if host.down or host.admission is None:
-                continue
-            if host.admission.depth < cfg.reactive_queue_threshold:
-                continue
-            for function in set(host.admission.waiting_functions()):
-                key = (host.host_id, function)
-                pressured.add(key)
-                level = self._reactive.get(key, (0, 0))[0]
-                self._reactive[key] = (
-                    min(level + cfg.reactive_step,
-                        cfg.max_warm_per_function),
-                    cfg.reactive_hold_ticks)
+        for key in _pressured_pairs(view):
+            pressured.add(key)
+            level = self._reactive.get(key, (0, 0))[0]
+            self._reactive[key] = (
+                min(level + cfg.reactive_step, cfg.max_warm_per_function),
+                cfg.reactive_hold_ticks)
         for key in list(self._reactive):
             level, hold = self._reactive[key]
             if key not in pressured:
@@ -158,11 +177,10 @@ class PredictiveTargets(AutoscalePolicy):
         cfg = view.cfg
         decisions: List[Decision] = []
         for function in view.functions:
-            last = view.history.last_arrival_ms(function)
-            gap = view.history.gap_percentile_ms(
-                function, cfg.predictive_gap_quantile)
-            if last is None or gap is None:
+            prediction = _prediction(view, function)
+            if prediction is None:
                 continue
+            last, gap = prediction
             if gap <= cfg.predictive_horizon_ms:
                 # Arrives at least once per horizon: keep enough warm
                 # workers to absorb the expected arrivals.
@@ -187,48 +205,41 @@ class DslAutoscalePolicy(AutoscalePolicy):
     source = SOURCE_DSL
 
     def __init__(self, compiled: CompiledPolicy) -> None:
-        if compiled.domain != "autoscale":
-            raise ValueError(
-                f"policy {compiled.name!r} is a {compiled.domain} "
-                "document, not autoscale")
         self.compiled = compiled
         self.name = compiled.name
         #: queue-state bookkeeping: (host_id, function) -> (level, hold).
         self._state: Dict[Tuple[int, str], Tuple[int, int]] = {}
 
-    def _want(self, view: AutoscaleView,
-              resolve: Callable[[SignalRef], float]) -> int:
-        """Walk the tree to a scalar leaf; clamp to the warm cap."""
-        node = self.compiled.tree
-        while isinstance(node, ConditionNode):
-            node = node.then if node.condition.holds(resolve) \
-                else node.otherwise
+    def _want(self, view: AutoscaleView, values: Mapping[str, float]) -> int:
+        """The tree's target under one candidate's signal *values*,
+        clamped to the warm cap.  A signal without a value raises."""
+        resolve = lambda ref: values[ref.name]  # noqa: E731
+        node = self.compiled.leaf(resolve)
         assert isinstance(node, ValueLeaf)
         want = int(node.value(resolve))
         return min(want, view.cfg.max_warm_per_function)
 
     def decide(self, view: AutoscaleView) -> List[Decision]:
         """Dispatch on the document's candidate enumeration mode."""
+        cfg = view.cfg
+        # The configuration signals every candidate mode provides.
+        config = {"reactive_step": float(cfg.reactive_step),
+                  "max_warm": float(cfg.max_warm_per_function),
+                  "horizon_ms": float(cfg.predictive_horizon_ms)}
         if self.compiled.candidates == CANDIDATES_QUEUE_STATE:
-            return self._decide_queue_state(view)
-        return self._decide_home_hosts(view)
+            return self._decide_queue_state(view, config)
+        return self._decide_home_hosts(view, config)
 
-    def _decide_queue_state(self, view: AutoscaleView) -> List[Decision]:
+    def _decide_queue_state(self, view: AutoscaleView,
+                            config: Mapping[str, float]) -> List[Decision]:
         """Reactive-shaped enumeration: pressured pairs plus carried
         levels, with the built-in's pressure/hold bookkeeping."""
         cfg = view.cfg
         decisions: List[Decision] = []
         pressured = set()
-        for host in view.hosts:
-            if host.down or host.admission is None:
-                continue
-            if host.admission.depth < cfg.reactive_queue_threshold:
-                continue
-            for function in set(host.admission.waiting_functions()):
-                key = (host.host_id, function)
-                pressured.add(key)
-                if key not in self._state:
-                    self._state[key] = (0, 0)
+        for key in _pressured_pairs(view):
+            pressured.add(key)
+            self._state.setdefault(key, (0, 0))
         for key in list(self._state):
             level, hold = self._state[key]
             is_pressured = key in pressured
@@ -241,26 +252,13 @@ class DslAutoscalePolicy(AutoscalePolicy):
             if host.down:
                 del self._state[key]
                 continue
-            depth = host.admission.depth if host.admission is not None \
-                else 0
-
-            def resolve(ref: SignalRef, _p=is_pressured, _l=level,
-                        _h=hold, _d=depth) -> float:
-                name = ref.name
-                if name == "pressured":
-                    return 1.0 if _p else 0.0
-                if name == "prev_level":
-                    return float(_l)
-                if name == "hold_left":
-                    return float(_h)
-                if name == "queue_depth":
-                    return float(_d)
-                if name == "reactive_step":
-                    return float(cfg.reactive_step)
-                # max_warm — the only other queue-state signal.
-                return float(cfg.max_warm_per_function)
-
-            want = self._want(view, resolve)
+            want = self._want(view, {
+                **config,
+                "pressured": 1.0 if is_pressured else 0.0,
+                "prev_level": float(level),
+                "hold_left": float(hold),
+                "queue_depth": float(host.admission.depth
+                                     if host.admission is not None else 0)})
             if want <= 0:
                 del self._state[key]
                 continue
@@ -269,51 +267,33 @@ class DslAutoscalePolicy(AutoscalePolicy):
             decisions.append((key[1], host, want))
         return decisions
 
-    def _decide_home_hosts(self, view: AutoscaleView) -> List[Decision]:
+    def _decide_home_hosts(self, view: AutoscaleView,
+                           config: Mapping[str, float]) -> List[Decision]:
         """Predictive-shaped enumeration: each installed function on its
         hash-home host, with arrival-histogram signals."""
-        cfg = view.cfg
+        horizon = view.cfg.predictive_horizon_ms
         decisions: List[Decision] = []
         for function in view.functions:
             host = view.home_host(function)
             if host.down:
                 continue
-            last = view.history.last_arrival_ms(function)
-            gap = view.history.gap_percentile_ms(
-                function, cfg.predictive_gap_quantile)
-            has_history = last is not None and gap is not None
-            gap_ms = float(gap) if has_history else math.inf
-            if gap_ms <= cfg.predictive_horizon_ms and gap_ms > 0:
-                expected = max(1, int(cfg.predictive_horizon_ms / gap_ms))
+            prediction = _prediction(view, function)
+            has_history = prediction is not None
+            last, gap_ms = prediction if has_history else (None, math.inf)
+            if gap_ms <= horizon and gap_ms > 0:
+                expected = max(1, int(horizon / gap_ms))
             else:
                 expected = 0
             within = (has_history
-                      and view.now <= last + gap_ms
-                      <= view.now + cfg.predictive_horizon_ms)
-            depth = host.admission.depth if host.admission is not None \
-                else 0
-
-            def resolve(ref: SignalRef, _hh=has_history, _g=gap_ms,
-                        _e=expected, _w=within, _d=depth) -> float:
-                name = ref.name
-                if name == "has_history":
-                    return 1.0 if _hh else 0.0
-                if name == "predicted_gap_ms":
-                    return _g
-                if name == "expected_arrivals_in_horizon":
-                    return float(_e)
-                if name == "predicted_within_horizon":
-                    return 1.0 if _w else 0.0
-                if name == "horizon_ms":
-                    return float(cfg.predictive_horizon_ms)
-                if name == "queue_depth":
-                    return float(_d)
-                if name == "reactive_step":
-                    return float(cfg.reactive_step)
-                # max_warm — the only other home-hosts signal.
-                return float(cfg.max_warm_per_function)
-
-            want = self._want(view, resolve)
+                      and view.now <= last + gap_ms <= view.now + horizon)
+            want = self._want(view, {
+                **config,
+                "has_history": 1.0 if has_history else 0.0,
+                "predicted_gap_ms": gap_ms,
+                "expected_arrivals_in_horizon": float(expected),
+                "predicted_within_horizon": 1.0 if within else 0.0,
+                "queue_depth": float(host.admission.depth
+                                     if host.admission is not None else 0)})
             if want >= 1:
                 decisions.append((function, host, want))
         return decisions

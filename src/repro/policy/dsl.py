@@ -67,6 +67,11 @@ OPERATORS: Mapping[str, Callable[[float, float], bool]] = {
 CHOOSE_ARGMIN = "argmin"
 CHOOSE_ARGMAX = "argmax"
 
+#: Where a policy's decision logic comes from: a Python class or a
+#: compiled document.
+SOURCE_BUILTIN = "builtin"
+SOURCE_DSL = "dsl"
+
 #: A resolver maps a compiled signal reference to its current value.
 Resolver = Callable[["SignalRef"], float]
 
@@ -198,6 +203,14 @@ class CompiledPolicy:
     candidates: Optional[str] = None
     #: The source document, kept verbatim for artifacts and hashing.
     document: Mapping[str, object] = field(default_factory=dict)
+
+    def leaf(self, resolve: Resolver) -> Union[ValueLeaf, ChooseLeaf]:
+        """The leaf the tree's conditions select under *resolve*."""
+        node = self.tree
+        while isinstance(node, ConditionNode):
+            node = node.then if node.condition.holds(resolve) \
+                else node.otherwise
+        return node
 
 
 class _Compiler:

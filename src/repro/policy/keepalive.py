@@ -1,50 +1,55 @@
-"""The keep-alive seam: arrival-history signals → idle-window decision.
+"""The keep-alive seam: per-function arrival history → idle window.
 
-:class:`DslKeepAlivePolicy` adapts a compiled ``keepalive`` document to
-the existing :class:`~repro.platforms.keepalive.KeepAlivePolicy`
-interface.  It keeps the same per-function inter-arrival ledger the
-built-in :class:`~repro.platforms.keepalive.HybridHistogramKeepAlive`
-keeps (a gap is recorded only when an arrival lands strictly after the
-previous one, in an ``array('d')`` per function), and exposes it to the
-tree as the ``observed_gaps`` and ``gap_percentile_ms(q)`` signals.
+The paper leans on Shahrad et al. [48] ("Serverless in the Wild") for its
+workload characterization; that same paper proposes the *hybrid
+histogram policy*: track each function's inter-arrival times and pick the
+keep-alive window per function — long enough to cover most next arrivals,
+instead of one fixed fleet-wide window.
+
+Two built-in policies:
+
+* :class:`FixedKeepAlive` — the deployed default (e.g. 10 minutes for
+  everyone), §2.2's "defer termination for a certain period";
+* :class:`HybridHistogramKeepAlive` — per-function inter-arrival histogram;
+  the window is the given percentile of observed gaps (bounded), so rare
+  functions stop holding memory they will not use.
+
+:class:`DslKeepAlivePolicy` runs a compiled ``keepalive`` document over
+the same history, exposed to the tree as the ``observed_gaps`` and
+``gap_percentile_ms(q)`` signals.  That history is an
+:class:`ArrivalHistory`, which the predictive autoscale policies read
+too.
+
+Used by the keep-alive ablation to show where snapshots still win: the
+*best* keep-alive policy can only trade memory against cold starts, while
+Fireworks avoids the trade entirely.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.platforms.keepalive import KeepAlivePolicy
-from repro.policy.dsl import (
-    CompiledPolicy,
-    ConditionNode,
-    SignalRef,
-    ValueLeaf,
-)
-
-SOURCE_BUILTIN = "builtin"
-SOURCE_DSL = "dsl"
+from repro.errors import PlatformError
+from repro.policy.dsl import SOURCE_DSL, CompiledPolicy, SignalRef, ValueLeaf
 
 
-class DslKeepAlivePolicy(KeepAlivePolicy):
-    """A compiled keep-alive document over per-function arrival history."""
+class ArrivalHistory:
+    """Each function's last arrival and every inter-arrival gap since.
 
-    source = SOURCE_DSL
+    A gap is recorded only when an arrival lands strictly after the
+    previous one, into one ``array('d')`` per function: one gap per
+    arrival, unboxed.
+    """
 
-    def __init__(self, compiled: CompiledPolicy) -> None:
-        if compiled.domain != "keepalive":
-            raise ValueError(
-                f"policy {compiled.name!r} is a {compiled.domain} "
-                "document, not keepalive")
-        self.compiled = compiled
-        self.name = compiled.name
+    def __init__(self) -> None:
         self._last_arrival: Dict[str, float] = {}
         self._gaps: Dict[str, array] = {}
 
-    def observe_arrival(self, function: str, now_ms: float) -> None:
-        """Record the gap since this function's previous arrival
-        (identically to the built-in histogram policy)."""
+    def observe(self, function: str, now_ms: float) -> None:
+        """Record one arrival of *function* at *now_ms*."""
         last = self._last_arrival.get(function)
         if last is not None and now_ms > last:
             gaps = self._gaps.get(function)
@@ -53,28 +58,114 @@ class DslKeepAlivePolicy(KeepAlivePolicy):
             gaps.append(now_ms - last)
         self._last_arrival[function] = now_ms
 
+    def last_arrival_ms(self, function: str) -> Optional[float]:
+        """When *function* last arrived, or ``None`` if never seen."""
+        return self._last_arrival.get(function)
+
+    def gap_count(self, function: str) -> int:
+        """How many inter-arrival gaps of *function* were observed."""
+        return len(self._gaps.get(function, ()))
+
+    def gap_percentile_ms(self, function: str, q: float) -> float:
+        """The *q*-th percentile of *function*'s observed gaps (``inf``
+        until any gap is observed)."""
+        gaps = self._gaps.get(function)
+        if not gaps:
+            return math.inf
+        ordered = sorted(gaps)
+        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+class KeepAlivePolicy:
+    """Interface: observe arrivals, prescribe a keep-alive window."""
+
+    def observe_arrival(self, function: str, now_ms: float) -> None:
+        """Record one invocation arrival for *function*."""
+        raise NotImplementedError
+
+    def window_ms(self, function: str) -> float:
+        """How long an idle sandbox of *function* should be kept."""
+        raise NotImplementedError
+
+
+@dataclass
+class FixedKeepAlive(KeepAlivePolicy):
+    """One fleet-wide window (the §2.2 status quo)."""
+
+    fixed_window_ms: float = 600000.0
+
+    def observe_arrival(self, function: str, now_ms: float) -> None:
+        """Fixed policy learns nothing."""
+        del function, now_ms
+
+    def window_ms(self, function: str) -> float:
+        """The same window for every function."""
+        del function
+        return self.fixed_window_ms
+
+
+@dataclass
+class HybridHistogramKeepAlive(KeepAlivePolicy):
+    """Per-function inter-arrival histogram policy, after [48].
+
+    The window is the ``coverage`` percentile of the observed inter-arrival
+    gaps (clamped to [min, max]); until ``warmup_samples`` gaps are
+    observed the policy falls back to the fleet default.
+    """
+
+    default_window_ms: float = 600000.0
+    coverage: float = 0.90
+    min_window_ms: float = 60000.0      # 1 minute floor
+    max_window_ms: float = 1800000.0    # 30 minute cap
+    warmup_samples: int = 3
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.coverage <= 1.0:
+            raise PlatformError(
+                f"coverage must be in (0, 1], got {self.coverage}")
+        self.history = ArrivalHistory()
+
+    def observe_arrival(self, function: str, now_ms: float) -> None:
+        """Record the gap since this function's previous arrival."""
+        self.history.observe(function, now_ms)
+
+    def window_ms(self, function: str) -> float:
+        """The coverage percentile of observed gaps, clamped."""
+        if self.history.gap_count(function) < self.warmup_samples:
+            return self.default_window_ms
+        gap = self.history.gap_percentile_ms(function, self.coverage)
+        return min(self.max_window_ms, max(self.min_window_ms, gap))
+
+
+class DslKeepAlivePolicy(KeepAlivePolicy):
+    """A compiled keep-alive document over per-function arrival history."""
+
+    source = SOURCE_DSL
+
+    def __init__(self, compiled: CompiledPolicy) -> None:
+        self.compiled = compiled
+        self.name = compiled.name
+        self.history = ArrivalHistory()
+
+    def observe_arrival(self, function: str, now_ms: float) -> None:
+        """Record the gap since this function's previous arrival."""
+        self.history.observe(function, now_ms)
+
     def _resolver(self, function: str):
-        gaps = self._gaps.get(function, [])
+        history = self.history
 
         def resolve(ref: SignalRef) -> float:
             if ref.name == "observed_gaps":
-                return float(len(gaps))
+                return float(history.gap_count(function))
             # gap_percentile_ms — the only other keepalive signal.
-            if not gaps:
-                return math.inf
-            ordered = sorted(gaps)
-            index = min(len(ordered) - 1, int(ref.arg("q") * len(ordered)))
-            return float(ordered[index])
+            return history.gap_percentile_ms(function, ref.arg("q"))
 
         return resolve
 
     def window_ms(self, function: str) -> float:
-        """Walk the tree to a scalar leaf under *function*'s signals."""
+        """The value of the leaf *function*'s signals select."""
         resolve = self._resolver(function)
-        node = self.compiled.tree
-        while isinstance(node, ConditionNode):
-            node = node.then if node.condition.holds(resolve) \
-                else node.otherwise
+        node = self.compiled.leaf(resolve)
         assert isinstance(node, ValueLeaf)
         return node.value(resolve)
 

@@ -1,37 +1,121 @@
-"""The placement seam: Signals → chosen host.
+"""The placement seam: which host serves an invocation.
+
+Figure 1's controller relays requests "to one of the backend servers" —
+the invokers.  Which server a request lands on matters because per-node
+state lives *on a specific node*: warm containers, snapshot images, page
+cache.  A scheduler that sprays requests (round-robin) keeps missing its
+own warm pools and snapshot stores, while OpenWhisk's actual scheme —
+hashing each function to a *home invoker* — concentrates state.
+
+Four built-in policies, applied by :class:`repro.cluster.Cluster` to real
+hosts on the invoke path through :func:`select_node`:
+
+* ``round-robin``       — spread blindly;
+* ``least-loaded``      — spread by instantaneous load;
+* ``hash``              — home invoker per function (OpenWhisk's default),
+                          falling over to the next node when the home is
+                          full;
+* ``snapshot-locality`` — prefer nodes where the function's state (snapshot
+                          image or warm sandbox) is already resident,
+                          falling back to the hash home so the first
+                          request seeds locality deterministically.
 
 :class:`PlacementPolicy` is the narrow interface ``Cluster.place()`` (and
 anything else that schedules over a node set) calls: given the candidate
 nodes, the function name, the shared round-robin cursor, and an optional
 locality probe, return ``(node, new_cursor)``.
-:class:`BuiltinPlacementPolicy` wraps the hard-coded
-:func:`repro.platforms.scheduler.select_node` oracle;
-:class:`DslPlacementPolicy` runs a compiled placement document over the
-same signals.  The differential suite in
+:class:`BuiltinPlacementPolicy` runs :func:`select_node` under one of the
+names above; :class:`DslPlacementPolicy` runs a compiled placement
+document over the same signals.  The differential suite in
 ``tests/property/test_policy_equivalence.py`` proves the shipped
-documents decision-identical to the oracle.
+documents decision-identical to :func:`select_node`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.errors import NoHostAvailableError
-from repro.platforms.scheduler import home_index, select_node
+from repro.errors import NoHostAvailableError, PlatformError
 from repro.policy.dsl import (
     CHOOSE_ARGMIN,
+    SOURCE_BUILTIN,
+    SOURCE_DSL,
     ChooseLeaf,
     CompiledPolicy,
-    ConditionNode,
     SignalRef,
 )
 
-SOURCE_BUILTIN = "builtin"
-SOURCE_DSL = "dsl"
+POLICY_ROUND_ROBIN = "round-robin"
+POLICY_LEAST_LOADED = "least-loaded"
+POLICY_HASH = "hash"
+POLICY_SNAPSHOT_LOCALITY = "snapshot-locality"
+
+POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED, POLICY_HASH,
+            POLICY_SNAPSHOT_LOCALITY)
 
 #: ``locality(node) -> bool``: is the function's state resident there?
 LocalityProbe = Optional[Callable[[object], bool]]
+
+
+def home_index(function: str, n_nodes: int) -> int:
+    """The function's home node: a stable hash of its name (OpenWhisk)."""
+    digest = hashlib.sha256(function.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % n_nodes
+
+
+def select_node(nodes: Sequence, policy: str, function: str,
+                rr_cursor: int = 0, locality: LocalityProbe = None
+                ) -> Tuple[object, int]:
+    """Pick a node for one request; returns ``(node, new_rr_cursor)``.
+
+    *nodes* is any sequence of objects exposing ``node_id``, ``active``
+    and ``has_room``, such as :class:`repro.cluster.Host`.  *locality*
+    is an optional predicate marking nodes where the function's state is
+    already resident; only the ``snapshot-locality`` policy consults it.
+    Raises :class:`NoHostAvailableError` (a :class:`PlatformError`) when
+    every node is at capacity or down.
+    """
+    if policy not in POLICIES:
+        raise PlatformError(f"unknown scheduling policy {policy!r}")
+    if not nodes:
+        raise PlatformError("cannot place a request on zero nodes")
+
+    if policy == POLICY_ROUND_ROBIN:
+        for _ in range(len(nodes)):
+            node = nodes[rr_cursor]
+            rr_cursor = (rr_cursor + 1) % len(nodes)
+            if node.has_room:
+                return node, rr_cursor
+        raise NoHostAvailableError("all invokers at capacity")
+
+    if policy == POLICY_LEAST_LOADED:
+        candidates = [node for node in nodes if node.has_room]
+        if not candidates:
+            raise NoHostAvailableError("all invokers at capacity")
+        return min(candidates,
+                   key=lambda node: (node.active, node.node_id)), rr_cursor
+
+    if policy == POLICY_SNAPSHOT_LOCALITY and locality is not None:
+        preferred = [node for node in nodes
+                     if node.has_room and locality(node)]
+        if preferred:
+            # Deterministic: least-loaded among the state-resident nodes.
+            return min(preferred,
+                       key=lambda node: (node.active, node.node_id)), \
+                rr_cursor
+        # No resident node has room: fall through to the hash home so the
+        # first request (and capacity overflow) seeds locality
+        # deterministically.
+
+    # hash (and snapshot-locality fallback): home node, then linear probe.
+    home = home_index(function, len(nodes))
+    for offset in range(len(nodes)):
+        node = nodes[(home + offset) % len(nodes)]
+        if node.has_room:
+            return node, rr_cursor
+    raise NoHostAvailableError("all invokers at capacity")
 
 
 class PlacementPolicy:
@@ -50,7 +134,7 @@ class PlacementPolicy:
 
 
 class BuiltinPlacementPolicy(PlacementPolicy):
-    """A named hard-coded policy, delegating to :func:`select_node`."""
+    """A built-in policy name, run by :func:`select_node`."""
 
     source = SOURCE_BUILTIN
 
@@ -60,7 +144,7 @@ class BuiltinPlacementPolicy(PlacementPolicy):
     def select(self, nodes: Sequence[object], function: str,
                rr_cursor: int, locality: LocalityProbe = None
                ) -> Tuple[object, int]:
-        """Delegate to the scheduler oracle for this policy name."""
+        """:func:`select_node` under this policy's name."""
         return select_node(nodes, self.name, function, rr_cursor, locality)
 
     def __repr__(self) -> str:
@@ -157,10 +241,6 @@ class DslPlacementPolicy(PlacementPolicy):
     source = SOURCE_DSL
 
     def __init__(self, compiled: CompiledPolicy) -> None:
-        if compiled.domain != "placement":
-            raise ValueError(
-                f"policy {compiled.name!r} is a {compiled.domain} "
-                "document, not placement")
         self.compiled = compiled
         self.name = compiled.name
 
@@ -171,10 +251,7 @@ class DslPlacementPolicy(PlacementPolicy):
         if not nodes:
             raise NoHostAvailableError("no nodes to place on")
         signals = _NodeSignals(nodes, function, rr_cursor, locality)
-        node = self.compiled.tree
-        while isinstance(node, ConditionNode):
-            branch = node.condition.holds(signals.aggregate)
-            node = node.then if branch else node.otherwise
+        node = self.compiled.leaf(signals.aggregate)
         assert isinstance(node, ChooseLeaf)
         scored = []
         for candidate in nodes:

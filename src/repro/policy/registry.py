@@ -5,7 +5,9 @@ Built-in classes and compiled DSL documents register into the same
 (``bench/cluster.py``, ``bench/load.py``, ``bench/chains.py``, ...)
 resolves it here, so an unknown policy name fails at config-parse time
 with a :class:`~repro.errors.ValidationError` listing the registered
-names — not deep inside placement.
+names — not deep inside placement.  :func:`resolve` turns any spec a
+caller passes (a registered name, a DSL document, or a ready policy) into
+a policy of the asked-for domain.
 
 :func:`default_registry` holds the built-ins only (the default path
 every golden figure runs on); DSL documents are opt-in, registered
@@ -17,37 +19,42 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ValidationError
-from repro.platforms.keepalive import (
-    FixedKeepAlive,
-    HybridHistogramKeepAlive,
-)
-from repro.platforms.scheduler import POLICIES
 from repro.policy.autoscale import (
+    AutoscalePolicy,
     DslAutoscalePolicy,
     NoTargets,
     PredictiveTargets,
     ReactiveTargets,
 )
-from repro.policy.dsl import CompiledPolicy, compile_policy
-from repro.policy.keepalive import DslKeepAlivePolicy
-from repro.policy.placement import (
+from repro.policy.dsl import (
     SOURCE_BUILTIN,
     SOURCE_DSL,
+    CompiledPolicy,
+    compile_policy,
+)
+from repro.policy.keepalive import (
+    DslKeepAlivePolicy,
+    FixedKeepAlive,
+    HybridHistogramKeepAlive,
+    KeepAlivePolicy,
+)
+from repro.policy.placement import (
+    POLICIES,
     BuiltinPlacementPolicy,
     DslPlacementPolicy,
     PlacementPolicy,
 )
 from repro.policy.signals import DOMAINS
 
-#: Domain adapter constructors for compiled documents.
-_DSL_FACTORIES = {
-    "placement": DslPlacementPolicy,
-    "keepalive": DslKeepAlivePolicy,
-    "autoscale": DslAutoscalePolicy,
+#: Each domain's policy interface and the adapter that runs its documents.
+_DOMAINS = {
+    "placement": (PlacementPolicy, DslPlacementPolicy),
+    "keepalive": (KeepAlivePolicy, DslKeepAlivePolicy),
+    "autoscale": (AutoscalePolicy, DslAutoscalePolicy),
 }
 
 
@@ -101,7 +108,7 @@ class PolicyRegistry:
                           path: str = "$") -> PolicyEntry:
         """Compile a DSL *document* and register it under its own name."""
         compiled = compile_policy(document, path=path)
-        factory = _DSL_FACTORIES[compiled.domain]
+        _, factory = _DOMAINS[compiled.domain]
         return self.register(PolicyEntry(
             domain=compiled.domain, name=compiled.name, source=SOURCE_DSL,
             factory=lambda: factory(compiled),
@@ -130,7 +137,8 @@ class PolicyRegistry:
         return self.entry(domain, name).create()
 
 
-def _builtin_registry() -> PolicyRegistry:
+def builtin_registry() -> PolicyRegistry:
+    """A fresh registry holding only the built-in policies."""
     registry = PolicyRegistry()
     for name in POLICIES:
         registry.register_builtin(
@@ -168,7 +176,7 @@ def default_registry() -> PolicyRegistry:
     """
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = _builtin_registry()
+        _DEFAULT = builtin_registry()
     return _DEFAULT
 
 
@@ -181,7 +189,7 @@ def load_policy_dir(directory: str,
     Compile errors carry the offending filename in their path.
     """
     if registry is None:
-        registry = _builtin_registry()
+        registry = builtin_registry()
     try:
         entries = sorted(os.listdir(directory))
     except OSError as exc:
@@ -200,58 +208,28 @@ def load_policy_dir(directory: str,
     return registry
 
 
-def resolve_placement(policy: object) -> PlacementPolicy:
-    """Coerce a placement spec into a :class:`PlacementPolicy`.
+def resolve(domain: str, policy: object) -> object:
+    """Coerce a *domain* policy spec into a policy instance.
 
-    Accepts a registered name (``str``), a DSL document (``Mapping``),
-    or a ready policy instance; anything else is a
-    :class:`~repro.errors.ValidationError`.
+    Accepts a registered name (``str``), a DSL document of that domain
+    (``Mapping``), or a ready instance of the domain's interface;
+    anything else is a :class:`~repro.errors.ValidationError`.
     """
+    interface, adapter = _DOMAINS[domain]
     if isinstance(policy, str):
-        return default_registry().create("placement", policy)
+        return default_registry().create(domain, policy)
     if isinstance(policy, Mapping):
-        return DslPlacementPolicy(compile_policy(policy))
-    if isinstance(policy, PlacementPolicy):
+        compiled = compile_policy(policy)
+        if compiled.domain != domain:
+            raise ValidationError(
+                f"$.domain: policy {compiled.name!r} is a "
+                f"{compiled.domain} document, not {domain}")
+        return adapter(compiled)
+    if isinstance(policy, interface):
         return policy
     raise ValidationError(
-        f"placement policy must be a registered name, a DSL document, "
-        f"or a PlacementPolicy instance, got {type(policy).__name__}")
-
-
-def resolve_autoscale(policy: object) -> object:
-    """Coerce an autoscale spec into an ``AutoscalePolicy``.
-
-    Accepts a registered mode name (``str``), a DSL document
-    (``Mapping``), or a ready policy instance.
-    """
-    from repro.policy.autoscale import AutoscalePolicy
-    if isinstance(policy, str):
-        return default_registry().create("autoscale", policy)
-    if isinstance(policy, Mapping):
-        return DslAutoscalePolicy(compile_policy(policy))
-    if isinstance(policy, AutoscalePolicy):
-        return policy
-    raise ValidationError(
-        f"autoscale policy must be a registered mode, a DSL document, "
-        f"or an AutoscalePolicy instance, got {type(policy).__name__}")
-
-
-def resolve_keepalive(policy: object) -> object:
-    """Coerce a keep-alive spec into a ``KeepAlivePolicy``.
-
-    Accepts a registered name (``str``), a DSL document (``Mapping``),
-    or a ready policy instance.
-    """
-    from repro.platforms.keepalive import KeepAlivePolicy
-    if isinstance(policy, str):
-        return default_registry().create("keepalive", policy)
-    if isinstance(policy, Mapping):
-        return DslKeepAlivePolicy(compile_policy(policy))
-    if isinstance(policy, KeepAlivePolicy):
-        return policy
-    raise ValidationError(
-        f"keep-alive policy must be a registered name, a DSL document, "
-        f"or a KeepAlivePolicy instance, got {type(policy).__name__}")
+        f"{domain} policy must be a registered name, a DSL document, "
+        f"or a {interface.__name__} instance, got {type(policy).__name__}")
 
 
 def shipped_policy_dir() -> str:

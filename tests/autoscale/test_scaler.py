@@ -111,16 +111,16 @@ class TestScalerEngine:
         scaler = WarmPoolAutoscaler(
             platform, until_ms=platform.sim.now + 1_000.0,
             policy=autoscale_reactive_doc("dsl-step", 1.0))
-        assert scaler.policy_source == "dsl"
-        assert scaler.mode == "dsl-step"
+        assert scaler.policy.source == "dsl"
+        assert scaler.policy.name == "dsl-step"
 
     def test_builtin_policy_reports_builtin_source(self):
         platform = fresh_cluster_platform(FireworksPlatform, n_hosts=2,
                                           capacity_per_host=4)
         install_all(platform, _specs([FUNCTION]))
         scaler = WarmPoolAutoscaler(platform, mode="none")
-        assert scaler.policy_source == "builtin"
-        assert scaler.mode == "none"
+        assert scaler.policy.source == "builtin"
+        assert scaler.policy.name == "none"
 
 
 def _arm_now(platform, kind, count):

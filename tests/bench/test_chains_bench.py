@@ -12,7 +12,7 @@ from repro.bench.serialization import (decode_result, dumps_result,
                                        encode_result, loads_result)
 from repro.bench.stats import LatencyStats
 from repro.errors import ValidationError
-from repro.platforms.scheduler import POLICY_HASH
+from repro.policy.placement import POLICY_HASH
 
 FAST = dict(n_hosts=2, n_tenants=2, duration_ms=30_000.0,
             mean_interarrival_ms=6_000.0)

@@ -14,7 +14,7 @@ from repro.bench.search import (DEFAULT_CANDIDATES, SMOKE_CANDIDATES,
                                 pareto_frontier, render_search_figure,
                                 run_search)
 from repro.bench.serialization import encode_result
-from repro.policy import resolve_autoscale, resolve_placement
+from repro.policy import resolve
 
 
 def _canonical(result):
@@ -53,8 +53,8 @@ class TestCandidateGeneration:
 
     def test_every_candidate_resolves(self):
         for candidate in generate_candidates(2022, DEFAULT_CANDIDATES):
-            placement = resolve_placement(candidate.placement)
-            autoscale = resolve_autoscale(candidate.autoscale)
+            placement = resolve("placement", candidate.placement)
+            autoscale = resolve("autoscale", candidate.autoscale)
             assert placement.source in ("builtin", "dsl")
             assert autoscale.source in ("builtin", "dsl")
             assert candidate.keepalive_ms > 0

@@ -11,7 +11,7 @@ from repro.bench import fresh_cluster_platform, install_all, invoke_once
 from repro.chaos import (KIND_HOST_CRASH, ChaosEvent, ChaosPlan,
                          HostFailureController)
 from repro.core import FireworksPlatform
-from repro.platforms.scheduler import POLICY_SNAPSHOT_LOCALITY
+from repro.policy.placement import POLICY_SNAPSHOT_LOCALITY
 from repro.trace import render_tree
 from repro.workloads import faasdom_spec
 

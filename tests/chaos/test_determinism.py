@@ -7,8 +7,8 @@ import json
 from repro.bench.chaos import run_chaos_experiment
 from repro.bench.serialization import encode_result
 from repro.chaos import ChaosPlan
-from repro.platforms.scheduler import (POLICY_ROUND_ROBIN,
-                                       POLICY_SNAPSHOT_LOCALITY)
+from repro.policy.placement import (POLICY_ROUND_ROBIN,
+                                    POLICY_SNAPSHOT_LOCALITY)
 
 #: A small-but-real configuration: 2 hosts, a handful of functions, the
 #: crash a third of the way in.  Small enough to run twice in a test.

@@ -4,8 +4,8 @@ host-local warm containers on a multi-host cluster."""
 import pytest
 
 from repro.bench.engine import run_experiments
-from repro.platforms.scheduler import (POLICY_HASH, POLICY_ROUND_ROBIN,
-                                       POLICY_SNAPSHOT_LOCALITY)
+from repro.policy.placement import (POLICY_HASH, POLICY_ROUND_ROBIN,
+                                    POLICY_SNAPSHOT_LOCALITY)
 
 
 class TestClusterWarmHits:

@@ -5,8 +5,8 @@ import pytest
 from repro.cluster import Cluster, Host
 from repro.config import default_parameters
 from repro.errors import PlatformError, ValidationError
-from repro.platforms.scheduler import (POLICY_ROUND_ROBIN,
-                                       POLICY_SNAPSHOT_LOCALITY, home_index)
+from repro.policy.placement import (POLICY_ROUND_ROBIN,
+                                    POLICY_SNAPSHOT_LOCALITY, home_index)
 from repro.sim import Simulation
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.bench import fresh_cluster_platform, install_all, invoke_once
 from repro.platforms.openwhisk import OpenWhiskPlatform
-from repro.platforms.scheduler import (POLICY_HASH, POLICY_ROUND_ROBIN,
-                                       home_index)
+from repro.policy.placement import (POLICY_HASH, POLICY_ROUND_ROBIN,
+                                    home_index)
 from repro.workloads import faasdom_spec
 
 

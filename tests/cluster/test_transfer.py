@@ -8,7 +8,7 @@ from repro.bench import fresh_cluster_platform, install_all, invoke_once
 from repro.config import default_parameters
 from repro.core import FireworksPlatform
 from repro.errors import HostDownError
-from repro.platforms.scheduler import POLICY_ROUND_ROBIN, home_index
+from repro.policy.placement import POLICY_ROUND_ROBIN, home_index
 from repro.workloads import faasdom_spec
 
 

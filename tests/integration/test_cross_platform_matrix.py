@@ -13,7 +13,7 @@ from repro.chaos import (KIND_HOST_CRASH, KIND_RESTORE_CORRUPTION,
 from repro.core import FireworksPlatform
 from repro.platforms import (CatalyzerPlatform, FirecrackerPlatform,
                              GVisorPlatform, OpenWhiskPlatform)
-from repro.platforms.scheduler import POLICY_ROUND_ROBIN
+from repro.policy.placement import POLICY_ROUND_ROBIN
 from repro.workloads import all_faasdom_specs, faasdom_spec
 
 ALL_PLATFORMS = (OpenWhiskPlatform, GVisorPlatform, FirecrackerPlatform,

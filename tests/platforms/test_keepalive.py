@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import PlatformError
-from repro.platforms.keepalive import (FixedKeepAlive,
-                                       HybridHistogramKeepAlive)
+from repro.policy.keepalive import (FixedKeepAlive,
+                                    HybridHistogramKeepAlive)
 
 
 class TestFixed:
@@ -25,7 +25,7 @@ class TestHybridHistogram:
                                           warmup_samples=3)
         policy.observe_arrival("f", 0.0)
         policy.observe_arrival("f", 100.0)
-        assert policy.observed_gap_count("f") == 1
+        assert policy.history.gap_count("f") == 1
         assert policy.window_ms("f") == 999.0  # not enough gaps yet
 
     def test_learns_per_function_windows(self):

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import PlatformError
-from repro.platforms.scheduler import (POLICY_HASH, POLICY_LEAST_LOADED,
-                                       POLICY_ROUND_ROBIN, select_node)
+from repro.policy.placement import (POLICY_HASH, POLICY_LEAST_LOADED,
+                                    POLICY_ROUND_ROBIN, select_node)
 
 
 @dataclass

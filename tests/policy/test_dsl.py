@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import NoHostAvailableError, ValidationError
-from repro.platforms.keepalive import HybridHistogramKeepAlive
-from repro.platforms.scheduler import home_index
-from repro.policy import (DslAutoscalePolicy, DslKeepAlivePolicy,
-                          DslPlacementPolicy, PolicyRegistry, compile_policy,
-                          default_registry, load_policy_dir,
-                          resolve_autoscale, resolve_keepalive,
-                          resolve_placement, shipped_policy_dir)
+from repro.policy import (AUTOSCALE_SIGNALS, ArrivalHistory, AutoscaleView,
+                          PolicyRegistry, compile_policy, default_registry,
+                          load_policy_dir, resolve, shipped_policy_dir)
+from repro.policy.keepalive import HybridHistogramKeepAlive
+from repro.policy.placement import home_index
+from repro.policy.signals import CANDIDATE_MODES
 
 
 def _placement_doc(tree):
@@ -191,35 +190,35 @@ class TestRegistry:
 
 class TestResolvers:
     def test_resolve_placement_name_doc_instance(self):
-        builtin = resolve_placement("hash")
+        builtin = resolve("placement", "hash")
         assert builtin.name == "hash" and builtin.source == "builtin"
-        dsl = resolve_placement(_placement_doc(ARGMIN_ACTIVE))
+        dsl = resolve("placement", _placement_doc(ARGMIN_ACTIVE))
         assert dsl.source == "dsl"
-        assert resolve_placement(dsl) is dsl
+        assert resolve("placement", dsl) is dsl
         with pytest.raises(ValidationError):
-            resolve_placement(42)
+            resolve("placement", 42)
 
     def test_resolve_autoscale_name_doc_instance(self):
-        builtin = resolve_autoscale("none")
+        builtin = resolve("autoscale", "none")
         assert builtin.name == "none" and not builtin.active
         doc = {"name": "t", "domain": "autoscale",
                "candidates": "queue-state", "tree": {"value": 0}}
-        dsl = resolve_autoscale(doc)
+        dsl = resolve("autoscale", doc)
         assert dsl.source == "dsl"
-        assert resolve_autoscale(dsl) is dsl
+        assert resolve("autoscale", dsl) is dsl
         with pytest.raises(ValidationError):
-            resolve_autoscale(3.5)
+            resolve("autoscale", 3.5)
 
     def test_resolve_keepalive_name_doc_instance(self):
-        builtin = resolve_keepalive("hybrid-histogram")
+        builtin = resolve("keepalive", "hybrid-histogram")
         assert isinstance(builtin, HybridHistogramKeepAlive)
         doc = {"name": "t", "domain": "keepalive",
                "tree": {"value": 1000}}
-        dsl = resolve_keepalive(doc)
+        dsl = resolve("keepalive", doc)
         assert dsl.window_ms("anything") == 1000
-        assert resolve_keepalive(dsl) is dsl
+        assert resolve("keepalive", dsl) is dsl
         with pytest.raises(ValidationError):
-            resolve_keepalive(object())
+            resolve("keepalive", object())
 
 @dataclass
 class _Node:
@@ -297,19 +296,75 @@ class TestDslAutoscale:
         # policy), it just never asks for warm workers.
         doc = {"name": "quiet", "domain": "autoscale",
                "candidates": "queue-state", "tree": {"value": 0}}
-        policy = resolve_autoscale(doc)
+        policy = resolve("autoscale", doc)
         assert policy.active
 
     def test_domain_mismatch_rejected(self):
-        compiled = compile_policy(_placement_doc(ARGMIN_ACTIVE))
-        with pytest.raises(ValueError, match="not autoscale"):
-            DslAutoscalePolicy(compiled)
-        with pytest.raises(ValueError, match="not keepalive"):
-            DslKeepAlivePolicy(compiled)
-        keepalive = compile_policy({"name": "t", "domain": "keepalive",
-                                    "tree": {"value": 1.0}})
-        with pytest.raises(ValueError, match="not placement"):
-            DslPlacementPolicy(keepalive)
+        placement = _placement_doc(ARGMIN_ACTIVE)
+        with pytest.raises(ValidationError,
+                           match=r"\$\.domain: .* not autoscale"):
+            resolve("autoscale", placement)
+        with pytest.raises(ValidationError,
+                           match=r"\$\.domain: .* not keepalive"):
+            resolve("keepalive", placement)
+        keepalive = {"name": "t", "domain": "keepalive",
+                     "tree": {"value": 1.0}}
+        with pytest.raises(ValidationError,
+                           match=r"\$\.domain: .* not placement"):
+            resolve("placement", keepalive)
+
+
+class _Admission:
+    def __init__(self, waiting):
+        self.waiting = list(waiting)
+
+    @property
+    def depth(self):
+        return len(self.waiting)
+
+    def waiting_functions(self):
+        return list(self.waiting)
+
+
+class _Host:
+    host_id = 0
+    down = False
+    admission = _Admission(["f"] * 5)
+
+
+class _Cfg:
+    reactive_queue_threshold = 1
+    reactive_step = 3
+    reactive_hold_ticks = 6
+    max_warm_per_function = 4
+    predictive_gap_quantile = 0.5
+    predictive_horizon_ms = 1000.0
+
+
+def _one_candidate_view():
+    """One live host with "f" waiting five deep; "f" arrived every
+    100 ms from 0 to 300 ms, and it is now 350 ms."""
+    history = ArrivalHistory()
+    for now in (0.0, 100.0, 200.0, 300.0):
+        history.observe("f", now)
+    host = _Host()
+    return AutoscaleView(now=350.0, cfg=_Cfg(), history=history,
+                         hosts=[host], host=lambda host_id: host,
+                         home_host=lambda function: host, functions=["f"])
+
+
+#: What each signal reads for the one candidate of _one_candidate_view,
+#: under each candidate mode, on the first tick.
+AUTOSCALE_SIGNAL_VALUES = {
+    "queue-state": {"queue_depth": 5, "pressured": 1, "prev_level": 0,
+                    "hold_left": 0, "reactive_step": 3, "max_warm": 4,
+                    "horizon_ms": 1000},
+    "home-hosts": {"queue_depth": 5, "reactive_step": 3, "max_warm": 4,
+                   "horizon_ms": 1000, "has_history": 1,
+                   "predicted_gap_ms": 100,
+                   "expected_arrivals_in_horizon": 10,
+                   "predicted_within_horizon": 1},
+}
 
 
 class TestSignalValues:
@@ -324,7 +379,7 @@ class TestSignalValues:
             "choose": "argmin",
             "score": [{"signal": "capacity_left"}],
         })
-        policy = resolve_placement(doc)
+        policy = resolve("placement", doc)
         chosen, _ = policy.select([Node()], "fn", rr_cursor=0)
         assert chosen.node_id == 0
 
@@ -333,7 +388,7 @@ class TestSignalValues:
             "choose": "argmax",
             "score": [{"signal": "active", "weight": 0.0}],
         })
-        policy = resolve_placement(doc)
+        policy = resolve("placement", doc)
         chosen, _ = policy.select(_nodes([1, 1, 1]), "fn", rr_cursor=0)
         assert chosen.node_id == 0
 
@@ -346,7 +401,26 @@ class TestSignalValues:
                                "op": "<=", "value": 1000},
                         "then": {"value": 1.0},
                         "else": {"value": 2.0}}}
-        policy = resolve_keepalive(doc)
+        policy = resolve("keepalive", doc)
         assert policy.window_ms("never-seen") == 2.0
         assert math.isinf(policy._resolver("never-seen")(
             compile_policy(doc).tree.condition.lhs))
+
+    @pytest.mark.parametrize("mode", CANDIDATE_MODES)
+    def test_every_accepted_autoscale_signal_reads_its_own_value(self, mode):
+        values = AUTOSCALE_SIGNAL_VALUES[mode]
+        accepted = []
+        for name in AUTOSCALE_SIGNALS.names():
+            doc = {"name": "t", "domain": "autoscale", "candidates": mode,
+                   "tree": {"if": {"signal": name, "op": "==",
+                                   "value": values.get(name, 0)},
+                            "then": {"value": 2}, "else": {"value": 1}}}
+            try:
+                policy = resolve("autoscale", doc)
+            except ValidationError:
+                continue
+            accepted.append(name)
+            decisions = policy.decide(_one_candidate_view())
+            assert [(function, want) for function, _, want in decisions] \
+                == [("f", 2)], name
+        assert sorted(accepted) == sorted(values)

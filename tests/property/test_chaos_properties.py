@@ -23,7 +23,7 @@ from repro.chaos import (BUDGET_KINDS, KIND_PARAM_FETCH_TIMEOUT,
                          HostFailureController)
 from repro.core import FireworksPlatform
 from repro.errors import InvocationFailedError
-from repro.platforms.scheduler import POLICY_SNAPSHOT_LOCALITY
+from repro.policy.placement import POLICY_SNAPSHOT_LOCALITY
 from repro.sim.rng import RngStreams
 from repro.trace import verify_invocation
 from repro.workloads import faasdom_spec

@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoHostAvailableError, ValidationError
-from repro.platforms.keepalive import (FixedKeepAlive,
-                                       HybridHistogramKeepAlive)
-from repro.platforms.scheduler import select_node
-from repro.policy import (AutoscaleView, compile_policy, load_policy_dir,
-                          shipped_policy_dir)
+from repro.policy import (ArrivalHistory, AutoscaleView, compile_policy,
+                          load_policy_dir, shipped_policy_dir)
 from repro.policy.autoscale import (DslAutoscalePolicy, PredictiveTargets,
                                     ReactiveTargets)
+from repro.policy.keepalive import (FixedKeepAlive,
+                                    HybridHistogramKeepAlive)
+from repro.policy.placement import home_index, select_node
 
 SHIPPED = load_policy_dir(shipped_policy_dir())
 
@@ -205,7 +205,6 @@ class _FakeCfg:
 
 def _view(now, hosts, history, functions):
     by_id = {host.host_id: host for host in hosts}
-    from repro.platforms.scheduler import home_index
     return AutoscaleView(
         now=now, cfg=_FakeCfg(), history=history, hosts=hosts,
         host=lambda host_id: by_id[host_id],
@@ -242,7 +241,7 @@ class TestAutoscaleEquivalence:
         builtin = ReactiveTargets()
         dsl = SHIPPED.create("autoscale", "dsl-reactive")
         assert isinstance(dsl, DslAutoscalePolicy)
-        history = HybridHistogramKeepAlive()
+        history = ArrivalHistory()
         for tick, (waitings, downs) in enumerate(ticks):
             hosts = [_FakeHost(i, waiting=waitings[i], down=downs[i])
                      for i in range(n_hosts)]
@@ -258,9 +257,9 @@ class TestAutoscaleEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_predictive_decisions_identical(self, trace, n_hosts, downs,
                                             now_delta):
-        history = HybridHistogramKeepAlive()
+        history = ArrivalHistory()
         for function, now in trace:
-            history.observe_arrival(function, now)
+            history.observe(function, now)
         hosts = [_FakeHost(i, down=(i in downs)) for i in range(n_hosts)]
         view = _view(trace[-1][1] + now_delta, hosts, history,
                      FUNCTIONS[:4])

@@ -26,7 +26,7 @@ from repro.cluster import Cluster
 from repro.config import default_parameters
 from repro.errors import NoHostAvailableError, PlatformError
 from repro.platforms.pooling import WarmEntry, WarmPool
-from repro.platforms.scheduler import POLICIES, POLICY_HASH
+from repro.policy.placement import POLICIES, POLICY_HASH
 from repro.sim import Simulation
 
 

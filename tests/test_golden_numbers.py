@@ -130,9 +130,9 @@ class TestGoldenFigureHashes:
         from repro.bench.harness import fresh_cluster_platform
         from repro.core.fireworks import FireworksPlatform
         platform = fresh_cluster_platform(FireworksPlatform, n_hosts=2)
-        assert platform.cluster.policy_source == "builtin"
+        assert platform.cluster.placement.source == "builtin"
         scaler = WarmPoolAutoscaler(platform, mode="none")
-        assert scaler.policy_source == "builtin"
+        assert scaler.policy.source == "builtin"
 
     def test_fig6_fact_nodejs(self):
         from repro.bench.faasdom_experiments import run_faasdom_benchmark

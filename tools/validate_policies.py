@@ -4,10 +4,13 @@
 Usage: ``python tools/validate_policies.py [directory]``
 
 Each ``*.json`` file must parse, compile through the ``repro.policy``
-DSL compiler, and register without a name collision — exactly what
-``load_policy_dir`` enforces at runtime.  CI runs this so a malformed
-or duplicate document fails the build at review time rather than the
-first ``repro figure search`` run.
+DSL compiler, and register without a name collision, with a built-in or
+with another document: each one goes through
+``PolicyRegistry.register_document``, the path ``load_policy_dir`` takes
+at runtime.  Unlike ``load_policy_dir``, every problem is reported, not
+just the first.  CI runs this so a malformed or duplicate document fails
+the build at review time rather than the first ``repro figure search``
+run.
 
 Exit code 0 when every document is valid, 1 otherwise (problems on
 stderr).
@@ -25,11 +28,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 
 def validate_policy_dir(directory: str) -> List[str]:
-    """All problems found across *directory*'s documents; empty = valid."""
+    """All problems found across *directory*'s documents; empty = valid.
+
+    Each document registers on one fresh built-in registry, as
+    ``load_policy_dir`` registers it at runtime, so a name that clashes
+    with a built-in or with an earlier document is a problem too.
+    """
     from repro.errors import ValidationError
-    from repro.policy import compile_policy
+    from repro.policy.registry import builtin_registry
     problems: List[str] = []
-    names = {}
+    registry = builtin_registry()
     files = sorted(name for name in os.listdir(directory)
                    if name.endswith(".json"))
     if not files:
@@ -43,17 +51,9 @@ def validate_policy_dir(directory: str) -> List[str]:
             problems.append(f"{filename}: cannot load: {exc}")
             continue
         try:
-            compiled = compile_policy(document)
+            registry.register_document(document)
         except ValidationError as exc:
             problems.append(f"{filename}: {exc}")
-            continue
-        key = (compiled.domain, compiled.name)
-        if key in names:
-            problems.append(
-                f"{filename}: duplicate {compiled.domain} policy "
-                f"{compiled.name!r} (also in {names[key]})")
-        else:
-            names[key] = filename
     return problems
 
 
