@@ -18,9 +18,11 @@ registered names: ``reactive`` scales on observed queue pressure (late,
 with hysteresis), ``predictive`` pre-provisions on arrival-histogram
 predictions, ``none`` never arms the loop.  ``policy=`` also accepts a
 DSL document or a ready policy instance; the scaler reports the resolved
-policy's ``name`` and ``source`` through ``scaler.policy``.  Every
-arrival feeds one :class:`~repro.policy.keepalive.ArrivalHistory`, the
-predictive policies' data source.
+policy's ``name`` and ``source`` through ``scaler.policy``.  Under a
+policy that reads arrivals (``reads_arrivals``: the ``predictive``
+built-in and ``home-hosts`` documents), every arrival feeds one
+:class:`~repro.policy.keepalive.ArrivalHistory`; under any other it
+stays empty.
 
 Both active modes park workers with a finite TTL (``warm_expiry_ms``) so
 scale-*down* is lazy expiry.
@@ -53,7 +55,7 @@ class WarmPoolAutoscaler:
         self.sim = platform.sim
         self.cfg = cfg if cfg is not None else platform.params.autoscale
         self.until_ms = until_ms
-        #: Every function's arrivals (the predictive policies' data).
+        #: Every function's arrivals, if the policy reads them.
         self.history = ArrivalHistory()
         #: (host_id, function) -> in-flight provisioning count.
         self._pending: Dict[Tuple[int, str], int] = {}
@@ -82,8 +84,10 @@ class WarmPoolAutoscaler:
 
     # -- arrival feed (called by the platform on every invoke) ---------------
     def observe_arrival(self, function: str, now_ms: float) -> None:
-        """Feed one arrival into the arrival history."""
-        self.history.observe(function, now_ms)
+        """Feed one arrival into the arrival history, if the policy reads
+        it."""
+        if self.policy.reads_arrivals:
+            self.history.observe(function, now_ms)
 
     def on_warm_taken(self, function: str, host) -> None:
         """A pooled worker was consumed on the invoke path.

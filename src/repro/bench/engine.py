@@ -2,19 +2,25 @@
 
 Every paper figure — and the extension experiments around them — is one
 :class:`~repro.bench.experiment.Experiment`, declared next to its driver and
-listed once in this module's catalog.  An experiment decomposes into
-*shards*: independent units of work (one platform's Fig 10 consolidation
-run, one FaaSdom benchmark's latency breakdown, one sensitivity-sweep
-point, one burst config) that each build their own
-:class:`~repro.sim.kernel.Simulation` from a fixed seed and are therefore
-deterministic and perfectly memoizable.
+listed once in this module's catalog.  The engine's one unit of work is the
+*shard*: one catalog shard (one platform's Fig 10 consolidation run, one
+FaaSdom benchmark's latency breakdown, one burst config) at one parameter
+set.  Each builds its own :class:`~repro.sim.kernel.Simulation` from a
+fixed seed, so it is deterministic and perfectly memoizable.  An
+experiment either computes shards of its own or *derives* its result from
+catalog shards it declares, at the run's parameters or at parameters of
+its own (the scorecard, the sensitivity sweep).
 
 The engine:
 
-* fans shards out across a ``ProcessPoolExecutor`` (``jobs > 1``) or runs
-  them inline (``jobs == 1``), then **merges deterministically** — shard
-  results are combined in catalog order, never completion order, so serial
-  and parallel runs produce identical results;
+* plans a run (:func:`plan_run`): every requested experiment's shards,
+  own or read, and the distinct ones among them, so a shard that several
+  experiments need runs once;
+* fans the missing shards out across a ``ProcessPoolExecutor``
+  (``jobs > 1``) or runs them inline (``jobs == 1``), then **merges
+  deterministically** — shard results are combined in requested order,
+  never completion order, so serial and parallel runs produce identical
+  results;
 * carries each shard's result as one binary blob
   (:func:`repro.bench.serialization.dumps_result`): from the worker, into
   the cache file under ``.repro-cache/``, and through one
@@ -47,7 +53,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.concurrency import LOAD_SWEEP_RATES  # re-exported
-from repro.bench.experiment import Experiment, Shard
+from repro.bench.experiment import (DEFAULT_SEED, Cells, Experiment, Read,
+                                    Shard)
 from repro.bench.serialization import dumps_result, loads_result
 from repro.config import (CalibratedParameters, canonical_jsonable,
                           default_parameters, params_fingerprint)
@@ -56,9 +63,8 @@ from repro.errors import ReproError
 _LOG = logging.getLogger(__name__)
 
 #: Bump when the shard decomposition or the cache-file layout changes shape.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
-DEFAULT_SEED = 2022
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
@@ -207,7 +213,7 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 @dataclass
 class EngineStats:
-    """What one :func:`run_experiments` call did."""
+    """What one :func:`run_experiments` call did, in distinct shards."""
 
     jobs: int
     shards_total: int = 0
@@ -237,18 +243,43 @@ class ShardEvent:
 
     ``kind`` is ``"cache-hit"`` (served from the result cache),
     ``"started"`` (compute began — under ``jobs > 1`` this fires at pool
-    submission), or ``"finished"`` (compute completed).  Events fire in the
-    submitting process, never inside pool workers, so callbacks may touch
-    shared state freely.
+    submission), or ``"finished"`` (compute completed).  ``experiment``
+    and ``shard`` are the shard's :attr:`PlannedShard.label`.  Events fire
+    in the submitting process, never inside pool workers, so callbacks may
+    touch shared state freely.
     """
 
     kind: str
     experiment: str
     shard: str
-    index: int          # position in this run's full shard list
-    total: int          # shard count of this run
+    index: int          # position in this run's plan
+    total: int          # distinct shard count of this run
 
 ProgressFn = Callable[[ShardEvent], None]
+
+
+@dataclass(frozen=True)
+class PlannedShard:
+    """One distinct unit of a run's work: a catalog shard at one parameter
+    set (the seed is the run's), compared by the shard and the parameters'
+    fingerprint, its cache key material.  ``label`` is what progress
+    events and the service show: the shard's ``(experiment, key)`` at the
+    run's parameters, else the derived experiment that first read it and
+    ``"<point>:<experiment>/<key>"``."""
+
+    shard: Shard
+    fingerprint: str
+    params: CalibratedParameters = field(compare=False, repr=False)
+    label: Tuple[str, str] = field(compare=False)
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """Each requested experiment's shards (its own, or its declared
+    reads), and the distinct ones among them, in run order."""
+
+    needs: Dict[str, Tuple[PlannedShard, ...]]
+    shards: Tuple[PlannedShard, ...]
 
 
 def resolve_ids(ids: Sequence[str]) -> List[str]:
@@ -270,10 +301,42 @@ def resolve_ids(ids: Sequence[str]) -> List[str]:
     return resolved
 
 
-def _execute_missing(missing: List[Shard], params: CalibratedParameters,
-                     seed: int, jobs: int,
-                     notify: Callable[[str, Shard], None]
-                     ) -> Dict[Shard, bytes]:
+def plan_run(ids: Sequence[str],
+             params: Optional[CalibratedParameters] = None) -> RunPlan:
+    """Plan a run of *ids* (or ``["all"]``) at *params*, in requested
+    order: a shard that an earlier experiment needs is not planned again,
+    so each distinct shard runs at most once per run.  Derived
+    experiments' ``reads`` are evaluated here, and only here."""
+    params = params or default_parameters()
+    fingerprint = params_fingerprint(params)
+    registry = experiment_registry()
+
+    def planned(reader: str, read: Read) -> PlannedShard:
+        shard = registry[read.experiment].shard(read.key)
+        if read.params is None:
+            return PlannedShard(shard, fingerprint, params,
+                                (shard.experiment, shard.key))
+        at = params_fingerprint(read.params)
+        label = ((shard.experiment, shard.key) if at == fingerprint else
+                 (reader, f"{read.point}:{shard.experiment}/{shard.key}"))
+        return PlannedShard(shard, at, read.params, label)
+
+    needs: Dict[str, Tuple[PlannedShard, ...]] = {}
+    for experiment_id in resolve_ids(ids):
+        experiment = registry[experiment_id]
+        reads = (experiment.reads(params) if experiment.derive is not None
+                 else [Read(experiment_id, one.key)
+                       for one in experiment.shards])
+        needs[experiment_id] = tuple(planned(experiment_id, read)
+                                     for read in reads)
+    # A dict keeps the first of equal shards, and with it the first label.
+    return RunPlan(needs, tuple(dict.fromkeys(
+        one for needed in needs.values() for one in needed)))
+
+
+def _execute_missing(missing: List[PlannedShard], seed: int, jobs: int,
+                     notify: Callable[[str, PlannedShard], None]
+                     ) -> Dict[PlannedShard, bytes]:
     """Result blobs for *missing* shards, serially or on a pool.
 
     *notify* is called as ``notify(kind, shard)`` with ``"started"`` /
@@ -288,11 +351,11 @@ def _execute_missing(missing: List[Shard], params: CalibratedParameters,
                   "(jobs=%d requested)", len(missing), jobs)
         jobs = 1
     if jobs <= 1 or len(missing) == 1:
-        blobs: Dict[Shard, bytes] = {}
-        for shard in missing:
-            notify("started", shard)
-            blobs[shard] = _execute_shard(shard, params, seed)
-            notify("finished", shard)
+        blobs: Dict[PlannedShard, bytes] = {}
+        for one in missing:
+            notify("started", one)
+            blobs[one] = _execute_shard(one.shard, one.params, seed)
+            notify("finished", one)
         return blobs
 
     import multiprocessing
@@ -306,17 +369,18 @@ def _execute_missing(missing: List[Shard], params: CalibratedParameters,
     with ProcessPoolExecutor(max_workers=min(jobs, len(missing)),
                              mp_context=context) as pool:
         futures = {}
-        for shard in missing:
-            notify("started", shard)
-            futures[pool.submit(_execute_shard, shard, params, seed)] = shard
+        for one in missing:
+            notify("started", one)
+            futures[pool.submit(_execute_shard, one.shard, one.params,
+                                seed)] = one
         blobs = {}
         pending = set(futures)
         while pending:
             finished, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
-                shard = futures[future]
-                blobs[shard] = future.result()
-                notify("finished", shard)
+                one = futures[future]
+                blobs[one] = future.result()
+                notify("finished", one)
         return blobs
 
 
@@ -329,54 +393,59 @@ def run_experiments(ids: Sequence[str],
                     progress: Optional[ProgressFn] = None) -> EngineRun:
     """Run *ids* (or ``["all"]``) and return merged results + stats.
 
-    Serial (``jobs=1``), parallel, and fully cached invocations return
-    identical results: every path decodes the same result blobs and
-    merges them in catalog order.  *progress*, when given, receives a
-    :class:`ShardEvent` per cache hit / compute start / compute finish —
-    it observes execution order, never influences results.
+    Each distinct shard of the run's plan (:func:`plan_run`) is read from
+    the cache or computed once.  Serial (``jobs=1``), parallel, and fully
+    cached invocations return identical results: every path decodes the
+    same result blobs, merges computing experiments in requested order
+    and derives the derived ones from their declared reads.  *progress*,
+    when given, receives a :class:`ShardEvent` per cache hit / compute
+    start / compute finish — it observes execution order, never
+    influences results.
     """
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
-    resolved = resolve_ids(ids)
+    started = time.perf_counter()
     params = params or default_parameters()
-    fingerprint = params_fingerprint(params)
+    plan = plan_run(ids, params)
     registry = experiment_registry()
     cache = ResultCache(cache_dir) if use_cache else None
+    indexes = {one: position for position, one in enumerate(plan.shards)}
 
-    started = time.perf_counter()
-    shards = [shard for experiment_id in resolved
-              for shard in registry[experiment_id].shards]
-    indexes = {shard: position for position, shard in enumerate(shards)}
-
-    def notify(kind: str, shard: Shard) -> None:
+    def notify(kind: str, one: PlannedShard) -> None:
         if progress is not None:
             progress(ShardEvent(
-                kind=kind, experiment=shard.experiment, shard=shard.key,
-                index=indexes[shard], total=len(shards)))
+                kind=kind, experiment=one.label[0], shard=one.label[1],
+                index=indexes[one], total=len(plan.shards)))
 
-    results: Dict[Shard, Any] = {}
-    missing: List[Shard] = []
-    for shard in shards:
-        cached = cache.load(shard, fingerprint, seed) if cache else None
+    results: Dict[PlannedShard, Any] = {}
+    missing: List[PlannedShard] = []
+    for one in plan.shards:
+        cached = (cache.load(one.shard, one.fingerprint, seed)
+                  if cache else None)
         if cached is not None:
-            results[shard] = cached
-            notify("cache-hit", shard)
+            results[one] = cached
+            notify("cache-hit", one)
         else:
-            missing.append(shard)
+            missing.append(one)
 
-    for shard, blob in _execute_missing(missing, params, seed, jobs,
-                                        notify).items():
+    for one, blob in _execute_missing(missing, seed, jobs, notify).items():
         if cache:
-            cache.store(shard, fingerprint, seed, blob)
-        results[shard] = loads_result(blob)
+            cache.store(one.shard, one.fingerprint, seed, blob)
+        results[one] = loads_result(blob)
 
     run = EngineRun(stats=EngineStats(
-        jobs=jobs, shards_total=len(shards),
-        cache_hits=len(shards) - len(missing), executed=len(missing)))
-    for experiment_id in resolved:
+        jobs=jobs, shards_total=len(plan.shards),
+        cache_hits=len(plan.shards) - len(missing), executed=len(missing)))
+    for experiment_id, needed in plan.needs.items():
         experiment = registry[experiment_id]
-        run.results[experiment_id] = experiment.merge(
-            {shard.key: results[shard] for shard in experiment.shards})
+        if experiment.derive is not None:
+            run.results[experiment_id] = experiment.derive(Cells(
+                params, seed, shards={
+                    (one.shard.experiment, one.shard.key, one.fingerprint):
+                        results[one] for one in needed}))
+        else:
+            run.results[experiment_id] = experiment.merge(
+                {one.shard.key: results[one] for one in needed})
     run.stats.elapsed_s = time.perf_counter() - started
     return run
 
@@ -389,12 +458,15 @@ __all__ = [
     "EngineStats",
     "Experiment",
     "LOAD_SWEEP_RATES",
+    "PlannedShard",
     "ProgressFn",
     "ResultCache",
+    "RunPlan",
     "Shard",
     "ShardEvent",
     "experiment_ids",
     "experiment_registry",
+    "plan_run",
     "resolve_ids",
     "run_experiments",
 ]

@@ -64,13 +64,14 @@ def run_fig10_platform(platform: str,
                        params: Optional[CalibratedParameters] = None,
                        benchmark: str = "faas-fact",
                        language: str = "nodejs",
-                       max_vms: int = 800,
-                       sample_every: int = 50) -> MemorySeries:
-    """One platform's Fig 10 series (an independently runnable shard)."""
+                       max_vms: int = 800) -> MemorySeries:
+    """One platform's Fig 10 series (an independently runnable shard),
+    sampled every 50 microVMs."""
     spec = faasdom_spec(benchmark, language)
     fresh = fresh_platform(FIG10_PLATFORMS[platform], params)
     install_all(fresh, [spec])
-    return _consolidate_until_swap(fresh, spec.name, max_vms, sample_every)
+    return _consolidate_until_swap(fresh, spec.name, max_vms,
+                                   sample_every=50)
 
 
 # ---------------------------------------------------------------------------

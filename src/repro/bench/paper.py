@@ -3,7 +3,9 @@
 :data:`CLAIMS` lists the §5 headline claims in paper order.  Each
 :class:`Claim` holds the paper's value, the band the measured value must
 land in, and a reader that takes that value from catalog shard results
-(:class:`Cells`).  The scorecard (:func:`headline_comparisons`), the
+(:class:`~repro.bench.experiment.Cells`).  The scorecard
+(:func:`headline_comparisons`, and the derived ``scorecard`` experiment,
+which reads the :data:`SCORECARD_SHARDS` of the run it is part of), the
 tier-1 band test and the EXPERIMENTS.md claim table all read this one
 tuple.  A claim *holds* when the measured value lands in its band
 (generous: a simulator reproduces shapes, not testbeds).
@@ -12,39 +14,12 @@ tuple.  A claim *holds* when the measured value lands in its band
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.experiment import SINGLE, Experiment
+from repro.bench.experiment import SINGLE, Cells, Experiment, Read
 from repro.bench.memory import fig12_improvements
 from repro.bench.results import PaperComparison, format_comparisons
 from repro.config import CalibratedParameters
-
-
-class Cells:
-    """Catalog shard results, each computed on its first read and kept.
-
-    ``cells(experiment_id, shard_key)`` runs one shard of the catalog
-    experiment exactly as the engine does, so a claim reads the same
-    floats as ``repro figure <id>``.
-    """
-
-    def __init__(self, params: Optional[CalibratedParameters] = None) -> None:
-        # The engine's catalog imports this module: import it lazily.
-        from repro.bench.engine import DEFAULT_SEED, experiment_registry
-        self._registry = experiment_registry()
-        self._params = params
-        self._seed = DEFAULT_SEED
-        self._results: Dict[Tuple[str, str], Any] = {}
-
-    def __call__(self, experiment_id: str, shard_key: str = SINGLE) -> Any:
-        cell = (experiment_id, shard_key)
-        if cell not in self._results:
-            experiment = self._registry[experiment_id]
-            shard = next(shard for shard in experiment.shards
-                         if shard.key == shard_key)
-            self._results[cell] = experiment.run(
-                self._params, self._seed, **shard.kwargs_dict())
-        return self._results[cell]
 
 
 @dataclass(frozen=True)
@@ -165,11 +140,29 @@ CLAIMS: Tuple[Claim, ...] = (
 )
 
 
+#: The catalog shards the claims read, as (experiment id, shard key).
+SCORECARD_SHARDS: Tuple[Tuple[str, str], ...] = (
+    ("fig6", "faas-fact"), ("fig6", "faas-diskio"),
+    ("fig6", "faas-netlatency"), ("fig7", "faas-fact"),
+    ("fig7", "faas-matrix-mult"), ("fig10", "firecracker"),
+    ("fig10", "fireworks"), ("fig12", "faas-fact-nodejs"),
+    ("fig12", "faas-fact-python"), ("snapshot-creation", SINGLE),
+)
+
+
+def claim(metric: str) -> Claim:
+    """The headline claim named *metric*."""
+    return next(one for one in CLAIMS if one.metric == metric)
+
+
+def _compare_all(cells: Cells) -> List[PaperComparison]:
+    return [one.compare(cells) for one in CLAIMS]
+
+
 def headline_comparisons(params: Optional[CalibratedParameters] = None
                          ) -> List[PaperComparison]:
     """Evaluate every headline claim; returns them in paper order."""
-    cells = Cells(params)
-    return [claim.compare(cells) for claim in CLAIMS]
+    return _compare_all(Cells(params))
 
 
 def comparison_summary(
@@ -186,5 +179,6 @@ def _render_scorecard(result, out, chart=False) -> None:
 
 SCORECARD = Experiment(
     "scorecard", "paper-vs-measured headline claims",
-    run=lambda params, seed: headline_comparisons(params),
-    render=_render_scorecard)
+    reads=lambda params: [Read(experiment, key)
+                          for experiment, key in SCORECARD_SHARDS],
+    derive=_compare_all, render=_render_scorecard)

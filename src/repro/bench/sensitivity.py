@@ -7,20 +7,24 @@ calibration error and which hinge on a constant.
 Example: sweep V8's hotness threshold and watch the Node fact exec
 improvement (Fig 6a's 38%) respond; sweep the snapshot working-set fraction
 and watch the 133x cold-start ratio respond.
+
+Each metric is a scorecard claim's reader (:data:`METRICS`), and a sweep
+point reads that claim's catalog shards at the knob-modified parameters.
+The ``sensitivity`` experiment is derived: it declares those reads, so a
+point whose parameters equal the run's reads the run's own shards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bench.experiment import Experiment
+from repro.bench.experiment import Cells, Experiment, Read
+from repro.bench.paper import claim
 from repro.bench.serialization import register_result_type
-from repro.config import CalibratedParameters, default_parameters
+from repro.config import CalibratedParameters
 from repro.errors import ReproError
 from repro.validation import validate_or_raise
-
-MetricFn = Callable[[CalibratedParameters], float]
 
 
 @register_result_type
@@ -95,46 +99,41 @@ PARAMETER_KNOBS: Dict[str, Callable[[CalibratedParameters, float],
 
 
 # -- headline metrics ---------------------------------------------------------
-def metric_node_exec_improvement(params: CalibratedParameters) -> float:
-    """Fig 6a's exec bar: % faster than Firecracker cold (paper: 38%)."""
-    from repro.bench.faasdom_experiments import run_faasdom_benchmark
-    figure = run_faasdom_benchmark("faas-fact", "nodejs", params)
-    fw = figure.row("fireworks", "snapshot").exec_ms
-    cold = figure.row("firecracker", "cold").exec_ms
-    return 100.0 * (1.0 - fw / cold)
+#: metric name -> the scorecard claim reader it is.
+METRICS: Dict[str, Callable[[Cells], float]] = {
+    # Fig 6a's exec bar: % faster than Firecracker cold (paper: 38%).
+    "node_exec_improvement_pct":
+        claim("Node fact exec improvement (cold)").read,
+    # Fig 6a's start-up ratio (paper: up to 133x).
+    "cold_start_speedup_x": claim("Node fact cold start-up speedup").read,
+    # Fig 10's ratio (paper: 1.68x).
+    "consolidation_ratio": claim("consolidation ratio").read,
+}
 
-
-def metric_cold_start_speedup(params: CalibratedParameters) -> float:
-    """Fig 6a's start-up ratio (paper: up to 133x)."""
-    from repro.bench.faasdom_experiments import run_faasdom_benchmark
-    figure = run_faasdom_benchmark("faas-fact", "nodejs", params)
-    return (figure.row("firecracker", "cold").startup_ms
-            / figure.row("fireworks", "snapshot").startup_ms)
-
-
-def metric_consolidation_ratio(params: CalibratedParameters) -> float:
-    """Fig 10's ratio (paper: 1.68x)."""
-    from repro.bench.memory import FIG10_PLATFORMS, run_fig10_platform
-    results = {platform: run_fig10_platform(platform, params,
-                                            sample_every=400)
-               for platform in FIG10_PLATFORMS}
-    return (results["fireworks"].max_vms_before_swap
-            / results["firecracker"].max_vms_before_swap)
-
-
-METRICS: Dict[str, MetricFn] = {
-    "node_exec_improvement_pct": metric_node_exec_improvement,
-    "cold_start_speedup_x": metric_cold_start_speedup,
-    "consolidation_ratio": metric_consolidation_ratio,
+#: metric name -> the catalog shards its reader reads.
+METRIC_SHARDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "node_exec_improvement_pct": (("fig6", "faas-fact"),),
+    "cold_start_speedup_x": (("fig6", "faas-fact"),),
+    "consolidation_ratio": (("fig10", "firecracker"), ("fig10", "fireworks")),
 }
 
 
-def _sweep_point(parameter: str, value: float, metric: str,
-                 params: CalibratedParameters) -> float:
-    """Measure one sweep point."""
+def _point_params(parameter: str, value: float,
+                  params: CalibratedParameters) -> CalibratedParameters:
+    """*params* with *parameter* set to *value*, validated."""
     modified = PARAMETER_KNOBS[parameter](params, value)
     validate_or_raise(modified)
-    return METRICS[metric](modified)
+    return modified
+
+
+def _sweep(cells: Cells, parameter: str, values: Sequence[float],
+           metric: str) -> SensitivityResult:
+    """*metric* at each of *parameter*'s *values*, read through *cells*."""
+    points = [SensitivityPoint(value=value, metric=METRICS[metric](
+                  cells.at(_point_params(parameter, value, cells.params))))
+              for value in values]
+    return SensitivityResult(parameter=parameter, metric_name=metric,
+                             points=points)
 
 
 def run_sensitivity(parameter: str, values: Sequence[float],
@@ -143,9 +142,9 @@ def run_sensitivity(parameter: str, values: Sequence[float],
                     ) -> SensitivityResult:
     """Sweep *parameter* over *values*, measuring *metric* at each point.
 
-    The points run serially; the ``sensitivity`` experiment runs one
-    point per engine shard, so ``--jobs`` spreads them over the engine's
-    pool.
+    The points run serially, each shard once; the ``sensitivity``
+    experiment plans its points' shards with the rest of an engine run,
+    so ``--jobs`` spreads them over the engine's pool.
     """
     if parameter not in PARAMETER_KNOBS:
         raise ReproError(
@@ -154,13 +153,7 @@ def run_sensitivity(parameter: str, values: Sequence[float],
     if metric not in METRICS:
         raise ReproError(
             f"unknown metric {metric!r}; metrics: {sorted(METRICS)}")
-    base = params or default_parameters()
-    points = [SensitivityPoint(value=value,
-                               metric=_sweep_point(parameter, value, metric,
-                                                   base))
-              for value in values]
-    return SensitivityResult(parameter=parameter, metric_name=metric,
-                             points=points)
+    return _sweep(Cells(params), parameter, values, metric)
 
 
 #: The default sensitivity suite: (knob, swept values, metric).
@@ -174,20 +167,20 @@ SENSITIVITY_SUITE: Tuple[Tuple[str, Tuple[float, ...], str], ...] = (
 )
 
 
-def _suite_key(parameter: str, value: float, metric: str) -> str:
-    return f"{parameter}@{value:g}->{metric}"
+def _suite_reads(params: CalibratedParameters) -> Iterator[Read]:
+    """Every suite point's metric shards, at the point's parameters."""
+    for parameter, values, metric in SENSITIVITY_SUITE:
+        for value in values:
+            modified = _point_params(parameter, value, params)
+            for experiment, key in METRIC_SHARDS[metric]:
+                yield Read(experiment, key, modified,
+                           point=f"{parameter}@{value:g}")
 
 
-def _merge_suite(shards: Dict[str, SensitivityResult]
-                 ) -> Dict[str, SensitivityResult]:
-    """One sweep per suite knob, from its one-point shards."""
-    return {
-        parameter: SensitivityResult(
-            parameter=parameter, metric_name=metric,
-            points=[point for value in values
-                    for point in shards[_suite_key(parameter, value,
-                                                   metric)].points])
-        for parameter, values, metric in SENSITIVITY_SUITE}
+def _derive_suite(cells: Cells) -> Dict[str, SensitivityResult]:
+    """One sweep per suite knob."""
+    return {parameter: _sweep(cells, parameter, values, metric)
+            for parameter, values, metric in SENSITIVITY_SUITE}
 
 
 def _render_suite(result, out, chart=False) -> None:
@@ -198,10 +191,4 @@ def _render_suite(result, out, chart=False) -> None:
 
 SENSITIVITY = Experiment(
     "sensitivity", "calibration sensitivity sweeps (extension)",
-    run=lambda params, seed, parameter, value, metric: run_sensitivity(
-        parameter, [value], metric, params),
-    grid={_suite_key(parameter, value, metric):
-          {"parameter": parameter, "value": value, "metric": metric}
-          for parameter, values, metric in SENSITIVITY_SUITE
-          for value in values},
-    merge=_merge_suite, render=_render_suite)
+    reads=_suite_reads, derive=_derive_suite, render=_render_suite)

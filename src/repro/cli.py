@@ -193,16 +193,15 @@ def _cmd_profile(experiment: str, shard_key: Optional[str], top: int,
               f"{', '.join(registry)}", file=sys.stderr)
         return 1
     definition = registry[experiment]
-    if shard_key is None:
-        shard = definition.shards[0]
-    else:
-        matching = [one for one in definition.shards if one.key == shard_key]
-        if not matching:
-            keys = ", ".join(one.key for one in definition.shards)
-            print(f"error: {experiment} has no shard {shard_key!r}; "
-                  f"shards: {keys}", file=sys.stderr)
-            return 1
-        shard = matching[0]
+    if not definition.shards:
+        print(f"error: {experiment} derives its result from other "
+              "experiments' shards; profile one of those", file=sys.stderr)
+        return 1
+    try:
+        shard = definition.shard(shard_key or definition.shards[0].key)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
 
     params = default_parameters()
     profiler = cProfile.Profile()

@@ -20,8 +20,9 @@ one of two candidate enumerations (declared by the document):
 * ``home-hosts`` — the predictive shape: candidates are each installed
   function on its hash-home host, with arrival-histogram signals.
 
-Emitted targets are clamped to ``cfg.max_warm_per_function`` (the engine
-clamps again when provisioning, so a document never over-provisions).
+Emitted targets are clamped to ``[0, cfg.max_warm_per_function]`` (the
+engine clamps again when provisioning, so a document never
+over-provisions); a NaN target raises.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from repro.errors import ValidationError
 from repro.policy.dsl import (
     SOURCE_BUILTIN,
     SOURCE_DSL,
@@ -80,6 +82,9 @@ class AutoscalePolicy:
     source: str = SOURCE_BUILTIN
     #: Inactive policies never tick (no control loop at all).
     active: bool = True
+    #: Whether decisions read ``view.history``; the scaler records
+    #: arrivals only for a policy that does.
+    reads_arrivals: bool = False
 
     def decide(self, view: AutoscaleView) -> List[Decision]:
         """The ordered warm targets for this tick."""
@@ -171,6 +176,7 @@ class PredictiveTargets(AutoscalePolicy):
     host when its histogram predicts arrivals within the horizon."""
 
     name = "predictive"
+    reads_arrivals = True
 
     def decide(self, view: AutoscaleView) -> List[Decision]:
         """The pre-refactor predictive tick, collecting targets."""
@@ -207,17 +213,24 @@ class DslAutoscalePolicy(AutoscalePolicy):
     def __init__(self, compiled: CompiledPolicy) -> None:
         self.compiled = compiled
         self.name = compiled.name
+        # Only the home-hosts enumeration has arrival-history signals.
+        self.reads_arrivals = compiled.candidates != CANDIDATES_QUEUE_STATE
         #: queue-state bookkeeping: (host_id, function) -> (level, hold).
         self._state: Dict[Tuple[int, str], Tuple[int, int]] = {}
 
     def _want(self, view: AutoscaleView, values: Mapping[str, float]) -> int:
         """The tree's target under one candidate's signal *values*,
-        clamped to the warm cap.  A signal without a value raises."""
+        clamped to ``[0, warm cap]``, so ``+inf`` is the cap and ``-inf``
+        no warm worker.  A signal without a value, or a NaN target,
+        raises."""
         resolve = lambda ref: values[ref.name]  # noqa: E731
         node = self.compiled.leaf(resolve)
         assert isinstance(node, ValueLeaf)
-        want = int(node.value(resolve))
-        return min(want, view.cfg.max_warm_per_function)
+        want = node.value(resolve)
+        if math.isnan(want):
+            raise ValidationError(
+                f"autoscale policy {self.name!r}: the warm target is NaN")
+        return int(min(max(want, 0.0), view.cfg.max_warm_per_function))
 
     def decide(self, view: AutoscaleView) -> List[Decision]:
         """Dispatch on the document's candidate enumeration mode."""

@@ -110,7 +110,12 @@ class RunRegistry:
     def submit(self, scenario: Scenario, seed: Optional[int] = None,
                jobs: Optional[int] = None,
                use_cache: Optional[bool] = None) -> ExperimentRun:
-        """Register *scenario* and start executing it on a worker thread."""
+        """Register *scenario* and start executing it on a worker thread.
+
+        The shard table is the engine's plan of the run, keyed by each
+        shard's label, so it lists every distinct shard once."""
+        from repro.bench.engine import plan_run
+        planned = plan_run(scenario.experiments).shards
         with self._cond:
             run_id = f"run-{self._next:04d}"
             self._next += 1
@@ -120,11 +125,8 @@ class RunRegistry:
                 jobs=self._resolve_jobs(scenario, jobs),
                 use_cache=(self._use_cache if use_cache is None
                            else use_cache))
-            from repro.bench.engine import experiment_registry
-            registry = experiment_registry()
-            for experiment_id in scenario.experiments:
-                for shard in registry[experiment_id].shards:
-                    run.shard_status[(experiment_id, shard.key)] = "pending"
+            for one in planned:
+                run.shard_status[one.label] = "pending"
             self._runs[run_id] = run
             self._order.append(run_id)
         self._emit(run, "run-queued")

@@ -17,6 +17,7 @@ import pytest
 
 from repro.autoscale.scaler import WarmPoolAutoscaler
 from repro.bench.harness import fresh_cluster_platform, install_all
+from repro.bench.load import run_load_platform
 from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
                          ChaosEvent, ChaosPlan, HostFailureController)
 from repro.core.fireworks import FireworksPlatform
@@ -199,3 +200,35 @@ class TestPlanFaultsOnThePool:
         assert platform.pool_hits == 0
         assert platform.restore_failures == 1
         sim.run()
+
+
+class TestArrivalFeed:
+    """The scaler records arrivals only for a policy that reads them."""
+
+    @staticmethod
+    def _gaps(history, functions):
+        return sum(history.gap_count(function) for function in functions)
+
+    def test_policy_without_arrival_reads_records_no_gaps(self):
+        _outcome, platform = run_load_platform(
+            "fireworks", "none", duration_ms=15_000.0, return_platform=True)
+        scaler = platform.autoscaler
+        assert not scaler.policy.reads_arrivals
+        assert self._gaps(scaler.history,
+                          platform.installed_functions()) == 0
+
+    def test_predictive_still_records_every_gap(self):
+        _platform, scaler, _start = _predictive_platform()
+        assert scaler.policy.reads_arrivals
+        assert scaler.history.gap_count(FUNCTION) == 7
+
+    @pytest.mark.parametrize("policy, reads", [
+        ("none", False), ("reactive", False), ("predictive", True),
+        ({"name": "q", "domain": "autoscale", "candidates": "queue-state",
+          "tree": {"value": 0}}, False),
+        ({"name": "h", "domain": "autoscale", "candidates": "home-hosts",
+          "tree": {"value": 0}}, True),
+    ], ids=["none", "reactive", "predictive", "queue-state", "home-hosts"])
+    def test_which_policies_read_arrivals(self, policy, reads):
+        from repro.policy.registry import resolve
+        assert resolve("autoscale", policy).reads_arrivals is reads

@@ -15,7 +15,8 @@ import pytest
 
 from repro.bench.engine import (ResultCache, Shard, code_digest,
                                 experiment_ids, experiment_registry,
-                                resolve_ids, run_experiments)
+                                plan_run, resolve_ids, run_experiments)
+from repro.bench.experiment import Cells
 from repro.bench.serialization import (dumps_result, encode_result,
                                        loads_result)
 from repro.bench.tables import run_table2
@@ -24,9 +25,11 @@ from repro.config import default_parameters, params_fingerprint
 from repro.errors import ReproError
 
 #: A cheap but representative subset: FigureResult shards with a merged
-#: geomean (fig6), MemorySeries shards (fig10), and per-point sweeps
-#: (sensitivity) — everything the determinism guarantee names.
-SUBSET = ["fig6", "fig10", "sensitivity"]
+#: geomean (fig6), MemorySeries shards (fig10), and the two derived
+#: experiments, which read shards of those and of fig7, fig12 and
+#: snapshot-creation (scorecard) or at other parameters (sensitivity) —
+#: everything the determinism guarantee names.
+SUBSET = ["fig6", "fig10", "scorecard", "sensitivity"]
 
 
 class TestRegistry:
@@ -365,3 +368,124 @@ class TestProgressEvents:
                                 progress=lambda event: None)
         assert encode_result(quiet.results["table2"]) == \
             encode_result(noisy.results["table2"])
+
+
+class TestPlan:
+    """A run plans each distinct shard once, labelled for progress."""
+
+    def test_derived_experiments_have_no_shards_of_their_own(self):
+        registry = experiment_registry()
+        for experiment_id in ("scorecard", "sensitivity"):
+            assert registry[experiment_id].shards == ()
+            assert registry[experiment_id].run is None
+
+    def test_scorecard_plans_its_ten_reads_under_their_owners(self):
+        from repro.bench.paper import SCORECARD_SHARDS
+        plan = plan_run(["scorecard"])
+        assert [one.label for one in plan.shards] == list(SCORECARD_SHARDS)
+
+    def test_sensitivity_labels_points_at_other_parameters(self):
+        plan = plan_run(["sensitivity"])
+        hotness = "nodejs.hotness_threshold_units"
+        restore = "snapshot.restore_per_working_mb_ms"
+        dirty = "nodejs.steady_state_dirty_fraction"
+        assert [one.label for one in plan.shards] == [
+            ("sensitivity", f"{hotness}@2000:fig6/faas-fact"),
+            ("sensitivity", f"{hotness}@4000:fig6/faas-fact"),
+            ("fig6", "faas-fact"),     # 8000 is the calibrated value
+            ("sensitivity", f"{hotness}@16000:fig6/faas-fact"),
+            ("sensitivity", f"{restore}@0.1:fig6/faas-fact"),
+            ("sensitivity", f"{restore}@0.9:fig6/faas-fact"),
+            ("sensitivity", f"{dirty}@0.2:fig10/firecracker"),
+            ("sensitivity", f"{dirty}@0.2:fig10/fireworks"),
+            ("fig10", "firecracker"),  # 0.33 is the calibrated value
+            ("fig10", "fireworks"),
+            ("sensitivity", f"{dirty}@0.5:fig10/firecracker"),
+            ("sensitivity", f"{dirty}@0.5:fig10/fireworks"),
+        ]
+
+    def test_a_shared_shard_keeps_its_owners_label(self):
+        labels = [one.label for one in plan_run(["sensitivity",
+                                                 "fig10"]).shards]
+        assert labels.count(("fig10", "fireworks")) == 1
+        assert len(labels) == 12
+
+    def test_all_adds_only_the_reads_at_other_parameters(self):
+        """Every computing experiment's shards, plus the sensitivity
+        points off the calibrated values: 3 hotness, 2 restore and 2x2
+        dirty-fraction shards."""
+        own = sum(len(one.shards)
+                  for one in experiment_registry().values())
+        assert len(plan_run(["all"]).shards) == own + 9
+
+
+class TestDerivedExperiments:
+    """Derived experiments read the run's shards: nothing runs twice."""
+
+    @pytest.fixture(scope="class")
+    def counted_run(self):
+        """fig10, scorecard and sensitivity in one uncached run, counting
+        Fig 10 consolidations by (platform, parameters)."""
+        from repro.bench import memory
+        calls = {}
+        real = memory.run_fig10_platform
+
+        def counting(platform, params=None, **kwargs):
+            key = (platform,
+                   params_fingerprint(params or default_parameters()))
+            calls[key] = calls.get(key, 0) + 1
+            return real(platform, params, **kwargs)
+
+        events = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(memory, "run_fig10_platform", counting)
+            run = run_experiments(["fig10", "scorecard", "sensitivity"],
+                                  use_cache=False, progress=events.append)
+        return run, calls, events
+
+    def test_each_distinct_shard_runs_once(self, counted_run):
+        run, calls, _events = counted_run
+        default = params_fingerprint(default_parameters())
+        assert calls[("fireworks", default)] == 1
+        assert len(calls) == 6   # 2 platforms x 3 dirty fractions
+        assert set(calls.values()) == {1}
+        assert run.stats.shards_total == run.stats.executed == 19
+
+    def test_progress_follows_the_plan(self, counted_run):
+        _run, _calls, events = counted_run
+        plan = plan_run(["fig10", "scorecard", "sensitivity"])
+        started = [event for event in events if event.kind == "started"]
+        assert [(event.experiment, event.shard) for event in started] == \
+            [one.label for one in plan.shards]
+        assert [event.index for event in started] == list(range(19))
+
+    def test_derived_sweep_equals_the_standalone_sweep(self, counted_run):
+        from repro.bench.sensitivity import run_sensitivity
+        run, _calls, _events = counted_run
+        sweep = run.results["sensitivity"][
+            "nodejs.steady_state_dirty_fraction"]
+        assert sweep == run_sensitivity(
+            "nodejs.steady_state_dirty_fraction", (0.2, 0.33, 0.5),
+            "consolidation_ratio")
+
+    def test_scorecard_reads_the_cached_shards(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        run_experiments(["fig6", "fig7", "fig10", "fig12",
+                         "snapshot-creation"], cache_dir=cache_dir)
+        again = run_experiments(["scorecard"], cache_dir=cache_dir)
+        assert again.stats.executed == 0
+        assert again.stats.cache_hits == again.stats.shards_total == 10
+
+    def test_reads_follow_the_run_seed(self, tmp_path):
+        """A derived experiment reads shards at the run's seed: a seed-7
+        scorecard reads the seed-7 fig10 entries."""
+        cache_dir = str(tmp_path / "cache")
+        run_experiments(["fig10"], seed=7, cache_dir=cache_dir)
+        again = run_experiments(["scorecard"], seed=7, cache_dir=cache_dir)
+        assert (again.stats.cache_hits, again.stats.executed) == (2, 8)
+
+    def test_an_undeclared_read_raises(self):
+        strict = Cells(shards={})
+        with pytest.raises(ReproError, match="fig6/faas-fact .* not a "
+                                             "declared read"):
+            strict("fig6", "faas-fact")

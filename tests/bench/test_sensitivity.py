@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.sensitivity import (METRICS, PARAMETER_KNOBS,
+from repro.bench.experiment import Cells
+from repro.bench.sensitivity import (METRIC_SHARDS, METRICS, PARAMETER_KNOBS,
                                      run_sensitivity)
 from repro.errors import ReproError
 
@@ -85,3 +86,38 @@ class TestHeadlineSweeps:
         assert values == sorted(values, reverse=True)
         assert values[0] > 133
         assert values[-1] < 80
+
+
+class TestMetricReaders:
+    """Each metric is a scorecard reader over its declared shards."""
+
+    def test_every_metric_reads_only_its_declared_shards(self):
+        cells = Cells()
+        for metric, read in METRICS.items():
+            strict = Cells(shards={
+                (experiment, key, cells.fingerprint): cells(experiment, key)
+                for experiment, key in METRIC_SHARDS[metric]})
+            assert read(strict) == read(cells), metric
+
+    @pytest.mark.parametrize("platform", ["firecracker", "fireworks"])
+    def test_consolidation_ignores_the_sampling_interval(self, platform):
+        """The sweep reads the catalog's Fig 10 shards, sampled every 50
+        microVMs; the metric once sampled every 400.  Sampling must move
+        neither the swap point nor the host's memory."""
+        from repro.bench.harness import fresh_platform, install_all
+        from repro.bench.memory import (FIG10_PLATFORMS,
+                                        _consolidate_until_swap)
+        from repro.config import default_parameters
+        from repro.workloads.faasdom import faasdom_spec
+        params = PARAMETER_KNOBS["nodejs.steady_state_dirty_fraction"](
+            default_parameters(), 0.2)
+        spec = faasdom_spec("faas-fact", "nodejs")
+        outcomes = []
+        for sample_every in (50, 400):
+            fresh = fresh_platform(FIG10_PLATFORMS[platform], params)
+            install_all(fresh, [spec])
+            series = _consolidate_until_swap(fresh, spec.name, 800,
+                                             sample_every)
+            outcomes.append((series.max_vms_before_swap,
+                             fresh.host_memory.used_mb))
+        assert outcomes[0] == outcomes[1]

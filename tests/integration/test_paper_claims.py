@@ -18,7 +18,8 @@ from repro.bench import (cold_and_warm, fig12_improvements,
                          fireworks_invocation)
 from repro.bench.engine import experiment_registry
 from repro.bench.memory import FIG10_PLATFORMS
-from repro.bench.paper import CLAIMS, Cells
+from repro.bench.experiment import Cells
+from repro.bench.paper import CLAIMS, SCORECARD_SHARDS
 from repro.platforms import FirecrackerPlatform, GVisorPlatform, \
     OpenWhiskPlatform
 from repro.workloads import BENCHMARK_NAMES, faasdom_spec
@@ -31,6 +32,14 @@ CLAIM_TABLE_HEADER = "| claim | paper | band | measured |"
 def cells():
     """The catalog shards, each run once for the whole module."""
     return Cells()
+
+
+@pytest.fixture(scope="module")
+def scorecard_cells(cells):
+    """A strict accessor: the scorecard's ten declared shards only."""
+    return Cells(shards={(experiment, key, cells.fingerprint):
+                         cells(experiment, key)
+                         for experiment, key in SCORECARD_SHARDS})
 
 
 def _merged(cells, experiment_id):
@@ -47,6 +56,12 @@ def test_fifteen_headline_claims():
 @pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.metric)
 def test_claim_in_band(claim, cells):
     assert claim.compare(cells).holds
+
+
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.metric)
+def test_claim_reads_only_the_declared_shards(claim, cells,
+                                              scorecard_cells):
+    assert claim.compare(scorecard_cells) == claim.compare(cells)
 
 
 def _claim_table_rows():

@@ -367,6 +367,45 @@ AUTOSCALE_SIGNAL_VALUES = {
 }
 
 
+def _no_history_view():
+    """One live host and an empty ArrivalHistory: "f" has no predicted
+    gap yet, so ``predicted_gap_ms`` reads +inf."""
+    host = _Host()
+    return AutoscaleView(now=0.0, cfg=_Cfg(), history=ArrivalHistory(),
+                         hosts=[host], host=lambda host_id: host,
+                         home_host=lambda function: host, functions=["f"])
+
+
+def _home_hosts_doc(value):
+    return {"name": "gap-target", "domain": "autoscale",
+            "candidates": "home-hosts", "tree": {"value": value}}
+
+
+class TestNonFiniteTargets:
+    """A document the compiler accepts must not crash a run when its
+    target is not finite: the clamp to ``[0, max_warm]`` takes infinities,
+    and NaN is a typed error naming the policy."""
+
+    def test_positive_infinity_is_the_warm_cap(self):
+        policy = resolve("autoscale", _home_hosts_doc(
+            {"signal": "predicted_gap_ms"}))
+        decisions = policy.decide(_no_history_view())
+        assert [(function, want) for function, _, want in decisions] == \
+            [("f", _Cfg.max_warm_per_function)]
+
+    def test_negative_infinity_is_no_warm_worker(self):
+        policy = resolve("autoscale", _home_hosts_doc(
+            {"sum": [{"signal": "predicted_gap_ms", "weight": -1}]}))
+        assert policy.decide(_no_history_view()) == []
+
+    def test_nan_raises_naming_the_policy(self):
+        policy = resolve("autoscale", _home_hosts_doc(
+            {"sum": [{"signal": "predicted_gap_ms"},
+                     {"signal": "predicted_gap_ms", "weight": -1}]}))
+        with pytest.raises(ValidationError, match="'gap-target'.*NaN"):
+            policy.decide(_no_history_view())
+
+
 class TestSignalValues:
     def test_capacity_left_unbounded_without_capacity(self):
         class Node:

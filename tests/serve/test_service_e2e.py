@@ -391,6 +391,36 @@ class TestSubmitOverrides:
         assert snapshot["stats"]["executed"] == 2
 
 
+class TestDerivedScenario:
+    """A scenario with derived experiments: the shard table is the
+    engine's plan, each distinct shard once under its label."""
+
+    def test_shard_table_is_the_plan(self, tmp_path):
+        from repro.bench.engine import plan_run
+        scenario = dict(SMOKE, name="derived",
+                        experiments=["fig10", "scorecard", "sensitivity"])
+        root = tmp_path / "scenarios"
+        root.mkdir()
+        (root / "derived.json").write_text(json.dumps(scenario))
+        client = ASGITestClient(create_app(
+            scenario_root=root, cache_dir=str(tmp_path / "cache")))
+        run_id = client.post("/experiments", json_body={
+            "scenario": "derived"}).json()["id"]
+        snapshot = wait_done(client, run_id, polls=120)
+        assert snapshot["state"] == "done"
+        plan = plan_run(scenario["experiments"])
+        assert [(one["experiment"], one["shard"])
+                for one in snapshot["shards"]] == \
+            [one.label for one in plan.shards]
+        assert snapshot["shards_done"] == snapshot["shards_total"] == 19
+        assert snapshot["stats"]["executed"] == 19
+        started = [(event["experiment"], event["shard"])
+                   for event in client.get(
+                       f"/experiments/{run_id}/events").sse_events()
+                   if event["event"] == "shard-started"]
+        assert started == [one.label for one in plan.shards]
+
+
 class TestChainsScenario:
     """The shipped multi-tenant-chains scenario, end to end.
 

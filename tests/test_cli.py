@@ -297,6 +297,10 @@ class TestCommands:
         assert main(["profile", "fig10", "--shard", "nope"]) == 1
         assert "shards: firecracker, fireworks" in capsys.readouterr().err
 
+    def test_profile_refuses_a_derived_experiment(self, capsys):
+        assert main(["profile", "scorecard"]) == 1
+        assert "derives its result" in capsys.readouterr().err
+
 
 def _scenario_library_with(tmp_path, monkeypatch, **document):
     """Point the CLI at a one-scenario library holding *document*."""
