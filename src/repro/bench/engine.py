@@ -45,6 +45,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 import time
@@ -58,7 +59,8 @@ from repro.bench.experiment import (DEFAULT_SEED, Cells, Experiment, Read,
 from repro.bench.serialization import dumps_result, loads_result
 from repro.config import (CalibratedParameters, canonical_jsonable,
                           default_parameters, params_fingerprint)
-from repro.errors import ReproError
+from repro.errors import ReproError, UndrainedSimulationError
+from repro.sim.kernel import SimulationScope
 
 _LOG = logging.getLogger(__name__)
 
@@ -105,15 +107,35 @@ def experiment_ids() -> Tuple[str, ...]:
     return tuple(experiment_registry())
 
 
+#: How far past a shard's end its simulations may run to finish their
+#: pending work (teardowns, retires, expiry timers): 24 simulated hours.
+DRAIN_HORIZON_MS = 24 * 3600 * 1000.0
+
+
 def _execute_shard(shard: Shard, params: CalibratedParameters,
                    seed: int) -> bytes:
     """Run one shard and return its result blob.
 
     Runs in a pool worker under ``jobs > 1``; the blob is what crosses the
-    process boundary and what the cache stores.
+    process boundary and what the cache stores.  Once the blob is encoded
+    (so no result can move), every simulation the shard built that is
+    still alive runs its pending work out, up to
+    :data:`DRAIN_HORIZON_MS`: a drained simulation holds no process that
+    holds it, so refcounting frees it instead of the cyclic GC.  Work
+    still pending after the horizon raises
+    :class:`~repro.errors.UndrainedSimulationError`, and the shard is not
+    cached.
     """
     experiment = experiment_registry()[shard.experiment]
-    return dumps_result(experiment.run(params, seed, **shard.kwargs_dict()))
+    with SimulationScope() as scope:
+        blob = dumps_result(experiment.run(params, seed,
+                                           **shard.kwargs_dict()))
+    for sim in scope.live():
+        sim.run(until=sim.now + DRAIN_HORIZON_MS)
+        if sim.peek() != math.inf:
+            raise UndrainedSimulationError(shard.experiment, shard.key,
+                                           DRAIN_HORIZON_MS)
+    return blob
 
 
 # ---------------------------------------------------------------------------

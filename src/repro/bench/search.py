@@ -56,7 +56,7 @@ KEEPALIVE_CHOICES = (400.0, 600.0, 800.0)
 BASELINE_KEEPALIVE_MS = 600.0
 
 #: Full evaluation point: a 3-host / 9-slot OpenWhisk cluster pushed past
-#: its saturation knee for one simulated minute (~0.15 s wall per
+#: its saturation knee for one simulated minute (~0.08 s wall per
 #: candidate).
 SEARCH_EVAL: Dict[str, float] = dict(
     n_hosts=3, n_functions=10, duration_ms=60_000.0, capacity_per_host=3,

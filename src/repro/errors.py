@@ -15,6 +15,21 @@ class SimulationError(ReproError):
     """A discrete-event simulation invariant was violated."""
 
 
+class UndrainedSimulationError(SimulationError):
+    """A finished shard left a simulation whose pending work does not
+    end: events were still queued a full drain horizon after the shard
+    returned (a process that never goes quiet)."""
+
+    def __init__(self, experiment: str, shard: str,
+                 horizon_ms: float) -> None:
+        super().__init__(
+            f"experiment {experiment!r} shard {shard!r}: a simulation "
+            f"still had pending events {horizon_ms:g} ms after the shard "
+            "finished")
+        self.experiment = experiment
+        self.shard = shard
+
+
 class ValidationError(ReproError):
     """A caller passed an argument outside the accepted domain (unknown
     policy name, non-positive size, ...) — a usage error, not a runtime

@@ -7,6 +7,7 @@ it down afterwards because idle sandboxes waste memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -32,7 +33,11 @@ class WarmPool:
         self.expired_entries: List[WarmEntry] = []
 
     def add(self, function: str, entry: WarmEntry) -> None:
-        """Park an idle sandbox in the function's pool."""
+        """Park an idle sandbox in the function's pool.  A NaN expiry is
+        refused: such an entry would never read as live or expired."""
+        if math.isnan(entry.expires_at_ms):
+            raise PlatformError(
+                f"warm entry for {function!r} has a NaN expiry")
         self._pools.setdefault(function, []).append(entry)
 
     def take(self, function: str, now_ms: float) -> Optional[WarmEntry]:
@@ -82,9 +87,20 @@ class WarmPool:
                                for entry in self.live_entries(now_ms)))
 
     def _expire(self, pool: List[WarmEntry], now_ms: float) -> None:
-        live = [entry for entry in pool if entry.expires_at_ms > now_ms]
-        self.expired_entries.extend(
-            entry for entry in pool if entry.expires_at_ms <= now_ms)
+        """Move *pool*'s timed-out entries, in pool order, to the expired
+        list; the pool is rebuilt only when one has timed out."""
+        for entry in pool:
+            if not entry.expires_at_ms > now_ms:
+                break
+        else:
+            return
+        live = []
+        expired = self.expired_entries
+        for entry in pool:
+            if entry.expires_at_ms > now_ms:
+                live.append(entry)
+            else:
+                expired.append(entry)
         pool[:] = live
 
 

@@ -37,10 +37,10 @@ from repro.policy.dsl import (
     SOURCE_BUILTIN,
     SOURCE_DSL,
     CompiledPolicy,
-    ValueLeaf,
+    bind_policy,
 )
 from repro.policy.keepalive import ArrivalHistory
-from repro.policy.signals import CANDIDATES_QUEUE_STATE
+from repro.policy.signals import AUTOSCALE_SIGNALS, CANDIDATES_QUEUE_STATE
 
 #: Observed inter-arrival gaps a function needs before the predictive
 #: policies predict its next arrival.
@@ -205,6 +205,17 @@ class PredictiveTargets(AutoscalePolicy):
         return decisions
 
 
+def _candidate_value(name: str) -> Callable[[AutoscaleView,
+                                             Mapping[str, float]], float]:
+    return lambda view, values: values[name]
+
+
+#: Autoscale's accessor table: ``read(view, values)``, where *values* are
+#: one candidate's signal values (its enumeration mode fills them in).
+AUTOSCALE_ACCESSORS = {name: _candidate_value(name)
+                       for name in AUTOSCALE_SIGNALS.names()}
+
+
 class DslAutoscalePolicy(AutoscalePolicy):
     """A compiled autoscale document run over one candidate enumeration."""
 
@@ -217,16 +228,14 @@ class DslAutoscalePolicy(AutoscalePolicy):
         self.reads_arrivals = compiled.candidates != CANDIDATES_QUEUE_STATE
         #: queue-state bookkeeping: (host_id, function) -> (level, hold).
         self._state: Dict[Tuple[int, str], Tuple[int, int]] = {}
+        self._target = bind_policy(compiled, AUTOSCALE_ACCESSORS)
 
     def _want(self, view: AutoscaleView, values: Mapping[str, float]) -> int:
         """The tree's target under one candidate's signal *values*,
         clamped to ``[0, warm cap]``, so ``+inf`` is the cap and ``-inf``
         no warm worker.  A signal without a value, or a NaN target,
         raises."""
-        resolve = lambda ref: values[ref.name]  # noqa: E731
-        node = self.compiled.leaf(resolve)
-        assert isinstance(node, ValueLeaf)
-        want = node.value(resolve)
+        want = self._target(view, values)
         if math.isnan(want):
             raise ValidationError(
                 f"autoscale policy {self.name!r}: the warm target is NaN")

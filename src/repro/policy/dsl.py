@@ -33,13 +33,19 @@ read node-scoped signals only inside a leaf's ``score``/``where``;
 keep-alive and autoscale trees must end in ``value`` leaves (they yield a
 number).  Which signal names exist — and, for autoscale, which candidate
 enumeration supplies them — comes from :mod:`repro.policy.signals`.
+
+The compiled tree is the validated, inspectable form; nothing walks it
+at decision time.  Each domain adapter calls :func:`bind_policy` once,
+when its policy object is built, with the domain's accessor table (signal
+name → reader), and a decision then runs the bound closures.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, FrozenSet, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.errors import ValidationError
 from repro.policy.signals import (
@@ -72,9 +78,6 @@ CHOOSE_ARGMAX = "argmax"
 SOURCE_BUILTIN = "builtin"
 SOURCE_DSL = "dsl"
 
-#: A resolver maps a compiled signal reference to its current value.
-Resolver = Callable[["SignalRef"], float]
-
 
 def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -91,13 +94,6 @@ class SignalRef:
     name: str
     args: Tuple[Tuple[str, float], ...] = ()
 
-    def arg(self, key: str) -> float:
-        """The value of reference argument *key* (must exist post-compile)."""
-        for name, value in self.args:
-            if name == key:
-                return value
-        raise KeyError(key)
-
 
 @dataclass(frozen=True)
 class Term:
@@ -107,11 +103,6 @@ class Term:
     ref: Optional[SignalRef] = None
     const: float = 0.0
 
-    def value(self, resolve: Resolver) -> float:
-        """This term's contribution under *resolve*."""
-        base = resolve(self.ref) if self.ref is not None else self.const
-        return self.weight * base
-
 
 @dataclass(frozen=True)
 class SumExpr:
@@ -119,16 +110,6 @@ class SumExpr:
 
     terms: Tuple[Term, ...]
     clamp: Optional[Tuple[float, float]] = None
-
-    def value(self, resolve: Resolver) -> float:
-        """Evaluate the sum (then clamp) under *resolve*."""
-        total = 0.0
-        for term in self.terms:
-            total += term.value(resolve)
-        if self.clamp is not None:
-            lo, hi = self.clamp
-            total = min(hi, max(lo, total))
-        return total
 
 
 @dataclass(frozen=True)
@@ -139,13 +120,6 @@ class Condition:
     op: str
     rhs_const: Optional[float] = None
     rhs_ref: Optional[SignalRef] = None
-
-    def holds(self, resolve: Resolver) -> bool:
-        """Whether the comparison is true under *resolve*."""
-        left = resolve(self.lhs)
-        right = (resolve(self.rhs_ref) if self.rhs_ref is not None
-                 else self.rhs_const)
-        return OPERATORS[self.op](left, right)
 
 
 @dataclass(frozen=True)
@@ -163,10 +137,6 @@ class ValueLeaf:
 
     expr: SumExpr
 
-    def value(self, resolve: Resolver) -> float:
-        """The leaf's number under *resolve*."""
-        return self.expr.value(resolve)
-
 
 @dataclass(frozen=True)
 class ChooseLeaf:
@@ -175,17 +145,6 @@ class ChooseLeaf:
     mode: str
     score: Tuple[Term, ...]
     where: Tuple[Condition, ...] = ()
-
-    def admits(self, resolve: Resolver) -> bool:
-        """Whether a candidate passes every ``where`` filter."""
-        return all(cond.holds(resolve) for cond in self.where)
-
-    def score_of(self, resolve: Resolver) -> float:
-        """A candidate's score under *resolve*."""
-        total = 0.0
-        for term in self.score:
-            total += term.value(resolve)
-        return total
 
 
 Node = Union[ConditionNode, ValueLeaf, ChooseLeaf]
@@ -203,14 +162,6 @@ class CompiledPolicy:
     candidates: Optional[str] = None
     #: The source document, kept verbatim for artifacts and hashing.
     document: Mapping[str, object] = field(default_factory=dict)
-
-    def leaf(self, resolve: Resolver) -> Union[ValueLeaf, ChooseLeaf]:
-        """The leaf the tree's conditions select under *resolve*."""
-        node = self.tree
-        while isinstance(node, ConditionNode):
-            node = node.then if node.condition.holds(resolve) \
-                else node.otherwise
-        return node
 
 
 class _Compiler:
@@ -470,3 +421,144 @@ def compile_policy(document: object, path: str = "$") -> CompiledPolicy:
     return CompiledPolicy(name=name, domain=domain, tree=tree,
                           description=description, candidates=candidates,
                           document=document)
+
+
+# ---------------------------------------------------------------------------
+# Binding: a compiled tree against one domain's accessor table
+# ---------------------------------------------------------------------------
+#: ``read(context, subject) -> float``: one signal's value in one decision.
+#: The domain adapter chooses both arguments (placement: the decision and
+#: the candidate host, ``None`` above a ``choose`` leaf; keep-alive: the
+#: arrival history and the function; autoscale: the tick's view and one
+#: candidate's values).  A reference's arguments arrive as keywords.
+Reader = Callable[..., float]
+
+#: ``(context, subject) -> value``: a bound expression, condition or tree.
+Bound = Callable[[object, object], object]
+
+
+@dataclass(frozen=True)
+class BoundChoice:
+    """A ``choose`` leaf bound to its domain's accessors."""
+
+    mode: str
+    #: ``(context, candidate) -> bool``: the ``where`` conditions in
+    #: document order, stopping at the first that fails.
+    admits: Bound
+    #: ``(context, candidate) -> float``: ``0.0`` plus each term's
+    #: ``weight * value``, in document order.
+    score: Bound
+    #: Every signal name the leaf's ``where`` and ``score`` read.
+    reads: FrozenSet[str]
+
+
+def _always(context: object, subject: object) -> bool:
+    del context, subject
+    return True
+
+
+class _Binder:
+    """Binds one compiled policy's nodes to closures over *accessors*."""
+
+    def __init__(self, policy: CompiledPolicy,
+                 accessors: Mapping[str, Reader]) -> None:
+        self.policy = policy
+        self.accessors = accessors
+
+    def ref(self, ref: SignalRef) -> Bound:
+        read = self.accessors.get(ref.name)
+        if read is None:
+            raise ValidationError(
+                f"policy {self.policy.name!r}: the {self.policy.domain} "
+                f"domain has no accessor for signal {ref.name!r}")
+        if not ref.args:
+            return read
+        kwargs = dict(ref.args)
+        return lambda context, subject: read(context, subject, **kwargs)
+
+    def term(self, term: Term) -> Tuple[float, Bound]:
+        if term.ref is not None:
+            return term.weight, self.ref(term.ref)
+        const = term.const
+        return term.weight, lambda context, subject: const
+
+    def terms(self, terms: Sequence[Term]) -> Bound:
+        bound = tuple(self.term(term) for term in terms)
+
+        def total(context: object, subject: object) -> float:
+            value = 0.0
+            for weight, read in bound:
+                value += weight * read(context, subject)
+            return value
+
+        return total
+
+    def expr(self, expr: SumExpr) -> Bound:
+        total = self.terms(expr.terms)
+        if expr.clamp is None:
+            return total
+        lo, hi = expr.clamp
+        return lambda context, subject: min(hi, max(lo,
+                                                    total(context, subject)))
+
+    def condition(self, condition: Condition) -> Bound:
+        compare = OPERATORS[condition.op]
+        left = self.ref(condition.lhs)
+        if condition.rhs_ref is not None:
+            right = self.ref(condition.rhs_ref)
+            return lambda context, subject: compare(left(context, subject),
+                                                    right(context, subject))
+        value = condition.rhs_const
+        return lambda context, subject: compare(left(context, subject),
+                                                value)
+
+    def conjunction(self, conditions: Sequence[Condition]) -> Bound:
+        if not conditions:
+            return _always
+        bound = tuple(self.condition(condition) for condition in conditions)
+
+        def admits(context: object, subject: object) -> bool:
+            for holds in bound:
+                if not holds(context, subject):
+                    return False
+            return True
+
+        return admits
+
+    def choice(self, leaf: ChooseLeaf) -> Bound:
+        refs = [term.ref for term in leaf.score if term.ref is not None]
+        for condition in leaf.where:
+            refs.append(condition.lhs)
+            if condition.rhs_ref is not None:
+                refs.append(condition.rhs_ref)
+        choice = BoundChoice(mode=leaf.mode,
+                             admits=self.conjunction(leaf.where),
+                             score=self.terms(leaf.score),
+                             reads=frozenset(ref.name for ref in refs))
+        return lambda context, subject: choice
+
+    def node(self, node: Node) -> Bound:
+        if isinstance(node, ConditionNode):
+            holds = self.condition(node.condition)
+            then = self.node(node.then)
+            otherwise = self.node(node.otherwise)
+            return lambda context, subject: (
+                then(context, subject) if holds(context, subject)
+                else otherwise(context, subject))
+        if isinstance(node, ChooseLeaf):
+            return self.choice(node)
+        return self.expr(node.expr)
+
+
+def bind_policy(policy: CompiledPolicy,
+                accessors: Mapping[str, Reader]) -> Bound:
+    """Bind *policy*'s tree to *accessors*, its domain's signal readers.
+
+    Returns ``decide(context, subject)``, which runs the tree's
+    conditions (each only on the taken path) down to one leaf: a
+    ``value`` leaf gives its number, a ``choose`` leaf its
+    :class:`BoundChoice`.  A signal the tree reads that *accessors*
+    lacks is a :class:`~repro.errors.ValidationError` now, not at
+    decision time.
+    """
+    return _Binder(policy, accessors).node(policy.tree)

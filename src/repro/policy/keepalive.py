@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from repro.errors import PlatformError
-from repro.policy.dsl import SOURCE_DSL, CompiledPolicy, SignalRef, ValueLeaf
+from repro.errors import PlatformError, ValidationError
+from repro.policy.dsl import SOURCE_DSL, CompiledPolicy, bind_policy
 
 
 class ArrivalHistory:
@@ -137,6 +137,15 @@ class HybridHistogramKeepAlive(KeepAlivePolicy):
         return min(self.max_window_ms, max(self.min_window_ms, gap))
 
 
+#: Keep-alive's accessor table: ``read(history, function)``.
+KEEPALIVE_ACCESSORS: Dict[str, Callable[..., float]] = {
+    "observed_gaps": lambda history, function: float(
+        history.gap_count(function)),
+    "gap_percentile_ms": lambda history, function, q: (
+        history.gap_percentile_ms(function, q)),
+}
+
+
 class DslKeepAlivePolicy(KeepAlivePolicy):
     """A compiled keep-alive document over per-function arrival history."""
 
@@ -146,28 +155,21 @@ class DslKeepAlivePolicy(KeepAlivePolicy):
         self.compiled = compiled
         self.name = compiled.name
         self.history = ArrivalHistory()
+        self._window = bind_policy(compiled, KEEPALIVE_ACCESSORS)
 
     def observe_arrival(self, function: str, now_ms: float) -> None:
         """Record the gap since this function's previous arrival."""
         self.history.observe(function, now_ms)
 
-    def _resolver(self, function: str):
-        history = self.history
-
-        def resolve(ref: SignalRef) -> float:
-            if ref.name == "observed_gaps":
-                return float(history.gap_count(function))
-            # gap_percentile_ms — the only other keepalive signal.
-            return history.gap_percentile_ms(function, ref.arg("q"))
-
-        return resolve
-
     def window_ms(self, function: str) -> float:
-        """The value of the leaf *function*'s signals select."""
-        resolve = self._resolver(function)
-        node = self.compiled.leaf(resolve)
-        assert isinstance(node, ValueLeaf)
-        return node.value(resolve)
+        """The value of the leaf *function*'s signals select.  A NaN
+        window raises: a pool cannot tell whether it has expired."""
+        window = self._window(self.history, function)
+        if math.isnan(window):
+            raise ValidationError(
+                f"keep-alive policy {self.name!r}: the window of "
+                f"{function!r} is NaN")
+        return window
 
     def __repr__(self) -> str:
         return f"DslKeepAlivePolicy({self.name!r})"

@@ -33,18 +33,18 @@ documents decision-identical to :func:`select_node`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import NoHostAvailableError, PlatformError
 from repro.policy.dsl import (
     CHOOSE_ARGMIN,
     SOURCE_BUILTIN,
     SOURCE_DSL,
-    ChooseLeaf,
     CompiledPolicy,
-    SignalRef,
+    bind_policy,
 )
 
 POLICY_ROUND_ROBIN = "round-robin"
@@ -59,8 +59,11 @@ POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED, POLICY_HASH,
 LocalityProbe = Optional[Callable[[object], bool]]
 
 
+@functools.lru_cache(maxsize=4096)
 def home_index(function: str, n_nodes: int) -> int:
-    """The function's home node: a stable hash of its name (OpenWhisk)."""
+    """The function's home node: a stable hash of its name (OpenWhisk).
+
+    Memoised: every placement of a hash-homed policy asks again."""
     digest = hashlib.sha256(function.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big") % n_nodes
 
@@ -151,8 +154,11 @@ class BuiltinPlacementPolicy(PlacementPolicy):
         return f"BuiltinPlacementPolicy({self.name!r})"
 
 
-class _NodeSignals:
-    """Per-evaluation signal resolver over one candidate set."""
+class _Decision:
+    """One placement decision's inputs, as the accessors read them."""
+
+    __slots__ = ("nodes", "n", "function", "rr_cursor", "locality", "home",
+                 "_local")
 
     def __init__(self, nodes: Sequence[object], function: str,
                  rr_cursor: int, locality: LocalityProbe) -> None:
@@ -162,19 +168,16 @@ class _NodeSignals:
         self.rr_cursor = rr_cursor
         self.locality = locality
         self.home = home_index(function, self.n)
-        #: Set when ``rr_offset`` was read on the taken decision path —
-        #: only then does the decision consume (advance) the cursor.
-        self.rr_used = False
         self._local: dict = {}
 
     def is_local(self, node: object) -> bool:
         """Whether the function's state is resident on *node* (memoised
         so the probe runs at most once per node per decision)."""
-        key = id(node)
-        if key not in self._local:
-            self._local[key] = bool(self.locality(node)) if self.locality \
-                else False
-        return self._local[key]
+        local = self._local.get(id(node))
+        if local is None:
+            local = self._local[id(node)] = (
+                bool(self.locality(node)) if self.locality else False)
+        return local
 
     def affinity(self, node: object) -> int:
         """How many times *node* has been assigned this function.
@@ -187,52 +190,35 @@ class _NodeSignals:
             return 0
         return int(counts.get(self.function, 0))
 
-    def aggregate(self, ref: SignalRef) -> float:
-        """Resolve an aggregate-scoped signal."""
-        if ref.name == "n_nodes":
-            return float(self.n)
-        if ref.name == "any_room":
-            return 1.0 if any(n.has_room for n in self.nodes) else 0.0
-        if ref.name == "any_local_with_room":
-            return 1.0 if any(n.has_room and self.is_local(n)
-                              for n in self.nodes) else 0.0
-        if ref.name == "any_fn_affinity":
-            return 1.0 if any(n.has_room and self.affinity(n) > 0
-                              for n in self.nodes) else 0.0
-        raise NoHostAvailableError(  # pragma: no cover - compiler-guarded
-            f"signal {ref.name!r} has no aggregate value")
 
-    def for_node(self, node: object) -> Callable[[SignalRef], float]:
-        """A resolver bound to one candidate *node* (falls back to the
-        aggregate resolver for aggregate-scoped signals)."""
+def _capacity_left(decision: _Decision, node) -> float:
+    capacity = getattr(node, "capacity", None)
+    if capacity is None:
+        return math.inf
+    return float(capacity - node.active)
 
-        def resolve(ref: SignalRef) -> float:
-            name = ref.name
-            if name == "node_id":
-                return float(node.node_id)
-            if name == "active":
-                return float(node.active)
-            if name == "has_room":
-                return 1.0 if node.has_room else 0.0
-            if name == "capacity_left":
-                capacity = getattr(node, "capacity", None)
-                if capacity is None:
-                    return math.inf
-                return float(capacity - node.active)
-            if name == "rr_offset":
-                self.rr_used = True
-                return float((node.node_id - self.rr_cursor) % self.n)
-            if name == "home_distance":
-                return float((node.node_id - self.home) % self.n)
-            if name == "is_home":
-                return 1.0 if node.node_id == self.home else 0.0
-            if name == "local_state":
-                return 1.0 if self.is_local(node) else 0.0
-            if name == "fn_affinity":
-                return float(self.affinity(node))
-            return self.aggregate(ref)
 
-        return resolve
+#: Placement's accessor table: ``read(decision, candidate)``.  Aggregate
+#: signals ignore the candidate (``None`` above a ``choose`` leaf).
+PLACEMENT_ACCESSORS: Dict[str, Callable[[_Decision, object], float]] = {
+    "n_nodes": lambda d, node: float(d.n),
+    "any_room": lambda d, node: (
+        1.0 if any(n.has_room for n in d.nodes) else 0.0),
+    "any_local_with_room": lambda d, node: (
+        1.0 if any(n.has_room and d.is_local(n) for n in d.nodes) else 0.0),
+    "node_id": lambda d, node: float(node.node_id),
+    "active": lambda d, node: float(node.active),
+    "has_room": lambda d, node: 1.0 if node.has_room else 0.0,
+    "capacity_left": _capacity_left,
+    "rr_offset": lambda d, node: float((node.node_id - d.rr_cursor) % d.n),
+    "home_distance": lambda d, node: float((node.node_id - d.home) % d.n),
+    "is_home": lambda d, node: 1.0 if node.node_id == d.home else 0.0,
+    "local_state": lambda d, node: 1.0 if d.is_local(node) else 0.0,
+    "fn_affinity": lambda d, node: float(d.affinity(node)),
+    "any_fn_affinity": lambda d, node: (
+        1.0 if any(n.has_room and d.affinity(n) > 0 for n in d.nodes)
+        else 0.0),
+}
 
 
 class DslPlacementPolicy(PlacementPolicy):
@@ -243,31 +229,30 @@ class DslPlacementPolicy(PlacementPolicy):
     def __init__(self, compiled: CompiledPolicy) -> None:
         self.compiled = compiled
         self.name = compiled.name
+        self._choose = bind_policy(compiled, PLACEMENT_ACCESSORS)
 
     def select(self, nodes: Sequence[object], function: str,
                rr_cursor: int, locality: LocalityProbe = None
                ) -> Tuple[object, int]:
-        """Walk the tree to a ``choose`` leaf and rank the candidates."""
+        """Run the bound tree to a ``choose`` leaf and rank the
+        candidates it admits."""
         if not nodes:
             raise NoHostAvailableError("no nodes to place on")
-        signals = _NodeSignals(nodes, function, rr_cursor, locality)
-        node = self.compiled.leaf(signals.aggregate)
-        assert isinstance(node, ChooseLeaf)
-        scored = []
-        for candidate in nodes:
-            resolve = signals.for_node(candidate)
-            if not node.admits(resolve):
-                continue
-            scored.append((node.score_of(resolve), candidate.node_id,
-                           candidate))
+        decision = _Decision(nodes, function, rr_cursor, locality)
+        leaf = self._choose(decision, None)
+        admits, score = leaf.admits, leaf.score
+        scored = [(score(decision, candidate), candidate.node_id, candidate)
+                  for candidate in nodes if admits(decision, candidate)]
         if not scored:
             raise NoHostAvailableError("all invokers at capacity")
-        if node.mode == CHOOSE_ARGMIN:
+        if leaf.mode == CHOOSE_ARGMIN:
             _, _, chosen = min(scored, key=lambda item: (item[0], item[1]))
         else:
             _, _, chosen = max(scored, key=lambda item: (item[0], -item[1]))
-        if signals.rr_used:
-            return chosen, (chosen.node_id + 1) % signals.n
+        # Every admitted candidate read the whole leaf, so a leaf that
+        # reads ``rr_offset`` read it on the taken path: advance.
+        if "rr_offset" in leaf.reads:
+            return chosen, (chosen.node_id + 1) % decision.n
         return chosen, rr_cursor
 
     def __repr__(self) -> str:

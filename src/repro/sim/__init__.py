@@ -6,7 +6,7 @@ and all randomness flows through named seeded streams.
 """
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.kernel import Simulation
+from repro.sim.kernel import Simulation, SimulationScope
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Request, Resource, Store
 from repro.sim.rng import RngStreams
@@ -21,6 +21,7 @@ __all__ = [
     "Resource",
     "RngStreams",
     "Simulation",
+    "SimulationScope",
     "Store",
     "Timeout",
 ]

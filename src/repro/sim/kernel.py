@@ -49,6 +49,8 @@ reference cycle through its payloads and refcounting frees it.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
@@ -60,7 +62,7 @@ from repro.sim.process import Interrupt, Process
 from repro.sim.rng import RngStreams
 from repro.trace.tracer import Tracer
 
-__all__ = ["Simulation", "Interrupt"]
+__all__ = ["Simulation", "SimulationScope", "Interrupt"]
 
 # Queue entries are (time, urgent_rank, sequence, item): the sequence number
 # makes ordering total and FIFO among same-time events.  ``item`` is an
@@ -150,6 +152,35 @@ class _Wakeup:
         return f"<_Wakeup ok={self._ok} value={self._value!r}>"
 
 
+#: This thread's open :class:`SimulationScope`, if any.
+_SCOPE = threading.local()
+
+
+class SimulationScope:
+    """Every :class:`Simulation` built on this thread while the scope is
+    open, held weakly (``with SimulationScope() as scope: ...``).
+
+    Scopes are per thread, so engines running on worker threads each see
+    only their own simulations.
+    """
+
+    def __init__(self) -> None:
+        self._built: List[weakref.ref] = []
+
+    def __enter__(self) -> "SimulationScope":
+        _SCOPE.current = self
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        _SCOPE.current = None
+
+    def live(self) -> List["Simulation"]:
+        """The simulations built in this scope that are still alive, in
+        construction order."""
+        return [sim for sim in (ref() for ref in self._built)
+                if sim is not None]
+
+
 class Simulation:
     """A deterministic discrete-event simulation.
 
@@ -194,6 +225,9 @@ class Simulation:
         #: Per-invocation span tracing (repro.trace); always on — records
         #: derive their latency breakdown from these spans.
         self.tracer = Tracer(self)
+        scope = getattr(_SCOPE, "current", None)
+        if scope is not None:
+            scope._built.append(weakref.ref(self))
 
     # -- clock ----------------------------------------------------------------
     @property

@@ -489,3 +489,110 @@ class TestDerivedExperiments:
         with pytest.raises(ReproError, match="fig6/faas-fact .* not a "
                                              "declared read"):
             strict("fig6", "faas-fact")
+
+
+class TestShardDrain:
+    """Once a shard's blob is encoded, every simulation it built that is
+    still alive runs its pending work out; work that never ends fails
+    the shard, and a failed shard is not cached."""
+
+    @staticmethod
+    def _register(monkeypatch, experiment_id, run):
+        from repro.bench.experiment import Experiment, render_lines
+        monkeypatch.setitem(experiment_registry(), experiment_id,
+                            Experiment(id=experiment_id, title="drain test",
+                                       render=render_lines, run=run))
+        return Shard(experiment_id, "all")
+
+    def test_pending_work_runs_after_the_result_is_encoded(
+            self, monkeypatch):
+        from repro.bench.engine import _execute_shard
+        from repro.sim import Simulation
+        fired, sims = [], []
+
+        def run(params, seed):
+            sim = Simulation(seed=seed)
+            sims.append(sim)   # alive for the drain whenever the GC runs
+
+            def teardown():
+                yield sim.timeout(3_600_000.0)
+                fired.append(sim.now)
+
+            sim.process(teardown())
+            sim.run(until=10.0)
+            return {"now": sim.now, "fired": len(fired)}
+
+        shard = self._register(monkeypatch, "drain-test", run)
+        blob = _execute_shard(shard, default_parameters(), 2022)
+        assert loads_result(blob) == {"now": 10.0, "fired": 0}
+        assert fired == [3_600_000.0]
+        assert sims[0].peek() == float("inf")
+
+    def test_a_process_that_never_goes_quiet_raises_and_is_not_cached(
+            self, monkeypatch, tmp_path):
+        from repro.errors import UndrainedSimulationError
+        from repro.sim import Simulation
+        sims = []
+
+        def run(params, seed):
+            sim = Simulation(seed=seed)
+
+            def ticker():
+                while True:
+                    yield sim.timeout(60_000.0)
+
+            sim.process(ticker())
+            sim.run(until=1.0)
+            sims.append(sim)
+            return 1.0
+
+        self._register(monkeypatch, "never-quiet", run)
+        with pytest.raises(UndrainedSimulationError,
+                           match="'never-quiet' shard 'all'") as raised:
+            run_experiments(["never-quiet"], cache_dir=str(tmp_path))
+        assert (raised.value.experiment, raised.value.shard) == \
+            ("never-quiet", "all")
+        assert not list(tmp_path.rglob("*.bin"))
+
+    def test_two_threads_each_drain_only_their_own_simulations(
+            self, monkeypatch):
+        from repro.bench.engine import _execute_shard
+        from repro.sim import Simulation
+        both_built = threading.Barrier(2)
+        drained_on, sims = {}, []
+
+        def run(params, seed):
+            sim = Simulation(seed=seed)
+            sims.append(sim)
+            owner = threading.current_thread().name
+
+            def teardown():
+                yield sim.timeout(1_000.0)
+                drained_on[owner] = threading.current_thread().name
+
+            sim.process(teardown())
+            # Both shards are inside their scopes, each with a pending
+            # simulation, before either returns.
+            both_built.wait(timeout=30)
+            return 0
+
+        shards = [self._register(monkeypatch, f"drain-{i}", run)
+                  for i in range(2)]
+        errors = []
+
+        def execute(shard):
+            try:
+                _execute_shard(shard, default_parameters(), 2022)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=execute, args=(shard,),
+                                    name=f"engine-{i}")
+                   for i, shard in enumerate(shards)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert errors == []
+        assert drained_on == {"engine-0": "engine-0",
+                              "engine-1": "engine-1"}

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import operator
 
+from repro.errors import NoHostAvailableError
+from repro.policy.dsl import ConditionNode
 from repro.sim.kernel import Simulation
 from repro.workloads.generator import TraceEvent
 
@@ -53,3 +57,177 @@ def sorted_modulated_trace(popularities, duration_ms: float, rng,
                 events.append(TraceEvent(at_ms=t, function=pop.function))
     events.sort(key=lambda event: (event.at_ms, event.function))
     return events
+
+
+# ---------------------------------------------------------------------------
+# The policy DSL's tree walk: the oracle the bound policies are tested
+# against.  It reads a compiled tree node by node through a resolver, as
+# the evaluator did before documents were bound to accessor tables.
+# ---------------------------------------------------------------------------
+ORACLE_OPERATORS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def oracle_term(term, resolve) -> float:
+    """One term's contribution under *resolve*."""
+    base = resolve(term.ref) if term.ref is not None else term.const
+    return term.weight * base
+
+
+def oracle_sum(terms, resolve) -> float:
+    """``0.0`` plus each term's contribution, in order."""
+    total = 0.0
+    for term in terms:
+        total += oracle_term(term, resolve)
+    return total
+
+
+def oracle_expr(expr, resolve) -> float:
+    """A value leaf's sum, then its clamp."""
+    total = oracle_sum(expr.terms, resolve)
+    if expr.clamp is not None:
+        lo, hi = expr.clamp
+        total = min(hi, max(lo, total))
+    return total
+
+
+def oracle_holds(condition, resolve) -> bool:
+    """Whether one condition is true under *resolve*."""
+    left = resolve(condition.lhs)
+    right = (resolve(condition.rhs_ref) if condition.rhs_ref is not None
+             else condition.rhs_const)
+    return ORACLE_OPERATORS[condition.op](left, right)
+
+
+def oracle_leaf(compiled, resolve):
+    """The leaf the tree's conditions select under *resolve*."""
+    node = compiled.tree
+    while isinstance(node, ConditionNode):
+        node = node.then if oracle_holds(node.condition, resolve) \
+            else node.otherwise
+    return node
+
+
+def oracle_home(function: str, n_nodes: int) -> int:
+    """The function's hash home, computed afresh."""
+    digest = hashlib.sha256(function.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % n_nodes
+
+
+class OracleNodeSignals:
+    """Per-decision placement resolver over one candidate set."""
+
+    def __init__(self, nodes, function, rr_cursor, locality) -> None:
+        self.nodes = nodes
+        self.n = len(nodes)
+        self.function = function
+        self.rr_cursor = rr_cursor
+        self.locality = locality
+        self.home = oracle_home(function, self.n)
+        self.rr_used = False
+        self._local = {}
+
+    def is_local(self, node) -> bool:
+        key = id(node)
+        if key not in self._local:
+            self._local[key] = bool(self.locality(node)) if self.locality \
+                else False
+        return self._local[key]
+
+    def affinity(self, node) -> int:
+        counts = getattr(node, "per_function", None)
+        if not counts:
+            return 0
+        return int(counts.get(self.function, 0))
+
+    def aggregate(self, ref) -> float:
+        if ref.name == "n_nodes":
+            return float(self.n)
+        if ref.name == "any_room":
+            return 1.0 if any(n.has_room for n in self.nodes) else 0.0
+        if ref.name == "any_local_with_room":
+            return 1.0 if any(n.has_room and self.is_local(n)
+                              for n in self.nodes) else 0.0
+        if ref.name == "any_fn_affinity":
+            return 1.0 if any(n.has_room and self.affinity(n) > 0
+                              for n in self.nodes) else 0.0
+        raise AssertionError(f"no aggregate signal {ref.name!r}")
+
+    def for_node(self, node):
+        def resolve(ref) -> float:
+            name = ref.name
+            if name == "node_id":
+                return float(node.node_id)
+            if name == "active":
+                return float(node.active)
+            if name == "has_room":
+                return 1.0 if node.has_room else 0.0
+            if name == "capacity_left":
+                capacity = getattr(node, "capacity", None)
+                if capacity is None:
+                    return math.inf
+                return float(capacity - node.active)
+            if name == "rr_offset":
+                self.rr_used = True
+                return float((node.node_id - self.rr_cursor) % self.n)
+            if name == "home_distance":
+                return float((node.node_id - self.home) % self.n)
+            if name == "is_home":
+                return 1.0 if node.node_id == self.home else 0.0
+            if name == "local_state":
+                return 1.0 if self.is_local(node) else 0.0
+            if name == "fn_affinity":
+                return float(self.affinity(node))
+            return self.aggregate(ref)
+
+        return resolve
+
+
+def oracle_select(compiled, nodes, function, rr_cursor, locality=None):
+    """A placement document's ``(node, new cursor)`` by the tree walk."""
+    if not nodes:
+        raise NoHostAvailableError("no nodes to place on")
+    signals = OracleNodeSignals(nodes, function, rr_cursor, locality)
+    leaf = oracle_leaf(compiled, signals.aggregate)
+    scored = []
+    for candidate in nodes:
+        resolve = signals.for_node(candidate)
+        if not all(oracle_holds(condition, resolve)
+                   for condition in leaf.where):
+            continue
+        scored.append((oracle_sum(leaf.score, resolve), candidate.node_id,
+                       candidate))
+    if not scored:
+        raise NoHostAvailableError("all invokers at capacity")
+    if leaf.mode == "argmin":
+        _, _, chosen = min(scored, key=lambda item: (item[0], item[1]))
+    else:
+        _, _, chosen = max(scored, key=lambda item: (item[0], -item[1]))
+    if signals.rr_used:
+        return chosen, (chosen.node_id + 1) % signals.n
+    return chosen, rr_cursor
+
+
+def oracle_window(compiled, history, function) -> float:
+    """A keep-alive document's raw window for *function*."""
+    def resolve(ref) -> float:
+        if ref.name == "observed_gaps":
+            return float(history.gap_count(function))
+        return history.gap_percentile_ms(function, dict(ref.args)["q"])
+
+    return oracle_expr(oracle_leaf(compiled, resolve).expr, resolve)
+
+
+def oracle_target(compiled, values) -> float:
+    """An autoscale document's raw target under one candidate's
+    signal *values*."""
+    def resolve(ref) -> float:
+        return values[ref.name]
+
+    return oracle_expr(oracle_leaf(compiled, resolve).expr, resolve)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PlatformError
+from repro.errors import PlatformError, ValidationError
 from repro.policy.keepalive import (FixedKeepAlive,
                                     HybridHistogramKeepAlive)
 
@@ -83,6 +83,27 @@ class TestOpenWhiskIntegration:
         platform.sim.run(until=platform.sim.now + 120000.0)
         record = invoke_once(platform, spec.name)
         assert record.mode == "cold"
+
+    def test_a_nan_window_raises_instead_of_leaking_the_container(self):
+        """A document whose window is 0 * inf before any gap is observed
+        stops the run naming the policy: parked with a NaN expiry, the
+        container would be neither live nor expired, never torn down."""
+        from repro.bench import fresh_platform, install_all, invoke_once
+        from repro.platforms.openwhisk import OpenWhiskPlatform
+        from repro.policy import resolve
+        from repro.workloads import faasdom_spec
+
+        policy = resolve("keepalive", {
+            "name": "nan-window", "domain": "keepalive",
+            "tree": {"value": {"sum": [
+                {"signal": {"name": "gap_percentile_ms", "q": 0.5},
+                 "weight": 0.0}]}}})
+        platform = fresh_platform(OpenWhiskPlatform,
+                                  keepalive_policy=policy)
+        spec = faasdom_spec("faas-fact", "nodejs")
+        install_all(platform, [spec])
+        with pytest.raises(ValidationError, match="'nan-window'.*NaN"):
+            invoke_once(platform, spec.name)
 
     def test_default_platform_uses_fixed_policy(self):
         from repro.bench import fresh_platform

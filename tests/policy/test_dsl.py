@@ -17,9 +17,16 @@ from repro.errors import NoHostAvailableError, ValidationError
 from repro.policy import (AUTOSCALE_SIGNALS, ArrivalHistory, AutoscaleView,
                           PolicyRegistry, compile_policy, default_registry,
                           load_policy_dir, resolve, shipped_policy_dir)
-from repro.policy.keepalive import HybridHistogramKeepAlive
-from repro.policy.placement import home_index
-from repro.policy.signals import CANDIDATE_MODES
+from repro.policy.autoscale import AUTOSCALE_ACCESSORS
+from repro.policy.dsl import bind_policy
+from repro.policy.keepalive import KEEPALIVE_ACCESSORS, HybridHistogramKeepAlive
+from repro.policy.placement import PLACEMENT_ACCESSORS, home_index
+from repro.policy.signals import CANDIDATE_MODES, SIGNAL_SETS
+
+#: Each domain's accessor table.
+ACCESSORS = {"placement": PLACEMENT_ACCESSORS,
+             "keepalive": KEEPALIVE_ACCESSORS,
+             "autoscale": AUTOSCALE_ACCESSORS}
 
 
 def _placement_doc(tree):
@@ -289,6 +296,44 @@ class TestDslKeepAlive:
         policy.observe_arrival("fn", 100.0)
         assert policy.window_ms("fn") == 600_000.0   # < 3 gaps observed
 
+    def test_nan_window_raises_naming_the_policy(self):
+        # 0 * gap_percentile_ms is 0 * inf = NaN until a gap is observed.
+        policy = resolve("keepalive", NAN_WINDOW_DOC)
+        with pytest.raises(ValidationError,
+                           match="'nan-window'.*'fn'.*NaN"):
+            policy.window_ms("fn")
+        for now in (0.0, 100.0):
+            policy.observe_arrival("fn", now)
+        assert policy.window_ms("fn") == 0.0
+
+
+#: A keep-alive document the compiler accepts whose window is NaN before
+#: any gap is observed.
+NAN_WINDOW_DOC = {
+    "name": "nan-window", "domain": "keepalive",
+    "tree": {"value": {"sum": [{"signal": {"name": "gap_percentile_ms",
+                                           "q": 0.5},
+                                "weight": 0.0}]}}}
+
+
+class TestBinding:
+    """Each adapter binds its document to its domain's accessor table
+    when the policy is built."""
+
+    @pytest.mark.parametrize("domain", sorted(SIGNAL_SETS))
+    def test_each_accessor_table_covers_exactly_the_declared_signals(
+            self, domain):
+        assert sorted(ACCESSORS[domain]) == \
+            sorted(SIGNAL_SETS[domain].names())
+
+    def test_a_signal_without_an_accessor_fails_when_built(self):
+        compiled = compile_policy(_placement_doc(ARGMIN_ACTIVE))
+        table = dict(PLACEMENT_ACCESSORS)
+        del table["has_room"]
+        with pytest.raises(ValidationError,
+                           match="'t'.*no accessor for signal 'has_room'"):
+            bind_policy(compiled, table)
+
 
 class TestDslAutoscale:
     def test_none_document_is_active_but_silent(self):
@@ -442,8 +487,9 @@ class TestSignalValues:
                         "else": {"value": 2.0}}}
         policy = resolve("keepalive", doc)
         assert policy.window_ms("never-seen") == 2.0
-        assert math.isinf(policy._resolver("never-seen")(
-            compile_policy(doc).tree.condition.lhs))
+        lhs = compile_policy(doc).tree.condition.lhs
+        assert math.isinf(KEEPALIVE_ACCESSORS[lhs.name](
+            policy.history, "never-seen", **dict(lhs.args)))
 
     @pytest.mark.parametrize("mode", CANDIDATE_MODES)
     def test_every_accepted_autoscale_signal_reads_its_own_value(self, mode):

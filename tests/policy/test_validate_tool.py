@@ -38,3 +38,14 @@ def test_every_problem_is_reported(tmp_path, capsys):
                            "missing its 'then' branch")
     assert _tool().main(["validate_policies.py", str(tmp_path)]) == 1
     assert capsys.readouterr().err.count("INVALID: ") == 2
+
+
+def test_a_document_that_cannot_bind_is_reported(tmp_path, monkeypatch):
+    from repro.policy import placement
+    monkeypatch.delitem(placement.PLACEMENT_ACCESSORS, "active")
+    (tmp_path / "unbound.json").write_text(json.dumps(
+        {"name": "unbound", "domain": "placement",
+         "tree": {"choose": "argmin", "score": [{"signal": "active"}]}}))
+    assert _tool().validate_policy_dir(str(tmp_path)) == [
+        "unbound.json: policy 'unbound': the placement domain has no "
+        "accessor for signal 'active'"]

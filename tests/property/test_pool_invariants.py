@@ -19,6 +19,9 @@ relies on:
   changes warm targets at random.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +148,64 @@ class TestWarmPoolInvariants:
         lapsed = pool.drain_expired()
         assert sorted(id(e) for e in lapsed) == \
             sorted(id(e) for e in live_now)
+
+
+# One warm-pool operation with an absolute expiry that may be infinite:
+# (op, function index, expiry offset from now).
+_unbounded_pool_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("add", "take", "size", "advance", "expire_all",
+                         "drain_expired", "drain_all")),
+        st.integers(0, len(FUNCTIONS) - 1),
+        st.one_of(st.floats(min_value=-10.0, max_value=50.0,
+                            allow_nan=False),
+                  st.sampled_from((math.inf, -math.inf)))),
+    min_size=1, max_size=60)
+
+
+class TestEveryEntryLeavesThroughADoor:
+    """Over expiries including ``+inf`` (never expires) and ``-inf``
+    (already expired), an entry leaves a pool only through ``take``,
+    ``drain_expired`` or ``drain_all``; ``size`` and ``expire_all`` only
+    move entries to the expired list, never drop one."""
+
+    @given(_unbounded_pool_ops)
+    @settings(max_examples=200)
+    def test_out_doors_partition_everything_added(self, ops):
+        pool = WarmPool()
+        now = 0.0
+        added, out = [], []
+        for op, fn_index, offset in ops:
+            fn = FUNCTIONS[fn_index]
+            if op == "add":
+                entry = WarmEntry(_StubWorker(), now + offset, paused=False)
+                pool.add(fn, entry)
+                added.append(entry)
+            elif op == "take":
+                entry = pool.take(fn, now)
+                if entry is not None:
+                    assert entry.expires_at_ms > now
+                    out.append(entry)
+            elif op == "size":
+                pool.size(fn, now)
+            elif op == "advance":
+                if 0 < offset < math.inf:
+                    now += offset
+            elif op == "expire_all":
+                pool.expire_all(now)
+            elif op == "drain_expired":
+                out.extend(pool.drain_expired())
+            else:
+                out.extend(pool.drain_all())
+        out.extend(pool.drain_all())
+        assert sorted(id(e) for e in out) == sorted(id(e) for e in added)
+
+    def test_a_nan_expiry_is_refused(self):
+        pool = WarmPool()
+        with pytest.raises(PlatformError, match="NaN expiry"):
+            pool.add("fn-a", WarmEntry(_StubWorker(), math.nan,
+                                       paused=False))
+        assert pool.drain_all() == []
 
 
 # One invoker-pool operation: pick (assign) or release on a random node.

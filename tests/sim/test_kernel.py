@@ -1,9 +1,12 @@
 """Unit tests for the simulation kernel."""
 
+import gc
+import threading
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulation
+from repro.sim import Simulation, SimulationScope
 from tests.helpers import run
 
 
@@ -158,3 +161,39 @@ class TestRunUntilFailedEvent:
         value = sim.run(until=failed)
         assert isinstance(value, RuntimeError)
         assert not failed.ok
+
+
+class TestSimulationScope:
+    """A scope holds, weakly, the simulations built on its own thread
+    while it is open."""
+
+    def test_collects_what_is_built_inside_weakly(self):
+        Simulation()
+        with SimulationScope() as scope:
+            kept = Simulation()
+            Simulation()
+        Simulation()
+        gc.collect()
+        assert scope.live() == [kept]
+
+    def test_each_thread_sees_only_its_own(self):
+        interleave = threading.Barrier(2)
+        seen = {}
+
+        def build(name):
+            with SimulationScope() as scope:
+                mine = [Simulation()]
+                interleave.wait(timeout=30)
+                mine.append(Simulation())
+                interleave.wait(timeout=30)
+            seen[name] = (scope.live(), mine)
+
+        threads = [threading.Thread(target=build, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert sorted(seen) == ["a", "b"]
+        for live, mine in seen.values():
+            assert live == mine

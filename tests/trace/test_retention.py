@@ -19,7 +19,7 @@ import pytest
 from repro.autoscale import WarmPoolAutoscaler
 from repro.bench import fresh_cluster_platform, fresh_platform, install_all
 from repro.bench.chains import tenant_pipeline_dag
-from repro.bench.engine import run_experiments
+from repro.bench.engine import experiment_ids, run_experiments
 from repro.bench.harness import install_chain, invoke_once
 from repro.bench.load import run_load_platform
 from repro.chaos import (KIND_HOST_CRASH, KIND_RESTORE_CORRUPTION,
@@ -482,8 +482,13 @@ class TestRefcountingFreesASimulation:
             self, monkeypatch):
         self._assert_every_simulation_freed(monkeypatch, "fig10")
 
-    @pytest.mark.parametrize("experiment", ["search-smoke", "chains",
-                                            "chaos"])
+    @pytest.mark.parametrize("experiment", [
+        experiment_id for experiment_id in experiment_ids()
+        if experiment_id not in ("load", "fig10", "table2")])
     def test_every_simulation_goes_with_its_last_reference(
             self, monkeypatch, experiment):
+        # The engine drains each shard's simulations, so one that ended
+        # with a teardown or retire still pending goes too.  (``load``
+        # takes minutes, ``fig10`` has its own test above and ``table2``
+        # builds no simulation.)
         self._assert_every_simulation_freed(monkeypatch, experiment)

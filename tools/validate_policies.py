@@ -4,13 +4,14 @@
 Usage: ``python tools/validate_policies.py [directory]``
 
 Each ``*.json`` file must parse, compile through the ``repro.policy``
-DSL compiler, and register without a name collision, with a built-in or
-with another document: each one goes through
+DSL compiler, register without a name collision, with a built-in or
+with another document, and build its policy: each one goes through
 ``PolicyRegistry.register_document``, the path ``load_policy_dir`` takes
-at runtime.  Unlike ``load_policy_dir``, every problem is reported, not
-just the first.  CI runs this so a malformed or duplicate document fails
-the build at review time rather than the first ``repro figure search``
-run.
+at runtime, and then ``entry.create()``, which binds the document to its
+domain's accessor table.  Unlike ``load_policy_dir``, every problem is
+reported, not just the first.  CI runs this so a malformed, duplicate or
+unbindable document fails the build at review time rather than the
+first ``repro figure search`` run.
 
 Exit code 0 when every document is valid, 1 otherwise (problems on
 stderr).
@@ -32,7 +33,8 @@ def validate_policy_dir(directory: str) -> List[str]:
 
     Each document registers on one fresh built-in registry, as
     ``load_policy_dir`` registers it at runtime, so a name that clashes
-    with a built-in or with an earlier document is a problem too.
+    with a built-in or with an earlier document is a problem too; then
+    its policy is built, so a signal its domain cannot read is one.
     """
     from repro.errors import ValidationError
     from repro.policy.registry import builtin_registry
@@ -51,7 +53,7 @@ def validate_policy_dir(directory: str) -> List[str]:
             problems.append(f"{filename}: cannot load: {exc}")
             continue
         try:
-            registry.register_document(document)
+            registry.register_document(document).create()
         except ValidationError as exc:
             problems.append(f"{filename}: {exc}")
     return problems
