@@ -163,6 +163,7 @@ def run_load_sweep(platform_cls: Type[ServerlessPlatform],
 
         processed = [sim.process(request(at)) for at in arrivals]
         sim.run(sim.all_of(processed))
+        sim.run()  # drain the retires still queued, so refcounting frees sim
 
         latencies = [done - started for started, done in completions]
         span_ms = max(done for _, done in completions) - \

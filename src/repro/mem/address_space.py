@@ -5,11 +5,15 @@ A sandbox's guest-physical memory is a set of named regions (``kernel``,
 either by a :class:`~repro.mem.segments.PrivateBlock` (fresh boot — nothing
 shared) or by a MAP_PRIVATE mapping of a :class:`SharedSegment` (snapshot
 restore — everything shared until written).
+
+Every clone of one snapshot image is mapped the same way, so a
+:class:`CloneMap` describes that mapping once and precomputes, as a
+:class:`WritePlan`, the pages a write pass breaks on a fresh clone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import MemoryError_
 from repro.mem.host_memory import HostMemory, mb_to_pages, pages_to_mb
@@ -18,6 +22,8 @@ from repro.mem.segments import PrivateBlock, SharedSegment
 
 class _PrivateMapping:
     """Region backing: exclusively owned pages."""
+
+    __slots__ = ("block",)
 
     def __init__(self, block: PrivateBlock) -> None:
         self.block = block
@@ -53,6 +59,8 @@ class _SharedMapping:
     further growth lands in a private overflow block (fresh anonymous
     memory, e.g. heap expansion past the snapshotted heap).
     """
+
+    __slots__ = ("host", "segment", "kind", "mapper_id", "overflow")
 
     def __init__(self, host: HostMemory, segment: SharedSegment,
                  kind: str) -> None:
@@ -97,6 +105,65 @@ class _SharedMapping:
             self.overflow = None
 
 
+class WritePlan(NamedTuple):
+    """The pages one write pass breaks on a fresh clone, precomputed.
+
+    ``dirty`` is ``(region, pages)`` per shared region, in write order;
+    then ``grow_region`` (``None``: not mapped) grows by ``grow_pages``.
+    """
+
+    dirty: Tuple[Tuple[str, int], ...]
+    grow_region: Optional[str]
+    grow_pages: int
+
+
+class CloneMap:
+    """How every clone of one snapshot image is mapped.
+
+    A fresh private ``vmm`` block of *vmm_mb*, then a MAP_PRIVATE view of
+    each ``(region, segment)`` in order (:meth:`AddressSpace.map_clone`).
+    Until its first write or mapping, every such clone has the same page
+    counts, so what a write pass breaks on it can be planned once.
+    """
+
+    VMM_REGION = "vmm"
+
+    def __init__(self, vmm_mb: float,
+                 segments: Sequence[Tuple[str, SharedSegment]]) -> None:
+        self.vmm_mb = vmm_mb
+        self.segments = tuple(segments)
+
+    def plan(self, fractions: Iterable[Tuple[str, float]],
+             grow_region: str, grow_mb: float) -> Optional[WritePlan]:
+        """What ``touch(fractions, grow_region, grow_mb)`` writes on a
+        fresh clone, as a :class:`WritePlan`.
+
+        ``None`` when the clone must take the general
+        :meth:`AddressSpace.touch`: a mapped region's fraction is out of
+        range (``touch`` raises there, after writing the regions before
+        it), or a region is written twice (the second write may spill).
+        """
+        shared = {region: segment.pages for region, segment in self.segments}
+        pages = {self.VMM_REGION: mb_to_pages(self.vmm_mb), **shared}
+        dirty = []
+        written = set()
+        for region, fraction in fractions:
+            if region not in pages:
+                continue
+            if region in written:
+                return None
+            written.add(region)
+            try:
+                count = _fraction_pages(pages[region], fraction)
+            except MemoryError_:
+                return None
+            if region in shared:  # private writes change no accounting
+                dirty.append((region, count))
+        return WritePlan(tuple(dirty),
+                         grow_region if grow_region in pages else None,
+                         mb_to_pages(grow_mb))
+
+
 class AddressSpace:
     """The guest-physical memory of one sandbox, split into named regions."""
 
@@ -105,6 +172,8 @@ class AddressSpace:
         self.name = name
         self._regions: Dict[str, object] = {}
         self._closed = False
+        # True from map_clone() until the first write or mapping.
+        self._fresh = False
 
     # -- mapping ------------------------------------------------------------
     def map_private(self, region: str, mb: float, kind: str = "") -> None:
@@ -119,6 +188,22 @@ class AddressSpace:
         self._regions[region] = _SharedMapping(
             self.host, segment, segment.kind)
 
+    def map_clone(self, clone_map: CloneMap) -> None:
+        """Map a restored clone: *clone_map*'s private ``vmm`` block, then
+        each of its segments.  The space stays :attr:`fresh` until its
+        first write or mapping."""
+        self.map_private(clone_map.VMM_REGION, clone_map.vmm_mb,
+                         clone_map.VMM_REGION)
+        for region, segment in clone_map.segments:
+            self.map_segment(region, segment)
+        self._fresh = True
+
+    @property
+    def fresh(self) -> bool:
+        """Mapped by :meth:`map_clone` and neither written nor mapped
+        since: a :class:`WritePlan` of its clone map applies as is."""
+        return self._fresh
+
     def has_region(self, region: str) -> bool:
         """Whether *region* is mapped."""
         return region in self._regions
@@ -130,10 +215,12 @@ class AddressSpace:
     # -- writes -------------------------------------------------------------
     def dirty_mb(self, region: str, mb: float) -> None:
         """Write *mb* MiB in *region* (CoW-breaking shared pages first)."""
+        self._fresh = False
         self._mapping(region).dirty(mb_to_pages(mb))
 
     def dirty_fraction(self, region: str, fraction: float) -> None:
         """Write a fraction of *region*'s current pages."""
+        self._fresh = False
         _dirty_fraction(self._mapping(region), fraction)
 
     def touch(self, fractions: Iterable[Tuple[str, float]],
@@ -145,6 +232,7 @@ class AddressSpace:
         *grow_mb* MiB.  A region that is not mapped is skipped, fraction
         check included; each mapped one is looked up once.
         """
+        self._fresh = False
         regions = self._regions
         for region, fraction in fractions:
             mapping = regions.get(region)
@@ -154,8 +242,21 @@ class AddressSpace:
         if mapping is not None:
             mapping.grow(mb_to_pages(grow_mb))
 
+    def write(self, plan: WritePlan) -> None:
+        """Apply *plan* to this :attr:`fresh` clone: the pages
+        :meth:`touch` would write, with one allocation per region."""
+        self._fresh = False
+        regions = self._regions
+        for region, pages in plan.dirty:
+            # A fresh mapping has broken nothing, so nothing spills.
+            mapping = regions[region]
+            mapping.segment.dirty(mapping.mapper_id, pages)
+        if plan.grow_region is not None:
+            regions[plan.grow_region].grow(plan.grow_pages)
+
     def grow_mb(self, region: str, mb: float) -> None:
         """Allocate *mb* MiB of fresh anonymous memory in *region*."""
+        self._fresh = False
         self._mapping(region).grow(mb_to_pages(mb))
 
     # -- accounting ---------------------------------------------------------
@@ -201,6 +302,7 @@ class AddressSpace:
         """Release every region.  Idempotent."""
         if self._closed:
             return
+        self._fresh = False
         for mapping in self._regions.values():
             mapping.unmap()
         self._regions.clear()
@@ -208,6 +310,7 @@ class AddressSpace:
 
     # -- internal -----------------------------------------------------------
     def _check_new_region(self, region: str) -> None:
+        self._fresh = False
         if self._closed:
             raise MemoryError_(f"address space {self.name!r} is closed")
         if region in self._regions:
@@ -225,7 +328,11 @@ class AddressSpace:
                 f"pss={self.pss_mb():.1f}MiB>")
 
 
-def _dirty_fraction(mapping, fraction: float) -> None:
+def _fraction_pages(pages: int, fraction: float) -> int:
     if not 0.0 <= fraction <= 1.0:
         raise MemoryError_(f"dirty fraction {fraction} out of [0, 1]")
-    mapping.dirty(int(round(mapping.pages * fraction)))
+    return int(round(pages * fraction))
+
+
+def _dirty_fraction(mapping, fraction: float) -> None:
+    mapping.dirty(_fraction_pages(mapping.pages, fraction))

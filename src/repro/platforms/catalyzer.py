@@ -26,7 +26,7 @@ from repro.errors import PlatformError
 from repro.platforms.base import (MODE_AUTO, MODE_COLD, MODE_WARM,
                                   ServerlessPlatform)
 from repro.runtime import make_runtime
-from repro.runtime.interpreter import LanguageRuntime
+from repro.runtime.interpreter import RuntimeImage
 from repro.sandbox.base import STATE_RUNNING
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.worker import Worker
@@ -46,9 +46,10 @@ SFORK_MS = 0.9
 class _Template:
     """The resident clean-state sandbox template sfork clones from."""
 
-    def __init__(self, worker: Worker, jit_state) -> None:
+    def __init__(self, worker: Worker) -> None:
         self.worker = worker          # kept resident (memory cost is real)
-        self.jit_state = jit_state    # state captured at checkpoint time
+        # The runtime as checkpointed: every sfork restores a copy.
+        self.runtime = RuntimeImage.capture(worker.runtime)
 
 
 class CatalyzerPlatform(ServerlessPlatform):
@@ -83,8 +84,7 @@ class CatalyzerPlatform(ServerlessPlatform):
             yield from worker.pause()
             # The template stays resident; its pages are shared by sforked
             # children (process sharing — Table 1's memory column).
-            self._templates[(target.host_id, spec.name)] = _Template(
-                worker, worker.runtime.export_jit_state())
+            self._templates[(target.host_id, spec.name)] = _Template(worker)
 
     def on_host_crash(self, host: "Host") -> None:
         """Drop the crashed host's resident templates (they died with the
@@ -142,11 +142,8 @@ class CatalyzerPlatform(ServerlessPlatform):
         sandbox.map_app_memory()
         sandbox.state = STATE_RUNNING
         sandbox.boot_completed_at = self.sim.now
-        runtime = LanguageRuntime.from_snapshot(
-            self.sim, self.params.runtime(spec.language),
-            self.params.memory_layout(spec.language), spec.app,
-            template.jit_state)
-        return Worker(self.sim, sandbox, runtime, app=spec.app)
+        return Worker(self.sim, sandbox, template.runtime.restore(self.sim),
+                      app=spec.app)
 
     def _release_worker(self, spec: FunctionSpec, worker: Worker,
                         host: Host):

@@ -2,7 +2,7 @@
 
 from repro.runtime.interpreter import (AppCode, ExecBreakdown,
                                        ExternalHandlers, GuestFunction,
-                                       LanguageRuntime)
+                                       LanguageRuntime, RuntimeImage)
 from repro.runtime.jit import (INTERPRETED, OPTIMIZED, ComputeCost,
                                FunctionJitState, JitEngine)
 from repro.runtime.dotnet import DotnetRuntime
@@ -37,16 +37,24 @@ __all__ = [
     "Program",
     "PythonRuntime",
     "Respond",
+    "RuntimeImage",
     "program",
+    "runtime_class",
 ]
+
+
+_RUNTIME_CLASSES = {"nodejs": NodeJsRuntime, "python": PythonRuntime,
+                    "dotnet": DotnetRuntime}
+
+
+def runtime_class(language):
+    """The runtime class for *language*."""
+    try:
+        return _RUNTIME_CLASSES[language]
+    except KeyError:
+        raise KeyError(f"unknown language {language!r}") from None
 
 
 def make_runtime(sim, params, language):
     """Factory: the right runtime class for *language*."""
-    if language == "nodejs":
-        return NodeJsRuntime(sim, params)
-    if language == "python":
-        return PythonRuntime(sim, params)
-    if language == "dotnet":
-        return DotnetRuntime(sim, params)
-    raise KeyError(f"unknown language {language!r}")
+    return runtime_class(language)(sim, params)

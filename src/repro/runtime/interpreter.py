@@ -9,7 +9,7 @@ Its JIT state is exportable/importable, which is how post-JIT snapshots carry
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.config import GuestMemoryLayout, RuntimeConfig
 from repro.errors import RuntimeModelError
@@ -253,18 +253,36 @@ class LanguageRuntime:
         """Deep copy of JIT tier state, for the snapshot image."""
         return self.jit.export_state()
 
-    @classmethod
-    def from_snapshot(cls, sim: "Simulation", config: RuntimeConfig,
-                      layout: GuestMemoryLayout, app: AppCode,
-                      jit_state: Dict[str, FunctionJitState]
-                      ) -> "LanguageRuntime":
-        """Reconstruct the runtime as it was at snapshot time.
 
-        Restoring guest memory restores the runtime process mid-flight:
-        launched, app loaded, JIT state exactly as snapshotted.
-        """
-        runtime = cls(sim, config, layout)
-        runtime.state = cls.STATE_LOADED
-        runtime.app = app
-        runtime.jit.import_state(jit_state)
+@dataclass(frozen=True)
+class RuntimeImage:
+    """A runtime process as a snapshot holds it.
+
+    Restoring guest memory restores the process mid-flight, so
+    :meth:`restore` neither launches nor loads: it builds a
+    ``runtime_cls`` process on *config* and *layout* in *state*, with
+    *app* loaded and each guest function's JIT state copied field for
+    field.  Snapshot clones and Catalyzer's sforks are built here.
+    """
+
+    runtime_cls: type
+    config: RuntimeConfig
+    layout: GuestMemoryLayout
+    state: str
+    app: Optional[AppCode] = None
+    jit_state: Mapping[str, FunctionJitState] = field(default_factory=dict)
+
+    @classmethod
+    def capture(cls, runtime: LanguageRuntime) -> "RuntimeImage":
+        """The image of *runtime* now (its JIT state deep-copied)."""
+        return cls(type(runtime), runtime.config, runtime.layout,
+                   runtime.state, runtime.app, runtime.export_jit_state())
+
+    def restore(self, sim: "Simulation") -> LanguageRuntime:
+        """A new process in the imaged state, on *sim*."""
+        runtime = self.runtime_cls.__new__(self.runtime_cls)
+        LanguageRuntime.__init__(runtime, sim, self.config, self.layout)
+        runtime.state = self.state
+        runtime.app = self.app
+        runtime.jit.import_state(self.jit_state)
         return runtime

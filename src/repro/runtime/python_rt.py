@@ -29,6 +29,8 @@ class PythonRuntime(LanguageRuntime):
     """A CPython process, optionally with Numba available."""
 
     language = "python"
+    #: A restored process (``RuntimeImage.restore``) keeps the default.
+    numba_available = True
 
     def __init__(self, sim: "Simulation", params: CalibratedParameters,
                  numba_available: bool = True) -> None:

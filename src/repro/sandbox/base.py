@@ -7,11 +7,12 @@ gVisor container (medium, hardened), or a bare V8 isolate (low).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
-from repro.config import CalibratedParameters, SandboxLatency
+from repro.config import (CalibratedParameters, GuestMemoryLayout,
+                          SandboxLatency)
 from repro.errors import SandboxError
-from repro.mem.address_space import AddressSpace
+from repro.mem.address_space import AddressSpace, WritePlan
 from repro.mem.host_memory import HostMemory
 from repro.storage.filesystem import IoPathModel
 
@@ -29,28 +30,62 @@ STATE_PAUSED = "paused"
 STATE_STOPPED = "stopped"
 
 
+class SandboxShell(NamedTuple):
+    """What a sandbox takes from the parameters: its latency table, its
+    guest memory layout and the I/O-path model over that table."""
+
+    latency: SandboxLatency
+    layout: GuestMemoryLayout
+    io: IoPathModel
+
+
+def first_execution_writes(layout: GuestMemoryLayout
+                           ) -> Tuple[Tuple[Tuple[str, float], ...], str,
+                                      float]:
+    """The pages one invocation touches, as ``AddressSpace.touch``
+    arguments: ``(region, fraction)`` writes, the region that grows and
+    by how many MiB."""
+    text = layout.exec_dirty_text_fraction
+    return ((("heap", layout.exec_dirty_heap_fraction),
+             ("jit_code", layout.exec_dirty_jit_fraction),
+             ("kernel", text), ("runtime", text), ("app", text)),
+            "heap", layout.exec_extra_anon_mb)
+
+
 class Sandbox:
     """Common lifecycle for all sandbox mechanisms."""
 
     mechanism = "abstract"
     isolation = ISOLATION_MEDIUM_CONTAINER
+    #: Precomputed first-execution writes of a fresh snapshot clone; set
+    #: by the restorer, applied only while the address space is fresh.
+    first_execution_plan: Optional[WritePlan] = None
 
     def __init__(self, sim: "Simulation", params: CalibratedParameters,
                  host_memory: HostMemory, language: str,
-                 name: str = "") -> None:
+                 name: str = "", shell: Optional[SandboxShell] = None
+                 ) -> None:
         self.sim = sim
         self.params = params
-        self.latency: SandboxLatency = params.latency(self.mechanism)
-        self.layout = params.memory_layout(language)
+        if shell is None:
+            shell = self.shell(params, language)
+        self.latency, self.layout, self.io = shell
         self.language = language
         if not name:
             sim.sandbox_serial += 1
             name = f"{self.mechanism}-{sim.sandbox_serial}"
         self.name = name
-        self.io = IoPathModel(self.latency)
         self.space = AddressSpace(host_memory, name=self.name)
         self.state = STATE_CREATED
         self.boot_completed_at: Optional[float] = None
+
+    @classmethod
+    def shell(cls, params: CalibratedParameters,
+              language: str) -> SandboxShell:
+        """This mechanism's shell for *language* under *params*."""
+        latency = params.latency(cls.mechanism)
+        return SandboxShell(latency, params.memory_layout(language),
+                            IoPathModel(latency))
 
     # -- lifecycle (simulation generators) -------------------------------------
     def boot(self):
@@ -117,13 +152,16 @@ class Sandbox:
 
     # -- execution memory effects -------------------------------------------------
     def account_first_execution(self) -> None:
-        """Dirty the pages one invocation touches (CoW-breaks if shared)."""
-        layout = self.layout
-        text = layout.exec_dirty_text_fraction
-        self.space.touch((("heap", layout.exec_dirty_heap_fraction),
-                          ("jit_code", layout.exec_dirty_jit_fraction),
-                          ("kernel", text), ("runtime", text), ("app", text)),
-                         "heap", layout.exec_extra_anon_mb)
+        """Dirty the pages one invocation touches (CoW-breaks if shared).
+
+        A snapshot clone that nothing has written or mapped since its
+        restore applies its image's precomputed plan of those writes.
+        """
+        plan = self.first_execution_plan
+        if plan is not None and self.space.fresh:
+            self.space.write(plan)
+        else:
+            self.space.touch(*first_execution_writes(self.layout))
 
     def account_steady_state(self) -> None:
         """Dirty pages under sustained load (Fig 10's long-running VMs)."""

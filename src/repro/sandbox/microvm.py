@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from repro.errors import SandboxError
 from repro.net.address import IpAddress, MacAddress
-from repro.sandbox.base import ISOLATION_HIGH_VM, Sandbox
+from repro.sandbox.base import ISOLATION_HIGH_VM, Sandbox, SandboxShell
 
 
 class Mmds:
@@ -43,8 +43,10 @@ class MicroVM(Sandbox):
     isolation = ISOLATION_HIGH_VM
 
     def __init__(self, sim, params, host_memory, language,
-                 name: str = "", mmds: Optional[Mmds] = None) -> None:
-        super().__init__(sim, params, host_memory, language, name=name)
+                 name: str = "", mmds: Optional[Mmds] = None,
+                 shell: Optional[SandboxShell] = None) -> None:
+        super().__init__(sim, params, host_memory, language, name=name,
+                         shell=shell)
         self.guest_ip: Optional[IpAddress] = None
         self.guest_mac: Optional[MacAddress] = None
         # A clone may be handed a pre-populated MMDS (identity written

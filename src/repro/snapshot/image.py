@@ -15,7 +15,7 @@ snapshot").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import SnapshotNotFoundError
 from repro.mem.host_memory import HostMemory
@@ -24,6 +24,9 @@ from repro.net.address import IpAddress, MacAddress
 from repro.runtime.interpreter import AppCode
 from repro.runtime.jit import FunctionJitState
 from repro.snapshot.chunks import DEFAULT_CHUNK_MB, ChunkMap
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.snapshot.restorer import CloneTemplate
 
 # Snapshot stages (Fig 11/12 factor analysis).
 STAGE_OS = "os"              # after guest OS boot + runtime agent launch
@@ -49,6 +52,10 @@ class SnapshotImage:
     generation: int = 1      # bumped by ASLR-driven regeneration (§6)
     _segments: Dict[str, SharedSegment] = field(default_factory=dict)
     _host: Optional[HostMemory] = None
+    #: What every clone of the materialised segments is built from
+    #: (set by the restorer); goes with them.
+    template: Optional["CloneTemplate"] = field(default=None, init=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         if self.stage not in _VALID_STAGES:
@@ -86,10 +93,12 @@ class SnapshotImage:
         return bool(self._segments)
 
     def on_evicted(self) -> None:
-        """Store eviction hook: drop the page-cache pin."""
+        """Store eviction hook: drop the page-cache pin, and the clone
+        template with the segments it maps."""
         for segment in self._segments.values():
             segment.unpin()
         self._segments.clear()
+        self.template = None
 
     def clone_for_transfer(self) -> "SnapshotImage":
         """A same-generation replica for another host's snapshot store.

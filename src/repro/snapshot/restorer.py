@@ -5,6 +5,11 @@ as a file into memory".  The restored microVM maps every image region
 MAP_PRIVATE from the image's page-cache segments, so clones share all clean
 pages (Figure 4) and CoW-break only what they write.
 
+Every clone of one materialised image is built from that image's
+:class:`CloneTemplate`: the microVM shell, the clone map (one call maps the
+VMM block and attaches every segment), the runtime image and the
+precomputed first-execution page writes.
+
 Four restore policies are modeled:
 
 * ``demand``      — demand paging with a warm page cache (the common case on
@@ -28,15 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.chaos.plan import KIND_RESTORE_CORRUPTION
 from repro.config import CalibratedParameters
 from repro.errors import SnapshotNotFoundError, ValidationError
+from repro.mem.address_space import CloneMap
 from repro.mem.host_memory import HostMemory
-from repro.runtime import make_runtime
-from repro.runtime.interpreter import LanguageRuntime
-from repro.sandbox.base import STATE_RUNNING
+from repro.mem.segments import SharedSegment
+from repro.runtime import runtime_class
+from repro.runtime.interpreter import LanguageRuntime, RuntimeImage
+from repro.sandbox.base import STATE_RUNNING, first_execution_writes
 from repro.sandbox.microvm import MicroVM
 from repro.sandbox.worker import Worker
 from repro.snapshot.image import STAGE_OS, SnapshotImage
@@ -75,6 +82,40 @@ class LazyRestorePlan:
     def bytes_moved_mb(self) -> float:
         """Bytes actually read from the store file."""
         return self.prefetch_mb + self.faulted_mb
+
+
+class CloneTemplate:
+    """What every clone of one materialised image is built from.
+
+    Only pure functions of the image and the parameters: the microVM
+    shell (layout, latency table, I/O model), the clone map (the VMM MiB
+    and the image's segments in ``regions_mb`` order), the runtime image
+    and the plan of the first execution's page writes.  It holds no
+    simulation, tracer, worker or host.  ``runtime`` is ``None`` for a
+    loaded-stage image with no app, which cannot be restored.
+    """
+
+    __slots__ = ("params", "shell", "clone_map", "plan", "runtime")
+
+    def __init__(self, image: SnapshotImage, params: CalibratedParameters,
+                 segments: Dict[str, SharedSegment]) -> None:
+        self.params = params
+        self.shell = MicroVM.shell(params, image.language)
+        layout = self.shell.layout
+        self.clone_map = CloneMap(layout.vmm_overhead_mb, segments.items())
+        self.plan = self.clone_map.plan(*first_execution_writes(layout))
+        runtime_cls = runtime_class(image.language)
+        config = params.runtime(image.language)
+        if image.stage == STAGE_OS:
+            # The OS-stage image has the runtime agent up, nothing loaded.
+            self.runtime = RuntimeImage(runtime_cls, config, layout,
+                                        LanguageRuntime.STATE_LAUNCHED)
+        elif image.app is None:
+            self.runtime = None
+        else:
+            self.runtime = RuntimeImage(runtime_cls, config, layout,
+                                        LanguageRuntime.STATE_LOADED,
+                                        image.app, image.jit_state)
 
 
 class Restorer:
@@ -205,12 +246,13 @@ class Restorer:
                 yield self.sim.timeout(cfg.restore_base_ms)
                 duration = max(0.0, duration - cfg.restore_base_ms)
                 self.chaos.check(KIND_RESTORE_CORRUPTION, image.key)
-            segments = image.materialize(self.host_memory)
+            template = self._template_for(image)
             self._clone_counter += 1
             vm_name = name or f"{image.key}-clone-{self._clone_counter}"
 
             microvm = MicroVM(self.sim, self.params, self.host_memory,
-                              image.language, name=vm_name, mmds=mmds)
+                              image.language, name=vm_name, mmds=mmds,
+                              shell=template.shell)
             # Snapshot clones inherit the snapshotted network identity
             # verbatim (§3.5) — the namespace/NAT layer makes that safe.
             microvm.assign_guest_addresses(image.guest_ip, image.guest_mac)
@@ -226,14 +268,15 @@ class Restorer:
 
             # Map guest memory from the shared image segments, VMM state
             # fresh.
-            microvm.space.map_private("vmm", microvm.layout.vmm_overhead_mb,
-                                      "vmm")
-            for region, segment in segments.items():
-                microvm.space.map_segment(region, segment)
+            microvm.space.map_clone(template.clone_map)
+            microvm.first_execution_plan = template.plan
             microvm.state = STATE_RUNNING
             microvm.boot_completed_at = self.sim.now
 
-            runtime = self._rebuild_runtime(image)
+            if template.runtime is None:
+                raise SnapshotNotFoundError(
+                    f"{image.stage} image {image.key!r} has no app recorded")
+            runtime = template.runtime.restore(self.sim)
         return Worker(self.sim, microvm, runtime, app=image.app)
 
     def _lazy_load(self, image: SnapshotImage, restore_span,
@@ -264,16 +307,11 @@ class Restorer:
         restore_span.attrs["demand_faulted_mb"] = plan.faulted_mb
 
     # -- internal -----------------------------------------------------------------
-    def _rebuild_runtime(self, image: SnapshotImage) -> LanguageRuntime:
-        runtime = make_runtime(self.sim, self.params, image.language)
-        if image.stage == STAGE_OS:
-            # The OS-stage image has the runtime agent up but nothing loaded.
-            runtime.state = LanguageRuntime.STATE_LAUNCHED
-            return runtime
-        if image.app is None:
-            raise SnapshotNotFoundError(
-                f"{image.stage} image {image.key!r} has no app recorded")
-        runtime.state = LanguageRuntime.STATE_LOADED
-        runtime.app = image.app
-        runtime.jit.import_state(image.jit_state)
-        return runtime
+    def _template_for(self, image: SnapshotImage) -> CloneTemplate:
+        """*image*'s clone template, built (materialising the image) the
+        first time this restorer's parameters restore it."""
+        template = image.template
+        if template is None or template.params is not self.params:
+            template = image.template = CloneTemplate(
+                image, self.params, image.materialize(self.host_memory))
+        return template

@@ -56,9 +56,10 @@ class TestSeededDeterminism:
 
 class TestSimulatedWorkIsPinned:
     """A host-side speed-up must not change one simulated event.  A 3 s
-    seed-2022 replay fires the events, opens the spans and ends with the
-    outcomes it did when these numbers were measured; a change that moves
-    any of them changes what is simulated, not how fast."""
+    seed-2022 replay fires the events, opens the spans, ends with the
+    outcomes and leaves the host pages it did when these numbers were
+    measured; a change that moves any of them changes what is simulated,
+    not how fast."""
 
     def test_events_spans_and_outcomes(self, monkeypatch):
         calls = Counter()
@@ -80,6 +81,13 @@ class TestSimulatedWorkIsPinned:
         assert (calls["span"], calls["add_span"]) == (16_412, 0)
         assert (ledger.completed, ledger.shed, ledger.failed) == \
             (1_346, 11, 0)
+        # Host pages: each host's peak, and what is still resident once
+        # the replay has drained (image page caches, pooled clones).
+        # Integers, so no float summation order can move them.
+        assert [(host.memory.peak_pages, host.memory.used_pages)
+                for host in platform.cluster.hosts] == [
+            (270_895, 221_696), (227_375, 178_176), (227_375, 176_128),
+            (278_216, 221_696)]
 
 
 class TestChaosCrashMidTrace:

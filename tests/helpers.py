@@ -6,9 +6,17 @@ import hashlib
 import math
 import operator
 
-from repro.errors import NoHostAvailableError
+from repro.chaos.plan import KIND_RESTORE_CORRUPTION
+from repro.errors import NoHostAvailableError, SnapshotNotFoundError
 from repro.policy.dsl import ConditionNode
+from repro.runtime import make_runtime
+from repro.runtime.interpreter import LanguageRuntime
+from repro.sandbox.base import STATE_RUNNING
+from repro.sandbox.microvm import MicroVM
+from repro.sandbox.worker import Worker
 from repro.sim.kernel import Simulation
+from repro.snapshot.image import STAGE_OS
+from repro.snapshot.restorer import POLICY_DEMAND, POLICY_LAZY
 from repro.workloads.generator import TraceEvent
 
 
@@ -231,3 +239,86 @@ def oracle_target(compiled, values) -> float:
         return values[ref.name]
 
     return oracle_expr(oracle_leaf(compiled, resolve).expr, resolve)
+
+
+# ---------------------------------------------------------------------------
+# Snapshot-clone oracle: a restore built the way every clone was built
+# before clone templates (tests/property/test_clone_template.py).
+# ---------------------------------------------------------------------------
+class OracleMicroVM(MicroVM):
+    """A microVM whose shell is looked up per clone (``MicroVM(...)`` with
+    no shell) and whose first execution runs the general ``touch``."""
+
+    def account_first_execution(self) -> None:
+        layout = self.layout
+        text = layout.exec_dirty_text_fraction
+        self.space.touch((("heap", layout.exec_dirty_heap_fraction),
+                          ("jit_code", layout.exec_dirty_jit_fraction),
+                          ("kernel", text), ("runtime", text), ("app", text)),
+                         "heap", layout.exec_extra_anon_mb)
+
+
+def oracle_rebuild_runtime(restorer, image) -> LanguageRuntime:
+    """The restored runtime: ``make_runtime``, then ``import_state``."""
+    runtime = make_runtime(restorer.sim, restorer.params, image.language)
+    if image.stage == STAGE_OS:
+        runtime.state = LanguageRuntime.STATE_LAUNCHED
+        return runtime
+    if image.app is None:
+        raise SnapshotNotFoundError(
+            f"{image.stage} image {image.key!r} has no app recorded")
+    runtime.state = LanguageRuntime.STATE_LOADED
+    runtime.app = image.app
+    runtime.jit.import_state(image.jit_state)
+    return runtime
+
+
+def oracle_restore(restorer, image, policy: str = POLICY_DEMAND,
+                   name: str = "", mmds=None):
+    """``Restorer.restore`` with the per-clone construction path: the
+    image materialised on every restore, a ``MicroVM`` built from the
+    parameters, a ``map_private`` and one ``map_segment`` per region, and
+    the runtime rebuilt by ``oracle_rebuild_runtime``."""
+    sim = restorer.sim
+    restore_span = sim.tracer.span(
+        "restore", policy=policy, image=image.key, stage=image.stage,
+        image_mb=image.size_mb, generation=image.generation)
+    with restore_span:
+        duration = restorer.restore_ms(image, policy)
+        slowdown = 1.0
+        base_elapsed = restorer.chaos is not None
+        if base_elapsed:
+            slowdown = restorer.chaos.restore_slowdown(sim.now)
+            if slowdown != 1.0:
+                duration *= slowdown
+                restore_span.attrs["slowdown"] = slowdown
+            cfg = restorer.params.snapshot
+            yield sim.timeout(cfg.restore_base_ms)
+            duration = max(0.0, duration - cfg.restore_base_ms)
+            restorer.chaos.check(KIND_RESTORE_CORRUPTION, image.key)
+        segments = image.materialize(restorer.host_memory)
+        restorer._clone_counter += 1
+        vm_name = name or f"{image.key}-clone-{restorer._clone_counter}"
+
+        microvm = OracleMicroVM(sim, restorer.params, restorer.host_memory,
+                                image.language, name=vm_name, mmds=mmds)
+        microvm.assign_guest_addresses(image.guest_ip, image.guest_mac)
+        microvm.restored_from_snapshot = True
+
+        if policy == POLICY_LAZY:
+            yield from restorer._lazy_load(image, restore_span, slowdown,
+                                           base_elapsed)
+        else:
+            restore_span.attrs["bytes_moved_mb"] = restorer.bytes_moved_mb(
+                image, policy)
+            yield sim.timeout(duration)
+
+        microvm.space.map_private("vmm", microvm.layout.vmm_overhead_mb,
+                                  "vmm")
+        for region, segment in segments.items():
+            microvm.space.map_segment(region, segment)
+        microvm.state = STATE_RUNNING
+        microvm.boot_completed_at = sim.now
+
+        runtime = oracle_rebuild_runtime(restorer, image)
+    return Worker(sim, microvm, runtime, app=image.app)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import HostConfig
 from repro.errors import MemoryError_
-from repro.mem.address_space import AddressSpace
+from repro.mem.address_space import AddressSpace, CloneMap
 from repro.mem.host_memory import HostMemory
 
 
@@ -122,3 +122,63 @@ class TestSharedRegions:
         other.map_segment("kernel", segment)
         assert space.pss_mb() == pytest.approx(25 + 8)
         assert space.rss_mb() == pytest.approx(58)
+
+
+class TestCloneMap:
+    """A clone map and the write plan it precomputes for fresh clones."""
+
+    FRACTIONS = (("heap", 0.4), ("jit_code", 0.1), ("kernel", 0.04))
+
+    def _clone_map(self, host):
+        return CloneMap(8, [("kernel", host.create_segment(40, "kernel")),
+                            ("heap", host.create_segment(20.3, "heap"))])
+
+    def test_plan_is_what_touch_writes_on_a_fresh_clone(self, host):
+        clone_map = self._clone_map(host)
+        planned, touched = AddressSpace(host, "a"), AddressSpace(host, "b")
+        planned.map_clone(clone_map)
+        touched.map_clone(clone_map)
+        assert planned.fresh and touched.fresh
+        plan = clone_map.plan(self.FRACTIONS, "heap", 6)
+        # 40 MiB is 10 240 pages: 409.6 rounds up; no jit_code is mapped.
+        assert plan.dirty == (("heap", 2079), ("kernel", 410))
+        before = host.used_pages
+        planned.write(plan)
+        planned_pages = host.used_pages - before
+        touched.touch(self.FRACTIONS, "heap", 6)
+        assert host.used_pages - before == 2 * planned_pages
+        assert planned.uss_mb() == touched.uss_mb()
+        assert not planned.fresh and not touched.fresh
+
+    def test_any_write_or_mapping_ends_freshness(self, host):
+        clone_map = self._clone_map(host)
+        for write in (lambda s: s.dirty_mb("heap", 1),
+                      lambda s: s.dirty_fraction("kernel", 0.5),
+                      lambda s: s.grow_mb("heap", 1),
+                      lambda s: s.touch((), "heap", 0),
+                      lambda s: s.map_private("app", 4),
+                      lambda s: s.unmap_all()):
+            space = AddressSpace(host, "vm")
+            space.map_clone(clone_map)
+            write(space)
+            assert not space.fresh
+
+    def test_no_plan_where_touch_must_run(self, host):
+        clone_map = self._clone_map(host)
+        # An out-of-range fraction of a mapped region raises in touch;
+        # one of an unmapped region is skipped, as touch skips it.
+        assert clone_map.plan((("heap", 1.5),), "heap", 6) is None
+        assert clone_map.plan((("app", 1.5),), "heap", 6) is not None
+        # A region written twice may spill on its second write.
+        assert clone_map.plan((("heap", 0.4), ("heap", 0.9)),
+                              "heap", 6) is None
+
+    def test_map_clone_keeps_the_new_region_checks(self, host):
+        clone_map = self._clone_map(host)
+        space = AddressSpace(host, "vm")
+        space.map_clone(clone_map)
+        with pytest.raises(MemoryError_, match="already mapped"):
+            space.map_clone(clone_map)
+        space.unmap_all()
+        with pytest.raises(MemoryError_, match="closed"):
+            space.map_clone(clone_map)

@@ -165,14 +165,18 @@ class TestSnapshotRestore:
     def test_from_snapshot_is_loaded_with_jit_state(self, sim, params):
         runtime = _ready_runtime(sim, params)
         run(sim, runtime.force_jit_all())
-        state = runtime.export_jit_state()
 
-        from repro.runtime.interpreter import LanguageRuntime
-        clone = LanguageRuntime.from_snapshot(
-            sim, params.runtime("nodejs"),
-            params.memory_layout("nodejs"), runtime.app, state)
+        from repro.runtime.interpreter import RuntimeImage
+        clone = RuntimeImage.capture(runtime).restore(sim)
+        assert type(clone) is type(runtime)
         assert clone.state == clone.STATE_LOADED
+        assert clone.app is runtime.app
         assert clone.jit.optimized_functions() == ("main",)
+        # Copied field for field: the clone's tier state is its own.
+        assert clone.jit.state("main") == runtime.jit.state("main")
+        assert clone.jit.state("main") is not runtime.jit.state("main")
+        assert (clone.jit.state("main").trained_shapes
+                is not runtime.jit.state("main").trained_shapes)
 
     def test_v8_optimization_status_helper(self, sim, params):
         from repro.runtime.nodejs import NodeJsRuntime

@@ -1,8 +1,10 @@
 """Unit tests for snapshot restore: CoW sharing and the restore policies."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import SnapshotNotFoundError, ValidationError
+from repro.errors import MemoryError_, SnapshotNotFoundError, ValidationError
 from repro.net.address import IpAddress, MacAddress
 from repro.runtime import make_runtime
 from repro.runtime.interpreter import AppCode, GuestFunction
@@ -89,6 +91,21 @@ class TestRestore:
             Compute(100, arg_shape=("int",)))))
         assert first.runtime.jit.state("main").deopt_count == 1
         assert second.runtime.jit.state("main").deopt_count == 0
+
+    def test_out_of_range_exec_fraction_raises_at_first_run(
+            self, sim, params, host, image):
+        # No page plan then: the general touch raises at the clone's
+        # first run, after writing the heap that comes before jit_code.
+        layout = dataclasses.replace(params.memory_layout("nodejs"),
+                                     exec_dirty_jit_fraction=1.5)
+        bad = dataclasses.replace(params, memory_layouts={
+            **params.memory_layouts, "nodejs": layout})
+        clone = run(sim, Restorer(sim, bad, host).restore(image))
+        assert image.template.params is bad and image.template.plan is None
+        with pytest.raises(MemoryError_, match="out of"):
+            run(sim, clone.invoke(program(Compute(100))))
+        heap = dict(image.template.clone_map.segments)["heap"]
+        assert heap.total_dirty_pages > 0
 
     def test_os_stage_restore_needs_app_load(self, sim, params, host,
                                              restorer):

@@ -19,6 +19,7 @@ import pytest
 from repro.autoscale import WarmPoolAutoscaler
 from repro.bench import fresh_cluster_platform, fresh_platform, install_all
 from repro.bench.chains import tenant_pipeline_dag
+from repro.bench.concurrency import run_load_sweep
 from repro.bench.engine import experiment_ids, run_experiments
 from repro.bench.harness import install_chain, invoke_once
 from repro.bench.load import run_load_platform
@@ -465,7 +466,9 @@ class TestRefcountingFreesASimulation:
             assert event.on_abandoned is None
             assert not _refers_to_itself(event)
 
-    def _assert_every_simulation_freed(self, monkeypatch, experiment: str):
+    @staticmethod
+    def _track_simulations(monkeypatch) -> list:
+        """A list that gets a weak reference to each Simulation built."""
         built = []
         init = Simulation.__init__
 
@@ -474,9 +477,24 @@ class TestRefcountingFreesASimulation:
             built.append(weakref.ref(sim))
 
         monkeypatch.setattr(Simulation, "__init__", tracking_init)
+        return built
+
+    def _assert_every_simulation_freed(self, monkeypatch, experiment: str):
+        built = self._track_simulations(monkeypatch)
         run_experiments([experiment], use_cache=False)
         assert built
         assert [ref() for ref in built] == [None] * len(built)
+
+    def test_every_load_sweep_simulation_goes_with_the_call(
+            self, monkeypatch):
+        # Called directly, outside the engine's drain: each rate must
+        # drain its own simulation, whose retires outlive the requests.
+        built = self._track_simulations(monkeypatch)
+        points = run_load_sweep(FireworksPlatform, rates_rps=(20.0, 60.0),
+                                seed=2022)
+        assert tuple(points) == (20.0, 60.0)
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
 
     def test_every_fig10_simulation_goes_with_its_last_reference(
             self, monkeypatch):
