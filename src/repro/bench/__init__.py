@@ -14,7 +14,7 @@ from repro.bench.ablations import (DeoptResult, KeepAliveOutcome,
 from repro.bench.concurrency import BurstResult, run_burst
 from repro.bench.engine import (ResultCache, experiment_ids,
                                 run_experiments)
-from repro.bench.stats import LatencyStats, histogram, percentile
+from repro.bench.stats import LatencyStats, percentile
 from repro.bench.factors import FactorRow, run_factor_analysis
 from repro.bench.faasdom_experiments import run_faasdom_benchmark
 from repro.bench.cluster import (ClusterPolicyOutcome,
@@ -27,7 +27,6 @@ from repro.bench.export import export_all
 from repro.bench.memory import (FACTOR_CONFIGS, fig12_improvements,
                                 run_fig4_view, run_fig10_platform,
                                 run_fig12_workload)
-from repro.bench.paper import comparison_summary, headline_comparisons
 from repro.bench.realworld import run_fig9
 from repro.bench.results import (FigureResult, LatencyRow, MemoryPoint,
                                  MemorySeries, PaperComparison,
@@ -51,18 +50,15 @@ __all__ = [
     "PolicyComparison",
     "ResultCache",
     "cold_and_warm",
-    "comparison_summary",
     "drain",
     "experiment_ids",
     "export_all",
     "fig12_improvements",
-    "headline_comparisons",
     "fireworks_invocation",
     "format_comparisons",
     "fresh_cluster_platform",
     "fresh_platform",
     "geometric_mean",
-    "histogram",
     "install_all",
     "install_chain",
     "invoke_once",

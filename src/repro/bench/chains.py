@@ -4,7 +4,7 @@ Replays a Zipf-popular, diurnally phase-shifted multi-tenant chain trace
 (:func:`repro.workloads.generator.multi_tenant_chain_trace`) open loop
 across a cluster: every submission is a whole **DAG** driven by the
 :class:`~repro.platforms.chains.ChainExecutor` — fan-out/fan-in, a
-conditional audit stage, and a CouchDB change-feed trigger edge per
+conditional audit stage, and a CouchDB database-trigger edge per
 tenant — through the real admission, autoscale, and placement stack.
 
 Each tenant owns two workflows over its own function namespace:
@@ -13,7 +13,7 @@ Each tenant owns two workflows over its own function namespace:
   to ``join``; high-priority submissions additionally take a conditional
   edge to ``audit``;
 * **pipeline** — ``ingest -> store``; ``store`` writes the tenant's
-  events database, whose change feed triggers ``report`` (executor-run,
+  events database, whose writes trigger ``report`` (executor-run,
   so the trigger segment works on every backend).
 
 Rows compare the five backends under two placement policies: the default
@@ -85,7 +85,7 @@ class ChainOutcome:
     completed: int                # runs with every dispatched stage ok
     failed: int                   # runs with a shed/failed stage
     stages: int                   # stage dispatches (ledger total)
-    triggers: int                 # change-feed segments fired
+    triggers: int                 # trigger segments fired
     shed_stages: int
     failed_stages: int
     latency: LatencyStats         # chain end-to-end, completed runs only
@@ -181,7 +181,7 @@ def tenant_diamond_dag(tenant: str) -> DagSpec:
 
 
 def tenant_pipeline_dag(tenant: str) -> DagSpec:
-    """Linear ingest/store with a change-feed-triggered report stage."""
+    """Linear ingest/store with a database-triggered report stage."""
     prefix = f"{tenant}-pipe"
     database = tenant_events_db(tenant)
     functions = (

@@ -27,6 +27,7 @@ derive from *seed*, so two identically-seeded runs are byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.cluster import (KEEPALIVE_MS, POPULAR_INTERARRIVAL_MS,
@@ -100,29 +101,30 @@ class ChaosOutcome:
                 f"regen={self.regenerations:2d}")
 
 
-def _chaos_replay(platform, trace) -> Tuple[List[float], int]:
-    """Replay *trace*; failed invocations are counted, not raised."""
+def _chaos_replay(platform, trace, crash_at_ms: float
+                  ) -> Tuple[List[float], int, float]:
+    """Replay *trace*; failed invocations are counted, not raised.
+
+    Returns the completed latencies, the failure count and the recovery
+    time: crash to the first completion among requests submitted at or
+    after it (-1 if none completed).
+    """
     latencies: List[float] = []
     failed = 0
+    recovered_at_ms = math.inf
     for event in trace:
         if platform.sim.now < event.at_ms:
             platform.sim.run(until=event.at_ms)
         try:
             record = invoke_once(platform, event.function)
             latencies.append(record.total_ms)
+            if record.submitted_ms >= crash_at_ms:
+                recovered_at_ms = min(recovered_at_ms, record.completed_ms)
         except InvocationFailedError:
             failed += 1
-    return latencies, failed
-
-
-def _recovery_ms(platform, crash_at_ms: float) -> float:
-    """Crash-to-first-completion among requests submitted after it."""
-    post = [record.completed_ms for record in platform.records
-            if record.submitted_ms >= crash_at_ms
-            and record.completed_ms is not None]
-    if not post:
-        return -1.0
-    return min(post) - crash_at_ms
+    recovery_ms = (recovered_at_ms - crash_at_ms
+                   if recovered_at_ms != math.inf else -1.0)
+    return latencies, failed, recovery_ms
 
 
 def default_crash_host(function_names: Sequence[str], n_hosts: int) -> int:
@@ -205,7 +207,8 @@ def run_chaos_experiment(
         # immutable events, so no fault budget leaks into the next row.
         HostFailureController(platform, plan, failover=failover)
 
-        latencies, failed = _chaos_replay(platform, trace)
+        latencies, failed, recovery_ms = _chaos_replay(platform, trace,
+                                                       crash_at_ms)
         platform.sim.run()  # drain clone teardowns + chaos reclamation
         outcomes[label] = ChaosOutcome(
             label=label,
@@ -218,7 +221,7 @@ def run_chaos_experiment(
             completed=len(latencies),
             failed=failed,
             latency=LatencyStats.from_samples(latencies),
-            recovery_ms=_recovery_ms(platform, crash_at_ms),
+            recovery_ms=recovery_ms,
             retries=platform.retries,
             failovers=platform.failovers,
             regenerations=platform.regenerations)

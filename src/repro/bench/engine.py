@@ -88,6 +88,7 @@ def _catalog() -> Tuple[Experiment, ...]:
         ablations.ABLATIONS, ablations.POLICIES, ablations.KEEPALIVE,
         cluster.CLUSTER, chaos.CHAOS, load.LOAD, chains.CHAINS,
         restore.RESTORE, search.SEARCH, search.SEARCH_SMOKE,
+        faasdom_experiments.BILLING,
     )
 
 

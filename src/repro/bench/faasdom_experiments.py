@@ -1,21 +1,39 @@
-"""Figs 6 and 7: FaaSdom latency breakdowns, Node.js and Python.
+"""Figs 6 and 7: FaaSdom latency breakdowns, Node.js and Python, and the
+provider economics of §1 on the same workload.
 
 Each sub-figure compares OpenWhisk, gVisor and Firecracker (cold and warm)
 against Fireworks (no cold/warm distinction — always a snapshot resume),
 with latency broken into start-up / exec / others.
+
+The ``billing`` experiment reads the paper's economic motivation off the
+platform ledger: *"the start-up time is not charged to users"*, so every
+millisecond a sandbox spends booting is resource time the provider pays
+for but cannot bill.
+
+* **billed time** — what the user pays for: execution, rounded up to the
+  billing granularity
+  (:data:`~repro.platforms.ledger.BILLING_GRANULARITY_MS`);
+* **resource time** — what the provider's hardware spent: start-up +
+  execution + control-plane overhead;
+* **billable efficiency** — billed / resource: the provider's margin lever.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.experiment import Experiment, render_figures
-from repro.bench.harness import (cold_and_warm, fireworks_invocation)
+from repro.bench.experiment import Experiment, render_figures, render_lines
+from repro.bench.harness import (cold_and_warm, fireworks_invocation,
+                                 fresh_platform, install_all, invoke_once)
 from repro.bench.results import FigureResult, LatencyRow, geometric_mean
+from repro.bench.serialization import register_result_type
 from repro.config import CalibratedParameters
-from repro.platforms.base import InvocationRecord
+from repro.core.fireworks import FireworksPlatform
+from repro.platforms.base import MODE_AUTO, MODE_COLD, InvocationRecord
 from repro.platforms.firecracker import FirecrackerPlatform
 from repro.platforms.gvisor_platform import GVisorPlatform
+from repro.platforms.ledger import InvocationLedger
 from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.trace import verify_invocation
 from repro.workloads.faasdom import BENCHMARK_NAMES, faasdom_spec
@@ -130,3 +148,83 @@ def _faasdom_experiment(language: str, title: str) -> Experiment:
 
 FIG6 = _faasdom_experiment("nodejs", "FaaSdom latency breakdown, Node.js")
 FIG7 = _faasdom_experiment("python", "FaaSdom latency breakdown, Python")
+
+
+#: A typical per-GB-second rate, applied to the paper's 512 MB sandboxes.
+RATE_PER_GB_S = 0.0000166667
+MEMORY_GB = 0.5
+
+
+@register_result_type
+@dataclass(frozen=True)
+class BillingReport:
+    """Provider economics of every invocation one platform completed."""
+
+    platform: str
+    invocations: int
+    billed_ms: int
+    resource_ms: float
+
+    @classmethod
+    def of(cls, platform: str, ledger: InvocationLedger) -> "BillingReport":
+        """The report of everything *ledger* folded."""
+        return cls(platform, ledger.completed, ledger.billed_ms,
+                   sum(ledger.total_ms))
+
+    @property
+    def unbilled_ms(self) -> float:
+        return max(0.0, self.resource_ms - self.billed_ms)
+
+    @property
+    def revenue_usd(self) -> float:
+        return self.billed_ms / 1000.0 * MEMORY_GB * RATE_PER_GB_S
+
+    @property
+    def billable_efficiency(self) -> float:
+        """Fraction of provider resource time that is billed (§1)."""
+        if self.resource_ms == 0:
+            return 1.0
+        return min(1.0, self.billed_ms / self.resource_ms)
+
+    def as_line(self) -> str:
+        """One-line summary for the bench output."""
+        return (f"{self.platform:<14} billed={self.billed_ms:10.1f}ms "
+                f"resource={self.resource_ms:10.1f}ms "
+                f"unbilled={self.unbilled_ms:9.1f}ms "
+                f"efficiency={self.billable_efficiency:6.1%} "
+                f"revenue=${self.revenue_usd:.6f}")
+
+
+_BILLING_PLATFORMS = {"openwhisk": OpenWhiskPlatform,
+                      "fireworks": FireworksPlatform}
+
+
+def run_billing(platform: str,
+                params: Optional[CalibratedParameters] = None,
+                invocations: int = 20, cold_every: int = 5
+                ) -> BillingReport:
+    """Provider economics of *platform* over a cold-sprinkled stream of
+    FaaSdom ``faas-fact`` (Node.js) invocations.
+
+    Every ``cold_every``-th OpenWhisk request is a cold start (a fresh or
+    expired function), roughly the miss profile of a mixed fleet.
+    Fireworks has no cold starts at all, which is why its billable
+    efficiency approaches 1.
+    """
+    platform_cls = _BILLING_PLATFORMS[platform]
+    spec = faasdom_spec("faas-fact", "nodejs")
+    served = fresh_platform(platform_cls, params)
+    install_all(served, [spec])
+    for index in range(invocations):
+        mode = (MODE_COLD if platform_cls is OpenWhiskPlatform
+                and index % cold_every == 0 else MODE_AUTO)
+        invoke_once(served, spec.name, mode=mode)
+    return BillingReport.of(served.name, served.ledger)
+
+
+BILLING = Experiment(
+    "billing", "provider economics: billed vs resource time (§1)",
+    run=lambda params, seed, platform: run_billing(platform, params),
+    grid={platform: {"platform": platform}
+          for platform in _BILLING_PLATFORMS},
+    render=render_lines)

@@ -3,23 +3,21 @@
 :data:`CLAIMS` lists the §5 headline claims in paper order.  Each
 :class:`Claim` holds the paper's value, the band the measured value must
 land in, and a reader that takes that value from catalog shard results
-(:class:`~repro.bench.experiment.Cells`).  The scorecard
-(:func:`headline_comparisons`, and the derived ``scorecard`` experiment,
-which reads the :data:`SCORECARD_SHARDS` of the run it is part of), the
-tier-1 band test and the EXPERIMENTS.md claim table all read this one
-tuple.  A claim *holds* when the measured value lands in its band
+(:class:`~repro.bench.experiment.Cells`).  The derived ``scorecard``
+experiment (which reads the :data:`SCORECARD_SHARDS` of the run it is
+part of), the tier-1 band test and the EXPERIMENTS.md claim table all
+read this one tuple.  A claim *holds* when the measured value lands in its band
 (generous: a simulator reproduces shapes, not testbeds).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.bench.experiment import SINGLE, Cells, Experiment, Read
 from repro.bench.memory import fig12_improvements
 from repro.bench.results import PaperComparison, format_comparisons
-from repro.config import CalibratedParameters
 
 
 @dataclass(frozen=True)
@@ -157,20 +155,6 @@ def claim(metric: str) -> Claim:
 
 def _compare_all(cells: Cells) -> List[PaperComparison]:
     return [one.compare(cells) for one in CLAIMS]
-
-
-def headline_comparisons(params: Optional[CalibratedParameters] = None
-                         ) -> List[PaperComparison]:
-    """Evaluate every headline claim; returns them in paper order."""
-    return _compare_all(Cells(params))
-
-
-def comparison_summary(
-        comparisons: List[PaperComparison]) -> Dict[str, int]:
-    """How many claims hold vs deviate."""
-    holds = sum(1 for c in comparisons if c.holds)
-    return {"total": len(comparisons), "holds": holds,
-            "deviates": len(comparisons) - holds}
 
 
 def _render_scorecard(result, out, chart=False) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.bench.serialization import register_result_type
 
@@ -70,13 +70,3 @@ class LatencyStats:
                 f"p50={self.p50_ms:.1f} p95={self.p95_ms:.1f} "
                 f"p99={self.p99_ms:.1f} max={self.max_ms:.1f} (ms)")
 
-
-def histogram(samples: Sequence[float], bucket_ms: float) -> List[tuple]:
-    """(bucket_start_ms, count) pairs for non-empty buckets, sorted."""
-    if bucket_ms <= 0:
-        raise ValueError(f"bucket size must be positive, got {bucket_ms}")
-    counts: dict = {}
-    for sample in samples:
-        bucket = math.floor(sample / bucket_ms) * bucket_ms
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return sorted(counts.items())

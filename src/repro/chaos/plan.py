@@ -126,21 +126,6 @@ class ChaosPlan:
 
     # -- constructors ----------------------------------------------------------
     @classmethod
-    def single_crash(cls, at_ms: float, host_id: int,
-                     recover_at_ms: Optional[float] = None) -> "ChaosPlan":
-        """The canonical experiment: one host dies mid-trace (optionally
-        rejoining later, empty)."""
-        events = [ChaosEvent(at_ms, KIND_HOST_CRASH, host_id=host_id)]
-        if recover_at_ms is not None:
-            if recover_at_ms <= at_ms:
-                raise ChaosError(
-                    f"recovery at {recover_at_ms}ms must follow the crash "
-                    f"at {at_ms}ms")
-            events.append(
-                ChaosEvent(recover_at_ms, KIND_HOST_RECOVER, host_id=host_id))
-        return cls(events)
-
-    @classmethod
     def random(cls, seed: int, n_hosts: int, duration_ms: float,
                n_events: int = 5) -> "ChaosPlan":
         """A seeded random plan (property tests): same seed, same plan."""

@@ -1,6 +1,5 @@
-"""Database substrate: the CouchDB-like document store with change feeds."""
+"""Database substrate: the CouchDB-like document store."""
 
-from repro.db.couchdb import (Change, CouchDatabase, CouchServer, DbLatency,
-                              Document)
+from repro.db.couchdb import CouchDatabase, CouchServer, DbLatency, Document
 
-__all__ = ["Change", "CouchDatabase", "CouchServer", "DbLatency", "Document"]
+__all__ = ["CouchDatabase", "CouchServer", "DbLatency", "Document"]

@@ -1,9 +1,11 @@
-"""CouchDB substrate: a revisioned document store with a change feed.
+"""CouchDB substrate: a revisioned document store.
 
 The ServerlessBench applications use CouchDB (§5.3): Alexa's reminder skill
 reads/writes schedules, and the data-analysis app's *analysis chain is
-triggered when the database is updated* (the dashed box of Fig 8(b)) — that
-trigger is the change feed here.
+triggered when the database is updated* (the dashed box of Fig 8(b)).  The
+platform fires that trigger itself when a guest writes a database
+(``ServerlessPlatform.register_db_trigger``); a database only counts its
+writes, in :attr:`CouchDatabase.last_seq`.
 
 Semantics modeled after CouchDB's MVCC: every write must carry the current
 revision or it conflicts; reads return the latest revision.
@@ -11,8 +13,8 @@ revision or it conflicts; reads return the latest revision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.errors import DatabaseError, DocumentConflictError
 
@@ -44,28 +46,15 @@ class Document:
     size_kb: float
 
 
-@dataclass(frozen=True)
-class Change:
-    """One entry in the change feed."""
-
-    seq: int
-    doc_id: str
-    rev: int
-    deleted: bool = False
-
-
-ChangeListener = Callable[["CouchDatabase", Change], None]
-
-
 class CouchDatabase:
-    """One database: documents + a monotonically increasing change feed."""
+    """One database: documents and the sequence number of its last write."""
 
     def __init__(self, name: str, latency: Optional[DbLatency] = None) -> None:
         self.name = name
         self.latency = latency or DbLatency()
         self._docs: Dict[str, Document] = {}
-        self._changes: List[Change] = []
-        self._listeners: List[ChangeListener] = []
+        #: Writes so far: CouchDB's update sequence, bumped by each put.
+        self.last_seq = 0
 
     # -- document API -----------------------------------------------------------
     def put(self, doc_id: str, body: Dict[str, Any], rev: Optional[int] = None,
@@ -84,7 +73,7 @@ class CouchDatabase:
                     f"{self.name}/{doc_id}: new document with rev {rev}")
             document = Document(doc_id, 1, dict(body), size_kb)
         self._docs[doc_id] = document
-        self._emit(Change(len(self._changes) + 1, doc_id, document.rev))
+        self.last_seq += 1
         return document
 
     def get(self, doc_id: str) -> Document:
@@ -92,17 +81,6 @@ class CouchDatabase:
         if doc_id not in self._docs:
             raise DatabaseError(f"{self.name}/{doc_id}: not found")
         return self._docs[doc_id]
-
-    def delete(self, doc_id: str, rev: int) -> None:
-        """Delete a document; the revision must be current."""
-        document = self.get(doc_id)
-        if document.rev != rev:
-            raise DocumentConflictError(
-                f"{self.name}/{doc_id}: rev {rev} is stale "
-                f"(current {document.rev})")
-        del self._docs[doc_id]
-        self._emit(Change(len(self._changes) + 1, doc_id, rev + 1,
-                          deleted=True))
 
     def contains(self, doc_id: str) -> bool:
         """Whether the document exists."""
@@ -114,24 +92,6 @@ class CouchDatabase:
 
     def __len__(self) -> int:
         return len(self._docs)
-
-    # -- change feed --------------------------------------------------------------
-    def changes_since(self, seq: int) -> List[Change]:
-        """All changes with sequence number > *seq*."""
-        return [change for change in self._changes if change.seq > seq]
-
-    @property
-    def last_seq(self) -> int:
-        return len(self._changes)
-
-    def subscribe(self, listener: ChangeListener) -> None:
-        """Register a continuous-changes listener (the platform trigger)."""
-        self._listeners.append(listener)
-
-    def _emit(self, change: Change) -> None:
-        self._changes.append(change)
-        for listener in list(self._listeners):
-            listener(self, change)
 
 
 class CouchServer:

@@ -69,10 +69,6 @@ class RuntimeModelError(ReproError):
     """Language-runtime model misuse (unknown op, bad JIT state, ...)."""
 
 
-class DeoptimizationError(RuntimeModelError):
-    """JITted code was asked to deoptimize in an invalid state."""
-
-
 class SandboxError(ReproError):
     """Sandbox lifecycle violation (e.g. resuming a sandbox never paused)."""
 

@@ -1,7 +1,5 @@
 """Guest/host memory model: pages, CoW segments, PSS accounting."""
 
-from repro.mem.accounting import (MemoryReport, MemoryReportRow,
-                                  region_breakdown, smem_report)
 from repro.mem.address_space import AddressSpace
 from repro.mem.host_memory import HostMemory, mb_to_pages, pages_to_mb
 from repro.mem.segments import PrivateBlock, SharedSegment
@@ -9,12 +7,8 @@ from repro.mem.segments import PrivateBlock, SharedSegment
 __all__ = [
     "AddressSpace",
     "HostMemory",
-    "MemoryReport",
-    "MemoryReportRow",
     "PrivateBlock",
     "SharedSegment",
     "mb_to_pages",
     "pages_to_mb",
-    "region_breakdown",
-    "smem_report",
 ]

@@ -213,24 +213,15 @@ class AddressSpace:
         return tuple(self._regions)
 
     # -- writes -------------------------------------------------------------
-    def dirty_mb(self, region: str, mb: float) -> None:
-        """Write *mb* MiB in *region* (CoW-breaking shared pages first)."""
-        self._fresh = False
-        self._mapping(region).dirty(mb_to_pages(mb))
-
-    def dirty_fraction(self, region: str, fraction: float) -> None:
-        """Write a fraction of *region*'s current pages."""
-        self._fresh = False
-        _dirty_fraction(self._mapping(region), fraction)
-
     def touch(self, fractions: Iterable[Tuple[str, float]],
               grow_region: str, grow_mb: float) -> None:
         """Write several regions in one pass (an invocation's pages).
 
-        Dirties each ``(region, fraction)`` in order, as
-        :meth:`dirty_fraction` would, then grows *grow_region* by
-        *grow_mb* MiB.  A region that is not mapped is skipped, fraction
-        check included; each mapped one is looked up once.
+        Dirties each ``(region, fraction)`` in order (that fraction of the
+        region's current pages, CoW-breaking shared pages first), then
+        grows *grow_region* by *grow_mb* MiB.  A region that is not mapped
+        is skipped, fraction check included; each mapped one is looked up
+        once.
         """
         self._fresh = False
         regions = self._regions

@@ -58,10 +58,6 @@ class PrivateBlock:
         self._freed = True
         self.host._account_free(self.pages)
 
-    @property
-    def freed(self) -> bool:
-        return self._freed
-
     def __repr__(self) -> str:
         return f"<PrivateBlock {self.kind} {self.pages}p>"
 

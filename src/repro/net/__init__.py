@@ -1,11 +1,11 @@
 """Network substrate: addresses, namespaces, NAT, taps, host bridge."""
 
 from repro.net.address import (IpAddress, IpAllocator, MacAddress,
-                               MacAllocator, ip_range)
+                               MacAllocator)
 from repro.net.bridge import Endpoint, HostBridge
 from repro.net.namespace import (NamespaceManager, NetworkNamespace,
                                  TapDevice)
-from repro.net.nat import NatTable, Packet
+from repro.net.nat import NatTable
 
 __all__ = [
     "Endpoint",
@@ -17,7 +17,5 @@ __all__ = [
     "NamespaceManager",
     "NatTable",
     "NetworkNamespace",
-    "Packet",
     "TapDevice",
-    "ip_range",
 ]

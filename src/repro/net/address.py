@@ -7,7 +7,7 @@ address types here are value objects so equality means "will conflict".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Set
+from typing import Set
 
 from repro.errors import NetworkError
 
@@ -112,10 +112,3 @@ class MacAllocator:
         mac = MacAddress(self._prefix | self._next)
         self._next += 1
         return mac
-
-
-def ip_range(start: str, count: int) -> Iterator[IpAddress]:
-    """Yield *count* consecutive addresses from *start*."""
-    base = IpAddress.parse(start)
-    for offset in range(count):
-        yield IpAddress(base.value + offset)

@@ -2,9 +2,8 @@
 
 The bridge owns the pool of externally visible addresses.  Connecting a
 microVM allocates an external IP, installs the NAT pair in the microVM's
-namespace, and registers the route.  Delivery walks exactly the paper's path:
-bridge -> namespace NAT (DNAT) -> tap -> guest, and the reply retraces it
-with SNAT.
+namespace (DNAT in, SNAT out: the paper's bridge -> namespace NAT -> tap
+-> guest path), and registers the route.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Dict, Tuple
 from repro.errors import NetworkError
 from repro.net.address import IpAddress, IpAllocator, MacAddress, MacAllocator
 from repro.net.namespace import NamespaceManager, NetworkNamespace, TapDevice
-from repro.net.nat import Packet
 
 
 @dataclass(frozen=True)
@@ -71,28 +69,7 @@ class HostBridge:
         """Fresh guest addresses for a VM booted from scratch (no snapshot)."""
         return self._ip_allocator.allocate(), self._mac_allocator.allocate()
 
-    # -- data path -----------------------------------------------------------------
-    def deliver(self, packet: Packet) -> Packet:
-        """Route an inbound packet to its guest; returns the DNATed packet."""
-        endpoint = self._endpoint_for(packet.dst)
-        translated = endpoint.namespace.nat.translate_ingress(packet)
-        endpoint.tap.rx_packets += 1
-        return translated
-
-    def emit(self, external_ip: IpAddress, packet: Packet) -> Packet:
-        """Send a guest's reply out; returns the SNATed packet."""
-        endpoint = self._endpoint_for(external_ip)
-        if packet.src != endpoint.guest_ip:
-            raise NetworkError(
-                f"guest reply from {packet.src}, expected {endpoint.guest_ip}")
-        endpoint.tap.tx_packets += 1
-        return endpoint.namespace.nat.translate_egress(packet)
-
     def endpoint_count(self) -> int:
         """Number of currently routed endpoints."""
         return len(self._routes)
 
-    def _endpoint_for(self, external_ip: IpAddress) -> Endpoint:
-        if external_ip not in self._routes:
-            raise NetworkError(f"no route for {external_ip}")
-        return self._routes[external_ip]

@@ -28,8 +28,6 @@ class TapDevice:
     def __init__(self, name: str, namespace_name: str) -> None:
         self.name = name
         self.namespace_name = namespace_name
-        self.rx_packets = 0
-        self.tx_packets = 0
 
     def __repr__(self) -> str:
         return f"<tap {self.namespace_name}/{self.name}>"

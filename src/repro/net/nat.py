@@ -8,26 +8,10 @@ back on egress (SNAT).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import NetworkError
 from repro.net.address import IpAddress
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A minimal IP packet for NAT traversal tests and routing."""
-
-    src: IpAddress
-    dst: IpAddress
-    payload_kb: float = 0.5
-    note: str = ""
-
-    def with_addresses(self, src: Optional[IpAddress] = None,
-                       dst: Optional[IpAddress] = None) -> "Packet":
-        """A copy with the src/dst rewritten (NAT helper)."""
-        return replace(self, src=src or self.src, dst=dst or self.dst)
 
 
 class NatTable:
@@ -55,20 +39,6 @@ class NatTable:
             raise NetworkError(f"no DNAT rule for {external}")
         internal = self._dnat.pop(external)
         del self._snat[internal]
-
-    def translate_ingress(self, packet: Packet) -> Packet:
-        """Rewrite the destination of an inbound packet (DNAT)."""
-        if packet.dst not in self._dnat:
-            raise NetworkError(
-                f"no DNAT rule for {packet.dst} in {self.namespace_name}")
-        return packet.with_addresses(dst=self._dnat[packet.dst])
-
-    def translate_egress(self, packet: Packet) -> Packet:
-        """Rewrite the source of an outbound packet (SNAT)."""
-        if packet.src not in self._snat:
-            raise NetworkError(
-                f"no SNAT rule for {packet.src} in {self.namespace_name}")
-        return packet.with_addresses(src=self._snat[packet.src])
 
     def external_for(self, internal: IpAddress) -> IpAddress:
         """The external address SNAT maps *internal* to."""

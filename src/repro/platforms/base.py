@@ -33,7 +33,6 @@ from repro.workloads.base import FunctionSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.host import Cluster, Host
     from repro.sim.kernel import Simulation
-    from repro.sim.process import Process
 
 MODE_AUTO = "auto"
 MODE_COLD = "cold"
@@ -362,7 +361,7 @@ class ServerlessPlatform:
 
         *runner*, if given, is a generator factory ``runner(function,
         database)`` that replaces the default single-invocation firing —
-        the chain executor registers one so a change-feed firing drives a
+        the chain executor registers one so a database write drives a
         whole DAG segment (deferring guest hops) instead of a bare
         invoke, which is what lets backends without guest-chain support
         serve trigger-driven chains.
@@ -377,8 +376,8 @@ class ServerlessPlatform:
                    else self._fire_trigger(function, database))
             self.sim.process(gen, name=f"trigger:{function}")
 
-    def _fire_trigger(self, function: str, database: str = ""):
-        """One change-feed firing (a detached process, its own trace).
+    def _fire_trigger(self, function: str, database: str):
+        """One trigger firing (a detached process, its own trace).
 
         A firing that exhausts its chaos-retry budget (e.g. the bus stays
         partitioned) is already accounted as a
@@ -395,33 +394,12 @@ class ServerlessPlatform:
         except InvocationFailedError as error:
             status, trace_id = "failed", error.failed.trace_id
             record = None
-        if database:
-            self.sim.tracer.add_span(
-                "db-trigger", start_ms, self.sim.now, kind="db-trigger",
-                trace_id=f"{trace_id}-trigger" if trace_id else "",
-                database=database, function=function, status=status,
-                invocation=trace_id)
+        self.sim.tracer.add_span(
+            "db-trigger", start_ms, self.sim.now, kind="db-trigger",
+            trace_id=f"{trace_id}-trigger" if trace_id else "",
+            database=database, function=function, status=status,
+            invocation=trace_id)
         return record
-
-    def register_timer_trigger(self, function: str, every_ms: float,
-                               count: int) -> "Process":
-        """Invoke *function* every *every_ms*, *count* times (Figure 1's
-        Cloud-trigger box: triggering events include timers)."""
-        if every_ms <= 0:
-            raise PlatformError(f"timer period must be > 0, got {every_ms}")
-        if count < 1:
-            raise PlatformError(f"timer count must be >= 1, got {count}")
-        self.spec(function)  # must exist
-
-        def ticker():
-            # Fixed-rate ticks; each invocation runs as its own process so
-            # a slow function cannot skew the timer cadence.
-            for _ in range(count):
-                yield self.sim.timeout(every_ms)
-                self.sim.process(self._fire_trigger(function),
-                                 name=f"timer-fire:{function}")
-
-        return self.sim.process(ticker(), name=f"timer:{function}")
 
     # -- invocation -------------------------------------------------------------------
     def invoke(self, name: str, payload: Optional[Dict[str, Any]] = None,

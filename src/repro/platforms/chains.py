@@ -18,7 +18,7 @@ Two execution modes, chosen per (dag, platform):
   ``locality_hint`` marking its predecessors' hosts — the chain-locality
   placement signals read this.
 
-Trigger edges route through the platform's CouchDB change feed in both
+Trigger edges route through the platform's database triggers in both
 modes: ``install`` registers them, and in orchestrated mode the
 registration carries a *runner* so the triggered subgraph is itself
 executor-driven (a guest-chaining triggered function would otherwise
@@ -92,7 +92,7 @@ class DagRun:
         self.mode = mode
         self.chain_id = chain_id
         #: The subgraph root: the dag entry, or a trigger-driven stage
-        #: for a change-feed segment.
+        #: for a trigger segment.
         self.root = root or dag.entry
         self.trigger_database = trigger_database
         self.stages: Dict[str, StageResult] = {
@@ -357,7 +357,7 @@ class ChainExecutor:
         result.end_ms = platform.sim.now
 
     def _make_trigger_runner(self, dag: DagSpec, stage: str):
-        """A change-feed runner: the triggered stage and its invoke
+        """A trigger runner: the triggered stage and its invoke
         descendants run as an executor-driven segment."""
 
         def runner(function: str, database: str):
@@ -406,11 +406,3 @@ class ChainExecutor:
                             if result.record is not None else ""))
         return None
 
-
-def run_dag_once(platform: ServerlessPlatform, dag: DagSpec,
-                 payload: Optional[Mapping[str, Any]] = None,
-                 mode: str = MODE_AUTO) -> DagRun:
-    """Convenience: install (if needed) + one blocking run."""
-    executor = ChainExecutor(platform)
-    executor.install(dag)
-    return executor.run(dag, payload, mode)

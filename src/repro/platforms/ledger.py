@@ -2,22 +2,26 @@
 
 A platform keeps an invocation's whole record only while the tracer keeps
 its tree (``repro.trace.KEPT_ROOTS``); the ledger is what a reader of every
-invocation reads instead.  It holds the one-pass aggregates of the
-operational summary (:func:`repro.metrics.summarize_ledger`) — per-function
-mode counts, latency samples and start-up/total sums, global mode counts,
-failure and shed reasons — and two columns in completion order: each
+invocation reads instead.  It holds one-pass aggregates — per-function mode
+counts, latency samples and start-up/total sums, global mode counts, billed
+time, failure and shed reasons — and two columns in completion order: each
 completed invocation's total and queue-wait milliseconds.  Memory grows by
 three doubles per completion instead of a record per invocation.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platforms.base import FailedInvocation, InvocationRecord
+
+#: AWS Lambda's current billing granularity: execution time is billed in
+#: whole milliseconds, rounded up.
+BILLING_GRANULARITY_MS = 1
 
 
 @dataclass
@@ -40,6 +44,10 @@ class InvocationLedger:
     by_mode: Dict[str, int] = field(default_factory=dict)
     total_ms: array = field(default_factory=lambda: array("d"))
     queue_wait_ms: array = field(default_factory=lambda: array("d"))
+    #: Billed time: each completion's exec_ms rounded up to
+    #: :data:`BILLING_GRANULARITY_MS`.  The user pays for execution only;
+    #: start-up is free to them (§1).
+    billed_ms: int = 0
     failed: int = 0
     by_failure_reason: Dict[str, int] = field(default_factory=dict)
     shed: int = 0
@@ -64,6 +72,8 @@ class InvocationLedger:
         function.total_sum = function.total_sum + total
         self.total_ms.append(total)
         self.queue_wait_ms.append(record.queue_wait_ms)
+        self.billed_ms += math.ceil(record.exec_ms / BILLING_GRANULARITY_MS) \
+            * BILLING_GRANULARITY_MS
 
     def fold_failed(self, failed: "FailedInvocation") -> None:
         """Fold one invocation that exhausted its retry budget.  Reasons
@@ -81,18 +91,3 @@ class InvocationLedger:
         self.by_shed_reason[shedded.reason] = \
             self.by_shed_reason.get(shedded.reason, 0) + 1
 
-
-def each_invocation(records: Iterable["InvocationRecord"],
-                    include_chains: bool = True
-                    ) -> Iterator["InvocationRecord"]:
-    """Each invocation in *records* once: every record in order, followed
-    by its chain hops (*include_chains*).  A platform's ``records`` already
-    hold every hop, so a hop reached again through its parent's
-    ``children`` is not counted twice."""
-    seen = set()
-    for outer in records:
-        for record in (outer.chain_records() if include_chains
-                       else (outer,)):
-            if id(record) not in seen:
-                seen.add(id(record))
-                yield record

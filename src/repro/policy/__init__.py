@@ -57,7 +57,6 @@ from repro.policy.registry import (
     PolicyEntry,
     PolicyRegistry,
     default_registry,
-    load_policy_dir,
     resolve,
     shipped_policy_dir,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "SignalSpec",
     "compile_policy",
     "default_registry",
-    "load_policy_dir",
     "resolve",
     "shipped_policy_dir",
 ]

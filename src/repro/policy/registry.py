@@ -11,13 +11,11 @@ a policy of the asked-for domain.
 
 :func:`default_registry` holds the built-ins only (the default path
 every golden figure runs on); DSL documents are opt-in, registered
-explicitly via :meth:`PolicyRegistry.register_document` or
-:func:`load_policy_dir` over ``scenarios/policies/``.
+explicitly via :meth:`PolicyRegistry.register_document`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -178,34 +176,6 @@ def default_registry() -> PolicyRegistry:
     if _DEFAULT is None:
         _DEFAULT = builtin_registry()
     return _DEFAULT
-
-
-def load_policy_dir(directory: str,
-                    registry: Optional[PolicyRegistry] = None
-                    ) -> PolicyRegistry:
-    """Register every ``*.json`` document under *directory* (sorted).
-
-    Returns the registry (a fresh built-in registry when none given).
-    Compile errors carry the offending filename in their path.
-    """
-    if registry is None:
-        registry = builtin_registry()
-    try:
-        entries = sorted(os.listdir(directory))
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read policy directory {directory!r}: {exc}")
-    for filename in entries:
-        if not filename.endswith(".json"):
-            continue
-        full = os.path.join(directory, filename)
-        try:
-            with open(full, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"{filename}: not readable JSON: {exc}")
-        registry.register_document(document, path=filename)
-    return registry
 
 
 def resolve(domain: str, policy: object) -> object:

@@ -31,10 +31,6 @@ class Mmds:
             raise SandboxError(f"MMDS has no key {key!r}")
         return self._data[key]
 
-    def snapshot_excluded(self) -> None:
-        """MMDS content is host-side state: never part of a VM snapshot."""
-        self._data.clear()
-
 
 class MicroVM(Sandbox):
     """A Firecracker microVM: the highest isolation level in Table 1."""

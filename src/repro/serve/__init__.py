@@ -31,8 +31,7 @@ from repro.serve.app import create_app
 from repro.serve.registry import ExperimentRun, RunRegistry
 from repro.serve.scenarios import (Scenario, dump_scenario, load_scenario,
                                    load_scenario_file,
-                                   load_scenario_library,
-                                   load_named_scenario, scenario_names)
+                                   load_scenario_library)
 
 __all__ = [
     "ExperimentRun",
@@ -40,11 +39,9 @@ __all__ = [
     "Scenario",
     "create_app",
     "dump_scenario",
-    "load_named_scenario",
     "load_scenario",
     "load_scenario_file",
     "load_scenario_library",
-    "scenario_names",
     "serve_forever",
 ]
 

@@ -238,16 +238,3 @@ def load_scenario_library(root=None) -> Dict[str, Scenario]:
         library[scenario.name] = scenario
     return library
 
-
-def scenario_names(root=None) -> Tuple[str, ...]:
-    """The library's scenario names, sorted."""
-    return tuple(load_scenario_library(root))
-
-
-def load_named_scenario(name: str, root=None) -> Scenario:
-    """One scenario by name; unknown names list the valid ones."""
-    library = load_scenario_library(root)
-    if name not in library:
-        _fail("scenario",
-              f"unknown scenario {name!r}; known: {', '.join(library)}")
-    return library[name]

@@ -31,20 +31,6 @@ class RngStreams:
                 _derive_seed(self.root_seed, name))
         return self._streams[name]
 
-    def jitter(self, name: str, mean: float, rel_stddev: float = 0.05,
-               floor: float = 0.0) -> float:
-        """Gaussian jitter around *mean* with relative stddev, clamped at floor.
-
-        Used to give latency constants realistic run-to-run variance while
-        staying reproducible for a fixed root seed.
-        """
-        if mean < 0:
-            raise ValueError(f"jitter mean must be >= 0, got {mean}")
-        if rel_stddev == 0 or mean == 0:
-            return max(mean, floor)
-        value = self.stream(name).gauss(mean, mean * rel_stddev)
-        return max(value, floor)
-
     def fork(self, name: str) -> "RngStreams":
         """A child family whose streams are independent of this family's."""
         return RngStreams(_derive_seed(self.root_seed, f"fork:{name}"))

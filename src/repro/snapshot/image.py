@@ -56,16 +56,16 @@ class SnapshotImage:
     #: (set by the restorer); goes with them.
     template: Optional["CloneTemplate"] = field(default=None, init=False,
                                                 compare=False)
+    #: Image file size: all snapshotted guest memory, summed once (the
+    #: regions are fixed at construction).
+    size_mb: float = field(default=0.0, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self) -> None:
         if self.stage not in _VALID_STAGES:
             raise SnapshotNotFoundError(
                 f"invalid snapshot stage {self.stage!r}")
-
-    @property
-    def size_mb(self) -> float:
-        """Image file size: all snapshotted guest memory."""
-        return sum(self.regions_mb.values())
+        self.size_mb = sum(self.regions_mb.values())
 
     def chunk_map(self, chunk_size_mb: float = DEFAULT_CHUNK_MB) -> ChunkMap:
         """The fixed-size chunk view of this image file (lazy loading)."""

@@ -118,9 +118,5 @@ class ReapRecorder:
             return None
         return profile
 
-    def invalidate(self, image_key: str) -> None:
-        """Drop a profile (e.g. after the function is reinstalled)."""
-        self._profiles.pop(image_key, None)
-
     def __len__(self) -> int:
         return len(self._profiles)

@@ -1,7 +1,6 @@
-"""Host block device: capacity tracking and sequential transfer costs.
+"""Host block device: capacity tracking and write costs.
 
-Used by the snapshot store (§6 discusses snapshot disk-space overhead) and by
-the REAP-style prefetcher, which reads snapshot images sequentially.
+Used by the snapshot store (§6 discusses snapshot disk-space overhead).
 """
 
 from __future__ import annotations
@@ -12,15 +11,14 @@ from repro.errors import StorageError
 
 
 class BlockDevice:
-    """A host SSD with named files and a simple transfer-rate model."""
+    """A host SSD with named files and a simple write-rate model."""
 
-    def __init__(self, capacity_mb: float, read_mb_per_ms: float = 2.0,
-                 write_mb_per_ms: float = 1.0, name: str = "ssd") -> None:
+    def __init__(self, capacity_mb: float, write_mb_per_ms: float = 1.0,
+                 name: str = "ssd") -> None:
         if capacity_mb <= 0:
             raise StorageError(f"capacity must be positive, got {capacity_mb}")
         self.name = name
         self.capacity_mb = capacity_mb
-        self.read_mb_per_ms = read_mb_per_ms
         self.write_mb_per_ms = write_mb_per_ms
         self._files: Dict[str, float] = {}
 
@@ -54,12 +52,6 @@ class BlockDevice:
                 f"disk full: {size_mb:.0f} MiB into {self.free_mb:.0f} free")
         self._files[path] = size_mb
         return size_mb / self.write_mb_per_ms
-
-    def read_cost_ms(self, size_mb: float) -> float:
-        """Time to sequentially read *size_mb* from this device."""
-        if size_mb < 0:
-            raise StorageError(f"negative read size {size_mb}")
-        return size_mb / self.read_mb_per_ms
 
     def delete_file(self, path: str) -> None:
         """Remove *path*; StorageError if absent."""

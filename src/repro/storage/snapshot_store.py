@@ -61,9 +61,9 @@ class SnapshotStore:
 
         ``resident_mb`` stores a *partially-resident* image: only that many
         MiB are on disk now (a streaming cross-host transfer landed the
-        working set first); :meth:`extend_resident` / :meth:`mark_complete`
-        land the rest.  Eviction still reserves the full image size — the
-        residual is already in flight.
+        working set first); :meth:`extend_resident` lands the rest.
+        Eviction still reserves the full image size — the residual is
+        already in flight.
         """
         if image.size_mb > self.device.capacity_mb:
             raise StorageError(
@@ -140,10 +140,6 @@ class SnapshotStore:
         else:
             self._partial_mb[key] = new_mb
         return write_ms
-
-    def mark_complete(self, key: str) -> float:
-        """Land every outstanding byte of *key* (end of a stream)."""
-        return self.extend_resident(key, self.missing_mb(key))
 
     def remove(self, key: str) -> None:
         """Explicitly delete a snapshot (e.g. ASLR regeneration, §6)."""

@@ -9,39 +9,30 @@ name) are connected by edges of two kinds —
   edge may be *conditional* (``when``): it is taken only when the run
   payload carries the given key/value, which is how the Alexa frontend
   fans out to exactly one skill.
-* ``trigger`` edges: the destination stage is fired by the CouchDB
-  change feed when the source stage writes the named database — the
-  dashed box of the paper's Fig 8(b).  Trigger-driven stages are invoked
-  by the platform's trigger machinery, not by the chain executor.
+* ``trigger`` edges: the destination stage is fired by the platform's
+  database trigger when the source stage writes the named CouchDB
+  database — the dashed box of the paper's Fig 8(b).  Trigger-driven
+  stages are invoked by the platform's trigger machinery
+  (``register_db_trigger``), not by the chain executor.
 
 Validation is structural and total: every problem raises a
 :class:`~repro.errors.ValidationError` whose message is prefixed with a
-JSON path into the document (``dag.edges[2].to: ...``), and cycle
-detection runs over *all* edges (a trigger loop would re-fire forever).
-The JSON document form (:func:`dag_from_document` /
-:func:`dag_to_document`) round-trips and is what ``scenarios/dags/``
-ships; function bindings are attached separately, since a document can
-only carry names, not guest programs.
+path into the spec (``dag.edges[2].to: ...``), and cycle detection runs
+over *all* edges (a trigger loop would re-fire forever).
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
-from repro.workloads.base import ChainSpec, FunctionSpec
+from repro.workloads.base import FunctionSpec
 
 EDGE_INVOKE = "invoke"
 EDGE_TRIGGER = "trigger"
 EDGE_KINDS = (EDGE_INVOKE, EDGE_TRIGGER)
 
-_STAGE_KEYS = ("name", "function")
-_EDGE_KEYS = ("from", "to", "kind", "database", "payload_kb", "when")
-_WHEN_KEYS = ("key", "equals")
-_DOC_KEYS = ("name", "entry", "description", "guest_hops", "stages",
-             "edges")
 
 
 def _fail(path: str, message: str) -> None:
@@ -55,7 +46,7 @@ class DagEdge:
     src: str
     dst: str
     kind: str = EDGE_INVOKE
-    #: Trigger edges: the CouchDB database whose change feed fires ``dst``.
+    #: Trigger edges: the CouchDB database whose writes fire ``dst``.
     database: str = ""
     #: Invoke edges: argument size shipped to ``dst`` (the guest SDK's
     #: ``InvokeNext(payload_kb=...)``).
@@ -127,12 +118,12 @@ class DagSpec:
                      if edge.src == stage and edge.kind == EDGE_INVOKE)
 
     def trigger_edges(self) -> Tuple[DagEdge, ...]:
-        """Every change-feed edge of the DAG."""
+        """Every trigger edge of the DAG."""
         return tuple(edge for edge in self.edges
                      if edge.kind == EDGE_TRIGGER)
 
     def trigger_driven(self, stage: str) -> bool:
-        """Whether *stage* is fired by the change feed, not the executor."""
+        """Whether *stage* is fired by a database trigger, not the executor."""
         return any(edge.dst == stage for edge in self.trigger_edges())
 
     # -- graph queries ---------------------------------------------------------
@@ -165,8 +156,8 @@ class DagSpec:
 
         A stage is active when it is the *root* (the entry by default),
         or at least one taken invoke edge reaches it from an active
-        stage.  Trigger-driven stages are excluded — the change feed
-        fires those — unless the root itself is one: a trigger segment
+        stage.  Trigger-driven stages are excluded — database triggers
+        fire those — unless the root itself is one: a trigger segment
         starts *at* the triggered stage and covers its invoke
         descendants.
         """
@@ -263,7 +254,7 @@ def validate_dag(spec: DagSpec, path: str = "dag") -> DagSpec:
             _fail(f"{where}.kind",
                   f"stage {edge.dst!r} mixes invoke and trigger "
                   "in-edges; a stage is either executor-dispatched or "
-                  "change-feed-driven")
+                  "trigger-driven")
         in_kinds[edge.dst] = edge.kind
     _check_cycles(spec, path)
     if spec.functions:
@@ -291,146 +282,3 @@ def make_dag(name: str, entry: str, stages: Sequence[DagStage],
         name=name, entry=entry, stages=tuple(stages), edges=tuple(edges),
         functions=tuple(functions), guest_hops=guest_hops,
         description=description))
-
-
-def chain_to_dag(chain: ChainSpec, guest_hops: bool = True) -> DagSpec:
-    """A linear DAG over a chain's functions, in declaration order."""
-    stages = tuple(DagStage(name=fn.name, function=fn.name)
-                   for fn in chain.functions)
-    edges = tuple(DagEdge(src=stages[i].name, dst=stages[i + 1].name)
-                  for i in range(len(stages) - 1))
-    return make_dag(chain.name, chain.entry, stages, edges,
-                    functions=chain.functions, guest_hops=guest_hops,
-                    description=chain.description)
-
-
-# ---------------------------------------------------------------------------
-# JSON document form
-# ---------------------------------------------------------------------------
-_IDENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-
-
-def _child(path: str, key: Any) -> str:
-    """The JSON path of *key* under *path*: dotted for identifier-like
-    keys, bracket-quoted otherwise (a key like ``"a b"`` must not smear
-    into the surrounding path syntax)."""
-    if isinstance(key, str) and _IDENT_RE.match(key):
-        return f"{path}.{key}"
-    return f"{path}[{key!r}]"
-
-
-def _require_keys(value: Mapping[str, Any], allowed: Sequence[str],
-                  path: str) -> None:
-    for key in value:
-        if key not in allowed:
-            _fail(_child(path, key),
-                  f"unknown key (expected one of {', '.join(allowed)})")
-
-
-def _require_str(value: Mapping[str, Any], key: str, path: str,
-                 default: Optional[str] = None) -> str:
-    if key not in value:
-        if default is not None:
-            return default
-        _fail(path, f"missing required key {key!r}")
-    found = value[key]
-    if not isinstance(found, str):
-        _fail(f"{path}.{key}",
-              f"must be a string, got {type(found).__name__}")
-    return found
-
-
-def dag_from_document(document: Any, functions: Sequence[FunctionSpec] = (),
-                      path: str = "dag") -> DagSpec:
-    """Parse + validate a DAG JSON document; bind *functions* if given."""
-    if not isinstance(document, Mapping):
-        _fail(path, f"must be an object, got {type(document).__name__}")
-    _require_keys(document, _DOC_KEYS, path)
-    name = _require_str(document, "name", path)
-    entry = _require_str(document, "entry", path)
-    description = _require_str(document, "description", path, default="")
-    guest_hops = document.get("guest_hops", False)
-    if not isinstance(guest_hops, bool):
-        _fail(f"{path}.guest_hops",
-              f"must be a boolean, got {type(guest_hops).__name__}")
-    raw_stages = document.get("stages")
-    if not isinstance(raw_stages, list) or not raw_stages:
-        _fail(f"{path}.stages", "must be a non-empty array")
-    stages: List[DagStage] = []
-    for index, raw in enumerate(raw_stages):
-        where = f"{path}.stages[{index}]"
-        if not isinstance(raw, Mapping):
-            _fail(where, f"must be an object, got {type(raw).__name__}")
-        _require_keys(raw, _STAGE_KEYS, where)
-        stages.append(DagStage(
-            name=_require_str(raw, "name", where),
-            function=_require_str(raw, "function", where)))
-    raw_edges = document.get("edges", [])
-    if not isinstance(raw_edges, list):
-        _fail(f"{path}.edges", "must be an array")
-    edges: List[DagEdge] = []
-    for index, raw in enumerate(raw_edges):
-        where = f"{path}.edges[{index}]"
-        if not isinstance(raw, Mapping):
-            _fail(where, f"must be an object, got {type(raw).__name__}")
-        _require_keys(raw, _EDGE_KEYS, where)
-        kind = _require_str(raw, "kind", where, default=EDGE_INVOKE)
-        payload_kb = raw.get("payload_kb", 1.0)
-        if not isinstance(payload_kb, (int, float)) \
-                or isinstance(payload_kb, bool):
-            _fail(f"{where}.payload_kb",
-                  f"must be a number, got {type(payload_kb).__name__}")
-        when_key, when_value = "", None
-        if "when" in raw:
-            when = raw["when"]
-            if not isinstance(when, Mapping):
-                _fail(f"{where}.when",
-                      f"must be an object, got {type(when).__name__}")
-            _require_keys(when, _WHEN_KEYS, f"{where}.when")
-            when_key = _require_str(when, "key", f"{where}.when")
-            if "equals" not in when:
-                _fail(f"{where}.when", "missing required key 'equals'")
-            when_value = when["equals"]
-        edges.append(DagEdge(
-            src=_require_str(raw, "from", where),
-            dst=_require_str(raw, "to", where),
-            kind=kind,
-            database=_require_str(raw, "database", where, default=""),
-            payload_kb=float(payload_kb),
-            when_key=when_key, when_value=when_value))
-    return validate_dag(DagSpec(
-        name=name, entry=entry, stages=tuple(stages), edges=tuple(edges),
-        functions=tuple(functions), guest_hops=guest_hops,
-        description=description), path=path)
-
-
-def dag_to_document(spec: DagSpec) -> Dict[str, Any]:
-    """The JSON document form of *spec* (round-trips through
-    :func:`dag_from_document`, modulo function bindings)."""
-    stages = [{"name": stage.name, "function": stage.function}
-              for stage in spec.stages]
-    edges: List[Dict[str, Any]] = []
-    for edge in spec.edges:
-        raw: Dict[str, Any] = {"from": edge.src, "to": edge.dst,
-                               "kind": edge.kind}
-        if edge.kind == EDGE_TRIGGER:
-            raw["database"] = edge.database
-        else:
-            raw["payload_kb"] = edge.payload_kb
-        if edge.when_key:
-            raw["when"] = {"key": edge.when_key, "equals": edge.when_value}
-        edges.append(raw)
-    document: Dict[str, Any] = {
-        "name": spec.name, "entry": spec.entry, "stages": stages,
-        "edges": edges}
-    if spec.guest_hops:
-        document["guest_hops"] = True
-    if spec.description:
-        document["description"] = spec.description
-    return document
-
-
-def bind_functions(spec: DagSpec,
-                   functions: Sequence[FunctionSpec]) -> DagSpec:
-    """*spec* with *functions* attached (re-validated)."""
-    return validate_dag(replace(spec, functions=tuple(functions)))

@@ -234,26 +234,3 @@ def multi_tenant_chain_trace(tenants: Sequence[str], dags: Sequence[str],
     events.sort(key=lambda e: (e.at_ms, e.tenant, e.dag))
     return events
 
-
-def chain_trace_stats(events: Sequence[ChainTraceEvent]) -> dict:
-    """Per-tenant submission counts, for Zipf sanity checks."""
-    per_tenant: dict = {}
-    for event in events:
-        per_tenant[event.tenant] = per_tenant.get(event.tenant, 0) + 1
-    return {"per_tenant": per_tenant, "total_events": len(events)}
-
-
-def trace_stats(events: Sequence[TraceEvent],
-                duration_ms: float) -> dict:
-    """Per-function rates, for sanity checks against the 18.6% claim."""
-    counts: dict = {}
-    for event in events:
-        counts[event.function] = counts.get(event.function, 0) + 1
-    minutes = duration_ms / 60000.0
-    rates = {function: count / minutes for function, count in counts.items()}
-    popular = sum(1 for rate in rates.values() if rate > 1.0)
-    return {
-        "per_minute_rates": rates,
-        "popular_functions": popular,
-        "total_events": len(events),
-    }

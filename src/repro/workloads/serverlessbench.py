@@ -275,11 +275,6 @@ def data_analysis_chain() -> ChainSpec:
                     "(ServerlessBench)")
 
 
-def analysis_trigger() -> Dict[str, str]:
-    """The db trigger wiring of Fig 8(b): wages update -> analysis chain."""
-    return {WAGES_DB: "da-analyze"}
-
-
 # ---------------------------------------------------------------------------
 # DAG forms (repro.workloads.dag): the same applications as explicit graphs
 # ---------------------------------------------------------------------------
@@ -304,10 +299,10 @@ def alexa_skills_dag() -> "DagSpec":
 
 
 def data_analysis_dag() -> "DagSpec":
-    """Fig 8(b) as a DAG: the insertion chain plus the change-feed edge.
+    """Fig 8(b) as a DAG: the insertion chain plus the trigger edge.
 
     ``format -> analyze`` is a *trigger* edge: the wages write fires the
-    analysis chain through the platform's CouchDB change feed, exactly
+    analysis chain through the platform's database trigger, exactly
     the dashed box of the paper's figure.
     """
     from repro.workloads.dag import (EDGE_TRIGGER, DagEdge, DagStage,

@@ -36,7 +36,7 @@ class TestRegistry:
     def test_every_cli_figure_is_an_experiment(self):
         """The paper's own figures, the ``paper-repro`` scenario, head
         the catalog in paper order."""
-        from repro.serve.scenarios import load_named_scenario
+        from tests.helpers import load_named_scenario
         paper = load_named_scenario("paper-repro").experiments
         assert experiment_ids()[:len(paper)] == paper
 

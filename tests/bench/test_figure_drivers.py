@@ -8,8 +8,6 @@ from repro.bench.engine import run_experiments
 from repro.bench.faasdom_experiments import run_faasdom_benchmark
 from repro.bench.factors import run_factor_analysis
 from repro.bench.memory import run_fig12_workload
-from repro.bench.paper import comparison_summary
-from repro.bench.results import PaperComparison
 from repro.bench.tables import run_table1, run_table2
 
 
@@ -106,13 +104,3 @@ class TestTables:
                            if row["application"].startswith("Serverless")]
         assert all(row["language"] == "Node.js"
                    for row in serverlessbench)
-
-
-class TestComparisonSummary:
-    def test_counts(self):
-        comparisons = [
-            PaperComparison("a", "1", "1", holds=True),
-            PaperComparison("b", "1", "2", holds=False),
-        ]
-        summary = comparison_summary(comparisons)
-        assert summary == {"total": 2, "holds": 1, "deviates": 1}

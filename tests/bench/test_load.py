@@ -23,7 +23,7 @@ from repro.bench.load import (DEFAULT_MODULATION_DEPTH,
                               LOAD_PLATFORMS, build_load_trace,
                               run_load_platform)
 from repro.bench.serialization import encode_result
-from repro.chaos.plan import ChaosPlan
+from repro.chaos.plan import KIND_HOST_CRASH, ChaosEvent, ChaosPlan
 from repro.errors import ValidationError
 from repro.sim.rng import RngStreams
 from repro.trace.tracer import Tracer
@@ -95,10 +95,11 @@ class TestChaosCrashMidTrace:
 
     # Host 2 is the hash home of every function in the SMALL config —
     # crashing it mid-trace displaces queued and in-flight work.
-    PLAN_KW = dict(at_ms=8_000.0, host_id=2)
+    HOST_ID = 2
 
     def _run(self):
-        plan = ChaosPlan.single_crash(**self.PLAN_KW)
+        plan = ChaosPlan([ChaosEvent(8_000.0, KIND_HOST_CRASH,
+                                     host_id=self.HOST_ID)])
         return run_load_platform("fireworks", "predictive",
                                  chaos_plan=plan, return_platform=True,
                                  **SMALL)
@@ -119,7 +120,7 @@ class TestChaosCrashMidTrace:
 
     def test_no_leaked_queue_slots_or_warm_workers(self):
         _, platform = self._run()
-        crashed = platform.cluster.host(self.PLAN_KW["host_id"])
+        crashed = platform.cluster.host(self.HOST_ID)
         assert crashed.down
         # The drained run left no queued waiter anywhere, no busy slot,
         # and the dead host's warm pool is empty.

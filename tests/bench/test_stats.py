@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.stats import LatencyStats, histogram, percentile
+from repro.bench.stats import LatencyStats, percentile
 
 
 class TestPercentile:
@@ -53,16 +53,3 @@ class TestLatencyStats:
     def test_percentiles_ordered(self):
         stats = LatencyStats.from_samples(list(range(1000)))
         assert stats.p50_ms <= stats.p95_ms <= stats.p99_ms <= stats.max_ms
-
-
-class TestHistogram:
-    def test_buckets(self):
-        buckets = histogram([1, 2, 11, 12, 25], bucket_ms=10)
-        assert buckets == [(0, 2), (10, 2), (20, 1)]
-
-    def test_bad_bucket_raises(self):
-        with pytest.raises(ValueError):
-            histogram([1], bucket_ms=0)
-
-    def test_empty_samples(self):
-        assert histogram([], bucket_ms=10) == []

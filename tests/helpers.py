@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import operator
+import os
 
 from repro.chaos.plan import KIND_RESTORE_CORRUPTION
-from repro.errors import NoHostAvailableError, SnapshotNotFoundError
+from repro.errors import (NoHostAvailableError, SnapshotNotFoundError,
+                          ValidationError)
+from repro.platforms.base import MODE_AUTO
+from repro.platforms.chains import ChainExecutor
 from repro.policy.dsl import ConditionNode
+from repro.policy.registry import builtin_registry, shipped_policy_dir
 from repro.runtime import make_runtime
 from repro.runtime.interpreter import LanguageRuntime
 from repro.sandbox.base import STATE_RUNNING
 from repro.sandbox.microvm import MicroVM
 from repro.sandbox.worker import Worker
+from repro.serve.scenarios import load_scenario_library
 from repro.sim.kernel import Simulation
 from repro.snapshot.image import STAGE_OS
 from repro.snapshot.restorer import POLICY_DEMAND, POLICY_LAZY
@@ -30,6 +37,53 @@ def run_all(sim: Simulation, *generators):
     processes = [sim.process(g) for g in generators]
     sim.run()
     return [p.value for p in processes]
+
+
+def run_dag_once(platform, dag, payload=None, mode: str = MODE_AUTO):
+    """Install *dag* on *platform* (if needed) and run it once, blocking;
+    returns the :class:`~repro.platforms.chains.DagRun`."""
+    executor = ChainExecutor(platform)
+    executor.install(dag)
+    return executor.run(dag, payload, mode)
+
+
+def scenario_names(root=None):
+    """The scenario library's names, sorted."""
+    return tuple(load_scenario_library(root))
+
+
+def load_named_scenario(name: str, root=None):
+    """One scenario of the library by name; unknown names list the known
+    ones."""
+    library = load_scenario_library(root)
+    if name not in library:
+        raise ValidationError(
+            f"scenario: unknown scenario {name!r}; "
+            f"known: {', '.join(library)}")
+    return library[name]
+
+
+def shipped_policy_registry():
+    """A fresh built-in registry with every shipped
+    ``scenarios/policies/*.json`` document registered, in filename
+    order."""
+    registry = builtin_registry()
+    directory = shipped_policy_dir()
+    for filename in sorted(os.listdir(directory)):
+        if filename.endswith(".json"):
+            with open(os.path.join(directory, filename), "r",
+                      encoding="utf-8") as handle:
+                registry.register_document(json.load(handle),
+                                           path=filename)
+    return registry
+
+
+def write_shared_mb(space, region: str, region_mb: float, mb: float):
+    """Write *mb* MiB to the freshly mapped shared *region* (*region_mb*
+    MiB) in one ``touch``: the first *region_mb* MiB CoW-break its pages,
+    the rest is fresh anonymous memory."""
+    space.touch([(region, min(1.0, mb / region_mb))], region,
+                max(0.0, mb - region_mb))
 
 
 def drained_host(platform, host=None):

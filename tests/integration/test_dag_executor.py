@@ -23,11 +23,12 @@ from repro.bench import (drain, fresh_platform, install_chain, invoke_once)
 from repro.bench.load import LOAD_PLATFORMS
 from repro.platforms.chains import (MODE_GUEST, MODE_ORCHESTRATED,
                                     STATUS_OK, STATUS_SKIPPED,
-                                    ChainExecutor, run_dag_once)
+                                    ChainExecutor)
 from repro.trace.export import to_chrome_trace
 from repro.workloads import (DagEdge, DagStage, alexa_skills_chain,
-                             alexa_skills_dag, chain_to_dag,
-                             data_analysis_dag, faasdom_spec, make_dag)
+                             alexa_skills_dag, data_analysis_dag,
+                             faasdom_spec, make_dag)
+from tests.helpers import run_dag_once
 
 _OVERLAY_CATS = ("chain", "stage", "db-trigger")
 
@@ -78,7 +79,7 @@ class TestFig9Differential:
     @pytest.mark.parametrize("platform_name", ["openwhisk", "fireworks"])
     def test_linear_guest_dag_matches_chain_invocation(self,
                                                        platform_name):
-        """chain_to_dag(alexa) through the executor reproduces the plain
+        """The Alexa DAG through the executor reproduces the plain
         §5.3 chain invocation byte for byte (the Fig 9 path)."""
         chain = alexa_skills_chain()
         plain = fresh_platform(LOAD_PLATFORMS[platform_name])
@@ -129,7 +130,7 @@ class TestAllBackends:
         run = executor.run(dag, {})
         drain(platform)
         assert run.status == "ok"
-        # The executor drives input -> format; the change feed fires
+        # The executor drives input -> format; the db trigger fires
         # analyze -> stats after the wages write.
         assert set(run.ledger) == {"input", "format"}
         analyzed = [r for r in platform.records

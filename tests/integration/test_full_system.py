@@ -1,15 +1,15 @@
 """Full-system scenario: everything wired together at once.
 
 One Fireworks deployment serving: an authenticated gateway, the data-
-analysis chain with its CouchDB trigger, a timer-triggered health check,
+analysis chain with its CouchDB trigger, a periodic health check,
 injected faults mid-stream, retained-worker memory accounting, and billing
 — the kind of day a real deployment has.
 """
 
 import pytest
 
-from repro.billing import bill_records
 from repro.bench import drain, fresh_platform, install_all, invoke_once
+from repro.bench.faasdom_experiments import BillingReport
 from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
                          ChaosEvent, ChaosPlan, HostFailureController)
 from repro.core import FireworksPlatform
@@ -35,10 +35,6 @@ class TestFullScenario:
         platform, gateway, api_key = system
         sim = platform.sim
 
-        # A timer-triggered health check runs alongside everything.
-        platform.register_timer_trigger("faas-netlatency-nodejs",
-                                        every_ms=30000.0, count=3)
-
         # Three wage insertions through the gateway; the second hits a
         # corrupted snapshot and a broker hiccup and must still succeed.
         activations = []
@@ -54,6 +50,9 @@ class TestFullScenario:
                 api_key, "da-input",
                 payload={"name": f"user{index}", "id": str(index)}))
             activations.append(activation)
+        # The health check runs three times.
+        for _ in range(3):
+            invoke_once(platform, "faas-netlatency-nodejs")
         drain(platform)
 
         # Every gateway request succeeded despite the injected faults.
@@ -73,7 +72,7 @@ class TestFullScenario:
         assert len(analyze_runs) == 3
         assert len(stats_runs) == 3
 
-        # The timer fired its three health checks.
+        # The three health checks ran.
         health_runs = [r for r in platform.records
                        if r.function == "faas-netlatency-nodejs"]
         assert len(health_runs) == 3
@@ -96,11 +95,11 @@ class TestFullScenario:
         # Billing: even with several near-trivial executions (the health
         # checks bill ~3 ms against ~20 ms of restore), the deployment
         # bills the majority of its resource time.
-        report = bill_records(platform.name, platform.records)
+        report = BillingReport.of(platform.name, platform.ledger)
         assert report.billable_efficiency > 0.5
         # The records hold every chain hop: each is billed once.
         assert any(r.children for r in platform.records)
-        assert len(report.lines) == len(platform.records)
+        assert report.invocations == len(platform.records)
 
     def test_gateway_activations_match_platform_records(self, system):
         platform, gateway, api_key = system

@@ -1,9 +1,9 @@
-"""Unit tests for smem-style reporting."""
+"""Unit tests for smem-style PSS, RSS and USS accounting: the figures
+``smem`` reports per sandbox, read from each address space."""
 
 import pytest
 
 from repro.config import HostConfig
-from repro.mem.accounting import region_breakdown, smem_report
 from repro.mem.address_space import AddressSpace
 from repro.mem.host_memory import HostMemory
 
@@ -21,37 +21,18 @@ def test_report_rows_match_spaces(host):
         space.map_segment("kernel", segment)
         space.map_private("vmm", 8)
         spaces.append(space)
-    report = smem_report(host, spaces)
-    assert len(report.rows) == 3
-    for row in report.rows:
-        assert row.pss_mb == pytest.approx(100 / 3 + 8)
-        assert row.rss_mb == pytest.approx(108)
-        assert row.uss_mb == pytest.approx(8)
+    for space in spaces:
+        assert space.pss_mb() == pytest.approx(100 / 3 + 8)
+        assert space.rss_mb() == pytest.approx(108)
+        assert space.uss_mb() == pytest.approx(8)
 
 
 def test_report_totals(host):
     space = AddressSpace(host, "vm")
     space.map_private("heap", 64)
-    report = smem_report(host, [space])
-    assert report.total_pss_mb == pytest.approx(64)
-    assert report.mean_pss_mb == pytest.approx(64)
-    assert report.host_used_mb == pytest.approx(64)
-    assert not report.host_swapping
-
-
-def test_empty_report(host):
-    report = smem_report(host, [])
-    assert report.mean_pss_mb == 0.0
-    assert report.rows == []
-
-
-def test_as_table_renders(host):
-    space = AddressSpace(host, "vm")
-    space.map_private("heap", 10)
-    table = smem_report(host, [space]).as_table()
-    assert "vm" in table
-    assert "PSS" in table
-    assert "host used" in table
+    assert space.pss_mb() == pytest.approx(64)
+    assert host.used_mb == pytest.approx(64)
+    assert not host.is_swapping
 
 
 def test_region_breakdown(host):
@@ -61,6 +42,7 @@ def test_region_breakdown(host):
     a.map_segment("kernel", segment)
     b.map_segment("kernel", segment)
     a.map_private("heap", 10)
-    totals = region_breakdown([a, b])
-    assert totals["kernel"] == pytest.approx(40)
-    assert totals["heap"] == pytest.approx(10)
+    assert a.region_pss_mb("kernel") + b.region_pss_mb("kernel") == \
+        pytest.approx(40)
+    assert a.region_pss_mb("heap") == pytest.approx(10)
+    assert not b.has_region("heap")

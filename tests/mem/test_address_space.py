@@ -6,6 +6,7 @@ from repro.config import HostConfig
 from repro.errors import MemoryError_
 from repro.mem.address_space import AddressSpace, CloneMap
 from repro.mem.host_memory import HostMemory
+from tests.helpers import write_shared_mb
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ class TestPrivateRegions:
     def test_dirty_private_is_noop(self, host):
         space = AddressSpace(host, "vm1")
         space.map_private("heap", 20)
-        space.dirty_fraction("heap", 1.0)
+        space.touch([("heap", 1.0)], "heap", 0)
         assert space.pss_mb() == pytest.approx(20)
 
     def test_grow_private(self, host):
@@ -43,7 +44,7 @@ class TestPrivateRegions:
     def test_unknown_region_raises(self, host):
         space = AddressSpace(host, "vm1")
         with pytest.raises(MemoryError_):
-            space.dirty_mb("nope", 1)
+            space.grow_mb("nope", 1)
 
     def test_unmap_all_idempotent(self, host):
         space = AddressSpace(host, "vm1")
@@ -75,7 +76,7 @@ class TestSharedRegions:
         b = AddressSpace(host, "b")
         a.map_segment("heap", segment)
         b.map_segment("heap", segment)
-        a.dirty_fraction("heap", 0.5)
+        a.touch([("heap", 0.5)], "heap", 0)
         assert a.uss_mb() == pytest.approx(50)
         assert host.used_mb == pytest.approx(150)
         # b remains clean; its PSS rises as fewer pages are co-mapped.
@@ -85,7 +86,9 @@ class TestSharedRegions:
         segment = host.create_segment(10, "heap")
         space = AddressSpace(host, "a")
         space.map_segment("heap", segment)
-        space.dirty_mb("heap", 15)  # 10 CoW + 5 fresh anon
+        space.touch([("heap", 0.5)], "heap", 0)  # 5 CoW
+        # 10 written again: 5 more CoW, and 5 spill into fresh anon
+        space.touch([("heap", 1.0)], "heap", 0)
         assert space.rss_mb() == pytest.approx(15)
         assert space.uss_mb() == pytest.approx(15)
 
@@ -101,7 +104,7 @@ class TestSharedRegions:
         segment.pin()
         space = AddressSpace(host, "a")
         space.map_segment("heap", segment)
-        space.dirty_mb("heap", 15)
+        write_shared_mb(space, "heap", 10, 15)
         space.unmap_all()
         assert host.used_mb == pytest.approx(10)  # only the pinned segment
 
@@ -152,8 +155,7 @@ class TestCloneMap:
 
     def test_any_write_or_mapping_ends_freshness(self, host):
         clone_map = self._clone_map(host)
-        for write in (lambda s: s.dirty_mb("heap", 1),
-                      lambda s: s.dirty_fraction("kernel", 0.5),
+        for write in (lambda s: s.touch([("kernel", 0.5)], "heap", 1),
                       lambda s: s.grow_mb("heap", 1),
                       lambda s: s.touch((), "heap", 0),
                       lambda s: s.map_private("app", 4),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.address import (IpAddress, IpAllocator, MacAddress,
-                               MacAllocator, ip_range)
+                               MacAllocator)
 
 
 class TestIpAddress:
@@ -90,8 +90,3 @@ class TestAllocators:
         allocator = MacAllocator()
         macs = {allocator.allocate() for _ in range(100)}
         assert len(macs) == 100
-
-    def test_ip_range(self):
-        ips = list(ip_range("10.0.0.250", 3))
-        assert [str(ip) for ip in ips] == \
-            ["10.0.0.250", "10.0.0.251", "10.0.0.252"]

@@ -1,10 +1,10 @@
-"""Unit tests for NAT tables (Figure 5 packet rewriting)."""
+"""Unit tests for NAT tables (Figure 5's rule pairs)."""
 
 import pytest
 
 from repro.errors import NetworkError
 from repro.net.address import IpAddress
-from repro.net.nat import NatTable, Packet
+from repro.net.nat import NatTable
 
 GUEST = IpAddress.parse("10.0.0.2")       # A.A.A.A
 EXTERNAL = IpAddress.parse("10.128.0.2")  # B.B.B.B
@@ -16,38 +16,6 @@ def nat():
     table = NatTable("ns1")
     table.add_rule(EXTERNAL, GUEST)
     return table
-
-
-class TestTranslation:
-    def test_ingress_dnat(self, nat):
-        packet = Packet(src=CLIENT, dst=EXTERNAL)
-        translated = nat.translate_ingress(packet)
-        assert translated.dst == GUEST
-        assert translated.src == CLIENT
-
-    def test_egress_snat(self, nat):
-        reply = Packet(src=GUEST, dst=CLIENT)
-        translated = nat.translate_egress(reply)
-        assert translated.src == EXTERNAL
-        assert translated.dst == CLIENT
-
-    def test_round_trip_preserves_payload(self, nat):
-        packet = Packet(src=CLIENT, dst=EXTERNAL, payload_kb=1.5,
-                        note="req")
-        inbound = nat.translate_ingress(packet)
-        reply = Packet(src=GUEST, dst=inbound.src, payload_kb=1.5,
-                       note="req")
-        outbound = nat.translate_egress(reply)
-        assert outbound.payload_kb == 1.5
-        assert outbound.note == "req"
-
-    def test_unknown_destination_raises(self, nat):
-        with pytest.raises(NetworkError):
-            nat.translate_ingress(Packet(src=CLIENT, dst=CLIENT))
-
-    def test_unknown_source_raises(self, nat):
-        with pytest.raises(NetworkError):
-            nat.translate_egress(Packet(src=CLIENT, dst=CLIENT))
 
 
 class TestRules:

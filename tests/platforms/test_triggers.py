@@ -1,10 +1,10 @@
-"""Unit tests for platform triggers (db change feed + timers)."""
+"""Unit tests for platform database triggers."""
 
 import pytest
 
-from repro.bench import drain, fresh_platform, install_all, invoke_once
+from repro.bench import drain, fresh_platform, install_all
 from repro.core import FireworksPlatform
-from repro.errors import FunctionNotFoundError, PlatformError
+from repro.errors import FunctionNotFoundError
 from repro.workloads import faasdom_spec
 
 
@@ -16,36 +16,6 @@ def platform():
 
 
 FN = "faas-netlatency-nodejs"
-
-
-class TestTimerTriggers:
-    def test_fires_count_times(self, platform):
-        platform.register_timer_trigger(FN, every_ms=1000.0, count=3)
-        platform.sim.run()
-        assert len(platform.records) == 3
-        # First firing one period in, then evenly spaced.
-        starts = [record.submitted_ms for record in platform.records]
-        assert starts[0] >= 1000.0
-        gaps = [b - a for a, b in zip(starts, starts[1:])]
-        assert all(gap == pytest.approx(1000.0, abs=1e-6) for gap in gaps)
-
-    def test_unknown_function_rejected(self, platform):
-        with pytest.raises(FunctionNotFoundError):
-            platform.register_timer_trigger("ghost", 1000.0, 1)
-
-    def test_bad_period_rejected(self, platform):
-        with pytest.raises(PlatformError):
-            platform.register_timer_trigger(FN, 0.0, 1)
-
-    def test_bad_count_rejected(self, platform):
-        with pytest.raises(PlatformError):
-            platform.register_timer_trigger(FN, 1000.0, 0)
-
-    def test_timer_coexists_with_direct_invocations(self, platform):
-        platform.register_timer_trigger(FN, every_ms=5000.0, count=1)
-        invoke_once(platform, FN)
-        drain(platform)
-        assert len(platform.records) == 2
 
 
 class TestDbTriggerRegistration:

@@ -16,12 +16,13 @@ import pytest
 from repro.errors import NoHostAvailableError, ValidationError
 from repro.policy import (AUTOSCALE_SIGNALS, ArrivalHistory, AutoscaleView,
                           PolicyRegistry, compile_policy, default_registry,
-                          load_policy_dir, resolve, shipped_policy_dir)
+                          resolve)
 from repro.policy.autoscale import AUTOSCALE_ACCESSORS
 from repro.policy.dsl import bind_policy
 from repro.policy.keepalive import KEEPALIVE_ACCESSORS, HybridHistogramKeepAlive
 from repro.policy.placement import PLACEMENT_ACCESSORS, home_index
 from repro.policy.signals import CANDIDATE_MODES, SIGNAL_SETS
+from tests.helpers import shipped_policy_registry
 
 #: Each domain's accessor table.
 ACCESSORS = {"placement": PLACEMENT_ACCESSORS,
@@ -180,7 +181,7 @@ class TestRegistry:
             registry.register_document(doc)
 
     def test_shipped_documents_all_load(self):
-        registry = load_policy_dir(shipped_policy_dir())
+        registry = shipped_policy_registry()
         assert "dsl-hash" in registry.names("placement")
         assert "dsl-hybrid-histogram" in registry.names("keepalive")
         assert "dsl-reactive" in registry.names("autoscale")
@@ -189,7 +190,7 @@ class TestRegistry:
         assert entry.compiled is not None
 
     def test_create_returns_fresh_instances(self):
-        registry = load_policy_dir(shipped_policy_dir())
+        registry = shipped_policy_registry()
         first = registry.create("keepalive", "dsl-hybrid-histogram")
         second = registry.create("keepalive", "dsl-hybrid-histogram")
         assert first is not second
@@ -247,7 +248,7 @@ def _nodes(actives, capacity=4):
 
 class TestDslPlacement:
     def _policy(self, name):
-        return load_policy_dir(shipped_policy_dir()).create("placement",
+        return shipped_policy_registry().create("placement",
                                                             name)
 
     def test_round_robin_cursor_advances_past_chosen(self):
@@ -285,12 +286,12 @@ class TestDslPlacement:
 
 class TestDslKeepAlive:
     def test_fixed_document_window(self):
-        policy = load_policy_dir(shipped_policy_dir()).create(
+        policy = shipped_policy_registry().create(
             "keepalive", "dsl-fixed")
         assert policy.window_ms("any") == 600_000.0
 
     def test_hybrid_document_warmup_fallback(self):
-        policy = load_policy_dir(shipped_policy_dir()).create(
+        policy = shipped_policy_registry().create(
             "keepalive", "dsl-hybrid-histogram")
         policy.observe_arrival("fn", 0.0)
         policy.observe_arrival("fn", 100.0)

@@ -12,6 +12,7 @@ from repro.mem.address_space import AddressSpace
 from repro.mem.host_memory import HostMemory
 from repro.sandbox.container import Container
 from repro.sim.kernel import Simulation
+from tests.helpers import write_shared_mb
 
 # Generous host so random workloads never hit the OOM ceiling.
 _HOST = HostConfig(dram_mb=1 << 20)
@@ -94,8 +95,8 @@ class TestAddressSpaceInvariants:
                 segment = host.create_segment(mb, name)
                 space.map_segment(name, segment)
                 other.map_segment(name, segment)
-        for index, _ in enumerate(regions):
-            space.dirty_fraction(f"r{index}", fraction)
+        space.touch([(f"r{index}", fraction)
+                     for index, _ in enumerate(regions)], "r0", 0)
         assert space.uss_mb() - 1e-9 <= space.pss_mb() \
             <= space.rss_mb() + 1e-9
 
@@ -112,8 +113,8 @@ class TestAddressSpaceInvariants:
                 space.map_private(name, mb)
             else:
                 space.map_segment(name, host.create_segment(mb, name))
-            # Past the segment size the writes spill into overflow.
-            space.dirty_mb(name, pages / 256)
+                # Past the segment size the writes spill into overflow.
+                write_shared_mb(space, name, mb, pages / 256)
         assert space.rss_uss_mb() == (space.rss_mb(), space.uss_mb())
 
     @given(st.lists(st.integers(1, 100), min_size=1, max_size=5))
@@ -144,7 +145,7 @@ def _first_execution_by_region(space, layout) -> None:
             ("runtime", layout.exec_dirty_text_fraction),
             ("app", layout.exec_dirty_text_fraction)):
         if space.has_region(region):
-            space.dirty_fraction(region, fraction)
+            space.touch([(region, fraction)], region, 0)
     if space.has_region("heap"):
         space.grow_mb("heap", layout.exec_extra_anon_mb)
 
@@ -153,7 +154,8 @@ def _steady_state_by_region(space, layout) -> None:
     """The region-by-region loop ``account_steady_state`` replaced."""
     for region in ("kernel", "runtime", "app", "heap", "jit_code"):
         if space.has_region(region):
-            space.dirty_fraction(region, layout.steady_state_dirty_fraction)
+            space.touch([(region, layout.steady_state_dirty_fraction)],
+                        region, 0)
     if space.has_region("heap"):
         space.grow_mb("heap", layout.steady_state_extra_anon_mb)
 
@@ -202,7 +204,7 @@ def _clone(case):
             sandbox.space.map_segment(name, segment)
             for pages in others:
                 segment.dirty(segment.attach(), pages)
-            sandbox.space.dirty_mb(name, own / 256)
+            write_shared_mb(sandbox.space, name, mb, own / 256)
             segments.append(segment)
     return host, sandbox, segments
 

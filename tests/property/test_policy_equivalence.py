@@ -18,15 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoHostAvailableError, ValidationError
-from repro.policy import (ArrivalHistory, AutoscaleView, compile_policy,
-                          load_policy_dir, shipped_policy_dir)
+from repro.policy import ArrivalHistory, AutoscaleView, compile_policy
 from repro.policy.autoscale import (DslAutoscalePolicy, PredictiveTargets,
                                     ReactiveTargets)
 from repro.policy.keepalive import (FixedKeepAlive,
                                     HybridHistogramKeepAlive)
 from repro.policy.placement import home_index, select_node
+from tests.helpers import shipped_policy_registry
 
-SHIPPED = load_policy_dir(shipped_policy_dir())
+SHIPPED = shipped_policy_registry()
 
 #: (built-in scheduler name, shipped document name) — the placement pairs
 #: the differential suite must prove identical.

@@ -1,9 +1,9 @@
-"""Property-based tests: percentile and histogram invariants."""
+"""Property-based tests: percentile invariants."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.stats import LatencyStats, histogram, percentile
+from repro.bench.stats import LatencyStats, percentile
 
 samples = st.lists(st.floats(min_value=0.0, max_value=1e6,
                              allow_nan=False),
@@ -49,11 +49,3 @@ class TestStatsProperties:
         tolerance = 1e-9 * max(1.0, max(values))
         assert min(values) - tolerance <= stats.mean_ms \
             <= max(values) + tolerance
-
-    @given(samples, st.floats(0.5, 100.0))
-    @settings(max_examples=60)
-    def test_histogram_counts_everything(self, values, bucket):
-        buckets = histogram(values, bucket_ms=bucket)
-        assert sum(count for _start, count in buckets) == len(values)
-        starts = [start for start, _count in buckets]
-        assert starts == sorted(starts)

@@ -34,15 +34,6 @@ class TestMmds:
         with pytest.raises(SandboxError):
             Mmds().get("fcID")
 
-    def test_snapshot_excludes_mmds(self):
-        """MMDS is host-side state: clones must NOT inherit it (§3.5 —
-        it is exactly how clones are told apart)."""
-        mmds = Mmds()
-        mmds.put("fcID", "fc1")
-        mmds.snapshot_excluded()
-        with pytest.raises(SandboxError):
-            mmds.get("fcID")
-
     def test_overwrite(self):
         mmds = Mmds()
         mmds.put("k", "1")

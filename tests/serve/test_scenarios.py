@@ -19,9 +19,9 @@ from repro.bench.engine import experiment_ids
 from repro.errors import ValidationError
 from repro.serve.scenarios import (SCENARIO_ENV_VAR, Scenario,
                                    default_library_root, dump_scenario,
-                                   load_named_scenario, load_scenario,
-                                   load_scenario_file,
-                                   load_scenario_library, scenario_names)
+                                   load_scenario, load_scenario_file,
+                                   load_scenario_library)
+from tests.helpers import load_named_scenario, scenario_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

@@ -124,13 +124,13 @@ class TestOrdering:
 
 class TestDeterminism:
     def test_same_seed_same_jitter(self):
-        a = Simulation(seed=7).rng.jitter("x", 100.0, 0.1)
-        b = Simulation(seed=7).rng.jitter("x", 100.0, 0.1)
+        a = Simulation(seed=7).rng.stream("x").random()
+        b = Simulation(seed=7).rng.stream("x").random()
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = Simulation(seed=7).rng.jitter("x", 100.0, 0.1)
-        b = Simulation(seed=8).rng.jitter("x", 100.0, 0.1)
+        a = Simulation(seed=7).rng.stream("x").random()
+        b = Simulation(seed=8).rng.stream("x").random()
         assert a != b
 
 

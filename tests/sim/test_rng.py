@@ -1,7 +1,5 @@
 """Unit tests for named RNG streams."""
 
-import pytest
-
 from repro.sim.rng import RngStreams
 
 
@@ -27,31 +25,6 @@ class TestStreams:
     def test_reproducible_across_instances(self):
         assert RngStreams(42).stream("x").random() == \
             RngStreams(42).stream("x").random()
-
-
-class TestJitter:
-    def test_zero_stddev_returns_mean(self):
-        assert RngStreams(1).jitter("a", 100.0, rel_stddev=0.0) == 100.0
-
-    def test_zero_mean_returns_floor(self):
-        assert RngStreams(1).jitter("a", 0.0, floor=3.0) == 3.0
-
-    def test_negative_mean_raises(self):
-        with pytest.raises(ValueError):
-            RngStreams(1).jitter("a", -1.0)
-
-    def test_floor_clamps(self):
-        rng = RngStreams(1)
-        values = [rng.jitter("a", 1.0, rel_stddev=5.0, floor=0.5)
-                  for _ in range(100)]
-        assert all(v >= 0.5 for v in values)
-
-    def test_jitter_is_near_mean(self):
-        rng = RngStreams(1)
-        values = [rng.jitter("a", 100.0, rel_stddev=0.05)
-                  for _ in range(200)]
-        mean = sum(values) / len(values)
-        assert 95.0 < mean < 105.0
 
 
 class TestFork:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.core import FireworksPlatform
+from repro.snapshot.prefetch import ReapRecorder
 from repro.snapshot.restorer import POLICY_LAZY, POLICY_REAP
 from repro.workloads import faasdom_spec
 
@@ -73,7 +74,7 @@ class TestWarmLazy:
         # The acceptance headline: the profile-guided lazy restore is at
         # least as fast as REAP's no-profile whole-image prefetch while
         # moving a fraction of the bytes.
-        platform.recorder.invalidate(image.key)
+        restorer.recorder = ReapRecorder()   # no profile recorded
         whole_image_ms = restorer.restore_ms(image, POLICY_REAP)
         assert warm.span.find("restore").duration_ms <= whole_image_ms
 

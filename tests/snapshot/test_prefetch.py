@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.core import FireworksPlatform
-from repro.errors import SnapshotNotFoundError, StateError
+from repro.errors import StateError
 from repro.snapshot.chunks import ChunkMap
 from repro.snapshot.prefetch import ReapRecorder
 from repro.snapshot.restorer import POLICY_DEMAND, POLICY_REAP
@@ -69,13 +69,6 @@ class TestRecording:
         with pytest.raises(StateError):
             fresh.record(platform.image_for(spec.name), worker)
 
-    def test_invalidate(self, reap_platform):
-        platform, spec = reap_platform
-        invoke_once(platform, spec.name)
-        platform.recorder.invalidate(spec.name)
-        assert platform.recorder.profile_for(
-            platform.image_for(spec.name)) is None
-
 
 class TestChunkSetReuse:
     """A profile is a pure function of the image generation, the chunk
@@ -127,7 +120,7 @@ class TestChunkSetReuse:
 
     def test_changed_working_set_recomputes(self, recorded):
         platform, spec, worker, first, spreads = recorded
-        worker.sandbox.space.dirty_mb("heap", 8.0)
+        worker.sandbox.space.grow_mb("heap", 8.0)
         second = platform.recorder.record(
             platform.image_for(spec.name), worker)
         assert second is not first

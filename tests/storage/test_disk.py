@@ -12,9 +12,8 @@ class TestBlockDevice:
             BlockDevice(0)
 
     def test_write_and_read_costs(self):
-        device = BlockDevice(1000, read_mb_per_ms=2.0, write_mb_per_ms=1.0)
+        device = BlockDevice(1000, write_mb_per_ms=1.0)
         assert device.write_file("a.snap", 100) == pytest.approx(100)
-        assert device.read_cost_ms(100) == pytest.approx(50)
 
     def test_usage_tracking(self):
         device = BlockDevice(1000)
@@ -61,5 +60,3 @@ class TestBlockDevice:
         device = BlockDevice(100)
         with pytest.raises(StorageError):
             device.write_file("a", -1)
-        with pytest.raises(StorageError):
-            device.read_cost_ms(-1)

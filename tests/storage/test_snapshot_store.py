@@ -162,11 +162,6 @@ class TestPartialResidency:
         assert store.extend_resident("fn", 50) == 0.0
         assert store.resident_mb("fn") == pytest.approx(100)
 
-    def test_mark_complete(self, store):
-        store.put("fn", FakeImage(100), resident_mb=10)
-        store.mark_complete("fn")
-        assert store.is_complete("fn")
-
     def test_missing_key_raises(self, store):
         with pytest.raises(SnapshotNotFoundError):
             store.resident_mb("nope")

@@ -1,13 +1,16 @@
-"""Unit tests for the pay-as-you-go billing model (§1)."""
+"""Unit tests for the pay-as-you-go billing model (§1): billed time in the
+platform ledger and the ``billing`` experiment that reads it."""
+
+import math
 
 import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
-from repro.billing import (BillingLine, bill_invocation, bill_records,
-                           run_billing_analysis)
+from repro.bench.engine import run_experiments
+from repro.bench.faasdom_experiments import BillingReport, run_billing
 from repro.core import FireworksPlatform
-from repro.errors import PlatformError
 from repro.platforms.base import InvocationRecord
+from repro.platforms.ledger import InvocationLedger
 from repro.workloads import alexa_skills_chain
 
 
@@ -20,72 +23,65 @@ def _record(startup=100.0, exec_ms=50.0, other=5.0, function="fn"):
     return record
 
 
+def _report(*records, platform="p"):
+    ledger = InvocationLedger()
+    for record in records:
+        ledger.fold(record)
+    return BillingReport.of(platform, ledger)
+
+
 class TestBillInvocation:
     def test_user_pays_exec_only(self):
-        line = bill_invocation(_record(startup=1000.0, exec_ms=50.0))
-        assert line.billed_ms == 50.0
-        assert line.resource_ms == pytest.approx(1055.0)
-        assert line.unbilled_ms == pytest.approx(1005.0)
+        report = _report(_record(startup=1000.0, exec_ms=50.0))
+        assert report.billed_ms == 50.0
+        assert report.resource_ms == pytest.approx(1055.0)
+        assert report.unbilled_ms == pytest.approx(1005.0)
 
-    def test_granularity_rounds_up(self):
-        line = bill_invocation(_record(exec_ms=101.0),
-                               granularity_ms=100.0)
-        assert line.billed_ms == 200.0
-
-    def test_bad_granularity_raises(self):
-        with pytest.raises(PlatformError):
-            bill_invocation(_record(), granularity_ms=0)
-
-    def test_charge_scales_with_memory(self):
-        small = bill_invocation(_record(), memory_gb=0.5)
-        big = bill_invocation(_record(), memory_gb=1.0)
-        assert big.charge_usd == pytest.approx(2 * small.charge_usd)
+    def test_exec_rounds_up_to_the_millisecond(self):
+        report = _report(_record(exec_ms=101.2), _record(exec_ms=7.0))
+        assert report.billed_ms == 102 + 7
 
 
 class TestBillRecords:
-    def test_chains_flattened(self):
-        parent = _record(function="a")
-        parent.children.append(_record(function="b"))
-        report = bill_records("p", [parent])
-        assert {line.function for line in report.lines} == {"a", "b"}
-
     def test_a_platforms_chain_hops_billed_once(self):
-        # A platform's records hold every hop, and the entry record lists
-        # its hop again as a child.
+        # The platform folds each hop of a chain into its ledger once,
+        # whether or not the tracer keeps the chain's tree.
         platform = fresh_platform(FireworksPlatform)
         chain = alexa_skills_chain()
         install_all(platform, chain.functions)
-        invoke_once(platform, chain.entry, payload={"skill": "fact"})
-        report = bill_records(platform.name, platform.records)
-        assert sorted(line.function for line in report.lines) == \
+        entry = invoke_once(platform, chain.entry,
+                            payload={"skill": "fact"})
+        hops = entry.chain_records()
+        ledger = platform.ledger
+        assert sorted(hop.function for hop in hops) == \
             ["alexa-fact", "alexa-frontend"]
-
-    def test_chains_excluded_on_request(self):
-        parent = _record(function="a")
-        parent.children.append(_record(function="b"))
-        report = bill_records("p", [parent], include_chains=False)
-        assert len(report.lines) == 1
+        assert sorted(ledger.functions) == ["alexa-fact", "alexa-frontend"]
+        assert ledger.completed == 2
+        assert ledger.billed_ms == sum(math.ceil(hop.exec_ms)
+                                       for hop in hops)
 
     def test_efficiency_bounds(self):
-        report = bill_records("p", [_record(startup=0.0, other=0.0)])
+        report = _report(_record(startup=0.0, other=0.0))
         assert report.billable_efficiency == 1.0
-        slow = bill_records("p", [_record(startup=10000.0)])
+        slow = _report(_record(startup=10000.0))
         assert slow.billable_efficiency < 0.01
 
     def test_empty_report(self):
-        report = bill_records("p", [])
+        report = _report()
         assert report.billable_efficiency == 1.0
         assert report.revenue_usd == 0.0
 
     def test_as_line_renders(self):
-        line = bill_records("fireworks", [_record()]).as_line()
+        line = _report(_record(), platform="fireworks").as_line()
         assert "fireworks" in line and "efficiency" in line
 
 
 class TestBillingAnalysis:
     @pytest.fixture(scope="class")
     def reports(self):
-        return run_billing_analysis(invocations=10, cold_every=3)
+        return {platform: run_billing(platform, invocations=10,
+                                      cold_every=3)
+                for platform in ("openwhisk", "fireworks")}
 
     def test_fireworks_efficiency_near_one(self, reports):
         """§1: Fireworks bills almost all of its resource time."""
@@ -103,11 +99,18 @@ class TestBillingAnalysis:
 
 
 class TestBillingAnalysisSparseColdStarts:
-    """One cold start every five of 20 invocations."""
+    """The ``billing`` experiment: one cold start every five of 20
+    invocations."""
 
     @pytest.fixture(scope="class")
     def reports(self):
-        return run_billing_analysis(invocations=20, cold_every=5)
+        return run_experiments(["billing"], use_cache=False).results[
+            "billing"]
+
+    def test_one_shard_per_platform(self, reports):
+        assert list(reports) == ["openwhisk", "fireworks"]
+        assert [report.invocations for report in reports.values()] == \
+            [20, 20]
 
     def test_fireworks_bills_nearly_all_resource_time(self, reports):
         assert reports["fireworks"].billable_efficiency > 0.85

@@ -16,7 +16,6 @@ class TestHierarchy:
         errors.NetworkError,
         errors.AddressConflictError,
         errors.RuntimeModelError,
-        errors.DeoptimizationError,
         errors.SandboxError,
         errors.PlatformError,
         errors.FunctionNotFoundError,

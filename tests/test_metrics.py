@@ -1,12 +1,13 @@
-"""Unit tests for the operational metrics summaries."""
+"""Unit tests for the operational numbers the platform ledger folds:
+counts by start mode, per-function counts and start-up share."""
 
 import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.core import FireworksPlatform
-from repro.metrics import summarize, summarize_ledger
 from repro.platforms import FirecrackerPlatform
 from repro.platforms.base import InvocationRecord
+from repro.platforms.ledger import InvocationLedger
 from repro.workloads import alexa_skills_chain, faasdom_spec
 
 
@@ -18,37 +19,40 @@ def _record(function="fn", mode="cold", startup=100.0, exec_ms=50.0):
     return record
 
 
+def _ledger(records):
+    ledger = InvocationLedger()
+    for record in records:
+        ledger.fold(record)
+    return ledger
+
+
+def _invocations(function_ledger):
+    return sum(function_ledger.modes.values())
+
+
+def _startup_share(function_ledger):
+    return function_ledger.startup_sum / function_ledger.total_sum
+
+
 class TestSummarize:
     def test_counts_by_mode(self):
         records = [_record(mode="cold"), _record(mode="warm"),
                    _record(mode="warm")]
-        metrics = summarize("p", records)
-        assert metrics.total_invocations == 3
-        assert metrics.by_mode == {"cold": 1, "warm": 2}
+        ledger = _ledger(records)
+        assert ledger.completed == 3
+        assert ledger.by_mode == {"cold": 1, "warm": 2}
 
     def test_per_function_grouping(self):
         records = [_record("a"), _record("a"), _record("b")]
-        metrics = summarize("p", records)
-        assert metrics.function("a").invocations == 2
-        assert metrics.function("b").invocations == 1
+        ledger = _ledger(records)
+        assert _invocations(ledger.functions["a"]) == 2
+        assert _invocations(ledger.functions["b"]) == 1
         with pytest.raises(KeyError):
-            metrics.function("ghost")
+            ledger.functions["ghost"]
 
     def test_startup_share(self):
-        metrics = summarize("p", [_record(startup=75.0, exec_ms=25.0)])
-        assert metrics.function("fn").startup_share == pytest.approx(0.75)
-
-    def test_chains_flattened_by_default(self):
-        parent = _record("a")
-        parent.children.append(_record("b"))
-        metrics = summarize("p", [parent])
-        assert metrics.total_invocations == 2
-        shallow = summarize("p", [parent], include_chains=False)
-        assert shallow.total_invocations == 1
-
-    def test_as_table(self):
-        table = summarize("fireworks", [_record()]).as_table()
-        assert "fireworks" in table and "startup-share" in table
+        ledger = _ledger([_record(startup=75.0, exec_ms=25.0)])
+        assert _startup_share(ledger.functions["fn"]) == pytest.approx(0.75)
 
 
 class TestOnRealPlatforms:
@@ -58,27 +62,25 @@ class TestOnRealPlatforms:
         install_all(platform, [spec])
         for _ in range(3):
             invoke_once(platform, spec.name)
-        metrics = summarize(platform.name, platform.records)
-        assert metrics.by_mode == {"snapshot": 3}
-        assert metrics.function(spec.name).startup_share < 0.06
+        ledger = platform.ledger
+        assert ledger.by_mode == {"snapshot": 3}
+        assert _startup_share(ledger.functions[spec.name]) < 0.06
 
     def test_firecracker_cold_startup_dominates(self):
         platform = fresh_platform(FirecrackerPlatform)
         spec = faasdom_spec("faas-fact", "nodejs")
         install_all(platform, [spec])
         invoke_once(platform, spec.name, mode="cold")
-        metrics = summarize(platform.name, platform.records)
-        assert metrics.function(spec.name).startup_share > 0.6
+        assert _startup_share(platform.ledger.functions[spec.name]) > 0.6
 
     def test_chain_functions_all_appear(self):
         platform = fresh_platform(FireworksPlatform)
         chain = alexa_skills_chain()
         install_all(platform, chain.functions)
         invoke_once(platform, chain.entry, payload={"skill": "fact"})
-        # The platform's records hold both hops; each counts once.
-        metrics = summarize(platform.name, platform.records)
-        counts = {entry.function: entry.invocations
-                  for entry in metrics.functions}
+        # The platform folds both hops; each counts once.
+        ledger = platform.ledger
+        counts = {name: _invocations(entry)
+                  for name, entry in ledger.functions.items()}
         assert counts == {"alexa-frontend": 1, "alexa-fact": 1}
-        assert metrics.total_invocations == 2
-        assert summarize_ledger(platform.name, platform.ledger) == metrics
+        assert ledger.completed == 2

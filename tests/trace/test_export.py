@@ -284,7 +284,7 @@ class TestValidatorChainChecks:
         assert any("before the first db-put" in p for p in problems)
 
     def test_real_chain_exports_validate(self, tmp_path):
-        # End to end: an orchestrated DAG with a change-feed segment on a
+        # End to end: an orchestrated DAG with a trigger segment on a
         # chain-incapable backend, exported and validated.
         from repro.bench import fresh_platform
         from repro.platforms import FirecrackerPlatform

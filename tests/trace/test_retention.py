@@ -11,6 +11,7 @@ Fireworks clone's parameter topic goes with the clone.
 
 import dataclasses
 import gc
+import math
 import weakref
 from array import array
 
@@ -31,8 +32,8 @@ from repro.core import FireworksPlatform
 from repro.core.parameter_passer import topic_for
 from repro.errors import (InvocationFailedError, InvocationSheddedError,
                           TraceInvariantError)
-from repro.metrics import summarize, summarize_ledger
 from repro.platforms.chains import MODE_ORCHESTRATED, ChainExecutor
+from repro.platforms.ledger import InvocationLedger
 from repro.sim import Interrupt, Resource, Simulation, Store
 from repro.trace import KEPT_ROOTS, Span
 from repro.workloads import ALEXA_SKILLS, alexa_skills_chain, faasdom_spec
@@ -234,9 +235,8 @@ class TestPaddedTracer:
             else:
                 # A failed or shed invocation: equal but for its span.
                 assert dataclasses.replace(ours, span=None) == theirs
+        # Billed time included: past the bound it is folded all the same.
         assert plain.ledger == padded.ledger
-        assert summarize_ledger(plain.name, plain.ledger) == \
-            summarize_ledger(padded.name, padded.ledger)
 
     def test_ledger_reads_like_the_records_below_the_bound(self, runs):
         (plain, _), _ = runs
@@ -248,9 +248,17 @@ class TestPaddedTracer:
         assert (ledger.completed, ledger.failed, ledger.shed) == (
             len(records), len(plain.failed_invocations),
             len(plain.shedded_invocations))
-        assert summarize_ledger(plain.name, ledger) == summarize(
-            plain.name, records, failed=plain.failed_invocations,
-            shedded=plain.shedded_invocations)
+        assert ledger.billed_ms == sum(math.ceil(record.exec_ms)
+                                       for record in records)
+        # Folding the kept outcomes afresh gives the platform's ledger.
+        folded = InvocationLedger()
+        for record in records:
+            folded.fold(record)
+        for failed in plain.failed_invocations:
+            folded.fold_failed(failed)
+        for shedded in plain.shedded_invocations:
+            folded.fold_shed(shedded)
+        assert folded == ledger
 
 
 class TestKeptDecision:

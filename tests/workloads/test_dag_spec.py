@@ -1,13 +1,13 @@
-"""Unit tests for DagSpec: lookups, graph queries, validation, documents."""
+"""Unit tests for DagSpec: lookups, graph queries and validation."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ValidationError
 from repro.workloads import (DagEdge, DagSpec, DagStage, alexa_skills_chain,
-                             alexa_skills_dag, chain_to_dag,
-                             dag_from_document, dag_to_document,
-                             data_analysis_dag, make_dag)
-from repro.workloads.dag import EDGE_TRIGGER, bind_functions, validate_dag
+                             alexa_skills_dag, data_analysis_dag, make_dag)
+from repro.workloads.dag import EDGE_TRIGGER, validate_dag
 
 
 def _diamond():
@@ -160,69 +160,19 @@ class TestValidation:
         dag = _diamond()
         chain = alexa_skills_chain()
         with pytest.raises(ValidationError, match="no bound function"):
-            bind_functions(dag, chain.functions)
+            validate_dag(replace(dag, functions=tuple(chain.functions)))
 
     def test_validate_returns_spec(self):
         dag = _diamond()
         assert validate_dag(dag) is dag
 
 
-class TestChainToDag:
-    def test_linear_structure(self):
-        chain = alexa_skills_chain()
-        dag = chain_to_dag(chain)
-        assert dag.entry == chain.entry
-        assert dag.guest_hops
-        assert len(dag.edges) == len(dag.stages) - 1
-        assert dag.invoke_order() == tuple(f.name for f in chain.functions)
-
+class TestServerlessBenchDags:
     def test_functions_bound(self):
-        dag = chain_to_dag(alexa_skills_chain())
+        dag = alexa_skills_dag()
         for stage in dag.stages:
             assert dag.function_spec(stage.function).name == stage.function
 
-
-class TestDocuments:
-    def test_round_trip(self):
-        for dag in (_diamond(), alexa_skills_dag(), data_analysis_dag()):
-            doc = dag_to_document(dag)
-            parsed = dag_from_document(doc, functions=dag.functions)
-            assert dag_to_document(parsed) == doc
-            assert parsed.stage_names() == dag.stage_names()
-            assert parsed.edges == dag.edges
-
-    def test_unknown_key_path(self):
-        doc = dag_to_document(_diamond())
-        doc["bogus"] = 1
-        with pytest.raises(ValidationError, match=r"^dag\.bogus:"):
-            dag_from_document(doc)
-
-    def test_non_mapping_document(self):
-        with pytest.raises(ValidationError, match=r"^dag: must be an"):
-            dag_from_document([1, 2])
-
-    def test_missing_entry(self):
-        doc = dag_to_document(_diamond())
-        del doc["entry"]
-        with pytest.raises(ValidationError, match="missing required key"):
-            dag_from_document(doc)
-
-    def test_bad_when_clause_path(self):
-        doc = dag_to_document(_diamond())
-        doc["edges"][0]["when"] = {"key": "k"}
-        with pytest.raises(ValidationError,
-                           match=r"^dag\.edges\[0\]\.when:"):
-            dag_from_document(doc)
-
-    def test_bool_payload_kb_rejected(self):
-        doc = dag_to_document(_diamond())
-        doc["edges"][0]["payload_kb"] = True
-        with pytest.raises(ValidationError,
-                           match=r"^dag\.edges\[0\]\.payload_kb:"):
-            dag_from_document(doc)
-
-
-class TestServerlessBenchDags:
     def test_alexa_dag_valid_and_guest_hopping(self):
         dag = alexa_skills_dag()
         assert dag.guest_hops

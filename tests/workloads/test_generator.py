@@ -1,5 +1,7 @@
 """Unit tests for the Azure-like trace generator."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from repro.errors import PlatformError
 from repro.sim.rng import RngStreams
 from repro.workloads.generator import (POPULAR_FRACTION, assign_popularity,
                                        modulated_poisson_trace,
-                                       poisson_trace, trace_stats)
+                                       poisson_trace)
 from tests.helpers import sorted_modulated_trace
 
 
@@ -72,9 +74,9 @@ class TestTrace:
         pops = assign_popularity([f"fn{i}" for i in range(10)], rng)
         duration = 7_200_000.0  # 2 hours
         trace = poisson_trace(pops, duration, rng)
-        stats = trace_stats(trace, duration)
+        counts = Counter(event.function for event in trace)
         for pop in pops:
-            rate = stats["per_minute_rates"].get(pop.function, 0.0)
+            rate = counts[pop.function] / (duration / 60000.0)
             if pop.popular:
                 assert rate > 1.0
             else:
@@ -181,13 +183,13 @@ class TestMultiTenantChainTrace:
         head ranks stay ordered, and the head/tail ratio is large.
         (Adjacent tail ranks may flip under Poisson noise — the expected
         gap there is small — so only robust order claims are made.)"""
-        from repro.workloads.generator import chain_trace_stats
-        stats = chain_trace_stats(self._trace(duration_ms=3_600_000.0))
-        counts = [stats["per_tenant"][t] for t in self.TENANTS]
+        trace = self._trace(duration_ms=3_600_000.0)
+        per_tenant = Counter(event.tenant for event in trace)
+        counts = [per_tenant[t] for t in self.TENANTS]
         assert counts[0] == max(counts)
         assert counts[0] > counts[1] > counts[2]
         assert counts[0] >= 4 * min(counts)
-        assert stats["total_events"] == sum(counts)
+        assert len(trace) == sum(counts)
 
     def test_streams_are_independent_per_pair(self):
         """Dropping a dag leaves the other dag's arrivals untouched."""
@@ -221,14 +223,13 @@ class TestMultiTenantChainTrace:
     def test_scales_to_hundreds_of_tenants(self):
         """Generation-only scale check: 300 tenants x 2 dags (600
         implied function chains) stays a pure, sorted event list."""
-        from repro.workloads.generator import (chain_trace_stats,
-                                               multi_tenant_chain_trace)
+        from repro.workloads.generator import multi_tenant_chain_trace
         tenants = [f"t{i:03d}" for i in range(300)]
         trace = multi_tenant_chain_trace(tenants, self.DAGS, 120_000.0,
                                          RngStreams(5))
         assert trace
         ats = [e.at_ms for e in trace]
         assert ats == sorted(ats)
-        stats = chain_trace_stats(trace)
-        assert stats["per_tenant"]["t000"] >= max(
-            stats["per_tenant"].get(t, 0) for t in tenants[250:])
+        per_tenant = Counter(event.tenant for event in trace)
+        assert per_tenant["t000"] >= max(
+            per_tenant[t] for t in tenants[250:])

@@ -6,8 +6,8 @@ from repro.errors import PlatformError
 from repro.runtime.ops import Compute, DbGet, DbPut, InvokeNext
 from repro.workloads.serverlessbench import (ALEXA_SKILLS, REMINDER_DB,
                                              WAGES_DB, alexa_skills_chain,
-                                             analysis_trigger,
-                                             data_analysis_chain)
+                                             data_analysis_chain,
+                                             data_analysis_dag)
 
 
 class TestAlexa:
@@ -82,7 +82,10 @@ class TestDataAnalysis:
 
     def test_trigger_wiring(self):
         """Fig 8(b): the analysis chain is triggered on wages update."""
-        assert analysis_trigger() == {WAGES_DB: "da-analyze"}
+        dag = data_analysis_dag()
+        [edge] = dag.trigger_edges()
+        assert edge.database == WAGES_DB
+        assert dag.stage(edge.dst).function == "da-analyze"
 
     def test_all_functions_are_nodejs(self):
         """§5.3: both real-world apps are written in Node.js."""

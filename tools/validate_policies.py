@@ -6,9 +6,8 @@ Usage: ``python tools/validate_policies.py [directory]``
 Each ``*.json`` file must parse, compile through the ``repro.policy``
 DSL compiler, register without a name collision, with a built-in or
 with another document, and build its policy: each one goes through
-``PolicyRegistry.register_document``, the path ``load_policy_dir`` takes
-at runtime, and then ``entry.create()``, which binds the document to its
-domain's accessor table.  Unlike ``load_policy_dir``, every problem is
+``PolicyRegistry.register_document`` and then ``entry.create()``, which
+binds the document to its domain's accessor table.  Every problem is
 reported, not just the first.  CI runs this so a malformed, duplicate or
 unbindable document fails the build at review time rather than the
 first ``repro figure search`` run.
@@ -31,10 +30,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 def validate_policy_dir(directory: str) -> List[str]:
     """All problems found across *directory*'s documents; empty = valid.
 
-    Each document registers on one fresh built-in registry, as
-    ``load_policy_dir`` registers it at runtime, so a name that clashes
-    with a built-in or with an earlier document is a problem too; then
-    its policy is built, so a signal its domain cannot read is one.
+    Each document registers on one fresh built-in registry, so a name
+    that clashes with a built-in or with an earlier document is a
+    problem too; then its policy is built, so a signal its domain cannot
+    read is one.
     """
     from repro.errors import ValidationError
     from repro.policy.registry import builtin_registry

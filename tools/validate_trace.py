@@ -34,7 +34,7 @@ Checks the shape ``chrome://tracing``/Perfetto expects from
   and nest inside the chain event they name on the same thread;
 * db-trigger events (``cat == "db-trigger"``) carry the database and
   function, and start at or after the first ``db-put`` to that database
-  ends — a change feed cannot fire before any write happened.
+  ends — a trigger cannot fire before any write happened.
 
 Exit code 0 when the file is valid, 1 otherwise (problems on stderr).
 """
@@ -322,7 +322,7 @@ def validate_trace(payload: Any) -> List[str]:
                 problems.append(
                     f"{where}: db-trigger for {database!r} starts at {ts} "
                     f"before the first db-put to it ends at {first_put} — "
-                    "a change feed cannot fire before any write")
+                    "a trigger cannot fire before any write")
         if event.get("cat") == "transfer-residual":
             args = event.get("args")
             if not isinstance(args, dict):
