@@ -48,6 +48,15 @@ class TestDocuments:
 class TestChangeFeed:
     """The update sequence, ``last_seq``: one step per accepted write."""
 
+    def test_a_new_database_is_at_sequence_zero(self, db):
+        assert db.last_seq == 0 and type(db.last_seq) is int
+
+    def test_a_rejected_new_document_does_not_advance(self, db):
+        with pytest.raises(DocumentConflictError):
+            db.put("a", {}, rev=3)
+        assert db.last_seq == 0
+        assert not db.contains("a")
+
     def test_changes_are_sequenced(self, db):
         seqs = []
         db.put("a", {})

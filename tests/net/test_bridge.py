@@ -27,6 +27,16 @@ class TestConnectivity:
         assert ep1.namespace.name != ep2.namespace.name
         assert ep1.tap.name == ep2.tap.name == "tap0"
 
+    def test_each_clone_gets_its_own_nat_pair(self, bridge):
+        """Replies leave each namespace under that clone's external IP
+        (SNAT), though every clone has the same guest address."""
+        endpoints = [bridge.connect_guest(GUEST_IP, GUEST_MAC)
+                     for _ in range(3)]
+        for endpoint in endpoints:
+            assert endpoint.namespace.nat.rule_count() == 1
+            assert endpoint.namespace.nat.external_for(GUEST_IP) == \
+                endpoint.external_ip
+
 
 class TestLifecycle:
     def test_disconnect_releases_route_and_namespace(self, bridge):
@@ -37,6 +47,13 @@ class TestLifecycle:
         assert len(bridge.namespaces) == 0
         with pytest.raises(NetworkError):
             bridge.disconnect(endpoint)
+
+    def test_disconnect_removes_the_nat_pair(self, bridge):
+        endpoint = bridge.connect_guest(GUEST_IP, GUEST_MAC)
+        bridge.disconnect(endpoint)
+        assert endpoint.namespace.nat.rule_count() == 0
+        with pytest.raises(NetworkError):
+            endpoint.namespace.nat.external_for(GUEST_IP)
 
     def test_many_clones_scale(self, bridge):
         endpoints = [bridge.connect_guest(GUEST_IP, GUEST_MAC)

@@ -33,6 +33,14 @@ class TestRules:
         with pytest.raises(NetworkError):
             nat.remove_rule(EXTERNAL)
 
+    def test_a_removed_pair_frees_both_addresses(self, nat):
+        nat.remove_rule(EXTERNAL)
+        other = IpAddress.parse("10.128.0.3")
+        nat.add_rule(other, GUEST)
+        nat.add_rule(EXTERNAL, IpAddress.parse("10.0.0.3"))
+        assert nat.rule_count() == 2
+        assert nat.external_for(GUEST) == other
+
     def test_external_for(self, nat):
         assert nat.external_for(GUEST) == EXTERNAL
         with pytest.raises(NetworkError):

@@ -1,5 +1,7 @@
 """Unit tests for snapshot images."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SnapshotNotFoundError
@@ -21,6 +23,23 @@ def _image(stage=STAGE_POST_JIT, regions=None):
 class TestImage:
     def test_size_is_region_sum(self):
         assert _image().size_mb == pytest.approx(170)
+
+    def test_size_is_summed_like_the_regions(self):
+        # The same sum() over the same dict: restore latencies and
+        # image_mb attributes stay bit-identical.
+        regions = {"kernel": 60.1, "runtime": 55.3, "app": 0.7, "heap": 0.2}
+        assert _image(regions=regions).size_mb == sum(regions.values())
+
+    def test_size_stays_out_of_repr_and_equality(self):
+        image, twin = _image(), _image()
+        assert "size_mb" not in repr(image)
+        twin.size_mb = 1.0
+        assert image == twin
+
+    def test_replace_sums_the_new_regions(self):
+        image = dataclasses.replace(_image(), regions_mb={"kernel": 60,
+                                                          "heap": 5})
+        assert image.size_mb == 65
 
     def test_invalid_stage_raises(self):
         with pytest.raises(SnapshotNotFoundError):
@@ -66,6 +85,10 @@ class TestRegeneration:
         assert regenerated.generation == 2
         assert regenerated.key == image.key
         assert regenerated.size_mb == image.size_mb
+
+    def test_transfer_replica_keeps_the_size(self):
+        image = _image()
+        assert image.clone_for_transfer().size_mb == image.size_mb
 
     def test_clone_has_independent_jit_state(self, host):
         from repro.runtime.jit import FunctionJitState

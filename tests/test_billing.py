@@ -1,13 +1,16 @@
 """Unit tests for the pay-as-you-go billing model (§1): billed time in the
 platform ledger and the ``billing`` experiment that reads it."""
 
+import io
 import math
 
 import pytest
 
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.bench.engine import run_experiments
-from repro.bench.faasdom_experiments import BillingReport, run_billing
+from repro.bench.faasdom_experiments import (BILLING, MEMORY_GB,
+                                             RATE_PER_GB_S, BillingReport,
+                                             run_billing)
 from repro.core import FireworksPlatform
 from repro.platforms.base import InvocationRecord
 from repro.platforms.ledger import InvocationLedger
@@ -40,6 +43,24 @@ class TestBillInvocation:
     def test_exec_rounds_up_to_the_millisecond(self):
         report = _report(_record(exec_ms=101.2), _record(exec_ms=7.0))
         assert report.billed_ms == 102 + 7
+
+    def test_round_up_never_makes_unbilled_time_negative(self):
+        report = _report(_record(startup=0.0, exec_ms=0.2, other=0.0))
+        assert report.billed_ms == 1
+        assert report.resource_ms == pytest.approx(0.2)
+        assert report.unbilled_ms == 0.0
+        assert report.billable_efficiency == 1.0
+
+    def test_revenue_is_billed_gb_seconds_at_the_rate(self):
+        report = _report(_record(exec_ms=1500.0), _record(exec_ms=499.5))
+        assert report.billed_ms == 2000
+        assert report.revenue_usd == pytest.approx(
+            2.0 * MEMORY_GB * RATE_PER_GB_S)
+
+    def test_every_completion_is_an_invocation(self):
+        report = _report(_record(function="a"), _record(function="a"),
+                         _record(function="b"))
+        assert report.invocations == 3
 
 
 class TestBillRecords:
@@ -75,6 +96,14 @@ class TestBillRecords:
         line = _report(_record(), platform="fireworks").as_line()
         assert "fireworks" in line and "efficiency" in line
 
+    def test_as_line_prints_every_figure(self):
+        line = _report(_record(startup=100.0, exec_ms=50.0, other=5.0),
+                       platform="openwhisk").as_line()
+        assert line.split() == [
+            "openwhisk", "billed=", "50.0ms", "resource=", "155.0ms",
+            "unbilled=", "105.0ms", "efficiency=", "32.3%",
+            "revenue=$0.000000"]
+
 
 class TestBillingAnalysis:
     @pytest.fixture(scope="class")
@@ -96,6 +125,16 @@ class TestBillingAnalysis:
         assert openwhisk.unbilled_ms > 0
         assert openwhisk.unbilled_ms == pytest.approx(
             openwhisk.resource_ms - openwhisk.billed_ms)
+
+    def test_same_numbers_as_the_record_list_analysis(self, reports):
+        """Billed and resource time as summed over each invocation's
+        record before the ledger folded them."""
+        assert {name: report.billed_ms for name, report in reports.items()} \
+            == {"openwhisk": 6214, "fireworks": 5010}
+        assert reports["openwhisk"].resource_ms == pytest.approx(
+            12646.19658518518, rel=1e-9)
+        assert reports["fireworks"].resource_ms == pytest.approx(
+            5222.528500000001, rel=1e-9)
 
 
 class TestBillingAnalysisSparseColdStarts:
@@ -122,3 +161,20 @@ class TestBillingAnalysisSparseColdStarts:
         assert abs(fireworks.revenue_usd - openwhisk.revenue_usd) / \
             openwhisk.revenue_usd < 0.35
         assert fireworks.resource_ms < openwhisk.resource_ms
+
+    def test_same_numbers_as_the_record_list_analysis(self, reports):
+        assert {name: report.billed_ms for name, report in reports.items()} \
+            == {"openwhisk": 11224, "fireworks": 10020}
+        assert reports["openwhisk"].resource_ms == pytest.approx(
+            18229.20798518519, rel=1e-9)
+        assert reports["fireworks"].resource_ms == pytest.approx(
+            10445.056999999975, rel=1e-9)
+
+    def test_renders_one_line_per_platform(self, reports):
+        out = io.StringIO()
+        BILLING.render(reports, out)
+        lines = out.getvalue().splitlines()
+        assert [line.split()[0] for line in lines] == ["openwhisk",
+                                                       "fireworks"]
+        assert "efficiency= 61.6%" in lines[0]
+        assert "efficiency= 95.9%" in lines[1]

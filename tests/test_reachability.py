@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 SCRIPT_DIRS = ("tools", "perf", "examples")
-EXCLUDED_DIRS = (ROOT / "perf" / "tests",)
 
 _HTTP = "called by `http.server`"
 _KERNEL = "kernel primitive pinned by tests/property/"
@@ -120,26 +118,107 @@ ALLOWED: Dict[str, str] = {
 }
 
 
-def _script_files() -> Iterator[Path]:
-    for name in SCRIPT_DIRS:
-        for path in sorted((ROOT / name).rglob("*.py")):
-            if not any(excluded in path.parents for excluded in EXCLUDED_DIRS):
-                yield path
+class Codebase:
+    """The ``src/repro`` package and the entry-point scripts under one
+    repository *root*, parsed once."""
 
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        package = root / "src" / "repro"
+        self.modules: Dict[str, Path] = {}
+        for path in sorted(package.rglob("*.py")):
+            parts = path.relative_to(package.parent).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            self.modules[".".join(parts)] = path
+        excluded = root / "perf" / "tests"
+        self.scripts = [
+            path for name in SCRIPT_DIRS
+            for path in sorted((root / name).rglob("*.py"))
+            if excluded not in path.parents]
+        self.trees = {path: ast.parse(path.read_text(), str(path))
+                      for path in [*self.modules.values(), *self.scripts]}
 
-def _package_modules() -> Dict[str, Path]:
-    modules = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        modules[".".join(parts)] = path
-    return modules
+    def reached_modules(self) -> Set[str]:
+        """Every package module an entry point imports, transitively."""
+        reached: Set[str] = set(ENTRY_MODULES)
+        pending: List[Tuple[ast.AST, str, bool]] = [
+            (self.trees[path], "", False) for path in self.scripts]
+        pending += [(self.trees[self.modules[name]], name, False)
+                    for name in ENTRY_MODULES]
+        while pending:
+            tree, module, is_package = pending.pop()
+            for name in _imported(tree, module, is_package):
+                parts = name.split(".")
+                for end in range(1, len(parts) + 1):
+                    candidate = ".".join(parts[:end])
+                    if candidate in self.modules and candidate not in reached:
+                        reached.add(candidate)
+                        path = self.modules[candidate]
+                        pending.append((self.trees[path], candidate,
+                                        path.name == "__init__.py"))
+        return reached
 
+    def unreached_modules(self) -> List[str]:
+        return sorted(set(self.modules) - self.reached_modules())
 
-MODULES = _package_modules()
-TREES = {path: ast.parse(path.read_text(), str(path))
-         for path in [*MODULES.values(), *_script_files()]}
+    def definitions(self) -> Dict[str, Tuple[str, Path, int]]:
+        """``{qualified name: (bare name, file, line)}`` for every def and
+        class under the package, dunders excepted."""
+        found = {}
+
+        def visit(node: ast.AST, prefix: str, path: Path) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    qualified = f"{prefix}.{child.name}"
+                    name = child.name
+                    if not (name.startswith("__") and name.endswith("__")):
+                        found[qualified] = (name, path, child.lineno)
+                    visit(child, qualified, path)
+                else:
+                    visit(child, prefix, path)
+
+        for module, path in self.modules.items():
+            visit(self.trees[path], module, path)
+        return found
+
+    def named(self) -> Set[str]:
+        """Every identifier the parsed code names (see the module
+        docstring for what counts)."""
+        names = set()
+        for tree in self.trees.values():
+            skipped = _all_entries(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and node.value.isidentifier()
+                      and id(node) not in skipped):
+                    names.add(node.value)
+        return names
+
+    def unnamed_definitions(self, allowed: Mapping[str, str]) -> List[str]:
+        """``qualified (file:line)`` of each definition nothing names and
+        *allowed* does not list."""
+        named = self.named()
+        return sorted(
+            f"{qualified} ({path.relative_to(self.root)}:{line})"
+            for qualified, (name, path, line) in self.definitions().items()
+            if name not in named and qualified not in allowed)
+
+    def stale_entries(self, allowed: Mapping[str, str]) -> List[str]:
+        """Entries of *allowed* that are named again or no longer
+        defined."""
+        named = self.named()
+        definitions = self.definitions()
+        return sorted(
+            qualified for qualified in allowed
+            if qualified not in definitions
+            or definitions[qualified][0] in named)
 
 
 def _imported(tree: ast.AST, module: str, is_package: bool) -> Iterator[str]:
@@ -161,48 +240,6 @@ def _imported(tree: ast.AST, module: str, is_package: bool) -> Iterator[str]:
                 yield f"{base}.{alias.name}"
 
 
-def _reached_modules() -> Set[str]:
-    reached: Set[str] = set()
-    pending: List[Tuple[ast.AST, str, bool]] = [
-        (TREES[path], "", False) for path in _script_files()]
-    pending += [(TREES[MODULES[name]], name, False) for name in ENTRY_MODULES]
-    reached.update(ENTRY_MODULES)
-    while pending:
-        tree, module, is_package = pending.pop()
-        for name in _imported(tree, module, is_package):
-            parts = name.split(".")
-            for end in range(1, len(parts) + 1):
-                candidate = ".".join(parts[:end])
-                if candidate in MODULES and candidate not in reached:
-                    reached.add(candidate)
-                    path = MODULES[candidate]
-                    pending.append((TREES[path], candidate,
-                                    path.name == "__init__.py"))
-    return reached
-
-
-def _definitions() -> Dict[str, Tuple[str, Path, int]]:
-    """``{qualified name: (bare name, file, line)}`` for every def and
-    class under the package, dunders excepted."""
-    found = {}
-
-    def visit(node: ast.AST, prefix: str, path: Path) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                qualified = f"{prefix}.{child.name}"
-                name = child.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    found[qualified] = (name, path, child.lineno)
-                visit(child, qualified, path)
-            else:
-                visit(child, prefix, path)
-
-    for module, path in MODULES.items():
-        visit(TREES[path], module, path)
-    return found
-
-
 def _all_entries(tree: ast.AST) -> Set[int]:
     """``id()`` of every string constant listed in an ``__all__``."""
     ids = set()
@@ -219,44 +256,197 @@ def _all_entries(tree: ast.AST) -> Set[int]:
     return ids
 
 
-def _named() -> Set[str]:
-    names = set()
-    for tree in TREES.values():
-        skipped = _all_entries(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif (isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)
-                  and node.value.isidentifier()
-                  and id(node) not in skipped):
-                names.add(node.value)
-    return names
+REPO = Codebase(ROOT)
 
 
 def test_every_module_is_imported_from_an_entry_point():
-    unreached = sorted(set(MODULES) - _reached_modules())
+    unreached = REPO.unreached_modules()
     assert not unreached, f"modules no entry point imports: {unreached}"
 
 
 def test_every_definition_is_named_outside_tests():
-    named = _named()
-    unnamed = sorted(
-        f"{qualified} ({path.relative_to(ROOT)}:{line})"
-        for qualified, (name, path, line) in _definitions().items()
-        if name not in named and qualified not in ALLOWED)
+    unnamed = REPO.unnamed_definitions(ALLOWED)
     assert not unnamed, (
         "definitions that nothing outside tests/ names (delete them, or "
         "list them in ALLOWED with a reason):\n  " + "\n  ".join(unnamed))
 
 
 def test_allowed_entries_are_defined_and_unnamed():
-    named = _named()
-    definitions = _definitions()
-    stale = sorted(
-        qualified for qualified in ALLOWED
-        if qualified not in definitions
-        or definitions[qualified][0] in named)
+    stale = REPO.stale_entries(ALLOWED)
     assert not stale, f"ALLOWED entries that are named or gone: {stale}"
+
+
+# -- the checks themselves, on small trees ------------------------------------
+
+#: A tree that passes both checks: the entry points reach ``repro`` and
+#: ``repro.core``, and every definition is named.
+_CLEAN = {
+    "src/repro/__init__.py": '"""The package."""\n',
+    "src/repro/__main__.py": "from repro.cli import main\n\nmain()\n",
+    "src/repro/cli.py": ("from repro.core import run\n\n\n"
+                         "def main():\n    return run()\n"),
+    "src/repro/core.py": "def run():\n    return 0\n",
+}
+
+#: ``repro.core`` with a second function, ``helper``, that only its own
+#: ``def`` names.
+_HELPER = ("def run():\n    return 0\n\n\n"
+           "def helper():\n    return 1\n")
+
+
+def _tree(tmp_path: Path,
+          files: Optional[Mapping[str, str]] = None) -> Codebase:
+    """A :class:`Codebase` of :data:`_CLEAN` with *files* (relative path
+    to text) added or replaced."""
+    for name, text in {**_CLEAN, **(files or {})}.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return Codebase(tmp_path)
+
+
+def _unnamed(tree: Codebase) -> List[str]:
+    return [entry.split()[0] for entry in tree.unnamed_definitions({})]
+
+
+class TestModuleCheck:
+    def test_a_clean_tree_passes(self, tmp_path):
+        tree = _tree(tmp_path)
+        assert tree.unreached_modules() == []
+        assert tree.unnamed_definitions({}) == []
+
+    def test_a_module_nothing_imports_fails(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/orphan.py": "VALUE = 1\n"})
+        assert tree.unreached_modules() == ["repro.orphan"]
+
+    def test_an_import_from_tests_does_not_reach(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/orphan.py": "VALUE = 1\n",
+            "tests/test_orphan.py": "from repro.orphan import VALUE\n"})
+        assert tree.unreached_modules() == ["repro.orphan"]
+
+    def test_an_import_inside_a_function_reaches(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/lazy.py": "VALUE = 1\n",
+            "src/repro/core.py": ("def run():\n"
+                                  "    from repro import lazy\n"
+                                  "    return lazy.VALUE\n")})
+        assert tree.unreached_modules() == []
+
+    def test_imports_reach_transitively(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/deep.py": "VALUE = 1\n",
+            "src/repro/core.py": ("import repro.deep\n\n\n"
+                                  "def run():\n"
+                                  "    return repro.deep.VALUE\n")})
+        assert tree.unreached_modules() == []
+
+    def test_relative_imports_resolve(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": "from .sub import run\n",
+            "src/repro/sub/__init__.py": ("from . import leaf\n\n"
+                                          "run = leaf.run\n"),
+            "src/repro/sub/leaf.py": ("from ..shared import VALUE\n\n\n"
+                                      "def run():\n    return VALUE\n"),
+            "src/repro/shared.py": "VALUE = 1\n"})
+        assert tree.unreached_modules() == []
+
+    def test_a_tools_script_is_an_entry_point(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/extra.py": "VALUE = 1\n",
+            "tools/report.py": "from repro.extra import VALUE\n"})
+        assert tree.unreached_modules() == []
+
+    def test_perf_tests_are_not_an_entry_point(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/extra.py": "VALUE = 1\n",
+            "perf/tests/test_extra.py": "import repro.extra\n"})
+        assert tree.unreached_modules() == ["repro.extra"]
+
+
+class TestDefinitionCheck:
+    def test_an_unnamed_function_fails(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": _HELPER})
+        path = Path("src", "repro", "core.py")
+        assert tree.unnamed_definitions({}) == [
+            f"repro.core.helper ({path}:5)"]
+
+    def test_an_unnamed_method_and_nested_function_fail(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "class Box:\n"
+            "    def unused(self):\n"
+            "        def inner():\n"
+            "            return 1\n"
+            "        return 0\n\n\n"
+            "def run():\n    return Box()\n")})
+        assert _unnamed(tree) == ["repro.core.Box.unused",
+                                  "repro.core.Box.unused.inner"]
+
+    def test_an_attribute_is_a_use(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "class Box:\n    def size(self):\n        return 1\n\n\n"
+            "def run():\n    return Box().size()\n")})
+        assert _unnamed(tree) == []
+
+    def test_an_identifier_string_is_a_use(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "class Row:\n    def exec_ms(self):\n        return 1\n\n\n"
+            "def run():\n    return getattr(Row(), \"exec_ms\")()\n")})
+        assert _unnamed(tree) == []
+
+    def test_a_string_that_only_contains_the_name_is_not(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "def exec_ms():\n    return 1\n\n\n"
+            "def run():\n    return \"exec_ms total\"\n")})
+        assert _unnamed(tree) == ["repro.core.exec_ms"]
+
+    def test_an_import_alias_is_not_a_use(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": _HELPER,
+            "tools/report.py": "from repro.core import helper as _h\n"})
+        assert _unnamed(tree) == ["repro.core.helper"]
+
+    def test_an_all_entry_is_not_a_use(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": "__all__ = [\"helper\", \"run\"]\n\n\n"
+                                 + _HELPER})
+        assert _unnamed(tree) == ["repro.core.helper"]
+
+    def test_dunders_are_exempt(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "class Box:\n    def __repr__(self):\n        return \"box\"\n\n\n"
+            "def run():\n    return Box()\n")})
+        assert _unnamed(tree) == []
+
+    def test_a_use_under_tests_does_not_count(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": _HELPER,
+            "tests/test_core.py": ("from repro.core import helper\n\n"
+                                   "assert helper() == 1\n")})
+        assert _unnamed(tree) == ["repro.core.helper"]
+
+    def test_a_use_in_an_example_counts(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": _HELPER,
+            "examples/demo.py": ("from repro.core import helper\n\n"
+                                 "print(helper())\n")})
+        assert _unnamed(tree) == []
+
+
+class TestAllowedList:
+    ALLOWED = {"repro.core.helper": "read by a test"}
+
+    def test_an_allowed_definition_passes(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": _HELPER})
+        assert tree.unnamed_definitions(self.ALLOWED) == []
+        assert tree.stale_entries(self.ALLOWED) == []
+
+    def test_an_entry_named_again_is_stale(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": _HELPER,
+            "tools/report.py": "from repro.core import helper\n\nhelper()\n"})
+        assert tree.stale_entries(self.ALLOWED) == ["repro.core.helper"]
+
+    def test_an_entry_no_longer_defined_is_stale(self, tmp_path):
+        tree = _tree(tmp_path)
+        assert tree.stale_entries(self.ALLOWED) == ["repro.core.helper"]
