@@ -9,6 +9,7 @@ process, mirroring how real async frameworks propagate errors.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.errors import SimulationError
@@ -134,8 +135,7 @@ class Timeout(Event):
         # Timeouts are the most common event of every replay, so this is
         # Event.__init__ plus Simulation._schedule written out in place:
         # the same slots, a pooled callbacks list, and the same queue
-        # entry, pushed at the same point through the same router (which
-        # the heap-only reference kernel relies on to see every push).
+        # entry, pushed onto the kernel's heap at the same point.
         self.sim = sim
         self.name = name
         cb_pool = sim._cb_pool
@@ -146,7 +146,7 @@ class Timeout(Event):
         self.delay = delay
         self._deferred_value = value
         sim._sequence = seq = sim._sequence + 1
-        sim._push_normal((sim._now + delay, 1, seq, self))
+        heappush(sim._heap, (sim._now + delay, 1, seq, self))
 
     def _fire(self) -> None:
         # _run_callbacks, inlined (see there for the recycling rule).

@@ -7,8 +7,10 @@ accounted for exactly once (completed, shed, or failed), with no leaked
 admission-queue slots or warm workers afterwards.
 """
 
+import cProfile
 import json
 import os
+import pstats
 import subprocess
 import sys
 from collections import Counter
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench.load import (DEFAULT_MODULATION_DEPTH,
                               DEFAULT_MODULATION_PERIOD_MS,
                               DEFAULT_RARE_INTERARRIVAL_MS, LOAD_MODES,
@@ -88,6 +91,75 @@ class TestSimulatedWorkIsPinned:
                 for host in platform.cluster.hosts] == [
             (270_895, 221_696), (227_375, 178_176), (227_375, 176_128),
             (278_216, 221_696)]
+
+
+def _repro_calls(profile):
+    """``({layer: calls}, comprehension frames)`` of a cProfile run,
+    counting only functions defined in the ``repro`` package.  A layer is
+    the package's first path component (``repro/sim/kernel.py`` ->
+    ``sim``, ``repro/errors.py`` -> ``errors``)."""
+    package = os.path.join(os.path.dirname(repro.__file__), "")
+    calls, comprehensions = Counter(), 0
+    for (filename, _line, name), (_primitive, ncalls, *_times) in \
+            pstats.Stats(profile).stats.items():
+        if not filename.startswith(package):
+            continue
+        if name in ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"):
+            comprehensions += ncalls
+            continue
+        head = filename[len(package):].split(os.sep, 1)[0]
+        calls[head[:-3] if head.endswith(".py") else head] += ncalls
+    return calls, comprehensions
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="call counts are pinned on CPython 3.11")
+class TestHostWorkIsPinned:
+    """Host work per invocation is deterministic, so it is gated by
+    counts, not timings: the 3 s seed-2022 replay of
+    :class:`TestSimulatedWorkIsPinned` may make at most as many calls
+    into each ``repro`` layer, per completed invocation, as when these
+    ceilings were set.  A change that removes host work lowers its
+    ceiling; one that adds host work raises it and says why.
+
+    List, dict and set comprehensions and generator expressions count
+    apart, because Python 3.12 inlines comprehensions (PEP 709)."""
+
+    # Measured over the replay's 1 346 completions, rounded up to 0.1.
+    CEILINGS = {
+        "mem": 141.2, "sim": 91.7, "trace": 64.9, "platforms": 36.9,
+        "core": 29.3, "sandbox": 16.7, "runtime": 15.4, "net": 15.2,
+        "cluster": 11.9, "autoscale": 9.8, "bench": 9.0, "snapshot": 8.2,
+        "storage": 5.3, "workloads": 4.1, "policy": 3.1, "config": 1.2,
+        "errors": 0.1, "db": 0.1,
+    }
+    COMPREHENSIONS = 10.9
+
+    def test_repro_calls_per_completed_invocation(self):
+        def replay():
+            return run_load_platform(
+                "fireworks", "predictive", duration_ms=3_000.0, seed=2022,
+                return_platform=True)[1]
+
+        # A first run imports lazily loaded modules and fills memoised
+        # helpers, so the profiled run does not depend on earlier tests.
+        replay()
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            platform = replay()
+        finally:
+            profile.disable()
+        calls, comprehensions = _repro_calls(profile)
+        completed = platform.ledger.completed
+        assert completed == 1_346
+        over = {}
+        for layer, count in calls.items():
+            ceiling = self.CEILINGS.get(layer, 0.0)
+            if count / completed > ceiling:
+                over[layer] = (round(count / completed, 2), ceiling)
+        assert not over, f"calls per invocation over the ceiling: {over}"
+        assert comprehensions / completed <= self.COMPREHENSIONS
 
 
 class TestChaosCrashMidTrace:

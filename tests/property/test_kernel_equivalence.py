@@ -1,18 +1,19 @@
-"""Differential property tests: calendar queue vs the reference heap.
+"""Differential property tests: the kernel's loop vs a plain reference.
 
-The calendar-queue rewrite's core promise is *exact* order preservation:
-for any schedule — ties, urgent ranks, zero delays, far-future jumps,
-interleaved cancels — the bucketed scheduler pops entries in precisely
-the ``(time, urgent_rank, sequence)`` total order the single-heap kernel
-used.  The golden figure hashes ride on that promise; these tests check
-it at two levels:
+The kernel fires every event from one inlined loop, ``_run_core``, and
+``run()``, ``run(until=t)`` and ``run(until=event)`` all go through it.
+The golden figure hashes ride on that loop firing entries in the exact
+``(time, urgent_rank, sequence)`` order of its heap and stopping exactly
+where each ``run`` asks.  These tests check it at two levels:
 
-* kernel level — full simulations on the calendar :class:`Simulation`
-  and on ``_HeapSimulation``, the single-heap reference defined below,
-  must fire the same callbacks at the same times in the same order,
+* kernel level — full simulations on :class:`Simulation` and on
+  ``_ReferenceSimulation``, whose loop (defined below) pops, fires each
+  payload through its own ``_fire()``, counts and stops in the plainest
+  way, must fire the same callbacks at the same times in the same order,
   including through processes, interrupts and event cancellation
-  (``Timeout`` never fires after its event fails), and with enough
-  pending entries to leave the small-heap tier and fill the bucket ring;
+  (``Timeout`` never fires after its event fails), with 1 100-1 500
+  pending entries, and with the outer driver stopping mid-program at a
+  time and at an event before it drains;
 * condition level — random programs of timeouts, processes, plain events
   (succeeding or failing), already-triggered and already-processed
   children and nested conditions must fire every ``AllOf`` at the same
@@ -23,45 +24,42 @@ it at two levels:
 from __future__ import annotations
 
 import random
-from heapq import heappush
+from heapq import heappop
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Condition, Event
-from repro.sim.kernel import _NB as NB_BUCKETS
-from repro.sim.kernel import Simulation, _Timer
+from repro.sim.kernel import Simulation
 
 
-class _HeapSimulation(Simulation):
-    """The pre-rewrite single-heapq kernel: every entry goes through the
-    overflow heap, so the deque and the bucket ring stay empty.
+class _ReferenceSimulation(Simulation):
+    """The kernel with its hot loop replaced by the plain one: pop the
+    head, count it, fire it through ``_fire()``, stop after *target*.
 
-    Kept only here, as the reference the calendar queue must match.
+    Kept only here, as the reference ``Simulation._run_core`` must match.
     """
 
-    def _push_normal(self, entry):
-        heappush(self._heap, entry)
+    def _run_core(self, deadline, target):
+        heap = self._heap
+        while heap and heap[0][0] <= deadline:
+            time, _rank, _seq, item = heappop(heap)
+            self._now = time
+            self.events_processed += 1
+            for hook in self._trace_hooks:
+                hook(time, item)
+            item._fire()
+            if item is target:
+                return
 
-    def schedule_timeout(self, delay, callback, value=None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        timer = self._timer_pool.pop() if self._timer_pool else _Timer(self)
-        timer._callback = callback
-        timer._value = value
-        self._sequence = seq = self._sequence + 1
-        heappush(self._heap, (self._now + delay, 1, seq, timer))
 
+KERNELS = {"kernel": Simulation, "reference": _ReferenceSimulation}
 
-KERNELS = {"calendar": Simulation, "heap": _HeapSimulation}
-
-# Delays that exercise every tier: same-time (0.0), sub-bucket fractions,
-# exact bucket boundaries, the ring-window edge, and far-future overflow.
+# Delays with same-time ties (0.0), fractions, repeated whole values and
+# a far-future jump.
 DELAY_VALUES = (
-    0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 7.75, 63.0, 511.0,
-    float(NB_BUCKETS - 1), float(NB_BUCKETS) - 0.5, float(NB_BUCKETS),
-    float(NB_BUCKETS) + 0.5, 10_000.0,
+    0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 7.75, 63.0, 511.0, 511.5, 512.0,
+    512.5, 10_000.0,
 )
 DELAYS = st.sampled_from(DELAY_VALUES)
 
@@ -88,11 +86,24 @@ def kernel_programs(draw):
         min_size=1, max_size=25))
 
 
+@st.composite
+def stops(draw):
+    """Where the outer driver stops before it drains: ``run(until=now +
+    delay)``, or ``run(until=event)`` on the k-th event the program made
+    (the driver process while it has made none)."""
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("time"), DELAYS),
+            st.tuples(st.just("event"), st.integers(min_value=0,
+                                                    max_value=63))),
+        max_size=4))
+
+
 def _arm(sim, log, tag, fast, delays):
     """A timer that logs *tag* and re-arms for each of *delays* in turn.
 
-    *fast* picks ``schedule_timeout`` (the inlined push) over
-    ``sim.timeout`` (routed by ``_push_normal``).
+    *fast* picks ``schedule_timeout`` (a pooled ``_Timer``) over
+    ``sim.timeout`` (a ``Timeout`` event).
     """
     def fire(_):
         log.append((tag, len(delays), sim.now))
@@ -104,34 +115,34 @@ def _arm(sim, log, tag, fast, delays):
         sim.timeout(delays[0]).callbacks.append(fire)
 
 
-def _run_program(program, queue: str, bucketed=None):
-    """Execute *program* on a kernel using *queue*; return the event log.
+def _run_program(program, queue: str, halts=()):
+    """Execute *program* on the *queue* kernel; return the event log.
 
-    A ``bulk`` step appends the kernel's bucketed-entry count right after
-    it schedules to *bucketed*, when given.
+    The outer driver makes each of *halts* (see :func:`stops`) in turn,
+    noting where it stopped, and then drains.
     """
     sim = KERNELS[queue](seed=7)
     log = []
+    targets = []
 
     def driver():
         from repro.sim import Interrupt
         for index, step in enumerate(program):
             kind = step[0]
             if kind == "bulk":
-                # Non-zero first delays, so no entry rides the same-time
-                # deque; each timer re-arms once, so pushes also land in
-                # the active bucket while the ring drains.
+                # Non-zero first delays, so no entry fires at once; each
+                # timer re-arms once, so pushes land while the deep queue
+                # drains.
                 rng = random.Random(step[2])
                 for k in range(step[1]):
                     delays = (rng.choice(DELAY_VALUES[1:]),
                               rng.choice(DELAY_VALUES))
                     _arm(sim, log, (index, k), k % 2, delays)
-                if bucketed is not None:
-                    bucketed.append(sim._bcount)
             elif kind == "timeout":
                 timeout = sim.timeout(step[1], value=index)
                 timeout.callbacks.append(
                     lambda ev, i=index: log.append(("cb", i, sim.now)))
+                targets.append(timeout)
             elif kind == "fast":
                 sim.schedule_timeout(
                     step[1], lambda v, i=index: log.append(
@@ -141,7 +152,8 @@ def _run_program(program, queue: str, bucketed=None):
                     for k in range(count):
                         yield sim.timeout(delay)
                         log.append(("proc", i, k, sim.now))
-                sim.process(sleeper())
+                    return i
+                targets.append(sim.process(sleeper()))
             elif kind == "interrupt":
                 def victim(i=index, delay=step[1]):
                     try:
@@ -154,6 +166,7 @@ def _run_program(program, queue: str, bucketed=None):
                     if t.is_alive:
                         t.interrupt(cause=i)
                 sim.schedule_timeout(step[1], fire)
+                targets.append(target)
             else:  # sleep
                 yield sim.timeout(step[0 + 1])
                 log.append(("drv", index, sim.now))
@@ -161,36 +174,40 @@ def _run_program(program, queue: str, bucketed=None):
         if False:
             yield  # pragma: no cover
 
-    sim.process(driver())
+    main = sim.process(driver())
+    halted = []
+    for kind, arg in halts:
+        if kind == "time":
+            value = sim.run(until=sim.now + arg)
+        else:
+            value = sim.run(until=targets[arg % len(targets)]
+                            if targets else main)
+        halted.append((value, len(log), sim.now, sim.events_processed,
+                       sim.peek()))
     sim.run()
-    return log, sim.now, sim.events_processed
+    return log, halted, sim.now, sim.events_processed
 
 
-@given(kernel_programs())
+@given(kernel_programs(), stops())
 @settings(max_examples=150, deadline=None)
-def test_full_simulation_equivalence(program):
-    """calendar-queue and heap kernels replay identical histories."""
-    calendar_log, calendar_now, calendar_events = _run_program(
-        program, "calendar")
-    heap_log, heap_now, heap_events = _run_program(program, "heap")
-    assert calendar_log == heap_log
-    assert calendar_now == heap_now
-    assert calendar_events == heap_events
+def test_full_simulation_equivalence(program, halts):
+    """The kernel and the reference replay identical histories and stop
+    at the same place."""
+    assert (_run_program(program, "kernel", halts)
+            == _run_program(program, "reference", halts))
 
 
 @given(kernel_programs(),
        st.integers(min_value=1100, max_value=1500),
-       st.integers(min_value=0, max_value=2 ** 32), kernel_programs())
+       st.integers(min_value=0, max_value=2 ** 32), kernel_programs(),
+       stops())
 @settings(max_examples=20, deadline=None)
-def test_bucket_ring_equivalence(before, count, seed, after):
-    """Past the small-heap tier: a burst of 1 100-1 500 pending entries
-    fills the bucket ring, and the two kernels still agree."""
+def test_deep_queue_equivalence(before, count, seed, after, halts):
+    """A burst of 1 100-1 500 pending entries, and the two kernels still
+    agree."""
     program = before + [("bulk", count, seed)] + after
-    bucketed, heap_bucketed = [], []
-    calendar = _run_program(program, "calendar", bucketed)
-    assert calendar == _run_program(program, "heap", heap_bucketed)
-    assert max(bucketed) > 0, "no entry reached the bucket ring"
-    assert max(heap_bucketed) == 0, "the reference used the bucket ring"
+    assert (_run_program(program, "kernel", halts)
+            == _run_program(program, "reference", halts))
 
 
 @given(st.lists(DELAYS, min_size=1, max_size=30),
@@ -219,7 +236,7 @@ def test_cancellation_equivalence(delays, cancel_index):
         sim.run()
         return log, sim.now
 
-    assert run("calendar") == run("heap")
+    assert run("kernel") == run("reference")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulation, SimulationScope
+from repro.sim import Interrupt, Simulation, SimulationScope
 from tests.helpers import run
 
 
@@ -37,10 +37,6 @@ class TestClock:
 
     def test_peek_empty_is_inf(self, sim):
         assert sim.peek() == float("inf")
-
-    def test_step_empty_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
 
 
 class TestRun:
@@ -83,6 +79,75 @@ class TestRun:
         event.succeed("early")
         sim.run()
         assert sim.run(until=event) == "early"
+
+
+class TestRunUntilEventStops:
+    """``run(until=event)`` fires events up to and including its target,
+    and not one more."""
+
+    def test_returns_right_after_the_target_fires(self, sim):
+        fired = []
+        target = sim.timeout(5, value="target")
+        target.callbacks.append(lambda ev: fired.append("target"))
+        sim.schedule_timeout(5, fired.append, "same time, later")
+        sim.schedule_timeout(6, fired.append, "later")
+        assert sim.run(until=target) == "target"
+        assert fired == ["target"]
+        assert sim.now == 5.0
+        assert sim.events_processed == 1
+
+    def test_a_same_time_entry_after_the_target_stays_pending(self, sim):
+        fired = []
+        target = sim.timeout(5)
+        sim.timeout(5).callbacks.append(lambda ev: fired.append("after"))
+        sim.run(until=target)
+        assert fired == []
+        assert sim.peek() == 5.0
+        sim.run()
+        assert fired == ["after"]
+        assert sim.now == 5.0
+        assert sim.events_processed == 2
+
+    def test_an_urgent_interrupt_fires_before_same_time_entries(self, sim):
+        order = []
+
+        def victim():
+            try:
+                yield sim.timeout(100)
+            except Interrupt:
+                order.append("interrupted")
+
+        process = sim.process(victim())
+        target = sim.timeout(5)
+        sim.schedule_timeout(5, order.append, "normal")
+        target.callbacks.append(lambda ev: process.interrupt())
+        sim.run(until=target)
+        assert order == []
+        sim.run()
+        assert order == ["interrupted", "normal"]
+
+    def test_queue_emptying_first_is_a_deadlock(self, sim):
+        sim.timeout(3)
+        sim.timeout(4)
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run(until=sim.event())
+        assert sim.now == 4.0
+        assert sim.events_processed == 2
+
+    def test_a_raising_callback_still_counts_its_event(self, sim):
+        def boom(_value):
+            raise ValueError("boom")
+
+        target = sim.timeout(2)
+        target.callbacks.append(lambda ev: boom(None))
+        sim.timeout(1)
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=target)
+        assert sim.events_processed == 2
+        sim.schedule_timeout(1, boom)
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert sim.events_processed == 3
 
 
 class TestOrdering:
