@@ -19,7 +19,7 @@ from repro.bench.factors import FactorRow, run_factor_analysis
 from repro.bench.faasdom_experiments import run_faasdom_benchmark
 from repro.bench.cluster import (ClusterPolicyOutcome,
                                  run_cluster_scheduling)
-from repro.bench.harness import (cold_and_warm, drain, fireworks_invocation,
+from repro.bench.harness import (cold_and_warm, fireworks_invocation,
                                  fresh_cluster_platform, fresh_platform,
                                  install_all, install_chain,
                                  invoke_once, provision_warm)
@@ -50,7 +50,6 @@ __all__ = [
     "PolicyComparison",
     "ResultCache",
     "cold_and_warm",
-    "drain",
     "experiment_ids",
     "export_all",
     "fig12_improvements",

@@ -14,10 +14,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bench.experiment import Experiment, render_lines
-from repro.bench.harness import (fresh_platform, install_all, invoke_once)
+from repro.bench.harness import (fleet, fresh_platform, install_all,
+                                 invoke_once, replay)
 from repro.bench.serialization import register_result_type
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
@@ -151,41 +152,23 @@ def run_policy_comparison(params: Optional[CalibratedParameters] = None,
     time, paying cold starts and holding idle memory; Fireworks pays its
     flat snapshot-resume cost for everyone.
     """
+    specs = fleet(n_functions)
     rng = RngStreams(seed)
-    function_names = [f"fn-{i:02d}" for i in range(n_functions)]
-    popularity = assign_popularity(function_names, rng)
+    popularity = assign_popularity([spec.name for spec in specs], rng)
     trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = {name: base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names}
 
     # OpenWhisk replay.
     ow = fresh_platform(OpenWhiskPlatform, params)
-    install_all(ow, specs.values())
-    ow_latencies: List[float] = []
-    for event in trace:
-        if ow.sim.now < event.at_ms:
-            ow.sim.run(until=event.at_ms)
-        record = invoke_once(ow, event.function)
-        ow_latencies.append(record.total_ms)
+    install_all(ow, specs)
+    ow_latencies = [record.total_ms for record in replay(ow, trace)]
     # End-of-trace idle memory: every live warm container is waiting memory.
     ow_idle_mb = ow.host_memory.used_mb
     warm_rate = ow.warm_starts / max(1, ow.warm_starts + ow.cold_starts)
 
     # Fireworks replay.
     fw = fresh_platform(FireworksPlatform, params)
-    install_all(fw, specs.values())
-    fw_latencies: List[float] = []
-    for event in trace:
-        if fw.sim.now < event.at_ms:
-            fw.sim.run(until=event.at_ms)
-        record = invoke_once(fw, event.function)
-        fw_latencies.append(record.total_ms)
+    install_all(fw, specs)
+    fw_latencies = [record.total_ms for record in replay(fw, trace)]
     fw.sim.run()  # drain clone teardowns
     image_cache_mb = sum(
         report.image.size_mb for report in fw.install_reports.values()
@@ -316,26 +299,16 @@ def run_keepalive_policy_comparison(
     from repro.policy.keepalive import (FixedKeepAlive,
                                         HybridHistogramKeepAlive)
 
+    specs = fleet(n_functions)
     rng = RngStreams(seed)
-    function_names = [f"fn-{index:02d}" for index in range(n_functions)]
-    popularity = assign_popularity(function_names, rng)
+    popularity = assign_popularity([spec.name for spec in specs], rng)
     trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description) for name in function_names]
 
     def replay_openwhisk(label: str, policy) -> KeepAliveOutcome:
         platform = fresh_platform(OpenWhiskPlatform, params,
                                   keepalive_policy=policy)
         install_all(platform, specs)
-        latencies: List[float] = []
-        for event in trace:
-            if platform.sim.now < event.at_ms:
-                platform.sim.run(until=event.at_ms)
-            latencies.append(invoke_once(platform, event.function).total_ms)
+        latencies = [record.total_ms for record in replay(platform, trace)]
         total = platform.warm_starts + platform.cold_starts
         # Idle memory: let the fleet settle 3 minutes past the last
         # request, then run the periodic reaper.
@@ -357,12 +330,7 @@ def run_keepalive_policy_comparison(
 
     fireworks = fresh_platform(FireworksPlatform, params)
     install_all(fireworks, specs)
-    fw_latencies: List[float] = []
-    for event in trace:
-        if fireworks.sim.now < event.at_ms:
-            fireworks.sim.run(until=event.at_ms)
-        fw_latencies.append(
-            invoke_once(fireworks, event.function).total_ms)
+    fw_latencies = [record.total_ms for record in replay(fireworks, trace)]
     fireworks.sim.run()
     image_cache_mb = sum(
         report.image.size_mb

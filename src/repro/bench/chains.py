@@ -146,8 +146,7 @@ def _stage_spec(name: str, compute_ms: float,
                     extra_load_ms=120.0),
         make_program=make_program,
         source=_STAGE_JS,
-        description="Synthetic multi-tenant chain stage",
-        benchmark_suite="chains")
+        description="Synthetic multi-tenant chain stage")
 
 
 def tenant_events_db(tenant: str) -> str:
@@ -264,8 +263,7 @@ def run_chains_platform(
         capacity_per_host: int = DEFAULT_CAPACITY_PER_HOST,
         keepalive_ms: float = DEFAULT_KEEPALIVE_MS,
         mean_interarrival_ms: float = DEFAULT_MEAN_INTERARRIVAL_MS,
-        autoscale_mode: str = DEFAULT_AUTOSCALE_MODE,
-        chaos_plan=None, return_platform: bool = False):
+        return_platform: bool = False):
     """One (backend, placement policy) row: fresh cluster, same seed,
     same multi-tenant trace.
 
@@ -292,15 +290,8 @@ def run_chains_platform(
             dags[(tenant, dag_name)] = dag
     sim = platform.sim
     start_ms = sim.now
-    WarmPoolAutoscaler(platform, mode=autoscale_mode,
+    WarmPoolAutoscaler(platform, mode=DEFAULT_AUTOSCALE_MODE,
                        until_ms=start_ms + duration_ms)
-    if chaos_plan is not None:
-        from repro.chaos import HostFailureController
-        from repro.chaos.plan import ChaosPlan
-        shifted = ChaosPlan([
-            dataclasses.replace(event, at_ms=start_ms + event.at_ms)
-            for event in chaos_plan.events])
-        HostFailureController(platform, shifted, failover=True)
 
     runs: List[DagRun] = []
     for index, event in enumerate(trace):

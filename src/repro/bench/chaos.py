@@ -27,14 +27,13 @@ derive from *seed*, so two identically-seeded runs are byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.bench.cluster import (KEEPALIVE_MS, POPULAR_INTERARRIVAL_MS,
                                  RARE_INTERARRIVAL_MS)
 from repro.bench.experiment import Experiment, render_lines
-from repro.bench.harness import (fresh_cluster_platform, install_all,
-                                 invoke_once)
+from repro.bench.harness import (fleet, fresh_cluster_platform,
+                                 install_all, replay)
 from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
 from repro.chaos import (KIND_BUS_PARTITION, KIND_HOST_CRASH,
@@ -42,11 +41,10 @@ from repro.chaos import (KIND_BUS_PARTITION, KIND_HOST_CRASH,
                          HostFailureController)
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
-from repro.errors import InvocationFailedError
+from repro.platforms.base import InvocationRecord
 from repro.policy.placement import (POLICY_ROUND_ROBIN,
                                     POLICY_SNAPSHOT_LOCALITY, home_index)
 from repro.sim.rng import RngStreams
-from repro.workloads.faasdom import faasdom_spec
 from repro.workloads.generator import assign_popularity, poisson_trace
 
 #: Mid-trace crash: late enough that warm state and locality built up,
@@ -101,30 +99,13 @@ class ChaosOutcome:
                 f"regen={self.regenerations:2d}")
 
 
-def _chaos_replay(platform, trace, crash_at_ms: float
-                  ) -> Tuple[List[float], int, float]:
-    """Replay *trace*; failed invocations are counted, not raised.
-
-    Returns the completed latencies, the failure count and the recovery
-    time: crash to the first completion among requests submitted at or
-    after it (-1 if none completed).
-    """
-    latencies: List[float] = []
-    failed = 0
-    recovered_at_ms = math.inf
-    for event in trace:
-        if platform.sim.now < event.at_ms:
-            platform.sim.run(until=event.at_ms)
-        try:
-            record = invoke_once(platform, event.function)
-            latencies.append(record.total_ms)
-            if record.submitted_ms >= crash_at_ms:
-                recovered_at_ms = min(recovered_at_ms, record.completed_ms)
-        except InvocationFailedError:
-            failed += 1
-    recovery_ms = (recovered_at_ms - crash_at_ms
-                   if recovered_at_ms != math.inf else -1.0)
-    return latencies, failed, recovery_ms
+def recovery_ms(records: Sequence[InvocationRecord],
+                crash_at_ms: float) -> float:
+    """From the crash to the first completion among requests submitted
+    at or after it; -1 if none completed."""
+    after = [record.completed_ms for record in records
+             if record.submitted_ms >= crash_at_ms]
+    return min(after) - crash_at_ms if after else -1.0
 
 
 def default_crash_host(function_names: Sequence[str], n_hosts: int) -> int:
@@ -161,21 +142,14 @@ def run_chaos_experiment(
         resolved, control_plane=dataclasses.replace(
             resolved.control_plane, warm_keepalive_ms=KEEPALIVE_MS))
 
+    specs = fleet(n_functions)
+    function_names = [spec.name for spec in specs]
     rng = RngStreams(seed)
-    function_names = [f"fn-{i:02d}" for i in range(n_functions)]
     popularity = assign_popularity(
         function_names, rng,
         popular_interarrival_ms=POPULAR_INTERARRIVAL_MS,
         rare_interarrival_ms=RARE_INTERARRIVAL_MS)
     trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names]
 
     crash_host = default_crash_host(function_names, n_hosts)
     plan_events = [
@@ -207,8 +181,7 @@ def run_chaos_experiment(
         # immutable events, so no fault budget leaks into the next row.
         HostFailureController(platform, plan, failover=failover)
 
-        latencies, failed, recovery_ms = _chaos_replay(platform, trace,
-                                                       crash_at_ms)
+        records = replay(platform, trace)
         platform.sim.run()  # drain clone teardowns + chaos reclamation
         outcomes[label] = ChaosOutcome(
             label=label,
@@ -218,10 +191,11 @@ def run_chaos_experiment(
             crash_host=crash_host,
             crash_at_ms=crash_at_ms,
             requests=len(trace),
-            completed=len(latencies),
-            failed=failed,
-            latency=LatencyStats.from_samples(latencies),
-            recovery_ms=recovery_ms,
+            completed=len(records),
+            failed=platform.ledger.failed,
+            latency=LatencyStats.from_samples(
+                [record.total_ms for record in records]),
+            recovery_ms=recovery_ms(records, crash_at_ms),
             retries=platform.retries,
             failovers=platform.failovers,
             regenerations=platform.regenerations)

@@ -21,11 +21,11 @@ revisit period (one host, ~30 s for a popular function) and round-robin's
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bench.experiment import Experiment, render_lines
-from repro.bench.harness import (fresh_cluster_platform, install_all,
-                                 invoke_once)
+from repro.bench.harness import (fleet, fresh_cluster_platform,
+                                 install_all, replay)
 from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters, default_parameters
@@ -33,7 +33,6 @@ from repro.core.fireworks import FireworksPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.policy import default_registry
 from repro.sim.rng import RngStreams
-from repro.workloads.faasdom import faasdom_spec
 from repro.workloads.generator import assign_popularity, poisson_trace
 
 #: Keep-alive window for the OpenWhisk replay: longer than a popular
@@ -67,17 +66,6 @@ class ClusterPolicyOutcome:
                 f"spread={self.load_spread}")
 
 
-def _replay(platform, trace) -> List[float]:
-    """Replay *trace* on *platform*, verifying every invocation."""
-    latencies: List[float] = []
-    for event in trace:
-        if platform.sim.now < event.at_ms:
-            platform.sim.run(until=event.at_ms)
-        record = invoke_once(platform, event.function)
-        latencies.append(record.total_ms)
-    return latencies
-
-
 def run_cluster_scheduling(
         params: Optional[CalibratedParameters] = None,
         n_hosts: int = 4,
@@ -94,21 +82,13 @@ def run_cluster_scheduling(
         resolved, control_plane=dataclasses.replace(
             resolved.control_plane, warm_keepalive_ms=KEEPALIVE_MS))
 
+    specs = fleet(n_functions)
     rng = RngStreams(seed)
-    function_names = [f"fn-{i:02d}" for i in range(n_functions)]
     popularity = assign_popularity(
-        function_names, rng,
+        [spec.name for spec in specs], rng,
         popular_interarrival_ms=POPULAR_INTERARRIVAL_MS,
         rare_interarrival_ms=RARE_INTERARRIVAL_MS)
     trace = poisson_trace(popularity, duration_ms, rng)
-
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    specs = [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names]
 
     outcomes: Dict[str, ClusterPolicyOutcome] = {}
     for policy in default_registry().names("placement"):
@@ -116,14 +96,14 @@ def run_cluster_scheduling(
         ow = fresh_cluster_platform(OpenWhiskPlatform, tuned,
                                     n_hosts=n_hosts, policy=policy)
         install_all(ow, specs)
-        _replay(ow, trace)
+        replay(ow, trace)
         warm_rate = ow.warm_starts / max(1, ow.warm_starts + ow.cold_starts)
 
         # Fireworks replay: host-local snapshot images.
         fw = fresh_cluster_platform(FireworksPlatform, tuned,
                                     n_hosts=n_hosts, policy=policy)
         install_all(fw, specs)
-        fw_latencies = _replay(fw, trace)
+        fw_latencies = [record.total_ms for record in replay(fw, trace)]
         fw.sim.run()  # drain clone teardowns
         restores = fw.local_restores + fw.cross_host_transfers
         outcomes[policy] = ClusterPolicyOutcome(

@@ -150,7 +150,6 @@ def run_load_sweep(platform_cls: Type[ServerlessPlatform],
         while t < sim.now + duration_ms:
             t += -1000.0 / rate * math.log(1.0 - stream.random())
             arrivals.append(t)
-        end_of_offered = arrivals[-1] if arrivals else sim.now
 
         completions = []
 
@@ -173,7 +172,6 @@ def run_load_sweep(platform_cls: Type[ServerlessPlatform],
             achieved_rps=len(completions) / max(span_ms, 1.0) * 1000.0,
             latency=LatencyStats.from_samples(latencies),
             mean_queue_wait_ms=host_cpu.mean_queue_wait_ms)
-        del end_of_offered
     return results
 
 

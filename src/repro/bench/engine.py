@@ -45,7 +45,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import tempfile
 import time
@@ -108,11 +107,6 @@ def experiment_ids() -> Tuple[str, ...]:
     return tuple(experiment_registry())
 
 
-#: How far past a shard's end its simulations may run to finish their
-#: pending work (teardowns, retires, expiry timers): 24 simulated hours.
-DRAIN_HORIZON_MS = 24 * 3600 * 1000.0
-
-
 def _execute_shard(shard: Shard, params: CalibratedParameters,
                    seed: int) -> bytes:
     """Run one shard and return its result blob.
@@ -120,22 +114,31 @@ def _execute_shard(shard: Shard, params: CalibratedParameters,
     Runs in a pool worker under ``jobs > 1``; the blob is what crosses the
     process boundary and what the cache stores.  Once the blob is encoded
     (so no result can move), every simulation the shard built that is
-    still alive runs its pending work out, up to
-    :data:`DRAIN_HORIZON_MS`: a drained simulation holds no process that
+    still alive is drained (a bare :meth:`~repro.sim.kernel.Simulation.run`,
+    up to 24 simulated hours): a drained simulation holds no process that
     holds it, so refcounting frees it instead of the cyclic GC.  Work
     still pending after the horizon raises
-    :class:`~repro.errors.UndrainedSimulationError`, and the shard is not
+    :class:`~repro.errors.UndrainedSimulationError`, naming the
+    experiment, the shard and the pending entry, and the shard is not
     cached.
+
+    The scope holds its simulations weakly.  One that the cyclic GC frees
+    before the drain is not drained here, but it can no longer hang or
+    leak, and every driver that drains checks its own simulations
+    whatever the GC does.  Holding them strongly raised a ``load-sweep``
+    row's peak RSS from 46.1 to 61.7 MiB.
     """
     experiment = experiment_registry()[shard.experiment]
     with SimulationScope() as scope:
         blob = dumps_result(experiment.run(params, seed,
                                            **shard.kwargs_dict()))
     for sim in scope.live():
-        sim.run(until=sim.now + DRAIN_HORIZON_MS)
-        if sim.peek() != math.inf:
-            raise UndrainedSimulationError(shard.experiment, shard.key,
-                                           DRAIN_HORIZON_MS)
+        try:
+            sim.run()
+        except UndrainedSimulationError as error:
+            raise UndrainedSimulationError(
+                error.pending, error.horizon_ms, shard.experiment,
+                shard.key) from None
     return blob
 
 

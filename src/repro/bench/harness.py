@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Type
+import dataclasses
+from typing import Iterable, List, Optional, Tuple, Type
 
 from repro.cluster.host import Cluster
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
+from repro.errors import InvocationFailedError
 from repro.platforms.base import (MODE_AUTO, MODE_COLD, MODE_WARM,
                                   InvocationRecord, ServerlessPlatform)
 from repro.platforms.firecracker import (FirecrackerPlatform,
@@ -17,6 +19,8 @@ from repro.policy.placement import POLICY_HASH
 from repro.sim.kernel import Simulation
 from repro.trace import verify_invocation
 from repro.workloads.base import ChainSpec, FunctionSpec
+from repro.workloads.faasdom import faasdom_spec
+from repro.workloads.generator import TraceEvent
 
 def fresh_platform(platform_cls: Type[ServerlessPlatform],
                    params: Optional[CalibratedParameters] = None,
@@ -103,9 +107,32 @@ def fireworks_invocation(spec: FunctionSpec,
     return invoke_once(platform, spec.name)
 
 
-def drain(platform: ServerlessPlatform) -> None:
-    """Run the simulation until quiescent (async triggers, reaping...)."""
-    platform.sim.run()
+def fleet(n_functions: int) -> List[FunctionSpec]:
+    """The function set of the trace replays: FaaSdom ``faas-netlatency``
+    (Node.js) under the names ``fn-00``, ``fn-01``, ..."""
+    base = faasdom_spec("faas-netlatency", "nodejs")
+    return [dataclasses.replace(base, name=f"fn-{index:02d}")
+            for index in range(n_functions)]
+
+
+def replay(platform: ServerlessPlatform,
+           trace: Iterable[TraceEvent]) -> List[InvocationRecord]:
+    """Closed-loop replay: invoke each event at its trace time, to
+    completion (:func:`invoke_once`), and return the completed records.
+
+    An invocation that fails under a chaos controller returns no record:
+    it is counted in ``platform.ledger``, not raised.
+    """
+    sim = platform.sim
+    records: List[InvocationRecord] = []
+    for event in trace:
+        if sim.now < event.at_ms:
+            sim.run(until=event.at_ms)
+        try:
+            records.append(invoke_once(platform, event.function))
+        except InvocationFailedError:
+            pass
+    return records
 
 
 __all__ = [
@@ -115,12 +142,13 @@ __all__ = [
     "GVisorPlatform",
     "OpenWhiskPlatform",
     "cold_and_warm",
-    "drain",
     "fireworks_invocation",
+    "fleet",
     "fresh_cluster_platform",
     "fresh_platform",
     "install_all",
     "install_chain",
     "invoke_once",
     "provision_warm",
+    "replay",
 ]

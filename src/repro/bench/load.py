@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.autoscale import WarmPoolAutoscaler
 from repro.bench.experiment import Experiment, render_lines
-from repro.bench.harness import fresh_cluster_platform, install_all
+from repro.bench.harness import fleet, fresh_cluster_platform, install_all
 from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats, percentile
 from repro.config import CalibratedParameters, default_parameters
@@ -44,7 +44,6 @@ from repro.platforms.openwhisk import OpenWhiskPlatform
 from repro.policy import default_registry
 from repro.policy.placement import POLICY_HASH
 from repro.sim.rng import RngStreams
-from repro.workloads.faasdom import faasdom_spec
 from repro.workloads.generator import (assign_popularity,
                                        modulated_poisson_trace)
 
@@ -201,37 +200,26 @@ def open_loop_replay(platform, trace, duration_ms: float,
     return requests, samples
 
 
-def build_load_trace(n_functions: int, duration_ms: float, seed: int,
-                     popular_interarrival_ms: float =
+def build_load_trace(function_names: Sequence[str], duration_ms: float,
+                     seed: int, popular_interarrival_ms: float =
                      DEFAULT_POPULAR_INTERARRIVAL_MS,
                      rare_interarrival_ms: float =
                      DEFAULT_RARE_INTERARRIVAL_MS,
                      period_ms: float = DEFAULT_MODULATION_PERIOD_MS,
                      depth: float = DEFAULT_MODULATION_DEPTH):
-    """The (function names, trace) pair every row of one run replays.
+    """The trace of *function_names* every row of one run replays.
 
     The trace is :func:`~repro.workloads.generator.modulated_poisson_trace`'s
     lazy iterator: each call draws a fresh one, to be read once.
     """
     rng = RngStreams(seed)
-    function_names = [f"fn-{i:02d}" for i in range(n_functions)]
     popularity = assign_popularity(
         function_names, rng,
         popular_interarrival_ms=popular_interarrival_ms,
         rare_interarrival_ms=rare_interarrival_ms)
     trace = modulated_poisson_trace(popularity, duration_ms, rng,
                                     period_ms=period_ms, depth=depth)
-    return function_names, trace
-
-
-def _load_specs(function_names: Sequence[str]):
-    base_spec = faasdom_spec("faas-netlatency", "nodejs")
-    return [base_spec.__class__(
-        name=name, language=base_spec.language, app=base_spec.app,
-        make_program=base_spec.make_program, source=base_spec.source,
-        description=base_spec.description,
-        benchmark_suite=base_spec.benchmark_suite)
-        for name in function_names]
+    return trace
 
 
 def _tuned_params(params: Optional[CalibratedParameters],
@@ -281,14 +269,15 @@ def run_load_platform(
         # registered names (ValidationError).
         default_registry().entry("autoscale", mode)
     tuned = _tuned_params(params, keepalive_ms)
-    function_names, trace = build_load_trace(
-        n_functions, duration_ms, seed,
+    specs = fleet(n_functions)
+    trace = build_load_trace(
+        [spec.name for spec in specs], duration_ms, seed,
         popular_interarrival_ms=popular_interarrival_ms,
         rare_interarrival_ms=rare_interarrival_ms)
     platform = fresh_cluster_platform(
         LOAD_PLATFORMS[platform_name], tuned, seed=seed, n_hosts=n_hosts,
         policy=placement_policy, capacity_per_host=capacity_per_host)
-    install_all(platform, _load_specs(function_names))
+    install_all(platform, specs)
     # Installs advance the clock; the replay (and the scaler's control
     # loop) run over [start, start + duration].
     start_ms = platform.sim.now

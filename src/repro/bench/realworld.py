@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Type
 
 from repro.bench.experiment import Experiment, render_figures
-from repro.bench.harness import drain, fresh_platform
+from repro.bench.harness import fresh_platform
 from repro.bench.results import FigureResult, LatencyRow
 from repro.config import CalibratedParameters
 from repro.core.fireworks import FireworksPlatform
@@ -69,7 +69,7 @@ def _run_alexa(platform_cls: Type[ServerlessPlatform],
     executor.install(dag)
     runs = [executor.run(dag, payload={"skill": skill})
             for skill in ALEXA_SKILLS]
-    drain(platform)
+    platform.sim.run()
     return _chain_row(_top_records(runs), platform.name, "chain")
 
 
@@ -85,7 +85,7 @@ def _run_data_analysis(platform_cls: Type[ServerlessPlatform],
     insertion = executor.run(dag, payload={"name": "alice", "id": "e1",
                                            "role": "engineer",
                                            "base": 7200})
-    drain(platform)  # let the triggered analysis chain finish
+    platform.sim.run()  # let the triggered analysis chain finish
 
     analysis_records = [r for r in platform.records
                         if r.function == "da-analyze"]

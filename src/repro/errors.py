@@ -6,6 +6,8 @@ can catch library failures without catching programming errors.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -16,18 +18,29 @@ class SimulationError(ReproError):
 
 
 class UndrainedSimulationError(SimulationError):
-    """A finished shard left a simulation whose pending work does not
-    end: events were still queued a full drain horizon after the shard
-    returned (a process that never goes quiet)."""
+    """A drained simulation's pending work does not end: events were
+    still queued a full drain horizon past the drain's start (a process
+    that never goes quiet).  *pending* names the earliest entry; an
+    engine shard's error also names its *experiment* and *shard*."""
 
-    def __init__(self, experiment: str, shard: str,
-                 horizon_ms: float) -> None:
+    def __init__(self, pending: str, horizon_ms: float,
+                 experiment: Optional[str] = None,
+                 shard: Optional[str] = None) -> None:
+        where = (f"experiment {experiment!r} shard {shard!r}: "
+                 if experiment is not None else "")
         super().__init__(
-            f"experiment {experiment!r} shard {shard!r}: a simulation "
-            f"still had pending events {horizon_ms:g} ms after the shard "
-            "finished")
+            f"{where}a simulation still had pending events {horizon_ms:g} "
+            f"ms into its drain; the earliest is {pending}")
+        self.pending = pending
+        self.horizon_ms = horizon_ms
         self.experiment = experiment
         self.shard = shard
+
+    def __reduce__(self):
+        # Rebuilt from all four fields, so the error crosses a process
+        # pool intact (a pool worker's shard error names its shard).
+        return (type(self), (self.pending, self.horizon_ms,
+                             self.experiment, self.shard))
 
 
 class ValidationError(ReproError):

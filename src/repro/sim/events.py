@@ -20,6 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PENDING = object()
 """Sentinel for an event value that has not been decided yet."""
 
+# Free-list cap for the pooled callbacks lists: bounds worst-case
+# retained memory after a burst.
+_CB_POOL_MAX = 1024
+
 
 class Event:
     """A one-shot occurrence that processes can wait on.
@@ -108,7 +112,7 @@ class Event:
         # list may be mid-iteration state and is left for the GC.
         callbacks.clear()
         cb_pool = self.sim._cb_pool
-        if len(cb_pool) < 1024:
+        if len(cb_pool) < _CB_POOL_MAX:
             cb_pool.append(callbacks)
 
     def __repr__(self) -> str:
@@ -157,7 +161,7 @@ class Timeout(Event):
             callback(self)
         callbacks.clear()
         cb_pool = self.sim._cb_pool
-        if len(cb_pool) < 1024:
+        if len(cb_pool) < _CB_POOL_MAX:
             cb_pool.append(callbacks)
 
     def __repr__(self) -> str:

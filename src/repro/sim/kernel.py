@@ -52,7 +52,7 @@ import weakref
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, UndrainedSimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.rng import RngStreams
@@ -70,7 +70,11 @@ _INF = float("inf")
 # Free-list caps: bound worst-case retained memory after a burst.
 _TIMER_POOL_MAX = 4096
 _WAKEUP_POOL_MAX = 4096
-_CB_POOL_MAX = 1024
+
+#: How far past ``now`` a bare ``run()`` runs the pending work
+#: (teardowns, retires, expiry timers) before it gives up: 24 simulated
+#: hours.
+DRAIN_HORIZON_MS = 24 * 3600 * 1000.0
 
 
 class _Timer:
@@ -304,12 +308,22 @@ class Simulation:
 
         ``until`` may be:
 
-        * ``None`` — run until no events remain;
+        * ``None`` — drain: run the pending work out, up to
+          :data:`DRAIN_HORIZON_MS` past now, leaving the clock at the last
+          event fired.  Work still queued at the horizon (a process that
+          never goes quiet) raises
+          :class:`~repro.errors.UndrainedSimulationError`, naming the
+          earliest entry: the process waiting on it, or a timer's
+          callback;
         * a number — run until the clock reaches that time;
         * an :class:`Event` — run until that event fires, returning its value.
         """
         if until is None:
-            self._run_core(_INF, None)
+            self._run_core(self._now + DRAIN_HORIZON_MS, None)
+            heap = self._heap
+            if heap:
+                raise UndrainedSimulationError(_pending_name(heap[0][3]),
+                                               DRAIN_HORIZON_MS)
             return None
         if isinstance(until, Event):
             return self._run_until_event(until)
@@ -387,6 +401,21 @@ class Simulation:
         # Non-strict: a failed event does not raise out of run(); the
         # caller inspects ``until.ok`` and gets the exception as the value.
         return until.value
+
+
+def _pending_name(item: Any) -> str:
+    """What the queue entry *item*, left after a bare ``run()``,
+    resumes: a timer's callback, else the process waiting on the event,
+    else the event itself.  (No wakeup is left: wakeups are queued at
+    ``now``.)"""
+    if item.__class__ is _Timer:
+        callback = item._callback
+        return f"timer {getattr(callback, '__qualname__', repr(callback))}"
+    for callback in item.callbacks:
+        process = getattr(callback, "__self__", None)
+        if isinstance(process, Process):
+            return f"process {process.name!r}"
+    return repr(item)
 
 
 def _awaited(_event: Event) -> None:

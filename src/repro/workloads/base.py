@@ -31,7 +31,6 @@ class FunctionSpec:
     make_program: ProgramFactory
     source: str = ""            # the user-provided handler source code
     description: str = ""
-    benchmark_suite: str = ""   # "faasdom" | "serverlessbench" | ""
 
     def program(self, payload: Optional[Dict[str, Any]] = None) -> Program:
         """The op stream this function executes for *payload*."""

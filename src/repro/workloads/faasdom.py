@@ -295,7 +295,6 @@ def faasdom_spec(name: str, language: str) -> FunctionSpec:
         make_program=lambda payload, _p=fixed_program: _p,
         source=_SOURCES[name][language],
         description=_DESCRIPTIONS[name],
-        benchmark_suite="faasdom",
     )
 
 

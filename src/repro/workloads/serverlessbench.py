@@ -166,29 +166,25 @@ def alexa_skills_chain() -> ChainSpec:
                       GuestFunction("parseIntent", 300.0, 3.0)]),
             make_program=_alexa_frontend_program,
             source=_ALEXA_FRONTEND_JS,
-            description="Voice-command analysis and skill dispatch",
-            benchmark_suite="serverlessbench"),
+            description="Voice-command analysis and skill dispatch"),
         FunctionSpec(
             name="alexa-fact", language="nodejs",
             app=_app("alexa-fact", [GuestFunction("main", 400.0, 3.0)]),
             make_program=_alexa_fact_program,
             source=_ALEXA_FACT_JS,
-            description="Answers simple common sense",
-            benchmark_suite="serverlessbench"),
+            description="Answers simple common sense"),
         FunctionSpec(
             name="alexa-reminder", language="nodejs",
             app=_app("alexa-reminder", [GuestFunction("main", 600.0, 3.0)]),
             make_program=_alexa_reminder_program,
             source=_ALEXA_REMINDER_JS,
-            description="Searches or enters a schedule in CouchDB",
-            benchmark_suite="serverlessbench"),
+            description="Searches or enters a schedule in CouchDB"),
         FunctionSpec(
             name="alexa-smarthome", language="nodejs",
             app=_app("alexa-smarthome", [GuestFunction("main", 500.0, 3.0)]),
             make_program=_alexa_smarthome_program,
             source=_ALEXA_SMARTHOME_JS,
-            description="Reports on/off status of home devices",
-            benchmark_suite="serverlessbench"),
+            description="Reports on/off status of home devices"),
     )
     return ChainSpec(
         name="alexa-skills", entry="alexa-frontend", functions=functions,
@@ -245,29 +241,25 @@ def data_analysis_chain() -> ChainSpec:
             app=_app("da-input", [GuestFunction("main", 500.0, 3.0)]),
             make_program=_da_input_program,
             source=_DA_INPUT_JS,
-            description="Receives and validates personal wage data",
-            benchmark_suite="serverlessbench"),
+            description="Receives and validates personal wage data"),
         FunctionSpec(
             name="da-format", language="nodejs",
             app=_app("da-format", [GuestFunction("main", 600.0, 3.0)]),
             make_program=_da_format_program,
             source=_DA_FORMAT_JS,
-            description="Converts the record format and inserts to CouchDB",
-            benchmark_suite="serverlessbench"),
+            description="Converts the record format and inserts to CouchDB"),
         FunctionSpec(
             name="da-analyze", language="nodejs",
             app=_app("da-analyze", [GuestFunction("main", 900.0, 3.0)]),
             make_program=_da_analyze_program,
             source=_DA_ANALYZE_JS,
-            description="Calculates bonuses and taxes from roles",
-            benchmark_suite="serverlessbench"),
+            description="Calculates bonuses and taxes from roles"),
         FunctionSpec(
             name="da-stats", language="nodejs",
             app=_app("da-stats", [GuestFunction("main", 700.0, 3.0)]),
             make_program=_da_stats_program,
             source=_DA_STATS_JS,
-            description="Aggregates statistics and stores them",
-            benchmark_suite="serverlessbench"),
+            description="Aggregates statistics and stores them"),
     )
     return ChainSpec(
         name="data-analysis", entry="da-input", functions=functions,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench.harness import (cold_and_warm, drain,
-                                 fireworks_invocation, fresh_platform,
-                                 install_all, invoke_once, provision_warm)
+from repro.bench.harness import (cold_and_warm, fireworks_invocation,
+                                 fleet, fresh_platform, install_all,
+                                 invoke_once, provision_warm)
 from repro.core.fireworks import FireworksPlatform
 from repro.platforms.firecracker import FirecrackerPlatform
 from repro.platforms.openwhisk import OpenWhiskPlatform
@@ -89,6 +89,16 @@ class TestDrain:
         platform = fresh_platform(FireworksPlatform)
         install_all(platform, [spec])
         invoke_once(platform, spec.name)
-        drain(platform)
+        platform.sim.run()
         image = platform.image_for(spec.name)
         assert platform.host_memory.used_mb == pytest.approx(image.size_mb)
+
+
+class TestFleet:
+    def test_named_copies_of_one_benchmark(self, spec):
+        specs = fleet(3)
+        assert [one.name for one in specs] == ["fn-00", "fn-01", "fn-02"]
+        for one in specs:
+            assert (one.language, one.app, one.source, one.description) \
+                == (spec.language, spec.app, spec.source, spec.description)
+            assert one.program() == spec.program()

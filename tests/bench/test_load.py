@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.bench.harness import fleet
 from repro.bench.load import (DEFAULT_MODULATION_DEPTH,
                               DEFAULT_MODULATION_PERIOD_MS,
                               DEFAULT_RARE_INTERARRIVAL_MS, LOAD_MODES,
@@ -225,13 +226,14 @@ class TestOutcomeShape:
         assert LOAD_MODES == ("none", "reactive", "predictive")
 
     def test_trace_is_seed_deterministic(self):
-        first_names, first_trace = build_load_trace(8, 20_000.0, 7)
-        second_names, second_trace = build_load_trace(8, 20_000.0, 7)
-        assert first_names == second_names
-        assert list(first_trace) == list(second_trace)
+        names = [spec.name for spec in fleet(8)]
+        first = list(build_load_trace(names, 20_000.0, 7))
+        assert first == list(build_load_trace(names, 20_000.0, 7))
+        assert {event.function for event in first} <= set(names)
 
     def test_trace_is_an_iterator(self):
-        _, trace = build_load_trace(8, 20_000.0, 7)
+        trace = build_load_trace([spec.name for spec in fleet(8)],
+                                 20_000.0, 7)
         assert isinstance(trace, Iterator)
 
     def test_requests_count_every_streamed_event(self):
@@ -266,22 +268,63 @@ class TestOutcomeShape:
         assert outcome.as_line()
 
 
+def _run_script(script: str, timeout_s: float):
+    """Run *script* in a fresh interpreter on this checkout's sources."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout_s)
+
+
+class TestUndrainedReplay:
+    """A platform with a process that re-arms every 60 s forever never
+    goes quiet, so the replay's drain raises the typed error naming that
+    process.  The replay runs in a fresh interpreter with a timeout: an
+    unbounded drain hangs there, and fails this test by the timeout
+    instead of hanging the suite."""
+
+    SCRIPT = (
+        "from repro.bench.harness import fresh_cluster_platform, "
+        "install_all\n"
+        "from repro.bench.load import open_loop_replay\n"
+        "from repro.core.fireworks import FireworksPlatform\n"
+        "from repro.errors import UndrainedSimulationError\n"
+        "from repro.workloads.faasdom import faasdom_spec\n"
+        "from repro.workloads.generator import TraceEvent\n"
+        "spec = faasdom_spec('faas-netlatency', 'nodejs')\n"
+        "platform = fresh_cluster_platform(FireworksPlatform, seed=7)\n"
+        "install_all(platform, [spec])\n"
+        "sim = platform.sim\n"
+        "def heartbeat():\n"
+        "    while True:\n"
+        "        yield sim.timeout(60_000.0)\n"
+        "sim.process(heartbeat(), name='heartbeat')\n"
+        "try:\n"
+        "    open_loop_replay(platform, [TraceEvent(0.0, spec.name)],\n"
+        "                     1_000.0)\n"
+        "except UndrainedSimulationError as error:\n"
+        "    print(error.pending)\n"
+        "    print(platform.ledger.completed)\n")
+
+    def test_a_process_that_never_goes_quiet_raises(self):
+        completed = _run_script(self.SCRIPT, timeout_s=120)
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.split("\n")[:2] == ["process 'heartbeat'",
+                                                     "1"]
+
+
 class TestNoRuntimeDependency:
     def test_load_replay_does_not_import_numpy(self):
         # The package promises no third-party runtime dependency; a
         # Fireworks replay (warm-pool PSS sampling included) in a fresh
         # interpreter must not pull numpy in.
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
         script = (
             "import sys\n"
             "from repro.bench.load import run_load_platform\n"
             "run_load_platform('fireworks', 'predictive', n_hosts=2,\n"
             "                  n_functions=4, duration_ms=5_000.0, seed=7)\n"
             "print('numpy' in sys.modules)\n")
-        completed = subprocess.run([sys.executable, "-c", script], env=env,
-                                   capture_output=True, text=True,
-                                   timeout=120)
+        completed = _run_script(script, timeout_s=120)
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert completed.stdout.strip() == "False"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import drain, fresh_platform, install_chain, invoke_once
+from repro.bench import fresh_platform, install_chain, invoke_once
 from repro.core import FireworksPlatform
 from repro.platforms import OpenWhiskPlatform
 from repro.workloads import (WAGES_DB, alexa_skills_chain,
@@ -58,7 +58,7 @@ class TestDataAnalysisChain:
         chain_platform.register_db_trigger(WAGES_DB, "da-analyze")
         invoke_once(chain_platform, chain.entry,
                     payload={"name": "a", "id": "1"})
-        drain(chain_platform)
+        chain_platform.sim.run()
         functions = [r.function for r in chain_platform.records]
         assert "da-analyze" in functions
         assert "da-stats" in functions
@@ -68,7 +68,7 @@ class TestDataAnalysisChain:
         install_chain(chain_platform, chain)
         invoke_once(chain_platform, chain.entry,
                     payload={"name": "a", "id": "1"})
-        drain(chain_platform)
+        chain_platform.sim.run()
         functions = [r.function for r in chain_platform.records]
         assert "da-analyze" not in functions
 

@@ -19,7 +19,7 @@ import re
 
 import pytest
 
-from repro.bench import (drain, fresh_platform, install_chain, invoke_once)
+from repro.bench import fresh_platform, install_chain, invoke_once
 from repro.bench.load import LOAD_PLATFORMS
 from repro.platforms.chains import (MODE_GUEST, MODE_ORCHESTRATED,
                                     STATUS_OK, STATUS_SKIPPED,
@@ -59,12 +59,12 @@ class TestDifferential:
         import repro.bench.harness as harness
         harness.install_all(plain, [spec])
         record = invoke_once(plain, spec.name)
-        drain(plain)
+        plain.sim.run()
 
         dagged = fresh_platform(LOAD_PLATFORMS[platform_name])
         run = run_dag_once(dagged, _single_stage_dag(spec), {},
                            mode=record.mode)
-        drain(dagged)
+        dagged.sim.run()
 
         assert run.status == "ok"
         stage = run.stages["only"]
@@ -86,12 +86,12 @@ class TestFig9Differential:
         install_chain(plain, chain)
         record = invoke_once(plain, chain.entry,
                              payload={"skill": "fact"})
-        drain(plain)
+        plain.sim.run()
 
         dagged = fresh_platform(LOAD_PLATFORMS[platform_name])
         run = run_dag_once(dagged, alexa_skills_dag(),
                            {"skill": "fact"})
-        drain(dagged)
+        dagged.sim.run()
 
         assert run.mode == MODE_GUEST
         assert run.entry_record is not None
@@ -109,7 +109,7 @@ class TestAllBackends:
         platform = fresh_platform(LOAD_PLATFORMS[platform_name])
         run = run_dag_once(platform, alexa_skills_dag(),
                            {"skill": "reminder"})
-        drain(platform)
+        platform.sim.run()
         expected_mode = MODE_GUEST if platform.supports_chains \
             else MODE_ORCHESTRATED
         assert run.mode == expected_mode
@@ -128,7 +128,7 @@ class TestAllBackends:
         dag = data_analysis_dag()
         executor.install(dag)
         run = executor.run(dag, {})
-        drain(platform)
+        platform.sim.run()
         assert run.status == "ok"
         # The executor drives input -> format; the db trigger fires
         # analyze -> stats after the wages write.

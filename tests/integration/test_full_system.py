@@ -8,7 +8,7 @@ injected faults mid-stream, retained-worker memory accounting, and billing
 
 import pytest
 
-from repro.bench import drain, fresh_platform, install_all, invoke_once
+from repro.bench import fresh_platform, install_all, invoke_once
 from repro.bench.faasdom_experiments import BillingReport
 from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
                          ChaosEvent, ChaosPlan, HostFailureController)
@@ -53,7 +53,7 @@ class TestFullScenario:
         # The health check runs three times.
         for _ in range(3):
             invoke_once(platform, "faas-netlatency-nodejs")
-        drain(platform)
+        platform.sim.run()
 
         # Every gateway request succeeded despite the injected faults.
         assert all(a.status == STATUS_SUCCESS for a in activations)
@@ -108,7 +108,7 @@ class TestFullScenario:
             run(sim, gateway.handle_request(api_key, "da-input",
                                             payload={"name": "x",
                                                      "id": "1"}))
-        drain(platform)
+        platform.sim.run()
         activations = gateway.list_activations("payroll")
         assert len(activations) == 2
         entry_records = [r for r in platform.records

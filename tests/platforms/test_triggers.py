@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import drain, fresh_platform, install_all, invoke_once
+from repro.bench import fresh_platform, install_all, invoke_once
 from repro.core import FireworksPlatform
 from repro.errors import FunctionNotFoundError
 from repro.workloads import alexa_skills_chain, faasdom_spec
@@ -30,13 +30,13 @@ class TestDbTriggerRegistration:
         platform.register_db_trigger("events", FN)
         platform.register_db_trigger("events", spec2.name)
         platform.note_db_write("events")
-        drain(platform)
+        platform.sim.run()
         functions = sorted(record.function for record in platform.records)
         assert functions == sorted([FN, spec2.name])
 
     def test_write_to_untriggered_db_is_quiet(self, platform):
         platform.note_db_write("nobody-cares")
-        drain(platform)
+        platform.sim.run()
         assert platform.records == []
 
 
@@ -56,7 +56,7 @@ class TestDbTriggerFiring:
         platform.register_db_trigger(REMINDER_DB, FN)
         invoke_once(platform, writer)
         invoke_once(platform, writer)
-        drain(platform)
+        platform.sim.run()
         assert sum(platform.ledger.functions[FN].modes.values()) == 2
 
     def test_guest_writes_land_under_sequenced_ids(self, platform, writer):
@@ -71,7 +71,7 @@ class TestDbTriggerFiring:
         platform.register_db_trigger("events", FN)
         platform.note_db_write("events")
         assert platform.ledger.completed == 0
-        drain(platform)
+        platform.sim.run()
         assert platform.ledger.completed == 1
 
     def test_a_runner_replaces_the_single_invocation(self, platform):
@@ -83,14 +83,14 @@ class TestDbTriggerFiring:
 
         platform.register_db_trigger("events", FN, runner=runner)
         platform.note_db_write("events")
-        drain(platform)
+        platform.sim.run()
         assert calls == [(FN, "events")]
         assert platform.ledger.completed == 0
 
     def test_the_firing_is_traced_back_to_its_invocation(self, platform):
         platform.register_db_trigger("events", FN)
         platform.note_db_write("events")
-        drain(platform)
+        platform.sim.run()
         (record,) = platform.records
         (firing,) = [root for root in platform.sim.tracer.traces()
                      if root.kind == "db-trigger"]

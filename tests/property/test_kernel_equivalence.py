@@ -13,7 +13,10 @@ where each ``run`` asks.  These tests check it at two levels:
   including through processes, interrupts and event cancellation
   (``Timeout`` never fires after its event fails), with 1 100-1 500
   pending entries, and with the outer driver stopping mid-program at a
-  time and at an event before it drains;
+  time, at an event or at a bare ``run()`` before it drains; and on
+  these programs, which all go quiet, the bare ``run()``, bounded at 24
+  simulated hours, fires what an unbounded loop fires and leaves the
+  clock in the same place;
 * condition level — random programs of timeouts, processes, plain events
   (succeeding or failing), already-triggered and already-processed
   children and nested conditions must fire every ``AllOf`` at the same
@@ -89,13 +92,14 @@ def kernel_programs(draw):
 @st.composite
 def stops(draw):
     """Where the outer driver stops before it drains: ``run(until=now +
-    delay)``, or ``run(until=event)`` on the k-th event the program made
-    (the driver process while it has made none)."""
+    delay)``, ``run(until=event)`` on the k-th event the program made
+    (the driver process while it has made none), or a bare ``run()``."""
     return draw(st.lists(
         st.one_of(
             st.tuples(st.just("time"), DELAYS),
             st.tuples(st.just("event"), st.integers(min_value=0,
-                                                    max_value=63))),
+                                                    max_value=63)),
+            st.tuples(st.just("drain"), st.none())),
         max_size=4))
 
 
@@ -115,11 +119,19 @@ def _arm(sim, log, tag, fast, delays):
         sim.timeout(delays[0]).callbacks.append(fire)
 
 
-def _run_program(program, queue: str, halts=()):
+def _drain(sim, unbounded):
+    """A bare ``run()``, or the loop it bounds run with no deadline."""
+    if unbounded:
+        return sim._run_core(float("inf"), None)
+    return sim.run()
+
+
+def _run_program(program, queue: str, halts=(), unbounded=False):
     """Execute *program* on the *queue* kernel; return the event log.
 
     The outer driver makes each of *halts* (see :func:`stops`) in turn,
-    noting where it stopped, and then drains.
+    noting where it stopped, and then drains.  Each drain is a bare
+    ``run()``, or, if *unbounded*, the loop with no deadline at all.
     """
     sim = KERNELS[queue](seed=7)
     log = []
@@ -179,12 +191,14 @@ def _run_program(program, queue: str, halts=()):
     for kind, arg in halts:
         if kind == "time":
             value = sim.run(until=sim.now + arg)
-        else:
+        elif kind == "event":
             value = sim.run(until=targets[arg % len(targets)]
                             if targets else main)
+        else:
+            value = _drain(sim, unbounded)
         halted.append((value, len(log), sim.now, sim.events_processed,
                        sim.peek()))
-    sim.run()
+    _drain(sim, unbounded)
     return log, halted, sim.now, sim.events_processed
 
 
@@ -195,6 +209,17 @@ def test_full_simulation_equivalence(program, halts):
     at the same place."""
     assert (_run_program(program, "kernel", halts)
             == _run_program(program, "reference", halts))
+
+
+@given(kernel_programs(), stops())
+@settings(max_examples=150, deadline=None)
+def test_bounded_run_fires_what_an_unbounded_loop_fires(program, halts):
+    """On a program that goes quiet, a bare ``run()`` fires the events
+    a loop with no deadline fires, in the same order, and leaves the
+    clock at the same place."""
+    for queue in KERNELS:
+        assert (_run_program(program, queue, halts)
+                == _run_program(program, queue, halts, unbounded=True))
 
 
 @given(kernel_programs(),

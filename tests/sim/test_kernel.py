@@ -5,8 +5,9 @@ import threading
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, UndrainedSimulationError
 from repro.sim import Interrupt, Simulation, SimulationScope
+from repro.sim.kernel import DRAIN_HORIZON_MS
 from tests.helpers import run
 
 
@@ -226,6 +227,52 @@ class TestRunUntilFailedEvent:
         value = sim.run(until=failed)
         assert isinstance(value, RuntimeError)
         assert not failed.ok
+
+
+class TestBoundedRun:
+    """A bare ``run()`` runs the pending work out, up to 24 simulated
+    hours, and names the earliest entry still queued after that."""
+
+    def test_runs_pending_work_and_leaves_the_clock_at_the_last_event(
+            self, sim):
+        fired = []
+        sim.schedule_timeout(3_600_000.0, fired.append, "teardown")
+        sim.timeout(10.0)
+        sim.run()
+        assert fired == ["teardown"]
+        assert sim.now == 3_600_000.0
+        assert sim.peek() == float("inf")
+
+    def test_an_empty_queue_leaves_the_clock(self, sim):
+        sim.run(until=5.0)
+        sim.run()
+        assert sim.now == 5.0
+
+    def test_the_error_names_a_sleeping_process(self, sim):
+        def heartbeat():
+            while True:
+                yield sim.timeout(60_000.0)
+
+        sim.process(heartbeat(), name="heartbeat")
+        with pytest.raises(UndrainedSimulationError,
+                           match="process 'heartbeat'") as raised:
+            sim.run()
+        assert raised.value.pending == "process 'heartbeat'"
+        assert raised.value.experiment is None
+        # Everything up to the horizon fired; the next beat is past it.
+        assert sim.now == DRAIN_HORIZON_MS
+        assert sim.peek() == DRAIN_HORIZON_MS + 60_000.0
+
+    def test_the_error_names_a_timer_callback(self, sim):
+        def sample(_value):
+            sim.schedule_timeout(60_000.0, sample)
+
+        sim.schedule_timeout(1.0, sample)
+        with pytest.raises(UndrainedSimulationError) as raised:
+            sim.run()
+        assert raised.value.pending == (
+            "timer TestBoundedRun.test_the_error_names_a_timer_callback"
+            ".<locals>.sample")
 
 
 class TestSimulationScope:

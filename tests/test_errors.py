@@ -1,6 +1,8 @@
 """Tests for the exception hierarchy: every error is catchable as
 ReproError, and subsystem groupings hold."""
 
+import pickle
+
 import pytest
 
 from repro import errors
@@ -57,3 +59,16 @@ class TestHierarchy:
         """MemoryError_ deliberately does not subclass builtin MemoryError
         (which is not an Exception subclass pattern we want to catch)."""
         assert not issubclass(errors.MemoryError_, MemoryError)
+
+
+class TestUndrainedSimulationError:
+    def test_survives_pickling_with_every_field(self):
+        # A pool worker's shard error crosses the process boundary.
+        error = errors.UndrainedSimulationError(
+            "process 'ticker'", 86_400_000.0, "never-quiet", "all")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is errors.UndrainedSimulationError
+        assert (copy.pending, copy.horizon_ms, copy.experiment,
+                copy.shard) == ("process 'ticker'", 86_400_000.0,
+                                "never-quiet", "all")
+        assert str(copy) == str(error)

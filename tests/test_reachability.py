@@ -49,6 +49,7 @@ ALLOWED: Dict[str, str] = {
     # The DES kernel's own API, which the property suites pin.
     "repro.sim.kernel.Simulation.active_process": _KERNEL,
     "repro.sim.kernel.Simulation.add_trace_hook": _KERNEL,
+    "repro.sim.kernel.Simulation.peek": _KERNEL,
     "repro.sim.process.Process.interrupt": _KERNEL,
     "repro.sim.process.Process.is_alive": _KERNEL,
     "repro.sim.resources.Store": _KERNEL,
