@@ -6,7 +6,8 @@ parks in FIFO order and is handed its slot by the releaser when capacity
 frees up (no barging — the releaser calls ``assign`` on the waiter's
 behalf before waking it, so a later arrival can never steal the slot).
 
-Shed policy (both produce :class:`SheddedInvocation` results):
+Shed policy (both raise :class:`~repro.errors.InvocationSheddedError`,
+which the platform counts in its ledger's ``shed``):
 
 * ``queue-full`` — the queue already holds ``queue_capacity`` waiters on
   arrival; the request is rejected immediately.
@@ -15,9 +16,9 @@ Shed policy (both produce :class:`SheddedInvocation` results):
 
 On a host crash (:meth:`repro.cluster.Host.mark_down`) every queued
 waiter is flushed with :class:`~repro.errors.HostDownError`, which the
-platform's chaos retry loop turns into a failover or a
-``FailedInvocation`` — queued work is never silently lost and no queue
-slot leaks.
+platform's chaos retry loop turns into a failover or a failed
+invocation — queued work is never silently lost and no queue slot
+leaks.
 
 The queue refers to its host weakly: the host owns it as
 ``host.admission``, so a strong link back would make a reference cycle
@@ -28,34 +29,11 @@ cyclic GC runs.
 from __future__ import annotations
 
 import weakref
-from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Deque, List
 
 from repro.errors import HostDownError, InvocationSheddedError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.trace.span import Span
-
-
-@dataclass(frozen=True)
-class SheddedInvocation:
-    """A request the admission controller rejected (never executed).
-
-    The serving-layer analogue of ``FailedInvocation``: first-class, with
-    its own (short) span tree so shed decisions show up in traces.
-    """
-
-    function: str
-    platform: str
-    submitted_ms: float
-    shed_ms: float
-    host_id: int
-    reason: str          # "queue-full" | "wait-budget"
-    queue_depth: int     # depth observed at the shed decision
-    trace_id: str
-    span: Optional["Span"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -73,18 +51,6 @@ class AdmissionQueue:
         self._host = weakref.ref(host)
         self.cfg = cfg
         self._waiters: Deque[_Waiter] = deque()
-        # -- SLO bookkeeping ------------------------------------------------
-        self.admitted = 0          # requests that got a slot (fast or queued)
-        self.queued = 0            # requests that had to wait
-        self.sheds_full = 0        # rejected on arrival (queue-full)
-        self.sheds_wait = 0        # rejected after waiting (wait-budget)
-        self.flushed_down = 0      # waiters flushed by a host crash
-        self.peak_depth = 0
-        #: Queue wait of every admitted request.  An ``array('d')``: one
-        #: append per invocation makes this an SLO ledger, and unboxed
-        #: doubles keep a million-invocation replay's ledger at 8 MB
-        #: instead of a list of boxed floats several times that size.
-        self.wait_samples = array("d")
 
     @property
     def host(self):
@@ -114,19 +80,14 @@ class AdmissionQueue:
             raise HostDownError(host.host_id, "admission")
         if not self._waiters and host.has_room:
             host.assign(function)
-            self.admitted += 1
-            self.wait_samples.append(0.0)
             return 0.0
             yield  # pragma: no cover - makes this function a generator
         if len(self._waiters) >= self.cfg.queue_capacity:
-            self.sheds_full += 1
             raise InvocationSheddedError(
                 host.host_id, "queue-full", len(self._waiters))
         waiter = _Waiter(event=self.sim.event(), function=function,
                          enqueued_at_ms=self.sim.now)
         self._waiters.append(waiter)
-        self.queued += 1
-        self.peak_depth = max(self.peak_depth, len(self._waiters))
         budget_ms = self.cfg.max_queue_wait_ms
         if budget_ms and budget_ms > 0:
             # Wait for the hand-off or the budget, whichever fires first;
@@ -135,15 +96,11 @@ class AdmissionQueue:
             if not waiter.event.triggered:
                 # Budget expired while still queued: withdraw and shed.
                 self._waiters.remove(waiter)
-                self.sheds_wait += 1
                 raise InvocationSheddedError(
                     host.host_id, "wait-budget", len(self._waiters))
         else:
             yield waiter.event
-        wait_ms = self.sim.now - waiter.enqueued_at_ms
-        self.admitted += 1
-        self.wait_samples.append(wait_ms)
-        return wait_ms
+        return self.sim.now - waiter.enqueued_at_ms
 
     # -- slot hand-off ------------------------------------------------------
     def on_release(self) -> None:
@@ -160,17 +117,13 @@ class AdmissionQueue:
             waiter.event.succeed(waiter.function)
 
     # -- chaos --------------------------------------------------------------
-    def flush_down(self) -> int:
+    def flush_down(self) -> None:
         """Host crashed: fail every queued waiter with ``HostDownError``.
 
-        Returns the number of waiters flushed.  Each waiter's invoke
-        process observes the failure and retries/fails over through the
-        normal chaos path, so no queue slot is leaked.
+        Each waiter's invoke process observes the failure and retries or
+        fails over through the normal chaos path, so no queue slot is
+        leaked.
         """
-        flushed = 0
         while self._waiters:
             waiter = self._waiters.popleft()
             waiter.event.fail(HostDownError(self.host.host_id, "admission"))
-            flushed += 1
-        self.flushed_down += flushed
-        return flushed

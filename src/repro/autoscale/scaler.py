@@ -63,11 +63,6 @@ class WarmPoolAutoscaler:
         #: tick; consumption-driven top-ups read it between ticks.
         self.targets: Dict[Tuple[int, str], int] = {}
         self.provisioned = 0       # provisioning processes launched
-        self.parked = 0            # workers that reached a warm pool
-        self.discarded_down = 0    # provisioned for a host that crashed
-        self.provision_failures = 0  # provisioning hit a chaos plan fault
-        self.expired = 0           # TTL'd warm workers torn down
-        self.ticks = 0
         platform.autoscaler = self
         if self.policy.active:
             if until_ms is None:
@@ -129,13 +124,12 @@ class WarmPoolAutoscaler:
             functions=self.platform.installed_functions())
 
     def _tick(self) -> None:
-        self.ticks += 1
         now = self.sim.now
         # Targets are a per-tick policy decision: recompute from scratch
         # so a function that stopped qualifying stops being replenished.
         self.targets.clear()
         # Scale-down: reap TTL-expired warm workers on every host.
-        self.expired += self.platform.reap_idle()
+        self.platform.reap_idle()
         for function, host, want in self.policy.decide(self._view(now)):
             self._ensure_warm(function, host, want, now)
 
@@ -170,7 +164,6 @@ class WarmPoolAutoscaler:
             spec = self.platform.spec(function)
             entry = yield from self.platform.provision_warm_on(spec, host)
         except InjectedFault:
-            self.provision_failures += 1
             return
         finally:
             self._pending[key] -= 1
@@ -179,13 +172,11 @@ class WarmPoolAutoscaler:
         if host.down:
             # The host crashed while we were booting: never park a warm
             # worker on a dead host (its pool was drained at crash time).
-            self.discarded_down += 1
             self.platform.discard_worker(entry.worker, host,
                                          label="discard-down")
             return
         entry.expires_at_ms = self.sim.now + self.cfg.warm_expiry_ms
         host.pool.add(function, entry)
-        self.parked += 1
 
     # -- bench helpers -------------------------------------------------------
     def pending_total(self) -> int:

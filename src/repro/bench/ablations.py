@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import (fleet, fresh_platform, install_all,
-                                 invoke_once, replay)
+                                 invoke_once, replay, warm_hit_rate)
 from repro.bench.serialization import register_result_type
 from repro.config import CalibratedParameters, default_parameters
 from repro.core.fireworks import FireworksPlatform
@@ -163,7 +163,7 @@ def run_policy_comparison(params: Optional[CalibratedParameters] = None,
     ow_latencies = [record.total_ms for record in replay(ow, trace)]
     # End-of-trace idle memory: every live warm container is waiting memory.
     ow_idle_mb = ow.host_memory.used_mb
-    warm_rate = ow.warm_starts / max(1, ow.warm_starts + ow.cold_starts)
+    warm_rate = warm_hit_rate(ow)
 
     # Fireworks replay.
     fw = fresh_platform(FireworksPlatform, params)
@@ -309,7 +309,7 @@ def run_keepalive_policy_comparison(
                                   keepalive_policy=policy)
         install_all(platform, specs)
         latencies = [record.total_ms for record in replay(platform, trace)]
-        total = platform.warm_starts + platform.cold_starts
+        warm_rate = warm_hit_rate(platform)
         # Idle memory: let the fleet settle 3 minutes past the last
         # request, then run the periodic reaper.
         platform.sim.run(until=platform.sim.now + 180000.0)
@@ -318,7 +318,7 @@ def run_keepalive_policy_comparison(
         return KeepAliveOutcome(
             label=label,
             mean_latency_ms=sum(latencies) / len(latencies),
-            warm_hit_rate=platform.warm_starts / max(1, total),
+            warm_hit_rate=warm_rate,
             idle_sandbox_mb=platform.host_memory.used_mb)
 
     results = {

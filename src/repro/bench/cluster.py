@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 from repro.bench.experiment import Experiment, render_lines
 from repro.bench.harness import (fleet, fresh_cluster_platform,
-                                 install_all, replay)
+                                 install_all, replay, warm_hit_rate)
 from repro.bench.serialization import register_result_type
 from repro.bench.stats import LatencyStats
 from repro.config import CalibratedParameters, default_parameters
@@ -97,7 +97,7 @@ def run_cluster_scheduling(
                                     n_hosts=n_hosts, policy=policy)
         install_all(ow, specs)
         replay(ow, trace)
-        warm_rate = ow.warm_starts / max(1, ow.warm_starts + ow.cold_starts)
+        warm_rate = warm_hit_rate(ow)
 
         # Fireworks replay: host-local snapshot images.
         fw = fresh_cluster_platform(FireworksPlatform, tuned,

@@ -180,8 +180,6 @@ class ResultCache:
         # The default is resolved at call time (not def time) so test
         # harnesses can point DEFAULT_CACHE_DIR somewhere disposable.
         self.root = Path(root if root is not None else DEFAULT_CACHE_DIR)
-        self.hits = 0
-        self.misses = 0
 
     def key(self, shard: Shard, fingerprint: str, seed: int) -> str:
         """The content hash addressing this shard's cache entry."""
@@ -208,9 +206,7 @@ class ResultCache:
         try:
             result = loads_result(path.read_bytes())
         except (OSError, ReproError):
-            self.misses += 1
             return None
-        self.hits += 1
         return result
 
     def store(self, shard: Shard, fingerprint: str, seed: int,

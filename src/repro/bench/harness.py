@@ -56,6 +56,12 @@ def install_all(platform: ServerlessPlatform,
         sim.run(sim.process(platform.install(spec)))
 
 
+def warm_hit_rate(platform: ServerlessPlatform) -> float:
+    """The share of *platform*'s completed invocations served warm."""
+    ledger = platform.ledger
+    return ledger.by_mode.get(MODE_WARM, 0) / max(1, ledger.completed)
+
+
 def install_chain(platform: ServerlessPlatform, chain: ChainSpec) -> None:
     """Install every function of a chain."""
     install_all(platform, chain.functions)

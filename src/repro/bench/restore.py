@@ -129,7 +129,7 @@ def _restore_span_of(record):
     span = record.span.find("restore")
     if span is None:
         raise ValidationError(
-            f"invocation {record.request_id} has no restore span")
+            f"invocation {record.trace_id} has no restore span")
     return span
 
 

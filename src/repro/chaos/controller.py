@@ -108,7 +108,7 @@ class HostFailureController:
             # so the log shows what the crash displaced.
             queued = (host.admission.depth
                       if host.admission is not None else 0)
-            host.mark_down(now)
+            host.mark_down()
             drained = host.pool.drain_all()
             for entry in drained:
                 # The sandbox dies with the machine; its backend's

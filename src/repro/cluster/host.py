@@ -68,7 +68,6 @@ class Host:
         # placement policy via has_room; degradation adds latency without
         # taking the host out of rotation.
         self.down = False
-        self.down_since_ms: Optional[float] = None
         self.degraded_until_ms = float("-inf")
         self.degraded_penalty_ms = 0.0
         # Serving layer (repro.autoscale): the bounded admission queue
@@ -92,21 +91,19 @@ class Host:
         return self.capacity is None or self.active < self.capacity
 
     # -- chaos state (repro.chaos drives these) --------------------------------
-    def mark_down(self, now_ms: float) -> None:
+    def mark_down(self) -> None:
         """Crash the host: placement skips it until :meth:`mark_up`.
 
         Queued admission waiters are flushed with ``HostDownError`` so
         their invoke processes retry/fail over — no queue slot leaks.
         """
         self.down = True
-        self.down_since_ms = now_ms
         if self.admission is not None:
             self.admission.flush_down()
 
     def mark_up(self) -> None:
         """Recover a crashed host (its pool/store were lost at crash)."""
         self.down = False
-        self.down_since_ms = None
 
     def degrade(self, until_ms: float, penalty_ms: float) -> None:
         """Slow the host down: invocations placed here before *until_ms*
@@ -162,7 +159,6 @@ class Cluster:
                  cores=cores_per_host)
             for index in range(n_hosts)]
         self._rr_next = 0
-        self.placements = 0
 
     # -- lookup -----------------------------------------------------------------
     @property
@@ -193,7 +189,6 @@ class Cluster:
         host, self._rr_next = self.placement.select(
             self.hosts, function, self._rr_next, locality)
         host.assign(function)
-        self.placements += 1
         return host
 
     def place_queued(self, function: str,
@@ -217,7 +212,6 @@ class Cluster:
             host = min(live, key=lambda h: (
                 h.admission.depth if h.admission is not None else 0,
                 h.host_id))
-        self.placements += 1
         return host
 
     def finish(self, host: Host) -> None:

@@ -53,7 +53,6 @@ class HostConfig:
     disk_gb: int = 2048                # 2 TB SSD
     swappiness_threshold: float = 0.60  # paper: vm.swappiness=60; swapping
     #                                     observed once ~60% of DRAM is used
-    page_kb: int = PAGE_KB
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +60,10 @@ class HostConfig:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class MicroVMConfig:
-    """Per-sandbox shape (paper §5.1): 1 vCPU, 512 MB memory, 2 GB disk."""
+    """Per-sandbox shape (paper §5.1: 1 vCPU, 512 MB memory, 2 GB disk);
+    only the memory size is modeled."""
 
-    vcpus: int = 1
     mem_mb: int = 512
-    disk_mb: int = 2048
 
 
 @dataclass(frozen=True)
@@ -399,9 +397,9 @@ class AutoscaleConfig:
     :class:`~repro.autoscale.WarmPoolAutoscaler` may pre-provision warm
     workers per host.
 
-    The shed policy rejects a request as a first-class
-    ``SheddedInvocation`` when the queue is full on arrival
-    (``queue-full``) or when it has waited longer than
+    The shed policy rejects a request with
+    :class:`~repro.errors.InvocationSheddedError` when the queue is full
+    on arrival (``queue-full``) or when it has waited longer than
     ``max_queue_wait_ms`` (``wait-budget``) — a 429, not a failure.
     """
 
@@ -454,8 +452,6 @@ class CalibratedParameters:
     control_plane: ControlPlaneConfig = field(default_factory=ControlPlaneConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
-    latency_jitter_rel_stddev: float = 0.0  # deterministic by default;
-    #                                         benches may turn jitter on
 
     def runtime(self, language: str) -> RuntimeConfig:
         """Runtime config for *language*; raises KeyError for unknown ones."""

@@ -66,7 +66,6 @@ class FireworksPlatform(ServerlessPlatform):
         self.param_fetch_retries = 0
         self.regenerations = 0   # failover regenerations (lost replicas)
         self.install_reports: Dict[str, InstallReport] = {}
-        self.pool_hits = 0   # invocations served by a pre-restored clone
         # REAP-style working-set recording (§7): profiles are captured after
         # each invocation and consulted by POLICY_REAP / POLICY_LAZY
         # restores and by streaming cross-host transfers.  The recorder is
@@ -259,7 +258,6 @@ class FireworksPlatform(ServerlessPlatform):
             yield from self.passer.publish(fc_id, {"function": spec.name})
         publish_ms = self.sim.now - started
         yield from self._fetch_params(spec, worker, fc_id, host)
-        self.pool_hits += 1
         return worker, MODE_WARM, publish_ms
 
     # -- autoscaler hooks ---------------------------------------------------------

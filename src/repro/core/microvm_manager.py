@@ -35,7 +35,6 @@ class MicroVMManager:
         self.fc_prefix = fc_prefix  # keeps fcIDs unique across per-host managers
         self.restorer = Restorer(sim, params, host_memory)
         self._fc_counter = 0
-        self.launched_clones = 0
 
     def next_fc_id(self) -> str:
         """Allocate the next unique clone id (the guest's fcID)."""
@@ -78,7 +77,6 @@ class MicroVMManager:
             self.bridge.disconnect(endpoint)
             raise
         worker.endpoint = endpoint
-        self.launched_clones += 1
         return worker
 
     def retire(self, worker: Worker):

@@ -43,7 +43,6 @@ class Document:
     doc_id: str
     rev: int
     body: Dict[str, Any]
-    size_kb: float
 
 
 class CouchDatabase:
@@ -57,8 +56,8 @@ class CouchDatabase:
         self.last_seq = 0
 
     # -- document API -----------------------------------------------------------
-    def put(self, doc_id: str, body: Dict[str, Any], rev: Optional[int] = None,
-            size_kb: float = 1.0) -> Document:
+    def put(self, doc_id: str, body: Dict[str, Any],
+            rev: Optional[int] = None) -> Document:
         """Insert or update a document.  Updates must carry the current rev."""
         existing = self._docs.get(doc_id)
         if existing is not None:
@@ -66,12 +65,12 @@ class CouchDatabase:
                 raise DocumentConflictError(
                     f"{self.name}/{doc_id}: rev {rev} is stale "
                     f"(current {existing.rev})")
-            document = Document(doc_id, existing.rev + 1, dict(body), size_kb)
+            document = Document(doc_id, existing.rev + 1, dict(body))
         else:
             if rev not in (None, 0):
                 raise DocumentConflictError(
                     f"{self.name}/{doc_id}: new document with rev {rev}")
-            document = Document(doc_id, 1, dict(body), size_kb)
+            document = Document(doc_id, 1, dict(body))
         self._docs[doc_id] = document
         self.last_seq += 1
         return document

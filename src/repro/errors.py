@@ -12,6 +12,18 @@ from typing import Optional
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
+    def __reduce__(self):
+        # Rebuilt from ``args`` and the instance dict, not through the
+        # subclass's ``__init__`` (whose signature varies), so every
+        # error crosses a process pool as itself.
+        return (_rebuild, (type(self), self.args), self.__dict__)
+
+
+def _rebuild(cls: type, args: tuple) -> ReproError:
+    """*cls* with *args*, its ``__init__`` skipped (see
+    :meth:`ReproError.__reduce__`)."""
+    return cls.__new__(cls, *args)
+
 
 class SimulationError(ReproError):
     """A discrete-event simulation invariant was violated."""
@@ -35,12 +47,6 @@ class UndrainedSimulationError(SimulationError):
         self.horizon_ms = horizon_ms
         self.experiment = experiment
         self.shard = shard
-
-    def __reduce__(self):
-        # Rebuilt from all four fields, so the error crosses a process
-        # pool intact (a pool worker's shard error names its shard).
-        return (type(self), (self.pending, self.horizon_ms,
-                             self.experiment, self.shard))
 
 
 class ValidationError(ReproError):
@@ -132,9 +138,7 @@ class InvocationSheddedError(PlatformError):
     (``reason == "queue-full"``) or the request exceeded its wait budget
     while queued (``reason == "wait-budget"``).  Deliberately *not*
     retryable: shedding is a deliberate overload-protection decision, and
-    retrying against the same overloaded cluster would defeat it.  Carries
-    the ``SheddedInvocation`` result object as ``shedded`` once the
-    platform has accounted it.
+    retrying against the same overloaded cluster would defeat it.
     """
 
     def __init__(self, host_id: int, reason: str, queue_depth: int) -> None:
@@ -144,7 +148,6 @@ class InvocationSheddedError(PlatformError):
         self.host_id = host_id
         self.reason = reason
         self.queue_depth = queue_depth
-        self.shedded = None
 
 
 class ExecutionLostError(ChaosError):
@@ -176,14 +179,19 @@ class SnapshotCorruptedError(InjectedFault):
 
 class InvocationFailedError(ChaosError):
     """An invocation exhausted its retry budget (or hit an unretryable
-    fault) under an attached chaos controller.  Carries the
-    ``FailedInvocation`` result object as ``failed``."""
+    fault) under an attached chaos controller.  *trace_id* names the
+    invocation's trace; each attempt's host is on its ``placement``
+    span."""
 
-    def __init__(self, failed) -> None:
+    def __init__(self, function: str, attempts: int, reason: str,
+                 trace_id: str) -> None:
         super().__init__(
-            f"invocation of {failed.function!r} failed after "
-            f"{failed.attempts} attempt(s): {failed.reason}")
-        self.failed = failed
+            f"invocation of {function!r} failed after {attempts} "
+            f"attempt(s): {reason}")
+        self.function = function
+        self.attempts = attempts
+        self.reason = reason
+        self.trace_id = trace_id
 
 
 class AnnotationError(ReproError):

@@ -30,8 +30,7 @@ class Endpoint:
 class HostBridge:
     """Routes external traffic into per-microVM namespaces."""
 
-    def __init__(self, gateway_ip: str = "172.17.0.1") -> None:
-        self.gateway_ip = IpAddress.parse(gateway_ip)
+    def __init__(self) -> None:
         self.namespaces = NamespaceManager()
         self._ip_allocator = IpAllocator()
         self._mac_allocator = MacAllocator()

@@ -72,12 +72,11 @@ class InvocationRecord:
     #: ``KEPT_ROOTS`` roots of a simulation), else ``None``.
     span: Optional[Span] = None
     attempts: int = 1                     # dispatch attempts (chaos retries)
-    #: Chain-executor mode: guest ``InvokeNext`` ops are *recorded* here
+    #: Chain-executor mode: guest ``InvokeNext`` ops are *skipped*
     #: instead of dispatched inline — the executor drives the DAG's edges
     #: itself, which is what lets backends without guest-chain support
     #: (§5.3) run chains at all.
     defer_hops: bool = False
-    deferred_hops: List[InvokeNext] = field(default_factory=list)
 
     @property
     def total_ms(self) -> float:
@@ -126,31 +125,6 @@ class InvocationRecord:
         return records
 
 
-@dataclass(frozen=True)
-class FailedInvocation:
-    """One invocation that exhausted its retry budget under chaos.
-
-    A first-class *result*, not a crash: chaos experiments count these
-    against availability instead of aborting, mirroring how a real
-    platform returns 5xx for requests it could not place.
-    """
-
-    function: str
-    platform: str
-    submitted_ms: float
-    failed_ms: float
-    attempts: int
-    reason: str
-    hosts_tried: Tuple[int, ...]
-    trace_id: str = ""
-    span: Optional[Span] = None   # the "invoke" span, if its tree was kept
-
-    @property
-    def latency_ms(self) -> float:
-        """How long the platform tried before giving up."""
-        return self.failed_ms - self.submitted_ms
-
-
 class _PlatformHandlers(ExternalHandlers):
     """Routes db/chain ops from the guest back through the platform.
 
@@ -170,7 +144,6 @@ class _PlatformHandlers(ExternalHandlers):
             self.platform.chaos.check(KIND_DB_TIMEOUT, database)
 
     def _db_backoff(self, attempt: int):
-        self.platform.db_retries += 1
         with self.platform.sim.tracer.span("retry", kind="retry",
                                            target="db", attempt=attempt):
             yield self.platform.sim.timeout(
@@ -212,8 +185,7 @@ class _PlatformHandlers(ExternalHandlers):
                     # database.
                     database.put(
                         f"{self.record.function}-{database.last_seq + 1}",
-                        {"source": self.record.function, "at_ms": sim.now},
-                        size_kb=op.doc_kb)
+                        {"source": self.record.function, "at_ms": sim.now})
                     yield sim.timeout(io.net_recv_ms(0.2))   # ack back
                 break
             except InjectedFault as fault:
@@ -227,9 +199,8 @@ class _PlatformHandlers(ExternalHandlers):
         if self.record.defer_hops:
             # Chain-executor mode: the executor dispatches the DAG's
             # invoke edges itself (paying the real bus/frontend per
-            # stage); the guest's hop intent is recorded for auditing,
-            # costs nothing, and works on every backend.
-            self.record.deferred_hops.append(op)
+            # stage); the guest's hop costs nothing and works on every
+            # backend.
             return
         if not self.platform.supports_chains:
             raise PlatformError(
@@ -273,12 +244,9 @@ class ServerlessPlatform:
                         else Cluster(sim, params, n_hosts=1))
         self.bus = MessageBus()
         self.couch = CouchServer()
-        self.db_retries = 0
         self.retain_workers = False
         self.local_restores = 0      # snapshot found on the chosen host
         self.cross_host_transfers = 0  # snapshot copied over the network
-        self.duplicate_transfers = 0  # transfer lost the race to a concurrent
-        #                               one landing the same key (no re-put)
         self.streamed_transfers = 0  # transfers that shipped the working set
         #                              first, residual in background
         self.transfer_foreground_mb = 0.0  # bytes moved on the critical path
@@ -290,18 +258,13 @@ class ServerlessPlatform:
         self.retries = 0             # invoke-level retry spans emitted
         self.failovers = 0           # attempts re-dispatched off a dead host
         # Serving layer (repro.autoscale): a WarmPoolAutoscaler attaches
-        # itself here; sheds are first-class results, like failures.
+        # itself here; a shed is an outcome of its own, like a failure.
         self.autoscaler = None
         self.active_workers: List[Worker] = []
-        # Every completed, failed and shed invocation is folded into the
-        # ledger as it ends; the three lists keep an outcome whole only
-        # while the tracer keeps its tree (``span is not None``), so they
-        # hold exactly what ``tracer.traces()`` can show, in completion
-        # order.
+        # Every invocation ends as one fold into the ledger plus its span
+        # tree, which the tracer keeps for a simulation's first
+        # ``KEPT_ROOTS`` roots.
         self.ledger = InvocationLedger()
-        self.records: List[InvocationRecord] = []
-        self.failed_invocations: List[FailedInvocation] = []
-        self.shedded_invocations: List = []
         self._specs: Dict[str, FunctionSpec] = {}
         self._db_triggers: Dict[str, List[Tuple[str, Any]]] = {}
         self._invocation_seq = 0
@@ -380,11 +343,11 @@ class ServerlessPlatform:
         """One trigger firing (a detached process, its own trace).
 
         A firing that exhausts its chaos-retry budget (e.g. the bus stays
-        partitioned) is already accounted as a
-        :class:`FailedInvocation` on the platform — it is swallowed here
-        so a dead trigger surfaces as a failed *result*, never as a
-        crashed drain.  The retrospective ``db-trigger`` span ties the
-        firing back to the database write for the trace validator.
+        partitioned) is already counted as failed in the platform's
+        ledger — it is swallowed here so a dead trigger surfaces as a
+        failed *result*, never as a crashed drain.  The retrospective
+        ``db-trigger`` span ties the firing back to the database write for
+        the trace validator.
         """
         start_ms = self.sim.now
         status, trace_id = "ok", ""
@@ -392,7 +355,7 @@ class ServerlessPlatform:
             record = yield from self.invoke(function)
             trace_id = record.trace_id
         except InvocationFailedError as error:
-            status, trace_id = "failed", error.failed.trace_id
+            status, trace_id = "failed", error.trace_id
             record = None
         self.sim.tracer.add_span(
             "db-trigger", start_ms, self.sim.now, kind="db-trigger",
@@ -418,17 +381,16 @@ class ServerlessPlatform:
         ``params.cluster.retry_max_attempts`` total tries; an attempt that
         follows a :class:`HostDownError` is marked with a zero-width
         ``failover`` span.  An invocation that exhausts its budget (or
-        hits an unretryable fault) is recorded as a
-        :class:`FailedInvocation` and surfaces as a
-        :class:`InvocationFailedError` rather than crashing the
-        experiment.  Without a controller the path is unchanged: one
+        hits an unretryable fault) is counted in ``ledger.failed`` and
+        surfaces as a :class:`InvocationFailedError` rather than crashing
+        the experiment.  Without a controller the path is unchanged: one
         attempt, failures propagate as before.
 
         *locality_hint* (``host -> bool``) widens the placement locality
         probe — the chain executor marks the hosts that served a stage's
         predecessors so chain-aware policies can co-locate successive
-        stages.  *defer_hops* records guest ``InvokeNext`` ops on the
-        record instead of dispatching them inline (chain-executor mode).
+        stages.  *defer_hops* skips guest ``InvokeNext`` ops instead of
+        dispatching them inline (chain-executor mode).
         Both default off, leaving the golden invocation path untouched.
         """
         spec = self.spec(name)
@@ -447,7 +409,6 @@ class ServerlessPlatform:
             function=name, platform=self.name)
         cfg = self.params.cluster
         max_attempts = cfg.retry_max_attempts if self.chaos is not None else 1
-        hosts_tried: List[int] = []
 
         try:
             with invoke_span:
@@ -465,8 +426,7 @@ class ServerlessPlatform:
                             self.failovers += 1
                             failed_from = None
                         yield from self._invoke_attempt(
-                            spec, mode, payload, record, hosts_tried,
-                            locality_hint)
+                            spec, mode, payload, record, locality_hint)
                         break
                     except RetryableChaosError as error:
                         if attempt >= max_attempts:
@@ -481,36 +441,19 @@ class ServerlessPlatform:
                             failed_from = error.host_id
                         attempt += 1
                         record.attempts = attempt
-        except InvocationSheddedError as error:
-            # Overload protection, not a failure: account the shed as a
-            # first-class result and let the caller observe the 429.
-            from repro.autoscale.admission import SheddedInvocation
-            shedded = SheddedInvocation(
-                function=name, platform=self.name,
-                submitted_ms=record.submitted_ms, shed_ms=self.sim.now,
-                host_id=error.host_id, reason=error.reason,
-                queue_depth=error.queue_depth,
-                trace_id=invoke_span.trace_id, span=_if_kept(invoke_span))
-            self.ledger.fold_shed(shedded)
-            if shedded.span is not None:
-                self.shedded_invocations.append(shedded)
-            error.shedded = shedded
+        except InvocationSheddedError:
+            # Overload protection, not a failure: count the shed and let
+            # the caller observe the 429.
+            self.ledger.shed += 1
             raise
         except ReproError as error:
             if self.chaos is None or \
                     isinstance(error, (TraceError, SimulationError)):
                 raise
-            failed = FailedInvocation(
-                function=name, platform=self.name,
-                submitted_ms=record.submitted_ms, failed_ms=self.sim.now,
-                attempts=record.attempts,
-                reason=str(error) or type(error).__name__,
-                hosts_tried=tuple(hosts_tried),
-                trace_id=invoke_span.trace_id, span=_if_kept(invoke_span))
-            self.ledger.fold_failed(failed)
-            if failed.span is not None:
-                self.failed_invocations.append(failed)
-            raise InvocationFailedError(failed) from error
+            self.ledger.failed += 1
+            raise InvocationFailedError(
+                name, record.attempts, str(error) or type(error).__name__,
+                invoke_span.trace_id) from error
 
         # The record's breakdown is *derived* from the live span tree, so
         # the Fig 6/7 bars and the trace cannot disagree (repro.trace.verify)
@@ -524,14 +467,11 @@ class ServerlessPlatform:
         record.other_ms = breakdown.other_ms
         record.queue_wait_ms = breakdown.queue_ms
         self.ledger.fold(record)
-        if record.span is not None:
-            self.records.append(record)
         return record
 
     def _invoke_attempt(self, spec: FunctionSpec, mode: str,
                         payload: Optional[Dict[str, Any]],
                         record: InvocationRecord,
-                        hosts_tried: List[int],
                         locality_hint: Optional[Any] = None):
         """One dispatch attempt (a simulation generator).
 
@@ -577,7 +517,6 @@ class ServerlessPlatform:
                 host = self.cluster.place(spec.name, locality=probe)
             placement_span.attrs["host"] = host.host_id
         record.host_id = host.host_id
-        hosts_tried.append(host.host_id)
 
         if serving:
             # Admission: wait in the host's bounded FIFO for a capacity
@@ -821,7 +760,6 @@ class ServerlessPlatform:
         if host.store.contains(key):
             # A concurrent transfer already landed this key here; keep the
             # landed replica instead of clobbering it and double counting.
-            self.duplicate_transfers += 1
             return host.store.get(key)
         replica = image.clone_for_transfer()
         self.cross_host_transfers += 1

@@ -64,8 +64,6 @@ class CatalyzerPlatform(ServerlessPlatform):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._templates: Dict[Tuple[int, str], _Template] = {}
-        self.checkpoint_restores = 0
-        self.sforks = 0
 
     # -- installation: build the checkpoint + resident template ----------------
     def _install_backend(self, spec: FunctionSpec, host: Host):
@@ -119,13 +117,11 @@ class CatalyzerPlatform(ServerlessPlatform):
             with self.sim.tracer.span("sfork", function=spec.name):
                 yield self.sim.timeout(SFORK_MS)
             worker = self._clone_from_template(spec, template, host)
-            self.sforks += 1
             return worker, MODE_WARM, 0.0
         # Forced cold: restore the checkpoint image from disk.
         with self.sim.tracer.span("checkpoint-restore", function=spec.name):
             yield self.sim.timeout(CHECKPOINT_RESTORE_MS)
         worker = self._clone_from_template(spec, template, host)
-        self.checkpoint_restores += 1
         return worker, MODE_COLD, 0.0
 
     def _clone_from_template(self, spec: FunctionSpec,
@@ -141,7 +137,6 @@ class CatalyzerPlatform(ServerlessPlatform):
         sandbox.map_runtime_memory()
         sandbox.map_app_memory()
         sandbox.state = STATE_RUNNING
-        sandbox.boot_completed_at = self.sim.now
         return Worker(self.sim, sandbox, template.runtime.restore(self.sim),
                       app=spec.app)
 

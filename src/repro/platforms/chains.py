@@ -19,10 +19,11 @@ Two execution modes, chosen per (dag, platform):
   placement signals read this.
 
 Trigger edges route through the platform's database triggers in both
-modes: ``install`` registers them, and in orchestrated mode the
-registration carries a *runner* so the triggered subgraph is itself
-executor-driven (a guest-chaining triggered function would otherwise
-crash a backend without chain support).
+modes: ``install`` registers them with a *runner*.  In orchestrated mode
+the runner makes the triggered subgraph itself executor-driven (a
+guest-chaining triggered function would otherwise crash a backend
+without chain support); in guest mode it fires the trigger as the
+platform would and keeps the record of the firing.
 
 **At-most-once per stage**: every dispatch increments the run's ledger
 *before* invoking, and a stage is dispatched only when it has never been
@@ -140,6 +141,9 @@ class ChainExecutor:
         #: Change-feed segments run on behalf of trigger edges
         #: (orchestrated mode only), in firing order.
         self.trigger_runs: List[DagRun] = []
+        #: The record of each completed trigger firing (guest mode only),
+        #: in firing order; its chain children hang off it.
+        self.trigger_records: List[InvocationRecord] = []
 
     @property
     def platform(self) -> ServerlessPlatform:
@@ -179,7 +183,7 @@ class ChainExecutor:
             key = (edge.database, stage.function)
             if key in self._registered_triggers:
                 continue
-            runner = None if use_guest else \
+            runner = self._guest_trigger_runner if use_guest else \
                 self._make_trigger_runner(dag, edge.dst)
             self.platform.register_db_trigger(
                 edge.database, stage.function, runner=runner)
@@ -355,6 +359,15 @@ class ChainExecutor:
             if stage == run.root:
                 run.entry_record = record
         result.end_ms = platform.sim.now
+
+    def _guest_trigger_runner(self, function: str, database: str):
+        """A guest-mode trigger firing: the platform's own
+        ``_fire_trigger`` (so every event and span is the same), with
+        the record it returns kept in :attr:`trigger_records`."""
+        record = yield from self.platform._fire_trigger(function, database)
+        if record is not None:
+            self.trigger_records.append(record)
+        return record
 
     def _make_trigger_runner(self, dag: DagSpec, stage: str):
         """A trigger runner: the triggered stage and its invoke

@@ -70,7 +70,6 @@ class ApiGateway:
         self._namespaces: Dict[str, _Namespace] = {}
         self._keys: Dict[str, _Namespace] = {}  # api_key -> namespace
         self._activation_counter = 0
-        self.rejected_requests = 0
 
     # -- namespace management -----------------------------------------------------
     def create_namespace(self, name: str) -> str:
@@ -93,7 +92,6 @@ class ApiGateway:
                 namespace.api_key.encode("utf-8"),
                 api_key.encode("utf-8")):
             return namespace
-        self.rejected_requests += 1
         raise AuthenticationError("invalid API key")
 
     # -- request path -----------------------------------------------------------------
@@ -107,15 +105,10 @@ class ApiGateway:
         """
         namespace = self._authenticate(api_key)
         if payload_kb > MAX_PAYLOAD_KB:
-            self.rejected_requests += 1
             raise PayloadTooLargeError(
                 f"payload {payload_kb:.0f} KiB exceeds the "
                 f"{MAX_PAYLOAD_KB} KiB synchronous cap")
-        try:
-            self.platform.spec(function)  # 404 before billing anything
-        except FunctionNotFoundError:
-            self.rejected_requests += 1
-            raise
+        self.platform.spec(function)  # 404 before billing anything
 
         self._activation_counter += 1
         activation_id = (f"act-{namespace.name}-"

@@ -35,8 +35,6 @@ class GVisorPlatform(ServerlessPlatform):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.cold_starts = 0
-        self.warm_starts = 0
 
     @property
     def pool(self) -> WarmPool:
@@ -78,10 +76,8 @@ class GVisorPlatform(ServerlessPlatform):
                 entry = require_warm(entry, spec.name, self.name)
             if entry is not None:
                 yield from entry.worker.resume()
-                self.warm_starts += 1
                 return entry.worker, MODE_WARM, 0.0
         worker = yield from self._boot_worker(spec, host)
-        self.cold_starts += 1
         return worker, MODE_COLD, 0.0
 
     def _release_worker(self, spec: FunctionSpec, worker: Worker,

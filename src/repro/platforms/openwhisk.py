@@ -46,8 +46,6 @@ class OpenWhiskPlatform(ServerlessPlatform):
         super().__init__(*args, **kwargs)
         self.keepalive = keepalive_policy or FixedKeepAlive(
             self.params.control_plane.warm_keepalive_ms)
-        self.cold_starts = 0
-        self.warm_starts = 0
 
     @property
     def pool(self) -> WarmPool:
@@ -67,7 +65,6 @@ class OpenWhiskPlatform(ServerlessPlatform):
                 with self.sim.tracer.span("warm-route"):
                     yield self.sim.timeout(
                         self.params.control_plane.openwhisk_warm_route_ms)
-                self.warm_starts += 1
                 return entry.worker, MODE_WARM, 0.0
         self._reap_expired(host)
         worker = Worker(self.sim,
@@ -75,7 +72,6 @@ class OpenWhiskPlatform(ServerlessPlatform):
                                   spec.language),
                         make_runtime(self.sim, self.params, spec.language))
         yield from worker.cold_start(spec.app)
-        self.cold_starts += 1
         return worker, MODE_COLD, 0.0
 
     def _release_worker(self, spec: FunctionSpec, worker: Worker,

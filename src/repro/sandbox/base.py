@@ -77,7 +77,6 @@ class Sandbox:
         self.name = name
         self.space = AddressSpace(host_memory, name=self.name)
         self.state = STATE_CREATED
-        self.boot_completed_at: Optional[float] = None
 
     @classmethod
     def shell(cls, params: CalibratedParameters,
@@ -103,7 +102,6 @@ class Sandbox:
         if self.latency.init_ms:
             yield self.sim.timeout(self.latency.init_ms)
         self.state = STATE_RUNNING
-        self.boot_completed_at = self.sim.now
 
     def pause(self):
         """Pause the sandbox, keeping it resident (warm pool)."""

@@ -67,7 +67,6 @@ class ReapRecorder:
     def __init__(self, chunk_size_mb: float = DEFAULT_CHUNK_MB) -> None:
         self.chunk_size_mb = chunk_size_mb
         self._profiles: Dict[str, WorkingSetProfile] = {}
-        self.recordings = 0
 
     def record(self, image: SnapshotImage,
                worker: Worker) -> WorkingSetProfile:
@@ -92,7 +91,6 @@ class ReapRecorder:
         clean_mb = rss_mb - uss_mb
         working_set_mb = max(0.0, private_mb
                              + clean_mb * CLEAN_TOUCH_FRACTION)
-        self.recordings += 1
         profile = self._profiles.get(image.key)
         if (profile is not None and profile.matches(image)
                 and profile.chunk_size_mb == self.chunk_size_mb

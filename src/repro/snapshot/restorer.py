@@ -25,8 +25,10 @@ Four restore policies are modeled:
                     with per-fault cost.  Without a profile (first restore)
                     everything the invocation touches is demand-faulted —
                     the honest fastpull cold case.  Emits ``prefetch`` /
-                    ``demand-fault`` child spans and exact bytes-moved
-                    counters.
+                    ``demand-fault`` child spans, and the ``restore`` span
+                    carries the restore's exact byte ledger
+                    (``bytes_moved_mb``, ``prefetched_mb``,
+                    ``demand_faulted_mb``).
 """
 
 from __future__ import annotations
@@ -131,11 +133,6 @@ class Restorer:
         # restore-corruption budgets.
         self.chaos = None
         self._clone_counter = 0
-        # Lazy-restore byte ledger (exact, see LazyRestorePlan).
-        self.bytes_prefetched_mb = 0.0
-        self.bytes_demand_faulted_mb = 0.0
-        self.demand_faults = 0
-        self.lazy_restores = 0
 
     def _working_mb(self, image: SnapshotImage) -> float:
         layout = self.params.memory_layout(image.language)
@@ -271,7 +268,6 @@ class Restorer:
             microvm.space.map_clone(template.clone_map)
             microvm.first_execution_plan = template.plan
             microvm.state = STATE_RUNNING
-            microvm.boot_completed_at = self.sim.now
 
             if template.runtime is None:
                 raise SnapshotNotFoundError(
@@ -298,10 +294,6 @@ class Restorer:
                     "demand-fault", kind="demand-fault", mb=plan.faulted_mb,
                     faults=plan.n_faults):
                 yield self.sim.timeout(plan.fault_ms * slowdown)
-        self.bytes_prefetched_mb += plan.prefetch_mb
-        self.bytes_demand_faulted_mb += plan.faulted_mb
-        self.demand_faults += plan.n_faults
-        self.lazy_restores += 1
         restore_span.attrs["bytes_moved_mb"] = plan.bytes_moved_mb
         restore_span.attrs["prefetched_mb"] = plan.prefetch_mb
         restore_span.attrs["demand_faulted_mb"] = plan.faulted_mb

@@ -27,13 +27,10 @@ class RemoteObjectStore:
         self.rtt_ms = rtt_ms
         self.bandwidth_mb_per_ms = bandwidth_mb_per_ms
         self._objects: Dict[str, StorableImage] = {}
-        self.uploads = 0
-        self.downloads = 0
 
     def upload(self, key: str, image: StorableImage) -> float:
         """Store *image* remotely; returns the upload time in ms."""
         self._objects[key] = image
-        self.uploads += 1
         return self.rtt_ms + image.size_mb / self.bandwidth_mb_per_ms
 
     def download(self, key: str) -> Tuple[StorableImage, float]:
@@ -41,7 +38,6 @@ class RemoteObjectStore:
         if key not in self._objects:
             raise SnapshotNotFoundError(f"remote store has no {key!r}")
         image = self._objects[key]
-        self.downloads += 1
         return image, self.rtt_ms + image.size_mb / self.bandwidth_mb_per_ms
 
     def contains(self, key: str) -> bool:
@@ -66,8 +62,6 @@ class TieredSnapshotStore:
         self.local = SnapshotStore(local_device,
                                    capacity_images=local_capacity_images)
         self.remote = remote
-        self.local_hits = 0
-        self.remote_fetches = 0
 
     def put(self, key: str, image: StorableImage) -> float:
         """Write-through install; returns the total write time in ms."""
@@ -78,11 +72,9 @@ class TieredSnapshotStore:
     def get(self, key: str) -> Tuple[StorableImage, float]:
         """Fetch *key*, pulling from the remote tier on a local miss."""
         if self.local.contains(key):
-            self.local_hits += 1
             return self.local.get(key), 0.0
         image, download_ms = self.remote.download(key)
         write_ms = self.local.put(key, image)
-        self.remote_fetches += 1
         return image, download_ms + write_ms
 
     def contains(self, key: str) -> bool:

@@ -42,8 +42,6 @@ class SnapshotStore:
         #: absent here is fully resident (the common, non-streaming case).
         self._partial_mb: Dict[str, float] = {}
         self.evictions = 0
-        self.hits = 0
-        self.misses = 0
 
     # -- paths ----------------------------------------------------------------
     def _path(self, key: str) -> str:
@@ -90,9 +88,7 @@ class SnapshotStore:
     def get(self, key: str) -> StorableImage:
         """Fetch the image for *key*, refreshing its recency."""
         if key not in self._images:
-            self.misses += 1
             raise SnapshotNotFoundError(f"no snapshot for {key!r}")
-        self.hits += 1
         self._images.move_to_end(key)
         return self._images[key]
 

@@ -72,7 +72,7 @@ class TestProvisionWarm:
         platform = fresh_platform(OpenWhiskPlatform)
         install_all(platform, [spec])
         provision_warm(platform, spec.name)  # = one cold invocation
-        assert platform.cold_starts == 1
+        assert platform.ledger.by_mode == {"cold": 1}
         record = invoke_once(platform, spec.name, mode="warm")
         assert record.mode == "warm"
 

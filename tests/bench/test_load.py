@@ -32,7 +32,7 @@ from repro.errors import ValidationError
 from repro.sim.rng import RngStreams
 from repro.trace.tracer import Tracer
 from repro.workloads.generator import assign_popularity
-from tests.helpers import sorted_modulated_trace
+from tests.helpers import invoke_roots, outcome_of, sorted_modulated_trace
 
 # Small but non-trivial: a few hundred events, queueing visible.
 SMALL = dict(n_hosts=3, n_functions=8, duration_ms=20_000.0,
@@ -128,7 +128,7 @@ class TestHostWorkIsPinned:
 
     # Measured over the replay's 1 346 completions, rounded up to 0.1.
     CEILINGS = {
-        "mem": 141.2, "sim": 91.7, "trace": 64.9, "platforms": 36.9,
+        "mem": 141.2, "sim": 90.6, "trace": 64.9, "platforms": 36.8,
         "core": 29.3, "sandbox": 16.7, "runtime": 15.4, "net": 15.2,
         "cluster": 11.9, "autoscale": 9.8, "bench": 9.0, "snapshot": 8.2,
         "storage": 5.3, "workloads": 4.1, "policy": 3.1, "config": 1.2,
@@ -187,9 +187,13 @@ class TestChaosCrashMidTrace:
         assert outcome.requests > 0
         assert outcome.completed + outcome.shed + outcome.failed \
             == outcome.requests
-        assert outcome.completed == len(platform.records)
-        assert outcome.failed == len(platform.failed_invocations)
-        assert outcome.shed == len(platform.shedded_invocations)
+        # The run stays below KEPT_ROOTS, so every invocation kept its
+        # tree, and each root tells how its invocation ended.
+        ends = [outcome_of(root) for root in invoke_roots(platform)]
+        assert len(ends) == outcome.requests
+        assert outcome.completed == ends.count("completed")
+        assert outcome.failed == ends.count("failed")
+        assert outcome.shed == ends.count("shed")
 
     def test_no_leaked_queue_slots_or_warm_workers(self):
         _, platform = self._run()
@@ -209,9 +213,6 @@ class TestChaosCrashMidTrace:
         assert crashed.bridge.endpoint_count() == 0
         # Queued work displaced by the crash failed over or failed
         # loudly; silent loss would show up as an accounting gap above.
-        flushed = (crashed.admission.flushed_down
-                   if crashed.admission is not None else 0)
-        assert flushed >= 0
 
     def test_crash_actually_disrupted_the_run(self):
         plain = run_load_platform("fireworks", "predictive", **SMALL)

@@ -14,11 +14,16 @@ import json
 
 import pytest
 
+from repro.bench import fresh_platform, install_all, invoke_once
 from repro.bench.engine import run_experiments
-from repro.bench.restore import run_restore_policy, run_streaming_transfer
+from repro.bench.restore import (_restore_span_of, run_restore_policy,
+                                 run_streaming_transfer)
 from repro.bench.serialization import encode_result
 from repro.config import default_parameters
+from repro.errors import ValidationError
+from repro.platforms import OpenWhiskPlatform
 from repro.snapshot.restorer import POLICY_LAZY, POLICY_REAP
+from repro.workloads import faasdom_spec
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +104,14 @@ class TestDeterminism:
         first = run_streaming_transfer("streaming", params, seed=7)
         second = run_streaming_transfer("streaming", params, seed=7)
         assert _digest(first) == _digest(second)
+
+
+class TestRestoreSpanOf:
+    def test_a_record_without_a_restore_names_its_trace(self):
+        # An OpenWhisk container boots; it never restores a snapshot.
+        platform = fresh_platform(OpenWhiskPlatform)
+        spec = faasdom_spec("faas-fact", "nodejs")
+        install_all(platform, [spec])
+        record = invoke_once(platform, spec.name)
+        with pytest.raises(ValidationError, match=record.trace_id):
+            _restore_span_of(record)

@@ -11,6 +11,7 @@ from repro.bench import fresh_cluster_platform, install_all, invoke_once
 from repro.chaos import (KIND_HOST_CRASH, ChaosEvent, ChaosPlan,
                          HostFailureController)
 from repro.core import FireworksPlatform
+from repro.errors import InvocationFailedError
 from repro.policy.placement import POLICY_SNAPSHOT_LOCALITY
 from repro.trace import render_tree
 from repro.workloads import faasdom_spec
@@ -82,15 +83,16 @@ def crash_all_hosts(platform):
 def scenario_fingerprint(platform, controller, result):
     """A byte-exact transcript of a chaos scenario, for two-run diffing."""
     lines = [f"retries={platform.retries} failovers={platform.failovers} "
-             f"failed={len(platform.failed_invocations)}"]
+             f"failed={platform.ledger.failed}"]
     if hasattr(platform, "regenerations"):
         lines.append(f"regenerations={platform.regenerations}")
     for entry in controller.log:
         lines.append(f"{entry.at_ms!r} {entry.kind} host={entry.host_id} "
                      f"{entry.detail}")
-    span = getattr(result, "span", None)
-    if span is None and getattr(result, "failed", None) is not None:
-        span = result.failed.span
+    if isinstance(result, InvocationFailedError):
+        span = platform.sim.tracer.trace(result.trace_id)
+    else:
+        span = getattr(result, "span", None)
     if span is not None:
         lines.append(render_tree(span))
     return "\n".join(lines)

@@ -25,6 +25,8 @@ from repro.platforms.chains import (MODE_GUEST, MODE_ORCHESTRATED,
 from repro.workloads import DagEdge, DagStage, data_analysis_dag, faasdom_spec
 from repro.workloads.dag import make_dag
 
+from tests.helpers import invoke_roots, outcome_of
+
 SEED = 7
 
 _SPECS = [faasdom_spec("faas-fact", "nodejs"),
@@ -45,6 +47,12 @@ def _pipeline_dag():
 
 def _cluster(platform_cls, seed=SEED):
     return fresh_cluster_platform(platform_cls, seed=seed, n_hosts=2)
+
+
+def _invocations_of(platform, function):
+    """The kept root ``invoke`` spans of *function*, in order."""
+    return [root for root in invoke_roots(platform)
+            if root.attrs["function"] == function]
 
 
 def _run_pipeline(platform):
@@ -88,12 +96,11 @@ class TestCrashMidDag:
         assert platform.retries == 1
         assert platform.failovers == 1
         # At-most-once: the ledger never exceeds one dispatch per stage,
-        # and the completed first stage has exactly one record.
+        # and each stage's function was invoked exactly once.
         assert run.ledger == {"first": 1, "mid": 1, "last": 1}
         for spec in _SPECS:
-            records = [r for r in platform.records
-                       if r.function == spec.name]
-            assert len(records) == 1
+            roots = _invocations_of(platform, spec.name)
+            assert [outcome_of(root) for root in roots] == ["completed"]
         # Retries live inside platform.invoke: the DAG saw one dispatch.
         assert run.stages["first"].end_ms <= mid.start_ms
         assert mid.end_ms > clean.stages["mid"].end_ms
@@ -120,9 +127,9 @@ class TestPartitionedTrigger:
         executor.install(dag)
         clean = executor.run(dag, {})
         platform.sim.run()
-        fired = [r for r in platform.records if r.function == "da-analyze"]
+        fired = _invocations_of(platform, "da-analyze")
         assert len(fired) == 1
-        fire_ms = fired[0].submitted_ms
+        fire_ms = fired[0].start_ms
         # Same seed; the bus is unreachable for the whole retry horizon.
         platform = _cluster(platform_cls, seed)
         plan = ChaosPlan([ChaosEvent(max(0.0, fire_ms - 0.5),
@@ -145,16 +152,14 @@ class TestPartitionedTrigger:
         assert run.mode == mode
         # The executor-driven part of the DAG is untouched...
         assert run.status == "ok"
-        # ...the firing failed loudly on the platform: a first-class
-        # FailedInvocation after the full retry budget, not a hang.
-        failed = [f for f in platform.failed_invocations
-                  if f.function == "da-analyze"]
-        assert len(failed) == 1
-        assert failed[0].attempts == \
+        # ...the firing failed loudly on the platform: a failed
+        # invocation after the full retry budget, not a hang.
+        [fired] = _invocations_of(platform, "da-analyze")
+        assert outcome_of(fired) == "failed"
+        assert fired.attrs["error"] == "BusPartitionedError"
+        assert len(fired.find_all("retry")) + 1 == \
             platform.params.cluster.retry_max_attempts
-        assert "bus unreachable" in failed[0].reason
-        assert not any(r.function == "da-analyze"
-                       for r in platform.records)
+        assert platform.ledger.failed == 1
         if mode == MODE_ORCHESTRATED:
             # The trigger segment recorded the failure and aborted its
             # downstream stage — and never re-dispatched anything.
@@ -169,6 +174,7 @@ class TestPartitionedTrigger:
             _, platform, _, _ = self._partition_run(FirecrackerPlatform)
             fingerprints.append((
                 platform.sim.now, platform.retries,
-                [(f.function, f.attempts, f.failed_ms)
-                 for f in platform.failed_invocations]))
+                [(root.attrs["function"], len(root.find_all("retry")),
+                  root.end_ms) for root in invoke_roots(platform)
+                 if outcome_of(root) == "failed"]))
         assert fingerprints[0] == fingerprints[1]

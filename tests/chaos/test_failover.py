@@ -12,7 +12,7 @@ from repro.trace import verify_invocation
 
 from tests.chaos.helpers import (FN, SEED, SPEC, build_fireworks,
                                  run_crash_during, scenario_fingerprint)
-from tests.helpers import drained_host
+from tests.helpers import drained_host, failed_tree, hosts_tried
 
 
 class TestCrashBetweenInvocations:
@@ -38,7 +38,7 @@ class TestCrashBetweenInvocations:
         # Placement alone reroutes: no in-flight request, so no retries.
         assert platform.retries == 0
         assert platform.failovers == 0
-        assert platform.failed_invocations == []
+        assert platform.ledger.failed == 0
 
     def test_crashed_host_state_is_gone(self):
         platform, _, first, _ = self._run()
@@ -85,14 +85,13 @@ class TestCrashDuringRestore:
         platform, controller, result = run_crash_during("restore",
                                                         failover=False)
         assert isinstance(result, InvocationFailedError)
-        failed = result.failed
-        assert failed is platform.failed_invocations[0]
+        assert platform.ledger.failed == 1
         crashed = controller.log[0].host_id
         # The retry still reroutes, but the replica is simply gone.
         assert platform.failovers == 1
         assert platform.regenerations == 0
-        assert crashed in failed.hosts_tried
-        assert "snapshot" in failed.reason.lower()
+        assert crashed in hosts_tried(failed_tree(platform, result))
+        assert "snapshot" in result.reason.lower()
 
     def test_two_runs_identical(self):
         runs = [scenario_fingerprint(*run_crash_during("restore"))
@@ -107,11 +106,10 @@ class TestCrashDuringExec:
     def test_execution_lost_is_not_retried(self):
         platform, controller, result = run_crash_during("exec")
         assert isinstance(result, InvocationFailedError)
-        failed = result.failed
-        assert failed.attempts == 1
+        assert result.attempts == 1
         assert platform.retries == 0
         assert platform.failovers == 0
-        assert "host" in failed.reason and "lost" in failed.reason
+        assert "host" in result.reason and "lost" in result.reason
         del controller
 
     def test_two_runs_identical(self):

@@ -9,6 +9,7 @@ from repro.errors import InvocationFailedError, NoHostAvailableError
 from repro.trace import render_tree
 
 from tests.chaos.helpers import FN, build_fireworks, crash_all_hosts
+from tests.helpers import failed_tree, hosts_tried
 
 
 def _params_with_attempts(max_attempts):
@@ -19,7 +20,8 @@ def _params_with_attempts(max_attempts):
 
 
 def _exhaust(max_attempts=None, seed=7):
-    """Kill every host, invoke once, and return (platform, failed)."""
+    """Kill every host, invoke once, and return (platform, the
+    InvocationFailedError, the failed invocation's span tree)."""
     params = (None if max_attempts is None
               else _params_with_attempts(max_attempts))
     platform = build_fireworks(seed=seed, params=params)
@@ -28,25 +30,28 @@ def _exhaust(max_attempts=None, seed=7):
     with pytest.raises(InvocationFailedError) as excinfo:
         sim.run(sim.process(platform.invoke(FN)))
     sim.run()
-    return platform, excinfo.value.failed
+    return (platform, excinfo.value,
+            failed_tree(platform, excinfo.value))
 
 
 class TestRetryBudget:
     def test_budget_exhaustion_surfaces_failed_invocation(self):
-        platform, failed = _exhaust()
+        platform, failed, tree = _exhaust()
         assert failed.attempts == platform.params.cluster.retry_max_attempts
-        assert failed is platform.failed_invocations[0]
+        assert platform.ledger.failed == 1
         assert "all invokers at capacity" in failed.reason
         # Placement never chose a host: every attempt died before it.
-        assert failed.hosts_tried == ()
-        assert failed.latency_ms > 0.0
+        assert hosts_tried(tree) == []
+        assert tree.duration_ms > 0.0
+        assert tree.attrs["error"] == "NoHostAvailableError"
         assert platform.retries == failed.attempts - 1
-        assert platform.records == []  # the failure was not billed as one
+        # The failure was not billed as a completion.
+        assert platform.ledger.completed == platform.ledger.billed_ms == 0
 
     def test_budget_is_configurable(self):
-        _, failed = _exhaust(max_attempts=5)
+        _, failed, tree = _exhaust(max_attempts=5)
         assert failed.attempts == 5
-        assert len(failed.span.find_all("retry")) == 4
+        assert len(tree.find_all("retry")) == 4
 
     def test_no_host_available_is_retryable(self):
         # The class contract the loop depends on.
@@ -57,10 +62,9 @@ class TestRetryBudget:
 
 class TestBackoff:
     def test_backoff_is_monotone_and_bounded(self):
-        platform, failed = _exhaust(max_attempts=6)
+        platform, _, tree = _exhaust(max_attempts=6)
         cfg = platform.params.cluster
-        delays = [span.duration_ms
-                  for span in failed.span.find_all("retry")]
+        delays = [span.duration_ms for span in tree.find_all("retry")]
         assert len(delays) == 5
         for earlier, later in zip(delays, delays[1:]):
             assert earlier < later
@@ -74,8 +78,8 @@ class TestBackoff:
         assert delays != bare
 
     def test_retry_spans_carry_attempt_and_error(self):
-        _, failed = _exhaust()
-        for index, span in enumerate(failed.span.find_all("retry"), start=1):
+        _, _, tree = _exhaust()
+        for index, span in enumerate(tree.find_all("retry"), start=1):
             assert span.kind == "retry"
             assert span.attrs["target"] == "invoke"
             assert span.attrs["attempt"] == index
@@ -84,13 +88,11 @@ class TestBackoff:
     def test_jitter_is_seed_deterministic(self):
         trees = []
         for _ in range(2):
-            _, failed = _exhaust(max_attempts=6)
-            trees.append(render_tree(failed.span))
+            trees.append(render_tree(_exhaust(max_attempts=6)[2]))
         assert trees[0] == trees[1]
 
     def test_different_seeds_jitter_differently(self):
-        _, failed_a = _exhaust(max_attempts=6, seed=7)
-        _, failed_b = _exhaust(max_attempts=6, seed=8)
-        delays = [[span.duration_ms for span in failed.span.find_all("retry")]
-                  for failed in (failed_a, failed_b)]
+        trees = [_exhaust(max_attempts=6, seed=seed)[2] for seed in (7, 8)]
+        delays = [[span.duration_ms for span in tree.find_all("retry")]
+                  for tree in trees]
         assert delays[0] != delays[1]

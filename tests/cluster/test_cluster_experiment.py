@@ -72,10 +72,10 @@ class TestOpenWhiskOnCluster:
         # request lands on the other host and must cold start.
         invoke_once(platform, spec.name)
         invoke_once(platform, spec.name)
-        assert platform.cold_starts == 2
+        assert platform.ledger.by_mode == {"cold": 2}
         # Third request wraps to host 0, whose container is warm.
         invoke_once(platform, spec.name)
-        assert platform.warm_starts == 1
+        assert platform.ledger.by_mode == {"cold": 2, "warm": 1}
 
     def test_host_slots_released_after_invocation(self):
         from repro.bench import (fresh_cluster_platform, install_all,

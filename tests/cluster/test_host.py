@@ -71,7 +71,6 @@ class TestCluster:
         second = cluster.place("fn")
         assert {first.host_id, second.host_id} == {0, 1}
         assert cluster.total_active() == 2
-        assert cluster.placements == 2
         cluster.finish(first)
         cluster.finish(second)
         assert cluster.total_active() == 0

@@ -21,8 +21,7 @@ class TestPolicyOnInvokePath:
         install_all(platform, [spec])
         for _ in range(4):
             invoke_once(platform, spec.name)
-        assert platform.cold_starts == 1
-        assert platform.warm_starts == 3
+        assert platform.ledger.by_mode == {"cold": 1, "warm": 3}
 
     def test_round_robin_pays_cold_start_per_host(self, spec):
         platform = fresh_cluster_platform(OpenWhiskPlatform, n_hosts=4,
@@ -31,8 +30,7 @@ class TestPolicyOnInvokePath:
         for _ in range(4):
             invoke_once(platform, spec.name)
         # Each request lands on a different host's (empty) warm pool.
-        assert platform.cold_starts == 4
-        assert platform.warm_starts == 0
+        assert platform.ledger.by_mode == {"cold": 4}
 
     def test_capacity_overflow_fails_over_to_next_host(self, spec):
         platform = fresh_cluster_platform(OpenWhiskPlatform, n_hosts=2,

@@ -18,7 +18,7 @@ from repro.core.parameter_passer import topic_for
 from repro.errors import (ChaosError, InjectedFault, InvocationFailedError,
                           SnapshotCorruptedError)
 from repro.workloads import REMINDER_DB, alexa_skills_chain, faasdom_spec
-from tests.helpers import drained_host
+from tests.helpers import drained_host, failed_tree
 
 
 def arm(platform, *budgets):
@@ -115,8 +115,8 @@ def _assert_failed_with(platform, excinfo, cause_type, kind):
     cause = excinfo.value.__cause__
     assert isinstance(cause, cause_type)
     assert cause.kind == kind
-    assert platform.failed_invocations == [excinfo.value.failed]
-    assert "injected" in excinfo.value.failed.reason
+    assert platform.ledger.failed == 1
+    assert "injected" in excinfo.value.reason
 
 
 class TestRestoreRecovery:
@@ -197,7 +197,8 @@ class TestDbRecovery:
         controller = arm(platform, (KIND_DB_TIMEOUT, REMINDER_DB, 2))
         record = invoke_once(platform, spec.name)
         assert record.mode == "snapshot"
-        assert platform.db_retries == 2
+        assert len([s for s in record.span.find_all("retry")
+                    if s.attrs["target"] == "db"]) == 2
         assert controller.fired == {(KIND_DB_TIMEOUT, REMINDER_DB): 2}
         controller.check(KIND_DB_TIMEOUT, REMINDER_DB)  # budget spent
 
@@ -251,8 +252,8 @@ class TestParameterStateRelease:
     topic and unfetched publish with it."""
 
     @staticmethod
-    def _assert_released(platform, outcome):
-        fc_id = outcome.span.find("publish").attrs["fc_id"]
+    def _assert_released(platform, tree):
+        fc_id = tree.find("publish").attrs["fc_id"]
         assert fc_id not in platform.passer._published
         assert not platform.bus.has_topic(topic_for(fc_id))
 
@@ -263,7 +264,8 @@ class TestParameterStateRelease:
                        FireworksPlatform.MAX_RESTORE_ATTEMPTS))
         with pytest.raises(InvocationFailedError) as excinfo:
             invoke_once(platform, spec.name)
-        self._assert_released(platform, excinfo.value.failed)
+        self._assert_released(platform,
+                               failed_tree(platform, excinfo.value))
 
     def test_failed_fetch_releases_the_clone_topic(self, faulty_platform):
         platform, spec = faulty_platform
@@ -271,13 +273,15 @@ class TestParameterStateRelease:
                        FireworksPlatform.MAX_PARAM_FETCH_ATTEMPTS))
         with pytest.raises(InvocationFailedError) as excinfo:
             invoke_once(platform, spec.name)
-        self._assert_released(platform, excinfo.value.failed)
+        self._assert_released(platform,
+                               failed_tree(platform, excinfo.value))
 
     def test_recovered_invocation_releases_its_clone_topic(
             self, faulty_platform):
         platform, spec = faulty_platform
         arm(platform, (KIND_RESTORE_CORRUPTION, spec.name, 1))
-        self._assert_released(platform, invoke_once(platform, spec.name))
+        self._assert_released(platform,
+                               invoke_once(platform, spec.name).span)
 
 
 class TestCloneRetirement:
@@ -313,7 +317,8 @@ class TestCloneRetirement:
             host_id=0)]))
         with pytest.raises(InvocationFailedError) as excinfo:
             invoke_once(platform, spec.name)
-        fc_id = excinfo.value.failed.span.find("publish").attrs["fc_id"]
+        fc_id = failed_tree(platform, excinfo.value).find(
+            "publish").attrs["fc_id"]
         # The crash cleared the host's snapshot store, so with the clone
         # retired no page is left either.
         assert drained_host(platform) == (0, 0, 0.0)
@@ -332,8 +337,9 @@ class TestCloneRetirement:
                        platform.MAX_DB_ATTEMPTS))
         with pytest.raises(InvocationFailedError) as excinfo:
             invoke_once(platform, spec.name)
-        assert excinfo.value.failed.attempts == 1
-        fc_id = excinfo.value.failed.span.find("publish").attrs["fc_id"]
+        assert excinfo.value.attempts == 1
+        fc_id = failed_tree(platform, excinfo.value).find(
+            "publish").attrs["fc_id"]
         invoke_once(served, spec.name)
         namespaces, routes, used_mb = drained_host(platform)
         assert (namespaces, routes) == (0, 0)
@@ -352,7 +358,7 @@ class TestCloneRetirement:
             host_id=0)]))
         record = invoke_once(platform, spec.name)
         assert (record.mode, record.attempts) == ("snapshot", 1)
-        assert platform.failed_invocations == []
+        assert platform.ledger.failed == 0
         fc_id = record.span.find("publish").attrs["fc_id"]
         # The lost store took the snapshot's pages, so with the clone
         # retired no page is left either.

@@ -51,7 +51,6 @@ class TestLaunchClone:
         worker = run(sim, manager.launch_clone(image, fc_id))
         assert worker.sandbox.mmds.get("fcID") == fc_id
         assert worker.sandbox.mmds.get("srcfcID") == "fn"
-        assert manager.launched_clones == 1
 
     def test_fc_ids_are_unique(self, setup):
         _sim, _params, _host, _bridge, manager = setup

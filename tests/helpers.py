@@ -39,6 +39,43 @@ def run_all(sim: Simulation, *generators):
     return [p.value for p in processes]
 
 
+def invoke_roots(platform):
+    """The kept root ``invoke`` span of each of *platform*'s invocations,
+    in submission order."""
+    return [root for root in platform.sim.tracer.traces()
+            if root.name == "invoke"]
+
+
+def outcome_of(root) -> str:
+    """How the invocation whose root ``invoke`` span is *root* ended:
+    ``"completed"`` (no ``error`` attribute), ``"shed"``, or ``"failed"``
+    (the error that ended it is named)."""
+    error = root.attrs.get("error")
+    if error is None:
+        return "completed"
+    return "shed" if error == "InvocationSheddedError" else "failed"
+
+
+def invoked_functions(platform):
+    """The function of every kept ``invoke`` span of *platform*'s
+    simulation, chain hops included, in trace order."""
+    return [span.attrs["function"]
+            for root in platform.sim.tracer.traces()
+            for span in root.find_all("invoke")]
+
+
+def failed_tree(platform, error):
+    """The kept ``invoke`` tree of the invocation that *error* (an
+    ``InvocationFailedError``) ended."""
+    return platform.sim.tracer.trace(error.trace_id)
+
+
+def hosts_tried(tree):
+    """The host each attempt under the ``invoke`` *tree* was placed on."""
+    return [span.attrs["host"] for span in tree.find_all("placement")
+            if "host" in span.attrs]
+
+
 def run_dag_once(platform, dag, payload=None, mode: str = MODE_AUTO):
     """Install *dag* on *platform* (if needed) and run it once, blocking;
     returns the :class:`~repro.platforms.chains.DagRun`."""
@@ -372,7 +409,6 @@ def oracle_restore(restorer, image, policy: str = POLICY_DEMAND,
         for region, segment in segments.items():
             microvm.space.map_segment(region, segment)
         microvm.state = STATE_RUNNING
-        microvm.boot_completed_at = sim.now
 
         runtime = oracle_rebuild_runtime(restorer, image)
     return Worker(sim, microvm, runtime, app=image.app)

@@ -8,6 +8,8 @@ from repro.platforms import OpenWhiskPlatform
 from repro.workloads import (WAGES_DB, alexa_skills_chain,
                              data_analysis_chain)
 
+from tests.helpers import invoked_functions
+
 
 @pytest.fixture(params=[OpenWhiskPlatform, FireworksPlatform],
                 ids=["openwhisk", "fireworks"])
@@ -37,9 +39,9 @@ class TestAlexaChain:
     def test_reminder_skill_touches_couchdb(self, chain_platform):
         chain = alexa_skills_chain()
         install_chain(chain_platform, chain)
-        invoke_once(chain_platform, chain.entry,
-                    payload={"skill": "reminder"})
-        child = chain_platform.records[-1].children[0]
+        record = invoke_once(chain_platform, chain.entry,
+                             payload={"skill": "reminder"})
+        child = record.children[0]
         assert child.guest.db_ms > 0
 
 
@@ -59,7 +61,7 @@ class TestDataAnalysisChain:
         invoke_once(chain_platform, chain.entry,
                     payload={"name": "a", "id": "1"})
         chain_platform.sim.run()
-        functions = [r.function for r in chain_platform.records]
+        functions = invoked_functions(chain_platform)
         assert "da-analyze" in functions
         assert "da-stats" in functions
 
@@ -69,8 +71,8 @@ class TestDataAnalysisChain:
         invoke_once(chain_platform, chain.entry,
                     payload={"name": "a", "id": "1"})
         chain_platform.sim.run()
-        functions = [r.function for r in chain_platform.records]
-        assert "da-analyze" not in functions
+        functions = invoked_functions(chain_platform)
+        assert functions == ["da-input", "da-format"]
 
 
 class TestFig9Shape:

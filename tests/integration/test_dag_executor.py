@@ -28,7 +28,7 @@ from repro.trace.export import to_chrome_trace
 from repro.workloads import (DagEdge, DagStage, alexa_skills_chain,
                              alexa_skills_dag, data_analysis_dag,
                              faasdom_spec, make_dag)
-from tests.helpers import run_dag_once
+from tests.helpers import invoked_functions, run_dag_once
 
 _OVERLAY_CATS = ("chain", "stage", "db-trigger")
 
@@ -133,9 +133,7 @@ class TestAllBackends:
         # The executor drives input -> format; the db trigger fires
         # analyze -> stats after the wages write.
         assert set(run.ledger) == {"input", "format"}
-        analyzed = [r for r in platform.records
-                    if r.function == "da-analyze"]
-        assert len(analyzed) == 1
+        assert invoked_functions(platform).count("da-analyze") == 1
         if run.mode == MODE_ORCHESTRATED:
             segment = executor.trigger_runs
             assert len(segment) == 1
@@ -146,6 +144,9 @@ class TestAllBackends:
                        for count in segment[0].ledger.values())
         else:
             assert executor.trigger_runs == []
+            [record] = executor.trigger_records
+            assert [r.function for r in record.chain_records()] == \
+                ["da-analyze", "da-stats"]
 
 
 class TestExecutorSemantics:
@@ -207,11 +208,27 @@ class TestExecutorSemantics:
         [(db, fns)] = list(platform._db_triggers.items())
         assert len(fns) == 1
 
-    def test_guest_mode_keeps_plain_trigger(self):
+    def test_guest_mode_trigger_fires_as_a_plain_trigger(self):
+        """The guest-mode runner only keeps the record of the platform's
+        own firing: the trace and the clock match a trigger registered
+        without a runner."""
         from repro.core import FireworksPlatform
-        platform = fresh_platform(FireworksPlatform)
-        executor = ChainExecutor(platform)
-        executor.install(data_analysis_dag())
-        for functions in platform._db_triggers.values():
-            for _function, runner in functions:
-                assert runner is None
+        outcomes = []
+        for plain in (False, True):
+            platform = fresh_platform(FireworksPlatform)
+            executor = ChainExecutor(platform)
+            dag = data_analysis_dag()
+            executor.install(dag)
+            if plain:
+                for functions in platform._db_triggers.values():
+                    functions[:] = [(function, None)
+                                    for function, _runner in functions]
+            executor.run(dag, {})
+            platform.sim.run()
+            trace = json.dumps(to_chrome_trace(platform.sim.tracer.traces()),
+                               sort_keys=True, default=str)
+            outcomes.append((re.sub(r"[0-9a-f]{8,}", "ADDR", trace),
+                             platform.sim.now,
+                             len(executor.trigger_records)))
+        assert outcomes[0][:2] == outcomes[1][:2]
+        assert (outcomes[0][2], outcomes[1][2]) == (1, 0)

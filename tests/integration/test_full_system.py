@@ -15,7 +15,7 @@ from repro.chaos import (KIND_PARAM_FETCH_TIMEOUT, KIND_RESTORE_CORRUPTION,
 from repro.core import FireworksPlatform
 from repro.platforms.gateway import STATUS_SUCCESS, ApiGateway
 from repro.workloads import (WAGES_DB, data_analysis_chain, faasdom_spec)
-from tests.helpers import run
+from tests.helpers import invoke_roots, invoked_functions, run
 
 
 @pytest.fixture
@@ -62,20 +62,15 @@ class TestFullScenario:
         assert controller.fired == {
             (KIND_RESTORE_CORRUPTION, "da-input"): 1,
             (KIND_PARAM_FETCH_TIMEOUT, "da-format"): 1}
-        assert platform.failed_invocations == []
+        assert platform.ledger.failed == 0
 
         # Each insertion fired the db-triggered analysis chain.
-        analyze_runs = [r for r in platform.records
-                        if r.function == "da-analyze"]
-        stats_runs = [r for r in platform.records
-                      if r.function == "da-stats"]
-        assert len(analyze_runs) == 3
-        assert len(stats_runs) == 3
+        functions = invoked_functions(platform)
+        assert functions.count("da-analyze") == 3
+        assert functions.count("da-stats") == 3
 
         # The three health checks ran.
-        health_runs = [r for r in platform.records
-                       if r.function == "faas-netlatency-nodejs"]
-        assert len(health_runs) == 3
+        assert functions.count("faas-netlatency-nodejs") == 3
 
         # The analysis chain wrote its statistics back to CouchDB.
         assert len(platform.couch.database("wage-stats")) >= 1
@@ -97,9 +92,10 @@ class TestFullScenario:
         # bills the majority of its resource time.
         report = BillingReport.of(platform.name, platform.ledger)
         assert report.billable_efficiency > 0.5
-        # The records hold every chain hop: each is billed once.
-        assert any(r.children for r in platform.records)
-        assert report.invocations == len(platform.records)
+        # The ledger holds every chain hop: each is billed once.
+        assert any(len(root.find_all("invoke")) > 1
+                   for root in invoke_roots(platform))
+        assert report.invocations == len(functions)
 
     def test_gateway_activations_match_platform_records(self, system):
         platform, gateway, api_key = system
@@ -111,6 +107,5 @@ class TestFullScenario:
         platform.sim.run()
         activations = gateway.list_activations("payroll")
         assert len(activations) == 2
-        entry_records = [r for r in platform.records
-                         if r.function == "da-input"]
-        assert len(entry_records) == 2
+        assert [a.record.function for a in activations] == ["da-input"] * 2
+        assert invoked_functions(platform).count("da-input") == 2

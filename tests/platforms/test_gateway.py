@@ -37,7 +37,8 @@ class TestAuthentication:
         gw, _key, platform = gateway
         with pytest.raises(AuthenticationError):
             run(platform.sim, gw.handle_request("bogus", FN))
-        assert gw.rejected_requests == 1
+        assert gw.list_activations("alice") == []
+        assert platform.ledger.completed == 0
 
     def test_keys_are_per_namespace(self, gateway):
         gw, alice_key, platform = gateway
@@ -57,7 +58,7 @@ class TestAuthentication:
         gw, key, platform = gateway
         with pytest.raises(AuthenticationError):
             run(platform.sim, gw.handle_request(key[:-1], FN))
-        assert gw.rejected_requests == 1
+        assert gw.list_activations("alice") == []
 
     def test_lookup_scales_past_first_namespace(self, gateway):
         """Key lookup is by dict, not scan order: a later namespace's key
@@ -68,7 +69,7 @@ class TestAuthentication:
         activation = run(platform.sim,
                          gw.handle_request(keys["dave"], FN))
         assert activation.namespace == "dave"
-        assert gw.rejected_requests == 0
+        assert gw.list_activations("dave") == [activation]
 
 
 class TestValidation:
@@ -77,19 +78,21 @@ class TestValidation:
         with pytest.raises(FunctionNotFoundError):
             run(platform.sim, gw.handle_request(key, "ghost"))
 
-    def test_404s_count_as_rejected(self, gateway):
+    def test_404s_record_no_activation(self, gateway):
         gw, key, platform = gateway
         for _ in range(2):
             with pytest.raises(FunctionNotFoundError):
                 run(platform.sim, gw.handle_request(key, "ghost"))
-        assert gw.rejected_requests == 2
+        assert gw.list_activations("alice") == []
+        assert platform.ledger.completed == 0
 
     def test_payload_cap(self, gateway):
         gw, key, platform = gateway
         with pytest.raises(PayloadTooLargeError):
             run(platform.sim, gw.handle_request(
                 key, FN, payload_kb=MAX_PAYLOAD_KB + 1))
-        assert gw.rejected_requests == 1
+        assert gw.list_activations("alice") == []
+        assert platform.ledger.completed == 0
 
 
 class TestActivations:
@@ -136,4 +139,4 @@ class TestActivations:
         assert activation.status == STATUS_ERROR
         assert "injected" in activation.error
         assert activation.record is None
-        assert len(platform.failed_invocations) == 1
+        assert platform.ledger.failed == 1

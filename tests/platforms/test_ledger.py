@@ -1,12 +1,9 @@
-"""Unit tests for the platform ledger: one fold per completed, failed or
-shed invocation, billed time included."""
+"""Unit tests for the platform ledger: one fold per completed
+invocation, billed time included."""
 
-import functools
 import math
-import operator
 
-from repro.autoscale.admission import SheddedInvocation
-from repro.platforms.base import FailedInvocation, InvocationRecord
+from repro.platforms.base import InvocationRecord
 from repro.platforms.ledger import BILLING_GRANULARITY_MS, InvocationLedger
 
 
@@ -28,22 +25,11 @@ def _ledger(*records):
     return ledger
 
 
-def _failed(reason):
-    return FailedInvocation("fn", "p", submitted_ms=0.0, failed_ms=10.0,
-                            attempts=3, reason=reason, hosts_tried=(0,))
-
-
-def _shed(reason):
-    return SheddedInvocation("fn", "p", submitted_ms=0.0, shed_ms=0.0,
-                             host_id=0, reason=reason, queue_depth=4,
-                             trace_id="t")
-
-
 class TestEmpty:
     def test_a_new_ledger_holds_nothing(self):
         ledger = InvocationLedger()
         assert ledger.completed == 0
-        assert ledger.functions == {} and ledger.by_mode == {}
+        assert ledger.by_mode == {}
         assert (ledger.failed, ledger.shed) == (0, 0)
         assert list(ledger.total_ms) == list(ledger.queue_wait_ms) == []
 
@@ -53,13 +39,11 @@ class TestEmpty:
 
 
 class TestFold:
-    def test_modes_counted_per_function_and_overall(self):
+    def test_modes_counted_overall(self):
         ledger = _ledger(_record("a", "cold"), _record("a", "warm"),
                          _record("b", "warm"))
         assert ledger.completed == 3
         assert ledger.by_mode == {"cold": 1, "warm": 2}
-        assert ledger.functions["a"].modes == {"cold": 1, "warm": 1}
-        assert ledger.functions["b"].modes == {"warm": 1}
 
     def test_columns_keep_completion_order(self):
         ledger = _ledger(_record(startup=3.0, queue_wait=0.5),
@@ -67,16 +51,6 @@ class TestFold:
                          _record(startup=2.0, queue_wait=2.5))
         assert list(ledger.total_ms) == [9.0, 7.0, 8.0]
         assert list(ledger.queue_wait_ms) == [0.5, 0.0, 2.5]
-        assert list(ledger.functions["fn"].totals) == [9.0, 7.0, 8.0]
-
-    def test_sums_add_in_fold_order(self):
-        records = [_record(startup=startup, exec_ms=0.3, other=0.0)
-                   for startup in (0.1, 0.2, 0.7, 1e-3)]
-        function = _ledger(*records).functions["fn"]
-        assert function.startup_sum == functools.reduce(
-            operator.add, (r.startup_ms for r in records), 0)
-        assert function.total_sum == functools.reduce(
-            operator.add, (r.total_ms for r in records), 0)
 
     def test_a_chain_entry_is_folded_without_its_hops(self):
         # The platform folds each hop as it completes; folding the entry
@@ -85,7 +59,7 @@ class TestFold:
         entry.children.append(_record("backend"))
         ledger = _ledger(entry)
         assert ledger.completed == 1
-        assert list(ledger.functions) == ["frontend"]
+        assert list(ledger.total_ms) == [entry.total_ms]
 
 
 class TestBilledTime:
@@ -122,33 +96,3 @@ class TestBilledTime:
         other.billed_ms += 1
         assert plain != other
 
-
-class TestFailuresAndSheds:
-    def test_failure_reasons_bucket_on_their_first_word(self):
-        ledger = InvocationLedger()
-        for reason in ("host-down after 3 attempts", "host-down again",
-                       "partitioned bus"):
-            ledger.fold_failed(_failed(reason))
-        assert ledger.failed == 3
-        assert ledger.by_failure_reason == {"host-down": 2,
-                                            "partitioned": 1}
-
-    def test_an_empty_failure_reason_is_unknown(self):
-        ledger = InvocationLedger()
-        ledger.fold_failed(_failed(""))
-        assert ledger.by_failure_reason == {"unknown": 1}
-
-    def test_sheds_count_by_whole_reason(self):
-        ledger = InvocationLedger()
-        for reason in ("queue-full", "wait-budget", "queue-full"):
-            ledger.fold_shed(_shed(reason))
-        assert ledger.shed == 3
-        assert ledger.by_shed_reason == {"queue-full": 2, "wait-budget": 1}
-
-    def test_neither_completes_nor_bills(self):
-        ledger = InvocationLedger()
-        ledger.fold_failed(_failed("host-down"))
-        ledger.fold_shed(_shed("queue-full"))
-        assert ledger.completed == 0
-        assert ledger.billed_ms == 0
-        assert ledger.functions == {} and ledger.by_mode == {}

@@ -77,8 +77,7 @@ class TestOpenWhisk:
         assert cold.mode == MODE_COLD
         assert warm.mode == MODE_WARM
         assert warm.startup_ms < cold.startup_ms / 20
-        assert platform.cold_starts == 1
-        assert platform.warm_starts == 1
+        assert platform.ledger.by_mode == {MODE_COLD: 1, MODE_WARM: 1}
 
     def test_warm_keeps_jit_state(self, params, spec):
         """OpenWhisk reuses the runtime process: V8 state survives, so the
@@ -96,7 +95,7 @@ class TestOpenWhisk:
         platform.sim.run(until=platform.sim.now + keepalive + 1)
         record = run(platform.sim, platform.invoke(spec.name))
         assert record.mode == MODE_COLD
-        assert platform.cold_starts == 2
+        assert platform.ledger.by_mode == {MODE_COLD: 2}
 
     def test_forced_warm_without_pool_raises(self, params, spec):
         platform = _installed(OpenWhiskPlatform, params, spec)
@@ -215,11 +214,12 @@ class TestInvocationRecord:
         assert record.total_ms == pytest.approx(
             record.startup_ms + record.exec_ms + record.other_ms)
 
-    def test_records_accumulate(self, params, spec):
+    def test_every_completion_is_folded(self, params, spec):
         platform = _installed(OpenWhiskPlatform, params, spec)
-        run(platform.sim, platform.invoke(spec.name))
-        run(platform.sim, platform.invoke(spec.name))
-        assert len(platform.records) == 2
+        records = [run(platform.sim, platform.invoke(spec.name))
+                   for _ in range(2)]
+        assert platform.ledger.completed == 2
+        assert list(platform.ledger.total_ms) == [r.total_ms for r in records]
 
     def test_table1_row(self, params, spec):
         platform = _installed(FirecrackerPlatform, params, spec)

@@ -8,6 +8,8 @@ from repro.errors import FunctionNotFoundError
 from repro.workloads import alexa_skills_chain, faasdom_spec
 from repro.workloads.serverlessbench import REMINDER_DB
 
+from tests.helpers import invoke_roots, invoked_functions
+
 
 @pytest.fixture
 def platform():
@@ -31,13 +33,13 @@ class TestDbTriggerRegistration:
         platform.register_db_trigger("events", spec2.name)
         platform.note_db_write("events")
         platform.sim.run()
-        functions = sorted(record.function for record in platform.records)
-        assert functions == sorted([FN, spec2.name])
+        assert sorted(invoked_functions(platform)) == sorted([FN, spec2.name])
 
     def test_write_to_untriggered_db_is_quiet(self, platform):
         platform.note_db_write("nobody-cares")
         platform.sim.run()
-        assert platform.records == []
+        assert invoked_functions(platform) == []
+        assert platform.ledger.completed == 0
 
 
 class TestDbTriggerFiring:
@@ -57,7 +59,7 @@ class TestDbTriggerFiring:
         invoke_once(platform, writer)
         invoke_once(platform, writer)
         platform.sim.run()
-        assert sum(platform.ledger.functions[FN].modes.values()) == 2
+        assert invoked_functions(platform).count(FN) == 2
 
     def test_guest_writes_land_under_sequenced_ids(self, platform, writer):
         invoke_once(platform, writer)
@@ -91,7 +93,7 @@ class TestDbTriggerFiring:
         platform.register_db_trigger("events", FN)
         platform.note_db_write("events")
         platform.sim.run()
-        (record,) = platform.records
+        (record,) = invoke_roots(platform)
         (firing,) = [root for root in platform.sim.tracer.traces()
                      if root.kind == "db-trigger"]
         assert firing.trace_id == f"{record.trace_id}-trigger"

@@ -4,7 +4,8 @@ For every seed the same four things must be true no matter which faults
 the plan happened to draw:
 
 * accounting is exact — every submission ends up as exactly one completed
-  record or one FailedInvocation (no double billing, no losses);
+  record or one InvocationFailedError, and the ledger counts each once
+  (no double billing, no losses);
 * every completed record's trace verifies (root span duration equals the
   recorded end-to-end latency, phases cover the root);
 * every ``failover`` span points at a host the controller really crashed
@@ -61,7 +62,8 @@ def _budget_events(seed, specs):
 
 def _run_under_random_plan(seed):
     """Replay a fixed trace under ``ChaosPlan.random(seed)`` plus seeded
-    budget events; returns (platform, controller, submitted_count)."""
+    budget events; returns (platform, controller, submitted_count,
+    completed records, failure errors)."""
     platform = fresh_cluster_platform(
         FireworksPlatform, seed=seed, n_hosts=N_HOSTS,
         policy=POLICY_SNAPSHOT_LOCALITY)
@@ -73,6 +75,7 @@ def _run_under_random_plan(seed):
     controller = HostFailureController(platform, plan, failover=True)
     sim = platform.sim
     submitted = 0
+    records, failures = [], []
     at_ms = sim.now + PERIOD_MS
     index = 0
     while at_ms < DURATION_MS:
@@ -81,13 +84,21 @@ def _run_under_random_plan(seed):
         name = specs[index % N_FUNCTIONS].name
         submitted += 1
         try:
-            sim.run(sim.process(platform.invoke(name)))
-        except InvocationFailedError:
-            pass
+            records.append(sim.run(sim.process(platform.invoke(name))))
+        except InvocationFailedError as error:
+            failures.append(error)
         index += 1
         at_ms += PERIOD_MS
     sim.run()
-    return platform, controller, submitted
+    return platform, controller, submitted, records, failures
+
+
+def _invoke_trees(chaos_run):
+    """The kept ``invoke`` tree of every submission of *chaos_run*."""
+    platform, _, _, records, failures = chaos_run
+    tracer = platform.sim.tracer
+    return ([record.span for record in records]
+            + [tracer.trace(error.trace_id) for error in failures])
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -97,56 +108,48 @@ def chaos_run(request):
 
 class TestAccountingProperties:
     def test_no_invocation_double_billed_or_lost(self, chaos_run):
-        platform, _, submitted = chaos_run
-        assert len(platform.records) + len(platform.failed_invocations) \
-            == submitted
+        platform, _, submitted, records, failures = chaos_run
+        assert len(records) + len(failures) == submitted
+        assert platform.ledger.completed == len(records)
+        assert platform.ledger.failed == len(failures)
 
     def test_trace_ids_unique(self, chaos_run):
-        platform, _, submitted = chaos_run
-        ids = [record.trace_id for record in platform.records]
-        ids += [failed.trace_id for failed in platform.failed_invocations]
+        _, _, submitted, records, failures = chaos_run
+        ids = [record.trace_id for record in records]
+        ids += [error.trace_id for error in failures]
         assert len(set(ids)) == submitted
 
     def test_failures_only_under_chaos(self, chaos_run):
-        platform, _, _ = chaos_run
+        failures = chaos_run[4]
         # Every failure is attributable: its reason names a chaos cause.
-        for failed in platform.failed_invocations:
-            assert any(token in failed.reason
+        for error in failures:
+            assert any(token in error.reason
                        for token in ("down", "capacity", "unreachable",
                                      "snapshot", "lost", "injected")), \
-                failed.reason
+                error.reason
 
 
 class TestTraceProperties:
     def test_every_completed_record_verifies(self, chaos_run):
-        platform, _, _ = chaos_run
-        for record in platform.records:
+        for record in chaos_run[3]:
             breakdown = verify_invocation(record)
             assert record.span.duration_ms == record.end_to_end_ms
             del breakdown
 
     def test_retry_spans_count_matches_platform_counter(self, chaos_run):
-        platform, _, _ = chaos_run
-        spans = []
-        for record in platform.records:
-            spans += [span for span in record.span.find_all("retry")
-                      if span.attrs.get("target") == "invoke"]
-        for failed in platform.failed_invocations:
-            spans += [span for span in failed.span.find_all("retry")
-                      if span.attrs.get("target") == "invoke"]
-        assert len(spans) == platform.retries
+        spans = [span for tree in _invoke_trees(chaos_run)
+                 for span in tree.find_all("retry")
+                 if span.attrs.get("target") == "invoke"]
+        assert len(spans) == chaos_run[0].retries
 
 
 class TestFailoverProperties:
     def test_every_failover_has_an_earlier_host_down(self, chaos_run):
-        platform, controller, _ = chaos_run
+        platform, controller = chaos_run[:2]
         crashes = [(entry.at_ms, entry.host_id) for entry in controller.log
                    if entry.kind == "host-crash"]
-        spans = []
-        for record in platform.records:
-            spans += record.span.find_all("failover")
-        for failed in platform.failed_invocations:
-            spans += failed.span.find_all("failover")
+        spans = [span for tree in _invoke_trees(chaos_run)
+                 for span in tree.find_all("failover")]
         assert len(spans) == platform.failovers
         for span in spans:
             from_host = span.attrs["from_host"]
@@ -180,13 +183,13 @@ class TestBudgetProperties:
         return armed
 
     def test_fired_never_exceeds_armed(self, chaos_run):
-        _, controller, _ = chaos_run
+        controller = chaos_run[1]
         armed = self._armed(controller)
         for slot, fired in controller.fired.items():
             assert fired <= armed.get(slot, 0), slot
 
     def test_every_fired_corruption_is_a_restore_failure(self, chaos_run):
-        platform, controller, _ = chaos_run
+        platform, controller = chaos_run[:2]
         corruptions = sum(fired for (kind, _), fired
                           in controller.fired.items()
                           if kind == KIND_RESTORE_CORRUPTION)
@@ -194,5 +197,5 @@ class TestBudgetProperties:
 
     def test_budgets_fire(self, chaos_run):
         # Guards the two properties above against vacuity.
-        _, controller, _ = chaos_run
+        controller = chaos_run[1]
         assert sum(controller.fired.values()) > 0

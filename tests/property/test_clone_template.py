@@ -263,9 +263,8 @@ class World:
                        segment.total_dirty_pages, segment.resident_pages(),
                        segment._pins) for segment in segments.values()),
                 self.host.used_pages, self.host.peak_pages,
-                self.sim.now, self.restorer.lazy_restores,
-                self.restorer.bytes_prefetched_mb,
-                self.restorer.bytes_demand_faulted_mb,
+                # Each restore span carries its lazy byte ledger.
+                self.sim.now,
                 tuple(_tree(root) for root in self.sim.tracer.traces()))
 
 

@@ -24,7 +24,6 @@ class TestLifecycle:
         assert sim.now == pytest.approx(
             latency.create_ms + latency.os_boot_ms)
         assert microvm.state == STATE_RUNNING
-        assert microvm.boot_completed_at == sim.now
 
     def test_double_boot_raises(self, sim, params, host, microvm):
         run(sim, microvm.boot())

@@ -32,16 +32,8 @@ class TestColdLazy:
         assert fault.attrs["mb"] > 0
         assert fault.attrs["faults"] >= 1
         assert restore.attrs["prefetched_mb"] == 0.0
+        assert restore.attrs["demand_faulted_mb"] == fault.attrs["mb"]
         assert restore.attrs["bytes_moved_mb"] == fault.attrs["mb"]
-
-    def test_cold_lazy_counters(self, lazy_platform):
-        platform, spec = lazy_platform
-        invoke_once(platform, spec.name)
-        restorer = _restorer(platform)
-        assert restorer.lazy_restores == 1
-        assert restorer.bytes_prefetched_mb == 0.0
-        assert restorer.bytes_demand_faulted_mb > 0.0
-        assert restorer.demand_faults >= 1
 
 
 class TestWarmLazy:

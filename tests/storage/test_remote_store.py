@@ -48,7 +48,6 @@ class TestTieredStore:
         fetched, extra_ms = tiered.get("fn")
         assert fetched is image
         assert extra_ms == 0.0
-        assert tiered.local_hits == 1
 
     def test_local_miss_fetches_from_remote(self, tiered):
         image = FakeImage(170)
@@ -57,7 +56,6 @@ class TestTieredStore:
         fetched, extra_ms = tiered.get("fn")
         assert fetched is image
         assert extra_ms > 0
-        assert tiered.remote_fetches == 1
         # Now cached locally again.
         _, second_ms = tiered.get("fn")
         assert second_ms == 0.0

@@ -31,16 +31,9 @@ class TestBasics:
         assert store.get("fn") is image
         assert store.contains("fn")
 
-    def test_missing_key_raises_and_counts_miss(self, store):
+    def test_missing_key_raises(self, store):
         with pytest.raises(SnapshotNotFoundError):
             store.get("nope")
-        assert store.misses == 1
-
-    def test_hits_counted(self, store):
-        store.put("fn", FakeImage(10))
-        store.get("fn")
-        store.get("fn")
-        assert store.hits == 2
 
     def test_overwrite_same_key(self, store):
         first = FakeImage(10)

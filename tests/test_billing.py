@@ -76,7 +76,6 @@ class TestBillRecords:
         ledger = platform.ledger
         assert sorted(hop.function for hop in hops) == \
             ["alexa-fact", "alexa-frontend"]
-        assert sorted(ledger.functions) == ["alexa-fact", "alexa-frontend"]
         assert ledger.completed == 2
         assert ledger.billed_ms == sum(math.ceil(hop.exec_ms)
                                        for hop in hops)

@@ -19,7 +19,6 @@ class TestHostShape:
         assert params.host.cores == 64
         assert params.host.dram_mb == 131072
         assert params.host.swappiness_threshold == 0.60
-        assert params.microvm.vcpus == 1
         assert params.microvm.mem_mb == 512
 
 

@@ -72,3 +72,35 @@ class TestUndrainedSimulationError:
                 copy.shard) == ("process 'ticker'", 86_400_000.0,
                                 "never-quiet", "all")
         assert str(copy) == str(error)
+
+
+#: Constructor arguments of each error whose ``__init__`` takes more than
+#: a message.
+_ARGS = {
+    errors.UndrainedSimulationError: ("process 'ticker'", 86_400_000.0,
+                                      "never-quiet", "all"),
+    errors.HostDownError: (3, "queue"),
+    errors.InvocationSheddedError: (1, "queue-full", 16),
+    errors.ExecutionLostError: (2,),
+    errors.InjectedFault: ("db-timeout", "reminders"),
+    errors.SnapshotCorruptedError: ("restore-corruption", "fn"),
+    errors.InvocationFailedError: ("fn", 3, "host2 is down",
+                                   "fireworks-inv7"),
+}
+
+
+def _every_error():
+    return [value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("error_cls", _every_error(),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_survives_pickling(error_cls):
+    # A shard's error crosses a process pool under --jobs > 1 as itself.
+    error = error_cls(*_ARGS.get(error_cls, ("a message",)))
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is error_cls
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)

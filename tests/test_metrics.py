@@ -1,7 +1,5 @@
-"""Unit tests for the operational numbers the platform ledger folds:
-counts by start mode, per-function counts and start-up share."""
-
-import pytest
+"""Unit tests for the operational numbers of a platform: the ledger's
+counts by start mode, and the start-up share of real invocations."""
 
 from repro.bench import fresh_platform, install_all, invoke_once
 from repro.core import FireworksPlatform
@@ -26,12 +24,9 @@ def _ledger(records):
     return ledger
 
 
-def _invocations(function_ledger):
-    return sum(function_ledger.modes.values())
-
-
-def _startup_share(function_ledger):
-    return function_ledger.startup_sum / function_ledger.total_sum
+def _startup_share(records):
+    return (sum(record.startup_ms for record in records)
+            / sum(record.total_ms for record in records))
 
 
 class TestSummarize:
@@ -42,45 +37,32 @@ class TestSummarize:
         assert ledger.completed == 3
         assert ledger.by_mode == {"cold": 1, "warm": 2}
 
-    def test_per_function_grouping(self):
-        records = [_record("a"), _record("a"), _record("b")]
-        ledger = _ledger(records)
-        assert _invocations(ledger.functions["a"]) == 2
-        assert _invocations(ledger.functions["b"]) == 1
-        with pytest.raises(KeyError):
-            ledger.functions["ghost"]
-
-    def test_startup_share(self):
-        ledger = _ledger([_record(startup=75.0, exec_ms=25.0)])
-        assert _startup_share(ledger.functions["fn"]) == pytest.approx(0.75)
-
 
 class TestOnRealPlatforms:
     def test_fireworks_startup_share_tiny(self):
         platform = fresh_platform(FireworksPlatform)
         spec = faasdom_spec("faas-fact", "nodejs")
         install_all(platform, [spec])
-        for _ in range(3):
-            invoke_once(platform, spec.name)
-        ledger = platform.ledger
-        assert ledger.by_mode == {"snapshot": 3}
-        assert _startup_share(ledger.functions[spec.name]) < 0.06
+        records = [invoke_once(platform, spec.name) for _ in range(3)]
+        assert platform.ledger.by_mode == {"snapshot": 3}
+        assert _startup_share(records) < 0.06
 
     def test_firecracker_cold_startup_dominates(self):
         platform = fresh_platform(FirecrackerPlatform)
         spec = faasdom_spec("faas-fact", "nodejs")
         install_all(platform, [spec])
-        invoke_once(platform, spec.name, mode="cold")
-        assert _startup_share(platform.ledger.functions[spec.name]) > 0.6
+        record = invoke_once(platform, spec.name, mode="cold")
+        assert _startup_share([record]) > 0.6
 
     def test_chain_functions_all_appear(self):
         platform = fresh_platform(FireworksPlatform)
         chain = alexa_skills_chain()
         install_all(platform, chain.functions)
-        invoke_once(platform, chain.entry, payload={"skill": "fact"})
+        record = invoke_once(platform, chain.entry,
+                             payload={"skill": "fact"})
         # The platform folds both hops; each counts once.
-        ledger = platform.ledger
-        counts = {name: _invocations(entry)
-                  for name, entry in ledger.functions.items()}
-        assert counts == {"alexa-frontend": 1, "alexa-fact": 1}
-        assert ledger.completed == 2
+        assert [hop.function for hop in record.chain_records()] == \
+            ["alexa-frontend", "alexa-fact"]
+        assert platform.ledger.completed == 2
+        assert list(platform.ledger.total_ms) == \
+            [hop.total_ms for hop in reversed(record.chain_records())]

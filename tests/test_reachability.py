@@ -1,6 +1,6 @@
 """Only reached code lives in ``src/repro``.
 
-Two static checks, read with :mod:`ast` alone (nothing here imports
+Three static checks, read with :mod:`ast` alone (nothing here imports
 ``repro``):
 
 * **Modules.** Every module under ``src/repro`` is imported, directly or
@@ -13,10 +13,29 @@ Two static checks, read with :mod:`ast` alone (nothing here imports
   other than at its own definition: as a ``Name``, an ``Attribute``, or
   a string constant that is exactly the identifier (``getattr(row,
   "exec_ms")``).  An import alias or an ``__all__`` entry is not a use.
+* **State.** Every instance attribute a method of a class under
+  ``src/repro`` assigns (``self.NAME = …``, annotated or not) and every
+  field of a ``@dataclass`` there is read by the same code: as a loaded
+  ``.NAME`` or an identifier-exact string.  Three forms are writes, not
+  reads: ``x.NAME += …``, a call on ``x.NAME`` whose result is thrown
+  away (the statement ``x.NAME.append(v)``), and ``x.NAME[k] = v``
+  (or ``+= v``).
+  Exempt are the fields of ``@register_result_type`` classes (the
+  codecs, the canonical hash and the renderers iterate over them),
+  ``NamedTuple``s (read by position) and dunders.
 
 A definition that nothing names is either deleted or listed in
-:data:`ALLOWED` with the reason it stays; an entry that is now named, or
-no longer defined, fails too, so the list cannot rot.
+:data:`ALLOWED` with the reason it stays, and state that nothing reads
+is deleted or listed in :data:`ALLOWED_STATE`; an entry that is now
+named or read, or no longer defined, fails too, so the lists cannot rot.
+
+The state check matches names, not objects, so it has blind spots: a
+read of any other object's ``.NAME`` (``math.log`` reads every
+``.log``, the string ``"queued"`` reads every ``.queued``), and a value
+read only to update itself (``x.peak = max(x.peak, …)``), count as
+reads.  A tally behind one of those is found by hand, as were a
+per-function ledger read only inside the platform ledger's own fold and
+the admission queue's ``queued`` and ``peak_depth`` counters.
 """
 
 from __future__ import annotations
@@ -35,6 +54,14 @@ _KERNEL = "kernel primitive pinned by tests/property/"
 
 def _read(test: str) -> str:
     return f"read-only accessor of reached state; {test} reads it"
+
+
+def _field(test: str) -> str:
+    return f"field of a value reached code returns; {test} reads it"
+
+
+def _raised(test: str) -> str:
+    return f"attribute of an error reached code raises; {test} reads it"
 
 
 #: Definitions that nothing outside ``tests/`` names, each with the
@@ -92,8 +119,6 @@ ALLOWED: Dict[str, str] = {
         _read("tests/net/test_namespace.py"),
     "repro.net.nat.NatTable.external_for": _read("tests/net/test_nat.py"),
     "repro.net.nat.NatTable.rule_count": _read("tests/net/test_nat.py"),
-    "repro.platforms.base.FailedInvocation.latency_ms":
-        _read("tests/chaos/test_retry.py"),
     "repro.platforms.bus.MessageBus.has_topic":
         _read("tests/platforms/test_bus.py"),
     "repro.platforms.bus.MessageBus.topic_names":
@@ -116,6 +141,41 @@ ALLOWED: Dict[str, str] = {
         _read("tests/storage/test_snapshot_store.py"),
     "repro.workloads.dag.DagSpec.function_spec":
         _read("tests/workloads/test_dag_spec.py"),
+}
+
+#: Instance attributes and dataclass fields that nothing outside
+#: ``tests/`` reads, each with the reason it stays.  Keyed
+#: ``module.Class.attribute``.  A tally (a counter or an append-only
+#: collection) never belongs here: the ledger and the span trees hold
+#: every outcome.
+ALLOWED_STATE: Dict[str, str] = {
+    "repro.sim.process.Interrupt.cause": _KERNEL,
+    "repro.chaos.controller.ChaosEventRecord.detail":
+        _field("tests/chaos/helpers.py"),
+    "repro.core.annotator.common.AnnotatedSource.original":
+        _field("tests/core/test_annotator_python.py"),
+    "repro.net.bridge.Endpoint.tap": _field("tests/net/test_bridge.py"),
+    "repro.platforms.bus.Record.timestamp_ms":
+        _field("tests/platforms/test_bus.py"),
+    "repro.snapshot.restorer.LazyRestorePlan.covered_mb":
+        _field("tests/snapshot/test_lazy_restore.py"),
+    "repro.snapshot.restorer.LazyRestorePlan.touched_mb":
+        _field("tests/snapshot/test_lazy_restore.py"),
+    "repro.workloads.generator.FunctionPopularity.popular":
+        _field("tests/workloads/test_generator.py"),
+    "repro.errors.InvocationFailedError.reason":
+        _raised("tests/chaos/test_retry.py"),
+    "repro.errors.InvocationSheddedError.reason":
+        _raised("tests/trace/test_retention.py"),
+    # Read through calls the check counts as writes.
+    "repro.net.namespace.NetworkNamespace.nat":
+        "the namespace's NAT table (Figure 5): its add_rule and "
+        "remove_rule reject duplicate and missing rules; "
+        "tests/net/test_bridge.py reads it",
+    # Documentation kept beside the declaration it documents.
+    "repro.policy.signals.SignalSpec.doc":
+        "the meaning of one declared DSL signal, next to its scope and "
+        "arguments",
 }
 
 
@@ -205,21 +265,144 @@ class Codebase:
     def unnamed_definitions(self, allowed: Mapping[str, str]) -> List[str]:
         """``qualified (file:line)`` of each definition nothing names and
         *allowed* does not list."""
-        named = self.named()
-        return sorted(
-            f"{qualified} ({path.relative_to(self.root)}:{line})"
-            for qualified, (name, path, line) in self.definitions().items()
-            if name not in named and qualified not in allowed)
+        return self._unused(self.definitions(), self.named(), allowed)
 
     def stale_entries(self, allowed: Mapping[str, str]) -> List[str]:
         """Entries of *allowed* that are named again or no longer
         defined."""
-        named = self.named()
-        definitions = self.definitions()
+        return _stale(allowed, self.definitions(), self.named())
+
+    def state(self) -> Dict[str, Tuple[str, Path, int]]:
+        """``{module.Class.attribute: (attribute, file, line)}`` for every
+        instance attribute and dataclass field under the package (see the
+        module docstring for what is exempt)."""
+        found: Dict[str, Tuple[str, Path, int]] = {}
+
+        def visit(node: ast.AST, prefix: str, path: Path) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    qualified = f"{prefix}.{child.name}"
+                    if not ({"register_result_type"} & _decorators(child)
+                            or "NamedTuple" in map(_bare, child.bases)):
+                        for name, line in _assigned(child):
+                            if not (name.startswith("__")
+                                    and name.endswith("__")):
+                                found.setdefault(f"{qualified}.{name}",
+                                                 (name, path, line))
+                    visit(child, qualified, path)
+                elif isinstance(child, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                    visit(child, f"{prefix}.{child.name}", path)
+                else:
+                    visit(child, prefix, path)
+
+        for module, path in self.modules.items():
+            visit(self.trees[path], module, path)
+        return found
+
+    def read(self) -> Set[str]:
+        """Every attribute name the parsed code reads (see the module
+        docstring for what counts)."""
+        names = set()
+        for tree in self.trees.values():
+            skipped = _all_entries(tree) | _writes(tree)
+            for node in ast.walk(tree):
+                if id(node) in skipped:
+                    continue
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and node.value.isidentifier()):
+                    names.add(node.value)
+        return names
+
+    def unread_state(self, allowed: Mapping[str, str]) -> List[str]:
+        """``qualified (file:line)`` of each attribute nothing reads and
+        *allowed* does not list."""
+        return self._unused(self.state(), self.read(), allowed)
+
+    def stale_state_entries(self, allowed: Mapping[str, str]) -> List[str]:
+        """Entries of *allowed* that are read again or no longer
+        assigned."""
+        return _stale(allowed, self.state(), self.read())
+
+    def _unused(self, found: Mapping[str, Tuple[str, Path, int]],
+                used: Set[str], allowed: Mapping[str, str]) -> List[str]:
         return sorted(
-            qualified for qualified in allowed
-            if qualified not in definitions
-            or definitions[qualified][0] in named)
+            f"{qualified} ({path.relative_to(self.root)}:{line})"
+            for qualified, (name, path, line) in found.items()
+            if name not in used and qualified not in allowed)
+
+
+def _stale(allowed: Mapping[str, str],
+           found: Mapping[str, Tuple[str, Path, int]],
+           used: Set[str]) -> List[str]:
+    return sorted(qualified for qualified in allowed
+                  if qualified not in found or found[qualified][0] in used)
+
+
+def _bare(node: ast.expr) -> str:
+    """The last name of a ``Name``, ``Attribute`` or call of either
+    (``@dataclass(frozen=True)`` is ``dataclass``)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _decorators(node: ast.AST) -> Set[str]:
+    return {_bare(decorator) for decorator in node.decorator_list}
+
+
+def _assigned(cls: ast.ClassDef) -> Iterator[Tuple[str, int]]:
+    """``(name, line)`` of each field of a dataclass *cls* and of each
+    ``self.NAME`` its methods assign."""
+    if "dataclass" in _decorators(cls):
+        for statement in cls.body:
+            if (isinstance(statement, ast.AnnAssign)
+                    and isinstance(statement.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(statement.annotation)):
+                yield statement.target.id, statement.lineno
+    for method in cls.body:
+        if not (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and method.args.args
+                and "staticmethod" not in _decorators(method)):
+            continue
+        this = method.args.args[0].arg
+        for node in ast.walk(method):
+            targets = (list(node.targets) if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets.extend(target.elts)
+                elif (isinstance(target, ast.Attribute)
+                      and isinstance(target.value, ast.Name)
+                      and target.value.id == this):
+                    yield target.attr, target.lineno
+
+
+def _writes(tree: ast.AST) -> Set[int]:
+    """``id()`` of every loaded ``x.NAME`` that only updates ``NAME``:
+    the ``x.NAME`` of ``x.NAME.f(…)`` as a statement, and of
+    ``x.NAME[k] = v`` or ``x.NAME[k] += v`` (``x.NAME += …`` stores, so
+    it never loads)."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) \
+                and isinstance(node.value.func, ast.Attribute):
+            ids.add(id(node.value.func.value))
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign,
+                                                      ast.AnnAssign))
+                   else [])
+        ids.update(id(target.value) for target in targets
+                   if isinstance(target, ast.Subscript))
+    return ids
 
 
 def _imported(tree: ast.AST, module: str, is_package: bool) -> Iterator[str]:
@@ -275,6 +458,18 @@ def test_every_definition_is_named_outside_tests():
 def test_allowed_entries_are_defined_and_unnamed():
     stale = REPO.stale_entries(ALLOWED)
     assert not stale, f"ALLOWED entries that are named or gone: {stale}"
+
+
+def test_every_attribute_is_read_outside_tests():
+    unread = REPO.unread_state(ALLOWED_STATE)
+    assert not unread, (
+        "state that nothing outside tests/ reads (delete it, or list it "
+        "in ALLOWED_STATE with a reason):\n  " + "\n  ".join(unread))
+
+
+def test_allowed_state_entries_are_assigned_and_unread():
+    stale = REPO.stale_state_entries(ALLOWED_STATE)
+    assert not stale, f"ALLOWED_STATE entries that are read or gone: {stale}"
 
 
 # -- the checks themselves, on small trees ------------------------------------
@@ -451,3 +646,108 @@ class TestAllowedList:
     def test_an_entry_no_longer_defined_is_stale(self, tmp_path):
         tree = _tree(tmp_path)
         assert tree.stale_entries(self.ALLOWED) == ["repro.core.helper"]
+
+
+def _unread(tree: Codebase) -> List[str]:
+    return [entry.split()[0] for entry in tree.unread_state({})]
+
+
+#: ``repro.core`` with a class whose ``count`` only the file under test
+#: reads (or not).
+_COUNTER = ("class Box:\n"
+            "    def __init__(self):\n"
+            "        self.count = 0\n\n"
+            "    def bump(self):\n"
+            "        self.count += 1\n\n\n"
+            "def run():\n    box = Box()\n    box.bump()\n    return box\n")
+
+
+class TestStateCheck:
+    def test_a_read_attribute_passes(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": _COUNTER.replace(
+            "return box\n", "return box.count\n")})
+        assert _unread(tree) == []
+
+    def test_a_counter_only_incremented_fails(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": _COUNTER})
+        path = Path("src", "repro", "core.py")
+        assert tree.unread_state({}) == [f"repro.core.Box.count ({path}:3)"]
+
+    def test_a_list_only_appended_to_fails(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.seen = []\n"
+            "        self.by_key = {}\n\n"
+            "    def note(self, key):\n"
+            "        self.seen.append(key)\n"
+            "        self.by_key[key] = 1\n\n\n"
+            "def run():\n    return Box().note(1)\n")})
+        assert _unread(tree) == ["repro.core.Box.by_key",
+                                 "repro.core.Box.seen"]
+
+    def test_an_unread_dataclass_field_fails(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "from dataclasses import dataclass\n\n\n"
+            "@dataclass(frozen=True)\n"
+            "class Row:\n    used: int\n    unused: int = 0\n\n\n"
+            "def run():\n    return Row(1).used\n")})
+        assert _unread(tree) == ["repro.core.Row.unused"]
+
+    def test_a_read_in_an_example_counts(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": _COUNTER,
+            "examples/demo.py": ("from repro.core import run\n\n"
+                                 "print(run().count)\n")})
+        assert _unread(tree) == []
+
+    def test_a_read_under_tests_does_not_count(self, tmp_path):
+        tree = _tree(tmp_path, {
+            "src/repro/core.py": _COUNTER,
+            "tests/test_core.py": ("from repro.core import run\n\n"
+                                   "assert run().count == 1\n")})
+        assert _unread(tree) == ["repro.core.Box.count"]
+
+    def test_getattr_with_the_name_counts(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": _COUNTER.replace(
+            "return box\n", "return getattr(box, \"count\")\n")})
+        assert _unread(tree) == []
+
+    def test_a_result_type_field_is_exempt(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "from dataclasses import dataclass\n\n"
+            "from repro.codec import register_result_type\n\n\n"
+            "@register_result_type\n@dataclass\n"
+            "class Row:\n    unused: int = 0\n\n\n"
+            "def run():\n    return Row()\n")})
+        assert _unread(tree) == []
+
+    def test_a_named_tuple_and_dunders_are_exempt(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": (
+            "from typing import NamedTuple\n\n\n"
+            "class Pair(NamedTuple):\n    left: int\n    right: int\n\n\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.__dict__ = {}\n\n\n"
+            "def run():\n    return Pair(1, 2), Box()\n")})
+        assert _unread(tree) == []
+
+
+class TestAllowedState:
+    ALLOWED = {"repro.core.Box.count": "read by a test"}
+
+    def test_an_allowed_attribute_passes(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": _COUNTER})
+        assert tree.unread_state(self.ALLOWED) == []
+        assert tree.stale_state_entries(self.ALLOWED) == []
+
+    def test_an_entry_read_again_is_stale(self, tmp_path):
+        tree = _tree(tmp_path, {"src/repro/core.py": _COUNTER.replace(
+            "return box\n", "return box.count\n")})
+        assert tree.stale_state_entries(self.ALLOWED) == [
+            "repro.core.Box.count"]
+
+    def test_an_entry_no_longer_assigned_is_stale(self, tmp_path):
+        tree = _tree(tmp_path)
+        assert tree.stale_state_entries(self.ALLOWED) == [
+            "repro.core.Box.count"]

@@ -3,10 +3,10 @@
 The tracer keeps the first ``KEPT_ROOTS`` roots of a simulation.  Later
 trees are still built — each record's breakdown is derived from its live
 tree — but nothing holds them once their invocation ends: the platform
-folds every outcome into its ledger and keeps a record, failed or shed
-invocation only while its tree is kept, spans carry no parent pointer,
-records hold no worker unless the platform retains workers, and a
-Fireworks clone's parameter topic goes with the clone.
+folds every outcome into its ledger and keeps nothing else of it, spans
+carry no parent pointer, records hold no worker unless the platform
+retains workers, and a Fireworks clone's parameter topic goes with the
+clone.
 """
 
 import dataclasses
@@ -37,7 +37,7 @@ from repro.platforms.ledger import InvocationLedger
 from repro.sim import Interrupt, Resource, Simulation, Store
 from repro.trace import KEPT_ROOTS, Span
 from repro.workloads import ALEXA_SKILLS, alexa_skills_chain, faasdom_spec
-from tests.helpers import run
+from tests.helpers import invoke_roots, outcome_of, run
 
 #: Record fields every derived figure reads.
 RECORD_FIELDS = ("function", "mode", "host_id", "submitted_ms",
@@ -91,36 +91,34 @@ class TestLongReplay:
         platform, _ = replay
         assert len(platform.sim.tracer.traces()) == KEPT_ROOTS
 
-    def test_later_records_have_no_span(self, replay):
-        """Later invocations keep no tree, so the platform keeps no
-        outcome of theirs: the kept outcomes are exactly the kept
-        ``invoke`` trees."""
+    def test_kept_invocations_are_a_prefix(self, replay):
+        """A root is kept when it opens, so the kept ``invoke`` trees are
+        a prefix of the invocations in submission order."""
         platform, _ = replay
-        outcomes = (platform.records + platform.failed_invocations
-                    + platform.shedded_invocations)
-        assert all(outcome.span is not None for outcome in outcomes)
-        roots = [root for root in platform.sim.tracer.traces()
-                 if root.kind == "invoke"]
-        assert sorted(id(outcome.span) for outcome in outcomes) == \
-            sorted(id(root) for root in roots)
-        # A root is kept when it opens, so the kept invocations are a
-        # prefix in submission order.
-        seqs = sorted(_invocation_seq(outcome) for outcome in outcomes)
+        seqs = sorted(_invocation_seq(root)
+                      for root in invoke_roots(platform))
         assert seqs == list(range(1, len(seqs) + 1))
+        assert len(seqs) < platform._invocation_seq
 
     def test_the_ledger_counts_every_completion(self, replay):
         platform, _ = replay
         ledger = platform.ledger
         # Both sides of the cut are populated: the ledger folded the
-        # invocations whose records were dropped too.
-        assert 0 < len(platform.records) < ledger.completed
+        # invocations whose trees were dropped too.
+        completed = [root for root in invoke_roots(platform)
+                     if outcome_of(root) == "completed"]
+        assert 0 < len(completed) < ledger.completed
         assert ledger.completed + ledger.failed + ledger.shed == \
             platform._invocation_seq
 
-    def test_no_record_holds_a_worker(self, replay):
-        platform, _ = replay
-        assert platform.records
-        assert all(record.worker is None for record in platform.records)
+    def test_no_record_holds_a_worker(self):
+        platform = fresh_platform(FireworksPlatform)
+        spec = faasdom_spec("faas-fact", "nodejs")
+        install_all(platform, [spec])
+        assert invoke_once(platform, spec.name).worker is None
+        platform.retain_workers = True
+        record = invoke_once(platform, spec.name)
+        assert record.worker is platform.active_workers[0]
 
     def test_live_spans_are_exactly_the_kept_trees(self, replay):
         platform, live = replay
@@ -146,15 +144,30 @@ class TestLongReplay:
 
 def _submit_at(platform, function: str, at_ms: float, returned: list):
     """Submit *function* at *at_ms*; append what ``invoke`` returned or
-    raised with (a record, a failed or a shed invocation) to *returned*."""
+    raised (a record, or the failed or shed error) to *returned*."""
     sim = platform.sim
     yield sim.timeout(at_ms - sim.now)
     try:
         returned.append((yield from platform.invoke(function)))
-    except InvocationSheddedError as error:
-        returned.append(error.shedded)
-    except InvocationFailedError as error:
-        returned.append(error.failed)
+    except (InvocationSheddedError, InvocationFailedError) as error:
+        returned.append(error)
+
+
+def _completions(returned):
+    """The records among *returned*, chain hops included, in the order
+    their invocations completed (a synchronous hop before its caller)."""
+    def post_order(record):
+        for child in record.children:
+            yield from post_order(child)
+        yield record
+
+    return [hop for outcome in returned if not isinstance(outcome, Exception)
+            for hop in post_order(outcome)]
+
+
+def _errors(returned, error_type):
+    return [outcome for outcome in returned
+            if isinstance(outcome, error_type)]
 
 
 def _mixed_run(padded: bool):
@@ -192,72 +205,66 @@ def _mixed_run(padded: bool):
 
 
 class TestPaddedTracer:
-    """Past the bound, invocations keep no tree and no record, and the
-    ledger folds the same numbers."""
+    """Past the bound, invocations keep no tree, and the ledger folds the
+    same numbers."""
 
     @pytest.fixture(scope="class")
     def runs(self):
         return _mixed_run(padded=False), _mixed_run(padded=True)
 
-    @staticmethod
-    def _chain_records(platform):
-        return [hop for record in platform.records
-                for hop in record.chain_records()]
-
     def test_past_the_bound_nothing_keeps_a_tree(self, runs):
-        (plain, _), (padded, returned) = runs
+        (plain, returned), (padded, padded_returned) = runs
         # The run covers every outcome, and below the bound every one of
         # them keeps its tree.
-        assert plain.failed_invocations and plain.shedded_invocations
-        assert any(record.children for record in plain.records)
-        outcomes = (self._chain_records(plain) + plain.failed_invocations
-                    + plain.shedded_invocations)
-        assert all(outcome.span is not None for outcome in outcomes)
-        # Past it, no outcome keeps a tree, so none is kept.
+        failed = _errors(returned, InvocationFailedError)
+        shed = _errors(returned, InvocationSheddedError)
+        records = _completions(returned)
+        assert failed and shed
+        assert any(record.children for record in returned
+                   if not isinstance(record, Exception))
+        assert all(record.span is not None for record in records)
+        outcomes = [outcome_of(root) for root in invoke_roots(plain)]
+        assert outcomes.count("failed") == len(failed)
+        assert outcomes.count("shed") == len(shed)
+        # Past it, no outcome keeps a tree.
         assert len(padded.sim.tracer.traces()) == KEPT_ROOTS
-        assert all(outcome.span is None for outcome in returned)
-        assert padded.records == padded.failed_invocations == \
-            padded.shedded_invocations == []
+        assert invoke_roots(padded) == []
+        assert all(record.span is None
+                   for record in _completions(padded_returned))
 
     def test_numbers_are_unchanged(self, runs):
         (plain, ours_returned), (padded, theirs_returned) = runs
         assert len(ours_returned) == len(theirs_returned)
         for ours, theirs in zip(ours_returned, theirs_returned):
             assert type(ours) is type(theirs)
-            if hasattr(ours, "chain_records"):
-                ours_hops, theirs_hops = (ours.chain_records(),
-                                          theirs.chain_records())
-                assert len(ours_hops) == len(theirs_hops)
-                for hop, other in zip(ours_hops, theirs_hops):
-                    for name in RECORD_FIELDS:
-                        assert getattr(hop, name) == getattr(other, name), \
-                            name
-            else:
-                # A failed or shed invocation: equal but for its span.
-                assert dataclasses.replace(ours, span=None) == theirs
+            if isinstance(ours, Exception):
+                assert (str(ours), vars(ours)) == (str(theirs), vars(theirs))
+                continue
+            ours_hops, theirs_hops = (ours.chain_records(),
+                                      theirs.chain_records())
+            assert len(ours_hops) == len(theirs_hops)
+            for hop, other in zip(ours_hops, theirs_hops):
+                for name in RECORD_FIELDS:
+                    assert getattr(hop, name) == getattr(other, name), name
         # Billed time included: past the bound it is folded all the same.
         assert plain.ledger == padded.ledger
 
     def test_ledger_reads_like_the_records_below_the_bound(self, runs):
-        (plain, _), _ = runs
-        ledger, records = plain.ledger, plain.records
+        (plain, returned), _ = runs
+        ledger, records = plain.ledger, _completions(returned)
         assert ledger.total_ms == array(
             "d", (record.total_ms for record in records))
         assert ledger.queue_wait_ms == array(
             "d", (record.queue_wait_ms for record in records))
         assert (ledger.completed, ledger.failed, ledger.shed) == (
-            len(records), len(plain.failed_invocations),
-            len(plain.shedded_invocations))
+            len(records), len(_errors(returned, InvocationFailedError)),
+            len(_errors(returned, InvocationSheddedError)))
         assert ledger.billed_ms == sum(math.ceil(record.exec_ms)
                                        for record in records)
-        # Folding the kept outcomes afresh gives the platform's ledger.
-        folded = InvocationLedger()
+        # Folding the outcomes afresh gives the platform's ledger.
+        folded = InvocationLedger(failed=ledger.failed, shed=ledger.shed)
         for record in records:
             folded.fold(record)
-        for failed in plain.failed_invocations:
-            folded.fold_failed(failed)
-        for shedded in plain.shedded_invocations:
-            folded.fold_shed(shedded)
         assert folded == ledger
 
 
@@ -388,7 +395,7 @@ class TestRefcountingFreesASimulation:
         assert all(host.admission is not None
                    for host in platform.cluster.hosts)
         assert len(executor.trigger_runs) == len(runs)
-        assert platform.chaos.log and platform.autoscaler.ticks
+        assert platform.chaos.log and platform.autoscaler is not None
         refs = [weakref.ref(platform), weakref.ref(platform.sim)]
         del platform, executor, runs
         assert [ref() for ref in refs] == [None, None]
@@ -404,16 +411,15 @@ class TestRefcountingFreesASimulation:
         def request():
             try:
                 outcomes.append((yield from queue.admit("fn")))
-            except InvocationSheddedError:
-                outcomes.append("shed")
+            except InvocationSheddedError as error:
+                outcomes.append(error.reason)
 
         sim.process(request())
         sim.process(request())
         sim.run(until=1.0)
         [waiter] = queue._waiters
         sim.run()
-        assert outcomes == [0.0, "shed"]
-        assert queue.sheds_wait == 1
+        assert outcomes == [0.0, "wait-budget"]
         # The budget's timeout decided the AnyOf; the hand-off event it
         # beat never fires and keeps no callback of the condition.
         assert not waiter.event.triggered
