@@ -327,6 +327,12 @@ class TestBinding:
         assert sorted(ACCESSORS[domain]) == \
             sorted(SIGNAL_SETS[domain].names())
 
+    @pytest.mark.parametrize("domain", sorted(SIGNAL_SETS))
+    def test_every_declared_signal_is_documented(self, domain):
+        signals = SIGNAL_SETS[domain]
+        for name in signals.names():
+            assert signals.get(name).doc.strip(), name
+
     def test_a_signal_without_an_accessor_fails_when_built(self):
         compiled = compile_policy(_placement_doc(ARGMIN_ACTIVE))
         table = dict(PLACEMENT_ACCESSORS)

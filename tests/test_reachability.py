@@ -163,6 +163,7 @@ ALLOWED_STATE: Dict[str, str] = {
         _field("tests/snapshot/test_lazy_restore.py"),
     "repro.workloads.generator.FunctionPopularity.popular":
         _field("tests/workloads/test_generator.py"),
+    "repro.policy.signals.SignalSpec.doc": _field("tests/policy/test_dsl.py"),
     "repro.errors.InvocationFailedError.reason":
         _raised("tests/chaos/test_retry.py"),
     "repro.errors.InvocationSheddedError.reason":
@@ -172,10 +173,6 @@ ALLOWED_STATE: Dict[str, str] = {
         "the namespace's NAT table (Figure 5): its add_rule and "
         "remove_rule reject duplicate and missing rules; "
         "tests/net/test_bridge.py reads it",
-    # Documentation kept beside the declaration it documents.
-    "repro.policy.signals.SignalSpec.doc":
-        "the meaning of one declared DSL signal, next to its scope and "
-        "arguments",
 }
 
 
