@@ -14,7 +14,7 @@ two runs in fresh interpreters:
    ``queue_wait_ms``, two doubles per completion) and the keep-alive gap
    ledgers (one double per arrival), each an ``array('d')``, plus the
    kept trace trees, which stop at ``KEPT_ROOTS``.  The allowance is the
-   measured growth (+4.6 to +5.0 MiB over three runs at the default
+   measured growth (+4.6 to +5.1 MiB over four runs at the default
    seed, Python 3.11 on Linux x86-64) with about a 2x margin.
 2. **Simulations run one after another.**  The serial 24-candidate
    ``run_search()`` against its first candidate alone
