@@ -15,6 +15,7 @@ from repro.errors import InvocationFailedError
 from repro.policy.placement import POLICY_SNAPSHOT_LOCALITY
 from repro.trace import render_tree
 from repro.workloads import faasdom_spec
+from tests.helpers import failed_tree
 
 #: The one spec every scenario installs (its name carries the language).
 SPEC = faasdom_spec("faas-netlatency", "nodejs")
@@ -90,7 +91,7 @@ def scenario_fingerprint(platform, controller, result):
         lines.append(f"{entry.at_ms!r} {entry.kind} host={entry.host_id} "
                      f"{entry.detail}")
     if isinstance(result, InvocationFailedError):
-        span = platform.sim.tracer.trace(result.trace_id)
+        span = failed_tree(platform, result)
     else:
         span = getattr(result, "span", None)
     if span is not None:
